@@ -19,7 +19,7 @@ from .oracle import crosscheck_p, reduce_to_single_player, solve_dp
 from .riccati import (MatrixTrajectory, OffsetBundle, RiccatiBundle,
                       integrate_backward, riccati_residuals, solve_game,
                       solve_offsets, solve_p, solve_P12, solve_P123)
-from .rng import NoisePath, NoisePlan, noise_paths
+from .rng import NoisePlan
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

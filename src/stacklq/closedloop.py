@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, UnsupportedPerturbationError
-from .lift import selectors
+from .lift import CoeffValues, mv, selectors
 from .model import GameSpec, solver_times
 from .riccati import OffsetBundle, RiccatiBundle
 from .rng import NoisePlan
@@ -92,80 +92,107 @@ def build_feedback(bundle: RiccatiBundle, offsets: OffsetBundle,
     n = spec.n
     e1, U, L, s2 = selectors(n)
     times = bundle.times
-    K = times.shape[0]
+    cv = CoeffValues(spec, times)
+    R1i, R2i, R3i = cv.Rinv
+    B1 = cv.B[0]
     l2, l3 = bundle.l2, bundle.l3
-    P1, P2 = bundle.P1.values, bundle.P2.values
+    cB2, cF2 = l2.calB2, l2.calF2
+    B3f, Fa, Fb = l3.frakB3, l3.Fa, l3.Fb
+    p, P1, P2 = bundle.p.values, bundle.P1.values, bundle.P2.values
     Pf1, Pf2, Pf3 = bundle.Pf1.values, bundle.Pf2.values, bundle.Pf3.values
     Om = offsets.Omega.values
+    Psum = Pf1 + Pf2 + Pf3
+    LOm = mv(L, Om)
 
-    shp = lambda *s: np.empty((K,) + s)
-    out = {name: shp(n, 4 * n) for name in
-           ("K1", "K2hat", "K2check", "K3", "K3hat", "K3check",
-            "Kv2check", "Kv3hat", "Kv3check")}
-    out.update({name: shp(n) for name in ("k1", "k2", "k3")})
-    out.update({name: shp(4 * n, 4 * n) for name in ("M0", "M2", "M3")})
-    out["coff"] = shp(4 * n)
+    g = {}
+    g["K3"] = -R3i @ (B3f.mT @ Pf1 + Fa)
+    g["K3hat"] = -R3i @ (B3f.mT @ Pf2)
+    g["K3check"] = -R3i @ (B3f.mT @ Pf3 + Fb)
+    g["k3"] = mv(-R3i, mv(B3f.mT, Om) + cv.nl[2])
+    g["Kv3hat"] = -R3i @ (B3f.mT @ (Pf1 + Pf2) + Fa)
+    g["Kv3check"] = -R3i @ (B3f.mT @ Psum + Fa + Fb)
 
-    from .lift import CoeffValues  # local import to avoid a cycle at import time
+    g["K2hat"] = -R2i @ (cB2.mT @ P1 @ U + cB2.mT @ L @ (Pf1 + Pf2))
+    g["K2check"] = -R2i @ ((cB2.mT @ P2 + cF2) @ U + cB2.mT @ L @ Pf3)
+    g["k2"] = mv(-R2i, mv(cB2.mT, LOm) + cv.nl[1])
+    g["Kv2check"] = -R2i @ ((cB2.mT @ (P1 + P2) + cF2) @ U + cB2.mT @ L @ Psum)
 
-    for k, t in enumerate(times):
-        cv = CoeffValues(spec, t)
-        R1i, R2i, R3i = cv.Rinv
-        B1 = cv.B[0]
-        cB2, cF2 = l2.calB2[k], l2.calF2[k]
-        B3f, Fa, Fb = l3.frakB3[k], l3.Fa[k], l3.Fb[k]
-        p = bundle.p.values[k]
-        Psum = Pf1[k] + Pf2[k] + Pf3[k]
+    g["K1"] = -R1i @ (B1.mT @ p @ e1 + B1.mT @ s2 @ (P1 + P2) @ U
+                      + B1.mT @ s2 @ L @ Psum)
+    g["k1"] = mv(-R1i, mv(B1.mT, mv(s2, LOm)) + cv.nl[0])
 
-        out["K3"][k] = -R3i @ (B3f.T @ Pf1[k] + Fa)
-        out["K3hat"][k] = -R3i @ (B3f.T @ Pf2[k])
-        out["K3check"][k] = -R3i @ (B3f.T @ Pf3[k] + Fb)
-        out["k3"][k] = -R3i @ (B3f.T @ Om[k] + cv.nl[2])
-        out["Kv3hat"][k] = -R3i @ (B3f.T @ (Pf1[k] + Pf2[k]) + Fa)
-        out["Kv3check"][k] = -R3i @ (B3f.T @ Psum + Fa + Fb)
+    g["M0"] = l3.frakA1 + l3.frakF1bar @ Pf1 + B3f @ g["K3"]
+    g["M2"] = (l3.frakA2 + l3.frakF1dd @ Pf2
+               + (l3.frakF1dd - l3.frakF1bar) @ Pf1 + B3f @ g["K3hat"])
+    g["M3"] = l3.frakA3 + l3.frakF1dd @ Pf3 + B3f @ g["K3check"]
+    g["coff"] = mv(l3.frakF1dd, Om) + l3.ddb3 + mv(B3f, g["k3"])
 
-        out["K2hat"][k] = -R2i @ (cB2.T @ P1[k] @ U + cB2.T @ L @ (Pf1[k] + Pf2[k]))
-        out["K2check"][k] = -R2i @ ((cB2.T @ P2[k] + cF2) @ U + cB2.T @ L @ Pf3[k])
-        out["k2"][k] = -R2i @ (cB2.T @ (L @ Om[k]) + cv.nl[1])
-        out["Kv2check"][k] = -R2i @ ((cB2.T @ (P1[k] + P2[k]) + cF2) @ U
-                                     + cB2.T @ L @ Psum)
-
-        out["K1"][k] = -R1i @ (B1.T @ p @ e1 + B1.T @ s2 @ (P1[k] + P2[k]) @ U
-                               + B1.T @ s2 @ L @ Psum)
-        out["k1"][k] = -R1i @ (B1.T @ (s2 @ (L @ Om[k])) + cv.nl[0])
-
-        out["M0"][k] = l3.frakA1[k] + l3.frakF1bar[k] @ Pf1[k] + B3f @ out["K3"][k]
-        out["M2"][k] = (l3.frakA2[k] + l3.frakF1dd[k] @ Pf2[k]
-                        + (l3.frakF1dd[k] - l3.frakF1bar[k]) @ Pf1[k]
-                        + B3f @ out["K3hat"][k])
-        out["M3"][k] = l3.frakA3[k] + l3.frakF1dd[k] @ Pf3[k] + B3f @ out["K3check"][k]
-        out["coff"][k] = l3.frakF1dd[k] @ Om[k] + l3.ddb3[k] + B3f @ out["k3"][k]
-
-    for name in out:
-        if not np.all(np.isfinite(out[name])):
+    for name, table in g.items():
+        if not np.all(np.isfinite(table)):
             raise BlowUpError(f"feedback gain {name}", float(times[-1]))
 
     return FeedbackLaw(times=times, n=n,
                        frakC1=l3.frakC1, frakC2=l3.frakC2, frakC3=l3.frakC3,
                        Sigma1=l3.Sigma1, Sigma2=l3.Sigma2, Sigma3=l3.Sigma3,
-                       **out)
+                       **g)
 
 
 def _increments(noise, n_paths):
-    if isinstance(noise, np.ndarray):
-        return noise
     if isinstance(noise, NoisePlan):
         if n_paths is None:
             raise ValueError("n_paths required with a NoisePlan")
         return noise.increments(np.arange(n_paths))
-    return np.stack([np.asarray(p.increments) for p in noise])
+    return noise
 
 
 def _guard(arr, t, what):
-    if not np.all(np.isfinite(arr)) or np.abs(arr).max(initial=0.0) > BLOWUP_LIMIT:
-        bad = np.where(~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim))) |
-                       (np.abs(arr).max(axis=tuple(range(1, arr.ndim))) > BLOWUP_LIMIT))[0]
+    """BlowUpError naming the first bad path when arr is non-finite or huge."""
+    if not np.abs(arr).max(initial=0.0) <= BLOWUP_LIMIT:   # NaN fails too
+        ok = np.abs(arr).max(axis=tuple(range(1, arr.ndim))) <= BLOWUP_LIMIT
+        bad = np.flatnonzero(~ok)
         raise BlowUpError(what, t, path=int(bad[0]) if bad.size else None)
+
+
+def _controls(law: FeedbackLaw, k, X, Xh, Xc):
+    """Equilibrium controls (v1, v2, v3) at node k."""
+    v1 = Xc @ law.K1[k].T + law.k1[k]
+    v2 = Xh @ law.K2hat[k].T + Xc @ law.K2check[k].T + law.k2[k]
+    v3 = X @ law.K3[k].T + Xh @ law.K3hat[k].T + Xc @ law.K3check[k].T + law.k3[k]
+    return v1, v2, v3
+
+
+def _filtered_step(law: FeedbackLaw, times, k, dWk, X, Xh, Xc):
+    """Euler step k -> k+1 of the state and its two filters, guarded."""
+    h = times[k + 1] - times[k]
+    drift = X @ law.M0[k].T + Xh @ law.M2[k].T + Xc @ law.M3[k].T + law.coff[k]
+    drift_h = Xh @ (law.M0[k] + law.M2[k]).T + Xc @ law.M3[k].T + law.coff[k]
+    drift_c = Xc @ (law.M0[k] + law.M2[k] + law.M3[k]).T + law.coff[k]
+    d1, d2, d3 = dWk[:, 0:1], dWk[:, 1:2], dWk[:, 2:3]
+    Xn = (X + h * drift
+          + d1 * (X @ law.frakC1[k].T + law.Sigma1[k])
+          + d2 * (X @ law.frakC2[k].T + law.Sigma2[k])
+          + d3 * (X @ law.frakC3[k].T + law.Sigma3[k]))
+    Xhn = (Xh + h * drift_h
+           + d2 * (Xh @ law.frakC2[k].T + law.Sigma2[k])
+           + d3 * (Xh @ law.frakC3[k].T + law.Sigma3[k]))
+    Xcn = Xc + h * drift_c + d3 * (Xc @ law.frakC3[k].T + law.Sigma3[k])
+    _guard(Xn, float(times[k + 1]), "equilibrium state")
+    return Xn, Xhn, Xcn
+
+
+def _state_step(cv: CoeffValues, times, k, dWk, x, v):
+    """Euler step k -> k+1 of the physical state under controls v, guarded.
+
+    cv is the node-k coefficient view; v holds (v1, v2, v3) at node k.
+    """
+    h = times[k + 1] - times[k]
+    drift = x @ cv.A.T + cv.b
+    for Bi, vi in zip(cv.B, v):
+        drift = drift + vi @ Bi.T
+    diff = sum(dWk[:, i:i + 1] * (x @ cv.C[i].T + cv.sigma[i]) for i in range(3))
+    x = x + h * drift + diff
+    _guard(x, float(times[k + 1]), "state")
+    return x
 
 
 def simulate_equilibrium(spec: GameSpec, law: FeedbackLaw, noise,
@@ -182,10 +209,7 @@ def simulate_equilibrium(spec: GameSpec, law: FeedbackLaw, noise,
     Xc = X.copy()
 
     def record(k, out, X, Xh, Xc):
-        out["v3"][:, k] = (X @ law.K3[k].T + Xh @ law.K3hat[k].T
-                           + Xc @ law.K3check[k].T + law.k3[k])
-        out["v2"][:, k] = Xh @ law.K2hat[k].T + Xc @ law.K2check[k].T + law.k2[k]
-        out["v1"][:, k] = Xc @ law.K1[k].T + law.k1[k]
+        out["v1"][:, k], out["v2"][:, k], out["v3"][:, k] = _controls(law, k, X, Xh, Xc)
         out["vcheck2"][:, k] = Xc @ law.Kv2check[k].T + law.k2[k]
         out["vhat3"][:, k] = (Xh @ law.Kv3hat[k].T + Xc @ law.K3check[k].T
                               + law.k3[k])
@@ -200,25 +224,9 @@ def simulate_equilibrium(spec: GameSpec, law: FeedbackLaw, noise,
     for k in range(K):
         X3[:, k], X3h[:, k], X3c[:, k] = X, Xh, Xc
         record(k, out, X, Xh, Xc)
-        h = times[k + 1] - times[k]
-        drift = X @ law.M0[k].T + Xh @ law.M2[k].T + Xc @ law.M3[k].T + law.coff[k]
-        drift_h = Xh @ (law.M0[k] + law.M2[k]).T + Xc @ law.M3[k].T + law.coff[k]
-        drift_c = Xc @ (law.M0[k] + law.M2[k] + law.M3[k]).T + law.coff[k]
-        d1, d2, d3 = dW[:, k, 0:1], dW[:, k, 1:2], dW[:, k, 2:3]
-        Xn = (X + h * drift
-              + d1 * (X @ law.frakC1[k].T + law.Sigma1[k])
-              + d2 * (X @ law.frakC2[k].T + law.Sigma2[k])
-              + d3 * (X @ law.frakC3[k].T + law.Sigma3[k]))
-        Xhn = (Xh + h * drift_h
-               + d2 * (Xh @ law.frakC2[k].T + law.Sigma2[k])
-               + d3 * (Xh @ law.frakC3[k].T + law.Sigma3[k]))
-        Xcn = Xc + h * drift_c + d3 * (Xc @ law.frakC3[k].T + law.Sigma3[k])
-        X, Xh, Xc = Xn, Xhn, Xcn
-        if k % 64 == 0:
-            _guard(X, float(times[k + 1]), "equilibrium state")
+        X, Xh, Xc = _filtered_step(law, times, k, dW[:, k], X, Xh, Xc)
     X3[:, K], X3h[:, K], X3c[:, K] = X, Xh, Xc
     record(K, out, X, Xh, Xc)
-    _guard(X, float(times[K]), "equilibrium state")
     return PathBundle(times=times, X3=X3, X3hat=X3h, X3check=X3c, **out)
 
 
@@ -226,31 +234,11 @@ def simulate_equilibrium(spec: GameSpec, law: FeedbackLaw, noise,
 # raw state simulation under arbitrary control paths
 # ---------------------------------------------------------------------------
 
-def _coeff_tables(spec: GameSpec, times):
-    from .lift import CoeffValues
-    K = times.shape[0]
-    n = spec.n
-    A = np.empty((K, n, n))
-    B = np.empty((3, K, n, n))
-    C = np.empty((3, K, n, n))
-    b = np.empty((K, n))
-    sig = np.empty((3, K, n))
-    for k, t in enumerate(times):
-        cv = CoeffValues(spec, t)
-        A[k] = cv.A
-        b[k] = cv.b
-        for i in range(3):
-            B[i, k] = cv.B[i]
-            C[i, k] = cv.C[i]
-            sig[i, k] = cv.sigma[i]
-    return A, B, C, b, sig
-
-
-def _control_at(v, k, N, n):
-    """Control sample at node k from a (K+1,n) or (N,K+1,n) array."""
+def _rows_at(v, k, N):
+    """(N, d) rows at node k of a (K+1, d) or (N, K+1, d) array."""
     arr = np.asarray(v, dtype=float)
     if arr.ndim == 2:
-        return np.broadcast_to(arr[k], (N, n))
+        return np.broadcast_to(arr[k], (N, arr.shape[-1]))
     return arr[:, k]
 
 
@@ -263,21 +251,14 @@ def simulate_state(spec: GameSpec, v1, v2, v3, noise, n_paths: int | None = None
     if K != times.shape[0] - 1:
         raise ValueError("noise increments do not match the solver grid")
     n = spec.n
-    A, B, C, b, sig = _coeff_tables(spec, times)
+    cv = CoeffValues(spec, times)
     x = np.tile(spec.x0 if x0 is None else np.asarray(x0, dtype=float), (N, 1))
     xs = np.empty((N, K + 1, n))
     for k in range(K):
         xs[:, k] = x
-        h = times[k + 1] - times[k]
-        drift = x @ A[k].T + b[k]
-        for i, v in enumerate((v1, v2, v3)):
-            drift = drift + _control_at(v, k, N, n) @ B[i, k].T
-        diff = sum(dW[:, k, i:i + 1] * (x @ C[i, k].T + sig[i, k]) for i in range(3))
-        x = x + h * drift + diff
-        if k % 64 == 0:
-            _guard(x, float(times[k + 1]), "state")
+        v = [_rows_at(vi, k, N) for vi in (v1, v2, v3)]
+        x = _state_step(cv[k], times, k, dW[:, k], x, v)
     xs[:, K] = x
-    _guard(x, float(times[K]), "state")
     return xs
 
 
@@ -402,13 +383,15 @@ def respond_player1(spec: GameSpec, bundle: RiccatiBundle, v2, v3, noise,
     n = spec.n
     p = bundle.p.values
     l1 = bundle.l1
+    cv = CoeffValues(spec, times)
+    B1, B2, B3 = cv.B
 
     det = _is_deterministic(v2) and _is_deterministic(v3)
     if det:
         vc2 = np.asarray(v2, dtype=float)
         vc3 = np.asarray(v3, dtype=float)
-        drv = np.einsum("kij,kj->ki", p, np.einsum("kij,kj->ki", _stack_B(bundle, spec, 1), vc2)
-                        + np.einsum("kij,kj->ki", _stack_B(bundle, spec, 2), vc3)) + l1.f1bar
+        drv = np.einsum("kij,kj->ki", p, np.einsum("kij,kj->ki", B2, vc2)
+                        + np.einsum("kij,kj->ki", B3, vc3)) + l1.f1bar
         coefT = np.transpose(l1.Abar, (0, 2, 1))
         phi = _det_backward(times, coefT, drv, np.zeros(n))
         phi_paths = np.broadcast_to(phi, (N, K + 1, n))
@@ -418,40 +401,26 @@ def respond_player1(spec: GameSpec, bundle: RiccatiBundle, v2, v3, noise,
                 "path-valued leader controls need vcheck2/vcheck3/phicheck paths")
         vc2, vc3, phi_paths = vcheck2, vcheck3, phicheck
 
-    A, B, C, b, sig = _coeff_tables(spec, times)
+    C3, sig3 = cv.C[2], cv.sigma[2]
     xc = np.tile(spec.x0, (N, 1))
     xcs = np.empty((N, K + 1, n))
     for k in range(K):
         xcs[:, k] = xc
         h = times[k + 1] - times[k]
-        phik = phi_paths[:, k] if phi_paths.ndim == 3 else phi_paths[k]
-        drift = (xc @ l1.Abar[k].T + phik @ l1.F1bar[k].T
-                 + _control_at(vc2, k, N, n) @ B[1, k].T
-                 + _control_at(vc3, k, N, n) @ B[2, k].T + l1.bbar[k])
-        xc = xc + h * drift + dW[:, k, 2:3] * (xc @ C[2, k].T + sig[2, k])
+        drift = (xc @ l1.Abar[k].T + phi_paths[:, k] @ l1.F1bar[k].T
+                 + _rows_at(vc2, k, N) @ B2[k].T
+                 + _rows_at(vc3, k, N) @ B3[k].T + l1.bbar[k])
+        xc = xc + h * drift + dW[:, k, 2:3] * (xc @ C3[k].T + sig3[k])
     xcs[:, K] = xc
 
     v1 = np.empty((N, K + 1, n))
-    from .lift import CoeffValues
+    nl1, R1i = cv.nl[0], cv.Rinv[0]
     for k in range(K + 1):
-        cv = CoeffValues(spec, times[k])
-        phik = phi_paths[:, k] if phi_paths.ndim == 3 else np.broadcast_to(phi_paths[k], (N, n))
-        v1[:, k] = -(xcs[:, k] @ (cv.B[0].T @ p[k]).T + phik @ cv.B[0]
-                     + cv.nl[0]) @ cv.Rinv[0].T
+        v1[:, k] = -(xcs[:, k] @ (B1[k].T @ p[k]).T + phi_paths[:, k] @ B1[k]
+                     + nl1[k]) @ R1i[k].T
 
     xs = simulate_state(spec, v1, v2, v3, dW)
-    phio = phi_paths if phi_paths.ndim == 3 else np.broadcast_to(phi_paths, (N, K + 1, n))
-    return Player1Response(times=times, x=xs, xcheck=xcs, phicheck=phio, v1=v1)
-
-
-def _stack_B(bundle, spec, which):
-    """Node table of B2 (which=1) or B3 (which=2)."""
-    from .lift import CoeffValues
-    times = bundle.times
-    out = np.empty((times.shape[0], spec.n, spec.n))
-    for k, t in enumerate(times):
-        out[k] = CoeffValues(spec, t).B[which]
-    return out
+    return Player1Response(times=times, x=xs, xcheck=xcs, phicheck=phi_paths, v1=v1)
 
 
 def respond_player12(spec: GameSpec, bundle: RiccatiBundle, offsets: OffsetBundle,
@@ -488,10 +457,6 @@ def respond_player12(spec: GameSpec, bundle: RiccatiBundle, offsets: OffsetBundl
         Phih_paths, Phic_paths, Phiraw_paths = Phihat, Phicheck, Phiraw
         vh3, vc3 = vhat3, vcheck3
 
-    def row(arr, k):
-        arr = np.asarray(arr)
-        return arr[:, k] if arr.ndim == 3 else np.broadcast_to(arr[k], (N, arr.shape[-1]))
-
     X0 = np.concatenate([spec.x0, np.zeros(n)])
     X2 = np.tile(X0, (N, 1))
     X2h = X2.copy()
@@ -501,29 +466,29 @@ def respond_player12(spec: GameSpec, bundle: RiccatiBundle, offsets: OffsetBundl
     X2cs = np.empty_like(X2s)
     v2 = np.empty((N, K + 1, n))
     v1 = np.empty((N, K + 1, n))
-    from .lift import CoeffValues
+    table = CoeffValues(spec, times)
     for k in range(K + 1):
         X2s[:, k], X2hs[:, k], X2cs[:, k] = X2, X2h, X2c
-        cv = CoeffValues(spec, times[k])
+        cv = table[k]
         cB2, cF2 = l2.calB2[k], l2.calF2[k]
         v2[:, k] = -(X2h @ (cB2.T @ P1[k]).T + X2c @ (cB2.T @ P2[k] + cF2).T
-                     + row(Phih_paths, k) @ cB2 + cv.nl[1]) @ cv.Rinv[1].T
-        phick = (X2c @ (s2 @ (P1[k] + P2[k])).T + row(Phic_paths, k) @ s2.T)
+                     + _rows_at(Phih_paths, k, N) @ cB2 + cv.nl[1]) @ cv.Rinv[1].T
+        phick = (X2c @ (s2 @ (P1[k] + P2[k])).T + _rows_at(Phic_paths, k, N) @ s2.T)
         v1[:, k] = -(X2c[:, :n] @ (cv.B[0].T @ bundle.p.values[k]).T
                      + phick @ cv.B[0] + cv.nl[0]) @ cv.Rinv[0].T
         if k == K:
             break
         h = times[k + 1] - times[k]
         ddA12 = cl.ddA1[k] + cl.ddA2[k]
-        Y2 = X2 @ P1[k].T + X2c @ P2[k].T + row(Phiraw_paths, k)
+        Y2 = X2 @ P1[k].T + X2c @ P2[k].T + _rows_at(Phiraw_paths, k, N)
         drift = (X2 @ l2.calA1[k].T + X2c @ l2.calA2[k].T + Y2 @ l2.calF1[k].T
-                 + v2[:, k] @ cB2.T + row(v3, k) @ l2.calB3[k].T + l2.barb2[k])
+                 + v2[:, k] @ cB2.T + _rows_at(v3, k, N) @ l2.calB3[k].T + l2.barb2[k])
         drift_h = (X2h @ ddA12.T + X2c @ cl.ddA3[k].T
-                   + row(Phih_paths, k) @ cl.ddF1[k].T
-                   + row(vh3, k) @ l2.calB3[k].T + cl.ddb2[k])
+                   + _rows_at(Phih_paths, k, N) @ cl.ddF1[k].T
+                   + _rows_at(vh3, k, N) @ l2.calB3[k].T + cl.ddb2[k])
         drift_c = (X2c @ (ddA12 + cl.ddA3[k]).T
-                   + row(Phic_paths, k) @ cl.ddF1[k].T
-                   + row(vc3, k) @ l2.calB3[k].T + cl.ddb2[k])
+                   + _rows_at(Phic_paths, k, N) @ cl.ddF1[k].T
+                   + _rows_at(vc3, k, N) @ l2.calB3[k].T + cl.ddb2[k])
         d1, d2, d3 = dW[:, k, 0:1], dW[:, k, 1:2], dW[:, k, 2:3]
         X2 = (X2 + h * drift
               + d1 * (X2 @ l2.calC1[k].T + l2.barsigma1[k])
@@ -538,7 +503,7 @@ def respond_player12(spec: GameSpec, bundle: RiccatiBundle, offsets: OffsetBundl
     phic_full = np.empty((N, K + 1, n))
     for k in range(K + 1):
         phic_full[:, k] = (X2cs[:, k] @ (s2 @ (P1[k] + P2[k])).T
-                           + row(Phic_paths, k) @ s2.T)
+                           + _rows_at(Phic_paths, k, N) @ s2.T)
     return Player12Response(times=times, X2=X2s, X2hat=X2hs, X2check=X2cs,
                             Phihat=np.asarray(Phih_paths),
                             Phicheck=np.asarray(Phic_paths),
@@ -565,11 +530,11 @@ def ansatz_residual(spec: GameSpec, bundle: RiccatiBundle, offsets: OffsetBundle
     xc = paths.X3check[:, :, :n]
     phic = reconstruct_phicheck(bundle, offsets, paths.X3check)
     _, U, L, s2 = selectors(n)
-    from .lift import CoeffValues
+    table = CoeffValues(spec, times)
     worst = 0.0
     y = -(np.einsum("kij,pkj->pki", p, xc) + phic)
     for k in range(K):
-        cv = CoeffValues(spec, times[k])
+        cv = table[k]
         h = times[k + 1] - times[k]
         Gphi = (s2 @ (bundle.P1.values[k] + bundle.P2.values[k]) @ U
                 + s2 @ L @ (bundle.Pf1.values[k] + bundle.Pf2.values[k]

@@ -5,69 +5,72 @@ yields the reduced n-dimensional families (Abar, F*bar, bbar, f1bar).
 Stage 2 stacks the state with the middle player's forward adjoint into a
 2n system (cal* families).  Stage 3 stacks once more, to 4n (frak*
 families), after the middle player's feedback is substituted (dd*
-closed-loop families).
+closed-loop families).  The equations are the self-consistent ones obtained
+by re-deriving the ansatz coefficient matching, so every Riccati solution
+is symmetric.
 
-Every builder exists in two conventions:
-
-* "derived"  -- the self-consistent equations obtained by re-deriving the
-  ansatz coefficient matching (all Riccati solutions symmetric); this is
-  the default and the one the verification suite certifies.
-* "printed"  -- the displayed equations of the source derivation, which
-  contain bucket-mixing and pairing slips; kept as a negative control for
-  the optimality tests.
+Every formula takes one node or a leading node axis.  `CoeffValues(spec, t)`
+with a float t holds one node's coefficients; with an array of times each
+field carries the node axis first and `cv[k]` is the node-k view.  The
+`level*_at` formulas and the block helpers keep the leading axis of their
+first argument, so the RK4 pass calls them one node at a time and each
+`build_level*` calls them once on the solver-grid table.
 """
 
 from __future__ import annotations
-
-import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularCoefficientError
 from .model import GameSpec, solver_times
 
-log = logging.getLogger("stacklq.lift")
-
-DERIVED = "derived"
-PRINTED = "printed"
-
 
 # ---------------------------------------------------------------------------
-# block helpers (zero blocks are exact zeros)
+# block helpers (zero blocks are exact zeros; the leading shape is the first
+# argument's)
 # ---------------------------------------------------------------------------
 
 def bdiag(M11, M22):
-    d1, d2 = M11.shape[0], M22.shape[0]
-    out = np.zeros((d1 + d2, M11.shape[1] + M22.shape[1]))
-    out[:d1, :M11.shape[1]] = M11
-    out[d1:, M11.shape[1]:] = M22
+    d1, e1 = M11.shape[-2:]
+    out = np.zeros(M11.shape[:-2] + (d1 + M22.shape[-2], e1 + M22.shape[-1]))
+    out[..., :d1, :e1] = M11
+    out[..., d1:, e1:] = M22
     return out
 
 
 def anti(M):
     """[[0, M], [M, 0]] for square M."""
-    d = M.shape[0]
-    out = np.zeros((2 * d, 2 * d))
-    out[:d, d:] = M
-    out[d:, :d] = M
+    d = M.shape[-1]
+    out = np.zeros(M.shape[:-2] + (2 * d, 2 * d))
+    out[..., :d, d:] = M
+    out[..., d:, :d] = M
     return out
 
 
 def stack_top(M, rows_below):
-    out = np.zeros((M.shape[0] + rows_below, M.shape[1]))
-    out[:M.shape[0]] = M
+    d = M.shape[-2]
+    out = np.zeros(M.shape[:-2] + (d + rows_below, M.shape[-1]))
+    out[..., :d, :] = M
     return out
 
 
 def row_right(M, cols_left):
-    out = np.zeros((M.shape[0], cols_left + M.shape[1]))
-    out[:, cols_left:] = M
+    out = np.zeros(M.shape[:-1] + (cols_left + M.shape[-1],))
+    out[..., cols_left:] = M
     return out
 
 
 def vcat(v1, v2):
-    return np.concatenate([v1, v2])
+    d = v1.shape[-1]
+    out = np.zeros(v1.shape[:-1] + (d + v2.shape[-1],))
+    out[..., :d] = v1
+    out[..., d:] = v2
+    return out
+
+
+def mv(M, v):
+    """Matrix-vector product over any leading node axis."""
+    return (M @ v[..., None])[..., 0]
 
 
 def selectors(n: int):
@@ -84,329 +87,188 @@ def selectors(n: int):
 
 
 # ---------------------------------------------------------------------------
-# per-time coefficient snapshots
+# coefficient tables
 # ---------------------------------------------------------------------------
 
+def _with_inverse(R, t, name):
+    """R at t and its inverse, solving once per piece that t reaches."""
+    j = np.searchsorted(R.breaks, t, side="right")
+    eye = np.eye(R.values.shape[-1])
+    inv = np.empty_like(R.values)
+    for piece in np.unique(j):
+        try:
+            inv[piece] = np.linalg.solve(R.values[piece], eye)
+        except np.linalg.LinAlgError as exc:
+            first = np.atleast_1d(t)[np.atleast_1d(j) == piece][0]
+            raise SingularCoefficientError(name, float(first)) from exc
+    return R.values[j], inv[j]
+
+
 class CoeffValues:
-    """All spec coefficients evaluated at one time, with R-inverses."""
+    """All spec coefficients, with R-inverses, at one time or an array of times.
+
+    With an array of times every field but G carries the node axis first and
+    cv[k] is the one-node view at t[k].  G is time-independent.
+    """
 
     __slots__ = ("t", "A", "B", "C", "b", "sigma", "Q", "R", "Rinv", "m", "nl", "G")
 
-    def __init__(self, spec: GameSpec, t: float):
+    def __init__(self, spec: GameSpec, t):
         c = spec.coeffs
+        players = spec.costs.players
         self.t = t
         self.A = c.A.at(t)
-        self.B = tuple(c.B[i].at(t) for i in range(3))
-        self.C = tuple(c.C[i].at(t) for i in range(3))
+        self.B = tuple(x.at(t) for x in c.B)
+        self.C = tuple(x.at(t) for x in c.C)
         self.b = c.b.at(t)
-        self.sigma = tuple(c.sigma[i].at(t) for i in range(3))
-        self.Q = tuple(p.Q.at(t) for p in spec.costs.players)
-        self.R = tuple(p.R.at(t) for p in spec.costs.players)
-        self.m = tuple(p.m.at(t) for p in spec.costs.players)
-        self.nl = tuple(p.n_lin.at(t) for p in spec.costs.players)
-        self.G = tuple(p.G for p in spec.costs.players)
-        eye = np.eye(spec.n)
-        inv = []
-        for i in range(3):
-            try:
-                inv.append(np.linalg.solve(self.R[i], eye))
-            except np.linalg.LinAlgError as exc:
-                raise SingularCoefficientError(f"R{i + 1}", t) from exc
-        self.Rinv = tuple(inv)
+        self.sigma = tuple(x.at(t) for x in c.sigma)
+        self.Q = tuple(p.Q.at(t) for p in players)
+        self.R, self.Rinv = zip(*(_with_inverse(p.R, t, f"R{i + 1}")
+                                  for i, p in enumerate(players)))
+        self.m = tuple(p.m.at(t) for p in players)
+        self.nl = tuple(p.n_lin.at(t) for p in players)
+        self.G = tuple(p.G for p in players)
+
+    def __getitem__(self, k) -> "CoeffValues":
+        node = object.__new__(CoeffValues)
+        node.t, node.A, node.b, node.G = self.t[k], self.A[k], self.b[k], self.G
+        for name in ("B", "C", "sigma", "Q", "R", "Rinv", "m", "nl"):
+            s = getattr(self, name)     # one entry per player or noise channel
+            setattr(node, name, (s[0][k], s[1][k], s[2][k]))
+        return node
+
+
+class Family(dict):
+    """One lifted coefficient family: formula outputs by name, also as attributes."""
+
+    def __getattr__(self, name):
+        try:
+            return self[name]
+        except KeyError:
+            raise AttributeError(name) from None
 
 
 # ---------------------------------------------------------------------------
-# single-node formulas
+# formulas (one node or a leading node axis)
 # ---------------------------------------------------------------------------
 
-def level1_at(cv: CoeffValues, p: np.ndarray) -> dict:
+def level1_at(cv: CoeffValues, p: np.ndarray) -> Family:
     B1, B2, B3 = cv.B
-    BRB1 = B1 @ cv.Rinv[0] @ B1.T
-    f1bar = p @ cv.b + cv.m[0] - p @ B1 @ cv.Rinv[0] @ cv.nl[0]
+    R1i, nl1 = cv.Rinv[0], cv.nl[0]
+    BRB1 = B1 @ R1i @ B1.mT
+    f1bar = mv(p, cv.b) + cv.m[0] - mv(p @ B1 @ R1i, nl1)
     for Ci, si in zip(cv.C, cv.sigma):
-        f1bar = f1bar + Ci.T @ (p @ si)
-    return {
-        "Abar": cv.A - BRB1 @ p,
-        "F1bar": -BRB1,
-        "F2bar": B2.T @ p,
-        "F3bar": B3.T @ p,
-        "bbar": cv.b - B1 @ cv.Rinv[0] @ cv.nl[0],
-        "f1bar": f1bar,
-    }
+        f1bar = f1bar + mv(Ci.mT, mv(p, si))
+    return Family(
+        Abar=cv.A - BRB1 @ p,
+        F1bar=-BRB1,
+        F2bar=B2.mT @ p,
+        F3bar=B3.mT @ p,
+        bbar=cv.b - mv(B1 @ R1i, nl1),
+        f1bar=f1bar,
+    )
 
 
-def level2_at(cv: CoeffValues, l1: dict) -> dict:
-    n = cv.A.shape[0]
+def level2_at(cv: CoeffValues, l1: dict) -> Family:
+    n = cv.A.shape[-1]
     z = np.zeros((n, n))
     zv = np.zeros(n)
-    return {
-        "calA1": bdiag(cv.A, l1["Abar"]),
-        "calA2": bdiag(l1["Abar"] - cv.A, z),
-        "calF1": anti(l1["F1bar"]),
-        "calB2": stack_top(cv.B[1], n),
-        "calB3": stack_top(cv.B[2], n),
-        "calC1": bdiag(cv.C[0], z),
-        "calC2": bdiag(cv.C[1], z),
-        "calC3": bdiag(cv.C[2], cv.C[2]),
-        "calQ2": bdiag(cv.Q[1], z),
-        "calG2": bdiag(cv.G[1], z),
-        "calF2": row_right(l1["F2bar"], n),
-        "calF3": row_right(l1["F3bar"], n),
-        "barb2": vcat(l1["bbar"], zv),
-        "barsigma1": vcat(cv.sigma[0], zv),
-        "barsigma2": vcat(cv.sigma[1], zv),
-        "barsigma3": vcat(cv.sigma[2], zv),
-        "f2bar": vcat(cv.m[1], l1["f1bar"]),
-    }
+    return Family(
+        calA1=bdiag(cv.A, l1["Abar"]),
+        calA2=bdiag(l1["Abar"] - cv.A, z),
+        calF1=anti(l1["F1bar"]),
+        calB2=stack_top(cv.B[1], n),
+        calB3=stack_top(cv.B[2], n),
+        calC1=bdiag(cv.C[0], z),
+        calC2=bdiag(cv.C[1], z),
+        calC3=bdiag(cv.C[2], cv.C[2]),
+        calQ2=bdiag(cv.Q[1], z),
+        calG2=bdiag(cv.G[1], z),
+        calF2=row_right(l1["F2bar"], n),
+        calF3=row_right(l1["F3bar"], n),
+        barb2=vcat(l1["bbar"], zv),
+        barsigma1=vcat(cv.sigma[0], zv),
+        barsigma2=vcat(cv.sigma[1], zv),
+        barsigma3=vcat(cv.sigma[2], zv),
+        f2bar=vcat(cv.m[1], l1["f1bar"]),
+    )
 
 
-def level2_closedloop_at(cv: CoeffValues, l2: dict, P1, P2,
-                         convention=DERIVED) -> dict:
-    Rinv2 = cv.Rinv[1]
+def level2_closedloop_at(cv: CoeffValues, l2: dict, P1, P2) -> Family:
+    Rinv2, n2 = cv.Rinv[1], cv.nl[1]
     cB2, cB3, cF1, cF2, cF3 = (l2["calB2"], l2["calB3"], l2["calF1"],
                                l2["calF2"], l2["calF3"])
     K = cB2 @ Rinv2                       # 2n x n
-    KBt = K @ cB2.T                       # 2n x 2n
+    KBt = K @ cB2.mT                      # 2n x 2n
     P12 = P1 + P2
-    n2 = cv.nl[1]
-    H = P1 @ KBt @ P1
-    if convention == PRINTED:
-        H = H + cF2.T @ Rinv2 @ cB2.T @ P1
-    ddf2 = (l2["f2bar"] + P12 @ l2["barb2"]
-            + l2["calC1"].T @ (P1 @ l2["barsigma1"])
-            + l2["calC2"].T @ (P1 @ l2["barsigma2"])
-            + l2["calC3"].T @ (P12 @ l2["barsigma3"])
-            - P12 @ (K @ n2) - cF2.T @ (Rinv2 @ n2))
-    return {
-        "ddA1": l2["calA1"] + cF1 @ P1,
-        "ddA2": -KBt @ P1,
-        "ddA3": l2["calA2"] + cF1 @ P2 - KBt @ P2 - K @ cF2,
-        "ddF1": cF1 - KBt,
-        "ddF3": P1 @ cB3 + cF3.T,
-        "ddb2": l2["barb2"] - K @ n2,
-        "ddf2": ddf2,
-        "H": H,
-        "va": P1 @ cB3,                  # pairs the raw exogenous control
-        "vc": P2 @ cB3 + cF3.T,          # pairs its level-1-filtered version
-    }
+    ddf2 = (l2["f2bar"] + mv(P12, l2["barb2"])
+            + mv(l2["calC1"].mT, mv(P1, l2["barsigma1"]))
+            + mv(l2["calC2"].mT, mv(P1, l2["barsigma2"]))
+            + mv(l2["calC3"].mT, mv(P12, l2["barsigma3"]))
+            - mv(P12, mv(K, n2)) - mv(cF2.mT, mv(Rinv2, n2)))
+    return Family(
+        ddA1=l2["calA1"] + cF1 @ P1,
+        ddA2=-KBt @ P1,
+        ddA3=l2["calA2"] + cF1 @ P2 - KBt @ P2 - K @ cF2,
+        ddF1=cF1 - KBt,
+        ddb2=l2["barb2"] - mv(K, n2),
+        ddf2=ddf2,
+        H=P1 @ KBt @ P1,
+        va=P1 @ cB3,                      # pairs the raw exogenous control
+        vc=P2 @ cB3 + cF3.mT,             # pairs its level-1-filtered version
+    )
 
 
-def level3_at(cv: CoeffValues, l2: dict, cl: dict, convention=DERIVED) -> dict:
-    n = cv.A.shape[0]
+def level3_at(cv: CoeffValues, l2: dict, cl: dict) -> Family:
+    n = cv.A.shape[-1]
+    z = np.zeros((n, n))
     z2 = np.zeros((2 * n, 2 * n))
     zv2 = np.zeros(2 * n)
-    calQ3 = bdiag(cv.Q[2], np.zeros((n, n)))
-    calG3 = bdiag(cv.G[2], np.zeros((n, n)))
-    H = cl["H"]
-    if convention == DERIVED:
-        frakA2 = bdiag(cl["ddA2"], cl["ddA2"])
-        frakA3 = bdiag(cl["ddA3"], cl["ddA3"])
-        frakQ3 = np.block([[calQ3, H], [H, z2]])
-        frakQ3dd = np.block([[z2, -H], [-H, z2]])
-        Fa = row_right(cl["va"].T, 2 * n)
-        Fb = row_right(cl["vc"].T, 2 * n)
-    else:
-        shift = l2["calB2"] @ cv.Rinv[1] @ l2["calF2"]
-        frakA2 = bdiag(cl["ddA2"], cl["ddA2"] - shift)
-        frakA3 = bdiag(cl["ddA3"], cl["ddA3"] + shift)
-        frakQ3 = np.block([[calQ3, z2], [H, z2]])
-        frakQ3dd = np.block([[z2, z2], [-H, z2]])
-        frakF3dd = row_right(cl["ddF3"].T, 2 * n)
-        Fa = frakF3dd
-        Fb = frakF3dd - row_right(l2["calF3"], 2 * n)
-    return {
-        "frakA1": bdiag(cl["ddA1"], cl["ddA1"]),
-        "frakA2": frakA2,
-        "frakA3": frakA3,
-        "frakF1bar": anti(l2["calF1"]),
-        "frakF1dd": anti(cl["ddF1"]),
-        "frakB3": stack_top(l2["calB3"], 2 * n),
-        "frakC1": bdiag(l2["calC1"], z2),
-        "frakC2": bdiag(l2["calC2"], l2["calC2"]),
-        "frakC3": bdiag(l2["calC3"], z2),
-        "frakQ3": frakQ3,
-        "frakQ3dd": frakQ3dd,
-        "frakG3": bdiag(calG3, z2),
-        "frakF3bar": row_right(l2["calF3"], 2 * n),
-        "frakF3dd": row_right(cl["ddF3"].T, 2 * n),
-        "Fa": Fa,
-        "Fb": Fb,
-        "ddb3": vcat(cl["ddb2"], zv2),
-        "Sigma1": vcat(l2["barsigma1"], zv2),
-        "Sigma2": vcat(l2["barsigma2"], zv2),
-        "Sigma3": vcat(l2["barsigma3"], zv2),
-        "ddf3": vcat(vcat(cv.m[2], np.zeros(n)), cl["ddf2"]),
-    }
+    frakQ3 = anti(cl["H"])
+    frakQ3[..., :2 * n, :2 * n] = bdiag(cv.Q[2], z)
+    return Family(
+        frakA1=bdiag(cl["ddA1"], cl["ddA1"]),
+        frakA2=bdiag(cl["ddA2"], cl["ddA2"]),
+        frakA3=bdiag(cl["ddA3"], cl["ddA3"]),
+        frakF1bar=anti(l2["calF1"]),
+        frakF1dd=anti(cl["ddF1"]),
+        frakB3=stack_top(l2["calB3"], 2 * n),
+        frakC1=bdiag(l2["calC1"], z2),
+        frakC2=bdiag(l2["calC2"], l2["calC2"]),
+        frakC3=bdiag(l2["calC3"], z2),
+        frakQ3=frakQ3,
+        frakQ3dd=anti(-cl["H"]),
+        frakG3=bdiag(bdiag(cv.G[2], z), z2),
+        Fa=row_right(cl["va"].mT, 2 * n),
+        Fb=row_right(cl["vc"].mT, 2 * n),
+        ddb3=vcat(cl["ddb2"], zv2),
+        Sigma1=vcat(l2["barsigma1"], zv2),
+        Sigma2=vcat(l2["barsigma2"], zv2),
+        Sigma3=vcat(l2["barsigma3"], zv2),
+        ddf3=vcat(vcat(cv.m[2], np.zeros(n)), cl["ddf2"]),
+    )
 
 
 # ---------------------------------------------------------------------------
-# node tables
+# node tables on the solver grid
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Level1Coeffs:
-    times: np.ndarray
-    Abar: np.ndarray
-    F1bar: np.ndarray
-    F2bar: np.ndarray
-    F3bar: np.ndarray
-    bbar: np.ndarray
-    f1bar: np.ndarray
-
-
-@dataclass(frozen=True)
-class Level2Coeffs:
-    times: np.ndarray
-    calA1: np.ndarray
-    calA2: np.ndarray
-    calF1: np.ndarray
-    calB2: np.ndarray
-    calB3: np.ndarray
-    calC1: np.ndarray
-    calC2: np.ndarray
-    calC3: np.ndarray
-    calQ2: np.ndarray
-    calG2: np.ndarray
-    calF2: np.ndarray
-    calF3: np.ndarray
-    barb2: np.ndarray
-    barsigma1: np.ndarray
-    barsigma2: np.ndarray
-    barsigma3: np.ndarray
-    f2bar: np.ndarray
-
-
-@dataclass(frozen=True)
-class Level2ClosedLoop:
-    times: np.ndarray
-    ddA1: np.ndarray
-    ddA2: np.ndarray
-    ddA3: np.ndarray
-    ddF1: np.ndarray
-    ddF3: np.ndarray
-    ddb2: np.ndarray
-    ddf2: np.ndarray
-    H: np.ndarray
-    va: np.ndarray
-    vc: np.ndarray
-
-
-@dataclass(frozen=True)
-class Level3Coeffs:
-    times: np.ndarray
-    frakA1: np.ndarray
-    frakA2: np.ndarray
-    frakA3: np.ndarray
-    frakF1bar: np.ndarray
-    frakF1dd: np.ndarray
-    frakB3: np.ndarray
-    frakC1: np.ndarray
-    frakC2: np.ndarray
-    frakC3: np.ndarray
-    frakQ3: np.ndarray
-    frakQ3dd: np.ndarray
-    frakG3: np.ndarray
-    frakF3bar: np.ndarray
-    frakF3dd: np.ndarray
-    Fa: np.ndarray
-    Fb: np.ndarray
-    ddb3: np.ndarray
-    Sigma1: np.ndarray
-    Sigma2: np.ndarray
-    Sigma3: np.ndarray
-    ddf3: np.ndarray
-
-
-def _traj_values(p):
-    return getattr(p, "values", np.asarray(p))
-
-
-def _tabulate(times, node_fn, field_names):
-    rows = [node_fn(k, t) for k, t in enumerate(times)]
-    return {name: np.array([r[name] for r in rows]) for name in field_names}
-
-
-def build_level1(spec: GameSpec, p) -> Level1Coeffs:
+def build_level1(spec: GameSpec, p) -> Family:
     """Reduced families after the follower's feedback is substituted."""
-    times = solver_times(spec)
-    pv = _traj_values(p)
-    fields = ("Abar", "F1bar", "F2bar", "F3bar", "bbar", "f1bar")
-    tab = _tabulate(times, lambda k, t: level1_at(CoeffValues(spec, t), pv[k]), fields)
-    return Level1Coeffs(times=times, **tab)
+    return level1_at(CoeffValues(spec, solver_times(spec)), p.values)
 
 
-def build_level2(spec: GameSpec, l1: Level1Coeffs) -> Level2Coeffs:
+def build_level2(spec: GameSpec, l1: Family) -> Family:
     """2n stacking of the state with the middle player's forward adjoint."""
-    times = l1.times
-    fields = ("calA1", "calA2", "calF1", "calB2", "calB3", "calC1", "calC2",
-              "calC3", "calQ2", "calF2", "calF3", "barb2", "barsigma1",
-              "barsigma2", "barsigma3", "f2bar")
-
-    def node(k, t):
-        cv = CoeffValues(spec, t)
-        l1node = {"Abar": l1.Abar[k], "F1bar": l1.F1bar[k], "F2bar": l1.F2bar[k],
-                  "F3bar": l1.F3bar[k], "bbar": l1.bbar[k], "f1bar": l1.f1bar[k]}
-        return level2_at(cv, l1node)
-
-    tab = _tabulate(times, node, fields)
-    calG2 = bdiag(spec.costs.players[1].G, np.zeros((spec.n, spec.n)))
-    return Level2Coeffs(times=times, calG2=calG2, **tab)
+    return level2_at(CoeffValues(spec, solver_times(spec)), l1)
 
 
-def _l2_node(l2: Level2Coeffs, k: int) -> dict:
-    return {name: getattr(l2, name)[k] for name in
-            ("calA1", "calA2", "calF1", "calB2", "calB3", "calC1", "calC2",
-             "calC3", "calQ2", "calF2", "calF3", "barb2", "barsigma1",
-             "barsigma2", "barsigma3", "f2bar")} | {"calG2": l2.calG2}
-
-
-def build_level2_closedloop(l2: Level2Coeffs, P1, P2, spec: GameSpec,
-                            convention=DERIVED) -> Level2ClosedLoop:
+def build_level2_closedloop(l2: Family, P1, P2, spec: GameSpec) -> Family:
     """Closed-loop families once the middle player's feedback is in force."""
-    log.debug("level-2 closed loop with convention=%s "
-              "(H state-coupling %s the filtered-stationarity cross term)",
-              convention, "includes" if convention == PRINTED else "excludes")
-    P1v, P2v = _traj_values(P1), _traj_values(P2)
-    fields = ("ddA1", "ddA2", "ddA3", "ddF1", "ddF3", "ddb2", "ddf2", "H",
-              "va", "vc")
-
-    def node(k, t):
-        return level2_closedloop_at(CoeffValues(spec, t), _l2_node(l2, k),
-                                    P1v[k], P2v[k], convention)
-
-    tab = _tabulate(l2.times, node, fields)
-    return Level2ClosedLoop(times=l2.times, **tab)
+    return level2_closedloop_at(CoeffValues(spec, solver_times(spec)), l2,
+                                P1.values, P2.values)
 
 
-def dump_family(path, times, values):
-    """Debug CSV dump of one lifted family: node,row,col,value."""
-    vals = np.asarray(values)
-    if vals.ndim == 2:
-        vals = vals[:, :, None]
-    with open(path, "w") as fh:
-        fh.write("node,row,col,value\n")
-        for k in range(vals.shape[0]):
-            for i in range(vals.shape[1]):
-                for j in range(vals.shape[2]):
-                    fh.write(f"{times[k]!r},{i},{j},{vals[k, i, j]!r}\n")
-
-
-def build_level3(cl: Level2ClosedLoop, l2: Level2Coeffs, spec: GameSpec,
-                 convention=DERIVED) -> Level3Coeffs:
+def build_level3(cl: Family, l2: Family, spec: GameSpec) -> Family:
     """4n stacking for the top player's problem."""
-    fields = ("frakA1", "frakA2", "frakA3", "frakF1bar", "frakF1dd", "frakB3",
-              "frakC1", "frakC2", "frakC3", "frakQ3", "frakQ3dd", "frakF3bar",
-              "frakF3dd", "Fa", "Fb", "ddb3", "Sigma1", "Sigma2", "Sigma3",
-              "ddf3")
-
-    def node(k, t):
-        clnode = {name: getattr(cl, name)[k] for name in
-                  ("ddA1", "ddA2", "ddA3", "ddF1", "ddF3", "ddb2", "ddf2",
-                   "H", "va", "vc")}
-        return level3_at(CoeffValues(spec, t), _l2_node(l2, k), clnode, convention)
-
-    tab = _tabulate(l2.times, node, fields)
-    n = spec.n
-    frakG3 = bdiag(bdiag(spec.costs.players[2].G, np.zeros((n, n))),
-                   np.zeros((2 * n, 2 * n)))
-    return Level3Coeffs(times=l2.times, frakG3=frakG3, **tab)
+    return level3_at(CoeffValues(spec, solver_times(spec)), l2, cl)

@@ -57,12 +57,12 @@ class Coefficient:
     def is_constant(self) -> bool:
         return self.breaks.size == 0
 
-    def at(self, t: float) -> np.ndarray:
-        """Value of the piece whose half-open interval [tau_j, tau_{j+1}) holds t."""
-        if self.breaks.size == 0:
-            return self.values[0]
-        j = int(np.searchsorted(self.breaks, t, side="right"))
-        return self.values[j]
+    def at(self, t) -> np.ndarray:
+        """Value of the piece whose half-open interval [tau_j, tau_{j+1}) holds t.
+
+        An array of times gives one value per time along a leading axis.
+        """
+        return self.values[np.searchsorted(self.breaks, t, side="right")]
 
     def to_json(self):
         if self.is_constant:
@@ -222,6 +222,10 @@ def _check_shape(coeff, name, shape, bad):
     return True
 
 
+def _piece_starts(coeff):
+    return [0.0] + [float(b) for b in coeff.breaks]
+
+
 def _min_eig_sym(M):
     return float(np.linalg.eigvalsh(0.5 * (M + M.T)).min())
 
@@ -257,8 +261,7 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
             if coeff.breaks[0] <= 0.0 or coeff.breaks[-1] >= T:
                 bad.append(Violation(name, "piecewise breakpoints outside (0, T)"))
 
-    # weight sign conditions at every solver node
-    times = solver_times(spec)
+    # weight sign conditions on every piece, reported at the piece's start
     for i, pc in enumerate(spec.costs.players, start=1):
         G = pc.G
         if G.shape != mat_shape:
@@ -268,8 +271,7 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
                 bad.append(Violation(f"G{i}", "not symmetric"))
             elif _min_eig_sym(G) < PSD_EIG_TOL:
                 bad.append(Violation(f"G{i}", "not positive semidefinite"))
-        for t in times:
-            Q = pc.Q.at(t)
+        for Q, t in zip(pc.Q.values, _piece_starts(pc.Q)):
             if Q.shape == mat_shape:
                 if np.abs(Q - Q.T).max(initial=0.0) > SYM_TOL:
                     bad.append(Violation(f"Q{i}", "not symmetric", t))
@@ -277,8 +279,7 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
                 if _min_eig_sym(Q) < PSD_EIG_TOL:
                     bad.append(Violation(f"Q{i}", "not positive semidefinite", t))
                     break
-        for t in times:
-            R = pc.R.at(t)
+        for R, t in zip(pc.R.values, _piece_starts(pc.R)):
             if R.shape == mat_shape:
                 if np.abs(R - R.T).max(initial=0.0) > SYM_TOL:
                     bad.append(Violation(f"R{i}", "not symmetric", t))

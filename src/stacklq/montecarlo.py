@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedloop import FeedbackLaw, PathBundle, _coeff_tables
+from .closedloop import (FeedbackLaw, PathBundle, _controls, _det_backward,
+                         _filtered_step, _state_step)
 from .errors import UnsupportedPerturbationError
-from .lift import selectors
+from .lift import CoeffValues, selectors
 from .model import GameSpec, solver_times
 from .riccati import RiccatiBundle
 from .rng import NoisePlan
@@ -60,22 +61,6 @@ class PerturbationReport:
     curvature_ok: bool
 
 
-def _cost_weights(spec: GameSpec, player: int, times):
-    from .lift import CoeffValues
-    K = times.shape[0]
-    n = spec.n
-    Q = np.empty((K, n, n))
-    R = np.empty((K, n, n))
-    m = np.empty((K, n))
-    nl = np.empty((K, n))
-    for k, t in enumerate(times):
-        cv = CoeffValues(spec, t)
-        Q[k], R[k] = cv.Q[player - 1], cv.R[player - 1]
-        m[k], nl[k] = cv.m[player - 1], cv.nl[player - 1]
-    G = spec.costs.players[player - 1].G
-    return Q, R, m, nl, G
-
-
 def estimate_cost(spec: GameSpec, player: int, bundle: PathBundle,
                   seed: int = 0) -> CostEstimate:
     """Left-endpoint quadrature of the player's cost along stored paths."""
@@ -83,9 +68,10 @@ def estimate_cost(spec: GameSpec, player: int, bundle: PathBundle,
     st = solver_times(spec)
     if times.shape != st.shape or not np.allclose(times, st):
         raise ValueError("path bundle grid does not match the spec grid")
-    Q, R, m, nl, G = _cost_weights(spec, player, times)
+    cv, i = CoeffValues(spec, times), player - 1
+    Q, R, m, nl, G = cv.Q[i], cv.R[i], cv.m[i], cv.nl[i], cv.G[i]
     x = bundle.x
-    v = (bundle.v1, bundle.v2, bundle.v3)[player - 1]
+    v = (bundle.v1, bundle.v2, bundle.v3)[i]
     K = times.shape[0] - 1
     J = np.zeros(x.shape[0])
     for k in range(K):
@@ -140,8 +126,8 @@ def _player_quadratics(spec, law: FeedbackLaw, bundle: RiccatiBundle,
     N, K, _ = dW.shape
     times = law.times
     n = spec.n
-    A, Bt, Ct, bt, sig = _coeff_tables(spec, times)
-    Q, R, m, nl, G = _cost_weights(spec, player, times)
+    cv, own = CoeffValues(spec, times), player - 1
+    Q, R, m, nl, G = cv.Q[own], cv.R[own], cv.m[own], cv.nl[own], cv.G[own]
     _, _, _, s2 = selectors(n)
 
     X = np.tile(np.concatenate([spec.x0, np.zeros(3 * n)]), (N, 1))
@@ -154,16 +140,14 @@ def _player_quadratics(spec, law: FeedbackLaw, bundle: RiccatiBundle,
         dxc = np.zeros((N, n))
         l1 = bundle.l1
         # deterministic follower offset response to the direction
-        from .closedloop import _det_backward
         dphi = _det_backward(times, np.transpose(l1.Abar, (0, 2, 1)),
                              np.einsum("kij,kj->ki", bundle.p.values,
-                                       np.einsum("kij,kj->ki", Bt[1], direction.path)),
+                                       np.einsum("kij,kj->ki", cv.B[1], direction.path)),
                              np.zeros(n))
     elif player == 3:
         dX2h = np.zeros((N, 2 * n))
         dX2c = np.zeros((N, 2 * n))
         cl, l2 = bundle.l2cl, bundle.l2
-        from .closedloop import _det_backward
         dPhi = _det_backward(times, np.transpose(cl.ddA1 + cl.ddA2 + cl.ddA3, (0, 2, 1)),
                              np.einsum("kij,kj->ki", cl.va + cl.vc, direction.path),
                              np.zeros(2 * n))
@@ -173,13 +157,12 @@ def _player_quadratics(spec, law: FeedbackLaw, bundle: RiccatiBundle,
     Cc = np.zeros(N)
 
     for k in range(K + 1):
+        c = cv[k]
         # base controls at this node
-        v3 = X @ law.K3[k].T + Xh @ law.K3hat[k].T + Xc @ law.K3check[k].T + law.k3[k]
-        v2 = Xh @ law.K2hat[k].T + Xc @ law.K2check[k].T + law.k2[k]
-        v1 = Xc @ law.K1[k].T + law.k1[k]
+        v1, v2, v3 = _controls(law, k, X, Xh, Xc)
         if sab:
             v1 = gain_scale * (Xc @ law.K1[k].T) + law.k1[k]
-        vown = (v1, v2, v3)[player - 1]
+        vown = (v1, v2, v3)[own]
         xbase = xt if sab else X[:, :n]
 
         # direction value and own-control response at this node
@@ -188,21 +171,18 @@ def _player_quadratics(spec, law: FeedbackLaw, bundle: RiccatiBundle,
         else:
             dv_own = Xc[:, :n] @ direction.gain.T
         # responses of the re-responding lower levels
-        from .lift import CoeffValues
         if player == 2:
-            cv = CoeffValues(spec, times[k])
-            dv1 = -(dxc @ (cv.B[0].T @ bundle.p.values[k]).T
-                    + np.broadcast_to(dphi[k], (N, n)) @ cv.B[0]) @ cv.Rinv[0].T
+            dv1 = -(dxc @ (c.B[0].T @ bundle.p.values[k]).T
+                    + np.broadcast_to(dphi[k], (N, n)) @ c.B[0]) @ c.Rinv[0].T
         elif player == 3:
-            cv = CoeffValues(spec, times[k])
             cB2, cF2 = l2.calB2[k], l2.calF2[k]
             P1k, P2k = bundle.P1.values[k], bundle.P2.values[k]
             dv2 = -(dX2h @ (cB2.T @ P1k).T + dX2c @ (cB2.T @ P2k + cF2).T
-                    + np.broadcast_to(dPhi[k], (N, 2 * n)) @ cB2) @ cv.Rinv[1].T
+                    + np.broadcast_to(dPhi[k], (N, 2 * n)) @ cB2) @ c.Rinv[1].T
             dphick = (dX2c @ (s2 @ (P1k + P2k)).T
                       + np.broadcast_to(dPhi[k], (N, 2 * n)) @ s2.T)
-            dv1 = -(dX2c[:, :n] @ (cv.B[0].T @ bundle.p.values[k]).T
-                    + dphick @ cv.B[0]) @ cv.Rinv[0].T
+            dv1 = -(dX2c[:, :n] @ (c.B[0].T @ bundle.p.values[k]).T
+                    + dphick @ c.B[0]) @ c.Rinv[0].T
 
         # accumulate cost polynomial
         if k < K:
@@ -221,20 +201,20 @@ def _player_quadratics(spec, law: FeedbackLaw, bundle: RiccatiBundle,
             Cc += 0.5 * np.einsum("pi,ij,pj->p", dx, G, dx)
             break
 
-        d1, d2, d3 = dW[:, k, 0:1], dW[:, k, 1:2], dW[:, k, 2:3]
+        d2, d3 = dW[:, k, 1:2], dW[:, k, 2:3]
 
         # response dynamics (driven by the direction, multiplicative noise)
-        ddrift = dx @ A[k].T
+        ddrift = dx @ c.A.T
         if player == 1:
-            ddrift = ddrift + dv_own @ Bt[0][k].T
+            ddrift = ddrift + dv_own @ c.B[0].T
         elif player == 2:
-            ddrift = ddrift + dv1 @ Bt[0][k].T + dv_own @ Bt[1][k].T
+            ddrift = ddrift + dv1 @ c.B[0].T + dv_own @ c.B[1].T
             dxc_drift = (dxc @ bundle.l1.Abar[k].T
                          + np.broadcast_to(dphi[k], (N, n)) @ bundle.l1.F1bar[k].T
-                         + dv_own @ Bt[1][k].T)
-            dxc = dxc + h * dxc_drift + d3 * (dxc @ Ct[2][k].T)
+                         + dv_own @ c.B[1].T)
+            dxc = dxc + h * dxc_drift + d3 * (dxc @ c.C[2].T)
         elif player == 3:
-            ddrift = ddrift + dv1 @ Bt[0][k].T + dv2 @ Bt[1][k].T + dv_own @ Bt[2][k].T
+            ddrift = ddrift + dv1 @ c.B[0].T + dv2 @ c.B[1].T + dv_own @ c.B[2].T
             ddA12 = cl.ddA1[k] + cl.ddA2[k]
             dPhik = np.broadcast_to(dPhi[k], (N, 2 * n))
             dh_drift = (dX2h @ ddA12.T + dX2c @ cl.ddA3[k].T
@@ -244,26 +224,13 @@ def _player_quadratics(spec, law: FeedbackLaw, bundle: RiccatiBundle,
             dX2h = (dX2h + h * dh_drift
                     + d2 * (dX2h @ l2.calC2[k].T) + d3 * (dX2h @ l2.calC3[k].T))
             dX2c = dX2c + h * dc_drift + d3 * (dX2c @ l2.calC3[k].T)
-        dx = dx + h * ddrift + sum(dW[:, k, i:i + 1] * (dx @ Ct[i][k].T)
+        dx = dx + h * ddrift + sum(dW[:, k, i:i + 1] * (dx @ c.C[i].T)
                                    for i in range(3))
 
         # base closed-loop step
-        drift = X @ law.M0[k].T + Xh @ law.M2[k].T + Xc @ law.M3[k].T + law.coff[k]
-        drift_h = Xh @ (law.M0[k] + law.M2[k]).T + Xc @ law.M3[k].T + law.coff[k]
-        drift_c = Xc @ (law.M0[k] + law.M2[k] + law.M3[k]).T + law.coff[k]
         if sab:
-            xt = (xt + h * (xt @ A[k].T + v1 @ Bt[0][k].T + v2 @ Bt[1][k].T
-                            + v3 @ Bt[2][k].T + bt[k])
-                  + sum(dW[:, k, i:i + 1] * (xt @ Ct[i][k].T + sig[i][k])
-                        for i in range(3)))
-        X = (X + h * drift
-             + d1 * (X @ law.frakC1[k].T + law.Sigma1[k])
-             + d2 * (X @ law.frakC2[k].T + law.Sigma2[k])
-             + d3 * (X @ law.frakC3[k].T + law.Sigma3[k]))
-        Xh = (Xh + h * drift_h
-              + d2 * (Xh @ law.frakC2[k].T + law.Sigma2[k])
-              + d3 * (Xh @ law.frakC3[k].T + law.Sigma3[k]))
-        Xc = Xc + h * drift_c + d3 * (Xc @ law.frakC3[k].T + law.Sigma3[k])
+            xt = _state_step(c, times, k, dW[:, k], xt, (v1, v2, v3))
+        X, Xh, Xc = _filtered_step(law, times, k, dW[:, k], X, Xh, Xc)
 
     return J0, Bc, Cc
 

@@ -9,13 +9,15 @@ cross-checks the continuous follower Riccati gain and the optimal value.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ReductionError, StackLQError
-from .lift import CoeffValues
+from .lift import CoeffValues, level1_at
 from .model import GameSpec
+from .riccati import integrate_backward, solve_p
 
 
 @dataclass(frozen=True)
@@ -74,24 +76,11 @@ def reduce_to_single_player(spec: GameSpec, steps: int | None = None) -> Discret
     T = spec.horizon
     h = T / K
     n = spec.n
-    eye = np.eye(n)
-    out = {name: np.empty((K, n, n)) for name in ("A", "B", "Cn", "Q", "R")}
-    vec = {name: np.empty((K, n)) for name in ("c", "sn", "q", "r")}
-    for k in range(K):
-        cv = CoeffValues(spec, k * h)
-        out["A"][k] = eye + h * cv.A
-        out["B"][k] = h * cv.B[0]
-        out["Cn"][k] = cv.C[2]
-        out["Q"][k] = h * cv.Q[0]
-        out["R"][k] = h * cv.R[0]
-        vec["c"][k] = h * cv.b
-        vec["sn"][k] = cv.sigma[2]
-        vec["q"][k] = h * cv.m[0]
-        vec["r"][k] = h * cv.nl[0]
-    return DiscreteLQ(A=out["A"], B=out["B"], c=vec["c"], Cn=out["Cn"],
-                      sn=vec["sn"], var=np.full(K, h), Q=out["Q"], R=out["R"],
-                      q=vec["q"], r=vec["r"], G=spec.costs.players[0].G.copy(),
-                      g=np.zeros(n))
+    cv = CoeffValues(spec, np.arange(K) * h)
+    return DiscreteLQ(A=np.eye(n) + h * cv.A, B=h * cv.B[0], c=h * cv.b,
+                      Cn=cv.C[2], sn=cv.sigma[2], var=np.full(K, h),
+                      Q=h * cv.Q[0], R=h * cv.R[0], q=h * cv.m[0], r=h * cv.nl[0],
+                      G=spec.costs.players[0].G.copy(), g=np.zeros(n))
 
 
 def solve_dp(d: DiscreteLQ) -> DPSolution:
@@ -138,56 +127,48 @@ class CrosscheckReport:
 
 
 def _continuous_value(spec: GameSpec, steps: int):
-    """Value of the reduced continuous problem via its Riccati + offset ODEs."""
-    from .riccati import integrate_backward
-    import numpy as np
+    """Value of the reduced continuous problem: the package's follower gain
+    p plus the offset phi and constant chi ODEs on the uniform oracle grid."""
     T = spec.horizon
     times = np.linspace(0.0, T, steps + 1)
     n = spec.n
+    ptraj = solve_p(dataclasses.replace(
+        spec, grid=dataclasses.replace(spec.grid, steps=steps)))
+    # solve_p's grid adds every breakpoint; keep the node nearest each t_k
+    j = np.clip(np.searchsorted(ptraj.times, times), 1, ptraj.times.shape[0] - 1)
+    j -= times - ptraj.times[j - 1] < ptraj.times[j] - times
+    pv = ptraj.values[j]
+    # coefficients at the RK4 stage times: nodes and step midpoints
+    stage_t = np.empty(2 * steps + 1)
+    stage_t[0::2] = times
+    stage_t[1::2] = times[1:] - 0.5 * np.diff(times)
+    stages = CoeffValues(spec, stage_t)
+    # p and phi at a stage time are taken at the nearest node, ties to even
+    near = np.clip(np.rint(stage_t / T * steps).astype(int), 0, steps)
+    l1 = level1_at(stages, pv[near])
+    Abar, f1bar = l1["Abar"], l1["f1bar"]
 
-    def rhs_p(t, p):
-        cv = CoeffValues(spec, min(max(t, 0.0), T))
-        B1 = cv.B[0]
-        acc = p @ cv.A + cv.A.T @ p - p @ B1 @ cv.Rinv[0] @ B1.T @ p + cv.Q[0]
-        for Ci in cv.C:
-            acc = acc + Ci.T @ p @ Ci
-        return -acc
-
-    ptraj = integrate_backward(rhs_p, spec.costs.players[0].G, times)
-
-    def p_at(t):
-        k = int(round(t / T * steps))
-        return ptraj.values[min(max(k, 0), steps)]
+    def stage(t):
+        return min(max(int(round(2 * t / T * steps)), 0), 2 * steps)
 
     def rhs_phi(t, phi):
-        cv = CoeffValues(spec, min(max(t, 0.0), T))
-        p = p_at(t)
-        B1 = cv.B[0]
-        Abar = cv.A - B1 @ cv.Rinv[0] @ B1.T @ p
-        f1 = p @ cv.b + cv.m[0] - p @ B1 @ cv.Rinv[0] @ cv.nl[0]
-        for Ci, si in zip(cv.C, cv.sigma):
-            f1 = f1 + Ci.T @ (p @ si)
-        return -(Abar.T @ phi + f1)
+        i = stage(t)
+        return -(Abar[i].T @ phi + f1bar[i])
 
-    phitraj = integrate_backward(rhs_phi, np.zeros(n), times)
-
-    def phi_at(t):
-        k = int(round(t / T * steps))
-        return phitraj.values[min(max(k, 0), steps)]
+    phis = integrate_backward(rhs_phi, np.zeros(n), times).values
 
     def rhs_chi(t, chi):
-        cv = CoeffValues(spec, min(max(t, 0.0), T))
-        p, phi = p_at(t), phi_at(t)
-        B1 = cv.B[0]
-        w = B1.T @ phi + cv.nl[0]
+        i = stage(t)
+        cv, p, phi = stages[i], pv[near[i]], phis[near[i]]
+        w = cv.B[0].T @ phi + cv.nl[0]
         s3 = cv.sigma[2]
         return -(phi @ cv.b + 0.5 * s3 @ (p @ s3)
                  - 0.5 * w @ (cv.Rinv[0] @ w))
 
     chitraj = integrate_backward(rhs_chi, np.zeros(()), times)
     x0 = spec.x0
-    return (float(0.5 * x0 @ ptraj.values[0] @ x0 + phitraj.values[0] @ x0
-                  + chitraj.values[0]), ptraj.values[0])
+    return (float(0.5 * x0 @ pv[0] @ x0 + phis[0] @ x0
+                  + chitraj.values[0]), pv[0])
 
 
 def crosscheck_p(spec: GameSpec, steps: int | None = None) -> CrosscheckReport:

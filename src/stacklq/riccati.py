@@ -7,6 +7,11 @@ integrated jointly so stage values of lower levels are available exactly
 where higher levels need them; the grid is the uniform one refined with
 every coefficient breakpoint, so no step straddles a jump.
 
+The right-hand sides, like the lifted formulas they call, take one node or
+a leading node axis: the pass calls them once per RK4 stage on the node view
+of one midpoint coefficient table, and the residual diagnostic calls them
+once on the table of interior nodes.
+
 Offsets: with deterministic coefficients the offset backward SDEs admit
 deterministic solutions with zero martingale integrands and with all
 conditional-expectation decorations equal to the process itself, so Omega
@@ -21,10 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ConsistencyError
-from .lift import (DERIVED, CoeffValues, Level1Coeffs, Level2Coeffs,
-                   Level2ClosedLoop, Level3Coeffs, bdiag, build_level1,
-                   build_level2, build_level2_closedloop, build_level3,
-                   level1_at, level2_at, level2_closedloop_at, level3_at)
+from .lift import (CoeffValues, Family, bdiag, build_level1, build_level2,
+                   build_level2_closedloop, build_level3, level1_at, level2_at,
+                   level2_closedloop_at, level3_at, mv)
 from .model import GameSpec, solver_times
 
 BLOWUP_LIMIT = 1e12
@@ -42,10 +46,6 @@ class MatrixTrajectory:
     def terminal(self):
         return self.values[-1]
 
-    @property
-    def initial(self):
-        return self.values[0]
-
 
 @dataclass(frozen=True)
 class RiccatiBundle:
@@ -56,11 +56,10 @@ class RiccatiBundle:
     Pf1: MatrixTrajectory
     Pf2: MatrixTrajectory
     Pf3: MatrixTrajectory
-    l1: Level1Coeffs
-    l2: Level2Coeffs
-    l2cl: Level2ClosedLoop
-    l3: Level3Coeffs
-    convention: str
+    l1: Family
+    l2: Family
+    l2cl: Family
+    l3: Family
 
 
 @dataclass(frozen=True)
@@ -77,81 +76,75 @@ class OffsetBundle:
 
 def _rhs_p(cv: CoeffValues, p):
     B1 = cv.B[0]
-    acc = p @ cv.A + cv.A.T @ p - p @ B1 @ cv.Rinv[0] @ B1.T @ p + cv.Q[0]
+    acc = p @ cv.A + cv.A.mT @ p - p @ B1 @ cv.Rinv[0] @ B1.mT @ p + cv.Q[0]
     for Ci in cv.C:
-        acc = acc + Ci.T @ p @ Ci
+        acc = acc + Ci.mT @ p @ Ci
     return -acc
 
 
-def _rhs_P1(cv, l2, P1, convention):
+def _rhs_P1(cv, l2, P1):
     K = l2["calB2"] @ cv.Rinv[1]
-    S = l2["calF1"] - K @ l2["calB2"].T
-    acc = P1 @ l2["calA1"] + l2["calA1"].T @ P1 + P1 @ S @ P1 + l2["calQ2"]
-    for name in ("calC1", "calC2", "calC3"):
-        Ci = l2[name]
-        acc = acc + Ci.T @ P1 @ Ci
-    if convention != DERIVED:
-        acc = acc - l2["calF2"].T @ cv.Rinv[1] @ l2["calB2"].T @ P1
+    S = l2["calF1"] - K @ l2["calB2"].mT
+    acc = P1 @ l2["calA1"] + l2["calA1"].mT @ P1 + P1 @ S @ P1 + l2["calQ2"]
+    for Ci in (l2["calC1"], l2["calC2"], l2["calC3"]):
+        acc = acc + Ci.mT @ P1 @ Ci
     return -acc
 
 
-def _rhs_P2(cv, l2, P1, P2, convention):
+def _rhs_P2(cv, l2, P1, P2):
     Rinv2 = cv.Rinv[1]
     cB2, cF2 = l2["calB2"], l2["calF2"]
     K = cB2 @ Rinv2
-    S = l2["calF1"] - K @ cB2.T
+    S = l2["calF1"] - K @ cB2.mT
     A12 = l2["calA1"] + l2["calA2"]
     P12 = P1 + P2
-    FRB = cF2.T @ Rinv2 @ cB2.T
-    acc = (P2 @ A12 + A12.T @ P2
-           + l2["calA2"].T @ P1 + P1 @ l2["calA2"]
+    FRB = cF2.mT @ Rinv2 @ cB2.mT
+    acc = (P2 @ A12 + A12.mT @ P2
+           + l2["calA2"].mT @ P1 + P1 @ l2["calA2"]
            + P1 @ S @ P2 + P2 @ S @ P1 + P2 @ S @ P2
-           + l2["calC3"].T @ P2 @ l2["calC3"]
-           - P12 @ K @ cF2 - FRB @ P2 - cF2.T @ Rinv2 @ cF2)
-    if convention == DERIVED:
-        acc = acc - FRB @ P1
+           + l2["calC3"].mT @ P2 @ l2["calC3"]
+           - P12 @ K @ cF2 - FRB @ P2 - cF2.mT @ Rinv2 @ cF2
+           - FRB @ P1)
     return -acc
 
 
 def _rhs_Pf1(cv, l3, Pf1):
     Rinv3 = cv.Rinv[2]
     Ma = l3["frakA1"] - l3["frakB3"] @ Rinv3 @ l3["Fa"]
-    Sbar = l3["frakF1bar"] - l3["frakB3"] @ Rinv3 @ l3["frakB3"].T
-    acc = (Pf1 @ Ma + Ma.T @ Pf1 + Pf1 @ Sbar @ Pf1 + l3["frakQ3"]
-           - l3["Fa"].T @ Rinv3 @ l3["Fa"])
-    for name in ("frakC1", "frakC2", "frakC3"):
-        Ci = l3[name]
-        acc = acc + Ci.T @ Pf1 @ Ci
+    Sbar = l3["frakF1bar"] - l3["frakB3"] @ Rinv3 @ l3["frakB3"].mT
+    acc = (Pf1 @ Ma + Ma.mT @ Pf1 + Pf1 @ Sbar @ Pf1 + l3["frakQ3"]
+           - l3["Fa"].mT @ Rinv3 @ l3["Fa"])
+    for Ci in (l3["frakC1"], l3["frakC2"], l3["frakC3"]):
+        acc = acc + Ci.mT @ Pf1 @ Ci
     return -acc
 
 
 def _rhs_Pf2(cv, l3, Pf1, Pf2):
     Rinv3 = cv.Rinv[2]
     Mb = l3["frakA1"] + l3["frakA2"] - l3["frakB3"] @ Rinv3 @ l3["Fa"]
-    S = l3["frakF1dd"] - l3["frakB3"] @ Rinv3 @ l3["frakB3"].T
-    acc = (Pf2 @ Mb + Mb.T @ Pf2
+    S = l3["frakF1dd"] - l3["frakB3"] @ Rinv3 @ l3["frakB3"].mT
+    acc = (Pf2 @ Mb + Mb.mT @ Pf2
            + Pf1 @ S @ Pf2 + Pf2 @ S @ Pf1 + Pf2 @ S @ Pf2
-           + l3["frakQ3dd"] + Pf1 @ l3["frakA2"] + l3["frakA2"].T @ Pf1
+           + l3["frakQ3dd"] + Pf1 @ l3["frakA2"] + l3["frakA2"].mT @ Pf1
            + Pf1 @ (l3["frakF1dd"] - l3["frakF1bar"]) @ Pf1)
-    for name in ("frakC2", "frakC3"):
-        Ci = l3[name]
-        acc = acc + Ci.T @ Pf2 @ Ci
+    for Ci in (l3["frakC2"], l3["frakC3"]):
+        acc = acc + Ci.mT @ Pf2 @ Ci
     return -acc
 
 
 def _rhs_Pf3(cv, l3, Pf1, Pf2, Pf3):
     Rinv3 = cv.Rinv[2]
     Fa, Fb, B3f = l3["Fa"], l3["Fb"], l3["frakB3"]
-    S = l3["frakF1dd"] - B3f @ Rinv3 @ B3f.T
+    S = l3["frakF1dd"] - B3f @ Rinv3 @ B3f.mT
     Mc = (l3["frakA1"] + l3["frakA2"] + l3["frakA3"]
           - B3f @ Rinv3 @ (Fa + Fb))
     Md = l3["frakA3"] - B3f @ Rinv3 @ Fb
     P12 = Pf1 + Pf2
-    acc = (Pf3 @ Mc + Mc.T @ Pf3
-           + P12 @ Md + Md.T @ P12
+    acc = (Pf3 @ Mc + Mc.mT @ Pf3
+           + P12 @ Md + Md.mT @ P12
            + P12 @ S @ Pf3 + Pf3 @ S @ P12 + Pf3 @ S @ Pf3
-           + l3["frakC3"].T @ Pf3 @ l3["frakC3"]
-           - Fa.T @ Rinv3 @ Fb - Fb.T @ Rinv3 @ Fa - Fb.T @ Rinv3 @ Fb)
+           + l3["frakC3"].mT @ Pf3 @ l3["frakC3"]
+           - Fa.mT @ Rinv3 @ Fb - Fb.mT @ Rinv3 @ Fa - Fb.mT @ Rinv3 @ Fb)
     return -acc
 
 
@@ -159,38 +152,35 @@ def _rhs_Omega(cv, l3, Pf1, Pf2, Pf3, Om):
     Rinv3 = cv.Rinv[2]
     Fa, Fb, B3f = l3["Fa"], l3["Fb"], l3["frakB3"]
     n3 = cv.nl[2]
-    S = l3["frakF1dd"] - B3f @ Rinv3 @ B3f.T
+    S = l3["frakF1dd"] - B3f @ Rinv3 @ B3f.mT
     Psum = Pf1 + Pf2 + Pf3
-    W = ((l3["frakA1"] + l3["frakA2"] + l3["frakA3"]).T
-         - (Fa + Fb).T @ Rinv3 @ B3f.T + Psum @ S)
-    src = (l3["frakC1"].T @ (Pf1 @ l3["Sigma1"])
-           + l3["frakC2"].T @ ((Pf1 + Pf2) @ l3["Sigma2"])
-           + l3["frakC3"].T @ ((Pf1 + Pf2 + Pf3) @ l3["Sigma3"])
-           + Psum @ (l3["ddb3"] - B3f @ (Rinv3 @ n3))
-           + l3["ddf3"] - (Fa + Fb).T @ (Rinv3 @ n3))
-    return -(W @ Om + src)
+    W = ((l3["frakA1"] + l3["frakA2"] + l3["frakA3"]).mT
+         - (Fa + Fb).mT @ Rinv3 @ B3f.mT + Psum @ S)
+    src = (mv(l3["frakC1"].mT, mv(Pf1, l3["Sigma1"]))
+           + mv(l3["frakC2"].mT, mv(Pf1 + Pf2, l3["Sigma2"]))
+           + mv(l3["frakC3"].mT, mv(Pf1 + Pf2 + Pf3, l3["Sigma3"]))
+           + mv(Psum, l3["ddb3"] - mv(B3f, mv(Rinv3, n3)))
+           + l3["ddf3"] - mv((Fa + Fb).mT, mv(Rinv3, n3)))
+    return -(mv(W, Om) + src)
 
 
 # ---------------------------------------------------------------------------
 # the stacked backward pass
 # ---------------------------------------------------------------------------
 
-_LEVEL_OF = {"p": 1, "P1": 2, "P2": 2, "Pf1": 3, "Pf2": 3, "Pf3": 3, "Omega": 4}
-
-
-def _stack_rhs(spec, cv, state, level, convention):
+def _stack_rhs(cv, state, level):
     p, P1, P2, Pf1, Pf2, Pf3, Om = state
     dp = _rhs_p(cv, p)
     if level == 1:
         return (dp, None, None, None, None, None, None)
     l1 = level1_at(cv, p)
     l2 = level2_at(cv, l1)
-    dP1 = _rhs_P1(cv, l2, P1, convention)
-    dP2 = _rhs_P2(cv, l2, P1, P2, convention)
+    dP1 = _rhs_P1(cv, l2, P1)
+    dP2 = _rhs_P2(cv, l2, P1, P2)
     if level == 2:
         return (dp, dP1, dP2, None, None, None, None)
-    cl = level2_closedloop_at(cv, l2, P1, P2, convention)
-    l3 = level3_at(cv, l2, cl, convention)
+    cl = level2_closedloop_at(cv, l2, P1, P2)
+    l3 = level3_at(cv, l2, cl)
     dPf1 = _rhs_Pf1(cv, l3, Pf1)
     dPf2 = _rhs_Pf2(cv, l3, Pf1, Pf2)
     dPf3 = _rhs_Pf3(cv, l3, Pf1, Pf2, Pf3)
@@ -223,9 +213,10 @@ def _check_finite(state, t, what="riccati system"):
             raise BlowUpError(what, t)
 
 
-def _solve_stack(spec: GameSpec, level: int, convention: str):
+def _solve_stack(spec: GameSpec, level: int):
     """Backward RK4 over the refined grid; returns per-node value arrays."""
     times = solver_times(spec)
+    mid = CoeffValues(spec, 0.5 * (times[1:] + times[:-1]))
     K = times.shape[0] - 1
     state = terminal_state(spec)
     hist = [[None] * (K + 1) for _ in range(7)]
@@ -234,11 +225,11 @@ def _solve_stack(spec: GameSpec, level: int, convention: str):
     max_asym = 0.0
     for k in range(K, 0, -1):
         h = times[k] - times[k - 1]
-        cv = CoeffValues(spec, 0.5 * (times[k] + times[k - 1]))
-        k1 = _stack_rhs(spec, cv, state, level, convention)
-        k2 = _stack_rhs(spec, cv, _axpy(state, k1, -0.5 * h), level, convention)
-        k3 = _stack_rhs(spec, cv, _axpy(state, k2, -0.5 * h), level, convention)
-        k4 = _stack_rhs(spec, cv, _axpy(state, k3, -h), level, convention)
+        cv = mid[k - 1]
+        k1 = _stack_rhs(cv, state, level)
+        k2 = _stack_rhs(cv, _axpy(state, k1, -0.5 * h), level)
+        k3 = _stack_rhs(cv, _axpy(state, k2, -0.5 * h), level)
+        k4 = _stack_rhs(cv, _axpy(state, k3, -h), level)
         new = []
         for s, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4):
             if d1 is None:
@@ -285,24 +276,24 @@ def integrate_backward(rhs, terminal, times) -> MatrixTrajectory:
     return MatrixTrajectory(times, values)
 
 
-def solve_p(spec: GameSpec, convention: str = DERIVED) -> MatrixTrajectory:
+def solve_p(spec: GameSpec) -> MatrixTrajectory:
     """Follower Riccati gain; terminal value is the follower's terminal weight."""
-    times, arrays = _solve_stack(spec, 1, convention)
+    times, arrays = _solve_stack(spec, 1)
     return MatrixTrajectory(times, arrays[0])
 
 
-def solve_P12(spec: GameSpec, l1, l2, p, convention: str = DERIVED):
+def solve_P12(spec: GameSpec, l1, l2, p):
     """Middle-level Riccati pair (P1 self-contained, then P2 given P1)."""
-    times, arrays = _solve_stack(spec, 2, convention)
+    times, arrays = _solve_stack(spec, 2)
     pv = getattr(p, "values", p)
     if np.abs(arrays[0] - pv).max() > 1e-8 * (1.0 + np.abs(pv).max()):
         raise ConsistencyError("supplied p trajectory disagrees with the joint solve")
     return (MatrixTrajectory(times, arrays[1]), MatrixTrajectory(times, arrays[2]))
 
 
-def solve_P123(spec: GameSpec, l3, P1, P2, convention: str = DERIVED):
+def solve_P123(spec: GameSpec, l3, P1, P2):
     """Top-level Riccati triple, solved sequentially inside one joint pass."""
-    times, arrays = _solve_stack(spec, 3, convention)
+    times, arrays = _solve_stack(spec, 3)
     P1v = getattr(P1, "values", P1)
     if np.abs(arrays[1] - P1v).max() > 1e-8 * (1.0 + np.abs(P1v).max()):
         raise ConsistencyError("supplied P1 trajectory disagrees with the joint solve")
@@ -318,26 +309,25 @@ def _offsets_from_omega(times, om_values, n) -> OffsetBundle:
 
 def solve_offsets(spec: GameSpec, bundle: RiccatiBundle) -> OffsetBundle:
     """Collapsed deterministic offset ODE; blocks give the 2n and n offsets."""
-    times, arrays = _solve_stack(spec, 4, bundle.convention)
+    times, arrays = _solve_stack(spec, 4)
     return _offsets_from_omega(times, arrays[6], spec.n)
 
 
-def solve_game(spec: GameSpec, convention: str = DERIVED):
+def solve_game(spec: GameSpec):
     """Full ladder in one pass: RiccatiBundle plus OffsetBundle."""
-    times, arrays = _solve_stack(spec, 4, convention)
+    times, arrays = _solve_stack(spec, 4)
     p = MatrixTrajectory(times, arrays[0])
     P1 = MatrixTrajectory(times, arrays[1])
     P2 = MatrixTrajectory(times, arrays[2])
     l1 = build_level1(spec, p)
     l2 = build_level2(spec, l1)
-    l2cl = build_level2_closedloop(l2, P1, P2, spec, convention)
-    l3 = build_level3(l2cl, l2, spec, convention)
+    l2cl = build_level2_closedloop(l2, P1, P2, spec)
+    l3 = build_level3(l2cl, l2, spec)
     bundle = RiccatiBundle(times=times, p=p, P1=P1, P2=P2,
                            Pf1=MatrixTrajectory(times, arrays[3]),
                            Pf2=MatrixTrajectory(times, arrays[4]),
                            Pf3=MatrixTrajectory(times, arrays[5]),
-                           l1=l1, l2=l2, l2cl=l2cl, l3=l3,
-                           convention=convention)
+                           l1=l1, l2=l2, l2cl=l2cl, l3=l3)
     offsets = _offsets_from_omega(times, arrays[6], spec.n)
     return bundle, offsets
 
@@ -355,26 +345,17 @@ def riccati_residuals(spec: GameSpec, bundle: RiccatiBundle,
     coefficients.
     """
     times = bundle.times
-    conv = bundle.convention
-    vals = {"p": bundle.p.values, "P1": bundle.P1.values, "P2": bundle.P2.values,
-            "Pf1": bundle.Pf1.values, "Pf2": bundle.Pf2.values,
-            "Pf3": bundle.Pf3.values}
-    if offsets is not None:
-        vals["Omega"] = offsets.Omega.values
-    out = {name: 0.0 for name in vals}
-    K = times.shape[0] - 1
-    for k in range(1, K):
-        cv = CoeffValues(spec, times[k])
-        state = (vals["p"][k], vals["P1"][k], vals["P2"][k], vals["Pf1"][k],
-                 vals["Pf2"][k], vals["Pf3"][k],
-                 vals["Omega"][k] if "Omega" in vals else np.zeros(4 * spec.n))
-        level = 4 if "Omega" in vals else 3
-        ders = _stack_rhs(spec, cv, state, level, conv)
-        dt = times[k + 1] - times[k - 1]
-        for i, name in enumerate(("p", "P1", "P2", "Pf1", "Pf2", "Pf3", "Omega")):
-            if name not in vals or ders[i] is None:
-                continue
-            num = (vals[name][k + 1] - vals[name][k - 1]) / dt
-            res = np.abs(num - ders[i]).max()
-            out[name] = max(out[name], float(res))
+    names = ("p", "P1", "P2", "Pf1", "Pf2", "Pf3", "Omega")
+    vals = [bundle.p.values, bundle.P1.values, bundle.P2.values,
+            bundle.Pf1.values, bundle.Pf2.values, bundle.Pf3.values,
+            np.zeros((times.shape[0], 4 * spec.n)) if offsets is None
+            else offsets.Omega.values]
+    ders = _stack_rhs(CoeffValues(spec, times[1:-1]),
+                      tuple(v[1:-1] for v in vals), 3 if offsets is None else 4)
+    dt = times[2:] - times[:-2]
+    out = {}
+    for name, v, d in zip(names, vals, ders):
+        if d is not None:
+            num = (v[2:] - v[:-2]) / dt.reshape((-1,) + (1,) * (v.ndim - 1))
+            out[name] = float(np.abs(num - d).max(initial=0.0))
     return out

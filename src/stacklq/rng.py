@@ -59,18 +59,3 @@ class NoisePlan:
         seeds = list(self.seeds)
         seeds[comp] = component_seeds(new_seed)[comp]
         return NoisePlan(tuple(seeds), self.dts)
-
-
-@dataclass(frozen=True)
-class NoisePath:
-    """One path's increments plus the provenance needed to regenerate them."""
-
-    seed: int
-    path_index: int
-    increments: np.ndarray  # (steps, 3)
-
-
-def noise_paths(seed: int, n_paths: int, dts) -> list:
-    plan = NoisePlan.from_seed(seed, dts)
-    block = plan.increments(np.arange(n_paths))
-    return [NoisePath(seed, i, block[i]) for i in range(n_paths)]

@@ -70,16 +70,18 @@ def check_terminals(spec, bundle, offsets):
             f"max terminal gap {worst:.3e} (exact required)")
 
 
-def check_residual_order(spec):
-    """Centred-difference residuals must scale like C h^2 with stable C."""
-    steps = spec.grid.steps
+def check_residual_order(solved, fine):
+    """Centred-difference residuals must scale like C h^2 with stable C.
+
+    solved and fine are (spec, bundle, offsets) on the spec's grid and on the
+    grid with twice as many steps.
+    """
+    steps = solved[0].grid.steps
     rows = {}
-    for s in (steps, 2 * steps):
-        sp = _with_steps(spec, s)
-        b, o = solve_game(sp)
+    for sp, b, o in (solved, fine):
         res = riccati_residuals(sp, b, o)
-        h = sp.horizon / s
-        rows[s] = {k: v / h**2 for k, v in res.items()}
+        h = sp.horizon / sp.grid.steps
+        rows[sp.grid.steps] = {k: v / h**2 for k, v in res.items()}
     ratios = {k: (rows[2 * steps][k] / rows[steps][k]) if rows[steps][k] > 0 else 1.0
               for k in rows[steps]}
     ok = all(0.25 <= r <= 4.0 for r in ratios.values())
@@ -124,15 +126,16 @@ def check_zero_noise_nesting(spec, seed, n_paths=4):
             f"max level gap without noise {gap:.3e} (<= 1e-12)")
 
 
-def check_ansatz_residual(spec, seed, n_paths=100):
+def check_ansatz_residual(solved, law, fine, seed, n_paths=100):
+    """The ansatz drift mismatch must halve with the step; arguments as in
+    check_residual_order, plus the feedback law on the spec's grid."""
+    fine_spec, fine_bundle, fine_offsets = fine
+    fine_law = build_feedback(fine_bundle, fine_offsets, fine_spec)
     worsts = []
-    for s in (spec.grid.steps, 2 * spec.grid.steps):
-        sp = _with_steps(spec, s)
-        b, o = solve_game(sp)
-        law = build_feedback(b, o, sp)
+    for (sp, b, o), lw in ((solved, law), (fine, fine_law)):
         plan = NoisePlan.from_seed(seed, np.diff(solver_times(sp)))
         dW = plan.increments(np.arange(n_paths))
-        paths = simulate_equilibrium(sp, law, dW)
+        paths = simulate_equilibrium(sp, lw, dW)
         worsts.append(ansatz_residual(sp, b, o, paths, dW))
     ratio = worsts[1] / worsts[0] if worsts[0] > 0 else 0.5
     ok = 0.25 <= ratio <= 0.75
@@ -163,9 +166,8 @@ def check_variational(spec, law, bundle, cfg: VerifyConfig):
     results = []
     reports = []
     for player in (1, 2, 3):
-        dirs = default_directions(spec, include_feedback=(player == 1))[:5]
         fails = []
-        for d in dirs:
+        for d in default_directions(spec):
             rep = variational_test(spec, player, d, cfg.epsilons, cfg.n_paths,
                                    cfg.seed, law, bundle,
                                    gain_scale=cfg.gain_scale if player == 1 else 1.0,
@@ -198,14 +200,17 @@ def run_verification(spec: GameSpec, cfg: VerifyConfig):
         raise ValueError(str(report))
     bundle, offsets = solve_game(spec)
     law = build_feedback(bundle, offsets, spec)
+    solved = (spec, bundle, offsets)
+    fine_spec = _with_steps(spec, 2 * spec.grid.steps)
+    fine = (fine_spec, *solve_game(fine_spec))
     tower_check, oracle_rows = check_tower(spec, law, cfg)
     checks = [
         check_terminals(spec, bundle, offsets),
-        check_residual_order(spec),
+        check_residual_order(solved, fine),
         check_p_psd(spec, bundle),
         check_measurability(spec, law, cfg.seed),
         check_zero_noise_nesting(spec, cfg.seed),
-        check_ansatz_residual(spec, cfg.seed),
+        check_ansatz_residual(solved, law, fine, cfg.seed),
         tower_check,
     ]
     var_checks, var_reports = check_variational(spec, law, bundle, cfg)

@@ -8,8 +8,9 @@ from stacklq.closedloop import (ansatz_residual, reconstruct_Phi,
                                 reconstruct_Phi_raw, reconstruct_phicheck,
                                 respond_player1, respond_player12,
                                 simulate_equilibrium, simulate_state)
-from stacklq.errors import UnsupportedPerturbationError
+from stacklq.errors import BlowUpError, UnsupportedPerturbationError
 from stacklq.model import solver_times
+from stacklq.montecarlo import _player_quadratics, default_directions
 from stacklq.riccati import solve_game
 from stacklq.rng import NoisePlan
 
@@ -101,6 +102,28 @@ def test_simulate_state_exponential_growth():
     z = np.zeros((steps + 1, 1))
     xs = simulate_state(spec, z, z, z, dW)
     assert abs(xs[0, -1, 0] - np.exp(a * T)) < 2e-4 * np.exp(a * T)
+
+
+def test_blowup_reported_at_its_step():
+    # one huge W3 increment on step 10 of path 1 must be caught at t_11
+    spec = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, A=0.3, B1=1.0, B2=0.8,
+                        B3=0.6, sigma1=0.3, sigma2=0.3, sigma3=0.3,
+                        Q1=1.0, G1=0.5, Q2=0.8, Q3=0.6)
+    bundle, offsets = solve_game(spec)
+    law = sq.build_feedback(bundle, offsets, spec)
+    times = solver_times(spec)
+    dW = np.zeros((2, 100, 3))
+    dW[1, 10, 2] = 1e13
+    z = np.zeros((101, 1))
+    const = default_directions(spec)[0]
+    runs = (lambda: simulate_equilibrium(spec, law, dW),
+            lambda: simulate_state(spec, z, z, z, dW),
+            lambda: _player_quadratics(spec, law, bundle, 1, const, dW))
+    for run in runs:
+        with pytest.raises(BlowUpError) as err:
+            run()
+        assert err.value.t == times[11]
+        assert err.value.path == 1
 
 
 def test_hat_filter_is_unbiased(generic_solution, scalar_generic):

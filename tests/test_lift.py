@@ -1,9 +1,60 @@
 import numpy as np
+import pytest
 
 import stacklq as sq
 from stacklq.lift import (CoeffValues, bdiag, level1_at, level2_at,
-                          level2_closedloop_at, selectors)
+                          level2_closedloop_at, level3_at, selectors)
+from stacklq.model import Coefficient, solver_times
 from stacklq.riccati import solve_game
+
+
+@pytest.fixture(scope="module")
+def piecewise_spec():
+    """Scalar spec whose pieces start on grid nodes (0.25, 0.5, 0.75)."""
+    pw = lambda brk, a, b: Coefficient.piecewise([brk], [[[a]], [[b]]])
+    return sq.make_spec(
+        n=1, T=1.0, steps=100, x0=1.0, A=pw(0.25, 0.3, -0.2), B1=1.0,
+        B2=pw(0.5, 0.8, 0.4), B3=0.6, C1=0.1, C2=0.12, C3=pw(0.75, 0.1, 0.2),
+        b=0.05, sigma1=0.2, sigma2=0.25,
+        sigma3=Coefficient.piecewise([0.5], [[0.3], [0.1]]),
+        Q1=1.0, R1=pw(0.25, 1.0, 1.4), G1=0.5, m1=0.02, n1=0.01,
+        Q2=pw(0.75, 0.8, 0.3), R2=1.2, G2=0.4, n2=0.02,
+        Q3=0.6, R3=pw(0.5, 1.5, 0.9), G3=0.3, m3=0.01)
+
+
+SPECS = ("n2_spec", "piecewise_spec")
+FIELDS = ("A", "B", "C", "b", "sigma", "Q", "R", "Rinv", "m", "nl", "G")
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_coeff_table_rows_match_single_node(name, request):
+    spec = request.getfixturevalue(name)
+    times = solver_times(spec)
+    table = CoeffValues(spec, times)
+    for k, t in enumerate(times):
+        row, node = table[k], CoeffValues(spec, t)
+        assert row.t == t
+        for field in FIELDS:
+            assert np.array_equal(np.asarray(getattr(row, field)),
+                                  np.asarray(getattr(node, field))), (k, field)
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_builders_match_per_node_formulas(name, request):
+    spec = request.getfixturevalue(name)
+    bundle, _ = solve_game(spec)
+    families = (bundle.l1, bundle.l2, bundle.l2cl, bundle.l3)
+    for k, t in enumerate(bundle.times):
+        cv = CoeffValues(spec, t)
+        l1 = level1_at(cv, bundle.p.values[k])
+        l2 = level2_at(cv, l1)
+        cl = level2_closedloop_at(cv, l2, bundle.P1.values[k], bundle.P2.values[k])
+        l3 = level3_at(cv, l2, cl)
+        for table, node in zip(families, (l1, l2, cl, l3)):
+            assert table.keys() == node.keys()
+            for field, value in node.items():
+                got = table[field] if field in ("calG2", "frakG3") else table[field][k]
+                assert np.array_equal(got, value), (k, field)
 
 
 def naive_matmul(A, B):

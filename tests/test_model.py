@@ -20,6 +20,14 @@ def test_negative_R_is_flagged():
     assert len(bad) == 1
 
 
+def test_indefinite_R_piece_reported_once_at_its_start():
+    R2 = Coefficient.piecewise([0.437], [[[1.0]], [[-0.5]]])
+    report = sq.validate_spec(sq.make_spec(n=1, steps=100, R2=R2))
+    bad = [v for v in report.violations if v.field == "R2"]
+    assert len(bad) == 1
+    assert bad[0].t == 0.437
+
+
 def test_full_adjacency_rejected():
     spec = sq.make_spec(n=1, adjacency=np.ones((3, 3), dtype=int))
     report = sq.validate_spec(spec)

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import stacklq as sq
 from stacklq.errors import ReductionError
+from stacklq.model import Coefficient
 from stacklq.oracle import (DiscreteLQ, crosscheck_p, reduce_to_single_player,
                             solve_dp)
 from stacklq.rng import NoisePlan
@@ -105,6 +108,19 @@ def test_crosscheck_linear_trend(reducible_spec):
     assert gaps[0] > gaps[1] > gaps[2]
     for a, b in zip(gaps, gaps[1:]):
         assert 1.5 <= a / b <= 2.5  # halving h halves the gap
+
+
+def test_crosscheck_breakpoint_off_the_grid(reducible_spec):
+    # solve_p refines its grid with the breakpoint; the uniform oracle grid
+    # at 100 and 400 steps does not hold it
+    A = Coefficient.piecewise([0.337], [[[0.4]], [[-0.3]]])
+    spec = dataclasses.replace(
+        reducible_spec, coeffs=dataclasses.replace(reducible_spec.coeffs, A=A))
+    coarse, fine = (crosscheck_p(spec, steps=s) for s in (100, 400))
+    assert fine.gap_S0 < coarse.gap_S0 <= 0.01
+    assert fine.gap_value < coarse.gap_value
+    # the continuous value does not depend on where the oracle grid falls
+    assert abs(coarse.continuous_value - fine.continuous_value) <= 1e-4
 
 
 def test_dp_value_matches_optimal_simulation(reducible_spec):

@@ -1,6 +1,6 @@
 import numpy as np
 
-from stacklq.rng import NoisePlan, component_seeds, noise_paths
+from stacklq.rng import NoisePlan, component_seeds
 
 
 def test_increment_moments():
@@ -31,15 +31,6 @@ def test_component_reseeding_is_local():
 def test_component_seeds_distinct():
     s = component_seeds(42)
     assert len(set(s)) == 3
-
-
-def test_noise_paths_wrapper():
-    paths = noise_paths(11, 3, np.full(5, 0.2))
-    assert len(paths) == 3
-    assert paths[1].path_index == 1
-    assert paths[0].increments.shape == (5, 3)
-    plan = NoisePlan.from_seed(11, np.full(5, 0.2))
-    assert np.array_equal(plan.increments([1])[0], paths[1].increments)
 
 
 def test_nonuniform_step_scaling():
