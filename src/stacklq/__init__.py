@@ -14,7 +14,7 @@ from .model import (GameSpec, TimeGrid, ValidationReport, eval_coeff,
                     spec_from_dict, spec_to_dict, validate_spec)
 from .montecarlo import (CostEstimate, Direction, PerturbationReport,
                          default_directions, estimate_cost, particle_filter,
-                         variational_test)
+                         variational_sweep, variational_test)
 from .oracle import crosscheck_p, reduce_to_single_player, solve_dp
 from .riccati import (MatrixTrajectory, OffsetBundle, RiccatiBundle,
                       integrate_backward, riccati_residuals, solve_game,

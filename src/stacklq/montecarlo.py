@@ -7,6 +7,12 @@ cost exactly as a quadratic polynomial in the perturbation size.  The
 reported central-difference slope coincides with the polynomial's linear
 coefficient, and its standard error comes from the per-path linear terms
 (classical CRN variance reduction).
+
+`variational_sweep` runs many (player, direction, gain_scale) cases with the
+chunk loop outermost: each chunk of paths draws its Brownian increments once,
+steps one base closed loop on them, and every case advances its response and
+cost polynomial along that shared run.  No increment row is drawn twice
+however many cases share the seed.  `variational_test` is the one-case sweep.
 """
 
 from __future__ import annotations
@@ -113,93 +119,105 @@ def default_directions(spec: GameSpec, include_feedback: bool = False) -> list:
     return dirs
 
 
-def _player_quadratics(spec, law: FeedbackLaw, bundle: RiccatiBundle,
-                       player: int, direction: Direction, dW: np.ndarray,
-                       gain_scale: float = 1.0):
-    """Per-path cost polynomial coefficients (J0, B, C) for J(eps)."""
-    if direction.kind == "filtered_feedback" and player != 1:
-        raise UnsupportedPerturbationError(
-            "feedback directions are supported for the follower test only")
-    if gain_scale != 1.0 and player != 1:
-        raise UnsupportedPerturbationError(
-            "the scaled-gain negative control runs on the follower test")
-    N, K, _ = dW.shape
-    times = law.times
-    n = spec.n
-    cv, own = CoeffValues(spec, times), player - 1
-    Q, R, m, nl, G = cv.Q[own], cv.R[own], cv.m[own], cv.nl[own], cv.G[own]
-    _, _, _, s2 = selectors(n)
+class _CaseRun:
+    """One case's response to its direction and its cost polynomial.
 
-    X = np.tile(np.concatenate([spec.x0, np.zeros(3 * n)]), (N, 1))
-    Xh = X.copy()
-    Xc = X.copy()
-    sab = gain_scale != 1.0
-    xt = X[:, :n].copy() if sab else None         # re-simulated base state
-    dx = np.zeros((N, n))                         # response of the state
-    if player == 2:
-        dxc = np.zeros((N, n))
-        l1 = bundle.l1
-        # deterministic follower offset response to the direction
-        dphi = _det_backward(times, np.transpose(l1.Abar, (0, 2, 1)),
-                             np.einsum("kij,kj->ki", bundle.p.values,
-                                       np.einsum("kij,kj->ki", cv.B[1], direction.path)),
-                             np.zeros(n))
-    elif player == 3:
-        dX2h = np.zeros((N, 2 * n))
-        dX2c = np.zeros((N, 2 * n))
-        cl, l2 = bundle.l2cl, bundle.l2
-        dPhi = _det_backward(times, np.transpose(cl.ddA1 + cl.ddA2 + cl.ddA3, (0, 2, 1)),
-                             np.einsum("kij,kj->ki", cl.va + cl.vc, direction.path),
-                             np.zeros(2 * n))
+    The per-path coefficients (J0, Bc, Cc) of J(eps) = J0 + eps Bc + eps^2 Cc
+    are accumulated node by node along a base closed-loop run that every
+    case of a sweep shares.  A gain_scale other than 1 re-simulates the
+    physical state under the scaled follower gain (player 1 only).
+    """
 
-    J0 = np.zeros(N)
-    Bc = np.zeros(N)
-    Cc = np.zeros(N)
+    def __init__(self, spec, bundle: RiccatiBundle, cv: CoeffValues, N: int,
+                 player: int, direction: Direction, gain_scale: float):
+        if direction.kind == "filtered_feedback" and player != 1:
+            raise UnsupportedPerturbationError(
+                "feedback directions are supported for the follower test only")
+        if gain_scale != 1.0 and player != 1:
+            raise UnsupportedPerturbationError(
+                "the scaled-gain negative control runs on the follower test")
+        n, own, times = spec.n, player - 1, cv.t
+        self.player, self.direction, self.gain_scale = player, direction, gain_scale
+        self.bundle = bundle
+        self.Q, self.R, self.m, self.nl = cv.Q[own], cv.R[own], cv.m[own], cv.nl[own]
+        self.G = cv.G[own]
+        # re-simulated base state when the follower gain is scaled
+        self.xt = np.tile(spec.x0, (N, 1)) if gain_scale != 1.0 else None
+        self.dx = np.zeros((N, n))                    # response of the state
+        if player == 2:
+            self.dxc = np.zeros((N, n))
+            # deterministic follower offset response to the direction
+            self.dphi = _det_backward(
+                times, np.transpose(bundle.l1.Abar, (0, 2, 1)),
+                np.einsum("kij,kj->ki", bundle.p.values,
+                          np.einsum("kij,kj->ki", cv.B[1], direction.path)),
+                np.zeros(n))
+        elif player == 3:
+            self.s2 = selectors(n)[3]
+            self.dX2h = np.zeros((N, 2 * n))
+            self.dX2c = np.zeros((N, 2 * n))
+            cl = bundle.l2cl
+            self.dPhi = _det_backward(
+                times, np.transpose(cl.ddA1 + cl.ddA2 + cl.ddA3, (0, 2, 1)),
+                np.einsum("kij,kj->ki", cl.va + cl.vc, direction.path),
+                np.zeros(2 * n))
+        self.J0, self.Bc, self.Cc = np.zeros(N), np.zeros(N), np.zeros(N)
 
-    for k in range(K + 1):
-        c = cv[k]
-        # base controls at this node
-        v1, v2, v3 = _controls(law, k, X, Xh, Xc)
-        if sab:
-            v1 = gain_scale * (Xc @ law.K1[k].T) + law.k1[k]
-        vown = (v1, v2, v3)[own]
-        xbase = xt if sab else X[:, :n]
+    def node(self, law: FeedbackLaw, c, k: int, X, Xh, Xc, v, dW):
+        """Add node k's cost terms; before the last node, step to node k+1.
+
+        c is the node-k coefficient view; X, Xh, Xc and the controls v are
+        the shared base run at node k.
+        """
+        N, K, _ = dW.shape
+        n, player, bundle = self.dx.shape[1], self.player, self.bundle
+        times = law.times
+        v1, v2, v3 = v
+        if self.xt is not None:
+            v1 = self.gain_scale * (Xc @ law.K1[k].T) + law.k1[k]
+        vown = (v1, v2, v3)[player - 1]
+        xbase = X[:, :n] if self.xt is None else self.xt
+        dx = self.dx
 
         # direction value and own-control response at this node
-        if direction.kind == "deterministic":
-            dv_own = np.broadcast_to(direction.path[k], (N, n))
+        if self.direction.kind == "deterministic":
+            dv_own = np.broadcast_to(self.direction.path[k], (N, n))
         else:
-            dv_own = Xc[:, :n] @ direction.gain.T
+            dv_own = Xc[:, :n] @ self.direction.gain.T
         # responses of the re-responding lower levels
         if player == 2:
+            dxc, dphi = self.dxc, self.dphi
             dv1 = -(dxc @ (c.B[0].T @ bundle.p.values[k]).T
                     + np.broadcast_to(dphi[k], (N, n)) @ c.B[0]) @ c.Rinv[0].T
         elif player == 3:
+            dX2h, dX2c, dPhi = self.dX2h, self.dX2c, self.dPhi
+            cl, l2 = bundle.l2cl, bundle.l2
             cB2, cF2 = l2.calB2[k], l2.calF2[k]
             P1k, P2k = bundle.P1.values[k], bundle.P2.values[k]
             dv2 = -(dX2h @ (cB2.T @ P1k).T + dX2c @ (cB2.T @ P2k + cF2).T
                     + np.broadcast_to(dPhi[k], (N, 2 * n)) @ cB2) @ c.Rinv[1].T
-            dphick = (dX2c @ (s2 @ (P1k + P2k)).T
-                      + np.broadcast_to(dPhi[k], (N, 2 * n)) @ s2.T)
+            dphick = (dX2c @ (self.s2 @ (P1k + P2k)).T
+                      + np.broadcast_to(dPhi[k], (N, 2 * n)) @ self.s2.T)
             dv1 = -(dX2c[:, :n] @ (c.B[0].T @ bundle.p.values[k]).T
                     + dphick @ c.B[0]) @ c.Rinv[0].T
 
         # accumulate cost polynomial
-        if k < K:
-            h = times[k + 1] - times[k]
-            J0 += h * (0.5 * np.einsum("pi,ij,pj->p", xbase, Q[k], xbase)
-                       + 0.5 * np.einsum("pi,ij,pj->p", vown, R[k], vown)
-                       + xbase @ m[k] + vown @ nl[k])
-            Bc += h * (np.einsum("pi,ij,pj->p", xbase, Q[k], dx)
-                       + np.einsum("pi,ij,pj->p", vown, R[k], dv_own)
-                       + dx @ m[k] + dv_own @ nl[k])
-            Cc += h * (0.5 * np.einsum("pi,ij,pj->p", dx, Q[k], dx)
-                       + 0.5 * np.einsum("pi,ij,pj->p", dv_own, R[k], dv_own))
-        else:
-            J0 += 0.5 * np.einsum("pi,ij,pj->p", xbase, G, xbase)
-            Bc += np.einsum("pi,ij,pj->p", xbase, G, dx)
-            Cc += 0.5 * np.einsum("pi,ij,pj->p", dx, G, dx)
-            break
+        Q, R, m, nl = self.Q, self.R, self.m, self.nl
+        if k == K:
+            G = self.G
+            self.J0 += 0.5 * np.einsum("pi,ij,pj->p", xbase, G, xbase)
+            self.Bc += np.einsum("pi,ij,pj->p", xbase, G, dx)
+            self.Cc += 0.5 * np.einsum("pi,ij,pj->p", dx, G, dx)
+            return
+        h = times[k + 1] - times[k]
+        self.J0 += h * (0.5 * np.einsum("pi,ij,pj->p", xbase, Q[k], xbase)
+                        + 0.5 * np.einsum("pi,ij,pj->p", vown, R[k], vown)
+                        + xbase @ m[k] + vown @ nl[k])
+        self.Bc += h * (np.einsum("pi,ij,pj->p", xbase, Q[k], dx)
+                        + np.einsum("pi,ij,pj->p", vown, R[k], dv_own)
+                        + dx @ m[k] + dv_own @ nl[k])
+        self.Cc += h * (0.5 * np.einsum("pi,ij,pj->p", dx, Q[k], dx)
+                        + 0.5 * np.einsum("pi,ij,pj->p", dv_own, R[k], dv_own))
 
         d2, d3 = dW[:, k, 1:2], dW[:, k, 2:3]
 
@@ -212,7 +230,7 @@ def _player_quadratics(spec, law: FeedbackLaw, bundle: RiccatiBundle,
             dxc_drift = (dxc @ bundle.l1.Abar[k].T
                          + np.broadcast_to(dphi[k], (N, n)) @ bundle.l1.F1bar[k].T
                          + dv_own @ c.B[1].T)
-            dxc = dxc + h * dxc_drift + d3 * (dxc @ c.C[2].T)
+            self.dxc = dxc + h * dxc_drift + d3 * (dxc @ c.C[2].T)
         elif player == 3:
             ddrift = ddrift + dv1 @ c.B[0].T + dv2 @ c.B[1].T + dv_own @ c.B[2].T
             ddA12 = cl.ddA1[k] + cl.ddA2[k]
@@ -221,18 +239,84 @@ def _player_quadratics(spec, law: FeedbackLaw, bundle: RiccatiBundle,
                         + dPhik @ cl.ddF1[k].T + dv_own @ l2.calB3[k].T)
             dc_drift = (dX2c @ (ddA12 + cl.ddA3[k]).T + dPhik @ cl.ddF1[k].T
                         + dv_own @ l2.calB3[k].T)
-            dX2h = (dX2h + h * dh_drift
-                    + d2 * (dX2h @ l2.calC2[k].T) + d3 * (dX2h @ l2.calC3[k].T))
-            dX2c = dX2c + h * dc_drift + d3 * (dX2c @ l2.calC3[k].T)
-        dx = dx + h * ddrift + sum(dW[:, k, i:i + 1] * (dx @ c.C[i].T)
-                                   for i in range(3))
+            self.dX2h = (dX2h + h * dh_drift
+                         + d2 * (dX2h @ l2.calC2[k].T) + d3 * (dX2h @ l2.calC3[k].T))
+            self.dX2c = dX2c + h * dc_drift + d3 * (dX2c @ l2.calC3[k].T)
+        self.dx = dx + h * ddrift + sum(dW[:, k, i:i + 1] * (dx @ c.C[i].T)
+                                        for i in range(3))
+        if self.xt is not None:
+            self.xt = _state_step(c, times, k, dW[:, k], self.xt, (v1, v2, v3))
 
-        # base closed-loop step
-        if sab:
-            xt = _state_step(c, times, k, dW[:, k], xt, (v1, v2, v3))
-        X, Xh, Xc = _filtered_step(law, times, k, dW[:, k], X, Xh, Xc)
 
-    return J0, Bc, Cc
+def _sweep_quadratics(spec, law: FeedbackLaw, bundle: RiccatiBundle, cases,
+                      dW: np.ndarray) -> list:
+    """Per-path cost polynomial coefficients (J0, B, C) of J(eps) for each
+    (player, direction, gain_scale) case, all on one base run driven by dW."""
+    N, K, _ = dW.shape
+    times = law.times
+    cv = CoeffValues(spec, times)
+    runs = [_CaseRun(spec, bundle, cv, N, *case) for case in cases]
+    X = np.tile(np.concatenate([spec.x0, np.zeros(3 * spec.n)]), (N, 1))
+    Xh = X.copy()
+    Xc = X.copy()
+    for k in range(K + 1):
+        c = cv[k]
+        v = _controls(law, k, X, Xh, Xc)
+        for run in runs:
+            run.node(law, c, k, X, Xh, Xc, v, dW)
+        if k < K:
+            X, Xh, Xc = _filtered_step(law, times, k, dW[:, k], X, Xh, Xc)
+    return [(run.J0, run.Bc, run.Cc) for run in runs]
+
+
+def variational_sweep(spec: GameSpec, cases, epsilons, n_paths: int,
+                      seed: int, law: FeedbackLaw, bundle: RiccatiBundle,
+                      threads: int = 1, chunk: int = 2048) -> list:
+    """CRN perturbation sweep over many cases on one draw of the noise.
+
+    cases is a list of (player, direction, gain_scale); one report per case,
+    in order.  The chunk loop is outermost: each chunk of paths draws its
+    increments once and runs one shared base closed loop that every case
+    follows, so the sweep holds one chunk of noise and three per-path
+    vectors per case.
+    """
+    eps = sorted({float(e) for e in epsilons} | {0.0} |
+                 {-float(e) for e in epsilons})
+    times = solver_times(spec)
+    plan = NoisePlan.from_seed(seed, np.diff(times))
+
+    def run(i0):
+        dW = plan.increments(np.arange(i0, min(i0 + chunk, n_paths)))
+        return _sweep_quadratics(spec, law, bundle, cases, dW)
+
+    starts = range(0, n_paths, chunk)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            parts = list(ex.map(run, starts))
+    else:
+        parts = [run(i0) for i0 in starts]
+
+    N = n_paths
+    reports = []
+    for i, (player, direction, _) in enumerate(cases):
+        J0, B, C = (np.concatenate([part[i][j] for part in parts])
+                    for j in range(3))
+        costs = []
+        for e in eps:
+            Je = J0 + e * B + e * e * C
+            costs.append(CostEstimate(player=player, mean=float(Je.mean()),
+                                      stderr=float(Je.std(ddof=1) / np.sqrt(N)),
+                                      n_paths=N, seed=seed,
+                                      grid_steps=times.shape[0] - 1))
+        j0 = costs[eps.index(0.0)]
+        curvature_ok = all(c.mean >= j0.mean - 3.0 * max(c.stderr, 1e-300)
+                           for c in costs)
+        reports.append(PerturbationReport(
+            player=player, direction_id=direction.id, epsilons=tuple(eps),
+            costs=tuple(costs), slope0=float(B.mean()),
+            slope_stderr=float(B.std(ddof=1) / np.sqrt(N)),
+            curvature_ok=curvature_ok))
+    return reports
 
 
 def variational_test(spec: GameSpec, player: int, direction: Direction,
@@ -247,44 +331,8 @@ def variational_test(spec: GameSpec, player: int, direction: Direction,
         from .riccati import solve_game
         bundle, offsets = solve_game(spec)
         law = build_feedback(bundle, offsets, spec)
-    eps = sorted({float(e) for e in epsilons} | {0.0} |
-                 {-float(e) for e in epsilons})
-    times = solver_times(spec)
-    plan = NoisePlan.from_seed(seed, np.diff(times))
-
-    starts = list(range(0, n_paths, chunk))
-
-    def run(i0):
-        idx = np.arange(i0, min(i0 + chunk, n_paths))
-        dW = plan.increments(idx)
-        return _player_quadratics(spec, law, bundle, player, direction, dW,
-                                  gain_scale)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(run, starts))
-    else:
-        parts = [run(i0) for i0 in starts]
-    J0 = np.concatenate([p[0] for p in parts])
-    B = np.concatenate([p[1] for p in parts])
-    C = np.concatenate([p[2] for p in parts])
-
-    N = n_paths
-    costs = []
-    for e in eps:
-        Je = J0 + e * B + e * e * C
-        costs.append(CostEstimate(player=player, mean=float(Je.mean()),
-                                  stderr=float(Je.std(ddof=1) / np.sqrt(N)),
-                                  n_paths=N, seed=seed,
-                                  grid_steps=times.shape[0] - 1))
-    j0 = costs[eps.index(0.0)]
-    curvature_ok = all(c.mean >= j0.mean - 3.0 * max(c.stderr, 1e-300)
-                       for c in costs)
-    return PerturbationReport(player=player, direction_id=direction.id,
-                              epsilons=tuple(eps), costs=tuple(costs),
-                              slope0=float(B.mean()),
-                              slope_stderr=float(B.std(ddof=1) / np.sqrt(N)),
-                              curvature_ok=curvature_ok)
+    return variational_sweep(spec, [(player, direction, gain_scale)], epsilons,
+                             n_paths, seed, law, bundle, threads, chunk)[0]
 
 
 # ---------------------------------------------------------------------------

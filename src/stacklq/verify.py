@@ -2,9 +2,9 @@
 
 A check is a triple (check_id, passed, detail).  Most check_* functions
 return one check; check_variational returns a list of them with its reports,
-and check_tower and check_dp return a pair (check, artifacts).  check_dp's
-check is None when the spec does not reduce to a single controller.  Callers
-unpack these pairs: only checks go into the list run_verification returns.
+and check_tower returns a pair (check, oracle rows).  check_dp returns None
+when the spec does not reduce to a single controller.  Only checks go into
+the list run_verification returns.
 
 The scales here are CLI defaults; the package's acceptance test suite runs
 the same content at its pinned scales and tolerances.
@@ -20,7 +20,7 @@ from .closedloop import ansatz_residual, build_feedback, simulate_equilibrium
 from .errors import ReductionError
 from .lift import bdiag
 from .model import GameSpec, solver_times, validate_spec
-from .montecarlo import default_directions, particle_filter, variational_test
+from .montecarlo import default_directions, particle_filter, variational_sweep
 from .oracle import crosscheck_p
 from .riccati import riccati_residuals, solve_game
 from .rng import NoisePlan
@@ -163,18 +163,18 @@ def check_tower(spec, law, cfg: VerifyConfig):
 
 
 def check_variational(spec, law, bundle, cfg: VerifyConfig):
+    """One CRN sweep over every player and stock direction."""
+    directions = default_directions(spec)
+    cases = [(player, d, cfg.gain_scale if player == 1 else 1.0)
+             for player in (1, 2, 3) for d in directions]
+    reports = variational_sweep(spec, cases, cfg.epsilons, cfg.n_paths,
+                                cfg.seed, law, bundle, threads=cfg.threads)
     results = []
-    reports = []
     for player in (1, 2, 3):
-        fails = []
-        for d in default_directions(spec):
-            rep = variational_test(spec, player, d, cfg.epsilons, cfg.n_paths,
-                                   cfg.seed, law, bundle,
-                                   gain_scale=cfg.gain_scale if player == 1 else 1.0,
-                                   threads=cfg.threads)
-            reports.append(rep)
-            if abs(rep.slope0) > 2.0 * rep.slope_stderr or not rep.curvature_ok:
-                fails.append(f"{d.id}(z={rep.slope0 / rep.slope_stderr:+.1f})")
+        fails = [f"{rep.direction_id}(z={rep.slope0 / rep.slope_stderr:+.1f})"
+                 for rep in reports if rep.player == player
+                 and (abs(rep.slope0) > 2.0 * rep.slope_stderr
+                      or not rep.curvature_ok)]
         results.append((f"variational_p{player}", not fails,
                         "all slopes within 2 stderr" if not fails
                         else "failed: " + ", ".join(fails)))
@@ -183,14 +183,13 @@ def check_variational(spec, law, bundle, cfg: VerifyConfig):
 
 def check_dp(spec):
     try:
-        reps = [crosscheck_p(spec, steps=s) for s in (250, 500, 1000)]
+        rep = crosscheck_p(spec, steps=1000)
     except ReductionError:
-        return None, []
-    rep = reps[-1]
+        return None
     ok = rep.gap_S0 <= 0.01
     return ("dp_crosscheck", ok,
             f"|S0 - p(0)|/(1+|p0|) = {rep.gap_S0:.3e}, "
-            f"value gap {rep.gap_value:.3e}"), reps
+            f"value gap {rep.gap_value:.3e}")
 
 
 def run_verification(spec: GameSpec, cfg: VerifyConfig):
@@ -215,7 +214,7 @@ def run_verification(spec: GameSpec, cfg: VerifyConfig):
     ]
     var_checks, var_reports = check_variational(spec, law, bundle, cfg)
     checks.extend(var_checks)
-    dp_check, _ = check_dp(spec)
+    dp_check = check_dp(spec)
     if dp_check is not None:
         checks.append(dp_check)
     return checks, {"bundle": bundle, "offsets": offsets, "law": law,

@@ -11,7 +11,7 @@ import numpy as np
 import stacklq as sq
 from stacklq.closedloop import ansatz_residual, simulate_equilibrium
 from stacklq.model import solver_times
-from stacklq.montecarlo import default_directions, particle_filter, variational_test
+from stacklq.montecarlo import default_directions, particle_filter, variational_sweep
 from stacklq.oracle import crosscheck_p
 from stacklq.riccati import riccati_residuals, solve_game, solve_p
 from stacklq.rng import NoisePlan
@@ -159,27 +159,25 @@ def test_criterion_8_variational_optimality(scalar_additive, additive_solution):
     t0 = time.perf_counter()
     bundle, offsets, law = additive_solution
     eps = (0.05, 0.1, 0.2)
+    # 15 equilibrium cases, then the scaled-follower-gain negative control
+    cases = [(player, d, 1.0) for player in (1, 2, 3)
+             for d in default_directions(scalar_additive,
+                                         include_feedback=(player == 1))[:5]]
+    cases += [(1, d, 1.5) for d in default_directions(scalar_additive)[:5]]
+    reps = variational_sweep(scalar_additive, cases, eps, 10000, 2026, law,
+                             bundle)
     ok = True
     details = []
     for player in (1, 2, 3):
-        dirs = default_directions(scalar_additive,
-                                  include_feedback=(player == 1))[:5]
         zmax = 0.0
-        for d in dirs:
-            rep = variational_test(scalar_additive, player, d, eps, 10000,
-                                   2026, law, bundle)
+        for rep in reps[5 * (player - 1):5 * player]:
             z = abs(rep.slope0) / rep.slope_stderr
             zmax = max(zmax, z)
             ok = ok and abs(rep.slope0) <= 2.0 * rep.slope_stderr
             ok = ok and rep.curvature_ok
         details.append(f"P{player} max|z|={zmax:.2f}")
     # negative control: scaled follower gain must be detected
-    fails = 0
-    for d in default_directions(scalar_additive)[:5]:
-        rep = variational_test(scalar_additive, 1, d, eps, 10000, 2026,
-                               law, bundle, gain_scale=1.5)
-        if abs(rep.slope0) > 2.0 * rep.slope_stderr:
-            fails += 1
+    fails = sum(abs(rep.slope0) > 2.0 * rep.slope_stderr for rep in reps[15:])
     ok = ok and fails >= 1
     details.append(f"negative control fails {fails}/5 directions")
     dt = time.perf_counter() - t0

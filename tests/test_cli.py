@@ -147,6 +147,19 @@ def test_verify_reducible_includes_dp(tmp_path, reducible_spec):
     assert rc == 0
 
 
+def test_verify_threads_bit_identical(tmp_path, reducible_spec):
+    p = tmp_path / "red.json"
+    sq.save_spec(reducible_spec, p)
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        main(["verify", "--spec", str(p), "--out", str(out), "--paths", "2500",
+              "--seed", "5", "--threads", threads])
+        outs.append(out)
+    for name in ("verify_report.json", "variational.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_console_entry_point(zero_file, tmp_path):
     exe = shutil.which("stacklq")
     cmd = ([exe] if exe else [sys.executable, "-m", "stacklq.cli"])

@@ -10,7 +10,7 @@ from stacklq.closedloop import (ansatz_residual, reconstruct_Phi,
                                 simulate_equilibrium, simulate_state)
 from stacklq.errors import BlowUpError, UnsupportedPerturbationError
 from stacklq.model import solver_times
-from stacklq.montecarlo import _player_quadratics, default_directions
+from stacklq.montecarlo import _sweep_quadratics, default_directions
 from stacklq.riccati import solve_game
 from stacklq.rng import NoisePlan
 
@@ -118,7 +118,7 @@ def test_blowup_reported_at_its_step():
     const = default_directions(spec)[0]
     runs = (lambda: simulate_equilibrium(spec, law, dW),
             lambda: simulate_state(spec, z, z, z, dW),
-            lambda: _player_quadratics(spec, law, bundle, 1, const, dW))
+            lambda: _sweep_quadratics(spec, law, bundle, [(1, const, 1.0)], dW))
     for run in runs:
         with pytest.raises(BlowUpError) as err:
             run()

@@ -7,7 +7,8 @@ import stacklq as sq
 from stacklq.closedloop import simulate_equilibrium
 from stacklq.model import solver_times
 from stacklq.montecarlo import (default_directions, estimate_cost,
-                                particle_filter, variational_test)
+                                particle_filter, variational_sweep,
+                                variational_test)
 from stacklq.riccati import integrate_backward, solve_game
 from stacklq.rng import NoisePlan
 
@@ -173,6 +174,52 @@ def test_threads_do_not_change_results(scalar_generic, generic_solution):
                           threads=4, chunk=512)
     assert r1.slope0 == r4.slope0
     assert [c.mean for c in r1.costs] == [c.mean for c in r4.costs]
+
+
+def _sweep_cases(spec):
+    dirs = {d.id: d for d in default_directions(spec, include_feedback=True)}
+    return [(1, dirs["const"], 1.0), (2, dirs["ramp"], 1.0),
+            (3, dirs["flip"], 1.0), (1, dirs["xcheck-feedback"], 1.0),
+            (1, dirs["front"], 1.5)]
+
+
+def _fingerprint(rep):
+    return (rep.player, rep.direction_id, rep.epsilons, rep.slope0,
+            rep.slope_stderr, rep.curvature_ok,
+            [(c.mean, c.stderr, c.n_paths) for c in rep.costs])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_matches_one_test_per_case(scalar_generic, generic_solution,
+                                         threads):
+    bundle, _, law = generic_solution
+    cases = _sweep_cases(scalar_generic)
+    eps, N, seed = [0.05, 0.1], 1100, 8
+    reps = variational_sweep(scalar_generic, cases, eps, N, seed, law, bundle,
+                             threads=threads, chunk=512)
+    assert len(reps) == len(cases)
+    for rep, (player, d, gain_scale) in zip(reps, cases):
+        one = variational_test(scalar_generic, player, d, eps, N, seed, law,
+                               bundle, gain_scale=gain_scale, chunk=512)
+        assert _fingerprint(rep) == _fingerprint(one)
+
+
+def test_sweep_draws_each_chunk_once(scalar_generic, generic_solution,
+                                    monkeypatch):
+    bundle, _, law = generic_solution
+    calls = []
+    draw = NoisePlan.increments
+
+    def counted(plan, path_indices):
+        calls.append(len(path_indices))
+        return draw(plan, path_indices)
+
+    monkeypatch.setattr(NoisePlan, "increments", counted)
+    N, chunk = 1100, 512
+    variational_sweep(scalar_generic, _sweep_cases(scalar_generic), [0.1], N,
+                      3, law, bundle, chunk=chunk)
+    assert len(calls) == -(-N // chunk)
+    assert sum(calls) == N
 
 
 def test_particle_filter_rejects_small_inner(scalar_generic, generic_solution):

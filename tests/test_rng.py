@@ -1,4 +1,7 @@
+import hashlib
+
 import numpy as np
+import pytest
 
 from stacklq.rng import NoisePlan, component_seeds
 
@@ -40,3 +43,37 @@ def test_nonuniform_step_scaling():
     v = dW.var(axis=(0, 2))
     assert abs(v[0] - 0.1) < 0.02
     assert abs(v[1] - 0.4) < 0.05
+
+
+# digest of increments([0, 5, 3]) of NoisePlan.from_seed(9, np.full(20, 0.05)),
+# pinned when each path still built its own jumped Philox generator
+PINNED_SHA256 = "c266ce13c29f9559fd68d8b453ec9216704445f2a9c700f41b3e0e39ecce4994"
+
+
+def _jumped_rows(seed, indices, h, k):
+    return np.stack([
+        np.random.Generator(np.random.Philox(key=seed).jumped(i))
+        .standard_normal(k) * np.sqrt(h) for i in indices])
+
+
+@pytest.mark.parametrize("indices", [[0, 1, 2047, 2048, 10**6, 2**40],
+                                     [2048, 3, 3, 0, 2**40, 1, 0]])
+def test_rows_equal_jumped_streams(indices):
+    h, k = 0.01, 37
+    plan = NoisePlan.from_seed(17, np.full(k, h))
+    dW = plan.increments(indices)
+    for comp, seed in enumerate(plan.seeds):
+        assert np.array_equal(dW[:, :, comp], _jumped_rows(seed, indices, h, k))
+
+
+def test_stream_digest_pinned():
+    dW = NoisePlan.from_seed(9, np.full(20, 0.05)).increments([0, 5, 3])
+    assert hashlib.sha256(dW.tobytes()).hexdigest() == PINNED_SHA256
+
+
+def test_negative_path_index_rejected():
+    plan = NoisePlan.from_seed(9, np.full(20, 0.05))
+    with pytest.raises(ValueError):
+        plan.increments([-1])
+    with pytest.raises(ValueError):
+        plan.increments([4, 0, -3])
