@@ -19,10 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .closedloop import build_feedback, simulate_equilibrium
+from .closedloop import build_feedback
 from .errors import BlowUpError, SpecFormatError, StackLQError
-from .model import load_spec, solver_times, validate_spec
-from .montecarlo import estimate_cost
+from .model import load_spec, validate_spec
+from .montecarlo import mean_stderr, simulate_blocks
 from .riccati import riccati_residuals, solve_game
 from .rng import NoisePlan
 from .verify import VerifyConfig, run_verification
@@ -44,60 +44,55 @@ def _setup_logging():
                         format="%(name)s %(levelname)s %(message)s")
 
 
+def _row_template(times, rows, lead: str = "") -> str:
+    """CSV lines `{lead}{t},{row},{value}` for each time and then each row,
+    t formatted now and value left as a FMT field: one `template % values`
+    call fills every line."""
+    node = "".join(f"{lead}\0,{row},{FMT}\n" for row in rows)
+    return "".join(node.replace("\0", FMT % t) for t in times)
+
+
 def _write_trajectory_csv(path: Path, times, values):
     """Columns t,row,col,value; vectors use col=0."""
     vals = np.asarray(values)
     if vals.ndim == 2:
         vals = vals[:, :, None]
+    _, rows, cols = vals.shape
+    template = _row_template(times, [f"{i},{j}" for i in range(rows)
+                                     for j in range(cols)])
     with open(path, "w") as fh:
         fh.write("t,row,col,value\n")
-        for k, t in enumerate(times):
-            M = vals[k]
-            for i in range(M.shape[0]):
-                for j in range(M.shape[1]):
-                    fh.write(f"{FMT % t},{i},{j},{FMT % M[i, j]}\n")
+        fh.write(template % tuple(vals.ravel().tolist()))
 
 
 def _write_gains_csv(path: Path, law):
     names = ("K1", "k1", "K2hat", "K2check", "k2", "K3", "K3hat", "K3check",
              "k3", "Kv2check", "Kv3hat", "Kv3check")
+    nodes = law.times.shape[0]
+    gains = [getattr(law, name).reshape(nodes, law.n, -1) for name in names]
+    template = _row_template(law.times, [
+        f"{name},{i},{j}" for name, g in zip(names, gains)
+        for i in range(g.shape[1]) for j in range(g.shape[2])])
+    values = np.concatenate([g.reshape(nodes, -1) for g in gains], axis=1)
     with open(path, "w") as fh:
         fh.write("t,gain,row,col,value\n")
-        for k, t in enumerate(law.times):
-            for name in names:
-                M = getattr(law, name)[k]
-                if M.ndim == 1:
-                    M = M[:, None]
-                for i in range(M.shape[0]):
-                    for j in range(M.shape[1]):
-                        fh.write(f"{FMT % t},{name},{i},{j},{FMT % M[i, j]}\n")
+        fh.write(template % tuple(values.ravel().tolist()))
 
 
-def _write_paths_csv(path: Path, bundle, n: int, thin: int = 1):
-    blocks = [("x", bundle.X3, 0, n), ("psi2", bundle.X3, n, 2 * n),
-              ("Psi3", bundle.X3, 2 * n, 4 * n),
-              ("x_hat", bundle.X3hat, 0, n), ("psi2_hat", bundle.X3hat, n, 2 * n),
-              ("Psi3_hat", bundle.X3hat, 2 * n, 4 * n),
-              ("x_check", bundle.X3check, 0, n),
-              ("psi2_check", bundle.X3check, n, 2 * n),
-              ("Psi3_check", bundle.X3check, 2 * n, 4 * n),
-              ("v1", bundle.v1, 0, n), ("v2", bundle.v2, 0, n),
-              ("v3", bundle.v3, 0, n)]
-    with open(path, "w") as fh:
-        fh.write("path_id,t,block,component,value\n")
-        for pid in range(bundle.X3.shape[0]):
-            for k in range(0, bundle.times.shape[0], thin):
-                t = bundle.times[k]
-                for name, arr, a, b in blocks:
-                    row = arr[pid, k]
-                    for c in range(a, b):
-                        fh.write(f"{pid},{FMT % t},{name},{c - a},"
-                                 f"{FMT % row[c]}\n")
+def _path_rows(n: int) -> list:
+    """`block,component` of the paths.csv lines of one node, in file order:
+    the columns of simulate_blocks' records."""
+    state = (("x", n), ("psi2", n), ("Psi3", 2 * n))
+    rows = [f"{name}{level},{c}" for level in ("", "_hat", "_check")
+            for name, width in state for c in range(width)]
+    return rows + [f"v{i},{c}" for i in (1, 2, 3) for c in range(n)]
 
 
 def _load(args):
     if args.paths < 1:
         raise SpecFormatError("--paths must be at least 1")
+    if getattr(args, "thin", 1) < 1:
+        raise SpecFormatError("--thin must be at least 1")
     spec = load_spec(args.spec)
     if args.steps is not None:
         spec = dataclasses.replace(
@@ -151,15 +146,30 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     bundle, offsets = solve_game(spec)
     law = build_feedback(bundle, offsets, spec)
-    plan = NoisePlan.from_seed(args.seed, np.diff(solver_times(spec)))
-    paths = simulate_equilibrium(spec, law, plan, args.paths)
-    _write_paths_csv(out / "paths.csv", paths, spec.n, thin=args.thin)
+    times = law.times
+    plan = NoisePlan.from_seed(args.seed, np.diff(times))
+    # one path's lines, the path id and the values filled in per path;
+    # simulate_blocks' records hold the values in this order
+    template = _row_template(times[::args.thin], _path_rows(spec.n), lead="%s,")
+    lines = template.count("\n")
+    fields = [None] * (2 * lines)
+    J = np.empty((3, args.paths))
+    with open(out / "paths.csv", "w") as fh:
+        fh.write("path_id,t,block,component,value\n")
+        for start, records, Jb in simulate_blocks(spec, law, plan, args.paths,
+                                                  args.thin):
+            N = Jb.shape[1]
+            J[:, start:start + N] = Jb
+            for pid, row in zip(range(start, start + N), records.reshape(N, -1)):
+                fields[0::2] = (str(pid),) * lines
+                fields[1::2] = row.tolist()
+                fh.write(template % tuple(fields))
     with open(out / "costs.csv", "w") as fh:
         fh.write("player,mean,stderr,n_paths,seed,grid_steps\n")
         for player in (1, 2, 3):
-            est = estimate_cost(spec, player, paths, seed=args.seed)
-            fh.write(f"{player},{FMT % est.mean},{FMT % est.stderr},"
-                     f"{est.n_paths},{est.seed},{est.grid_steps}\n")
+            mean, stderr = mean_stderr(J[player - 1])
+            fh.write(f"{player},{FMT % mean},{FMT % stderr},"
+                     f"{args.paths},{args.seed},{times.shape[0] - 1}\n")
     print(f"simulated {args.paths} paths on {spec.grid.steps} steps "
           f"(seed {args.seed})")
     return EXIT_OK

@@ -11,6 +11,7 @@ exercise.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,9 @@ from .riccati import OffsetBundle, RiccatiBundle
 from .rng import NoisePlan
 
 BLOWUP_LIMIT = 1e12
+# Paths stepped together: a block of the streaming simulate, a chunk of the
+# variational sweep.
+BLOCK_PATHS = 2048
 
 
 @dataclass(frozen=True)
@@ -153,6 +157,17 @@ def _guard(arr, t, what):
         raise BlowUpError(what, t, path=int(bad[0]) if bad.size else None)
 
 
+@contextmanager
+def _paths_from(start: int):
+    """Name a blow-up inside a block of paths by its global path index."""
+    try:
+        yield
+    except BlowUpError as err:
+        if err.path is None:
+            raise
+        raise BlowUpError(err.what, err.t, path=start + err.path) from None
+
+
 def _controls(law: FeedbackLaw, k, X, Xh, Xc):
     """Equilibrium controls (v1, v2, v3) at node k."""
     v1 = Xc @ law.K1[k].T + law.k1[k]
@@ -195,10 +210,12 @@ def _state_step(cv: CoeffValues, times, k, dWk, x, v):
     return x
 
 
-def simulate_equilibrium(spec: GameSpec, law: FeedbackLaw, noise,
-                         n_paths: int | None = None) -> PathBundle:
-    """Explicit first-order stepping of the three filtered systems."""
-    dW = _increments(noise, n_paths)
+def _node_loop(spec: GameSpec, law: FeedbackLaw, dW: np.ndarray):
+    """Yield (k, X, Xh, Xc, v) at each node k = 0..K of the three filtered
+    systems driven by dW, v being the equilibrium controls; then step to k+1.
+
+    Each step makes new arrays, so a consumer may keep what it is handed.
+    """
     N, K, _ = dW.shape
     times = law.times
     if K != times.shape[0] - 1:
@@ -207,27 +224,29 @@ def simulate_equilibrium(spec: GameSpec, law: FeedbackLaw, noise,
     X = np.tile(np.concatenate([spec.x0, np.zeros(n4 - spec.n)]), (N, 1))
     Xh = X.copy()
     Xc = X.copy()
+    for k in range(K + 1):
+        yield k, X, Xh, Xc, _controls(law, k, X, Xh, Xc)
+        if k < K:
+            X, Xh, Xc = _filtered_step(law, times, k, dW[:, k], X, Xh, Xc)
 
-    def record(k, out, X, Xh, Xc):
-        out["v1"][:, k], out["v2"][:, k], out["v3"][:, k] = _controls(law, k, X, Xh, Xc)
+
+def simulate_equilibrium(spec: GameSpec, law: FeedbackLaw, noise,
+                         n_paths: int | None = None) -> PathBundle:
+    """Explicit first-order stepping of the three filtered systems."""
+    dW = _increments(noise, n_paths)
+    N, K, _ = dW.shape
+    n, n4 = law.n, law.M0.shape[1]
+    X3, X3h, X3c = (np.empty((N, K + 1, n4)) for _ in range(3))
+    out = {name: np.empty((N, K + 1, n)) for name in
+           ("v1", "v2", "v3", "vcheck2", "vhat3", "vcheck3")}
+    for k, X, Xh, Xc, v in _node_loop(spec, law, dW):
+        X3[:, k], X3h[:, k], X3c[:, k] = X, Xh, Xc
+        out["v1"][:, k], out["v2"][:, k], out["v3"][:, k] = v
         out["vcheck2"][:, k] = Xc @ law.Kv2check[k].T + law.k2[k]
         out["vhat3"][:, k] = (Xh @ law.Kv3hat[k].T + Xc @ law.K3check[k].T
                               + law.k3[k])
         out["vcheck3"][:, k] = Xc @ law.Kv3check[k].T + law.k3[k]
-
-    n = law.n
-    out = {name: np.empty((N, K + 1, n)) for name in
-           ("v1", "v2", "v3", "vcheck2", "vhat3", "vcheck3")}
-    X3 = np.empty((N, K + 1, n4))
-    X3h = np.empty_like(X3)
-    X3c = np.empty_like(X3)
-    for k in range(K):
-        X3[:, k], X3h[:, k], X3c[:, k] = X, Xh, Xc
-        record(k, out, X, Xh, Xc)
-        X, Xh, Xc = _filtered_step(law, times, k, dW[:, k], X, Xh, Xc)
-    X3[:, K], X3h[:, K], X3c[:, K] = X, Xh, Xc
-    record(K, out, X, Xh, Xc)
-    return PathBundle(times=times, X3=X3, X3hat=X3h, X3check=X3c, **out)
+    return PathBundle(times=law.times, X3=X3, X3hat=X3h, X3check=X3c, **out)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ chunk loop outermost: each chunk of paths draws its Brownian increments once,
 steps one base closed loop on them, and every case advances its response and
 cost polynomial along that shared run.  No increment row is drawn twice
 however many cases share the seed.  `variational_test` is the one-case sweep.
+
+`simulate_blocks` streams the equilibrium for `stacklq simulate` block by
+block of paths, keeping every thin-th node and each player's running cost,
+so no full path is stored.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedloop import (FeedbackLaw, PathBundle, _controls, _det_backward,
-                         _filtered_step, _state_step)
+from .closedloop import (BLOCK_PATHS, FeedbackLaw, PathBundle, _det_backward,
+                         _node_loop, _paths_from, _state_step)
 from .errors import UnsupportedPerturbationError
 from .lift import CoeffValues, selectors
 from .model import GameSpec, solver_times
@@ -67,6 +71,24 @@ class PerturbationReport:
     curvature_ok: bool
 
 
+def _node_cost(c: CoeffValues, i: int, k: int, times, x, v) -> np.ndarray:
+    """Player i+1's per-path cost term at node k, c being the node-k view:
+    h (x'Qx/2 + v'Rv/2 + x.m + v.nl) before the last node, x'Gx/2 at it."""
+    if k == times.shape[0] - 1:
+        return 0.5 * np.einsum("pi,ij,pj->p", x, c.G[i], x)
+    h = times[k + 1] - times[k]
+    return h * (0.5 * np.einsum("pi,ij,pj->p", x, c.Q[i], x)
+                + 0.5 * np.einsum("pi,ij,pj->p", v, c.R[i], v)
+                + x @ c.m[i] + v @ c.nl[i])
+
+
+def mean_stderr(J: np.ndarray) -> tuple:
+    """Mean of per-path values and its standard error (0 for one path)."""
+    N = J.shape[0]
+    stderr = float(J.std(ddof=1) / np.sqrt(N)) if N > 1 else 0.0
+    return float(J.mean()), stderr
+
+
 def estimate_cost(spec: GameSpec, player: int, bundle: PathBundle,
                   seed: int = 0) -> CostEstimate:
     """Left-endpoint quadrature of the player's cost along stored paths."""
@@ -75,23 +97,46 @@ def estimate_cost(spec: GameSpec, player: int, bundle: PathBundle,
     if times.shape != st.shape or not np.allclose(times, st):
         raise ValueError("path bundle grid does not match the spec grid")
     cv, i = CoeffValues(spec, times), player - 1
-    Q, R, m, nl, G = cv.Q[i], cv.R[i], cv.m[i], cv.nl[i], cv.G[i]
     x = bundle.x
     v = (bundle.v1, bundle.v2, bundle.v3)[i]
     K = times.shape[0] - 1
     J = np.zeros(x.shape[0])
-    for k in range(K):
-        h = times[k + 1] - times[k]
-        xk, vk = x[:, k], v[:, k]
-        J += h * (0.5 * np.einsum("pi,ij,pj->p", xk, Q[k], xk)
-                  + 0.5 * np.einsum("pi,ij,pj->p", vk, R[k], vk)
-                  + xk @ m[k] + vk @ nl[k])
-    xT = x[:, K]
-    J += 0.5 * np.einsum("pi,ij,pj->p", xT, G, xT)
-    N = J.shape[0]
-    stderr = float(J.std(ddof=1) / np.sqrt(N)) if N > 1 else 0.0
-    return CostEstimate(player=player, mean=float(J.mean()), stderr=stderr,
-                        n_paths=N, seed=seed, grid_steps=K)
+    for k in range(K + 1):
+        J += _node_cost(cv[k], i, k, times, x[:, k], v[:, k])
+    mean, stderr = mean_stderr(J)
+    return CostEstimate(player=player, mean=mean, stderr=stderr,
+                        n_paths=J.shape[0], seed=seed, grid_steps=K)
+
+
+def simulate_blocks(spec: GameSpec, law: FeedbackLaw, plan: NoisePlan,
+                    n_paths: int, thin: int):
+    """Simulate the equilibrium block by block of BLOCK_PATHS paths.
+
+    Yields (start, records, J) per block, start being its first path index:
+    records (paths, K // thin + 1, 15n) holds X, Xh, Xc, v1, v2, v3 at every
+    thin-th node and J (3, paths) each player's cost, summed node by node
+    as estimate_cost sums it.  Memory is one block's whatever n_paths is; a
+    blow-up names its global path index.
+    """
+    times = law.times
+    K = times.shape[0] - 1
+    cv = CoeffValues(spec, times)
+    nodes = [cv[k] for k in range(K + 1)]
+    n = spec.n
+    for start in range(0, n_paths, BLOCK_PATHS):
+        stop = min(start + BLOCK_PATHS, n_paths)
+        records = np.empty((stop - start, K // thin + 1, 15 * n))
+        J = np.zeros((3, stop - start))
+        dW = plan.increments(np.arange(start, stop))
+        with _paths_from(start):
+            for k, X, Xh, Xc, v in _node_loop(spec, law, dW):
+                if k % thin == 0:
+                    np.concatenate((X, Xh, Xc) + v, axis=1,
+                                   out=records[:, k // thin])
+                for i in range(3):
+                    J[i] += _node_cost(nodes[k], i, k, times, X[:, :n], v[i])
+        del dW          # before the next block draws its increments
+        yield start, records, J
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +181,9 @@ class _CaseRun:
         if gain_scale != 1.0 and player != 1:
             raise UnsupportedPerturbationError(
                 "the scaled-gain negative control runs on the follower test")
-        n, own, times = spec.n, player - 1, cv.t
+        n, times = spec.n, cv.t
         self.player, self.direction, self.gain_scale = player, direction, gain_scale
         self.bundle = bundle
-        self.Q, self.R, self.m, self.nl = cv.Q[own], cv.R[own], cv.m[own], cv.nl[own]
-        self.G = cv.G[own]
         # re-simulated base state when the follower gain is scaled
         self.xt = np.tile(spec.x0, (N, 1)) if gain_scale != 1.0 else None
         self.dx = np.zeros((N, n))                    # response of the state
@@ -175,7 +218,8 @@ class _CaseRun:
         v1, v2, v3 = v
         if self.xt is not None:
             v1 = self.gain_scale * (Xc @ law.K1[k].T) + law.k1[k]
-        vown = (v1, v2, v3)[player - 1]
+        own = player - 1
+        vown = (v1, v2, v3)[own]
         xbase = X[:, :n] if self.xt is None else self.xt
         dx = self.dx
 
@@ -202,22 +246,19 @@ class _CaseRun:
                     + dphick @ c.B[0]) @ c.Rinv[0].T
 
         # accumulate cost polynomial
-        Q, R, m, nl = self.Q, self.R, self.m, self.nl
+        self.J0 += _node_cost(c, own, k, times, xbase, vown)
         if k == K:
-            G = self.G
-            self.J0 += 0.5 * np.einsum("pi,ij,pj->p", xbase, G, xbase)
+            G = c.G[own]
             self.Bc += np.einsum("pi,ij,pj->p", xbase, G, dx)
             self.Cc += 0.5 * np.einsum("pi,ij,pj->p", dx, G, dx)
             return
         h = times[k + 1] - times[k]
-        self.J0 += h * (0.5 * np.einsum("pi,ij,pj->p", xbase, Q[k], xbase)
-                        + 0.5 * np.einsum("pi,ij,pj->p", vown, R[k], vown)
-                        + xbase @ m[k] + vown @ nl[k])
-        self.Bc += h * (np.einsum("pi,ij,pj->p", xbase, Q[k], dx)
-                        + np.einsum("pi,ij,pj->p", vown, R[k], dv_own)
-                        + dx @ m[k] + dv_own @ nl[k])
-        self.Cc += h * (0.5 * np.einsum("pi,ij,pj->p", dx, Q[k], dx)
-                        + 0.5 * np.einsum("pi,ij,pj->p", dv_own, R[k], dv_own))
+        Q, R, m, nl = c.Q[own], c.R[own], c.m[own], c.nl[own]
+        self.Bc += h * (np.einsum("pi,ij,pj->p", xbase, Q, dx)
+                        + np.einsum("pi,ij,pj->p", vown, R, dv_own)
+                        + dx @ m + dv_own @ nl)
+        self.Cc += h * (0.5 * np.einsum("pi,ij,pj->p", dx, Q, dx)
+                        + 0.5 * np.einsum("pi,ij,pj->p", dv_own, R, dv_own))
 
         d2, d3 = dW[:, k, 1:2], dW[:, k, 2:3]
 
@@ -252,26 +293,18 @@ def _sweep_quadratics(spec, law: FeedbackLaw, bundle: RiccatiBundle, cases,
                       dW: np.ndarray) -> list:
     """Per-path cost polynomial coefficients (J0, B, C) of J(eps) for each
     (player, direction, gain_scale) case, all on one base run driven by dW."""
-    N, K, _ = dW.shape
-    times = law.times
-    cv = CoeffValues(spec, times)
-    runs = [_CaseRun(spec, bundle, cv, N, *case) for case in cases]
-    X = np.tile(np.concatenate([spec.x0, np.zeros(3 * spec.n)]), (N, 1))
-    Xh = X.copy()
-    Xc = X.copy()
-    for k in range(K + 1):
+    cv = CoeffValues(spec, law.times)
+    runs = [_CaseRun(spec, bundle, cv, dW.shape[0], *case) for case in cases]
+    for k, X, Xh, Xc, v in _node_loop(spec, law, dW):
         c = cv[k]
-        v = _controls(law, k, X, Xh, Xc)
         for run in runs:
             run.node(law, c, k, X, Xh, Xc, v, dW)
-        if k < K:
-            X, Xh, Xc = _filtered_step(law, times, k, dW[:, k], X, Xh, Xc)
     return [(run.J0, run.Bc, run.Cc) for run in runs]
 
 
 def variational_sweep(spec: GameSpec, cases, epsilons, n_paths: int,
                       seed: int, law: FeedbackLaw, bundle: RiccatiBundle,
-                      threads: int = 1, chunk: int = 2048) -> list:
+                      threads: int = 1, chunk: int = BLOCK_PATHS) -> list:
     """CRN perturbation sweep over many cases on one draw of the noise.
 
     cases is a list of (player, direction, gain_scale); one report per case,
@@ -287,7 +320,8 @@ def variational_sweep(spec: GameSpec, cases, epsilons, n_paths: int,
 
     def run(i0):
         dW = plan.increments(np.arange(i0, min(i0 + chunk, n_paths)))
-        return _sweep_quadratics(spec, law, bundle, cases, dW)
+        with _paths_from(i0):
+            return _sweep_quadratics(spec, law, bundle, cases, dW)
 
     starts = range(0, n_paths, chunk)
     if threads > 1:
@@ -303,18 +337,17 @@ def variational_sweep(spec: GameSpec, cases, epsilons, n_paths: int,
                     for j in range(3))
         costs = []
         for e in eps:
-            Je = J0 + e * B + e * e * C
-            costs.append(CostEstimate(player=player, mean=float(Je.mean()),
-                                      stderr=float(Je.std(ddof=1) / np.sqrt(N)),
+            mean, stderr = mean_stderr(J0 + e * B + e * e * C)
+            costs.append(CostEstimate(player=player, mean=mean, stderr=stderr,
                                       n_paths=N, seed=seed,
                                       grid_steps=times.shape[0] - 1))
         j0 = costs[eps.index(0.0)]
         curvature_ok = all(c.mean >= j0.mean - 3.0 * max(c.stderr, 1e-300)
                            for c in costs)
+        slope0, slope_stderr = mean_stderr(B)
         reports.append(PerturbationReport(
             player=player, direction_id=direction.id, epsilons=tuple(eps),
-            costs=tuple(costs), slope0=float(B.mean()),
-            slope_stderr=float(B.std(ddof=1) / np.sqrt(N)),
+            costs=tuple(costs), slope0=slope0, slope_stderr=slope_stderr,
             curvature_ok=curvature_ok))
     return reports
 
@@ -324,7 +357,7 @@ def variational_test(spec: GameSpec, player: int, direction: Direction,
                      law: FeedbackLaw | None = None,
                      bundle: RiccatiBundle | None = None,
                      gain_scale: float = 1.0, threads: int = 1,
-                     chunk: int = 2048) -> PerturbationReport:
+                     chunk: int = BLOCK_PATHS) -> PerturbationReport:
     """CRN perturbation sweep for one player and one direction."""
     if law is None or bundle is None:
         from .closedloop import build_feedback

@@ -1,12 +1,15 @@
+import hashlib
 import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import stacklq as sq
 from stacklq.cli import main
+from stacklq.closedloop import BLOCK_PATHS
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +117,57 @@ def test_simulate_rerun_bit_identical(spec_file, tmp_path):
         assert rc == 0
     for name in ("paths.csv", "costs.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("thin", ["0", "-3"])
+def test_simulate_rejects_bad_thin(zero_file, tmp_path, thin):
+    rc = main(["simulate", "--spec", str(zero_file), "--out", str(tmp_path),
+               "--paths", "2", "--thin", thin])
+    assert rc == 2
+    assert not (tmp_path / "paths.csv").exists()
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_simulate_bytes_pinned_across_blocks(n2_spec, tmp_path):
+    # two full blocks of paths plus a remainder, and a thin that does not
+    # divide K; digests taken before simulate streamed its paths in blocks
+    p = tmp_path / "n2.json"
+    sq.save_spec(n2_spec, p)
+    base = ["simulate", "--spec", str(p), "--steps", "10", "--seed", "11"]
+    out = tmp_path / "blocks"
+    assert main(base + ["--out", str(out), "--paths", "4100", "--thin", "4"]) == 0
+    assert 4100 > 2 * BLOCK_PATHS
+    assert _sha256(out / "paths.csv") == (
+        "6ce8ac45f2c34fc29abaec3ba699a259cab05e1a0a4590ce7ba05e10be049ca3")
+    assert _sha256(out / "costs.csv") == (
+        "29b8659dac289ca217f161f89d160e0eaed469348dfd71b6c0aeedff1f08ae7b")
+    one = tmp_path / "one"
+    assert main(base + ["--out", str(one), "--paths", "1"]) == 0
+    rows = (one / "costs.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[2] for r in rows] == ["0", "0", "0"]
+    assert _sha256(one / "costs.csv") == (
+        "9c1ce94fba00acf46a3de18f88c4d74a7b33b7a95e3982dd0cdc2ab3fe9112b7")
+
+
+def test_simulate_memory_bounded_in_paths(spec_file, tmp_path):
+    def simulate(paths):
+        return main(["simulate", "--spec", str(spec_file), "--steps", "10",
+                     "--thin", "10", "--out", str(tmp_path / str(paths)),
+                     "--paths", str(paths)])
+
+    assert simulate(2) == 0     # one-time allocations stay out of the peaks
+    peaks = []
+    for blocks in (2, 4):
+        tracemalloc.start()
+        try:
+            assert simulate(blocks * BLOCK_PATHS) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
 
 def test_verify_passes_and_sabotage_fails(spec_file, tmp_path):

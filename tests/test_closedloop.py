@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import stacklq as sq
-from stacklq.closedloop import (ansatz_residual, reconstruct_Phi,
+from stacklq.closedloop import (BLOCK_PATHS, ansatz_residual, reconstruct_Phi,
                                 reconstruct_Phi_raw, reconstruct_phicheck,
                                 respond_player1, respond_player12,
                                 simulate_equilibrium, simulate_state)
 from stacklq.errors import BlowUpError, UnsupportedPerturbationError
 from stacklq.model import solver_times
-from stacklq.montecarlo import _sweep_quadratics, default_directions
+from stacklq.montecarlo import (_sweep_quadratics, default_directions,
+                                simulate_blocks, variational_sweep)
 from stacklq.riccati import solve_game
 from stacklq.rng import NoisePlan
 
@@ -124,6 +125,39 @@ def test_blowup_reported_at_its_step():
             run()
         assert err.value.t == times[11]
         assert err.value.path == 1
+
+
+def test_blowup_in_later_block_names_global_path(monkeypatch):
+    # a huge W3 increment on step 10 of path BLOCK_PATHS + 5, in the second
+    # block (or sweep chunk), is reported with that path index at t_11
+    spec = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, A=0.3, B1=1.0, B2=0.8,
+                        B3=0.6, sigma1=0.3, sigma2=0.3, sigma3=0.3,
+                        Q1=1.0, G1=0.5, Q2=0.8, Q3=0.6)
+    bundle, offsets = solve_game(spec)
+    law = sq.build_feedback(bundle, offsets, spec)
+    times = solver_times(spec)
+    bad = BLOCK_PATHS + 5
+
+    def increments(plan, idx):
+        dW = np.zeros((len(idx), 100, 3))
+        dW[np.asarray(idx) == bad, 10, 2] = 1e13
+        return dW
+
+    monkeypatch.setattr(NoisePlan, "increments", increments)
+    plan = NoisePlan.from_seed(0, np.diff(times))
+    starts = []
+    with pytest.raises(BlowUpError) as err:
+        for start, _, _ in simulate_blocks(spec, law, plan, bad + 10, thin=1):
+            starts.append(start)
+    assert starts == [0]
+    assert err.value.path == bad
+    assert err.value.t == times[11]
+    const = default_directions(spec)[0]
+    with pytest.raises(BlowUpError) as err:
+        variational_sweep(spec, [(1, const, 1.0)], (0.1,), bad + 10, 0, law,
+                          bundle)
+    assert err.value.path == bad
+    assert err.value.t == times[11]
 
 
 def test_hat_filter_is_unbiased(generic_solution, scalar_generic):
