@@ -18,7 +18,7 @@ from .montecarlo import (CostEstimate, Direction, PerturbationReport,
 from .oracle import crosscheck_p, reduce_to_single_player, solve_dp
 from .riccati import (MatrixTrajectory, OffsetBundle, RiccatiBundle,
                       integrate_backward, riccati_residuals, solve_game,
-                      solve_offsets, solve_p, solve_P12, solve_P123)
+                      solve_p)
 from .rng import NoisePlan
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,4 +1,4 @@
-"""Equilibrium feedback laws and path simulation.
+"""Equilibrium feedback laws, path simulation and best-response systems.
 
 The equilibrium is simulated through three coupled forward systems: the 4n
 information state, its filter given the middle player's observations
@@ -7,6 +7,14 @@ observations (component 3 only).  All three share one set of Brownian
 increments; the coarser filters simply never see the components outside
 their sigma-algebra, which is what the bit-level measurability checks
 exercise.
+
+Each lower level's best-response system (its offset, its controls and the
+Euler step of its filtered states) is written once, node by node, with an
+`affine` switch.  `respond_player1` / `respond_player12` run it with every
+intercept (b, sigma_i, n_i and the offsets' sources) against exogenous
+controls; the variational sweep in `montecarlo` runs its homogeneous form,
+which under common noise is exactly the response to a control perturbation,
+the systems being linear.
 """
 
 from __future__ import annotations
@@ -195,17 +203,23 @@ def _filtered_step(law: FeedbackLaw, times, k, dWk, X, Xh, Xc):
     return Xn, Xhn, Xcn
 
 
-def _state_step(cv: CoeffValues, times, k, dWk, x, v):
+def _state_step(cv: CoeffValues, times, k, dWk, x, v, affine):
     """Euler step k -> k+1 of the physical state under controls v, guarded.
 
-    cv is the node-k coefficient view; v holds (v1, v2, v3) at node k.
+    cv is the node-k coefficient view; v holds (v1, v2, v3) at node k, None
+    for a control that does not move.  affine=False drops b and the sigma_i:
+    the step of a response to a control perturbation.
     """
     h = times[k + 1] - times[k]
-    drift = x @ cv.A.T + cv.b
+    drift = x @ cv.A.T
+    loads = [x @ Ci.T for Ci in cv.C]
+    if affine:
+        drift = drift + cv.b
+        loads = [load + si for load, si in zip(loads, cv.sigma)]
     for Bi, vi in zip(cv.B, v):
-        drift = drift + vi @ Bi.T
-    diff = sum(dWk[:, i:i + 1] * (x @ cv.C[i].T + cv.sigma[i]) for i in range(3))
-    x = x + h * drift + diff
+        if vi is not None:
+            drift = drift + vi @ Bi.T
+    x = x + h * drift + sum(dWk[:, i:i + 1] * loads[i] for i in range(3))
     _guard(x, float(times[k + 1]), "state")
     return x
 
@@ -276,7 +290,7 @@ def simulate_state(spec: GameSpec, v1, v2, v3, noise, n_paths: int | None = None
     for k in range(K):
         xs[:, k] = x
         v = [_rows_at(vi, k, N) for vi in (v1, v2, v3)]
-        x = _state_step(cv[k], times, k, dW[:, k], x, v)
+        x = _state_step(cv[k], times, k, dW[:, k], x, v, True)
     xs[:, K] = x
     return xs
 
@@ -285,57 +299,35 @@ def simulate_state(spec: GameSpec, v1, v2, v3, noise, n_paths: int | None = None
 # reconstruction of offset processes along equilibrium paths
 # ---------------------------------------------------------------------------
 
+def _phicheck_gain(bundle: RiccatiBundle, offsets: OffsetBundle):
+    """(G, g) on the node axis such that the follower offset filter is
+    phicheck = G X3check + g along equilibrium paths."""
+    _, U, L, s2 = selectors(bundle.p.values.shape[-1])
+    G = (s2 @ (bundle.P1.values + bundle.P2.values) @ U
+         + s2 @ L @ (bundle.Pf1.values + bundle.Pf2.values + bundle.Pf3.values))
+    return G, mv(s2 @ L, offsets.Omega.values)
+
+
 def reconstruct_phicheck(bundle: RiccatiBundle, offsets: OffsetBundle,
                          X3check: np.ndarray) -> np.ndarray:
     """Follower offset filter along paths: affine in the check-filtered state."""
-    n = bundle.p.values.shape[-1]
-    _, U, L, s2 = selectors(n)
-    K = bundle.times.shape[0]
-    out = np.empty(X3check.shape[:2] + (n,))
-    for k in range(K):
-        G = (s2 @ (bundle.P1.values[k] + bundle.P2.values[k]) @ U
-             + s2 @ L @ (bundle.Pf1.values[k] + bundle.Pf2.values[k]
-                         + bundle.Pf3.values[k]))
-        out[:, k] = X3check[:, k] @ G.T + s2 @ (L @ offsets.Omega.values[k])
-    return out
+    G, g = _phicheck_gain(bundle, offsets)
+    return mv(G, X3check) + g
 
 
 def reconstruct_Phi(bundle: RiccatiBundle, offsets: OffsetBundle,
                     X3hat: np.ndarray, X3check: np.ndarray):
     """Middle-level offset filters (hat and check versions) along paths."""
-    n = bundle.p.values.shape[-1]
-    _, U, L, s2 = selectors(n)
-    K = bundle.times.shape[0]
-    Phih = np.empty(X3hat.shape[:2] + (2 * n,))
-    Phic = np.empty_like(Phih)
-    for k in range(K):
-        Psum12 = bundle.Pf1.values[k] + bundle.Pf2.values[k]
-        Psum = Psum12 + bundle.Pf3.values[k]
-        off = L @ offsets.Omega.values[k]
-        Phih[:, k] = (X3hat[:, k] @ (L @ Psum12).T
-                      + X3check[:, k] @ (L @ bundle.Pf3.values[k]).T + off)
-        Phic[:, k] = X3check[:, k] @ (L @ Psum).T + off
+    L = selectors(bundle.p.values.shape[-1])[2]
+    Pf12, Pf3 = bundle.Pf1.values + bundle.Pf2.values, bundle.Pf3.values
+    off = mv(L, offsets.Omega.values)
+    Phih = mv(L @ Pf12, X3hat) + mv(L @ Pf3, X3check) + off
+    Phic = mv(L @ (Pf12 + Pf3), X3check) + off
     return Phih, Phic
 
 
-def reconstruct_Phi_raw(bundle: RiccatiBundle, offsets: OffsetBundle,
-                        X3: np.ndarray, X3hat: np.ndarray,
-                        X3check: np.ndarray) -> np.ndarray:
-    """Unfiltered middle-level offset along paths."""
-    n = bundle.p.values.shape[-1]
-    _, _, L, _ = selectors(n)
-    K = bundle.times.shape[0]
-    out = np.empty(X3.shape[:2] + (2 * n,))
-    for k in range(K):
-        out[:, k] = (X3[:, k] @ (L @ bundle.Pf1.values[k]).T
-                     + X3hat[:, k] @ (L @ bundle.Pf2.values[k]).T
-                     + X3check[:, k] @ (L @ bundle.Pf3.values[k]).T
-                     + L @ offsets.Omega.values[k])
-    return out
-
-
 # ---------------------------------------------------------------------------
-# follower response systems (verification harness)
+# lower-level best-response systems (affine=False: the homogeneous form)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -350,7 +342,6 @@ class Player1Response:
 @dataclass(frozen=True)
 class Player12Response:
     times: np.ndarray
-    X2: np.ndarray
     X2hat: np.ndarray
     X2check: np.ndarray
     Phihat: np.ndarray
@@ -362,12 +353,12 @@ class Player12Response:
     phicheck: np.ndarray
 
 
-def _det_backward(times, coef, driver, terminal):
-    """RK4 for -y' = coef(k) y + driver(k) with node-tabulated inputs."""
+def _det_backward(times, coef, driver):
+    """RK4 for -y' = coef(k) y + driver(k), y(T) = 0, with node-tabulated
+    inputs."""
     Kn = times.shape[0]
-    y = terminal.copy()
-    out = np.empty((Kn,) + y.shape)
-    out[-1] = y
+    out = np.zeros((Kn,) + driver.shape[1:])
+    y = out[-1]
     for k in range(Kn - 1, 0, -1):
         h = times[k] - times[k - 1]
         Cm = 0.5 * (coef[k] + coef[k - 1])
@@ -382,8 +373,88 @@ def _det_backward(times, coef, driver, terminal):
     return out
 
 
-def _is_deterministic(v):
-    return np.asarray(v).ndim == 2
+def _follower_offset(bundle: RiccatiBundle, B, v2, v3, affine):
+    """Follower offset on the grid under deterministic (K+1, n) leader
+    controls: -phi' = Abar' phi + p (B2 v2 + B3 v3) + f1bar, phi(T) = 0.
+    B holds the grid tables of (B1, B2, B3)."""
+    drv = mv(bundle.p.values, mv(B[1], v2) + mv(B[2], v3))
+    if affine:
+        drv = drv + bundle.l1.f1bar
+    return _det_backward(bundle.times, bundle.l1.Abar.mT, drv)
+
+
+def _middle_offset(bundle: RiccatiBundle, v3, affine):
+    """Middle-level offset on the grid under a deterministic (K+1, n) top
+    control: -Phi' = (ddA1 + ddA2 + ddA3)' Phi + (va + vc) v3 + ddf2,
+    Phi(T) = 0."""
+    cl = bundle.l2cl
+    drv = mv(cl.va + cl.vc, v3)
+    if affine:
+        drv = drv + cl.ddf2
+    return _det_backward(bundle.times, (cl.ddA1 + cl.ddA2 + cl.ddA3).mT, drv)
+
+
+def _follower_control(bundle: RiccatiBundle, c: CoeffValues, k, xc, phi, affine):
+    """Follower control v1 at node k from its filtered state xc and offset
+    phi (rows per path); c is the node-k coefficient view."""
+    B1 = c.B[0]
+    u = xc @ (B1.T @ bundle.p.values[k]).T + phi @ B1
+    if affine:
+        u = u + c.nl[0]
+    return -u @ c.Rinv[0].T
+
+
+def _middle_controls(bundle: RiccatiBundle, c: CoeffValues, k, X2h, X2c,
+                     Phih, Phic, affine):
+    """(v1, v2, phicheck) at node k from the middle player's hat and check
+    filtered 2n states and offsets: v2 from the middle level's feedback, v1
+    from the follower's, fed the follower offset filter phicheck."""
+    n = c.A.shape[-1]
+    s2 = selectors(n)[3]
+    cB2, cF2 = bundle.l2.calB2[k], bundle.l2.calF2[k]
+    P1, P2 = bundle.P1.values[k], bundle.P2.values[k]
+    u = X2h @ (cB2.T @ P1).T + X2c @ (cB2.T @ P2 + cF2).T + Phih @ cB2
+    if affine:
+        u = u + c.nl[1]
+    phick = X2c @ (s2 @ (P1 + P2)).T + Phic @ s2.T
+    v1 = _follower_control(bundle, c, k, X2c[:, :n], phick, affine)
+    return v1, -u @ c.Rinv[1].T, phick
+
+
+def _follower_step(bundle: RiccatiBundle, c: CoeffValues, k, dWk, xc, phi,
+                   drive, affine):
+    """Euler step k -> k+1 of the follower-filtered state, which sees W3 only;
+    drive is the leaders' B2 v2 + B3 v3 at node k as the follower sees it."""
+    l1 = bundle.l1
+    h = bundle.times[k + 1] - bundle.times[k]
+    drift = xc @ l1.Abar[k].T + phi @ l1.F1bar[k].T + drive
+    load = xc @ c.C[2].T
+    if affine:
+        drift, load = drift + l1.bbar[k], load + c.sigma[2]
+    return xc + h * drift + dWk[:, 2:3] * load
+
+
+def _middle_step(bundle: RiccatiBundle, k, dWk, X2h, X2c, Phih, Phic, vh3,
+                 vc3, affine):
+    """Euler step k -> k+1 of the middle player's filtered 2n states: the hat
+    filter sees W2 and W3, the check filter W3 only.  vh3/vc3 are the top
+    control at node k as each filter sees it."""
+    l2, cl = bundle.l2, bundle.l2cl
+    h = bundle.times[k + 1] - bundle.times[k]
+    ddA12 = cl.ddA1[k] + cl.ddA2[k]
+    drift_h = (X2h @ ddA12.T + X2c @ cl.ddA3[k].T + Phih @ cl.ddF1[k].T
+               + vh3 @ l2.calB3[k].T)
+    drift_c = (X2c @ (ddA12 + cl.ddA3[k]).T + Phic @ cl.ddF1[k].T
+               + vc3 @ l2.calB3[k].T)
+    load_h2, load_h3 = X2h @ l2.calC2[k].T, X2h @ l2.calC3[k].T
+    load_c3 = X2c @ l2.calC3[k].T
+    if affine:
+        drift_h, drift_c = drift_h + cl.ddb2[k], drift_c + cl.ddb2[k]
+        load_h2, load_h3 = load_h2 + l2.barsigma2[k], load_h3 + l2.barsigma3[k]
+        load_c3 = load_c3 + l2.barsigma3[k]
+    d2, d3 = dWk[:, 1:2], dWk[:, 2:3]
+    return (X2h + h * drift_h + d2 * load_h2 + d3 * load_h3,
+            X2c + h * drift_c + d3 * load_c3)
 
 
 def respond_player1(spec: GameSpec, bundle: RiccatiBundle, v2, v3, noise,
@@ -398,136 +469,74 @@ def respond_player1(spec: GameSpec, bundle: RiccatiBundle, v2, v3, noise,
     """
     dW = _increments(noise, n_paths)
     N, K, _ = dW.shape
-    times = bundle.times
     n = spec.n
-    p = bundle.p.values
-    l1 = bundle.l1
-    cv = CoeffValues(spec, times)
-    B1, B2, B3 = cv.B
-
-    det = _is_deterministic(v2) and _is_deterministic(v3)
-    if det:
-        vc2 = np.asarray(v2, dtype=float)
-        vc3 = np.asarray(v3, dtype=float)
-        drv = np.einsum("kij,kj->ki", p, np.einsum("kij,kj->ki", B2, vc2)
-                        + np.einsum("kij,kj->ki", B3, vc3)) + l1.f1bar
-        coefT = np.transpose(l1.Abar, (0, 2, 1))
-        phi = _det_backward(times, coefT, drv, np.zeros(n))
-        phi_paths = np.broadcast_to(phi, (N, K + 1, n))
+    cv = CoeffValues(spec, bundle.times)
+    if np.ndim(v2) == 2 and np.ndim(v3) == 2:
+        vc2, vc3 = np.asarray(v2, dtype=float), np.asarray(v3, dtype=float)
+        phi = _follower_offset(bundle, cv.B, vc2, vc3, True)
     else:
         if vcheck2 is None or vcheck3 is None or phicheck is None:
             raise UnsupportedPerturbationError(
                 "path-valued leader controls need vcheck2/vcheck3/phicheck paths")
-        vc2, vc3, phi_paths = vcheck2, vcheck3, phicheck
+        vc2, vc3, phi = vcheck2, vcheck3, phicheck
 
-    C3, sig3 = cv.C[2], cv.sigma[2]
     xc = np.tile(spec.x0, (N, 1))
-    xcs = np.empty((N, K + 1, n))
-    for k in range(K):
-        xcs[:, k] = xc
-        h = times[k + 1] - times[k]
-        drift = (xc @ l1.Abar[k].T + phi_paths[:, k] @ l1.F1bar[k].T
-                 + _rows_at(vc2, k, N) @ B2[k].T
-                 + _rows_at(vc3, k, N) @ B3[k].T + l1.bbar[k])
-        xc = xc + h * drift + dW[:, k, 2:3] * (xc @ C3[k].T + sig3[k])
-    xcs[:, K] = xc
-
-    v1 = np.empty((N, K + 1, n))
-    nl1, R1i = cv.nl[0], cv.Rinv[0]
+    xcs, v1 = np.empty((N, K + 1, n)), np.empty((N, K + 1, n))
     for k in range(K + 1):
-        v1[:, k] = -(xcs[:, k] @ (B1[k].T @ p[k]).T + phi_paths[:, k] @ B1[k]
-                     + nl1[k]) @ R1i[k].T
+        c, phik = cv[k], _rows_at(phi, k, N)
+        xcs[:, k] = xc
+        v1[:, k] = _follower_control(bundle, c, k, xc, phik, True)
+        if k < K:
+            drive = _rows_at(vc2, k, N) @ c.B[1].T + _rows_at(vc3, k, N) @ c.B[2].T
+            xc = _follower_step(bundle, c, k, dW[:, k], xc, phik, drive, True)
 
     xs = simulate_state(spec, v1, v2, v3, dW)
-    return Player1Response(times=times, x=xs, xcheck=xcs, phicheck=phi_paths, v1=v1)
+    return Player1Response(times=bundle.times, x=xs, xcheck=xcs,
+                           phicheck=np.broadcast_to(phi, (N, K + 1, n)), v1=v1)
 
 
 def respond_player12(spec: GameSpec, bundle: RiccatiBundle, offsets: OffsetBundle,
                      v3, noise, n_paths: int | None = None, vhat3=None,
-                     vcheck3=None, Phihat=None, Phicheck=None,
-                     Phiraw=None) -> Player12Response:
+                     vcheck3=None, Phihat=None, Phicheck=None) -> Player12Response:
     """Joint best response of the two lower levels to an exogenous top control.
 
     Deterministic (K+1, n) top controls are handled in full (the offset
     collapses to one backward ODE).  Path-valued controls additionally need
-    their filter paths and the offset paths reconstructed by the caller.
+    their filter paths and the hat/check offset paths reconstructed by the
+    caller (`reconstruct_Phi`).
     """
     dW = _increments(noise, n_paths)
     N, K, _ = dW.shape
-    times = bundle.times
     n = spec.n
-    l2, cl = bundle.l2, bundle.l2cl
-    P1, P2 = bundle.P1.values, bundle.P2.values
-    _, _, _, s2 = selectors(n)
-
-    det = _is_deterministic(v3)
-    if det:
+    if np.ndim(v3) == 2:
         v3 = np.asarray(v3, dtype=float)
-        coefT = np.transpose(cl.ddA1 + cl.ddA2 + cl.ddA3, (0, 2, 1))
-        drv = np.einsum("kij,kj->ki", cl.va + cl.vc, v3) + cl.ddf2
-        Phi = _det_backward(times, coefT, drv, np.zeros(2 * n))
-        Phih_paths = Phic_paths = Phiraw_paths = Phi
+        Phih = Phic = _middle_offset(bundle, v3, True)
         vh3 = vc3 = v3
     else:
-        if any(a is None for a in (vhat3, vcheck3, Phihat, Phicheck, Phiraw)):
+        if any(a is None for a in (vhat3, vcheck3, Phihat, Phicheck)):
             raise UnsupportedPerturbationError(
-                "path-valued top control needs vhat3/vcheck3/Phihat/Phicheck/"
-                "Phiraw paths")
-        Phih_paths, Phic_paths, Phiraw_paths = Phihat, Phicheck, Phiraw
-        vh3, vc3 = vhat3, vcheck3
+                "path-valued top control needs vhat3/vcheck3/Phihat/Phicheck paths")
+        vh3, vc3, Phih, Phic = vhat3, vcheck3, Phihat, Phicheck
 
-    X0 = np.concatenate([spec.x0, np.zeros(n)])
-    X2 = np.tile(X0, (N, 1))
-    X2h = X2.copy()
-    X2c = X2.copy()
-    X2s = np.empty((N, K + 1, 2 * n))
-    X2hs = np.empty_like(X2s)
-    X2cs = np.empty_like(X2s)
-    v2 = np.empty((N, K + 1, n))
-    v1 = np.empty((N, K + 1, n))
-    table = CoeffValues(spec, times)
+    cv = CoeffValues(spec, bundle.times)
+    X2h = np.tile(np.concatenate([spec.x0, np.zeros(n)]), (N, 1))
+    X2c = X2h.copy()
+    X2hs, X2cs = np.empty((N, K + 1, 2 * n)), np.empty((N, K + 1, 2 * n))
+    v1, v2, phic = (np.empty((N, K + 1, n)) for _ in range(3))
     for k in range(K + 1):
-        X2s[:, k], X2hs[:, k], X2cs[:, k] = X2, X2h, X2c
-        cv = table[k]
-        cB2, cF2 = l2.calB2[k], l2.calF2[k]
-        v2[:, k] = -(X2h @ (cB2.T @ P1[k]).T + X2c @ (cB2.T @ P2[k] + cF2).T
-                     + _rows_at(Phih_paths, k, N) @ cB2 + cv.nl[1]) @ cv.Rinv[1].T
-        phick = (X2c @ (s2 @ (P1[k] + P2[k])).T + _rows_at(Phic_paths, k, N) @ s2.T)
-        v1[:, k] = -(X2c[:, :n] @ (cv.B[0].T @ bundle.p.values[k]).T
-                     + phick @ cv.B[0] + cv.nl[0]) @ cv.Rinv[0].T
-        if k == K:
-            break
-        h = times[k + 1] - times[k]
-        ddA12 = cl.ddA1[k] + cl.ddA2[k]
-        Y2 = X2 @ P1[k].T + X2c @ P2[k].T + _rows_at(Phiraw_paths, k, N)
-        drift = (X2 @ l2.calA1[k].T + X2c @ l2.calA2[k].T + Y2 @ l2.calF1[k].T
-                 + v2[:, k] @ cB2.T + _rows_at(v3, k, N) @ l2.calB3[k].T + l2.barb2[k])
-        drift_h = (X2h @ ddA12.T + X2c @ cl.ddA3[k].T
-                   + _rows_at(Phih_paths, k, N) @ cl.ddF1[k].T
-                   + _rows_at(vh3, k, N) @ l2.calB3[k].T + cl.ddb2[k])
-        drift_c = (X2c @ (ddA12 + cl.ddA3[k]).T
-                   + _rows_at(Phic_paths, k, N) @ cl.ddF1[k].T
-                   + _rows_at(vc3, k, N) @ l2.calB3[k].T + cl.ddb2[k])
-        d1, d2, d3 = dW[:, k, 0:1], dW[:, k, 1:2], dW[:, k, 2:3]
-        X2 = (X2 + h * drift
-              + d1 * (X2 @ l2.calC1[k].T + l2.barsigma1[k])
-              + d2 * (X2 @ l2.calC2[k].T + l2.barsigma2[k])
-              + d3 * (X2 @ l2.calC3[k].T + l2.barsigma3[k]))
-        X2h = (X2h + h * drift_h
-               + d2 * (X2h @ l2.calC2[k].T + l2.barsigma2[k])
-               + d3 * (X2h @ l2.calC3[k].T + l2.barsigma3[k]))
-        X2c = X2c + h * drift_c + d3 * (X2c @ l2.calC3[k].T + l2.barsigma3[k])
+        Phihk, Phick = _rows_at(Phih, k, N), _rows_at(Phic, k, N)
+        X2hs[:, k], X2cs[:, k] = X2h, X2c
+        v1[:, k], v2[:, k], phic[:, k] = _middle_controls(
+            bundle, cv[k], k, X2h, X2c, Phihk, Phick, True)
+        if k < K:
+            X2h, X2c = _middle_step(bundle, k, dW[:, k], X2h, X2c, Phihk, Phick,
+                                    _rows_at(vh3, k, N), _rows_at(vc3, k, N), True)
 
     xs = simulate_state(spec, v1, v2, v3, dW)
-    phic_full = np.empty((N, K + 1, n))
-    for k in range(K + 1):
-        phic_full[:, k] = (X2cs[:, k] @ (s2 @ (P1[k] + P2[k])).T
-                           + _rows_at(Phic_paths, k, N) @ s2.T)
-    return Player12Response(times=times, X2=X2s, X2hat=X2hs, X2check=X2cs,
-                            Phihat=np.asarray(Phih_paths),
-                            Phicheck=np.asarray(Phic_paths),
+    return Player12Response(times=bundle.times, X2hat=X2hs, X2check=X2cs,
+                            Phihat=np.asarray(Phih), Phicheck=np.asarray(Phic),
                             v1=v1, v2=v2, x=xs, xcheck=X2cs[:, :, :n],
-                            phicheck=phic_full)
+                            phicheck=phic)
 
 
 # ---------------------------------------------------------------------------
@@ -547,19 +556,16 @@ def ansatz_residual(spec: GameSpec, bundle: RiccatiBundle, offsets: OffsetBundle
     n = spec.n
     p = bundle.p.values
     xc = paths.X3check[:, :, :n]
-    phic = reconstruct_phicheck(bundle, offsets, paths.X3check)
-    _, U, L, s2 = selectors(n)
+    G, g = _phicheck_gain(bundle, offsets)
+    phic = mv(G, paths.X3check) + g
     table = CoeffValues(spec, times)
     worst = 0.0
     y = -(np.einsum("kij,pkj->pki", p, xc) + phic)
     for k in range(K):
         cv = table[k]
         h = times[k + 1] - times[k]
-        Gphi = (s2 @ (bundle.P1.values[k] + bundle.P2.values[k]) @ U
-                + s2 @ L @ (bundle.Pf1.values[k] + bundle.Pf2.values[k]
-                            + bundle.Pf3.values[k]))
         theta = (paths.X3check[:, k] @ bundle.l3.frakC3[k].T
-                 + bundle.l3.Sigma3[k]) @ Gphi.T
+                 + bundle.l3.Sigma3[k]) @ G[k].T
         z = [-(xc[:, k] @ cv.C[i].T + cv.sigma[i]) @ p[k].T for i in range(3)]
         z[2] = z[2] - theta
         drift = (y[:, k] @ cv.A - xc[:, k] @ cv.Q[0].T - cv.m[0]

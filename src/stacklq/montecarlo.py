@@ -11,8 +11,10 @@ coefficient, and its standard error comes from the per-path linear terms
 `variational_sweep` runs many (player, direction, gain_scale) cases with the
 chunk loop outermost: each chunk of paths draws its Brownian increments once,
 steps one base closed loop on them, and every case advances its response and
-cost polynomial along that shared run.  No increment row is drawn twice
-however many cases share the seed.  `variational_test` is the one-case sweep.
+cost polynomial along that shared run.  The response is the homogeneous form
+of closedloop's best-response systems, the ones `respond_player1/12` run.
+No increment row is drawn twice however many cases share the seed.
+`variational_test` is the one-case sweep.
 
 `simulate_blocks` streams the equilibrium for `stacklq simulate` block by
 block of paths, keeping every thin-th node and each player's running cost,
@@ -26,10 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedloop import (BLOCK_PATHS, FeedbackLaw, PathBundle, _det_backward,
-                         _node_loop, _paths_from, _state_step)
+from .closedloop import (BLOCK_PATHS, FeedbackLaw, PathBundle,
+                         _follower_control, _follower_offset, _follower_step,
+                         _middle_controls, _middle_offset, _middle_step,
+                         _node_loop, _paths_from, _rows_at, _state_step)
 from .errors import UnsupportedPerturbationError
-from .lift import CoeffValues, selectors
+from .lift import CoeffValues
 from .model import GameSpec, solver_times
 from .riccati import RiccatiBundle
 from .rng import NoisePlan
@@ -181,29 +185,22 @@ class _CaseRun:
         if gain_scale != 1.0 and player != 1:
             raise UnsupportedPerturbationError(
                 "the scaled-gain negative control runs on the follower test")
-        n, times = spec.n, cv.t
+        n = spec.n
         self.player, self.direction, self.gain_scale = player, direction, gain_scale
         self.bundle = bundle
         # re-simulated base state when the follower gain is scaled
         self.xt = np.tile(spec.x0, (N, 1)) if gain_scale != 1.0 else None
         self.dx = np.zeros((N, n))                    # response of the state
         if player == 2:
+            # the follower's filtered state and offset re-respond
             self.dxc = np.zeros((N, n))
-            # deterministic follower offset response to the direction
-            self.dphi = _det_backward(
-                times, np.transpose(bundle.l1.Abar, (0, 2, 1)),
-                np.einsum("kij,kj->ki", bundle.p.values,
-                          np.einsum("kij,kj->ki", cv.B[1], direction.path)),
-                np.zeros(n))
+            self.dphi = _follower_offset(bundle, cv.B, direction.path,
+                                         np.zeros_like(direction.path), False)
         elif player == 3:
-            self.s2 = selectors(n)[3]
+            # the middle player's filtered 2n states and offset re-respond
             self.dX2h = np.zeros((N, 2 * n))
             self.dX2c = np.zeros((N, 2 * n))
-            cl = bundle.l2cl
-            self.dPhi = _det_backward(
-                times, np.transpose(cl.ddA1 + cl.ddA2 + cl.ddA3, (0, 2, 1)),
-                np.einsum("kij,kj->ki", cl.va + cl.vc, direction.path),
-                np.zeros(2 * n))
+            self.dPhi = _middle_offset(bundle, direction.path, False)
         self.J0, self.Bc, self.Cc = np.zeros(N), np.zeros(N), np.zeros(N)
 
     def node(self, law: FeedbackLaw, c, k: int, X, Xh, Xc, v, dW):
@@ -223,27 +220,21 @@ class _CaseRun:
         xbase = X[:, :n] if self.xt is None else self.xt
         dx = self.dx
 
-        # direction value and own-control response at this node
+        # direction value, and the controls' response at this node
         if self.direction.kind == "deterministic":
             dv_own = np.broadcast_to(self.direction.path[k], (N, n))
         else:
             dv_own = Xc[:, :n] @ self.direction.gain.T
-        # responses of the re-responding lower levels
+        dv = (dv_own, None, None)
         if player == 2:
-            dxc, dphi = self.dxc, self.dphi
-            dv1 = -(dxc @ (c.B[0].T @ bundle.p.values[k]).T
-                    + np.broadcast_to(dphi[k], (N, n)) @ c.B[0]) @ c.Rinv[0].T
+            dphi = _rows_at(self.dphi, k, N)
+            dv = (_follower_control(bundle, c, k, self.dxc, dphi, False),
+                  dv_own, None)
         elif player == 3:
-            dX2h, dX2c, dPhi = self.dX2h, self.dX2c, self.dPhi
-            cl, l2 = bundle.l2cl, bundle.l2
-            cB2, cF2 = l2.calB2[k], l2.calF2[k]
-            P1k, P2k = bundle.P1.values[k], bundle.P2.values[k]
-            dv2 = -(dX2h @ (cB2.T @ P1k).T + dX2c @ (cB2.T @ P2k + cF2).T
-                    + np.broadcast_to(dPhi[k], (N, 2 * n)) @ cB2) @ c.Rinv[1].T
-            dphick = (dX2c @ (self.s2 @ (P1k + P2k)).T
-                      + np.broadcast_to(dPhi[k], (N, 2 * n)) @ self.s2.T)
-            dv1 = -(dX2c[:, :n] @ (c.B[0].T @ bundle.p.values[k]).T
-                    + dphick @ c.B[0]) @ c.Rinv[0].T
+            dPhi = _rows_at(self.dPhi, k, N)
+            dv1, dv2, _ = _middle_controls(bundle, c, k, self.dX2h, self.dX2c,
+                                           dPhi, dPhi, False)
+            dv = (dv1, dv2, dv_own)
 
         # accumulate cost polynomial
         self.J0 += _node_cost(c, own, k, times, xbase, vown)
@@ -260,33 +251,18 @@ class _CaseRun:
         self.Cc += h * (0.5 * np.einsum("pi,ij,pj->p", dx, Q, dx)
                         + 0.5 * np.einsum("pi,ij,pj->p", dv_own, R, dv_own))
 
-        d2, d3 = dW[:, k, 1:2], dW[:, k, 2:3]
-
         # response dynamics (driven by the direction, multiplicative noise)
-        ddrift = dx @ c.A.T
-        if player == 1:
-            ddrift = ddrift + dv_own @ c.B[0].T
-        elif player == 2:
-            ddrift = ddrift + dv1 @ c.B[0].T + dv_own @ c.B[1].T
-            dxc_drift = (dxc @ bundle.l1.Abar[k].T
-                         + np.broadcast_to(dphi[k], (N, n)) @ bundle.l1.F1bar[k].T
-                         + dv_own @ c.B[1].T)
-            self.dxc = dxc + h * dxc_drift + d3 * (dxc @ c.C[2].T)
+        if player == 2:
+            self.dxc = _follower_step(bundle, c, k, dW[:, k], self.dxc, dphi,
+                                      dv_own @ c.B[1].T, False)
         elif player == 3:
-            ddrift = ddrift + dv1 @ c.B[0].T + dv2 @ c.B[1].T + dv_own @ c.B[2].T
-            ddA12 = cl.ddA1[k] + cl.ddA2[k]
-            dPhik = np.broadcast_to(dPhi[k], (N, 2 * n))
-            dh_drift = (dX2h @ ddA12.T + dX2c @ cl.ddA3[k].T
-                        + dPhik @ cl.ddF1[k].T + dv_own @ l2.calB3[k].T)
-            dc_drift = (dX2c @ (ddA12 + cl.ddA3[k]).T + dPhik @ cl.ddF1[k].T
-                        + dv_own @ l2.calB3[k].T)
-            self.dX2h = (dX2h + h * dh_drift
-                         + d2 * (dX2h @ l2.calC2[k].T) + d3 * (dX2h @ l2.calC3[k].T))
-            self.dX2c = dX2c + h * dc_drift + d3 * (dX2c @ l2.calC3[k].T)
-        self.dx = dx + h * ddrift + sum(dW[:, k, i:i + 1] * (dx @ c.C[i].T)
-                                        for i in range(3))
+            self.dX2h, self.dX2c = _middle_step(bundle, k, dW[:, k], self.dX2h,
+                                                self.dX2c, dPhi, dPhi, dv_own,
+                                                dv_own, False)
+        self.dx = _state_step(c, times, k, dW[:, k], dx, dv, False)
         if self.xt is not None:
-            self.xt = _state_step(c, times, k, dW[:, k], self.xt, (v1, v2, v3))
+            self.xt = _state_step(c, times, k, dW[:, k], self.xt, (v1, v2, v3),
+                                  True)
 
 
 def _sweep_quadratics(spec, law: FeedbackLaw, bundle: RiccatiBundle, cases,

@@ -168,24 +168,21 @@ def _rhs_Omega(cv, l3, Pf1, Pf2, Pf3, Om):
 # the stacked backward pass
 # ---------------------------------------------------------------------------
 
-def _stack_rhs(cv, state, level):
+def _stack_rhs(cv, state, follower_only):
+    """Derivatives of the ladder state; follower_only leaves all but p at rest."""
     p, P1, P2, Pf1, Pf2, Pf3, Om = state
     dp = _rhs_p(cv, p)
-    if level == 1:
+    if follower_only:
         return (dp, None, None, None, None, None, None)
     l1 = level1_at(cv, p)
     l2 = level2_at(cv, l1)
     dP1 = _rhs_P1(cv, l2, P1)
     dP2 = _rhs_P2(cv, l2, P1, P2)
-    if level == 2:
-        return (dp, dP1, dP2, None, None, None, None)
     cl = level2_closedloop_at(cv, l2, P1, P2)
     l3 = level3_at(cv, l2, cl)
     dPf1 = _rhs_Pf1(cv, l3, Pf1)
     dPf2 = _rhs_Pf2(cv, l3, Pf1, Pf2)
     dPf3 = _rhs_Pf3(cv, l3, Pf1, Pf2, Pf3)
-    if level == 3:
-        return (dp, dP1, dP2, dPf1, dPf2, dPf3, None)
     dOm = _rhs_Omega(cv, l3, Pf1, Pf2, Pf3, Om)
     return (dp, dP1, dP2, dPf1, dPf2, dPf3, dOm)
 
@@ -207,35 +204,30 @@ def terminal_state(spec: GameSpec):
 
 def _check_finite(state, t, what="riccati system"):
     for s in state:
-        if s is None:
-            continue
         if not np.all(np.isfinite(s)) or np.abs(s).max(initial=0.0) > BLOWUP_LIMIT:
             raise BlowUpError(what, t)
 
 
-def _solve_stack(spec: GameSpec, level: int):
-    """Backward RK4 over the refined grid; returns per-node value arrays."""
+def _solve_stack(spec: GameSpec, follower_only: bool):
+    """Backward RK4 over the refined grid; returns per-node value arrays.
+
+    follower_only integrates p alone (the DP cross-check's cheap pass)."""
     times = solver_times(spec)
     mid = CoeffValues(spec, 0.5 * (times[1:] + times[:-1]))
     K = times.shape[0] - 1
     state = terminal_state(spec)
-    hist = [[None] * (K + 1) for _ in range(7)]
-    for i, s in enumerate(state):
-        hist[i][K] = s
+    hist = [state]                      # node K first
     max_asym = 0.0
     for k in range(K, 0, -1):
         h = times[k] - times[k - 1]
         cv = mid[k - 1]
-        k1 = _stack_rhs(cv, state, level)
-        k2 = _stack_rhs(cv, _axpy(state, k1, -0.5 * h), level)
-        k3 = _stack_rhs(cv, _axpy(state, k2, -0.5 * h), level)
-        k4 = _stack_rhs(cv, _axpy(state, k3, -h), level)
-        new = []
-        for s, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4):
-            if d1 is None:
-                new.append(s)
-            else:
-                new.append(s - (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
+        k1 = _stack_rhs(cv, state, follower_only)
+        k2 = _stack_rhs(cv, _axpy(state, k1, -0.5 * h), follower_only)
+        k3 = _stack_rhs(cv, _axpy(state, k2, -0.5 * h), follower_only)
+        k4 = _stack_rhs(cv, _axpy(state, k3, -h), follower_only)
+        incr = [None if d1 is None else d1 + 2.0 * d2 + 2.0 * d3 + d4
+                for d1, d2, d3, d4 in zip(k1, k2, k3, k4)]
+        new = list(_axpy(state, incr, -h / 6.0))
         # keep the follower gain exactly symmetric; track the drift it had
         pnew = new[0]
         asym = np.abs(pnew - pnew.T).max(initial=0.0)
@@ -243,13 +235,11 @@ def _solve_stack(spec: GameSpec, level: int):
         new[0] = 0.5 * (pnew + pnew.T)
         state = tuple(new)
         _check_finite(state, times[k - 1])
-        for i, s in enumerate(state):
-            hist[i][k - 1] = s
+        hist.append(state)
     if max_asym > P_ASYM_TOL:
         raise ConsistencyError(f"follower gain asymmetry {max_asym:.3e} exceeds "
                                f"{P_ASYM_TOL:g}")
-    arrays = [np.array(h) if h[0] is not None else None for h in hist]
-    return times, arrays
+    return times, [np.array(traj[::-1]) for traj in zip(*hist)]
 
 
 # ---------------------------------------------------------------------------
@@ -278,57 +268,25 @@ def integrate_backward(rhs, terminal, times) -> MatrixTrajectory:
 
 def solve_p(spec: GameSpec) -> MatrixTrajectory:
     """Follower Riccati gain; terminal value is the follower's terminal weight."""
-    times, arrays = _solve_stack(spec, 1)
+    times, arrays = _solve_stack(spec, True)
     return MatrixTrajectory(times, arrays[0])
 
 
-def solve_P12(spec: GameSpec, l1, l2, p):
-    """Middle-level Riccati pair (P1 self-contained, then P2 given P1)."""
-    times, arrays = _solve_stack(spec, 2)
-    pv = getattr(p, "values", p)
-    if np.abs(arrays[0] - pv).max() > 1e-8 * (1.0 + np.abs(pv).max()):
-        raise ConsistencyError("supplied p trajectory disagrees with the joint solve")
-    return (MatrixTrajectory(times, arrays[1]), MatrixTrajectory(times, arrays[2]))
-
-
-def solve_P123(spec: GameSpec, l3, P1, P2):
-    """Top-level Riccati triple, solved sequentially inside one joint pass."""
-    times, arrays = _solve_stack(spec, 3)
-    P1v = getattr(P1, "values", P1)
-    if np.abs(arrays[1] - P1v).max() > 1e-8 * (1.0 + np.abs(P1v).max()):
-        raise ConsistencyError("supplied P1 trajectory disagrees with the joint solve")
-    return tuple(MatrixTrajectory(times, arrays[i]) for i in (3, 4, 5))
-
-
-def _offsets_from_omega(times, om_values, n) -> OffsetBundle:
-    Om = MatrixTrajectory(times, om_values)
-    Phi = MatrixTrajectory(times, om_values[:, 2 * n:])
-    phic = MatrixTrajectory(times, om_values[:, 3 * n:])
-    return OffsetBundle(times, Om, Phi, phic)
-
-
-def solve_offsets(spec: GameSpec, bundle: RiccatiBundle) -> OffsetBundle:
-    """Collapsed deterministic offset ODE; blocks give the 2n and n offsets."""
-    times, arrays = _solve_stack(spec, 4)
-    return _offsets_from_omega(times, arrays[6], spec.n)
-
-
 def solve_game(spec: GameSpec):
-    """Full ladder in one pass: RiccatiBundle plus OffsetBundle."""
-    times, arrays = _solve_stack(spec, 4)
-    p = MatrixTrajectory(times, arrays[0])
-    P1 = MatrixTrajectory(times, arrays[1])
-    P2 = MatrixTrajectory(times, arrays[2])
+    """Full ladder in one pass: RiccatiBundle plus OffsetBundle.
+
+    The offsets' blocks give the 2n offset Phi and the n offset phi_check."""
+    times, arrays = _solve_stack(spec, False)
+    p, P1, P2, Pf1, Pf2, Pf3, Om = (MatrixTrajectory(times, a) for a in arrays)
     l1 = build_level1(spec, p)
     l2 = build_level2(spec, l1)
     l2cl = build_level2_closedloop(l2, P1, P2, spec)
     l3 = build_level3(l2cl, l2, spec)
-    bundle = RiccatiBundle(times=times, p=p, P1=P1, P2=P2,
-                           Pf1=MatrixTrajectory(times, arrays[3]),
-                           Pf2=MatrixTrajectory(times, arrays[4]),
-                           Pf3=MatrixTrajectory(times, arrays[5]),
-                           l1=l1, l2=l2, l2cl=l2cl, l3=l3)
-    offsets = _offsets_from_omega(times, arrays[6], spec.n)
+    bundle = RiccatiBundle(times=times, p=p, P1=P1, P2=P2, Pf1=Pf1, Pf2=Pf2,
+                           Pf3=Pf3, l1=l1, l2=l2, l2cl=l2cl, l3=l3)
+    n = spec.n
+    offsets = OffsetBundle(times, Om, MatrixTrajectory(times, Om.values[:, 2 * n:]),
+                           MatrixTrajectory(times, Om.values[:, 3 * n:]))
     return bundle, offsets
 
 
@@ -337,7 +295,7 @@ def solve_game(spec: GameSpec):
 # ---------------------------------------------------------------------------
 
 def riccati_residuals(spec: GameSpec, bundle: RiccatiBundle,
-                      offsets: OffsetBundle | None = None) -> dict:
+                      offsets: OffsetBundle) -> dict:
     """Max centered-difference residual of every solved backward equation.
 
     For order-4 trajectories the centered difference carries an O(h^2)
@@ -348,14 +306,12 @@ def riccati_residuals(spec: GameSpec, bundle: RiccatiBundle,
     names = ("p", "P1", "P2", "Pf1", "Pf2", "Pf3", "Omega")
     vals = [bundle.p.values, bundle.P1.values, bundle.P2.values,
             bundle.Pf1.values, bundle.Pf2.values, bundle.Pf3.values,
-            np.zeros((times.shape[0], 4 * spec.n)) if offsets is None
-            else offsets.Omega.values]
+            offsets.Omega.values]
     ders = _stack_rhs(CoeffValues(spec, times[1:-1]),
-                      tuple(v[1:-1] for v in vals), 3 if offsets is None else 4)
+                      tuple(v[1:-1] for v in vals), False)
     dt = times[2:] - times[:-2]
     out = {}
     for name, v, d in zip(names, vals, ders):
-        if d is not None:
-            num = (v[2:] - v[:-2]) / dt.reshape((-1,) + (1,) * (v.ndim - 1))
-            out[name] = float(np.abs(num - d).max(initial=0.0))
+        num = (v[2:] - v[:-2]) / dt.reshape((-1,) + (1,) * (v.ndim - 1))
+        out[name] = float(np.abs(num - d).max(initial=0.0))
     return out

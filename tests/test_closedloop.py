@@ -5,10 +5,11 @@ import pytest
 
 import stacklq as sq
 from stacklq.closedloop import (BLOCK_PATHS, ansatz_residual, reconstruct_Phi,
-                                reconstruct_Phi_raw, reconstruct_phicheck,
-                                respond_player1, respond_player12,
-                                simulate_equilibrium, simulate_state)
+                                reconstruct_phicheck, respond_player1,
+                                respond_player12, simulate_equilibrium,
+                                simulate_state)
 from stacklq.errors import BlowUpError, UnsupportedPerturbationError
+from stacklq.lift import selectors
 from stacklq.model import solver_times
 from stacklq.montecarlo import (_sweep_quadratics, default_directions,
                                 simulate_blocks, variational_sweep)
@@ -171,6 +172,30 @@ def test_hat_filter_is_unbiased(generic_solution, scalar_generic):
         assert np.all(np.abs(mean) <= 3.0 * se + 1e-12)
 
 
+def test_offset_reconstruction_matches_per_node_formulas(n2_spec):
+    # node-axis reconstruction against the per-node formulas; the summation
+    # order may differ, so agreement is to rounding, not to the bit
+    bundle, offsets = solve_game(n2_spec)
+    law = sq.build_feedback(bundle, offsets, n2_spec)
+    paths, _ = _paths(n2_spec, law, 5, 8)
+    phic = reconstruct_phicheck(bundle, offsets, paths.X3check)
+    Phih, Phic = reconstruct_Phi(bundle, offsets, paths.X3hat, paths.X3check)
+    _, U, L, s2 = selectors(n2_spec.n)
+    P1, P2 = bundle.P1.values, bundle.P2.values
+    Pf1, Pf2, Pf3 = bundle.Pf1.values, bundle.Pf2.values, bundle.Pf3.values
+    Om = offsets.Omega.values
+    for k in range(bundle.times.shape[0]):
+        G = s2 @ (P1[k] + P2[k]) @ U + s2 @ L @ (Pf1[k] + Pf2[k] + Pf3[k])
+        want = paths.X3check[:, k] @ G.T + s2 @ (L @ Om[k])
+        np.testing.assert_allclose(phic[:, k], want, rtol=1e-12, atol=1e-14)
+        want_h = (paths.X3hat[:, k] @ (L @ (Pf1[k] + Pf2[k])).T
+                  + paths.X3check[:, k] @ (L @ Pf3[k]).T + L @ Om[k])
+        want_c = (paths.X3check[:, k] @ (L @ (Pf1[k] + Pf2[k] + Pf3[k])).T
+                  + L @ Om[k])
+        np.testing.assert_allclose(Phih[:, k], want_h, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(Phic[:, k], want_c, rtol=1e-12, atol=1e-14)
+
+
 def test_respond_player1_zero_spec():
     spec = sq.make_spec(n=1, x0=2.0, n1=0.3, R1=1.5, steps=60)
     bundle, _ = solve_game(spec)
@@ -245,11 +270,9 @@ def test_respond_player12_equilibrium_fixed_point(generic_solution,
     bundle, offsets, law = generic_solution
     paths, dW = _paths(scalar_generic, law, 13, 32)
     Phih, Phic = reconstruct_Phi(bundle, offsets, paths.X3hat, paths.X3check)
-    Phir = reconstruct_Phi_raw(bundle, offsets, paths.X3, paths.X3hat,
-                               paths.X3check)
     r = respond_player12(scalar_generic, bundle, offsets, paths.v3, dW,
                          vhat3=paths.vhat3, vcheck3=paths.vcheck3,
-                         Phihat=Phih, Phicheck=Phic, Phiraw=Phir)
+                         Phihat=Phih, Phicheck=Phic)
     h = 1.0 / scalar_generic.grid.steps
     assert np.abs(r.v2 - paths.v2).max() <= 10 * h
     assert np.abs(r.v1 - paths.v1).max() <= 10 * h

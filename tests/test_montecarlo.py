@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import stacklq as sq
-from stacklq.closedloop import simulate_equilibrium
+from stacklq.closedloop import (respond_player1, respond_player12,
+                                simulate_equilibrium)
+from stacklq.lift import CoeffValues
 from stacklq.model import solver_times
-from stacklq.montecarlo import (default_directions, estimate_cost,
+from stacklq.montecarlo import (_node_cost, default_directions, estimate_cost,
                                 particle_filter, variational_sweep,
                                 variational_test)
 from stacklq.riccati import integrate_backward, solve_game
@@ -220,6 +222,65 @@ def test_sweep_draws_each_chunk_once(scalar_generic, generic_solution,
                       3, law, bundle, chunk=chunk)
     assert len(calls) == -(-N // chunk)
     assert sum(calls) == N
+
+
+# recorded from the sweep before its response system moved into closedloop
+SWEEP_PINNED = [
+    (-0.009200142164814051, 0.016737194406495938,
+     (0.6638288492353569, 0.6554884280465897, 0.6524016162448402,
+      0.6545684138301081, 0.6619888208023941)),
+    (-0.0026885368841425878, 0.0015803367517755757,
+     (0.3481619165726198, 0.34643993421644276, 0.34577632220157895,
+      0.3461710805280285, 0.3476242091957913)),
+    (-0.000254860417319926, 0.001134312632782987,
+     (0.2561048482422532, 0.25419783918568245, 0.2535536741529148,
+      0.2541723531439504, 0.2560538761587892)),
+    (-0.001399941237025937, 0.006271685054999796,
+     (0.6537711659524298, 0.652779002202663, 0.6524016162448402,
+      0.6526390080789606, 0.6534911777050245)),
+    (-0.41418238301332516, 0.009350866577578259,
+     (0.8102348510930492, 0.7860859905920068, 0.7642302909912151,
+      0.7446677522906742, 0.7273983744903841)),
+]
+
+
+def test_sweep_numbers_pinned(scalar_generic, generic_solution):
+    bundle, _, law = generic_solution
+    reps = variational_sweep(scalar_generic, _sweep_cases(scalar_generic),
+                             [0.05, 0.1], 1100, 8, law, bundle, chunk=512)
+    for rep, (slope0, slope_stderr, means) in zip(reps, SWEEP_PINNED):
+        assert rep.slope0 == pytest.approx(slope0, rel=1e-12)
+        assert rep.slope_stderr == pytest.approx(slope_stderr, rel=1e-12)
+        assert [c.mean for c in rep.costs] == pytest.approx(means, rel=1e-12)
+
+
+def test_sweep_response_is_the_public_response():
+    # no intercept anywhere and x0 = 0: the base run is identically 0, so
+    # J(eps) is the player's cost along the lower levels' best response to
+    # eps * d alone, which respond_player1/12 compute on the same noise
+    spec = sq.make_spec(n=1, T=1.0, steps=60, x0=0.0,
+                        A=0.3, B1=1.0, B2=0.8, B3=0.6, C1=0.15, C2=0.12,
+                        C3=0.1, Q1=1.0, R1=1.0, G1=0.5, Q2=0.8, R2=1.2,
+                        G2=0.4, Q3=0.6, R3=1.5, G3=0.3)
+    bundle, offsets, law = _solution(spec)
+    times = solver_times(spec)
+    cv = CoeffValues(spec, times)
+    N, seed, eps = 64, 5, 0.1
+    dW = NoisePlan.from_seed(seed, np.diff(times)).increments(np.arange(N))
+    zero = np.zeros((times.shape[0], 1))
+    for player in (2, 3):
+        for d in default_directions(spec):
+            rep = variational_sweep(spec, [(player, d, 1.0)], [eps], N, seed,
+                                    law, bundle)[0]
+            if player == 2:
+                r = respond_player1(spec, bundle, eps * d.path, zero, dW)
+            else:
+                r = respond_player12(spec, bundle, offsets, eps * d.path, dW)
+            J = sum(_node_cost(cv[k], player - 1, k, times, r.x[:, k],
+                               np.broadcast_to(eps * d.path[k], (N, 1)))
+                    for k in range(times.shape[0]))
+            got = rep.costs[rep.epsilons.index(eps)].mean
+            assert got == pytest.approx(J.mean(), rel=1e-12), (player, d.id)
 
 
 def test_particle_filter_rejects_small_inner(scalar_generic, generic_solution):
