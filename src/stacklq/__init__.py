@@ -7,8 +7,6 @@ from .errors import (BlowUpError, ConsistencyError, DomainError,
                      ReductionError, SingularCoefficientError,
                      SpecFormatError, StackLQError,
                      UnsupportedPerturbationError)
-from .lift import (build_level1, build_level2, build_level2_closedloop,
-                   build_level3)
 from .model import (GameSpec, TimeGrid, ValidationReport, eval_coeff,
                     load_spec, make_spec, save_spec, solver_times,
                     spec_from_dict, spec_to_dict, validate_spec)

@@ -185,7 +185,7 @@ def cmd_verify(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     eps = tuple(float(e) for e in args.epsilons.split(","))
     cfg = VerifyConfig(seed=args.seed, n_paths=args.paths, epsilons=eps,
-                       threads=args.threads, gain_scale=args.sabotage_gains)
+                       gain_scale=args.sabotage_gains)
     checks, artifacts = run_verification(spec, cfg)
     payload = [{"id": cid, "passed": bool(ok), "detail": detail}
                for cid, ok, detail in checks]
@@ -227,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--steps", type=int, default=None,
                         help="override the spec's grid steps")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker cap for Monte Carlo internals; results "
-                             "are independent of this value")
+                        help="accepted for compatibility; changes nothing, "
+                             "every command runs in one thread")
     common.add_argument("--rho-min", type=float, default=None,
                         help="override the minimum eigenvalue required of "
                              "the control weights R_i")

@@ -12,9 +12,11 @@ Each lower level's best-response system (its offset, its controls and the
 Euler step of its filtered states) is written once, node by node, with an
 `affine` switch.  `respond_player1` / `respond_player12` run it with every
 intercept (b, sigma_i, n_i and the offsets' sources) against exogenous
-controls; the variational sweep in `montecarlo` runs its homogeneous form,
-which under common noise is exactly the response to a control perturbation,
-the systems being linear.
+controls, stepping the physical state in the same node loop; the
+variational sweep in `montecarlo` runs its homogeneous form, which under
+common noise is exactly the response to a control perturbation, the systems
+being linear.  The offsets are solved by riccati's `backward_rk4`, so they
+are blow-up guarded like the ladder.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ import numpy as np
 from .errors import BlowUpError, UnsupportedPerturbationError
 from .lift import CoeffValues, mv, selectors
 from .model import GameSpec, solver_times
-from .riccati import OffsetBundle, RiccatiBundle
+from .riccati import BLOWUP_LIMIT, OffsetBundle, RiccatiBundle, backward_rk4
 from .rng import NoisePlan
 
-BLOWUP_LIMIT = 1e12
 # Paths stepped together: a block of the streaming simulate, a chunk of the
 # variational sweep.
 BLOCK_PATHS = 2048
@@ -353,24 +354,13 @@ class Player12Response:
     phicheck: np.ndarray
 
 
-def _det_backward(times, coef, driver):
-    """RK4 for -y' = coef(k) y + driver(k), y(T) = 0, with node-tabulated
-    inputs."""
-    Kn = times.shape[0]
-    out = np.zeros((Kn,) + driver.shape[1:])
-    y = out[-1]
-    for k in range(Kn - 1, 0, -1):
-        h = times[k] - times[k - 1]
-        Cm = 0.5 * (coef[k] + coef[k - 1])
-        dm = 0.5 * (driver[k] + driver[k - 1])
-        f = lambda yv: -(Cm @ yv + dm)
-        k1 = f(y)
-        k2 = f(y - 0.5 * h * k1)
-        k3 = f(y - 0.5 * h * k2)
-        k4 = f(y - h * k3)
-        y = y - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[k - 1] = y
-    return out
+def _offset_backward(times, coef, driver, what):
+    """RK4 for -y' = coef y + driver, y(T) = 0, with node-tabulated inputs
+    averaged over each step."""
+    Cm = 0.5 * (coef[1:] + coef[:-1])
+    dm = 0.5 * (driver[1:] + driver[:-1])
+    return backward_rk4(lambda k, c, y: (-(Cm[k - 1] @ y[0] + dm[k - 1]),),
+                        (np.zeros(driver.shape[1:]),), times, what)[0]
 
 
 def _follower_offset(bundle: RiccatiBundle, B, v2, v3, affine):
@@ -380,7 +370,8 @@ def _follower_offset(bundle: RiccatiBundle, B, v2, v3, affine):
     drv = mv(bundle.p.values, mv(B[1], v2) + mv(B[2], v3))
     if affine:
         drv = drv + bundle.l1.f1bar
-    return _det_backward(bundle.times, bundle.l1.Abar.mT, drv)
+    return _offset_backward(bundle.times, bundle.l1.Abar.mT, drv,
+                            "follower offset")
 
 
 def _middle_offset(bundle: RiccatiBundle, v3, affine):
@@ -391,7 +382,8 @@ def _middle_offset(bundle: RiccatiBundle, v3, affine):
     drv = mv(cl.va + cl.vc, v3)
     if affine:
         drv = drv + cl.ddf2
-    return _det_backward(bundle.times, (cl.ddA1 + cl.ddA2 + cl.ddA3).mT, drv)
+    return _offset_backward(bundle.times, (cl.ddA1 + cl.ddA2 + cl.ddA3).mT, drv,
+                            "middle offset")
 
 
 def _follower_control(bundle: RiccatiBundle, c: CoeffValues, k, xc, phi, affine):
@@ -480,24 +472,24 @@ def respond_player1(spec: GameSpec, bundle: RiccatiBundle, v2, v3, noise,
                 "path-valued leader controls need vcheck2/vcheck3/phicheck paths")
         vc2, vc3, phi = vcheck2, vcheck3, phicheck
 
-    xc = np.tile(spec.x0, (N, 1))
-    xcs, v1 = np.empty((N, K + 1, n)), np.empty((N, K + 1, n))
+    x = xc = np.tile(spec.x0, (N, 1))
+    xs, xcs, v1 = (np.empty((N, K + 1, n)) for _ in range(3))
     for k in range(K + 1):
         c, phik = cv[k], _rows_at(phi, k, N)
-        xcs[:, k] = xc
+        xs[:, k], xcs[:, k] = x, xc
         v1[:, k] = _follower_control(bundle, c, k, xc, phik, True)
         if k < K:
             drive = _rows_at(vc2, k, N) @ c.B[1].T + _rows_at(vc3, k, N) @ c.B[2].T
             xc = _follower_step(bundle, c, k, dW[:, k], xc, phik, drive, True)
-
-    xs = simulate_state(spec, v1, v2, v3, dW)
+            v = (v1[:, k], _rows_at(v2, k, N), _rows_at(v3, k, N))
+            x = _state_step(c, bundle.times, k, dW[:, k], x, v, True)
     return Player1Response(times=bundle.times, x=xs, xcheck=xcs,
                            phicheck=np.broadcast_to(phi, (N, K + 1, n)), v1=v1)
 
 
-def respond_player12(spec: GameSpec, bundle: RiccatiBundle, offsets: OffsetBundle,
-                     v3, noise, n_paths: int | None = None, vhat3=None,
-                     vcheck3=None, Phihat=None, Phicheck=None) -> Player12Response:
+def respond_player12(spec: GameSpec, bundle: RiccatiBundle, v3, noise,
+                     n_paths: int | None = None, vhat3=None, vcheck3=None,
+                     Phihat=None, Phicheck=None) -> Player12Response:
     """Joint best response of the two lower levels to an exogenous top control.
 
     Deterministic (K+1, n) top controls are handled in full (the offset
@@ -519,20 +511,21 @@ def respond_player12(spec: GameSpec, bundle: RiccatiBundle, offsets: OffsetBundl
         vh3, vc3, Phih, Phic = vhat3, vcheck3, Phihat, Phicheck
 
     cv = CoeffValues(spec, bundle.times)
+    x = np.tile(spec.x0, (N, 1))
     X2h = np.tile(np.concatenate([spec.x0, np.zeros(n)]), (N, 1))
     X2c = X2h.copy()
     X2hs, X2cs = np.empty((N, K + 1, 2 * n)), np.empty((N, K + 1, 2 * n))
-    v1, v2, phic = (np.empty((N, K + 1, n)) for _ in range(3))
+    xs, v1, v2, phic = (np.empty((N, K + 1, n)) for _ in range(4))
     for k in range(K + 1):
         Phihk, Phick = _rows_at(Phih, k, N), _rows_at(Phic, k, N)
-        X2hs[:, k], X2cs[:, k] = X2h, X2c
+        xs[:, k], X2hs[:, k], X2cs[:, k] = x, X2h, X2c
         v1[:, k], v2[:, k], phic[:, k] = _middle_controls(
             bundle, cv[k], k, X2h, X2c, Phihk, Phick, True)
         if k < K:
             X2h, X2c = _middle_step(bundle, k, dW[:, k], X2h, X2c, Phihk, Phick,
                                     _rows_at(vh3, k, N), _rows_at(vc3, k, N), True)
-
-    xs = simulate_state(spec, v1, v2, v3, dW)
+            v = (v1[:, k], v2[:, k], _rows_at(v3, k, N))
+            x = _state_step(cv[k], bundle.times, k, dW[:, k], x, v, True)
     return Player12Response(times=bundle.times, X2hat=X2hs, X2check=X2cs,
                             Phihat=np.asarray(Phih), Phicheck=np.asarray(Phic),
                             v1=v1, v2=v2, x=xs, xcheck=X2cs[:, :, :n],

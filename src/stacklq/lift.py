@@ -13,8 +13,8 @@ Every formula takes one node or a leading node axis.  `CoeffValues(spec, t)`
 with a float t holds one node's coefficients; with an array of times each
 field carries the node axis first and `cv[k]` is the node-k view.  The
 `level*_at` formulas and the block helpers keep the leading axis of their
-first argument, so the RK4 pass calls them one node at a time and each
-`build_level*` calls them once on the solver-grid table.
+first argument, so the RK4 pass calls them one node at a time and
+`solve_game` calls each once on the solver-grid table.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularCoefficientError
-from .model import GameSpec, solver_times
+from .model import GameSpec
 
 
 # ---------------------------------------------------------------------------
@@ -247,28 +247,3 @@ def level3_at(cv: CoeffValues, l2: dict, cl: dict) -> Family:
         Sigma3=vcat(l2["barsigma3"], zv2),
         ddf3=vcat(vcat(cv.m[2], np.zeros(n)), cl["ddf2"]),
     )
-
-
-# ---------------------------------------------------------------------------
-# node tables on the solver grid
-# ---------------------------------------------------------------------------
-
-def build_level1(spec: GameSpec, p) -> Family:
-    """Reduced families after the follower's feedback is substituted."""
-    return level1_at(CoeffValues(spec, solver_times(spec)), p.values)
-
-
-def build_level2(spec: GameSpec, l1: Family) -> Family:
-    """2n stacking of the state with the middle player's forward adjoint."""
-    return level2_at(CoeffValues(spec, solver_times(spec)), l1)
-
-
-def build_level2_closedloop(l2: Family, P1, P2, spec: GameSpec) -> Family:
-    """Closed-loop families once the middle player's feedback is in force."""
-    return level2_closedloop_at(CoeffValues(spec, solver_times(spec)), l2,
-                                P1.values, P2.values)
-
-
-def build_level3(cl: Family, l2: Family, spec: GameSpec) -> Family:
-    """4n stacking for the top player's problem."""
-    return level3_at(CoeffValues(spec, solver_times(spec)), l2, cl)

@@ -23,7 +23,6 @@ so no full path is stored.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,7 +279,7 @@ def _sweep_quadratics(spec, law: FeedbackLaw, bundle: RiccatiBundle, cases,
 
 def variational_sweep(spec: GameSpec, cases, epsilons, n_paths: int,
                       seed: int, law: FeedbackLaw, bundle: RiccatiBundle,
-                      threads: int = 1, chunk: int = BLOCK_PATHS) -> list:
+                      chunk: int = BLOCK_PATHS) -> list:
     """CRN perturbation sweep over many cases on one draw of the noise.
 
     cases is a list of (player, direction, gain_scale); one report per case,
@@ -294,17 +293,12 @@ def variational_sweep(spec: GameSpec, cases, epsilons, n_paths: int,
     times = solver_times(spec)
     plan = NoisePlan.from_seed(seed, np.diff(times))
 
-    def run(i0):
+    def run(i0):  # frees each chunk's increments before drawing the next
         dW = plan.increments(np.arange(i0, min(i0 + chunk, n_paths)))
         with _paths_from(i0):
             return _sweep_quadratics(spec, law, bundle, cases, dW)
 
-    starts = range(0, n_paths, chunk)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(run, starts))
-    else:
-        parts = [run(i0) for i0 in starts]
+    parts = [run(i0) for i0 in range(0, n_paths, chunk)]
 
     N = n_paths
     reports = []
@@ -332,7 +326,7 @@ def variational_test(spec: GameSpec, player: int, direction: Direction,
                      epsilons, n_paths: int, seed: int,
                      law: FeedbackLaw | None = None,
                      bundle: RiccatiBundle | None = None,
-                     gain_scale: float = 1.0, threads: int = 1,
+                     gain_scale: float = 1.0,
                      chunk: int = BLOCK_PATHS) -> PerturbationReport:
     """CRN perturbation sweep for one player and one direction."""
     if law is None or bundle is None:
@@ -341,7 +335,7 @@ def variational_test(spec: GameSpec, player: int, direction: Direction,
         bundle, offsets = solve_game(spec)
         law = build_feedback(bundle, offsets, spec)
     return variational_sweep(spec, [(player, direction, gain_scale)], epsilons,
-                             n_paths, seed, law, bundle, threads, chunk)[0]
+                             n_paths, seed, law, bundle, chunk)[0]
 
 
 # ---------------------------------------------------------------------------

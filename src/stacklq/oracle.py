@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ReductionError, StackLQError
 from .lift import CoeffValues, level1_at
 from .model import GameSpec
-from .riccati import integrate_backward, solve_p
+from .riccati import backward_rk4, solve_p
 
 
 @dataclass(frozen=True)
@@ -148,27 +148,24 @@ def _continuous_value(spec: GameSpec, steps: int):
     l1 = level1_at(stages, pv[near])
     Abar, f1bar = l1["Abar"], l1["f1bar"]
 
-    def stage(t):
-        return min(max(int(round(2 * t / T * steps)), 0), 2 * steps)
+    # the stage at t_k - c h is entry 2k - 2c of the stage table
+    def rhs_phi(k, c, y):
+        i = 2 * k - int(2 * c)
+        return (-(Abar[i].T @ y[0] + f1bar[i]),)
 
-    def rhs_phi(t, phi):
-        i = stage(t)
-        return -(Abar[i].T @ phi + f1bar[i])
+    (phis,) = backward_rk4(rhs_phi, (np.zeros(n),), times, "oracle offset phi")
 
-    phis = integrate_backward(rhs_phi, np.zeros(n), times).values
-
-    def rhs_chi(t, chi):
-        i = stage(t)
+    def rhs_chi(k, c, y):
+        i = 2 * k - int(2 * c)
         cv, p, phi = stages[i], pv[near[i]], phis[near[i]]
         w = cv.B[0].T @ phi + cv.nl[0]
         s3 = cv.sigma[2]
-        return -(phi @ cv.b + 0.5 * s3 @ (p @ s3)
-                 - 0.5 * w @ (cv.Rinv[0] @ w))
+        return (-(phi @ cv.b + 0.5 * s3 @ (p @ s3)
+                  - 0.5 * w @ (cv.Rinv[0] @ w)),)
 
-    chitraj = integrate_backward(rhs_chi, np.zeros(()), times)
+    (chis,) = backward_rk4(rhs_chi, (np.zeros(()),), times, "oracle constant chi")
     x0 = spec.x0
-    return (float(0.5 * x0 @ pv[0] @ x0 + phis[0] @ x0
-                  + chitraj.values[0]), pv[0])
+    return (float(0.5 * x0 @ pv[0] @ x0 + phis[0] @ x0 + chis[0]), pv[0])
 
 
 def crosscheck_p(spec: GameSpec, steps: int | None = None) -> CrosscheckReport:

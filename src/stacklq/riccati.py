@@ -5,7 +5,9 @@ follower gain p (n x n), the middle pair P1/P2 (2n x 2n), the top triple
 Pf1/Pf2/Pf3 (4n x 4n) and the affine offset Omega (4n).  All equations are
 integrated jointly so stage values of lower levels are available exactly
 where higher levels need them; the grid is the uniform one refined with
-every coefficient breakpoint, so no step straddles a jump.
+every coefficient breakpoint, so no step straddles a jump.  `backward_rk4`
+is the package's one RK4 loop, with one blow-up guard: it runs this ladder,
+the response offsets in `closedloop` and the DP oracle's phi/chi equations.
 
 The right-hand sides, like the lifted formulas they call, take one node or
 a leading node axis: the pass calls them once per RK4 stage on the node view
@@ -26,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ConsistencyError
-from .lift import (CoeffValues, Family, bdiag, build_level1, build_level2,
-                   build_level2_closedloop, build_level3, level1_at, level2_at,
+from .lift import (CoeffValues, Family, bdiag, level1_at, level2_at,
                    level2_closedloop_at, level3_at, mv)
 from .model import GameSpec, solver_times
 
@@ -202,10 +203,33 @@ def terminal_state(spec: GameSpec):
             np.zeros(4 * n))
 
 
-def _check_finite(state, t, what="riccati system"):
-    for s in state:
-        if not np.all(np.isfinite(s)) or np.abs(s).max(initial=0.0) > BLOWUP_LIMIT:
-            raise BlowUpError(what, t)
+def backward_rk4(rhs, terminal, times, what, fix=None):
+    """Classical RK4 run backward from the terminal tuple of arrays.
+
+    rhs(k, c, y) gives the derivatives of y on the step from node k down to
+    node k-1 at time t_k - c h, c in {0, 1/2, 1}; a None derivative leaves
+    that entry unchanged.  fix(y), when given, runs after each step, and every
+    new state is checked for blow-up.  Returns one (K+1, ...) array per entry.
+    """
+    K = times.shape[0] - 1
+    y = tuple(terminal)
+    hist = [y]                          # node K first
+    for k in range(K, 0, -1):
+        h = times[k] - times[k - 1]
+        k1 = rhs(k, 0.0, y)
+        k2 = rhs(k, 0.5, _axpy(y, k1, -0.5 * h))
+        k3 = rhs(k, 0.5, _axpy(y, k2, -0.5 * h))
+        k4 = rhs(k, 1.0, _axpy(y, k3, -h))
+        incr = [None if d1 is None else d1 + 2.0 * d2 + 2.0 * d3 + d4
+                for d1, d2, d3, d4 in zip(k1, k2, k3, k4)]
+        y = _axpy(y, incr, -h / 6.0)
+        if fix is not None:
+            y = fix(y)
+        for s in y:
+            if not np.abs(s).max(initial=0.0) <= BLOWUP_LIMIT:   # NaN fails too
+                raise BlowUpError(what, times[k - 1])
+        hist.append(y)
+    return [np.array(traj[::-1]) for traj in zip(*hist)]
 
 
 def _solve_stack(spec: GameSpec, follower_only: bool):
@@ -214,32 +238,22 @@ def _solve_stack(spec: GameSpec, follower_only: bool):
     follower_only integrates p alone (the DP cross-check's cheap pass)."""
     times = solver_times(spec)
     mid = CoeffValues(spec, 0.5 * (times[1:] + times[:-1]))
-    K = times.shape[0] - 1
-    state = terminal_state(spec)
-    hist = [state]                      # node K first
     max_asym = 0.0
-    for k in range(K, 0, -1):
-        h = times[k] - times[k - 1]
-        cv = mid[k - 1]
-        k1 = _stack_rhs(cv, state, follower_only)
-        k2 = _stack_rhs(cv, _axpy(state, k1, -0.5 * h), follower_only)
-        k3 = _stack_rhs(cv, _axpy(state, k2, -0.5 * h), follower_only)
-        k4 = _stack_rhs(cv, _axpy(state, k3, -h), follower_only)
-        incr = [None if d1 is None else d1 + 2.0 * d2 + 2.0 * d3 + d4
-                for d1, d2, d3, d4 in zip(k1, k2, k3, k4)]
-        new = list(_axpy(state, incr, -h / 6.0))
+
+    def symmetric_p(y):
         # keep the follower gain exactly symmetric; track the drift it had
-        pnew = new[0]
-        asym = np.abs(pnew - pnew.T).max(initial=0.0)
-        max_asym = max(max_asym, asym)
-        new[0] = 0.5 * (pnew + pnew.T)
-        state = tuple(new)
-        _check_finite(state, times[k - 1])
-        hist.append(state)
+        nonlocal max_asym
+        p = y[0]
+        max_asym = max(max_asym, np.abs(p - p.T).max(initial=0.0))
+        return (0.5 * (p + p.T),) + y[1:]
+
+    arrays = backward_rk4(lambda k, c, y: _stack_rhs(mid[k - 1], y, follower_only),
+                          terminal_state(spec), times, "riccati system",
+                          symmetric_p)
     if max_asym > P_ASYM_TOL:
         raise ConsistencyError(f"follower gain asymmetry {max_asym:.3e} exceeds "
                                f"{P_ASYM_TOL:g}")
-    return times, [np.array(traj[::-1]) for traj in zip(*hist)]
+    return times, arrays
 
 
 # ---------------------------------------------------------------------------
@@ -247,22 +261,11 @@ def _solve_stack(spec: GameSpec, follower_only: bool):
 # ---------------------------------------------------------------------------
 
 def integrate_backward(rhs, terminal, times) -> MatrixTrajectory:
-    """Classical RK4 run backward from times[-1]; terminal is stored exactly."""
+    """RK4 for dM/dt = rhs(t, M) run backward from M(times[-1]) = terminal."""
     times = np.asarray(times, dtype=float)
-    M = np.asarray(terminal, dtype=float).copy()
-    K = times.shape[0] - 1
-    values = np.empty((K + 1,) + M.shape)
-    values[K] = M
-    for k in range(K, 0, -1):
-        t, h = times[k], times[k] - times[k - 1]
-        k1 = rhs(t, M)
-        k2 = rhs(t - 0.5 * h, M - 0.5 * h * k1)
-        k3 = rhs(t - 0.5 * h, M - 0.5 * h * k2)
-        k4 = rhs(t - h, M - h * k3)
-        M = M - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(M)) or np.abs(M).max(initial=0.0) > BLOWUP_LIMIT:
-            raise BlowUpError("backward integration", times[k - 1])
-        values[k - 1] = M
+    (values,) = backward_rk4(
+        lambda k, c, y: (rhs(times[k] - c * (times[k] - times[k - 1]), y[0]),),
+        (np.asarray(terminal, dtype=float),), times, "backward integration")
     return MatrixTrajectory(times, values)
 
 
@@ -278,10 +281,11 @@ def solve_game(spec: GameSpec):
     The offsets' blocks give the 2n offset Phi and the n offset phi_check."""
     times, arrays = _solve_stack(spec, False)
     p, P1, P2, Pf1, Pf2, Pf3, Om = (MatrixTrajectory(times, a) for a in arrays)
-    l1 = build_level1(spec, p)
-    l2 = build_level2(spec, l1)
-    l2cl = build_level2_closedloop(l2, P1, P2, spec)
-    l3 = build_level3(l2cl, l2, spec)
+    cv = CoeffValues(spec, times)
+    l1 = level1_at(cv, p.values)
+    l2 = level2_at(cv, l1)
+    l2cl = level2_closedloop_at(cv, l2, P1.values, P2.values)
+    l3 = level3_at(cv, l2, l2cl)
     bundle = RiccatiBundle(times=times, p=p, P1=P1, P2=P2, Pf1=Pf1, Pf2=Pf2,
                            Pf3=Pf3, l1=l1, l2=l2, l2cl=l2cl, l3=l3)
     n = spec.n

@@ -31,7 +31,6 @@ class VerifyConfig:
     seed: int = 42
     n_paths: int = 4000
     epsilons: tuple = (0.05, 0.1, 0.2)
-    threads: int = 1
     gain_scale: float = 1.0
     tower_outer: int = 8
     tower_inner: int = 300
@@ -168,7 +167,7 @@ def check_variational(spec, law, bundle, cfg: VerifyConfig):
     cases = [(player, d, cfg.gain_scale if player == 1 else 1.0)
              for player in (1, 2, 3) for d in directions]
     reports = variational_sweep(spec, cases, cfg.epsilons, cfg.n_paths,
-                                cfg.seed, law, bundle, threads=cfg.threads)
+                                cfg.seed, law, bundle)
     results = []
     for player in (1, 2, 3):
         fails = [f"{rep.direction_id}(z={rep.slope0 / rep.slope_stderr:+.1f})"

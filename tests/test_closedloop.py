@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import stacklq as sq
-from stacklq.closedloop import (BLOCK_PATHS, ansatz_residual, reconstruct_Phi,
+from stacklq.closedloop import (BLOCK_PATHS, _follower_offset, _middle_offset,
+                                ansatz_residual, reconstruct_Phi,
                                 reconstruct_phicheck, respond_player1,
                                 respond_player12, simulate_equilibrium,
                                 simulate_state)
 from stacklq.errors import BlowUpError, UnsupportedPerturbationError
-from stacklq.lift import selectors
+from stacklq.lift import CoeffValues, selectors
 from stacklq.model import solver_times
 from stacklq.montecarlo import (_sweep_quadratics, default_directions,
                                 simulate_blocks, variational_sweep)
@@ -161,6 +162,24 @@ def test_blowup_in_later_block_names_global_path(monkeypatch):
     assert err.value.t == times[11]
 
 
+def test_offset_blowup_reported_at_its_node():
+    # a huge deterministic control on nodes 0..40 drives each response offset
+    # past the blow-up limit on the step down to t_40
+    spec = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, A=0.3, B1=1.0, B2=0.8,
+                        B3=0.6, Q1=1.0, G1=0.5, Q2=0.8, G2=0.4, Q3=0.6)
+    bundle, _ = solve_game(spec)
+    times = solver_times(spec)
+    big, zero = np.zeros((101, 1)), np.zeros((101, 1))
+    big[:41] = 1e17
+    B = CoeffValues(spec, times).B
+    runs = (lambda: _follower_offset(bundle, B, big, zero, False),
+            lambda: _middle_offset(bundle, big, False))
+    for run in runs:
+        with pytest.raises(BlowUpError) as err:
+            run()
+        assert err.value.t == times[40]
+
+
 def test_hat_filter_is_unbiased(generic_solution, scalar_generic):
     _, _, law = generic_solution
     paths, _ = _paths(scalar_generic, law, 17, 10000)
@@ -243,10 +262,10 @@ def test_respond_player1_equilibrium_fixed_point(generic_solution,
 
 def test_respond_player12_zero_spec():
     spec = sq.make_spec(n=1, x0=1.0, n2=0.25, R2=1.25, steps=60)
-    bundle, offsets = solve_game(spec)
+    bundle, _ = solve_game(spec)
     K = solver_times(spec).shape[0]
     dW = np.zeros((2, K - 1, 3))
-    r = respond_player12(spec, bundle, offsets, np.zeros((K, 1)), dW)
+    r = respond_player12(spec, bundle, np.zeros((K, 1)), dW)
     assert np.allclose(r.v2, -0.25 / 1.25, atol=1e-12)
 
 
@@ -254,12 +273,12 @@ def test_respond_player12_pulse_integral():
     # zero dynamics, B3 = 1: the 2n filter integrates the pulse in its
     # physical block and keeps the adjoint block at zero
     spec = sq.make_spec(n=1, x0=0.0, B3=1.0, steps=100)
-    bundle, offsets = solve_game(spec)
+    bundle, _ = solve_game(spec)
     times = solver_times(spec)
     K = times.shape[0]
     v3 = ((times >= 0.2) & (times < 0.6)).astype(float)[:, None]
     dW = np.zeros((1, K - 1, 3))
-    r = respond_player12(spec, bundle, offsets, v3, dW)
+    r = respond_player12(spec, bundle, v3, dW)
     expect = np.clip(times, 0.2, 0.6) - 0.2
     assert np.allclose(r.X2check[0, :, 0], expect, atol=1e-12)
     assert np.all(r.X2check[0, :, 1] == 0.0)
@@ -270,7 +289,7 @@ def test_respond_player12_equilibrium_fixed_point(generic_solution,
     bundle, offsets, law = generic_solution
     paths, dW = _paths(scalar_generic, law, 13, 32)
     Phih, Phic = reconstruct_Phi(bundle, offsets, paths.X3hat, paths.X3check)
-    r = respond_player12(scalar_generic, bundle, offsets, paths.v3, dW,
+    r = respond_player12(scalar_generic, bundle, paths.v3, dW,
                          vhat3=paths.vhat3, vcheck3=paths.vcheck3,
                          Phihat=Phih, Phicheck=Phic)
     h = 1.0 / scalar_generic.grid.steps

@@ -208,17 +208,6 @@ def test_dimensional_ladder_slicing(n2_spec):
     assert np.array_equal(bundle.l2.calA1[k, :n, :n], A)
 
 
-def test_builders_are_pure(scalar_generic):
-    bundle, _ = solve_game(scalar_generic)
-    l1a = sq.build_level1(scalar_generic, bundle.p)
-    l1b = sq.build_level1(scalar_generic, bundle.p)
-    assert np.array_equal(l1a.Abar, l1b.Abar)
-    l2a = sq.build_level2(scalar_generic, l1a)
-    cla = sq.build_level2_closedloop(l2a, bundle.P1, bundle.P2, scalar_generic)
-    l3a = sq.build_level3(cla, l2a, scalar_generic)
-    assert np.array_equal(l3a.frakQ3, bundle.l3.frakQ3)
-
-
 def test_selectors_shapes():
     e1, U, L, s2 = selectors(3)
     assert e1.shape == (3, 12) and U.shape == (6, 12)

@@ -167,15 +167,15 @@ def test_seed_determinism(scalar_generic, generic_solution):
     assert [c.mean for c in r1.costs] == [c.mean for c in r2.costs]
 
 
-def test_threads_do_not_change_results(scalar_generic, generic_solution):
+def test_chunks_do_not_change_results(scalar_generic, generic_solution):
     bundle, _, law = generic_solution
     d = default_directions(scalar_generic)[0]
     r1 = variational_test(scalar_generic, 2, d, [0.1], 3000, 4, law, bundle,
-                          threads=1, chunk=512)
-    r4 = variational_test(scalar_generic, 2, d, [0.1], 3000, 4, law, bundle,
-                          threads=4, chunk=512)
-    assert r1.slope0 == r4.slope0
-    assert [c.mean for c in r1.costs] == [c.mean for c in r4.costs]
+                          chunk=512)
+    r2 = variational_test(scalar_generic, 2, d, [0.1], 3000, 4, law, bundle,
+                          chunk=3000)
+    assert r1.slope0 == r2.slope0
+    assert [c.mean for c in r1.costs] == [c.mean for c in r2.costs]
 
 
 def _sweep_cases(spec):
@@ -191,14 +191,12 @@ def _fingerprint(rep):
             [(c.mean, c.stderr, c.n_paths) for c in rep.costs])
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_sweep_matches_one_test_per_case(scalar_generic, generic_solution,
-                                         threads):
+def test_sweep_matches_one_test_per_case(scalar_generic, generic_solution):
     bundle, _, law = generic_solution
     cases = _sweep_cases(scalar_generic)
     eps, N, seed = [0.05, 0.1], 1100, 8
     reps = variational_sweep(scalar_generic, cases, eps, N, seed, law, bundle,
-                             threads=threads, chunk=512)
+                             chunk=512)
     assert len(reps) == len(cases)
     for rep, (player, d, gain_scale) in zip(reps, cases):
         one = variational_test(scalar_generic, player, d, eps, N, seed, law,
@@ -262,7 +260,7 @@ def test_sweep_response_is_the_public_response():
                         A=0.3, B1=1.0, B2=0.8, B3=0.6, C1=0.15, C2=0.12,
                         C3=0.1, Q1=1.0, R1=1.0, G1=0.5, Q2=0.8, R2=1.2,
                         G2=0.4, Q3=0.6, R3=1.5, G3=0.3)
-    bundle, offsets, law = _solution(spec)
+    bundle, _, law = _solution(spec)
     times = solver_times(spec)
     cv = CoeffValues(spec, times)
     N, seed, eps = 64, 5, 0.1
@@ -275,7 +273,7 @@ def test_sweep_response_is_the_public_response():
             if player == 2:
                 r = respond_player1(spec, bundle, eps * d.path, zero, dW)
             else:
-                r = respond_player12(spec, bundle, offsets, eps * d.path, dW)
+                r = respond_player12(spec, bundle, eps * d.path, dW)
             J = sum(_node_cost(cv[k], player - 1, k, times, r.x[:, k],
                                np.broadcast_to(eps * d.path[k], (N, 1)))
                     for k in range(times.shape[0]))
