@@ -1,12 +1,13 @@
 """Equilibrium feedback laws, path simulation and best-response systems.
 
 The equilibrium is simulated through three coupled forward systems: the 4n
-information state, its filter given the middle player's observations
-(components 2 and 3 of the noise), and its filter given the follower's
-observations (component 3 only).  All three share one set of Brownian
-increments; the coarser filters simply never see the components outside
-their sigma-algebra, which is what the bit-level measurability checks
-exercise.
+information state X, its filter Xh given the middle player's observations
+(components 2 and 3 of the noise), and its filter Xc given the follower's
+observations (component 3 only), stepped as one block state Z = [X | Xh |
+Xc] on one set of Brownian increments.  Z's drift is block upper-triangular
+and its noise loadings are masked (X sees W1-W3, Xh W2-W3, Xc W3), so a
+coarser filter never sees a component outside its sigma-algebra: a masked
+entry adds an exact zero, which the bit-level measurability checks exercise.
 
 Each lower level's best-response system (its offset, its controls and the
 Euler step of its filtered states) is written once, node by node, with an
@@ -50,6 +51,13 @@ class FeedbackLaw:
         vcheck2 = Kv2check Xc + k2
         vhat3   = Kv3hat Xh + K3check Xc + k3
         vcheck3 = Kv3check Xc + k3.
+
+    Simulation reads the block tables of Z = [X | Xh | Xc]: [v1 | v2 | v3] =
+    Z KzT[k] + kz[k], and a step is Z Ft[k] + dW_k S[k] + cz[k] (+ dW_k,i Z
+    Ct[k]_i summed over i), Ft[k] = (I + h M)^T with block rows [M0, M2, M3],
+    [0, M0+M2, M3], [0, 0, M0+M2+M3].  S and Ct hold Sigma_i and frakC_i on
+    the blocks that observe W_i (X: W1-W3, Xh: W2-W3, Xc: W3); Ct is None
+    when every frakC_i is 0.
     """
 
     times: np.ndarray
@@ -70,12 +78,12 @@ class FeedbackLaw:
     M2: np.ndarray
     M3: np.ndarray
     coff: np.ndarray
-    frakC1: np.ndarray
-    frakC2: np.ndarray
-    frakC3: np.ndarray
-    Sigma1: np.ndarray
-    Sigma2: np.ndarray
-    Sigma3: np.ndarray
+    Ft: np.ndarray          # (K, 12n, 12n)
+    S: np.ndarray           # (K, 3, 12n)
+    cz: np.ndarray          # (K, 12n): h coff on each block
+    Ct: np.ndarray | None   # (K, 12n, 36n): [C1^T | C2^T | C3^T]
+    KzT: np.ndarray         # (K+1, 12n, 3n)
+    kz: np.ndarray          # (K+1, 3n)
 
 
 @dataclass(frozen=True)
@@ -95,8 +103,7 @@ class PathBundle:
 
     @property
     def x(self) -> np.ndarray:
-        n4 = self.X3.shape[-1]
-        return self.X3[..., : n4 // 4]
+        return self.X3[..., : self.X3.shape[-1] // 4]
 
 
 def build_feedback(bundle: RiccatiBundle, offsets: OffsetBundle,
@@ -144,10 +151,30 @@ def build_feedback(bundle: RiccatiBundle, offsets: OffsetBundle,
         if not np.all(np.isfinite(table)):
             raise BlowUpError(f"feedback gain {name}", float(times[-1]))
 
-    return FeedbackLaw(times=times, n=n,
-                       frakC1=l3.frakC1, frakC2=l3.frakC2, frakC3=l3.frakC3,
-                       Sigma1=l3.Sigma1, Sigma2=l3.Sigma2, Sigma3=l3.Sigma3,
-                       **g)
+    return FeedbackLaw(times=times, n=n, **_block_tables(times, g, l3), **g)
+
+
+def _block_tables(times, g, l3) -> dict:
+    """FeedbackLaw's step and control tables of Z = [X | Xh | Xc]."""
+    K, n4 = times.shape[0] - 1, g["M0"].shape[-1]
+    h = np.diff(times)[:, None, None]
+    M0, M2, M3 = (g[name][:-1] for name in ("M0", "M2", "M3"))
+    O, On = np.zeros_like(M0), np.zeros_like(g["K1"])
+    M = np.block([[M0, M2, M3], [O, M0 + M2, M3], [O, O, M0 + M2 + M3]])
+    Kz = np.block([[On, On, g["K1"]], [On, g["K2hat"], g["K2check"]],
+                   [g["K3"], g["K3hat"], g["K3check"]]])
+    sees = np.tril(np.ones((3, 3)))     # [i, b]: block b observes W_{i+1}
+    Sig = np.stack([l3.Sigma1, l3.Sigma2, l3.Sigma3], axis=1)[:-1]
+    C = np.stack([l3.frakC1, l3.frakC2, l3.frakC3], axis=1)[:-1]
+    Ct = None
+    if np.any(C):   # Ct[k][(b, r), (i, d, c)] = frakC_i[c, r] if d = b sees W_i
+        Ct = np.einsum("ib,bd,kicr->kbridc", sees, np.eye(3), C)
+    return dict(Ft=np.ascontiguousarray((np.eye(3 * n4) + h * M).mT),
+                S=np.einsum("ib,kic->kibc", sees, Sig).reshape(K, 3, 3 * n4),
+                cz=np.tile(h[:, 0] * g["coff"][:-1], 3),
+                Ct=None if Ct is None else Ct.reshape(K, 3 * n4, 9 * n4),
+                KzT=np.ascontiguousarray(Kz.mT),
+                kz=np.concatenate([g["k1"], g["k2"], g["k3"]], axis=-1))
 
 
 def _increments(noise, n_paths):
@@ -177,33 +204,6 @@ def _paths_from(start: int):
         raise BlowUpError(err.what, err.t, path=start + err.path) from None
 
 
-def _controls(law: FeedbackLaw, k, X, Xh, Xc):
-    """Equilibrium controls (v1, v2, v3) at node k."""
-    v1 = Xc @ law.K1[k].T + law.k1[k]
-    v2 = Xh @ law.K2hat[k].T + Xc @ law.K2check[k].T + law.k2[k]
-    v3 = X @ law.K3[k].T + Xh @ law.K3hat[k].T + Xc @ law.K3check[k].T + law.k3[k]
-    return v1, v2, v3
-
-
-def _filtered_step(law: FeedbackLaw, times, k, dWk, X, Xh, Xc):
-    """Euler step k -> k+1 of the state and its two filters, guarded."""
-    h = times[k + 1] - times[k]
-    drift = X @ law.M0[k].T + Xh @ law.M2[k].T + Xc @ law.M3[k].T + law.coff[k]
-    drift_h = Xh @ (law.M0[k] + law.M2[k]).T + Xc @ law.M3[k].T + law.coff[k]
-    drift_c = Xc @ (law.M0[k] + law.M2[k] + law.M3[k]).T + law.coff[k]
-    d1, d2, d3 = dWk[:, 0:1], dWk[:, 1:2], dWk[:, 2:3]
-    Xn = (X + h * drift
-          + d1 * (X @ law.frakC1[k].T + law.Sigma1[k])
-          + d2 * (X @ law.frakC2[k].T + law.Sigma2[k])
-          + d3 * (X @ law.frakC3[k].T + law.Sigma3[k]))
-    Xhn = (Xh + h * drift_h
-           + d2 * (Xh @ law.frakC2[k].T + law.Sigma2[k])
-           + d3 * (Xh @ law.frakC3[k].T + law.Sigma3[k]))
-    Xcn = Xc + h * drift_c + d3 * (Xc @ law.frakC3[k].T + law.Sigma3[k])
-    _guard(Xn, float(times[k + 1]), "equilibrium state")
-    return Xn, Xhn, Xcn
-
-
 def _state_step(cv: CoeffValues, times, k, dWk, x, v, affine):
     """Euler step k -> k+1 of the physical state under controls v, guarded.
 
@@ -226,23 +226,26 @@ def _state_step(cv: CoeffValues, times, k, dWk, x, v, affine):
 
 
 def _node_loop(spec: GameSpec, law: FeedbackLaw, dW: np.ndarray):
-    """Yield (k, X, Xh, Xc, v) at each node k = 0..K of the three filtered
-    systems driven by dW, v being the equilibrium controls; then step to k+1.
-
-    Each step makes new arrays, so a consumer may keep what it is handed.
-    """
+    """Yield (k, Z, V) at each node k = 0..K, Z = [X | Xh | Xc] driven by dW
+    and V = [v1 | v2 | v3] its equilibrium controls; then step to k+1.  Each
+    step makes new arrays, so a consumer may keep what it is handed."""
     N, K, _ = dW.shape
     times = law.times
     if K != times.shape[0] - 1:
         raise ValueError("noise increments do not match the solver grid")
-    n4 = law.M0.shape[1]
-    X = np.tile(np.concatenate([spec.x0, np.zeros(n4 - spec.n)]), (N, 1))
-    Xh = X.copy()
-    Xc = X.copy()
+    Z = np.tile(np.concatenate([spec.x0, np.zeros(3 * spec.n)]), (N, 3))
     for k in range(K + 1):
-        yield k, X, Xh, Xc, _controls(law, k, X, Xh, Xc)
+        yield k, Z, Z @ law.KzT[k] + law.kz[k]
         if k < K:
-            X, Xh, Xc = _filtered_step(law, times, k, dW[:, k], X, Xh, Xc)
+            dWk = dW[:, k]
+            Zn = Z @ law.Ft[k]          # in place: no (N, 12n) temporaries
+            Zn += dWk @ law.S[k]
+            Zn += law.cz[k]
+            if law.Ct is not None:
+                Zn += np.einsum("pi,pij->pj", dWk,
+                                (Z @ law.Ct[k]).reshape(N, 3, -1))
+            _guard(Zn, float(times[k + 1]), "equilibrium state")
+            Z = Zn
 
 
 def simulate_equilibrium(spec: GameSpec, law: FeedbackLaw, noise,
@@ -250,18 +253,15 @@ def simulate_equilibrium(spec: GameSpec, law: FeedbackLaw, noise,
     """Explicit first-order stepping of the three filtered systems."""
     dW = _increments(noise, n_paths)
     N, K, _ = dW.shape
-    n, n4 = law.n, law.M0.shape[1]
-    X3, X3h, X3c = (np.empty((N, K + 1, n4)) for _ in range(3))
-    out = {name: np.empty((N, K + 1, n)) for name in
-           ("v1", "v2", "v3", "vcheck2", "vhat3", "vcheck3")}
-    for k, X, Xh, Xc, v in _node_loop(spec, law, dW):
-        X3[:, k], X3h[:, k], X3c[:, k] = X, Xh, Xc
-        out["v1"][:, k], out["v2"][:, k], out["v3"][:, k] = v
-        out["vcheck2"][:, k] = Xc @ law.Kv2check[k].T + law.k2[k]
-        out["vhat3"][:, k] = (Xh @ law.Kv3hat[k].T + Xc @ law.K3check[k].T
-                              + law.k3[k])
-        out["vcheck3"][:, k] = Xc @ law.Kv3check[k].T + law.k3[k]
-    return PathBundle(times=law.times, X3=X3, X3hat=X3h, X3check=X3c, **out)
+    Zs, Vs = np.empty((N, K + 1, 12 * law.n)), np.empty((N, K + 1, 3 * law.n))
+    for k, Z, V in _node_loop(spec, law, dW):
+        Zs[:, k], Vs[:, k] = Z, V
+    X, Xh, Xc = np.split(Zs, 3, axis=-1)
+    v1, v2, v3 = np.split(Vs, 3, axis=-1)
+    return PathBundle(times=law.times, X3=X, X3hat=Xh, X3check=Xc,
+                      v1=v1, v2=v2, v3=v3, vcheck2=mv(law.Kv2check, Xc) + law.k2,
+                      vhat3=mv(law.Kv3hat, Xh) + mv(law.K3check, Xc) + law.k3,
+                      vcheck3=mv(law.Kv3check, Xc) + law.k3)
 
 
 # ---------------------------------------------------------------------------
@@ -543,27 +543,17 @@ def ansatz_residual(spec: GameSpec, bundle: RiccatiBundle, offsets: OffsetBundle
     The check runs on the follower-filtered quantities: ycheck = -p xcheck -
     phicheck with the martingale integrand read off the ansatz.  Exact in
     continuous time; the discrete mismatch must shrink ~linearly with h.
+    All steps are evaluated at once on the node axis.
     """
-    times = bundle.times
-    K = times.shape[0] - 1
-    n = spec.n
-    p = bundle.p.values
-    xc = paths.X3check[:, :, :n]
+    times, p, l3 = bundle.times, bundle.p.values, bundle.l3
     G, g = _phicheck_gain(bundle, offsets)
-    phic = mv(G, paths.X3check) + g
-    table = CoeffValues(spec, times)
-    worst = 0.0
-    y = -(np.einsum("kij,pkj->pki", p, xc) + phic)
-    for k in range(K):
-        cv = table[k]
-        h = times[k + 1] - times[k]
-        theta = (paths.X3check[:, k] @ bundle.l3.frakC3[k].T
-                 + bundle.l3.Sigma3[k]) @ G[k].T
-        z = [-(xc[:, k] @ cv.C[i].T + cv.sigma[i]) @ p[k].T for i in range(3)]
-        z[2] = z[2] - theta
-        drift = (y[:, k] @ cv.A - xc[:, k] @ cv.Q[0].T - cv.m[0]
-                 + sum(zi @ cv.C[i] for i, zi in enumerate(z)))
-        pred = -h * drift + dW[:, k, 2:3] * z[2]
-        mism = np.abs((y[:, k + 1] - y[:, k]) - pred).max()
-        worst = max(worst, float(mism))
-    return worst
+    y = -(mv(p, paths.X3check[..., :spec.n]) + mv(G, paths.X3check) + g)
+    cv = CoeffValues(spec, times[:-1])          # left endpoint of each step
+    Xc = paths.X3check[:, :-1]
+    xc = Xc[..., :spec.n]
+    z = [-mv(p[:-1], mv(Ci, xc) + si) for Ci, si in zip(cv.C, cv.sigma)]
+    z[2] = z[2] - mv(G[:-1], mv(l3.frakC3[:-1], Xc) + l3.Sigma3[:-1])
+    drift = (mv(cv.A.mT, y[:, :-1]) - mv(cv.Q[0], xc) - cv.m[0]
+             + sum(mv(Ci.mT, zi) for Ci, zi in zip(cv.C, z)))
+    pred = -np.diff(times)[:, None] * drift + dW[..., 2:3] * z[2]
+    return float(np.abs(np.diff(y, axis=1) - pred).max())

@@ -74,21 +74,26 @@ class PerturbationReport:
     curvature_ok: bool
 
 
-def _node_cost(c: CoeffValues, i: int, k: int, times, x, v) -> np.ndarray:
+def _node_cost(c: CoeffValues, i, k: int, times, x, v) -> np.ndarray:
     """Player i+1's per-path cost term at node k, c being the node-k view:
-    h (x'Qx/2 + v'Rv/2 + x.m + v.nl) before the last node, x'Gx/2 at it."""
+    h (x'Qx/2 + v'Rv/2 + x.m + v.nl) before the last node, x'Gx/2 at it.
+    With a list of players i, v holds one (N, n) control per player and the
+    terms come one row per player."""
+    pick = lambda table: np.asarray(table)[i]
     if k == times.shape[0] - 1:
-        return 0.5 * np.einsum("pi,ij,pj->p", x, c.G[i], x)
+        return 0.5 * np.einsum("pi,...ij,pj->...p", x, pick(c.G), x)
     h = times[k + 1] - times[k]
-    return h * (0.5 * np.einsum("pi,ij,pj->p", x, c.Q[i], x)
-                + 0.5 * np.einsum("pi,ij,pj->p", v, c.R[i], v)
-                + x @ c.m[i] + v @ c.nl[i])
+    return h * (0.5 * np.einsum("pi,...ij,pj->...p", x, pick(c.Q), x)
+                + 0.5 * np.einsum("...pi,...ij,...pj->...p", v, pick(c.R), v)
+                + np.einsum("pi,...i->...p", x, pick(c.m))
+                + np.einsum("...pi,...i->...p", v, pick(c.nl)))
 
 
 def mean_stderr(J: np.ndarray) -> tuple:
-    """Mean of per-path values and its standard error (0 for one path)."""
-    N = J.shape[0]
-    stderr = float(J.std(ddof=1) / np.sqrt(N)) if N > 1 else 0.0
+    """Mean of per-path values and its standard error, exactly 0 for one
+    path or equal values (their J.std can round to a few ulp instead)."""
+    spread = np.any(J != J[0])
+    stderr = float(J.std(ddof=1) / np.sqrt(J.shape[0])) if spread else 0.0
     return float(J.mean()), stderr
 
 
@@ -127,17 +132,17 @@ def simulate_blocks(spec: GameSpec, law: FeedbackLaw, plan: NoisePlan,
     nodes = [cv[k] for k in range(K + 1)]
     n = spec.n
     for start in range(0, n_paths, BLOCK_PATHS):
-        stop = min(start + BLOCK_PATHS, n_paths)
-        records = np.empty((stop - start, K // thin + 1, 15 * n))
-        J = np.zeros((3, stop - start))
-        dW = plan.increments(np.arange(start, stop))
+        N = min(start + BLOCK_PATHS, n_paths) - start
+        records = np.empty((N, K // thin + 1, 15 * n))
+        J = np.zeros((3, N))
+        dW = plan.increments(np.arange(start, start + N))
         with _paths_from(start):
-            for k, X, Xh, Xc, v in _node_loop(spec, law, dW):
+            for k, Z, V in _node_loop(spec, law, dW):
                 if k % thin == 0:
-                    np.concatenate((X, Xh, Xc) + v, axis=1,
-                                   out=records[:, k // thin])
-                for i in range(3):
-                    J[i] += _node_cost(nodes[k], i, k, times, X[:, :n], v[i])
+                    records[:, k // thin, :12 * n] = Z
+                    records[:, k // thin, 12 * n:] = V
+                J += _node_cost(nodes[k], [0, 1, 2], k, times, Z[:, :n],
+                                V.reshape(N, 3, n).transpose(1, 0, 2))
         del dW          # before the next block draws its increments
         yield start, records, J
 
@@ -176,47 +181,36 @@ class _CaseRun:
     physical state under the scaled follower gain (player 1 only).
     """
 
-    def __init__(self, spec, bundle: RiccatiBundle, cv: CoeffValues, N: int,
-                 player: int, direction: Direction, gain_scale: float):
-        if direction.kind == "filtered_feedback" and player != 1:
-            raise UnsupportedPerturbationError(
-                "feedback directions are supported for the follower test only")
-        if gain_scale != 1.0 and player != 1:
-            raise UnsupportedPerturbationError(
-                "the scaled-gain negative control runs on the follower test")
+    def __init__(self, spec, bundle: RiccatiBundle, N: int, player: int,
+                 direction: Direction, gain_scale: float, offset):
         n = spec.n
         self.player, self.direction, self.gain_scale = player, direction, gain_scale
-        self.bundle = bundle
+        self.bundle, self.offset = bundle, offset
         # re-simulated base state when the follower gain is scaled
         self.xt = np.tile(spec.x0, (N, 1)) if gain_scale != 1.0 else None
         self.dx = np.zeros((N, n))                    # response of the state
-        if player == 2:
-            # the follower's filtered state and offset re-respond
-            self.dxc = np.zeros((N, n))
-            self.dphi = _follower_offset(bundle, cv.B, direction.path,
-                                         np.zeros_like(direction.path), False)
-        elif player == 3:
-            # the middle player's filtered 2n states and offset re-respond
-            self.dX2h = np.zeros((N, 2 * n))
-            self.dX2c = np.zeros((N, 2 * n))
-            self.dPhi = _middle_offset(bundle, direction.path, False)
+        # the filtered states that re-respond, the follower's for player 2 and
+        # the middle player's 2n pair for player 3 (each step rebinds them)
+        self.dxc = np.zeros((N, n)) if player == 2 else None
+        self.dX2h = self.dX2c = np.zeros((N, 2 * n)) if player == 3 else None
         self.J0, self.Bc, self.Cc = np.zeros(N), np.zeros(N), np.zeros(N)
 
-    def node(self, law: FeedbackLaw, c, k: int, X, Xh, Xc, v, dW):
+    def node(self, law: FeedbackLaw, c, k: int, Z, V, dW):
         """Add node k's cost terms; before the last node, step to node k+1.
 
-        c is the node-k coefficient view; X, Xh, Xc and the controls v are
-        the shared base run at node k.
+        c is the node-k coefficient view; the block state Z = [X | Xh | Xc]
+        and the controls V = [v1 | v2 | v3] are the shared base run at node k.
         """
         N, K, _ = dW.shape
         n, player, bundle = self.dx.shape[1], self.player, self.bundle
         times = law.times
-        v1, v2, v3 = v
+        Xc = Z[:, 8 * n:]
+        v1, v2, v3 = V[:, :n], V[:, n:2 * n], V[:, 2 * n:]
         if self.xt is not None:
             v1 = self.gain_scale * (Xc @ law.K1[k].T) + law.k1[k]
         own = player - 1
         vown = (v1, v2, v3)[own]
-        xbase = X[:, :n] if self.xt is None else self.xt
+        xbase = Z[:, :n] if self.xt is None else self.xt
         dx = self.dx
 
         # direction value, and the controls' response at this node
@@ -226,11 +220,11 @@ class _CaseRun:
             dv_own = Xc[:, :n] @ self.direction.gain.T
         dv = (dv_own, None, None)
         if player == 2:
-            dphi = _rows_at(self.dphi, k, N)
+            dphi = _rows_at(self.offset, k, N)
             dv = (_follower_control(bundle, c, k, self.dxc, dphi, False),
                   dv_own, None)
         elif player == 3:
-            dPhi = _rows_at(self.dPhi, k, N)
+            dPhi = _rows_at(self.offset, k, N)
             dv1, dv2, _ = _middle_controls(bundle, c, k, self.dX2h, self.dX2c,
                                            dPhi, dPhi, False)
             dv = (dv1, dv2, dv_own)
@@ -264,16 +258,35 @@ class _CaseRun:
                                   True)
 
 
-def _sweep_quadratics(spec, law: FeedbackLaw, bundle: RiccatiBundle, cases,
-                      dW: np.ndarray) -> list:
-    """Per-path cost polynomial coefficients (J0, B, C) of J(eps) for each
-    (player, direction, gain_scale) case, all on one base run driven by dW."""
+def _sweep_setup(spec, law: FeedbackLaw, bundle: RiccatiBundle, cases):
+    """A sweep's path-independent part: the node coefficient views and each
+    case's response offset (the follower's for player 2, the middle level's
+    for player 3, None for player 1)."""
     cv = CoeffValues(spec, law.times)
-    runs = [_CaseRun(spec, bundle, cv, dW.shape[0], *case) for case in cases]
-    for k, X, Xh, Xc, v in _node_loop(spec, law, dW):
-        c = cv[k]
+    offsets = []
+    for player, direction, gain_scale in cases:
+        if player != 1 and (direction.kind != "deterministic" or gain_scale != 1):
+            raise UnsupportedPerturbationError("feedback directions and the "
+                                               "scaled gain test the follower only")
+        path = direction.path
+        offsets.append(
+            _follower_offset(bundle, cv.B, path, np.zeros_like(path), False)
+            if player == 2 else
+            _middle_offset(bundle, path, False) if player == 3 else None)
+    return [cv[k] for k in range(law.times.shape[0])], offsets
+
+
+def _sweep_quadratics(spec, law: FeedbackLaw, bundle: RiccatiBundle, cases,
+                      dW: np.ndarray, setup) -> list:
+    """Per-path cost polynomial coefficients (J0, B, C) of J(eps) for each
+    (player, direction, gain_scale) case, all on one base run driven by dW;
+    setup is the sweep's _sweep_setup."""
+    nodes, offsets = setup
+    runs = [_CaseRun(spec, bundle, dW.shape[0], *case, offset)
+            for case, offset in zip(cases, offsets)]
+    for k, Z, V in _node_loop(spec, law, dW):
         for run in runs:
-            run.node(law, c, k, X, Xh, Xc, v, dW)
+            run.node(law, nodes[k], k, Z, V, dW)
     return [(run.J0, run.Bc, run.Cc) for run in runs]
 
 
@@ -292,11 +305,12 @@ def variational_sweep(spec: GameSpec, cases, epsilons, n_paths: int,
                  {-float(e) for e in epsilons})
     times = solver_times(spec)
     plan = NoisePlan.from_seed(seed, np.diff(times))
+    setup = _sweep_setup(spec, law, bundle, cases)
 
     def run(i0):  # frees each chunk's increments before drawing the next
         dW = plan.increments(np.arange(i0, min(i0 + chunk, n_paths)))
         with _paths_from(i0):
-            return _sweep_quadratics(spec, law, bundle, cases, dW)
+            return _sweep_quadratics(spec, law, bundle, cases, dW, setup)
 
     parts = [run(i0) for i0 in range(0, n_paths, chunk)]
 
@@ -305,12 +319,8 @@ def variational_sweep(spec: GameSpec, cases, epsilons, n_paths: int,
     for i, (player, direction, _) in enumerate(cases):
         J0, B, C = (np.concatenate([part[i][j] for part in parts])
                     for j in range(3))
-        costs = []
-        for e in eps:
-            mean, stderr = mean_stderr(J0 + e * B + e * e * C)
-            costs.append(CostEstimate(player=player, mean=mean, stderr=stderr,
-                                      n_paths=N, seed=seed,
-                                      grid_steps=times.shape[0] - 1))
+        costs = [CostEstimate(player, *mean_stderr(J0 + e * B + e * e * C),
+                              N, seed, times.shape[0] - 1) for e in eps]
         j0 = costs[eps.index(0.0)]
         curvature_ok = all(c.mean >= j0.mean - 3.0 * max(c.stderr, 1e-300)
                            for c in costs)
@@ -366,16 +376,17 @@ def particle_filter(spec: GameSpec, law: FeedbackLaw, target_times,
         raise ValueError("n_inner < 100 gives a meaninglessly noisy oracle")
     if sigma_field not in ("G1", "G2"):
         raise ValueError("sigma_field must be 'G1' or 'G2'")
-    from .closedloop import simulate_equilibrium
     times = law.times
     dts = np.diff(times)
-    K = dts.shape[0]
     tts = np.atleast_1d(np.asarray(target_times, dtype=float))
     kidx = [int(np.argmin(np.abs(times - t))) for t in tts]
 
     outer_plan = NoisePlan.from_seed(seed, dts)
     inner_plan = NoisePlan.from_seed(seed + 1, dts)
     frozen = (2,) if sigma_field == "G1" else (1, 2)
+    # (target, its filter) as blocks of Z = [X | Xh | Xc]
+    pairs = ((("X3", 0, 2), ("X3hat", 1, 2)) if sigma_field == "G1"
+             else (("X3", 0, 1),))
 
     rows = []
     for j in range(n_outer):
@@ -383,17 +394,14 @@ def particle_filter(spec: GameSpec, law: FeedbackLaw, target_times,
         dW = inner_plan.increments(np.arange(j * n_inner, (j + 1) * n_inner))
         for comp in frozen:
             dW[:, :, comp] = outer[:, comp]
-        paths = simulate_equilibrium(spec, law, dW)
-        if sigma_field == "G1":
-            pairs = (("X3", paths.X3, paths.X3check),
-                     ("X3hat", paths.X3hat, paths.X3check))
-        else:
-            pairs = (("X3", paths.X3, paths.X3hat),)
-        for name, target, ref in pairs:
+        # only the target nodes are kept, not whole paths
+        at = {k: np.split(Z, 3, axis=1)
+              for k, Z, _ in _node_loop(spec, law, dW) if k in kidx}
+        for name, tb, rb in pairs:
             for k, t in zip(kidx, tts):
-                mean = target[:, k].mean(axis=0)
-                se = target[:, k].std(axis=0, ddof=1) / np.sqrt(n_inner)
-                fv = ref[0, k]
+                target, fv = at[k][tb], at[k][rb][0]
+                mean = target.mean(axis=0)
+                se = target.std(axis=0, ddof=1) / np.sqrt(n_inner)
                 for c in range(mean.shape[0]):
                     rows.append(OracleRow(time=float(times[k]),
                                           sigma_field=sigma_field, target=name,

@@ -5,15 +5,16 @@ import pytest
 
 import stacklq as sq
 from stacklq.closedloop import (BLOCK_PATHS, _follower_offset, _middle_offset,
-                                ansatz_residual, reconstruct_Phi,
+                                _node_loop, ansatz_residual, reconstruct_Phi,
                                 reconstruct_phicheck, respond_player1,
                                 respond_player12, simulate_equilibrium,
                                 simulate_state)
 from stacklq.errors import BlowUpError, UnsupportedPerturbationError
 from stacklq.lift import CoeffValues, selectors
-from stacklq.model import solver_times
-from stacklq.montecarlo import (_sweep_quadratics, default_directions,
-                                simulate_blocks, variational_sweep)
+from stacklq.model import Coefficient, solver_times
+from stacklq.montecarlo import (_sweep_quadratics, _sweep_setup,
+                                default_directions, simulate_blocks,
+                                variational_sweep)
 from stacklq.riccati import solve_game
 from stacklq.rng import NoisePlan
 
@@ -61,19 +62,85 @@ def test_no_noise_levels_coincide(scalar_generic):
     assert np.abs(paths.X3 - paths.X3check).max() <= 1e-12
 
 
-def test_measurability_bit_identical(generic_solution, scalar_generic):
-    _, _, law = generic_solution
-    plan = NoisePlan.from_seed(21, np.diff(solver_times(scalar_generic)))
-    base = simulate_equilibrium(scalar_generic, law, plan, 16)
-    w1 = simulate_equilibrium(scalar_generic, law,
-                              plan.with_component_seed(0, 999), 16)
-    assert np.array_equal(base.X3hat, w1.X3hat)
-    assert np.array_equal(base.X3check, w1.X3check)
-    assert not np.array_equal(base.X3, w1.X3)
-    w2 = simulate_equilibrium(scalar_generic, law,
-                              plan.with_component_seed(1, 999), 16)
-    assert np.array_equal(base.X3check, w2.X3check)
-    assert not np.array_equal(base.X3hat, w2.X3hat)
+def test_measurability_bit_identical(generic_solution, scalar_generic,
+                                     n2_spec):
+    bundle2, offsets2 = solve_game(n2_spec)
+    law2 = sq.build_feedback(bundle2, offsets2, n2_spec)
+    for spec, law in ((scalar_generic, generic_solution[2]), (n2_spec, law2)):
+        # the systems are coupled (M2, M3 != 0): the zero blocks of the drift
+        # and the masked loadings are what keep W1/W2 out of the filters
+        assert np.abs(law.M2).max() > 0 and np.abs(law.M3).max() > 0
+        plan = NoisePlan.from_seed(21, np.diff(solver_times(spec)))
+        base = simulate_equilibrium(spec, law, plan, 16)
+        w1 = simulate_equilibrium(spec, law, plan.with_component_seed(0, 999),
+                                  16)
+        assert np.array_equal(base.X3hat, w1.X3hat)
+        assert np.array_equal(base.X3check, w1.X3check)
+        assert not np.array_equal(base.X3, w1.X3)
+        w2 = simulate_equilibrium(spec, law, plan.with_component_seed(1, 999),
+                                  16)
+        assert np.array_equal(base.X3check, w2.X3check)
+        assert not np.array_equal(base.X3hat, w2.X3hat)
+
+
+def _reference_controls(law, k, X, Xh, Xc):
+    """Controls at node k, one gain product per filtered system."""
+    v1 = Xc @ law.K1[k].T + law.k1[k]
+    v2 = Xh @ law.K2hat[k].T + Xc @ law.K2check[k].T + law.k2[k]
+    v3 = (X @ law.K3[k].T + Xh @ law.K3hat[k].T + Xc @ law.K3check[k].T
+          + law.k3[k])
+    return v1, v2, v3
+
+
+def _reference_step(law, l3, k, dWk, X, Xh, Xc):
+    """Euler step k -> k+1 of the state and its two filters, each system on
+    its own: X sees W1-W3, Xh sees W2-W3, Xc sees W3."""
+    h = law.times[k + 1] - law.times[k]
+    C, S = (l3.frakC1, l3.frakC2, l3.frakC3), (l3.Sigma1, l3.Sigma2, l3.Sigma3)
+    drift = X @ law.M0[k].T + Xh @ law.M2[k].T + Xc @ law.M3[k].T + law.coff[k]
+    drift_h = Xh @ (law.M0[k] + law.M2[k]).T + Xc @ law.M3[k].T + law.coff[k]
+    drift_c = Xc @ (law.M0[k] + law.M2[k] + law.M3[k]).T + law.coff[k]
+    load = lambda Y, i: dWk[:, i:i + 1] * (Y @ C[i][k].T + S[i][k])
+    return (X + h * drift + load(X, 0) + load(X, 1) + load(X, 2),
+            Xh + h * drift_h + load(Xh, 1) + load(Xh, 2),
+            Xc + h * drift_c + load(Xc, 2))
+
+
+@pytest.fixture(scope="module")
+def offgrid_spec():
+    """Scalar spec whose pieces break between grid nodes: uneven steps."""
+    pw = lambda brk, a, b: Coefficient.piecewise([brk], [[[a]], [[b]]])
+    return sq.make_spec(
+        n=1, T=1.0, steps=100, x0=1.0, A=pw(0.437, 0.3, -0.2), B1=1.0,
+        B2=0.8, B3=pw(0.613, 0.6, 0.3), C1=0.1, C2=pw(0.291, 0.12, 0.05),
+        C3=0.1, b=0.05, sigma1=0.2, sigma2=0.25,
+        sigma3=Coefficient.piecewise([0.5], [[0.3], [0.1]]),
+        Q1=1.0, G1=0.5, m1=0.02, n1=0.01, Q2=0.8, G2=0.4, n2=0.02,
+        Q3=0.6, R3=pw(0.777, 1.5, 0.9), G3=0.3, m3=0.01)
+
+
+@pytest.mark.parametrize("name", ["n2_spec", "reducible_spec", "offgrid_spec"])
+def test_block_kernel_matches_per_system_formulas(name, request):
+    # the block state against the three systems stepped on their own; the
+    # summation order differs, so agreement is to rounding: rtol 1e-12, and
+    # the same bound relative to the largest entry for entries near zero
+    spec = request.getfixturevalue(name)
+    bundle, offsets = solve_game(spec)
+    law = sq.build_feedback(bundle, offsets, spec)
+    times = solver_times(spec)
+    if name == "offgrid_spec":
+        assert np.ptp(np.diff(times)) > 0
+    dW = NoisePlan.from_seed(3, np.diff(times)).increments(np.arange(16))
+    X = np.tile(np.concatenate([spec.x0, np.zeros(3 * spec.n)]), (16, 1))
+    Xh, Xc = X.copy(), X.copy()
+    for k, Z, V in _node_loop(spec, law, dW):
+        got = np.split(Z, 3, axis=1) + np.split(V, 3, axis=1)
+        want = (X, Xh, Xc) + _reference_controls(law, k, X, Xh, Xc)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12,
+                                       atol=1e-12 * np.abs(w).max())
+        if k < times.shape[0] - 1:
+            X, Xh, Xc = _reference_step(law, bundle.l3, k, dW[:, k], X, Xh, Xc)
 
 
 def test_x_is_first_block(generic_solution, scalar_generic):
@@ -118,10 +185,11 @@ def test_blowup_reported_at_its_step():
     dW = np.zeros((2, 100, 3))
     dW[1, 10, 2] = 1e13
     z = np.zeros((101, 1))
-    const = default_directions(spec)[0]
+    cases = [(1, default_directions(spec)[0], 1.0)]
     runs = (lambda: simulate_equilibrium(spec, law, dW),
             lambda: simulate_state(spec, z, z, z, dW),
-            lambda: _sweep_quadratics(spec, law, bundle, [(1, const, 1.0)], dW))
+            lambda: _sweep_quadratics(spec, law, bundle, cases, dW,
+                                      _sweep_setup(spec, law, bundle, cases)))
     for run in runs:
         with pytest.raises(BlowUpError) as err:
             run()

@@ -1,16 +1,18 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import stacklq as sq
+import stacklq.montecarlo as montecarlo
 from stacklq.closedloop import (respond_player1, respond_player12,
                                 simulate_equilibrium)
 from stacklq.lift import CoeffValues
 from stacklq.model import solver_times
 from stacklq.montecarlo import (_node_cost, default_directions, estimate_cost,
-                                particle_filter, variational_sweep,
-                                variational_test)
+                                mean_stderr, particle_filter,
+                                variational_sweep, variational_test)
 from stacklq.riccati import integrate_backward, solve_game
 from stacklq.rng import NoisePlan
 
@@ -220,6 +222,40 @@ def test_sweep_draws_each_chunk_once(scalar_generic, generic_solution,
                       3, law, bundle, chunk=chunk)
     assert len(calls) == -(-N // chunk)
     assert sum(calls) == N
+
+
+def test_sweep_solves_each_offset_once(scalar_generic, generic_solution,
+                                      monkeypatch):
+    # the response offsets do not depend on the paths: one solve per
+    # player-2/3 case and sweep, however many chunks the paths make
+    bundle, _, law = generic_solution
+    calls = Counter()
+    for name in ("_follower_offset", "_middle_offset"):
+        def counted(*args, _solve=getattr(montecarlo, name), _name=name):
+            calls[_name] += 1
+            return _solve(*args)
+        monkeypatch.setattr(montecarlo, name, counted)
+    dirs = default_directions(scalar_generic)
+    cases = [(player, d, 1.0) for player in (1, 2, 3) for d in dirs[:2]]
+    for chunk in (90, 30):      # one chunk, three chunks
+        calls.clear()
+        variational_sweep(scalar_generic, cases, [0.1], 90, 4, law, bundle,
+                          chunk=chunk)
+        assert calls == {"_follower_offset": 2, "_middle_offset": 2}, chunk
+
+
+@pytest.mark.parametrize("N", [1, 2, 6, 7, 1000])
+def test_mean_stderr_exactly_zero_for_equal_values(N):
+    # J.std(ddof=1) of equal floats is a few ulp, not 0, for many values
+    rng = np.random.default_rng(N)
+    values = np.concatenate([rng.standard_normal(400),
+                             rng.uniform(-1e6, 1e6, 100), [0.0, -0.0, 1e-300]])
+    for x in values:
+        mean, stderr = mean_stderr(np.full(N, x))
+        assert stderr == 0.0, (N, x)
+        assert mean == pytest.approx(x, rel=1e-15, abs=0.0)
+    if N > 1:
+        assert mean_stderr(np.linspace(0.0, 1.0, N))[1] > 0.0
 
 
 # recorded from the sweep before its response system moved into closedloop
