@@ -16,8 +16,9 @@ intercept (b, sigma_i, n_i and the offsets' sources) against exogenous
 controls, stepping the physical state in the same node loop; the
 variational sweep in `montecarlo` runs its homogeneous form, which under
 common noise is exactly the response to a control perturbation, the systems
-being linear.  The offsets are solved by riccati's `backward_rk4`, so they
-are blow-up guarded like the ladder.
+being linear, for many directions at once on a leading axis.  The offsets
+are solved by riccati's `backward_rk4`, so they are blow-up guarded like
+the ladder.
 """
 
 from __future__ import annotations
@@ -186,10 +187,10 @@ def _increments(noise, n_paths):
 
 
 def _guard(arr, t, what):
-    """BlowUpError naming the first bad path when arr is non-finite or huge."""
+    """BlowUpError naming the first bad path (axis -2) if arr is non-finite or huge."""
     if not np.abs(arr).max(initial=0.0) <= BLOWUP_LIMIT:   # NaN fails too
-        ok = np.abs(arr).max(axis=tuple(range(1, arr.ndim))) <= BLOWUP_LIMIT
-        bad = np.flatnonzero(~ok)
+        ok = np.abs(arr).max(axis=-1) <= BLOWUP_LIMIT
+        bad = np.flatnonzero(~ok.reshape(-1, ok.shape[-1]).all(axis=0))
         raise BlowUpError(what, t, path=int(bad[0]) if bad.size else None)
 
 
@@ -209,7 +210,8 @@ def _state_step(cv: CoeffValues, times, k, dWk, x, v, affine):
 
     cv is the node-k coefficient view; v holds (v1, v2, v3) at node k, None
     for a control that does not move.  affine=False drops b and the sigma_i:
-    the step of a response to a control perturbation.
+    the step of a response to a control perturbation.  x is rows (N, n) or,
+    as in the response helpers below, D directions' rows (D, N, n).
     """
     h = times[k + 1] - times[k]
     drift = x @ cv.A.T
@@ -356,17 +358,18 @@ class Player12Response:
 
 def _offset_backward(times, coef, driver, what):
     """RK4 for -y' = coef y + driver, y(T) = 0, with node-tabulated inputs
-    averaged over each step."""
-    Cm = 0.5 * (coef[1:] + coef[:-1])
-    dm = 0.5 * (driver[1:] + driver[:-1])
-    return backward_rk4(lambda k, c, y: (-(Cm[k - 1] @ y[0] + dm[k - 1]),),
-                        (np.zeros(driver.shape[1:]),), times, what)[0]
+    averaged over each step; a driver (D, K+1, d) gives D solutions at once,
+    as (K+1, D, d)."""
+    CmT = (0.5 * (coef[1:] + coef[:-1])).mT
+    dm = 0.5 * (driver[..., 1:, :] + driver[..., :-1, :])
+    return backward_rk4(lambda k, c, y: (-(y[0] @ CmT[k - 1] + dm[..., k - 1, :]),),
+                        (np.zeros_like(driver[..., 0, :]),), times, what)[0]
 
 
 def _follower_offset(bundle: RiccatiBundle, B, v2, v3, affine):
     """Follower offset on the grid under deterministic (K+1, n) leader
-    controls: -phi' = Abar' phi + p (B2 v2 + B3 v3) + f1bar, phi(T) = 0.
-    B holds the grid tables of (B1, B2, B3)."""
+    controls, or D directions' (D, K+1, n): -phi' = Abar' phi + p (B2 v2 +
+    B3 v3) + f1bar, phi(T) = 0.  B holds the grid tables of (B1, B2, B3)."""
     drv = mv(bundle.p.values, mv(B[1], v2) + mv(B[2], v3))
     if affine:
         drv = drv + bundle.l1.f1bar
@@ -376,8 +379,8 @@ def _follower_offset(bundle: RiccatiBundle, B, v2, v3, affine):
 
 def _middle_offset(bundle: RiccatiBundle, v3, affine):
     """Middle-level offset on the grid under a deterministic (K+1, n) top
-    control: -Phi' = (ddA1 + ddA2 + ddA3)' Phi + (va + vc) v3 + ddf2,
-    Phi(T) = 0."""
+    control, or D directions' (D, K+1, n): -Phi' = (ddA1 + ddA2 + ddA3)' Phi
+    + (va + vc) v3 + ddf2, Phi(T) = 0."""
     cl = bundle.l2cl
     drv = mv(cl.va + cl.vc, v3)
     if affine:
@@ -409,7 +412,7 @@ def _middle_controls(bundle: RiccatiBundle, c: CoeffValues, k, X2h, X2c,
     if affine:
         u = u + c.nl[1]
     phick = X2c @ (s2 @ (P1 + P2)).T + Phic @ s2.T
-    v1 = _follower_control(bundle, c, k, X2c[:, :n], phick, affine)
+    v1 = _follower_control(bundle, c, k, X2c[..., :n], phick, affine)
     return v1, -u @ c.Rinv[1].T, phick
 
 

@@ -108,7 +108,8 @@ class CoeffValues:
     """All spec coefficients, with R-inverses, at one time or an array of times.
 
     With an array of times every field but G carries the node axis first and
-    cv[k] is the one-node view at t[k].  G is time-independent.
+    cv[k] is the one-node view at t[k].  G is time-independent.  A field with
+    one entry per player or noise channel is one array with that axis first.
     """
 
     __slots__ = ("t", "A", "B", "C", "b", "sigma", "Q", "R", "Rinv", "m", "nl", "G")
@@ -118,23 +119,22 @@ class CoeffValues:
         players = spec.costs.players
         self.t = t
         self.A = c.A.at(t)
-        self.B = tuple(x.at(t) for x in c.B)
-        self.C = tuple(x.at(t) for x in c.C)
+        self.B = np.stack([x.at(t) for x in c.B])
+        self.C = np.stack([x.at(t) for x in c.C])
         self.b = c.b.at(t)
-        self.sigma = tuple(x.at(t) for x in c.sigma)
-        self.Q = tuple(p.Q.at(t) for p in players)
-        self.R, self.Rinv = zip(*(_with_inverse(p.R, t, f"R{i + 1}")
-                                  for i, p in enumerate(players)))
-        self.m = tuple(p.m.at(t) for p in players)
-        self.nl = tuple(p.n_lin.at(t) for p in players)
-        self.G = tuple(p.G for p in players)
+        self.sigma = np.stack([x.at(t) for x in c.sigma])
+        self.Q = np.stack([p.Q.at(t) for p in players])
+        self.R, self.Rinv = map(np.stack, zip(*(
+            _with_inverse(p.R, t, f"R{i + 1}") for i, p in enumerate(players))))
+        self.m = np.stack([p.m.at(t) for p in players])
+        self.nl = np.stack([p.n_lin.at(t) for p in players])
+        self.G = np.stack([p.G for p in players])
 
     def __getitem__(self, k) -> "CoeffValues":
         node = object.__new__(CoeffValues)
         node.t, node.A, node.b, node.G = self.t[k], self.A[k], self.b[k], self.G
         for name in ("B", "C", "sigma", "Q", "R", "Rinv", "m", "nl"):
-            s = getattr(self, name)     # one entry per player or noise channel
-            setattr(node, name, (s[0][k], s[1][k], s[2][k]))
+            setattr(node, name, getattr(self, name)[:, k])
         return node
 
 

@@ -271,22 +271,18 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
                 bad.append(Violation(f"G{i}", "not symmetric"))
             elif _min_eig_sym(G) < PSD_EIG_TOL:
                 bad.append(Violation(f"G{i}", "not positive semidefinite"))
-        for Q, t in zip(pc.Q.values, _piece_starts(pc.Q)):
-            if Q.shape == mat_shape:
-                if np.abs(Q - Q.T).max(initial=0.0) > SYM_TOL:
-                    bad.append(Violation(f"Q{i}", "not symmetric", t))
-                    break
-                if _min_eig_sym(Q) < PSD_EIG_TOL:
-                    bad.append(Violation(f"Q{i}", "not positive semidefinite", t))
-                    break
-        for R, t in zip(pc.R.values, _piece_starts(pc.R)):
-            if R.shape == mat_shape:
-                if np.abs(R - R.T).max(initial=0.0) > SYM_TOL:
-                    bad.append(Violation(f"R{i}", "not symmetric", t))
-                    break
-                if _min_eig_sym(R) < spec.rho_min:
-                    bad.append(Violation(f"R{i}", f"min eigenvalue below rho_min={spec.rho_min:g}", t))
-                    break
+        for name, W, floor, low in (
+                (f"Q{i}", pc.Q, PSD_EIG_TOL, "not positive semidefinite"),
+                (f"R{i}", pc.R, spec.rho_min,
+                 f"min eigenvalue below rho_min={spec.rho_min:g}")):
+            for M, t in zip(W.values, _piece_starts(W)):
+                if M.shape == mat_shape:
+                    if np.abs(M - M.T).max(initial=0.0) > SYM_TOL:
+                        bad.append(Violation(name, "not symmetric", t))
+                        break
+                    if _min_eig_sym(M) < floor:
+                        bad.append(Violation(name, low, t))
+                        break
 
     adj = spec.info.adjacency
     if adj.shape != (3, 3) or not np.array_equal(adj, NESTED_ADJACENCY):
@@ -302,15 +298,8 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
 
 def spec_to_dict(spec: GameSpec) -> dict:
     """Canonical JSON-ready form of a spec."""
-    c = spec.coeffs
-    coeffs = {"A": c.A.to_json()}
-    for i in range(3):
-        coeffs[f"B{i + 1}"] = c.B[i].to_json()
-    for i in range(3):
-        coeffs[f"C{i + 1}"] = c.C[i].to_json()
-    coeffs["b"] = c.b.to_json()
-    for i in range(3):
-        coeffs[f"sigma{i + 1}"] = c.sigma[i].to_json()
+    coeffs = {name: coeff.to_json() for name, coeff in _coeff_map(spec).items()
+              if name in COEFF_NAMES}
     costs = {}
     for i, pc in enumerate(spec.costs.players, start=1):
         costs[f"player{i}"] = {"Q": pc.Q.to_json(), "R": pc.R.to_json(),

@@ -9,12 +9,13 @@ coefficient, and its standard error comes from the per-path linear terms
 (classical CRN variance reduction).
 
 `variational_sweep` runs many (player, direction, gain_scale) cases with the
-chunk loop outermost: each chunk of paths draws its Brownian increments once,
-steps one base closed loop on them, and every case advances its response and
-cost polynomial along that shared run.  The response is the homogeneous form
-of closedloop's best-response systems, the ones `respond_player1/12` run.
-No increment row is drawn twice however many cases share the seed.
-`variational_test` is the one-case sweep.
+chunk loop outermost: each chunk of paths draws its Brownian increments once
+and steps one base closed loop, along which one response group per distinct
+(player, gain_scale) advances all its directions on one leading axis and its
+base cost once.  The response is the homogeneous form of closedloop's
+best-response systems, the ones `respond_player1/12` run.  No increment row
+is drawn twice however many cases share the seed; `variational_test` is the
+one-case sweep.
 
 `simulate_blocks` streams the equilibrium for `stacklq simulate` block by
 block of paths, keeping every thin-th node and each player's running cost,
@@ -23,6 +24,7 @@ so no full path is stored.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +32,7 @@ import numpy as np
 from .closedloop import (BLOCK_PATHS, FeedbackLaw, PathBundle,
                          _follower_control, _follower_offset, _follower_step,
                          _middle_controls, _middle_offset, _middle_step,
-                         _node_loop, _paths_from, _rows_at, _state_step)
+                         _node_loop, _paths_from, _state_step)
 from .errors import UnsupportedPerturbationError
 from .lift import CoeffValues
 from .model import GameSpec, solver_times
@@ -77,16 +79,16 @@ class PerturbationReport:
 def _node_cost(c: CoeffValues, i, k: int, times, x, v) -> np.ndarray:
     """Player i+1's per-path cost term at node k, c being the node-k view:
     h (x'Qx/2 + v'Rv/2 + x.m + v.nl) before the last node, x'Gx/2 at it.
-    With a list of players i, v holds one (N, n) control per player and the
-    terms come one row per player."""
-    pick = lambda table: np.asarray(table)[i]
+    With several players i (a list, or slice(None) for all three, which
+    takes the stacked tables without a copy), v holds one (N, n) control
+    per player and the terms come one row per player."""
     if k == times.shape[0] - 1:
-        return 0.5 * np.einsum("pi,...ij,pj->...p", x, pick(c.G), x)
+        return 0.5 * np.einsum("pi,...ij,pj->...p", x, c.G[i], x)
     h = times[k + 1] - times[k]
-    return h * (0.5 * np.einsum("pi,...ij,pj->...p", x, pick(c.Q), x)
-                + 0.5 * np.einsum("...pi,...ij,...pj->...p", v, pick(c.R), v)
-                + np.einsum("pi,...i->...p", x, pick(c.m))
-                + np.einsum("...pi,...i->...p", v, pick(c.nl)))
+    return h * (0.5 * np.einsum("pi,...ij,pj->...p", x, c.Q[i], x)
+                + 0.5 * np.einsum("...pi,...ij,...pj->...p", v, c.R[i], v)
+                + np.einsum("pi,...i->...p", x, c.m[i])
+                + np.einsum("...pi,...i->...p", v, c.nl[i]))
 
 
 def mean_stderr(J: np.ndarray) -> tuple:
@@ -141,7 +143,7 @@ def simulate_blocks(spec: GameSpec, law: FeedbackLaw, plan: NoisePlan,
                 if k % thin == 0:
                     records[:, k // thin, :12 * n] = Z
                     records[:, k // thin, 12 * n:] = V
-                J += _node_cost(nodes[k], [0, 1, 2], k, times, Z[:, :n],
+                J += _node_cost(nodes[k], slice(None), k, times, Z[:, :n],
                                 V.reshape(N, 3, n).transpose(1, 0, 2))
         del dW          # before the next block draws its increments
         yield start, records, J
@@ -172,28 +174,27 @@ def default_directions(spec: GameSpec, include_feedback: bool = False) -> list:
     return dirs
 
 
-class _CaseRun:
-    """One case's response to its direction and its cost polynomial.
-
-    The per-path coefficients (J0, Bc, Cc) of J(eps) = J0 + eps Bc + eps^2 Cc
-    are accumulated node by node along a base closed-loop run that every
-    case of a sweep shares.  A gain_scale other than 1 re-simulates the
-    physical state under the scaled follower gain (player 1 only).
+class _Group:
+    """One player's responses to D directions at one gain scale and their
+    per-path cost polynomials J_d(eps) = J0 + eps Bc[d] + eps^2 Cc[d], added
+    up node by node along the base run that a sweep's groups share.  The
+    directions lead each response array, (D, N, ...); J0 and, for a
+    gain_scale other than 1, the state xt re-simulated under the scaled
+    follower gain (player 1 only) are one path per group.
     """
 
     def __init__(self, spec, bundle: RiccatiBundle, N: int, player: int,
-                 direction: Direction, gain_scale: float, offset):
-        n = spec.n
-        self.player, self.direction, self.gain_scale = player, direction, gain_scale
-        self.bundle, self.offset = bundle, offset
-        # re-simulated base state when the follower gain is scaled
+                 gain_scale: float, paths, gains, offset):
+        D, n = gains.shape[:2]
+        self.player, self.gain_scale, self.bundle = player, gain_scale, bundle
+        self.paths, self.gains, self.offset = paths, gains, offset
         self.xt = np.tile(spec.x0, (N, 1)) if gain_scale != 1.0 else None
-        self.dx = np.zeros((N, n))                    # response of the state
-        # the filtered states that re-respond, the follower's for player 2 and
-        # the middle player's 2n pair for player 3 (each step rebinds them)
-        self.dxc = np.zeros((N, n)) if player == 2 else None
-        self.dX2h = self.dX2c = np.zeros((N, 2 * n)) if player == 3 else None
-        self.J0, self.Bc, self.Cc = np.zeros(N), np.zeros(N), np.zeros(N)
+        # the state's response, then the filtered states that re-respond: the
+        # follower's for player 2, the middle player's 2n pair for player 3
+        self.dx = np.zeros((D, N, n))
+        self.dxc = np.zeros((D, N, n)) if player == 2 else None
+        self.dX2h = self.dX2c = np.zeros((D, N, 2 * n)) if player == 3 else None
+        self.J0, self.Bc, self.Cc = np.zeros(N), np.zeros((D, N)), np.zeros((D, N))
 
     def node(self, law: FeedbackLaw, c, k: int, Z, V, dW):
         """Add node k's cost terms; before the last node, step to node k+1.
@@ -201,93 +202,93 @@ class _CaseRun:
         c is the node-k coefficient view; the block state Z = [X | Xh | Xc]
         and the controls V = [v1 | v2 | v3] are the shared base run at node k.
         """
-        N, K, _ = dW.shape
-        n, player, bundle = self.dx.shape[1], self.player, self.bundle
-        times = law.times
-        Xc = Z[:, 8 * n:]
-        v1, v2, v3 = V[:, :n], V[:, n:2 * n], V[:, 2 * n:]
+        n, player, bundle, times = law.n, self.player, self.bundle, law.times
+        Xc, own = Z[:, 8 * n:], player - 1
+        v = [V[:, :n], V[:, n:2 * n], V[:, 2 * n:]]
         if self.xt is not None:
-            v1 = self.gain_scale * (Xc @ law.K1[k].T) + law.k1[k]
-        own = player - 1
-        vown = (v1, v2, v3)[own]
+            v[0] = self.gain_scale * (Xc @ law.K1[k].T) + law.k1[k]
         xbase = Z[:, :n] if self.xt is None else self.xt
-        dx = self.dx
+        dx, off = self.dx, None if self.offset is None else self.offset[k, :, None]
 
-        # direction value, and the controls' response at this node
-        if self.direction.kind == "deterministic":
-            dv_own = np.broadcast_to(self.direction.path[k], (N, n))
-        else:
-            dv_own = Xc[:, :n] @ self.direction.gain.T
-        dv = (dv_own, None, None)
+        # each direction's value, and the lower levels' response at this node
+        dv = [None, None, None]
+        dv[own] = dv_own = self.paths[:, k, None] + Xc[:, :n] @ self.gains
         if player == 2:
-            dphi = _rows_at(self.offset, k, N)
-            dv = (_follower_control(bundle, c, k, self.dxc, dphi, False),
-                  dv_own, None)
+            dv[0] = _follower_control(bundle, c, k, self.dxc, off, False)
         elif player == 3:
-            dPhi = _rows_at(self.offset, k, N)
-            dv1, dv2, _ = _middle_controls(bundle, c, k, self.dX2h, self.dX2c,
-                                           dPhi, dPhi, False)
-            dv = (dv1, dv2, dv_own)
+            dv[0], dv[1], _ = _middle_controls(bundle, c, k, self.dX2h,
+                                               self.dX2c, off, off, False)
 
-        # accumulate cost polynomial
-        self.J0 += _node_cost(c, own, k, times, xbase, vown)
-        if k == K:
-            G = c.G[own]
-            self.Bc += np.einsum("pi,ij,pj->p", xbase, G, dx)
-            self.Cc += 0.5 * np.einsum("pi,ij,pj->p", dx, G, dx)
+        # accumulate the cost polynomials
+        form = lambda a, M, b: np.einsum("...pi,ij,...pj->...p", a, M, b)
+        self.J0 += _node_cost(c, own, k, times, xbase, v[own])
+        if k == dW.shape[1]:
+            self.Bc += form(xbase, c.G[own], dx)
+            self.Cc += 0.5 * form(dx, c.G[own], dx)
             return
         h = times[k + 1] - times[k]
         Q, R, m, nl = c.Q[own], c.R[own], c.m[own], c.nl[own]
-        self.Bc += h * (np.einsum("pi,ij,pj->p", xbase, Q, dx)
-                        + np.einsum("pi,ij,pj->p", vown, R, dv_own)
+        self.Bc += h * (form(xbase, Q, dx) + form(v[own], R, dv_own)
                         + dx @ m + dv_own @ nl)
-        self.Cc += h * (0.5 * np.einsum("pi,ij,pj->p", dx, Q, dx)
-                        + 0.5 * np.einsum("pi,ij,pj->p", dv_own, R, dv_own))
+        self.Cc += h * (0.5 * form(dx, Q, dx) + 0.5 * form(dv_own, R, dv_own))
 
-        # response dynamics (driven by the direction, multiplicative noise)
+        # response dynamics (driven by the directions, multiplicative noise)
+        dWk = dW[:, k]
         if player == 2:
-            self.dxc = _follower_step(bundle, c, k, dW[:, k], self.dxc, dphi,
+            self.dxc = _follower_step(bundle, c, k, dWk, self.dxc, off,
                                       dv_own @ c.B[1].T, False)
         elif player == 3:
-            self.dX2h, self.dX2c = _middle_step(bundle, k, dW[:, k], self.dX2h,
-                                                self.dX2c, dPhi, dPhi, dv_own,
+            self.dX2h, self.dX2c = _middle_step(bundle, k, dWk, self.dX2h,
+                                                self.dX2c, off, off, dv_own,
                                                 dv_own, False)
-        self.dx = _state_step(c, times, k, dW[:, k], dx, dv, False)
+        self.dx = _state_step(c, times, k, dWk, dx, dv, False)
         if self.xt is not None:
-            self.xt = _state_step(c, times, k, dW[:, k], self.xt, (v1, v2, v3),
-                                  True)
+            self.xt = _state_step(c, times, k, dWk, self.xt, v, True)
 
 
 def _sweep_setup(spec, law: FeedbackLaw, bundle: RiccatiBundle, cases):
-    """A sweep's path-independent part: the node coefficient views and each
-    case's response offset (the follower's for player 2, the middle level's
-    for player 3, None for player 1)."""
+    """A sweep's path-independent part: the node coefficient views and per
+    (player, gain_scale) group its directions, in case order, as paths
+    (D, K+1, n) and transposed gains (D, n, n), zero where a direction has
+    none, and its response offset (K+1, D, n), solved once."""
     cv = CoeffValues(spec, law.times)
-    offsets = []
-    for player, direction, gain_scale in cases:
-        if player != 1 and (direction.kind != "deterministic" or gain_scale != 1):
+    n, nodes = spec.n, law.times.shape[0]
+    groups = {}
+    for player, d, gain_scale in cases:
+        if player != 1 and (d.kind != "deterministic" or gain_scale != 1):
             raise UnsupportedPerturbationError("feedback directions and the "
                                                "scaled gain test the follower only")
-        path = direction.path
-        offsets.append(
-            _follower_offset(bundle, cv.B, path, np.zeros_like(path), False)
-            if player == 2 else
-            _middle_offset(bundle, path, False) if player == 3 else None)
-    return [cv[k] for k in range(law.times.shape[0])], offsets
+        paths, gains = groups.setdefault((player, gain_scale), ([], []))
+        det = d.kind == "deterministic"
+        paths.append(d.path if det else np.zeros((nodes, n)))
+        gains.append(np.zeros((n, n)) if det else d.gain.T)
+    for (player, gain_scale), (paths, gains) in groups.items():
+        paths = np.stack(paths)
+        offset = (_follower_offset(bundle, cv.B, paths, np.zeros_like(paths), False)
+                  if player == 2 else
+                  _middle_offset(bundle, paths, False) if player == 3 else None)
+        groups[player, gain_scale] = (paths, np.stack(gains), offset)
+    return [cv[k] for k in range(nodes)], groups
 
 
 def _sweep_quadratics(spec, law: FeedbackLaw, bundle: RiccatiBundle, cases,
                       dW: np.ndarray, setup) -> list:
     """Per-path cost polynomial coefficients (J0, B, C) of J(eps) for each
-    (player, direction, gain_scale) case, all on one base run driven by dW;
-    setup is the sweep's _sweep_setup."""
-    nodes, offsets = setup
-    runs = [_CaseRun(spec, bundle, dW.shape[0], *case, offset)
-            for case, offset in zip(cases, offsets)]
+    (player, direction, gain_scale) case, all on one base run driven by dW,
+    one response group per (player, gain_scale); setup is the sweep's
+    _sweep_setup."""
+    nodes, groups = setup
+    runs = {key: _Group(spec, bundle, dW.shape[0], *key, *group)
+            for key, group in groups.items()}
     for k, Z, V in _node_loop(spec, law, dW):
-        for run in runs:
+        for run in runs.values():
             run.node(law, nodes[k], k, Z, V, dW)
-    return [(run.J0, run.Bc, run.Cc) for run in runs]
+    taken, out = Counter(), []      # a group's directions are in case order
+    for player, _, gain_scale in cases:
+        run, d = runs[player, gain_scale], taken[player, gain_scale]
+        taken[player, gain_scale] += 1
+        out.append((run.J0, run.Bc[d], run.Cc[d]))
+    return out
 
 
 def variational_sweep(spec: GameSpec, cases, epsilons, n_paths: int,
@@ -297,9 +298,9 @@ def variational_sweep(spec: GameSpec, cases, epsilons, n_paths: int,
 
     cases is a list of (player, direction, gain_scale); one report per case,
     in order.  The chunk loop is outermost: each chunk of paths draws its
-    increments once and runs one shared base closed loop that every case
-    follows, so the sweep holds one chunk of noise and three per-path
-    vectors per case.
+    increments once and runs one shared base closed loop that every response
+    group follows, so the sweep holds one chunk of noise and, per case, the
+    chunk's responses and three per-path vectors.
     """
     eps = sorted({float(e) for e in epsilons} | {0.0} |
                  {-float(e) for e in epsilons})
@@ -314,13 +315,12 @@ def variational_sweep(spec: GameSpec, cases, epsilons, n_paths: int,
 
     parts = [run(i0) for i0 in range(0, n_paths, chunk)]
 
-    N = n_paths
     reports = []
     for i, (player, direction, _) in enumerate(cases):
         J0, B, C = (np.concatenate([part[i][j] for part in parts])
                     for j in range(3))
         costs = [CostEstimate(player, *mean_stderr(J0 + e * B + e * e * C),
-                              N, seed, times.shape[0] - 1) for e in eps]
+                              n_paths, seed, times.shape[0] - 1) for e in eps]
         j0 = costs[eps.index(0.0)]
         curvature_ok = all(c.mean >= j0.mean - 3.0 * max(c.stderr, 1e-300)
                            for c in costs)

@@ -161,6 +161,12 @@ def check_tower(spec, law, cfg: VerifyConfig):
     return ("tower_oracle", ok, f"worst (gap - tol) = {worst:.3e}"), rows
 
 
+def _z(rep):
+    """Slope over stderr, +-inf for a slope whose paths do not spread."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.divide(rep.slope0, rep.slope_stderr))
+
+
 def check_variational(spec, law, bundle, cfg: VerifyConfig):
     """One CRN sweep over every player and stock direction."""
     directions = default_directions(spec)
@@ -170,7 +176,7 @@ def check_variational(spec, law, bundle, cfg: VerifyConfig):
                                 cfg.seed, law, bundle)
     results = []
     for player in (1, 2, 3):
-        fails = [f"{rep.direction_id}(z={rep.slope0 / rep.slope_stderr:+.1f})"
+        fails = [f"{rep.direction_id}(z={_z(rep):+.1f})"
                  for rep in reports if rep.player == player
                  and (abs(rep.slope0) > 2.0 * rep.slope_stderr
                       or not rep.curvature_ok)]

@@ -109,6 +109,21 @@ def test_simulate_no_noise_zero_stderr(tmp_path):
         assert float(r.split(",")[2]) == 0.0
 
 
+def test_verify_no_noise_writes_report(tmp_path):
+    # without noise every per-path slope is the same number, so a non-zero
+    # slope has stderr 0: the report must still be written
+    spec = sq.make_spec(n=1, T=1.0, steps=60, x0=1.0, A=0.2, B1=1.0,
+                        Q1=0.5, G1=0.5, Q2=0.4, Q3=0.3)
+    p = tmp_path / "det.json"
+    sq.save_spec(spec, p)
+    rc = main(["verify", "--spec", str(p), "--out", str(tmp_path / "v"),
+               "--paths", "200", "--seed", "1"])
+    assert rc in (0, 4)
+    report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+    assert {"variational_p1", "variational_p2", "variational_p3"} <= {
+        c["id"] for c in report}
+
+
 def test_simulate_rerun_bit_identical(spec_file, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out, threads in ((a, "1"), (b, "4")):

@@ -206,6 +206,29 @@ def test_sweep_matches_one_test_per_case(scalar_generic, generic_solution):
         assert _fingerprint(rep) == _fingerprint(one)
 
 
+def test_sweep_groups_match_one_test_per_case_n2(n2_spec):
+    # n = 2 with multiplicative noise in every channel: the products of a
+    # group's direction axis sum more than one term, so a group's reports
+    # equal the one-case runs to rounding rather than bit for bit
+    bundle, _, law = _solution(n2_spec)
+    dirs = default_directions(n2_spec)
+    eps, N, seed = [0.05, 0.1], 300, 7
+    groups = [[(player, d, 1.0) for d in dirs] for player in (1, 2, 3)]
+    groups.append([(1, d, 1.5) for d in dirs[:3]])
+    for cases in groups:
+        reps = variational_sweep(n2_spec, cases, eps, N, seed, law, bundle)
+        for rep, (player, d, gain_scale) in zip(reps, cases):
+            one = variational_test(n2_spec, player, d, eps, N, seed, law,
+                                   bundle, gain_scale=gain_scale)
+            label = lambda r: (r.player, r.direction_id, r.epsilons,
+                               r.curvature_ok)
+            numbers = lambda r: [r.slope0, r.slope_stderr] + [
+                x for c in r.costs for x in (c.mean, c.stderr)]
+            assert label(rep) == label(one)
+            assert numbers(rep) == pytest.approx(numbers(one), rel=1e-12,
+                                                 abs=0.0), (player, d.id)
+
+
 def test_sweep_draws_each_chunk_once(scalar_generic, generic_solution,
                                     monkeypatch):
     bundle, _, law = generic_solution
@@ -227,7 +250,8 @@ def test_sweep_draws_each_chunk_once(scalar_generic, generic_solution,
 def test_sweep_solves_each_offset_once(scalar_generic, generic_solution,
                                       monkeypatch):
     # the response offsets do not depend on the paths: one solve per
-    # player-2/3 case and sweep, however many chunks the paths make
+    # player-2/3 group and sweep, however many directions the group holds
+    # and however many chunks the paths make
     bundle, _, law = generic_solution
     calls = Counter()
     for name in ("_follower_offset", "_middle_offset"):
@@ -241,7 +265,52 @@ def test_sweep_solves_each_offset_once(scalar_generic, generic_solution,
         calls.clear()
         variational_sweep(scalar_generic, cases, [0.1], 90, 4, law, bundle,
                           chunk=chunk)
-        assert calls == {"_follower_offset": 2, "_middle_offset": 2}, chunk
+        assert calls == {"_follower_offset": 1, "_middle_offset": 1}, chunk
+
+
+def _verify_cases(spec):
+    # check_variational's cases
+    return [(player, d, 1.0) for player in (1, 2, 3)
+            for d in default_directions(spec)]
+
+
+def _criterion_8_cases(spec):
+    # test_criterion_8_variational_optimality's cases
+    cases = [(player, d, 1.0) for player in (1, 2, 3)
+             for d in default_directions(spec, include_feedback=(player == 1))[:5]]
+    return cases + [(1, d, 1.5) for d in default_directions(spec)[:5]]
+
+
+@pytest.mark.parametrize("make_cases, groups",
+                         [(_verify_cases, 3), (_criterion_8_cases, 4)])
+def test_sweep_steps_one_group_per_player_and_gain(
+        scalar_generic, generic_solution, monkeypatch, make_cases, groups):
+    # per node and chunk: one response step and one base cost J0 per group,
+    # and one scaled-gain state step per sabotage group, not one per case
+    bundle, _, law = generic_solution
+    calls = Counter()
+    step, cost = montecarlo._state_step, montecarlo._node_cost
+
+    def counted_step(*args):
+        calls["affine" if args[-1] else "response"] += 1
+        return step(*args)
+
+    def counted_cost(*args):
+        calls["J0"] += 1
+        return cost(*args)
+
+    monkeypatch.setattr(montecarlo, "_state_step", counted_step)
+    monkeypatch.setattr(montecarlo, "_node_cost", counted_cost)
+    cases = make_cases(scalar_generic)
+    K = scalar_generic.grid.steps
+    for chunk in (60, 30):      # one chunk, two chunks
+        calls.clear()
+        variational_sweep(scalar_generic, cases, [0.1], 60, 4, law, bundle,
+                          chunk=chunk)
+        chunks = 60 // chunk
+        assert calls["response"] == groups * K * chunks
+        assert calls["J0"] == groups * (K + 1) * chunks
+        assert calls["affine"] == (groups - 3) * K * chunks
 
 
 @pytest.mark.parametrize("N", [1, 2, 6, 7, 1000])
