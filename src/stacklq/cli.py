@@ -175,7 +175,18 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _epsilons(text: str) -> tuple:
+    try:
+        eps = tuple(float(e) for e in text.split(","))
+    except ValueError:
+        eps = (np.nan,)
+    if not np.all(np.isfinite(eps)):
+        raise SpecFormatError(f"--epsilons needs finite numbers, got {text!r}")
+    return eps
+
+
 def cmd_verify(args) -> int:
+    eps = _epsilons(args.epsilons)
     spec = _load(args)
     report = validate_spec(spec)
     if not report.valid:
@@ -183,7 +194,6 @@ def cmd_verify(args) -> int:
         return EXIT_INVALID
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    eps = tuple(float(e) for e in args.epsilons.split(","))
     cfg = VerifyConfig(seed=args.seed, n_paths=args.paths, epsilons=eps,
                        gain_scale=args.sabotage_gains)
     checks, artifacts = run_verification(spec, cfg)

@@ -183,7 +183,6 @@ def level2_at(cv: CoeffValues, l1: dict) -> Family:
         calC2=bdiag(cv.C[1], z),
         calC3=bdiag(cv.C[2], cv.C[2]),
         calQ2=bdiag(cv.Q[1], z),
-        calG2=bdiag(cv.G[1], z),
         calF2=row_right(l1["F2bar"], n),
         calF3=row_right(l1["F3bar"], n),
         barb2=vcat(l1["bbar"], zv),
@@ -238,7 +237,6 @@ def level3_at(cv: CoeffValues, l2: dict, cl: dict) -> Family:
         frakC3=bdiag(l2["calC3"], z2),
         frakQ3=frakQ3,
         frakQ3dd=anti(-cl["H"]),
-        frakG3=bdiag(bdiag(cv.G[2], z), z2),
         Fa=row_right(cl["va"].mT, 2 * n),
         Fb=row_right(cl["vc"].mT, 2 * n),
         ddb3=vcat(cl["ddb2"], zv2),

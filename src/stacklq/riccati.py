@@ -9,6 +9,14 @@ every coefficient breakpoint, so no step straddles a jump.  `backward_rk4`
 is the package's one RK4 loop, with one blow-up guard: it runs this ladder,
 the response offsets in `closedloop` and the DP oracle's phi/chi equations.
 
+One Riccati form, six instances: dP/dt = -(P M + M^T P + P S P + Q +
+sum_i C_i^T P_(i) C_i), `_riccati`, holds for p and for each level's
+cumulative sums, P1 and P1+P2 at 2n, Pf1, Pf1+Pf2 and Pf1+Pf2+Pf3 at 4n.  The
+loads mirror the nested information: channel i loads the sum of the finest
+level that observes it, capped at the instance's own (at 2n channels 1 and 2
+stop at P1).  Omega is the last instance's affine part.  The RK4 state keeps
+the blocks, so P2' = R(P1+P2) - R(P1), and likewise for Pf2 and Pf3.
+
 The right-hand sides, like the lifted formulas they call, take one node or
 a leading node axis: the pass calls them once per RK4 stage on the node view
 of one midpoint coefficient table, and the residual diagnostic calls them
@@ -75,141 +83,83 @@ class OffsetBundle:
 # right-hand sides (backward equations written as dM/dt = f(t, M, ...))
 # ---------------------------------------------------------------------------
 
+def _riccati(P, M, S, Q, loads):
+    """-(P M + M^T P + P S P + Q + sum C^T Pc C) over the (C, Pc) in loads."""
+    acc = P @ M + M.mT @ P + P @ S @ P + Q
+    for C, Pc in loads:
+        acc = acc + C.mT @ Pc @ C
+    return -acc
+
+
 def _rhs_p(cv: CoeffValues, p):
     B1 = cv.B[0]
-    acc = p @ cv.A + cv.A.mT @ p - p @ B1 @ cv.Rinv[0] @ B1.mT @ p + cv.Q[0]
-    for Ci in cv.C:
-        acc = acc + Ci.mT @ p @ Ci
-    return -acc
+    return _riccati(p, cv.A, -(B1 @ cv.Rinv[0] @ B1.mT), cv.Q[0],
+                    [(C, p) for C in cv.C])
 
 
-def _rhs_P1(cv, l2, P1):
-    K = l2["calB2"] @ cv.Rinv[1]
-    S = l2["calF1"] - K @ l2["calB2"].mT
-    acc = P1 @ l2["calA1"] + l2["calA1"].mT @ P1 + P1 @ S @ P1 + l2["calQ2"]
-    for Ci in (l2["calC1"], l2["calC2"], l2["calC3"]):
-        acc = acc + Ci.mT @ P1 @ Ci
-    return -acc
-
-
-def _rhs_P2(cv, l2, P1, P2):
-    Rinv2 = cv.Rinv[1]
-    cB2, cF2 = l2["calB2"], l2["calF2"]
-    K = cB2 @ Rinv2
-    S = l2["calF1"] - K @ cB2.mT
-    A12 = l2["calA1"] + l2["calA2"]
-    P12 = P1 + P2
-    FRB = cF2.mT @ Rinv2 @ cB2.mT
-    acc = (P2 @ A12 + A12.mT @ P2
-           + l2["calA2"].mT @ P1 + P1 @ l2["calA2"]
-           + P1 @ S @ P2 + P2 @ S @ P1 + P2 @ S @ P2
-           + l2["calC3"].mT @ P2 @ l2["calC3"]
-           - P12 @ K @ cF2 - FRB @ P2 - cF2.mT @ Rinv2 @ cF2
-           - FRB @ P1)
-    return -acc
-
-
-def _rhs_Pf1(cv, l3, Pf1):
-    Rinv3 = cv.Rinv[2]
-    Ma = l3["frakA1"] - l3["frakB3"] @ Rinv3 @ l3["Fa"]
-    Sbar = l3["frakF1bar"] - l3["frakB3"] @ Rinv3 @ l3["frakB3"].mT
-    acc = (Pf1 @ Ma + Ma.mT @ Pf1 + Pf1 @ Sbar @ Pf1 + l3["frakQ3"]
-           - l3["Fa"].mT @ Rinv3 @ l3["Fa"])
-    for Ci in (l3["frakC1"], l3["frakC2"], l3["frakC3"]):
-        acc = acc + Ci.mT @ Pf1 @ Ci
-    return -acc
-
-
-def _rhs_Pf2(cv, l3, Pf1, Pf2):
-    Rinv3 = cv.Rinv[2]
-    Mb = l3["frakA1"] + l3["frakA2"] - l3["frakB3"] @ Rinv3 @ l3["Fa"]
-    S = l3["frakF1dd"] - l3["frakB3"] @ Rinv3 @ l3["frakB3"].mT
-    acc = (Pf2 @ Mb + Mb.mT @ Pf2
-           + Pf1 @ S @ Pf2 + Pf2 @ S @ Pf1 + Pf2 @ S @ Pf2
-           + l3["frakQ3dd"] + Pf1 @ l3["frakA2"] + l3["frakA2"].mT @ Pf1
-           + Pf1 @ (l3["frakF1dd"] - l3["frakF1bar"]) @ Pf1)
-    for Ci in (l3["frakC2"], l3["frakC3"]):
-        acc = acc + Ci.mT @ Pf2 @ Ci
-    return -acc
-
-
-def _rhs_Pf3(cv, l3, Pf1, Pf2, Pf3):
-    Rinv3 = cv.Rinv[2]
-    Fa, Fb, B3f = l3["Fa"], l3["Fb"], l3["frakB3"]
-    S = l3["frakF1dd"] - B3f @ Rinv3 @ B3f.mT
-    Mc = (l3["frakA1"] + l3["frakA2"] + l3["frakA3"]
-          - B3f @ Rinv3 @ (Fa + Fb))
-    Md = l3["frakA3"] - B3f @ Rinv3 @ Fb
-    P12 = Pf1 + Pf2
-    acc = (Pf3 @ Mc + Mc.mT @ Pf3
-           + P12 @ Md + Md.mT @ P12
-           + P12 @ S @ Pf3 + Pf3 @ S @ P12 + Pf3 @ S @ Pf3
-           + l3["frakC3"].mT @ Pf3 @ l3["frakC3"]
-           - Fa.mT @ Rinv3 @ Fb - Fb.mT @ Rinv3 @ Fa - Fb.mT @ Rinv3 @ Fb)
-    return -acc
-
-
-def _rhs_Omega(cv, l3, Pf1, Pf2, Pf3, Om):
-    Rinv3 = cv.Rinv[2]
-    Fa, Fb, B3f = l3["Fa"], l3["Fb"], l3["frakB3"]
-    n3 = cv.nl[2]
-    S = l3["frakF1dd"] - B3f @ Rinv3 @ B3f.mT
-    Psum = Pf1 + Pf2 + Pf3
-    W = ((l3["frakA1"] + l3["frakA2"] + l3["frakA3"]).mT
-         - (Fa + Fb).mT @ Rinv3 @ B3f.mT + Psum @ S)
-    src = (mv(l3["frakC1"].mT, mv(Pf1, l3["Sigma1"]))
-           + mv(l3["frakC2"].mT, mv(Pf1 + Pf2, l3["Sigma2"]))
-           + mv(l3["frakC3"].mT, mv(Pf1 + Pf2 + Pf3, l3["Sigma3"]))
-           + mv(Psum, l3["ddb3"] - mv(B3f, mv(Rinv3, n3)))
-           + l3["ddf3"] - mv((Fa + Fb).mT, mv(Rinv3, n3)))
-    return -(mv(W, Om) + src)
-
-
-# ---------------------------------------------------------------------------
-# the stacked backward pass
-# ---------------------------------------------------------------------------
-
-def _stack_rhs(cv, state, follower_only):
-    """Derivatives of the ladder state; follower_only leaves all but p at rest."""
+def _stack_rhs(cv, state):
+    """Derivatives of the ladder state (p, P1, P2, Pf1, Pf2, Pf3, Omega): one
+    `_riccati` instance per cumulative sum, differenced back into blocks."""
     p, P1, P2, Pf1, Pf2, Pf3, Om = state
-    dp = _rhs_p(cv, p)
-    if follower_only:
-        return (dp, None, None, None, None, None, None)
     l1 = level1_at(cv, p)
     l2 = level2_at(cv, l1)
-    dP1 = _rhs_P1(cv, l2, P1)
-    dP2 = _rhs_P2(cv, l2, P1, P2)
     cl = level2_closedloop_at(cv, l2, P1, P2)
     l3 = level3_at(cv, l2, cl)
-    dPf1 = _rhs_Pf1(cv, l3, Pf1)
-    dPf2 = _rhs_Pf2(cv, l3, Pf1, Pf2)
-    dPf3 = _rhs_Pf3(cv, l3, Pf1, Pf2, Pf3)
-    dOm = _rhs_Omega(cv, l3, Pf1, Pf2, Pf3, Om)
-    return (dp, dP1, dP2, dPf1, dPf2, dPf3, dOm)
+
+    cC1, cC2, cC3, cF2 = l2["calC1"], l2["calC2"], l2["calC3"], l2["calF2"]
+    RF2 = cv.Rinv[1] @ cF2
+    P12 = P1 + P2
+    dP1 = _riccati(P1, l2["calA1"], cl["ddF1"], l2["calQ2"],
+                   [(cC1, P1), (cC2, P1), (cC3, P1)])
+    dP12 = _riccati(P12, l2["calA1"] + l2["calA2"] - l2["calB2"] @ RF2,
+                    cl["ddF1"], l2["calQ2"] - cF2.mT @ RF2,
+                    [(cC1, P1), (cC2, P1), (cC3, P12)])
+
+    R3, B, Fa, Fab = cv.Rinv[2], l3["frakB3"], l3["Fa"], l3["Fa"] + l3["Fb"]
+    fC1, fC2, fC3 = l3["frakC1"], l3["frakC2"], l3["frakC3"]
+    RFa, RFab, BRB = R3 @ Fa, R3 @ Fab, B @ R3 @ B.mT
+    A12 = l3["frakA1"] + l3["frakA2"]
+    Q3 = l3["frakQ3"] + l3["frakQ3dd"]
+    S = l3["frakF1dd"] - BRB
+    Mc = A12 + l3["frakA3"] - B @ RFab
+    Pf12 = Pf1 + Pf2
+    Pf123 = Pf12 + Pf3
+    dPf1 = _riccati(Pf1, l3["frakA1"] - B @ RFa, l3["frakF1bar"] - BRB,
+                    l3["frakQ3"] - Fa.mT @ RFa,
+                    [(fC1, Pf1), (fC2, Pf1), (fC3, Pf1)])
+    dPf12 = _riccati(Pf12, A12 - B @ RFa, S, Q3 - Fa.mT @ RFa,
+                     [(fC1, Pf1), (fC2, Pf12), (fC3, Pf12)])
+    dPf123 = _riccati(Pf123, Mc, S, Q3 - Fab.mT @ RFab,
+                      [(fC1, Pf1), (fC2, Pf12), (fC3, Pf123)])
+
+    # Omega: the affine part of the last instance, drift (Mc + S Pf123)^T
+    Rn3 = mv(R3, cv.nl[2])
+    src = (mv(fC1.mT, mv(Pf1, l3["Sigma1"])) + mv(fC2.mT, mv(Pf12, l3["Sigma2"]))
+           + mv(fC3.mT, mv(Pf123, l3["Sigma3"]))
+           + mv(Pf123, l3["ddb3"] - mv(B, Rn3)) + l3["ddf3"] - mv(Fab.mT, Rn3))
+    dOm = -(mv(Mc.mT + Pf123 @ S, Om) + src)
+    return (_rhs_p(cv, p), dP1, dP12 - dP1, dPf1, dPf12 - dPf1, dPf123 - dPf12, dOm)
 
 
 def _axpy(state, ders, a):
-    return tuple(s if d is None else s + a * d for s, d in zip(state, ders))
+    return tuple(s + a * d for s, d in zip(state, ders))
 
 
 def terminal_state(spec: GameSpec):
+    """The ladder's terminal values; the only builder of calG2 and frakG3."""
     n = spec.n
-    G1 = spec.costs.players[0].G
-    calG2 = bdiag(spec.costs.players[1].G, np.zeros((n, n)))
-    calG3 = bdiag(spec.costs.players[2].G, np.zeros((n, n)))
-    frakG3 = bdiag(calG3, np.zeros((2 * n, 2 * n)))
-    return (G1.copy(), calG2, np.zeros((2 * n, 2 * n)), frakG3,
-            np.zeros((4 * n, 4 * n)), np.zeros((4 * n, 4 * n)),
+    G1, G2, G3 = (player.G for player in spec.costs.players)
+    z, z2, z4 = (np.zeros((d, d)) for d in (n, 2 * n, 4 * n))
+    return (G1.copy(), bdiag(G2, z), z2, bdiag(bdiag(G3, z), z2), z4, z4,
             np.zeros(4 * n))
 
 
-def backward_rk4(rhs, terminal, times, what, fix=None):
+def backward_rk4(rhs, terminal, times, what, fix=lambda y: y):
     """Classical RK4 run backward from the terminal tuple of arrays.
 
     rhs(k, c, y) gives the derivatives of y on the step from node k down to
-    node k-1 at time t_k - c h, c in {0, 1/2, 1}; a None derivative leaves
-    that entry unchanged.  fix(y), when given, runs after each step, and every
-    new state is checked for blow-up.  Returns one (K+1, ...) array per entry.
+    node k-1 at time t_k - c h, c in {0, 1/2, 1}.  fix(y) runs after each step
+    and every new state is checked for blow-up.  Returns (K+1, ...) arrays.
     """
     K = times.shape[0] - 1
     y = tuple(terminal)
@@ -220,11 +170,9 @@ def backward_rk4(rhs, terminal, times, what, fix=None):
         k2 = rhs(k, 0.5, _axpy(y, k1, -0.5 * h))
         k3 = rhs(k, 0.5, _axpy(y, k2, -0.5 * h))
         k4 = rhs(k, 1.0, _axpy(y, k3, -h))
-        incr = [None if d1 is None else d1 + 2.0 * d2 + 2.0 * d3 + d4
+        incr = [d1 + 2.0 * d2 + 2.0 * d3 + d4
                 for d1, d2, d3, d4 in zip(k1, k2, k3, k4)]
-        y = _axpy(y, incr, -h / 6.0)
-        if fix is not None:
-            y = fix(y)
+        y = fix(_axpy(y, incr, -h / 6.0))
         for s in y:
             if not np.abs(s).max(initial=0.0) <= BLOWUP_LIMIT:   # NaN fails too
                 raise BlowUpError(what, times[k - 1])
@@ -232,10 +180,8 @@ def backward_rk4(rhs, terminal, times, what, fix=None):
     return [np.array(traj[::-1]) for traj in zip(*hist)]
 
 
-def _solve_stack(spec: GameSpec, follower_only: bool):
-    """Backward RK4 over the refined grid; returns per-node value arrays.
-
-    follower_only integrates p alone (the DP cross-check's cheap pass)."""
+def _solve_stack(spec: GameSpec, rhs, terminal):
+    """Backward RK4 of rhs(cv, y) over the refined grid; per-node arrays."""
     times = solver_times(spec)
     mid = CoeffValues(spec, 0.5 * (times[1:] + times[:-1]))
     max_asym = 0.0
@@ -247,9 +193,8 @@ def _solve_stack(spec: GameSpec, follower_only: bool):
         max_asym = max(max_asym, np.abs(p - p.T).max(initial=0.0))
         return (0.5 * (p + p.T),) + y[1:]
 
-    arrays = backward_rk4(lambda k, c, y: _stack_rhs(mid[k - 1], y, follower_only),
-                          terminal_state(spec), times, "riccati system",
-                          symmetric_p)
+    arrays = backward_rk4(lambda k, c, y: rhs(mid[k - 1], y), terminal, times,
+                          "riccati system", symmetric_p)
     if max_asym > P_ASYM_TOL:
         raise ConsistencyError(f"follower gain asymmetry {max_asym:.3e} exceeds "
                                f"{P_ASYM_TOL:g}")
@@ -271,7 +216,8 @@ def integrate_backward(rhs, terminal, times) -> MatrixTrajectory:
 
 def solve_p(spec: GameSpec) -> MatrixTrajectory:
     """Follower Riccati gain; terminal value is the follower's terminal weight."""
-    times, arrays = _solve_stack(spec, True)
+    times, arrays = _solve_stack(spec, lambda cv, y: (_rhs_p(cv, y[0]),),
+                                 terminal_state(spec)[:1])
     return MatrixTrajectory(times, arrays[0])
 
 
@@ -279,7 +225,7 @@ def solve_game(spec: GameSpec):
     """Full ladder in one pass: RiccatiBundle plus OffsetBundle.
 
     The offsets' blocks give the 2n offset Phi and the n offset phi_check."""
-    times, arrays = _solve_stack(spec, False)
+    times, arrays = _solve_stack(spec, _stack_rhs, terminal_state(spec))
     p, P1, P2, Pf1, Pf2, Pf3, Om = (MatrixTrajectory(times, a) for a in arrays)
     cv = CoeffValues(spec, times)
     l1 = level1_at(cv, p.values)
@@ -312,7 +258,7 @@ def riccati_residuals(spec: GameSpec, bundle: RiccatiBundle,
             bundle.Pf1.values, bundle.Pf2.values, bundle.Pf3.values,
             offsets.Omega.values]
     ders = _stack_rhs(CoeffValues(spec, times[1:-1]),
-                      tuple(v[1:-1] for v in vals), False)
+                      tuple(v[1:-1] for v in vals))
     dt = times[2:] - times[:-2]
     out = {}
     for name, v, d in zip(names, vals, ders):

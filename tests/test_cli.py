@@ -142,6 +142,14 @@ def test_simulate_rejects_bad_thin(zero_file, tmp_path, thin):
     assert not (tmp_path / "paths.csv").exists()
 
 
+@pytest.mark.parametrize("epsilons", ["0.1,abc", "", "nan", "0.05,inf"])
+def test_verify_rejects_bad_epsilons(spec_file, tmp_path, epsilons):
+    rc = main(["verify", "--spec", str(spec_file), "--out", str(tmp_path / "v"),
+               "--paths", "8", "--epsilons", epsilons])
+    assert rc == 2
+    assert not (tmp_path / "v").exists()
+
+
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -150,7 +158,10 @@ def test_simulate_bytes_pinned_across_blocks(n2_spec, tmp_path):
     # two full blocks of paths plus a remainder, and a thin that does not
     # divide K; digests taken with one block of paths, re-taken when the
     # three filtered systems became one block state (values moved by at
-    # most 2e-15 of each column's largest entry)
+    # most 2e-15 of each column's largest entry) and when the ladder became
+    # one Riccati instance per cumulative sum (paths.csv moved by at most
+    # 7.6e-16 of each (block, component) column's largest entry, the cost
+    # means and stderrs by at most 1.9e-16 relative)
     p = tmp_path / "n2.json"
     sq.save_spec(n2_spec, p)
     base = ["simulate", "--spec", str(p), "--steps", "10", "--seed", "11"]
@@ -158,15 +169,15 @@ def test_simulate_bytes_pinned_across_blocks(n2_spec, tmp_path):
     assert main(base + ["--out", str(out), "--paths", "4100", "--thin", "4"]) == 0
     assert 4100 > 2 * BLOCK_PATHS
     assert _sha256(out / "paths.csv") == (
-        "1a687814c8774e7c3f5991bee422280cb048704b47c6bd267face41a02296b70")
+        "c110c205c5b9946317d70cb31c98d68b5d2f47922b1ce30a848ee084bd2ca53f")
     assert _sha256(out / "costs.csv") == (
-        "6b4785e89ab8be432f0627d0cd5b082b872b9796d13bb2391b3056d071b70eec")
+        "5a67a756cea625c901bb1a39809a1d836073639067894d99e00c08a5f66726d0")
     one = tmp_path / "one"
     assert main(base + ["--out", str(one), "--paths", "1"]) == 0
     rows = (one / "costs.csv").read_text().strip().splitlines()[1:]
     assert [r.split(",")[2] for r in rows] == ["0", "0", "0"]
     assert _sha256(one / "costs.csv") == (
-        "15a4a2b27c57a3d3cb582e2b0b10ad1afade3ed706c5eeb52edca5d5190322b5")
+        "7e07e1510ad4e2af7eeb13772ee908a8fae3e709227f843aa938f874e9637b7b")
 
 
 def test_simulate_memory_bounded_in_paths(spec_file, tmp_path):

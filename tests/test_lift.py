@@ -5,7 +5,7 @@ import stacklq as sq
 from stacklq.lift import (CoeffValues, bdiag, level1_at, level2_at,
                           level2_closedloop_at, level3_at, selectors)
 from stacklq.model import Coefficient, solver_times
-from stacklq.riccati import solve_game
+from stacklq.riccati import solve_game, terminal_state
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +53,7 @@ def test_builders_match_per_node_formulas(name, request):
         for table, node in zip(families, (l1, l2, cl, l3)):
             assert table.keys() == node.keys()
             for field, value in node.items():
-                got = table[field] if field in ("calG2", "frakG3") else table[field][k]
-                assert np.array_equal(got, value), (k, field)
+                assert np.array_equal(table[field][k], value), (k, field)
 
 
 def naive_matmul(A, B):
@@ -171,12 +170,11 @@ def test_level3_frakQ3_independent_assembly(n2_spec):
 
 
 def test_level3_frakG3_upper_left(n2_spec):
-    bundle, _ = solve_game(n2_spec)
+    frakG3 = terminal_state(n2_spec)[3]
     n = n2_spec.n
     G3 = n2_spec.costs.players[2].G
-    assert np.array_equal(bundle.l3.frakG3[:2 * n, :2 * n],
-                          bdiag(G3, np.zeros((n, n))))
-    assert np.all(bundle.l3.frakG3[2 * n:, :] == 0.0)
+    assert np.array_equal(frakG3[:2 * n, :2 * n], bdiag(G3, np.zeros((n, n))))
+    assert np.all(frakG3[2 * n:, :] == 0.0)
 
 
 def test_zero_blocks_exact(n2_spec):
