@@ -2,7 +2,7 @@
 
 from .closedloop import (FeedbackLaw, PathBundle, build_feedback,
                          respond_player1, respond_player12,
-                         simulate_equilibrium, simulate_state)
+                         simulate_equilibrium)
 from .errors import (BlowUpError, ConsistencyError, DomainError,
                      ReductionError, SingularCoefficientError,
                      SpecFormatError, StackLQError,
@@ -15,8 +15,7 @@ from .montecarlo import (CostEstimate, Direction, PerturbationReport,
                          variational_sweep, variational_test)
 from .oracle import crosscheck_p, reduce_to_single_player, solve_dp
 from .riccati import (MatrixTrajectory, OffsetBundle, RiccatiBundle,
-                      integrate_backward, riccati_residuals, solve_game,
-                      solve_p)
+                      riccati_residuals, solve_game, solve_p)
 from .rng import NoisePlan
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BlowUpError, UnsupportedPerturbationError
 from .lift import CoeffValues, mv, selectors
-from .model import GameSpec, solver_times
+from .model import GameSpec
 from .riccati import BLOWUP_LIMIT, OffsetBundle, RiccatiBundle, backward_rk4
 from .rng import NoisePlan
 
@@ -267,38 +267,6 @@ def simulate_equilibrium(spec: GameSpec, law: FeedbackLaw, noise,
 
 
 # ---------------------------------------------------------------------------
-# raw state simulation under arbitrary control paths
-# ---------------------------------------------------------------------------
-
-def _rows_at(v, k, N):
-    """(N, d) rows at node k of a (K+1, d) or (N, K+1, d) array."""
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim == 2:
-        return np.broadcast_to(arr[k], (N, arr.shape[-1]))
-    return arr[:, k]
-
-
-def simulate_state(spec: GameSpec, v1, v2, v3, noise, n_paths: int | None = None,
-                   x0=None) -> np.ndarray:
-    """Euler integration of the physical state under given control paths."""
-    dW = _increments(noise, n_paths)
-    N, K, _ = dW.shape
-    times = solver_times(spec)
-    if K != times.shape[0] - 1:
-        raise ValueError("noise increments do not match the solver grid")
-    n = spec.n
-    cv = CoeffValues(spec, times)
-    x = np.tile(spec.x0 if x0 is None else np.asarray(x0, dtype=float), (N, 1))
-    xs = np.empty((N, K + 1, n))
-    for k in range(K):
-        xs[:, k] = x
-        v = [_rows_at(vi, k, N) for vi in (v1, v2, v3)]
-        x = _state_step(cv[k], times, k, dW[:, k], x, v, True)
-    xs[:, K] = x
-    return xs
-
-
-# ---------------------------------------------------------------------------
 # reconstruction of offset processes along equilibrium paths
 # ---------------------------------------------------------------------------
 
@@ -311,27 +279,17 @@ def _phicheck_gain(bundle: RiccatiBundle, offsets: OffsetBundle):
     return G, mv(s2 @ L, offsets.Omega.values)
 
 
-def reconstruct_phicheck(bundle: RiccatiBundle, offsets: OffsetBundle,
-                         X3check: np.ndarray) -> np.ndarray:
-    """Follower offset filter along paths: affine in the check-filtered state."""
-    G, g = _phicheck_gain(bundle, offsets)
-    return mv(G, X3check) + g
-
-
-def reconstruct_Phi(bundle: RiccatiBundle, offsets: OffsetBundle,
-                    X3hat: np.ndarray, X3check: np.ndarray):
-    """Middle-level offset filters (hat and check versions) along paths."""
-    L = selectors(bundle.p.values.shape[-1])[2]
-    Pf12, Pf3 = bundle.Pf1.values + bundle.Pf2.values, bundle.Pf3.values
-    off = mv(L, offsets.Omega.values)
-    Phih = mv(L @ Pf12, X3hat) + mv(L @ Pf3, X3check) + off
-    Phic = mv(L @ (Pf12 + Pf3), X3check) + off
-    return Phih, Phic
-
-
 # ---------------------------------------------------------------------------
 # lower-level best-response systems (affine=False: the homogeneous form)
 # ---------------------------------------------------------------------------
+
+def _rows_at(v, k, N):
+    """(N, d) rows at node k of a (K+1, d) or (N, K+1, d) array."""
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim == 2:
+        return np.broadcast_to(arr[k], (N, arr.shape[-1]))
+    return arr[:, k]
+
 
 @dataclass(frozen=True)
 class Player1Response:
@@ -362,7 +320,7 @@ def _offset_backward(times, coef, driver, what):
     as (K+1, D, d)."""
     CmT = (0.5 * (coef[1:] + coef[:-1])).mT
     dm = 0.5 * (driver[..., 1:, :] + driver[..., :-1, :])
-    return backward_rk4(lambda k, c, y: (-(y[0] @ CmT[k - 1] + dm[..., k - 1, :]),),
+    return backward_rk4(lambda k, j, y: (-(y[0] @ CmT[k - 1] + dm[..., k - 1, :]),),
                         (np.zeros_like(driver[..., 0, :]),), times, what)[0]
 
 
@@ -497,8 +455,10 @@ def respond_player12(spec: GameSpec, bundle: RiccatiBundle, v3, noise,
 
     Deterministic (K+1, n) top controls are handled in full (the offset
     collapses to one backward ODE).  Path-valued controls additionally need
-    their filter paths and the hat/check offset paths reconstructed by the
-    caller (`reconstruct_Phi`).
+    their filter paths and the hat/check offset paths, which are affine in
+    the filtered states: with L the lower 2n rows of the 4n ladder,
+    Phihat = L (Pf1 + Pf2) X3hat + L Pf3 X3check + L Omega and
+    Phicheck = L (Pf1 + Pf2 + Pf3) X3check + L Omega.
     """
     dW = _increments(noise, n_paths)
     N, K, _ = dW.shape

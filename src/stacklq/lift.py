@@ -13,8 +13,8 @@ Every formula takes one node or a leading node axis.  `CoeffValues(spec, t)`
 with a float t holds one node's coefficients; with an array of times each
 field carries the node axis first and `cv[k]` is the node-k view.  The
 `level*_at` formulas and the block helpers keep the leading axis of their
-first argument, so the RK4 pass calls them one node at a time and
-`solve_game` calls each once on the solver-grid table.
+first argument, so the ladder's passes call each once on the table of RK4
+(step, stage) rows and `solve_game` once more on the solver-grid table.
 """
 
 from __future__ import annotations

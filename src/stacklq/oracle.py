@@ -148,15 +148,15 @@ def _continuous_value(spec: GameSpec, steps: int):
     l1 = level1_at(stages, pv[near])
     Abar, f1bar = l1["Abar"], l1["f1bar"]
 
-    # the stage at t_k - c h is entry 2k - 2c of the stage table
-    def rhs_phi(k, c, y):
-        i = 2 * k - int(2 * c)
+    # stage j of the step down from t_k is entry 2k - (0, 1, 1, 2)[j] of the table
+    def rhs_phi(k, j, y):
+        i = 2 * k - (j + 1) // 2
         return (-(Abar[i].T @ y[0] + f1bar[i]),)
 
     (phis,) = backward_rk4(rhs_phi, (np.zeros(n),), times, "oracle offset phi")
 
-    def rhs_chi(k, c, y):
-        i = 2 * k - int(2 * c)
+    def rhs_chi(k, j, y):
+        i = 2 * k - (j + 1) // 2
         cv, p, phi = stages[i], pv[near[i]], phis[near[i]]
         w = cv.B[0].T @ phi + cv.nl[0]
         s3 = cv.sigma[2]

@@ -1,26 +1,27 @@
 """Backward integration of the solver's matrix ODE ladder.
 
-One classical fourth-order pass integrates, in dependency order, the
-follower gain p (n x n), the middle pair P1/P2 (2n x 2n), the top triple
-Pf1/Pf2/Pf3 (4n x 4n) and the affine offset Omega (4n).  All equations are
-integrated jointly so stage values of lower levels are available exactly
-where higher levels need them; the grid is the uniform one refined with
-every coefficient breakpoint, so no step straddles a jump.  `backward_rk4`
-is the package's one RK4 loop, with one blow-up guard: it runs this ladder,
-the response offsets in `closedloop` and the DP oracle's phi/chi equations.
+The ladder, the follower gain p (n x n), the middle pair P1/P2 (2n x 2n), the
+top triple Pf1/Pf2/Pf3 (4n x 4n) and the affine offset Omega (4n), is
+block-triangular: p needs nothing above it, P1/P2 need p, and Pf1-Pf3 and
+Omega need p, P1 and P2.  RK4 of a triangular system is RK4 of each level in
+turn, so each level is one classical fourth-order pass over the grid (the
+uniform one refined with every coefficient breakpoint) whose operands are
+built once, from the stage states the passes below recorded, on the (step,
+stage) rows; every stage reads its step's midpoint coefficients.
+`backward_rk4` is the package's one RK4 loop, with one blow-up guard: it
+runs these passes, the response offsets in `closedloop` and the DP oracle's
+phi/chi equations.
 
 One Riccati form, six instances: dP/dt = -(P M + M^T P + P S P + Q +
 sum_i C_i^T P_(i) C_i), `_riccati`, holds for p and for each level's
-cumulative sums, P1 and P1+P2 at 2n, Pf1, Pf1+Pf2 and Pf1+Pf2+Pf3 at 4n.  The
-loads mirror the nested information: channel i loads the sum of the finest
-level that observes it, capped at the instance's own (at 2n channels 1 and 2
-stop at P1).  Omega is the last instance's affine part.  The RK4 state keeps
-the blocks, so P2' = R(P1+P2) - R(P1), and likewise for Pf2 and Pf3.
-
-The right-hand sides, like the lifted formulas they call, take one node or
-a leading node axis: the pass calls them once per RK4 stage on the node view
-of one midpoint coefficient table, and the residual diagnostic calls them
-once on the table of interior nodes.
+cumulative sums, P1 and P1+P2 at 2n, Pf1, Pf1+Pf2 and Pf1+Pf2+Pf3 at 4n, as
+one call per level on operands stacked (L, d, d).  The loads mirror the
+nested information: channel i loads the sum of the finest level that
+observes it, capped at the instance's own (at 2n channels 1 and 2 stop at
+P1).  Omega is the last instance's affine part.  The RK4 state keeps the
+blocks, so P2' = R(P1+P2) - R(P1), and likewise for Pf2 and Pf3.  The level
+functions take one node or a leading row axis, so the residual diagnostic
+calls them once on the table of interior nodes.
 
 Offsets: with deterministic coefficients the offset backward SDEs admit
 deterministic solutions with zero martingale integrands and with all
@@ -42,6 +43,7 @@ from .model import GameSpec, solver_times
 
 BLOWUP_LIMIT = 1e12
 P_ASYM_TOL = 1e-9
+CHUNK_ROWS = 256    # RK4 stage rows (64 steps) whose level operands are built at once
 
 
 @dataclass(frozen=True)
@@ -83,66 +85,71 @@ class OffsetBundle:
 # right-hand sides (backward equations written as dM/dt = f(t, M, ...))
 # ---------------------------------------------------------------------------
 
-def _riccati(P, M, S, Q, loads):
-    """-(P M + M^T P + P S P + Q + sum C^T Pc C) over the (C, Pc) in loads."""
-    acc = P @ M + M.mT @ P + P @ S @ P + Q
-    for C, Pc in loads:
-        acc = acc + C.mT @ Pc @ C
-    return -acc
+def _riccati(blocks, M, S, Q, C, loads):
+    """The instances P, cumulative sums of the blocks on the third-last axis,
+    and the blocks' derivatives from -(P M + M^T P + P S P + Q + sum_i C_i^T
+    P[loads[i]] C_i), with C (..., 3, 1, d, d) stacking the channels."""
+    P = blocks.cumsum(axis=-3)
+    terms = C.mT @ P[..., loads, :, :] @ C
+    R = -(P @ M + M.mT @ P + P @ S @ P + Q + terms[..., 0, :, :, :]
+          + terms[..., 1, :, :, :] + terms[..., 2, :, :, :])
+    dB = R.copy()
+    dB[..., 1:, :, :] -= R[..., :-1, :, :]
+    return P, dB
 
 
-def _rhs_p(cv: CoeffValues, p):
-    B1 = cv.B[0]
-    return _riccati(p, cv.A, -(B1 @ cv.Rinv[0] @ B1.mT), cv.Q[0],
-                    [(C, p) for C in cv.C])
+def _level_rhs(ops, y, loads):
+    """Derivatives of a level's state: its blocks, and at the top Omega, the
+    last instance's affine part, with drift (Mc + S Pf123)^T."""
+    P, dB = _riccati(y[0], *ops[:4], loads)
+    if len(y) == 1:
+        return (dB,)
+    M, S, _, C, Sig, b, f, g = ops
+    Pc = P[..., 2, :, :]
+    s = mv(C[..., 0, :, :].mT, mv(P[..., loads[:, -1], :, :], Sig))
+    src = s[..., 0, :] + s[..., 1, :] + s[..., 2, :] + mv(Pc, b) + f - g
+    return dB, -(mv(M[..., 2, :, :].mT + Pc @ S[..., 2, :, :], y[1]) + src)
 
 
-def _stack_rhs(cv, state):
-    """Derivatives of the ladder state (p, P1, P2, Pf1, Pf2, Pf3, Omega): one
-    `_riccati` instance per cumulative sum, differenced back into blocks."""
-    p, P1, P2, Pf1, Pf2, Pf3, Om = state
-    l1 = level1_at(cv, p)
-    l2 = level2_at(cv, l1)
-    cl = level2_closedloop_at(cv, l2, P1, P2)
-    l3 = level3_at(cv, l2, cl)
+def _instances(*Ms):
+    return np.stack(Ms, axis=-3)
 
-    cC1, cC2, cC3, cF2 = l2["calC1"], l2["calC2"], l2["calC3"], l2["calF2"]
-    RF2 = cv.Rinv[1] @ cF2
-    P12 = P1 + P2
-    dP1 = _riccati(P1, l2["calA1"], cl["ddF1"], l2["calQ2"],
-                   [(cC1, P1), (cC2, P1), (cC3, P1)])
-    dP12 = _riccati(P12, l2["calA1"] + l2["calA2"] - l2["calB2"] @ RF2,
-                    cl["ddF1"], l2["calQ2"] - cF2.mT @ RF2,
-                    [(cC1, P1), (cC2, P1), (cC3, P12)])
 
-    R3, B, Fa, Fab = cv.Rinv[2], l3["frakB3"], l3["Fa"], l3["Fa"] + l3["Fb"]
-    fC1, fC2, fC3 = l3["frakC1"], l3["frakC2"], l3["frakC3"]
+def _level_ops(cv, *lower):
+    """Operands of the level above `lower` (M, S, Q and C by instance, then
+    Omega's sources) on one node or a leading row axis: they depend on the
+    levels below it only."""
+    if not lower:
+        return (_instances(cv.A), _instances(-(cv.B[0] @ cv.Rinv[0] @ cv.B[0].mT)),
+                _instances(cv.Q[0]), _instances(*cv.C)[..., None, :, :])
+    l2 = level2_at(cv, level1_at(cv, lower[0][..., 0, :, :]))
+    if len(lower) == 1:
+        R2, cB2, cF2 = cv.Rinv[1], l2.calB2, l2.calF2
+        RF2 = R2 @ cF2
+        ddF1 = l2.calF1 - cB2 @ R2 @ cB2.mT          # the closed loop's, free of P
+        return (_instances(l2.calA1, l2.calA1 + l2.calA2 - cB2 @ RF2),
+                _instances(ddF1, ddF1), _instances(l2.calQ2, l2.calQ2 - cF2.mT @ RF2),
+                _instances(l2.calC1, l2.calC2, l2.calC3)[..., None, :, :])
+    P = lower[1]
+    l3 = level3_at(cv, l2, level2_closedloop_at(cv, l2, P[..., 0, :, :],
+                                                P[..., 1, :, :]))
+    R3, B, Fa, A12 = cv.Rinv[2], l3.frakB3, l3.Fa, l3.frakA1 + l3.frakA2
+    Fab, Q3, Rn3 = Fa + l3.Fb, l3.frakQ3 + l3.frakQ3dd, mv(R3, cv.nl[2])
     RFa, RFab, BRB = R3 @ Fa, R3 @ Fab, B @ R3 @ B.mT
-    A12 = l3["frakA1"] + l3["frakA2"]
-    Q3 = l3["frakQ3"] + l3["frakQ3dd"]
-    S = l3["frakF1dd"] - BRB
-    Mc = A12 + l3["frakA3"] - B @ RFab
-    Pf12 = Pf1 + Pf2
-    Pf123 = Pf12 + Pf3
-    dPf1 = _riccati(Pf1, l3["frakA1"] - B @ RFa, l3["frakF1bar"] - BRB,
-                    l3["frakQ3"] - Fa.mT @ RFa,
-                    [(fC1, Pf1), (fC2, Pf1), (fC3, Pf1)])
-    dPf12 = _riccati(Pf12, A12 - B @ RFa, S, Q3 - Fa.mT @ RFa,
-                     [(fC1, Pf1), (fC2, Pf12), (fC3, Pf12)])
-    dPf123 = _riccati(Pf123, Mc, S, Q3 - Fab.mT @ RFab,
-                      [(fC1, Pf1), (fC2, Pf12), (fC3, Pf123)])
-
-    # Omega: the affine part of the last instance, drift (Mc + S Pf123)^T
-    Rn3 = mv(R3, cv.nl[2])
-    src = (mv(fC1.mT, mv(Pf1, l3["Sigma1"])) + mv(fC2.mT, mv(Pf12, l3["Sigma2"]))
-           + mv(fC3.mT, mv(Pf123, l3["Sigma3"]))
-           + mv(Pf123, l3["ddb3"] - mv(B, Rn3)) + l3["ddf3"] - mv(Fab.mT, Rn3))
-    dOm = -(mv(Mc.mT + Pf123 @ S, Om) + src)
-    return (_rhs_p(cv, p), dP1, dP12 - dP1, dPf1, dPf12 - dPf1, dPf123 - dPf12, dOm)
+    S = l3.frakF1dd - BRB
+    return (_instances(l3.frakA1 - B @ RFa, A12 - B @ RFa, A12 + l3.frakA3 - B @ RFab),
+            _instances(l3.frakF1bar - BRB, S, S),
+            _instances(l3.frakQ3 - Fa.mT @ RFa, Q3 - Fa.mT @ RFa, Q3 - Fab.mT @ RFab),
+            _instances(l3.frakC1, l3.frakC2, l3.frakC3)[..., None, :, :],
+            np.stack((l3.Sigma1, l3.Sigma2, l3.Sigma3), axis=-2),
+            l3.ddb3 - mv(B, Rn3), l3.ddf3, mv(Fab.mT, Rn3))
 
 
-def _axpy(state, ders, a):
-    return tuple(s + a * d for s, d in zip(state, ders))
+# The loads by level (p; P1, P2; Pf1, Pf2, Pf3): channel i of instance l loads
+# instance LOADS[i][l], the sum of the finest level that observes channel i,
+# capped at the instance's own.
+_LOADS = (np.array(((0,), (0,), (0,))), np.array(((0, 0), (0, 0), (0, 1))),
+          np.array(((0, 0, 0), (0, 1, 1), (0, 1, 2))))
 
 
 def terminal_state(spec: GameSpec):
@@ -154,22 +161,43 @@ def terminal_state(spec: GameSpec):
             np.zeros(4 * n))
 
 
-def backward_rk4(rhs, terminal, times, what, fix=lambda y: y):
+def _level_states(p, P1, P2, Pf1, Pf2, Pf3, Om):
+    """The ladder's arrays (p, P1, ..., Omega) as the three levels' states."""
+    return ((_instances(p),), (_instances(P1, P2),), (_instances(Pf1, Pf2, Pf3), Om))
+
+
+def _ladder_rhs(cv, state):
+    """Derivatives of (p, P1, P2, Pf1, Pf2, Pf3, Omega) on one node or a node
+    table: the three level functions, each fed the levels below it."""
+    ders, lower = [], []
+    for loads, y in zip(_LOADS, _level_states(*state)):
+        blocks, *rest = _level_rhs(_level_ops(cv, *lower), y, loads)
+        ders += list(np.moveaxis(blocks, -3, 0)) + rest
+        lower.append(y[0])
+    return ders
+
+
+def _axpy(state, ders, a):
+    return tuple(s + a * d for s, d in zip(state, ders))
+
+
+def backward_rk4(rhs, terminal, times, what, fix=lambda y: y, stop=0):
     """Classical RK4 run backward from the terminal tuple of arrays.
 
-    rhs(k, c, y) gives the derivatives of y on the step from node k down to
-    node k-1 at time t_k - c h, c in {0, 1/2, 1}.  fix(y) runs after each step
-    and every new state is checked for blow-up.  Returns (K+1, ...) arrays.
+    rhs(k, j, y) gives the derivatives of y at stage j of the step from node k
+    down to node k-1, at time t_k - (0, 1/2, 1/2, 1)[j] h.  fix(y) runs after
+    each step and every new state is checked for blow-up.  Steps run down to
+    node `stop`; returns (K+1-stop, ...) arrays.
     """
     K = times.shape[0] - 1
     y = tuple(terminal)
     hist = [y]                          # node K first
-    for k in range(K, 0, -1):
+    for k in range(K, stop, -1):
         h = times[k] - times[k - 1]
-        k1 = rhs(k, 0.0, y)
-        k2 = rhs(k, 0.5, _axpy(y, k1, -0.5 * h))
-        k3 = rhs(k, 0.5, _axpy(y, k2, -0.5 * h))
-        k4 = rhs(k, 1.0, _axpy(y, k3, -h))
+        k1 = rhs(k, 0, y)
+        k2 = rhs(k, 1, _axpy(y, k1, -0.5 * h))
+        k3 = rhs(k, 2, _axpy(y, k2, -0.5 * h))
+        k4 = rhs(k, 3, _axpy(y, k3, -h))
         incr = [d1 + 2.0 * d2 + 2.0 * d3 + d4
                 for d1, d2, d3, d4 in zip(k1, k2, k3, k4)]
         y = fix(_axpy(y, incr, -h / 6.0))
@@ -180,21 +208,47 @@ def backward_rk4(rhs, terminal, times, what, fix=lambda y: y):
     return [np.array(traj[::-1]) for traj in zip(*hist)]
 
 
-def _solve_stack(spec: GameSpec, rhs, terminal):
-    """Backward RK4 of rhs(cv, y) over the refined grid; per-node arrays."""
+def _solve_levels(spec: GameSpec, depth):
+    """Backward RK4 of the ladder's first `depth` levels, one pass per level,
+    each reading the stage states the passes below it recorded, on rows that
+    run step K's four stages first.  A blow-up ends every higher pass at its
+    step, so the one raised is the latest in time."""
     times = solver_times(spec)
-    mid = CoeffValues(spec, 0.5 * (times[1:] + times[:-1]))
-    max_asym = 0.0
+    K = times.shape[0] - 1
+    rows = CoeffValues(spec, 0.5 * (times[1:] + times[:-1]))[
+        np.repeat(np.arange(K - 1, -1, -1), 4)]
+    terminals = _level_states(*terminal_state(spec))
+    max_asym, stop, error, lower, arrays = 0.0, 0, None, [], []
 
     def symmetric_p(y):
         # keep the follower gain exactly symmetric; track the drift it had
         nonlocal max_asym
-        p = y[0]
-        max_asym = max(max_asym, np.abs(p - p.T).max(initial=0.0))
-        return (0.5 * (p + p.T),) + y[1:]
+        max_asym = max(max_asym, np.abs(y[0] - y[0].mT).max(initial=0.0))
+        return (0.5 * (y[0] + y[0].mT),)
 
-    arrays = backward_rk4(lambda k, c, y: rhs(mid[k - 1], y), terminal, times,
-                          "riccati system", symmetric_p)
+    for i, loads in enumerate(_LOADS[:depth]):
+        m, ops = 4 * (K - stop), {}
+        seen = np.empty((m,) + terminals[i][0].shape) if i + 1 < depth else None
+
+        def stage(k, j, y):
+            r = 4 * (K - k) + j
+            c, q = divmod(r, CHUNK_ROWS)
+            if c not in ops:                # a chunk's first stage builds its operands
+                ops.clear()
+                part = slice(r, min(r + CHUNK_ROWS, m))
+                ops[c] = _level_ops(rows[part], *(s[part] for s in lower))
+            if seen is not None:
+                seen[r] = y[0]
+            return _level_rhs(tuple(o[q] for o in ops[c]), y, loads)
+
+        try:
+            arrays += backward_rk4(stage, terminals[i], times, "riccati system",
+                                   symmetric_p if i == 0 else (lambda y: y), stop)
+        except BlowUpError as exc:
+            error, stop = exc, int(np.searchsorted(times, exc.t)) + 1
+        lower.append(seen)
+    if error is not None:
+        raise error
     if max_asym > P_ASYM_TOL:
         raise ConsistencyError(f"follower gain asymmetry {max_asym:.3e} exceeds "
                                f"{P_ASYM_TOL:g}")
@@ -205,28 +259,19 @@ def _solve_stack(spec: GameSpec, rhs, terminal):
 # public operations
 # ---------------------------------------------------------------------------
 
-def integrate_backward(rhs, terminal, times) -> MatrixTrajectory:
-    """RK4 for dM/dt = rhs(t, M) run backward from M(times[-1]) = terminal."""
-    times = np.asarray(times, dtype=float)
-    (values,) = backward_rk4(
-        lambda k, c, y: (rhs(times[k] - c * (times[k] - times[k - 1]), y[0]),),
-        (np.asarray(terminal, dtype=float),), times, "backward integration")
-    return MatrixTrajectory(times, values)
-
-
 def solve_p(spec: GameSpec) -> MatrixTrajectory:
     """Follower Riccati gain; terminal value is the follower's terminal weight."""
-    times, arrays = _solve_stack(spec, lambda cv, y: (_rhs_p(cv, y[0]),),
-                                 terminal_state(spec)[:1])
-    return MatrixTrajectory(times, arrays[0])
+    times, (p,) = _solve_levels(spec, 1)
+    return MatrixTrajectory(times, p[:, 0])
 
 
 def solve_game(spec: GameSpec):
-    """Full ladder in one pass: RiccatiBundle plus OffsetBundle.
+    """Full ladder, level by level: RiccatiBundle plus OffsetBundle.
 
     The offsets' blocks give the 2n offset Phi and the n offset phi_check."""
-    times, arrays = _solve_stack(spec, _stack_rhs, terminal_state(spec))
-    p, P1, P2, Pf1, Pf2, Pf3, Om = (MatrixTrajectory(times, a) for a in arrays)
+    times, (p, P, Pf, Om) = _solve_levels(spec, 3)
+    p, P1, P2, Pf1, Pf2, Pf3, Om = (MatrixTrajectory(times, a) for a in (
+        p[:, 0], P[:, 0], P[:, 1], Pf[:, 0], Pf[:, 1], Pf[:, 2], Om))
     cv = CoeffValues(spec, times)
     l1 = level1_at(cv, p.values)
     l2 = level2_at(cv, l1)
@@ -252,16 +297,12 @@ def riccati_residuals(spec: GameSpec, bundle: RiccatiBundle,
     truncation error, so residuals should scale like C h^2 on constant
     coefficients.
     """
-    times = bundle.times
-    names = ("p", "P1", "P2", "Pf1", "Pf2", "Pf3", "Omega")
-    vals = [bundle.p.values, bundle.P1.values, bundle.P2.values,
-            bundle.Pf1.values, bundle.Pf2.values, bundle.Pf3.values,
-            offsets.Omega.values]
-    ders = _stack_rhs(CoeffValues(spec, times[1:-1]),
-                      tuple(v[1:-1] for v in vals))
+    times, names = bundle.times, ("p", "P1", "P2", "Pf1", "Pf2", "Pf3")
+    vals = [getattr(bundle, f).values for f in names] + [offsets.Omega.values]
+    ders = _ladder_rhs(CoeffValues(spec, times[1:-1]), [v[1:-1] for v in vals])
     dt = times[2:] - times[:-2]
     out = {}
-    for name, v, d in zip(names, vals, ders):
+    for name, v, d in zip(names + ("Omega",), vals, ders):
         num = (v[2:] - v[:-2]) / dt.reshape((-1,) + (1,) * (v.ndim - 1))
         out[name] = float(np.abs(num - d).max(initial=0.0))
     return out

@@ -5,12 +5,11 @@ import pytest
 
 import stacklq as sq
 from stacklq.closedloop import (BLOCK_PATHS, _follower_offset, _middle_offset,
-                                _node_loop, ansatz_residual, reconstruct_Phi,
-                                reconstruct_phicheck, respond_player1,
-                                respond_player12, simulate_equilibrium,
-                                simulate_state)
+                                _node_loop, _phicheck_gain, _rows_at,
+                                _state_step, ansatz_residual, respond_player1,
+                                respond_player12, simulate_equilibrium)
 from stacklq.errors import BlowUpError, UnsupportedPerturbationError
-from stacklq.lift import CoeffValues, selectors
+from stacklq.lift import CoeffValues, mv, selectors
 from stacklq.model import Coefficient, solver_times
 from stacklq.montecarlo import (_sweep_quadratics, _sweep_setup,
                                 default_directions, simulate_blocks,
@@ -149,6 +148,21 @@ def test_x_is_first_block(generic_solution, scalar_generic):
     assert np.array_equal(paths.x, paths.X3[:, :, :1])
 
 
+def simulate_state(spec, v1, v2, v3, dW):
+    """Euler integration of the physical state under given control paths."""
+    N, K, _ = dW.shape
+    times = solver_times(spec)
+    cv = CoeffValues(spec, times)
+    x = np.tile(spec.x0, (N, 1))
+    xs = np.empty((N, K + 1, spec.n))
+    for k in range(K):
+        xs[:, k] = x
+        v = [_rows_at(vi, k, N) for vi in (v1, v2, v3)]
+        x = _state_step(cv[k], times, k, dW[:, k], x, v, True)
+    xs[:, K] = x
+    return xs
+
+
 def test_simulate_state_constant():
     spec = sq.make_spec(n=1, x0=3.0, steps=50)
     dW = np.zeros((2, 50, 3))
@@ -257,6 +271,22 @@ def test_hat_filter_is_unbiased(generic_solution, scalar_generic):
         mean = diff.mean(axis=0)
         se = diff.std(axis=0, ddof=1) / np.sqrt(diff.shape[0])
         assert np.all(np.abs(mean) <= 3.0 * se + 1e-12)
+
+
+def reconstruct_phicheck(bundle, offsets, X3check):
+    """Follower offset filter along paths: affine in the check-filtered state."""
+    G, g = _phicheck_gain(bundle, offsets)
+    return mv(G, X3check) + g
+
+
+def reconstruct_Phi(bundle, offsets, X3hat, X3check):
+    """Middle-level offset filters (hat and check versions) along paths."""
+    L = selectors(bundle.p.values.shape[-1])[2]
+    Pf12, Pf3 = bundle.Pf1.values + bundle.Pf2.values, bundle.Pf3.values
+    off = mv(L, offsets.Omega.values)
+    Phih = mv(L @ Pf12, X3hat) + mv(L @ Pf3, X3check) + off
+    Phic = mv(L @ (Pf12 + Pf3), X3check) + off
+    return Phih, Phic
 
 
 def test_offset_reconstruction_matches_per_node_formulas(n2_spec):

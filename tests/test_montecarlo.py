@@ -13,7 +13,7 @@ from stacklq.model import solver_times
 from stacklq.montecarlo import (_node_cost, default_directions, estimate_cost,
                                 mean_stderr, particle_filter,
                                 variational_sweep, variational_test)
-from stacklq.riccati import integrate_backward, solve_game
+from stacklq.riccati import backward_rk4, solve_game
 from stacklq.rng import NoisePlan
 
 
@@ -60,9 +60,12 @@ def test_cost_against_moment_ode():
         m1, m2 = M
         return -np.array([a * m1, (2 * a + c * c) * m2 + 2 * c * s3 * m1 + s3 * s3])
 
-    traj = integrate_backward(rhs, np.array([x0, x0 * x0]),
-                              np.linspace(0, T, steps + 1))
-    m2_T = traj.values[0][1]  # backward from "terminal" = initial condition
+    times = np.linspace(0, T, steps + 1)
+    (values,) = backward_rk4(
+        lambda k, j, y: (rhs(times[k] - (0.0, 0.5, 0.5, 1.0)[j]
+                             * (times[k] - times[k - 1]), y[0]),),
+        (np.array([x0, x0 * x0]),), times, "moment oracle")
+    m2_T = values[0][1]  # backward from "terminal" = initial condition
     expect = 0.5 * m2_T
     assert abs(est.mean - expect) <= 3.0 * est.stderr + 2e-3 * abs(expect)
 

@@ -6,8 +6,18 @@ from stacklq.errors import BlowUpError
 from stacklq.lift import (CoeffValues, bdiag, level1_at, level2_at,
                           level2_closedloop_at, level3_at, mv)
 from stacklq.model import Coefficient, solver_times
-from stacklq.riccati import (_stack_rhs, integrate_backward, riccati_residuals,
-                             solve_game, solve_p, terminal_state)
+from stacklq.riccati import (MatrixTrajectory, _ladder_rhs, backward_rk4,
+                             riccati_residuals, solve_game, solve_p,
+                             terminal_state)
+
+
+def integrate_backward(rhs, terminal, times):
+    """RK4 for dM/dt = rhs(t, M) run backward from M(times[-1]) = terminal."""
+    (values,) = backward_rk4(
+        lambda k, j, y: (rhs(times[k] - (0.0, 0.5, 0.5, 1.0)[j]
+                             * (times[k] - times[k - 1]), y[0]),),
+        (np.asarray(terminal, dtype=float),), times, "backward integration")
+    return MatrixTrajectory(times, values)
 
 
 def test_integrate_backward_constant():
@@ -174,8 +184,9 @@ def test_piecewise_coefficients_integrate():
 
 # ---------------------------------------------------------------------------
 # the ladder's equations block by block, as the paper writes them out: the
-# reference for `_stack_rhs`, which solves one Riccati instance per cumulative
-# sum (P1, P1+P2; Pf1, Pf1+Pf2, Pf1+Pf2+Pf3) and differences them
+# reference for the level functions (`_ladder_rhs` runs the three), which
+# solve one Riccati instance per cumulative sum (P1, P1+P2; Pf1, Pf1+Pf2,
+# Pf1+Pf2+Pf3) and difference them
 # ---------------------------------------------------------------------------
 
 def _block_rhs(cv, state):
@@ -267,8 +278,57 @@ def test_stack_rhs_matches_block_equations(name, request):
     cases = [(CoeffValues(spec, ts), _random_states(rng, ts.shape[0], spec.n)),
              (CoeffValues(spec, bundle.times), solved + (offsets.Omega.values,))]
     for cv, state in cases:
-        for got, ref in zip(_stack_rhs(cv, state), _block_rhs(cv, state)):
+        for got, ref in zip(_ladder_rhs(cv, state), _block_rhs(cv, state)):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _joint_ladder(spec):
+    """The ladder as one RK4 state, each stage's right-hand side evaluated on
+    that stage's values at the step's midpoint coefficients, one node at a
+    time: the one-pass shape the level-by-level solve must reproduce."""
+    times = solver_times(spec)
+    mid = CoeffValues(spec, 0.5 * (times[1:] + times[:-1]))
+
+    def symmetric_p(y):
+        return (0.5 * (y[0] + y[0].T),) + y[1:]
+
+    return backward_rk4(lambda k, j, y: tuple(_ladder_rhs(mid[k - 1], y)),
+                        terminal_state(spec), times, "joint ladder", symmetric_p)
+
+
+@pytest.mark.parametrize("name", ("scalar_generic", "n2_spec", "offgrid_spec"))
+def test_ladder_levels_match_joint_rk4(name, request):
+    spec = request.getfixturevalue(name)
+    bundle, offsets = solve_game(spec)
+    got = [getattr(bundle, f).values for f in ("p", "P1", "P2", "Pf1", "Pf2", "Pf3")]
+    got.append(offsets.Omega.values)
+    for g, ref in zip(got, _joint_ladder(spec)):
+        assert g.shape == ref.shape
+        assert np.abs(g - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_ladder_blowup_time_pinned():
+    # recorded when the ladder was one joint RK4 pass: the error names the
+    # first step, backward, at which any level exceeds the blow-up limit
+    readme = dict(n=1, T=1.0, steps=500, x0=1.0, A=0.3, B1=1.0, B2=0.8,
+                  B3=0.6, sigma1=0.25, sigma2=0.3, sigma3=0.35, Q1=1.0, R1=1.0,
+                  G1=0.5, Q2=0.8, R2=1.2, G2=0.4, Q3=0.6, R3=1.5, G3=0.3)
+    # A = 1e7: p blows up on the first step, so no level above it takes one
+    for kw, t in ((dict(A=16.0), 0.118), (dict(A=20.0), 0.294),
+                  (dict(A=1e7), 0.998)):
+        with pytest.raises(BlowUpError) as err:
+            solve_game(sq.make_spec(**{**readme, **kw}))
+        assert err.value.t == pytest.approx(t, abs=1e-9), kw
+    # B1 = B2 = B3 = 0: p blows up alone at t = 0.116; the levels above it
+    # would blow up by t = 0.028 on their own, so they must stop at p's step
+    kw = dict(A=16.0, B1=0.0, B2=0.0, B3=0.0, G2=1e-3, G3=1e-3)
+    for solve in (solve_p, solve_game):
+        with pytest.raises(BlowUpError) as err:
+            solve(sq.make_spec(**{**readme, **kw}))
+        assert err.value.t == pytest.approx(0.116, abs=1e-9)
+    with pytest.raises(BlowUpError) as err:
+        solve_game(sq.make_spec(**{**readme, **kw, "G1": 1e-6}))
+    assert err.value.t == pytest.approx(0.028, abs=1e-9)
 
 
 def test_ladder_numbers_pinned(n2_spec):
