@@ -11,8 +11,8 @@ from .model import (GameSpec, TimeGrid, ValidationReport, eval_coeff,
                     load_spec, make_spec, save_spec, solver_times,
                     spec_from_dict, spec_to_dict, validate_spec)
 from .montecarlo import (CostEstimate, Direction, PerturbationReport,
-                         default_directions, estimate_cost, particle_filter,
-                         variational_sweep, variational_test)
+                         default_directions, mean_stderr, particle_filter,
+                         simulate_blocks, variational_sweep)
 from .oracle import crosscheck_p, reduce_to_single_player, solve_dp
 from .riccati import (MatrixTrajectory, OffsetBundle, RiccatiBundle,
                       riccati_residuals, solve_game, solve_p)

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .closedloop import build_feedback
-from .errors import BlowUpError, SpecFormatError, StackLQError
-from .model import load_spec, validate_spec
+from .errors import BlowUpError, DomainError, SpecFormatError, StackLQError
+from .model import load_spec, validate_spec, with_steps
 from .montecarlo import mean_stderr, simulate_blocks
 from .riccati import riccati_residuals, solve_game
 from .rng import NoisePlan
@@ -93,13 +93,28 @@ def _load(args):
         raise SpecFormatError("--paths must be at least 1")
     if getattr(args, "thin", 1) < 1:
         raise SpecFormatError("--thin must be at least 1")
+    if not 0 <= args.seed < 2**64:
+        raise SpecFormatError("--seed must be an unsigned 64-bit integer")
     spec = load_spec(args.spec)
     if args.steps is not None:
-        spec = dataclasses.replace(
-            spec, grid=dataclasses.replace(spec.grid, steps=args.steps))
-    if getattr(args, "rho_min", None) is not None:
+        spec = with_steps(spec, args.steps)
+    if args.rho_min is not None:
+        if not (np.isfinite(args.rho_min) and args.rho_min > 0.0):
+            raise SpecFormatError("--rho-min must be a positive finite number")
         spec = dataclasses.replace(spec, rho_min=args.rho_min)
     return spec
+
+
+def _prepare(args):
+    """The spec of args, loaded and validated, and the --out directory,
+    created; an invalid spec raises DomainError listing every violation."""
+    spec = _load(args)
+    report = validate_spec(spec)
+    if not report.valid:
+        raise DomainError(str(report))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return spec, out
 
 
 def cmd_validate(args) -> int:
@@ -113,13 +128,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    spec = _load(args)
-    report = validate_spec(spec)
-    if not report.valid:
-        print(report, file=sys.stderr)
-        return EXIT_INVALID
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    spec, out = _prepare(args)
     bundle, offsets = solve_game(spec)
     law = build_feedback(bundle, offsets, spec)
     for name in ("p", "P1", "P2", "Pf1", "Pf2", "Pf3"):
@@ -137,13 +146,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec = _load(args)
-    report = validate_spec(spec)
-    if not report.valid:
-        print(report, file=sys.stderr)
-        return EXIT_INVALID
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    spec, out = _prepare(args)
     bundle, offsets = solve_game(spec)
     law = build_feedback(bundle, offsets, spec)
     times = law.times
@@ -187,13 +190,7 @@ def _epsilons(text: str) -> tuple:
 
 def cmd_verify(args) -> int:
     eps = _epsilons(args.epsilons)
-    spec = _load(args)
-    report = validate_spec(spec)
-    if not report.valid:
-        print(report, file=sys.stderr)
-        return EXIT_INVALID
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    spec, out = _prepare(args)
     cfg = VerifyConfig(seed=args.seed, n_paths=args.paths, epsilons=eps,
                        gain_scale=args.sabotage_gains)
     checks, artifacts = run_verification(spec, cfg)

@@ -32,7 +32,6 @@ from .errors import BlowUpError, UnsupportedPerturbationError
 from .lift import CoeffValues, mv, selectors
 from .model import GameSpec
 from .riccati import BLOWUP_LIMIT, OffsetBundle, RiccatiBundle, backward_rk4
-from .rng import NoisePlan
 
 # Paths stepped together: a block of the streaming simulate, a chunk of the
 # variational sweep.
@@ -98,13 +97,6 @@ class PathBundle:
     v1: np.ndarray        # (N, K+1, n)
     v2: np.ndarray
     v3: np.ndarray
-    vcheck2: np.ndarray
-    vhat3: np.ndarray
-    vcheck3: np.ndarray
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.X3[..., : self.X3.shape[-1] // 4]
 
 
 def build_feedback(bundle: RiccatiBundle, offsets: OffsetBundle,
@@ -178,14 +170,6 @@ def _block_tables(times, g, l3) -> dict:
                 kz=np.concatenate([g["k1"], g["k2"], g["k3"]], axis=-1))
 
 
-def _increments(noise, n_paths):
-    if isinstance(noise, NoisePlan):
-        if n_paths is None:
-            raise ValueError("n_paths required with a NoisePlan")
-        return noise.increments(np.arange(n_paths))
-    return noise
-
-
 def _guard(arr, t, what):
     """BlowUpError naming the first bad path (axis -2) if arr is non-finite or huge."""
     if not np.abs(arr).max(initial=0.0) <= BLOWUP_LIMIT:   # NaN fails too
@@ -250,10 +234,10 @@ def _node_loop(spec: GameSpec, law: FeedbackLaw, dW: np.ndarray):
             Z = Zn
 
 
-def simulate_equilibrium(spec: GameSpec, law: FeedbackLaw, noise,
-                         n_paths: int | None = None) -> PathBundle:
-    """Explicit first-order stepping of the three filtered systems."""
-    dW = _increments(noise, n_paths)
+def simulate_equilibrium(spec: GameSpec, law: FeedbackLaw,
+                         dW: np.ndarray) -> PathBundle:
+    """Explicit first-order stepping of the three filtered systems driven by
+    the increments dW (paths, steps, 3)."""
     N, K, _ = dW.shape
     Zs, Vs = np.empty((N, K + 1, 12 * law.n)), np.empty((N, K + 1, 3 * law.n))
     for k, Z, V in _node_loop(spec, law, dW):
@@ -261,9 +245,7 @@ def simulate_equilibrium(spec: GameSpec, law: FeedbackLaw, noise,
     X, Xh, Xc = np.split(Zs, 3, axis=-1)
     v1, v2, v3 = np.split(Vs, 3, axis=-1)
     return PathBundle(times=law.times, X3=X, X3hat=Xh, X3check=Xc,
-                      v1=v1, v2=v2, v3=v3, vcheck2=mv(law.Kv2check, Xc) + law.k2,
-                      vhat3=mv(law.Kv3hat, Xh) + mv(law.K3check, Xc) + law.k3,
-                      vcheck3=mv(law.Kv3check, Xc) + law.k3)
+                      v1=v1, v2=v2, v3=v3)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +278,6 @@ class Player1Response:
     times: np.ndarray
     x: np.ndarray
     xcheck: np.ndarray
-    phicheck: np.ndarray
     v1: np.ndarray
 
 
@@ -305,13 +286,9 @@ class Player12Response:
     times: np.ndarray
     X2hat: np.ndarray
     X2check: np.ndarray
-    Phihat: np.ndarray
-    Phicheck: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
     x: np.ndarray
-    xcheck: np.ndarray
-    phicheck: np.ndarray
 
 
 def _offset_backward(times, coef, driver, what):
@@ -359,9 +336,9 @@ def _follower_control(bundle: RiccatiBundle, c: CoeffValues, k, xc, phi, affine)
 
 def _middle_controls(bundle: RiccatiBundle, c: CoeffValues, k, X2h, X2c,
                      Phih, Phic, affine):
-    """(v1, v2, phicheck) at node k from the middle player's hat and check
-    filtered 2n states and offsets: v2 from the middle level's feedback, v1
-    from the follower's, fed the follower offset filter phicheck."""
+    """(v1, v2) at node k from the middle player's hat and check filtered 2n
+    states and offsets: v2 from the middle level's feedback, v1 from the
+    follower's, fed the follower offset filter phicheck."""
     n = c.A.shape[-1]
     s2 = selectors(n)[3]
     cB2, cF2 = bundle.l2.calB2[k], bundle.l2.calF2[k]
@@ -371,7 +348,7 @@ def _middle_controls(bundle: RiccatiBundle, c: CoeffValues, k, X2h, X2c,
         u = u + c.nl[1]
     phick = X2c @ (s2 @ (P1 + P2)).T + Phic @ s2.T
     v1 = _follower_control(bundle, c, k, X2c[..., :n], phick, affine)
-    return v1, -u @ c.Rinv[1].T, phick
+    return v1, -u @ c.Rinv[1].T
 
 
 def _follower_step(bundle: RiccatiBundle, c: CoeffValues, k, dWk, xc, phi,
@@ -410,8 +387,8 @@ def _middle_step(bundle: RiccatiBundle, k, dWk, X2h, X2c, Phih, Phic, vh3,
             X2c + h * drift_c + d3 * load_c3)
 
 
-def respond_player1(spec: GameSpec, bundle: RiccatiBundle, v2, v3, noise,
-                    n_paths: int | None = None, vcheck2=None, vcheck3=None,
+def respond_player1(spec: GameSpec, bundle: RiccatiBundle, v2, v3, dW,
+                    vcheck2=None, vcheck3=None,
                     phicheck=None) -> Player1Response:
     """Follower best response to exogenous leader controls.
 
@@ -420,7 +397,6 @@ def respond_player1(spec: GameSpec, bundle: RiccatiBundle, v2, v3, noise,
     controls are admitted only together with their filter paths and a
     phicheck path reconstructed by the caller; anything else is rejected.
     """
-    dW = _increments(noise, n_paths)
     N, K, _ = dW.shape
     n = spec.n
     cv = CoeffValues(spec, bundle.times)
@@ -444,12 +420,11 @@ def respond_player1(spec: GameSpec, bundle: RiccatiBundle, v2, v3, noise,
             xc = _follower_step(bundle, c, k, dW[:, k], xc, phik, drive, True)
             v = (v1[:, k], _rows_at(v2, k, N), _rows_at(v3, k, N))
             x = _state_step(c, bundle.times, k, dW[:, k], x, v, True)
-    return Player1Response(times=bundle.times, x=xs, xcheck=xcs,
-                           phicheck=np.broadcast_to(phi, (N, K + 1, n)), v1=v1)
+    return Player1Response(times=bundle.times, x=xs, xcheck=xcs, v1=v1)
 
 
-def respond_player12(spec: GameSpec, bundle: RiccatiBundle, v3, noise,
-                     n_paths: int | None = None, vhat3=None, vcheck3=None,
+def respond_player12(spec: GameSpec, bundle: RiccatiBundle, v3, dW,
+                     vhat3=None, vcheck3=None,
                      Phihat=None, Phicheck=None) -> Player12Response:
     """Joint best response of the two lower levels to an exogenous top control.
 
@@ -460,7 +435,6 @@ def respond_player12(spec: GameSpec, bundle: RiccatiBundle, v3, noise,
     Phihat = L (Pf1 + Pf2) X3hat + L Pf3 X3check + L Omega and
     Phicheck = L (Pf1 + Pf2 + Pf3) X3check + L Omega.
     """
-    dW = _increments(noise, n_paths)
     N, K, _ = dW.shape
     n = spec.n
     if np.ndim(v3) == 2:
@@ -478,11 +452,11 @@ def respond_player12(spec: GameSpec, bundle: RiccatiBundle, v3, noise,
     X2h = np.tile(np.concatenate([spec.x0, np.zeros(n)]), (N, 1))
     X2c = X2h.copy()
     X2hs, X2cs = np.empty((N, K + 1, 2 * n)), np.empty((N, K + 1, 2 * n))
-    xs, v1, v2, phic = (np.empty((N, K + 1, n)) for _ in range(4))
+    xs, v1, v2 = (np.empty((N, K + 1, n)) for _ in range(3))
     for k in range(K + 1):
         Phihk, Phick = _rows_at(Phih, k, N), _rows_at(Phic, k, N)
         xs[:, k], X2hs[:, k], X2cs[:, k] = x, X2h, X2c
-        v1[:, k], v2[:, k], phic[:, k] = _middle_controls(
+        v1[:, k], v2[:, k] = _middle_controls(
             bundle, cv[k], k, X2h, X2c, Phihk, Phick, True)
         if k < K:
             X2h, X2c = _middle_step(bundle, k, dW[:, k], X2h, X2c, Phihk, Phick,
@@ -490,9 +464,7 @@ def respond_player12(spec: GameSpec, bundle: RiccatiBundle, v3, noise,
             v = (v1[:, k], v2[:, k], _rows_at(v3, k, N))
             x = _state_step(cv[k], bundle.times, k, dW[:, k], x, v, True)
     return Player12Response(times=bundle.times, X2hat=X2hs, X2check=X2cs,
-                            Phihat=np.asarray(Phih), Phicheck=np.asarray(Phic),
-                            v1=v1, v2=v2, x=xs, xcheck=X2cs[:, :, :n],
-                            phicheck=phic)
+                            v1=v1, v2=v2, x=xs)
 
 
 # ---------------------------------------------------------------------------

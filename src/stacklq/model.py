@@ -14,7 +14,7 @@ without quadrature ambiguity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +193,11 @@ def eval_coeff(spec: GameSpec, which: str, t: float) -> np.ndarray:
     return coeff.at(t)
 
 
+def with_steps(spec: GameSpec, steps: int) -> GameSpec:
+    """The spec on a uniform grid of `steps` steps over the same horizon."""
+    return replace(spec, grid=replace(spec.grid, steps=steps))
+
+
 def solver_times(spec: GameSpec) -> np.ndarray:
     """Uniform grid nodes joined with every declared breakpoint.
 
@@ -238,6 +243,8 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
     if n < 1:
         bad.append(Violation("n", "state dimension must be >= 1"))
         return ValidationReport(tuple(bad))
+    if not (np.isfinite(spec.rho_min) and spec.rho_min > 0.0):
+        bad.append(Violation("rho_min", "must be a positive finite real"))
     if not (T > 0.0 and np.isfinite(T)):
         bad.append(Violation("T", "horizon must be a positive finite real"))
     if spec.grid.steps < 2:

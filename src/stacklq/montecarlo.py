@@ -1,4 +1,4 @@
-"""Cost estimation, variational optimality tests and the filter oracle.
+"""Streamed costs, variational optimality tests and the filter oracle.
 
 The variational tests exploit linearity: under common random numbers the
 Euler-discretized paths respond affinely to a control perturbation, so one
@@ -14,8 +14,7 @@ and steps one base closed loop, along which one response group per distinct
 (player, gain_scale) advances all its directions on one leading axis and its
 base cost once.  The response is the homogeneous form of closedloop's
 best-response systems, the ones `respond_player1/12` run.  No increment row
-is drawn twice however many cases share the seed; `variational_test` is the
-one-case sweep.
+is drawn twice however many cases share the seed.
 
 `simulate_blocks` streams the equilibrium for `stacklq simulate` block by
 block of paths, keeping every thin-th node and each player's running cost,
@@ -29,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedloop import (BLOCK_PATHS, FeedbackLaw, PathBundle,
-                         _follower_control, _follower_offset, _follower_step,
-                         _middle_controls, _middle_offset, _middle_step,
-                         _node_loop, _paths_from, _state_step)
+from .closedloop import (BLOCK_PATHS, FeedbackLaw, _follower_control,
+                         _follower_offset, _follower_step, _middle_controls,
+                         _middle_offset, _middle_step, _node_loop, _paths_from,
+                         _state_step)
 from .errors import UnsupportedPerturbationError
 from .lift import CoeffValues
 from .model import GameSpec, solver_times
@@ -99,34 +98,15 @@ def mean_stderr(J: np.ndarray) -> tuple:
     return float(J.mean()), stderr
 
 
-def estimate_cost(spec: GameSpec, player: int, bundle: PathBundle,
-                  seed: int = 0) -> CostEstimate:
-    """Left-endpoint quadrature of the player's cost along stored paths."""
-    times = bundle.times
-    st = solver_times(spec)
-    if times.shape != st.shape or not np.allclose(times, st):
-        raise ValueError("path bundle grid does not match the spec grid")
-    cv, i = CoeffValues(spec, times), player - 1
-    x = bundle.x
-    v = (bundle.v1, bundle.v2, bundle.v3)[i]
-    K = times.shape[0] - 1
-    J = np.zeros(x.shape[0])
-    for k in range(K + 1):
-        J += _node_cost(cv[k], i, k, times, x[:, k], v[:, k])
-    mean, stderr = mean_stderr(J)
-    return CostEstimate(player=player, mean=mean, stderr=stderr,
-                        n_paths=J.shape[0], seed=seed, grid_steps=K)
-
-
 def simulate_blocks(spec: GameSpec, law: FeedbackLaw, plan: NoisePlan,
                     n_paths: int, thin: int):
     """Simulate the equilibrium block by block of BLOCK_PATHS paths.
 
     Yields (start, records, J) per block, start being its first path index:
     records (paths, K // thin + 1, 15n) holds X, Xh, Xc, v1, v2, v3 at every
-    thin-th node and J (3, paths) each player's cost, summed node by node
-    as estimate_cost sums it.  Memory is one block's whatever n_paths is; a
-    blow-up names its global path index.
+    thin-th node and J (3, paths) each player's cost, the package's one
+    cost sum.  Memory is one block's whatever n_paths is; a blow-up names
+    its global path index.
     """
     times = law.times
     K = times.shape[0] - 1
@@ -216,8 +196,8 @@ class _Group:
         if player == 2:
             dv[0] = _follower_control(bundle, c, k, self.dxc, off, False)
         elif player == 3:
-            dv[0], dv[1], _ = _middle_controls(bundle, c, k, self.dX2h,
-                                               self.dX2c, off, off, False)
+            dv[0], dv[1] = _middle_controls(bundle, c, k, self.dX2h,
+                                            self.dX2c, off, off, False)
 
         # accumulate the cost polynomials
         form = lambda a, M, b: np.einsum("...pi,ij,...pj->...p", a, M, b)
@@ -292,15 +272,14 @@ def _sweep_quadratics(spec, law: FeedbackLaw, bundle: RiccatiBundle, cases,
 
 
 def variational_sweep(spec: GameSpec, cases, epsilons, n_paths: int,
-                      seed: int, law: FeedbackLaw, bundle: RiccatiBundle,
-                      chunk: int = BLOCK_PATHS) -> list:
+                      seed: int, law: FeedbackLaw, bundle: RiccatiBundle) -> list:
     """CRN perturbation sweep over many cases on one draw of the noise.
 
     cases is a list of (player, direction, gain_scale); one report per case,
-    in order.  The chunk loop is outermost: each chunk of paths draws its
-    increments once and runs one shared base closed loop that every response
-    group follows, so the sweep holds one chunk of noise and, per case, the
-    chunk's responses and three per-path vectors.
+    in order.  The chunk loop is outermost: each chunk of BLOCK_PATHS paths
+    draws its increments once and runs one shared base closed loop that
+    every response group follows, so the sweep holds one chunk of noise and,
+    per case, the chunk's responses and three per-path vectors.
     """
     eps = sorted({float(e) for e in epsilons} | {0.0} |
                  {-float(e) for e in epsilons})
@@ -309,11 +288,11 @@ def variational_sweep(spec: GameSpec, cases, epsilons, n_paths: int,
     setup = _sweep_setup(spec, law, bundle, cases)
 
     def run(i0):  # frees each chunk's increments before drawing the next
-        dW = plan.increments(np.arange(i0, min(i0 + chunk, n_paths)))
+        dW = plan.increments(np.arange(i0, min(i0 + BLOCK_PATHS, n_paths)))
         with _paths_from(i0):
             return _sweep_quadratics(spec, law, bundle, cases, dW, setup)
 
-    parts = [run(i0) for i0 in range(0, n_paths, chunk)]
+    parts = [run(i0) for i0 in range(0, n_paths, BLOCK_PATHS)]
 
     reports = []
     for i, (player, direction, _) in enumerate(cases):
@@ -330,22 +309,6 @@ def variational_sweep(spec: GameSpec, cases, epsilons, n_paths: int,
             costs=tuple(costs), slope0=slope0, slope_stderr=slope_stderr,
             curvature_ok=curvature_ok))
     return reports
-
-
-def variational_test(spec: GameSpec, player: int, direction: Direction,
-                     epsilons, n_paths: int, seed: int,
-                     law: FeedbackLaw | None = None,
-                     bundle: RiccatiBundle | None = None,
-                     gain_scale: float = 1.0,
-                     chunk: int = BLOCK_PATHS) -> PerturbationReport:
-    """CRN perturbation sweep for one player and one direction."""
-    if law is None or bundle is None:
-        from .closedloop import build_feedback
-        from .riccati import solve_game
-        bundle, offsets = solve_game(spec)
-        law = build_feedback(bundle, offsets, spec)
-    return variational_sweep(spec, [(player, direction, gain_scale)], epsilons,
-                             n_paths, seed, law, bundle, chunk)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,13 @@ cross-checks the continuous follower Riccati gain and the optimal value.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ReductionError, StackLQError
 from .lift import CoeffValues, level1_at
-from .model import GameSpec
+from .model import GameSpec, with_steps
 from .riccati import backward_rk4, solve_p
 
 
@@ -132,8 +131,7 @@ def _continuous_value(spec: GameSpec, steps: int):
     T = spec.horizon
     times = np.linspace(0.0, T, steps + 1)
     n = spec.n
-    ptraj = solve_p(dataclasses.replace(
-        spec, grid=dataclasses.replace(spec.grid, steps=steps)))
+    ptraj = solve_p(with_steps(spec, steps))
     # solve_p's grid adds every breakpoint; keep the node nearest each t_k
     j = np.clip(np.searchsorted(ptraj.times, times), 1, ptraj.times.shape[0] - 1)
     j -= times - ptraj.times[j - 1] < ptraj.times[j] - times

@@ -26,8 +26,9 @@ calls them once on the table of interior nodes.
 Offsets: with deterministic coefficients the offset backward SDEs admit
 deterministic solutions with zero martingale integrands and with all
 conditional-expectation decorations equal to the process itself, so Omega
-collapses to a linear backward ODE.  The 2n offset Phi and the n offset
-phi_check are the corresponding blocks of Omega under the stacking ansatz.
+collapses to a linear backward ODE.  The lower levels' offsets are blocks of
+Omega under the stacking ansatz: the middle level's 2n offset its lower half,
+the follower's n offset its last quarter.
 """
 
 from __future__ import annotations
@@ -77,8 +78,6 @@ class RiccatiBundle:
 class OffsetBundle:
     times: np.ndarray
     Omega: MatrixTrajectory      # 4n
-    Phi: MatrixTrajectory        # 2n, lower half of Omega
-    phi_check: MatrixTrajectory  # n, lower quarter of Omega
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +265,7 @@ def solve_p(spec: GameSpec) -> MatrixTrajectory:
 
 
 def solve_game(spec: GameSpec):
-    """Full ladder, level by level: RiccatiBundle plus OffsetBundle.
-
-    The offsets' blocks give the 2n offset Phi and the n offset phi_check."""
+    """Full ladder, level by level: RiccatiBundle plus OffsetBundle."""
     times, (p, P, Pf, Om) = _solve_levels(spec, 3)
     p, P1, P2, Pf1, Pf2, Pf3, Om = (MatrixTrajectory(times, a) for a in (
         p[:, 0], P[:, 0], P[:, 1], Pf[:, 0], Pf[:, 1], Pf[:, 2], Om))
@@ -279,10 +276,7 @@ def solve_game(spec: GameSpec):
     l3 = level3_at(cv, l2, l2cl)
     bundle = RiccatiBundle(times=times, p=p, P1=P1, P2=P2, Pf1=Pf1, Pf2=Pf2,
                            Pf3=Pf3, l1=l1, l2=l2, l2cl=l2cl, l3=l3)
-    n = spec.n
-    offsets = OffsetBundle(times, Om, MatrixTrajectory(times, Om.values[:, 2 * n:]),
-                           MatrixTrajectory(times, Om.values[:, 3 * n:]))
-    return bundle, offsets
+    return bundle, OffsetBundle(times, Om)
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,14 @@ import numpy as np
 from .closedloop import ansatz_residual, build_feedback, simulate_equilibrium
 from .errors import ReductionError
 from .lift import bdiag
-from .model import GameSpec, solver_times, validate_spec
+from .model import GameSpec, solver_times, validate_spec, with_steps
 from .montecarlo import default_directions, particle_filter, variational_sweep
 from .oracle import crosscheck_p
 from .riccati import riccati_residuals, solve_game
 from .rng import NoisePlan
+
+TOWER_OUTER = 8     # the tower oracle's frozen W3 draws
+TOWER_INNER = 300   # and its (W1, W2) draws per frozen one
 
 
 @dataclasses.dataclass
@@ -32,12 +35,6 @@ class VerifyConfig:
     n_paths: int = 4000
     epsilons: tuple = (0.05, 0.1, 0.2)
     gain_scale: float = 1.0
-    tower_outer: int = 8
-    tower_inner: int = 300
-
-
-def _with_steps(spec: GameSpec, steps: int) -> GameSpec:
-    return dataclasses.replace(spec, grid=dataclasses.replace(spec.grid, steps=steps))
 
 
 def _zero_noise(spec: GameSpec) -> GameSpec:
@@ -95,11 +92,10 @@ def check_p_psd(spec, bundle):
 
 
 def check_measurability(spec, law, seed, n_paths=32):
-    dts = np.diff(solver_times(spec))
-    plan = NoisePlan.from_seed(seed, dts)
-    base = simulate_equilibrium(spec, law, plan, n_paths)
-    w1 = simulate_equilibrium(spec, law, plan.with_component_seed(0, seed + 99), n_paths)
-    w2 = simulate_equilibrium(spec, law, plan.with_component_seed(1, seed + 99), n_paths)
+    plan = NoisePlan.from_seed(seed, np.diff(solver_times(spec)))
+    base, w1, w2 = (simulate_equilibrium(spec, law, p.increments(np.arange(n_paths)))
+                    for p in (plan, plan.with_component_seed(0, seed + 99),
+                              plan.with_component_seed(1, seed + 99)))
     ok = (np.array_equal(base.X3hat, w1.X3hat)
           and np.array_equal(base.X3check, w1.X3check)
           and np.array_equal(base.X3check, w2.X3check))
@@ -118,7 +114,7 @@ def check_zero_noise_nesting(spec, seed, n_paths=4):
     b, o = solve_game(sp)
     law = build_feedback(b, o, sp)
     plan = NoisePlan.from_seed(seed, np.diff(solver_times(sp)))
-    paths = simulate_equilibrium(sp, law, plan, n_paths)
+    paths = simulate_equilibrium(sp, law, plan.increments(np.arange(n_paths)))
     gap = max(np.abs(paths.X3 - paths.X3hat).max(),
               np.abs(paths.X3 - paths.X3check).max())
     return ("zero_noise_nesting", gap <= 1e-12,
@@ -147,8 +143,8 @@ def check_tower(spec, law, cfg: VerifyConfig):
     T = spec.horizon
     tts = np.linspace(0.2, 0.9, 3) * T
     h = T / spec.grid.steps
-    rows = particle_filter(spec, law, tts, "G1", cfg.tower_outer,
-                           cfg.tower_inner, cfg.seed + 5)
+    rows = particle_filter(spec, law, tts, "G1", TOWER_OUTER, TOWER_INNER,
+                           cfg.seed + 5)
     worst = -np.inf
     ok = True
     for r in rows:
@@ -205,7 +201,7 @@ def run_verification(spec: GameSpec, cfg: VerifyConfig):
     bundle, offsets = solve_game(spec)
     law = build_feedback(bundle, offsets, spec)
     solved = (spec, bundle, offsets)
-    fine_spec = _with_steps(spec, 2 * spec.grid.steps)
+    fine_spec = with_steps(spec, 2 * spec.grid.steps)
     fine = (fine_spec, *solve_game(fine_spec))
     tower_check, oracle_rows = check_tower(spec, law, cfg)
     checks = [

@@ -3,15 +3,16 @@
 Each test prints one PASS/FAIL line with the measured quantities.
 """
 
-import dataclasses
 import time
 
 import numpy as np
 
 import stacklq as sq
 from stacklq.closedloop import ansatz_residual, simulate_equilibrium
-from stacklq.model import solver_times
-from stacklq.montecarlo import default_directions, particle_filter, variational_sweep
+from stacklq.model import solver_times, with_steps
+from stacklq.montecarlo import (default_directions, mean_stderr,
+                                particle_filter, simulate_blocks,
+                                variational_sweep)
 from stacklq.oracle import crosscheck_p
 from stacklq.riccati import riccati_residuals, solve_game, solve_p
 from stacklq.rng import NoisePlan
@@ -22,11 +23,6 @@ def _report(num, ok, detail, t0):
             f"({time.perf_counter() - t0:.2f}s)")
     print(line)
     return ok
-
-
-def _with_steps(spec, steps):
-    return dataclasses.replace(spec,
-                               grid=dataclasses.replace(spec.grid, steps=steps))
 
 
 def test_criterion_1_riccati_closed_form():
@@ -54,10 +50,9 @@ def test_criterion_2_trivial_zero_suite():
                  "K3check", "k3"):
         worst = max(worst, np.abs(getattr(law, name)).max())
     plan = NoisePlan.from_seed(1, np.diff(solver_times(spec)))
-    paths = simulate_equilibrium(spec, law, plan, 64)
-    from stacklq.montecarlo import estimate_cost
-    for player in (1, 2, 3):
-        worst = max(worst, abs(estimate_cost(spec, player, paths).mean))
+    for _, _, J in simulate_blocks(spec, law, plan, 64, thin=1):
+        for player in (1, 2, 3):
+            worst = max(worst, abs(mean_stderr(J[player - 1])[0]))
     dt = time.perf_counter() - t0
     ok = worst <= 1e-12 and dt < 1.0
     assert _report(2, ok, f"max |Riccati/offset/gain/cost| = {worst:.2e} <= 1e-12", t0)
@@ -65,10 +60,10 @@ def test_criterion_2_trivial_zero_suite():
 
 def test_criterion_3_convergence_order(n2_spec):
     t0 = time.perf_counter()
-    ref = solve_p(_with_steps(n2_spec, 1600)).values
+    ref = solve_p(with_steps(n2_spec, 1600)).values
     errs = []
     for steps in (100, 200, 400, 800):
-        p = solve_p(_with_steps(n2_spec, steps)).values
+        p = solve_p(with_steps(n2_spec, steps)).values
         stride = 1600 // steps
         errs.append(np.abs(p - ref[::stride]).max())
     factors = [errs[i] / errs[i + 1] for i in range(3)]
@@ -82,7 +77,7 @@ def test_criterion_4_residuals(n2_spec):
     t0 = time.perf_counter()
     consts = {}
     for steps in (100, 200):
-        sp = _with_steps(n2_spec, steps)
+        sp = with_steps(n2_spec, steps)
         b, o = solve_game(sp)
         res = riccati_residuals(sp, b, o)
         h = sp.horizon / steps
@@ -100,11 +95,11 @@ def test_criterion_5_measurability(scalar_generic, generic_solution):
     t0 = time.perf_counter()
     _, _, law = generic_solution
     plan = NoisePlan.from_seed(42, np.diff(solver_times(scalar_generic)))
-    base = simulate_equilibrium(scalar_generic, law, plan, 64)
-    w1 = simulate_equilibrium(scalar_generic, law,
-                              plan.with_component_seed(0, 4242), 64)
-    w2 = simulate_equilibrium(scalar_generic, law,
-                              plan.with_component_seed(1, 4242), 64)
+    run = lambda p: simulate_equilibrium(scalar_generic, law,
+                                         p.increments(np.arange(64)))
+    base = run(plan)
+    w1 = run(plan.with_component_seed(0, 4242))
+    w2 = run(plan.with_component_seed(1, 4242))
     ok = (np.array_equal(base.X3hat, w1.X3hat)
           and np.array_equal(base.X3check, w1.X3check)
           and np.array_equal(base.X3check, w2.X3check)
@@ -117,7 +112,7 @@ def test_criterion_5_measurability(scalar_generic, generic_solution):
 
 def test_criterion_6_tower_oracle(scalar_generic):
     t0 = time.perf_counter()
-    spec = _with_steps(scalar_generic, 200)
+    spec = with_steps(scalar_generic, 200)
     bundle, offsets = solve_game(spec)
     law = sq.build_feedback(bundle, offsets, spec)
     tts = np.array([0.15, 0.3, 0.5, 0.7, 0.9])
@@ -141,7 +136,7 @@ def test_criterion_7_ansatz_residual(scalar_generic):
     t0 = time.perf_counter()
     worsts = []
     for steps in (150, 300):
-        sp = _with_steps(scalar_generic, steps)
+        sp = with_steps(scalar_generic, steps)
         bundle, offsets = solve_game(sp)
         law = sq.build_feedback(bundle, offsets, sp)
         plan = NoisePlan.from_seed(5, np.diff(solver_times(sp)))

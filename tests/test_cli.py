@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -47,6 +48,31 @@ def test_validate_bad_weight(tmp_path):
     rc = main(["validate", "--spec", str(p), "--out", str(tmp_path)])
     assert rc == 1
     assert "R2" in (tmp_path / "validation.txt").read_text()
+
+
+@pytest.mark.parametrize("rho_min", ["nan", "-5", "0"])
+def test_rho_min_must_be_positive(tmp_path, rho_min):
+    # a rho_min that is not positive would let an indefinite R1 through
+    spec = sq.make_spec(n=1, R1=-1.0)
+    p = tmp_path / "bad.json"
+    sq.save_spec(spec, p)
+    for command in ("validate", "solve"):
+        out = tmp_path / command
+        rc = main([command, "--spec", str(p), "--out", str(out),
+                   "--rho-min", rho_min])
+        assert rc == 2, command
+        assert not out.exists()
+    report = sq.validate_spec(dataclasses.replace(spec, rho_min=float(rho_min)))
+    assert "rho_min" in {v.field for v in report.violations}
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_seed_outside_u64_is_a_parse_error(spec_file, tmp_path, command, seed):
+    rc = main([command, "--spec", str(spec_file), "--out", str(tmp_path / "o"),
+               "--paths", "2", "--seed", seed])
+    assert rc == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_parse_error_exit_2(tmp_path):

@@ -70,14 +70,14 @@ def test_measurability_bit_identical(generic_solution, scalar_generic,
         # and the masked loadings are what keep W1/W2 out of the filters
         assert np.abs(law.M2).max() > 0 and np.abs(law.M3).max() > 0
         plan = NoisePlan.from_seed(21, np.diff(solver_times(spec)))
-        base = simulate_equilibrium(spec, law, plan, 16)
-        w1 = simulate_equilibrium(spec, law, plan.with_component_seed(0, 999),
-                                  16)
+        run = lambda p: simulate_equilibrium(spec, law,
+                                             p.increments(np.arange(16)))
+        base = run(plan)
+        w1 = run(plan.with_component_seed(0, 999))
         assert np.array_equal(base.X3hat, w1.X3hat)
         assert np.array_equal(base.X3check, w1.X3check)
         assert not np.array_equal(base.X3, w1.X3)
-        w2 = simulate_equilibrium(spec, law, plan.with_component_seed(1, 999),
-                                  16)
+        w2 = run(plan.with_component_seed(1, 999))
         assert np.array_equal(base.X3check, w2.X3check)
         assert not np.array_equal(base.X3hat, w2.X3hat)
 
@@ -140,12 +140,6 @@ def test_block_kernel_matches_per_system_formulas(name, request):
                                        atol=1e-12 * np.abs(w).max())
         if k < times.shape[0] - 1:
             X, Xh, Xc = _reference_step(law, bundle.l3, k, dW[:, k], X, Xh, Xc)
-
-
-def test_x_is_first_block(generic_solution, scalar_generic):
-    _, _, law = generic_solution
-    paths, _ = _paths(scalar_generic, law, 3, 4)
-    assert np.array_equal(paths.x, paths.X3[:, :, :1])
 
 
 def simulate_state(spec, v1, v2, v3, dW):
@@ -289,6 +283,15 @@ def reconstruct_Phi(bundle, offsets, X3hat, X3check):
     return Phih, Phic
 
 
+def filtered_controls(law, paths):
+    """(vcheck2, vhat3, vcheck3): the leaders' equilibrium controls as the
+    lower levels' filters see them, from the law's Kv tables."""
+    Xh, Xc = paths.X3hat, paths.X3check
+    return (mv(law.Kv2check, Xc) + law.k2,
+            mv(law.Kv3hat, Xh) + mv(law.K3check, Xc) + law.k3,
+            mv(law.Kv3check, Xc) + law.k3)
+
+
 def test_offset_reconstruction_matches_per_node_formulas(n2_spec):
     # node-axis reconstruction against the per-node formulas; the summation
     # order may differ, so agreement is to rounding, not to the bit
@@ -350,9 +353,9 @@ def test_respond_player1_equilibrium_fixed_point(generic_solution,
     bundle, offsets, law = generic_solution
     paths, dW = _paths(scalar_generic, law, 31, 32)
     phic = reconstruct_phicheck(bundle, offsets, paths.X3check)
+    vcheck2, _, vcheck3 = filtered_controls(law, paths)
     r = respond_player1(scalar_generic, bundle, paths.v2, paths.v3, dW,
-                        vcheck2=paths.vcheck2, vcheck3=paths.vcheck3,
-                        phicheck=phic)
+                        vcheck2=vcheck2, vcheck3=vcheck3, phicheck=phic)
     h = 1.0 / scalar_generic.grid.steps
     assert np.abs(r.v1 - paths.v1).max() <= 10 * h
     assert np.abs(r.xcheck - paths.X3check[:, :, :1]).max() <= 10 * h
@@ -387,9 +390,9 @@ def test_respond_player12_equilibrium_fixed_point(generic_solution,
     bundle, offsets, law = generic_solution
     paths, dW = _paths(scalar_generic, law, 13, 32)
     Phih, Phic = reconstruct_Phi(bundle, offsets, paths.X3hat, paths.X3check)
-    r = respond_player12(scalar_generic, bundle, paths.v3, dW,
-                         vhat3=paths.vhat3, vcheck3=paths.vcheck3,
-                         Phihat=Phih, Phicheck=Phic)
+    _, vhat3, vcheck3 = filtered_controls(law, paths)
+    r = respond_player12(scalar_generic, bundle, paths.v3, dW, vhat3=vhat3,
+                         vcheck3=vcheck3, Phihat=Phih, Phicheck=Phic)
     h = 1.0 / scalar_generic.grid.steps
     assert np.abs(r.v2 - paths.v2).max() <= 10 * h
     assert np.abs(r.v1 - paths.v1).max() <= 10 * h
@@ -415,8 +418,8 @@ def test_simulation_deterministic_and_chunk_invariant(generic_solution,
                                                       scalar_generic):
     _, _, law = generic_solution
     plan = NoisePlan.from_seed(77, np.diff(solver_times(scalar_generic)))
-    a = simulate_equilibrium(scalar_generic, law, plan, 24)
-    b = simulate_equilibrium(scalar_generic, law, plan, 24)
+    a = simulate_equilibrium(scalar_generic, law, plan.increments(np.arange(24)))
+    b = simulate_equilibrium(scalar_generic, law, plan.increments(np.arange(24)))
     assert np.array_equal(a.X3, b.X3)
     # paths are keyed by index: simulating a sub-block reproduces its rows
     sub = simulate_equilibrium(scalar_generic, law,

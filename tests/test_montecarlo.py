@@ -6,13 +6,12 @@ import pytest
 
 import stacklq as sq
 import stacklq.montecarlo as montecarlo
-from stacklq.closedloop import (respond_player1, respond_player12,
-                                simulate_equilibrium)
+from stacklq.closedloop import respond_player1, respond_player12
 from stacklq.lift import CoeffValues
 from stacklq.model import solver_times
-from stacklq.montecarlo import (_node_cost, default_directions, estimate_cost,
-                                mean_stderr, particle_filter,
-                                variational_sweep, variational_test)
+from stacklq.montecarlo import (_node_cost, default_directions, mean_stderr,
+                                particle_filter, simulate_blocks,
+                                variational_sweep)
 from stacklq.riccati import backward_rk4, solve_game
 from stacklq.rng import NoisePlan
 
@@ -23,25 +22,29 @@ def _solution(spec):
     return bundle, offsets, law
 
 
+def _path_costs(spec, seed, n_paths):
+    """Each player's per-path cost (3, n_paths) as simulate_blocks streams
+    it, block by block."""
+    _, _, law = _solution(spec)
+    plan = NoisePlan.from_seed(seed, np.diff(solver_times(spec)))
+    return np.concatenate([J for _, _, J in simulate_blocks(
+        spec, law, plan, n_paths, thin=spec.grid.steps)], axis=1)
+
+
 def test_cost_constant_path_exact():
     q, m, g, x0, T = 0.8, 0.3, 0.7, 1.5, 1.0
     spec = sq.make_spec(n=1, T=T, steps=200, x0=x0, Q1=q, m1=m, G1=g)
-    _, _, law = _solution(spec)
-    plan = NoisePlan.from_seed(1, np.diff(solver_times(spec)))
-    paths = simulate_equilibrium(spec, law, plan, 4)
-    est = estimate_cost(spec, 1, paths)
+    mean, stderr = mean_stderr(_path_costs(spec, 1, 4)[0])
     expect = 0.5 * (T * q * x0**2 + 2 * T * m * x0 + g * x0**2)
-    assert abs(est.mean - expect) < 1e-12
-    assert est.stderr == 0.0
+    assert abs(mean - expect) < 1e-12
+    assert stderr == 0.0
 
 
 def test_cost_zero_spec(zero_spec):
     spec = dataclasses.replace(zero_spec, x0=np.zeros(1))
-    _, _, law = _solution(spec)
-    plan = NoisePlan.from_seed(1, np.diff(solver_times(spec)))
-    paths = simulate_equilibrium(spec, law, plan, 8)
+    J = _path_costs(spec, 1, 8)
     for player in (1, 2, 3):
-        assert estimate_cost(spec, player, paths).mean == 0.0
+        assert mean_stderr(J[player - 1])[0] == 0.0
 
 
 def test_cost_against_moment_ode():
@@ -49,10 +52,9 @@ def test_cost_against_moment_ode():
     a, c, s3, x0, T, steps = 0.3, 0.25, 0.4, 1.0, 1.0, 400
     spec = sq.make_spec(n=1, T=T, steps=steps, x0=x0, A=a, C3=c, sigma3=s3,
                         G1=1.0)
-    _, _, law = _solution(spec)
-    plan = NoisePlan.from_seed(5, np.diff(solver_times(spec)))
-    paths = simulate_equilibrium(spec, law, plan, 4000)
-    est = estimate_cost(spec, 1, paths)
+    # 4000 paths are two blocks: the streamed sum crosses a block boundary
+    assert montecarlo.BLOCK_PATHS < 4000 <= 2 * montecarlo.BLOCK_PATHS
+    mean, stderr = mean_stderr(_path_costs(spec, 5, 4000)[0])
 
     # independent oracle: m1' = a m1; m2' = (2a + c^2) m2 + 2 c s3 m1 + s3^2,
     # integrated forward by the same one-step scheme run on reversed time
@@ -67,7 +69,7 @@ def test_cost_against_moment_ode():
         (np.array([x0, x0 * x0]),), times, "moment oracle")
     m2_T = values[0][1]  # backward from "terminal" = initial condition
     expect = 0.5 * m2_T
-    assert abs(est.mean - expect) <= 3.0 * est.stderr + 2e-3 * abs(expect)
+    assert abs(mean - expect) <= 3.0 * stderr + 2e-3 * abs(expect)
 
 
 def test_variational_pure_control_energy():
@@ -75,7 +77,8 @@ def test_variational_pure_control_energy():
     spec = sq.make_spec(n=1, T=1.0, steps=100, x0=0.0, B1=1.0)
     bundle, offsets, law = _solution(spec)
     d = default_directions(spec)[0]
-    rep = variational_test(spec, 1, d, [0.1, 0.2], 64, 3, law, bundle)
+    rep = variational_sweep(spec, [(1, d, 1.0)], [0.1, 0.2], 64, 3, law,
+                            bundle)[0]
     assert rep.slope0 == 0.0
     assert rep.slope_stderr == 0.0
     times = solver_times(spec)
@@ -89,8 +92,8 @@ def test_variational_equilibrium_slopes(scalar_additive, additive_solution):
     bundle, offsets, law = additive_solution
     for player in (1, 2, 3):
         d = default_directions(scalar_additive)[1]
-        rep = variational_test(scalar_additive, player, d, [0.05, 0.1],
-                               4000, 21, law, bundle)
+        rep = variational_sweep(scalar_additive, [(player, d, 1.0)],
+                                [0.05, 0.1], 4000, 21, law, bundle)[0]
         assert abs(rep.slope0) <= 3.0 * rep.slope_stderr, (player, rep)
         assert rep.curvature_ok
 
@@ -99,8 +102,8 @@ def test_variational_negative_control(scalar_additive, additive_solution):
     bundle, offsets, law = additive_solution
     fails = 0
     for d in default_directions(scalar_additive)[:3]:
-        rep = variational_test(scalar_additive, 1, d, [0.05], 2000, 11,
-                               law, bundle, gain_scale=1.5)
+        rep = variational_sweep(scalar_additive, [(1, d, 1.5)], [0.05], 2000,
+                                11, law, bundle)[0]
         if abs(rep.slope0) > 2.0 * rep.slope_stderr:
             fails += 1
     assert fails >= 1
@@ -110,7 +113,8 @@ def test_variational_feedback_direction(scalar_additive, additive_solution):
     bundle, offsets, law = additive_solution
     d = default_directions(scalar_additive, include_feedback=True)[-1]
     assert d.kind == "filtered_feedback"
-    rep = variational_test(scalar_additive, 1, d, [0.05], 4000, 11, law, bundle)
+    rep = variational_sweep(scalar_additive, [(1, d, 1.0)], [0.05], 4000, 11,
+                            law, bundle)[0]
     assert abs(rep.slope0) <= 3.0 * rep.slope_stderr
 
 
@@ -120,7 +124,8 @@ def test_feedback_direction_rejected_for_leaders(scalar_additive,
     bundle, _, law = additive_solution
     d = default_directions(scalar_additive, include_feedback=True)[-1]
     with pytest.raises(UnsupportedPerturbationError):
-        variational_test(scalar_additive, 2, d, [0.05], 16, 1, law, bundle)
+        variational_sweep(scalar_additive, [(2, d, 1.0)], [0.05], 16, 1, law,
+                          bundle)
 
 
 def test_stderr_scaling(scalar_generic, generic_solution):
@@ -128,8 +133,8 @@ def test_stderr_scaling(scalar_generic, generic_solution):
     d = default_directions(scalar_generic)[0]
     ses = {}
     for n in (2000, 8000):
-        reps = [variational_test(scalar_generic, 1, d, [0.1], n, seed, law,
-                                 bundle) for seed in (1, 2, 3)]
+        reps = [variational_sweep(scalar_generic, [(1, d, 1.0)], [0.1], n,
+                                  seed, law, bundle)[0] for seed in (1, 2, 3)]
         ses[n] = np.mean([r.costs[-1].stderr for r in reps])
     ratio = ses[2000] / ses[8000]
     assert 1.6 <= ratio <= 2.4  # quadrupling paths halves stderr within 20%
@@ -139,8 +144,8 @@ def test_crn_second_difference_epsilon_independent(scalar_generic,
                                                    generic_solution):
     bundle, _, law = generic_solution
     d = default_directions(scalar_generic)[2]
-    rep = variational_test(scalar_generic, 2, d, [0.05, 0.1, 0.2], 500, 9,
-                           law, bundle)
+    rep = variational_sweep(scalar_generic, [(2, d, 1.0)], [0.05, 0.1, 0.2],
+                            500, 9, law, bundle)[0]
     eps = np.array(rep.epsilons)
     means = np.array([c.mean for c in rep.costs])
     # per fixed seed J(eps) is a quadratic polynomial: second difference const
@@ -156,8 +161,8 @@ def test_crn_second_difference_epsilon_independent(scalar_generic,
 def test_report_epsilons_symmetric(scalar_generic, generic_solution):
     bundle, _, law = generic_solution
     d = default_directions(scalar_generic)[0]
-    rep = variational_test(scalar_generic, 3, d, [0.1, 0.05], 100, 2, law,
-                           bundle)
+    rep = variational_sweep(scalar_generic, [(3, d, 1.0)], [0.1, 0.05], 100, 2,
+                            law, bundle)[0]
     eps = np.array(rep.epsilons)
     assert 0.0 in eps
     assert np.allclose(sorted(eps), sorted(-eps))
@@ -166,19 +171,22 @@ def test_report_epsilons_symmetric(scalar_generic, generic_solution):
 def test_seed_determinism(scalar_generic, generic_solution):
     bundle, _, law = generic_solution
     d = default_directions(scalar_generic)[1]
-    r1 = variational_test(scalar_generic, 1, d, [0.1], 512, 13, law, bundle)
-    r2 = variational_test(scalar_generic, 1, d, [0.1], 512, 13, law, bundle)
+    r1, r2 = (variational_sweep(scalar_generic, [(1, d, 1.0)], [0.1], 512, 13,
+                                law, bundle)[0] for _ in range(2))
     assert r1.slope0 == r2.slope0
     assert [c.mean for c in r1.costs] == [c.mean for c in r2.costs]
 
 
-def test_chunks_do_not_change_results(scalar_generic, generic_solution):
+def test_chunks_do_not_change_results(scalar_generic, generic_solution,
+                                      monkeypatch):
     bundle, _, law = generic_solution
     d = default_directions(scalar_generic)[0]
-    r1 = variational_test(scalar_generic, 2, d, [0.1], 3000, 4, law, bundle,
-                          chunk=512)
-    r2 = variational_test(scalar_generic, 2, d, [0.1], 3000, 4, law, bundle,
-                          chunk=3000)
+    reps = []
+    for chunk in (512, 3000):
+        monkeypatch.setattr(montecarlo, "BLOCK_PATHS", chunk)
+        reps += variational_sweep(scalar_generic, [(2, d, 1.0)], [0.1], 3000,
+                                  4, law, bundle)
+    r1, r2 = reps
     assert r1.slope0 == r2.slope0
     assert [c.mean for c in r1.costs] == [c.mean for c in r2.costs]
 
@@ -196,16 +204,17 @@ def _fingerprint(rep):
             [(c.mean, c.stderr, c.n_paths) for c in rep.costs])
 
 
-def test_sweep_matches_one_test_per_case(scalar_generic, generic_solution):
+def test_sweep_matches_one_test_per_case(scalar_generic, generic_solution,
+                                         monkeypatch):
     bundle, _, law = generic_solution
+    monkeypatch.setattr(montecarlo, "BLOCK_PATHS", 512)
     cases = _sweep_cases(scalar_generic)
     eps, N, seed = [0.05, 0.1], 1100, 8
-    reps = variational_sweep(scalar_generic, cases, eps, N, seed, law, bundle,
-                             chunk=512)
+    reps = variational_sweep(scalar_generic, cases, eps, N, seed, law, bundle)
     assert len(reps) == len(cases)
-    for rep, (player, d, gain_scale) in zip(reps, cases):
-        one = variational_test(scalar_generic, player, d, eps, N, seed, law,
-                               bundle, gain_scale=gain_scale, chunk=512)
+    for rep, case in zip(reps, cases):
+        one = variational_sweep(scalar_generic, [case], eps, N, seed, law,
+                                bundle)[0]
         assert _fingerprint(rep) == _fingerprint(one)
 
 
@@ -221,8 +230,8 @@ def test_sweep_groups_match_one_test_per_case_n2(n2_spec):
     for cases in groups:
         reps = variational_sweep(n2_spec, cases, eps, N, seed, law, bundle)
         for rep, (player, d, gain_scale) in zip(reps, cases):
-            one = variational_test(n2_spec, player, d, eps, N, seed, law,
-                                   bundle, gain_scale=gain_scale)
+            one = variational_sweep(n2_spec, [(player, d, gain_scale)], eps, N,
+                                    seed, law, bundle)[0]
             label = lambda r: (r.player, r.direction_id, r.epsilons,
                                r.curvature_ok)
             numbers = lambda r: [r.slope0, r.slope_stderr] + [
@@ -244,8 +253,9 @@ def test_sweep_draws_each_chunk_once(scalar_generic, generic_solution,
 
     monkeypatch.setattr(NoisePlan, "increments", counted)
     N, chunk = 1100, 512
+    monkeypatch.setattr(montecarlo, "BLOCK_PATHS", chunk)
     variational_sweep(scalar_generic, _sweep_cases(scalar_generic), [0.1], N,
-                      3, law, bundle, chunk=chunk)
+                      3, law, bundle)
     assert len(calls) == -(-N // chunk)
     assert sum(calls) == N
 
@@ -266,8 +276,8 @@ def test_sweep_solves_each_offset_once(scalar_generic, generic_solution,
     cases = [(player, d, 1.0) for player in (1, 2, 3) for d in dirs[:2]]
     for chunk in (90, 30):      # one chunk, three chunks
         calls.clear()
-        variational_sweep(scalar_generic, cases, [0.1], 90, 4, law, bundle,
-                          chunk=chunk)
+        monkeypatch.setattr(montecarlo, "BLOCK_PATHS", chunk)
+        variational_sweep(scalar_generic, cases, [0.1], 90, 4, law, bundle)
         assert calls == {"_follower_offset": 1, "_middle_offset": 1}, chunk
 
 
@@ -308,8 +318,8 @@ def test_sweep_steps_one_group_per_player_and_gain(
     K = scalar_generic.grid.steps
     for chunk in (60, 30):      # one chunk, two chunks
         calls.clear()
-        variational_sweep(scalar_generic, cases, [0.1], 60, 4, law, bundle,
-                          chunk=chunk)
+        monkeypatch.setattr(montecarlo, "BLOCK_PATHS", chunk)
+        variational_sweep(scalar_generic, cases, [0.1], 60, 4, law, bundle)
         chunks = 60 // chunk
         assert calls["response"] == groups * K * chunks
         assert calls["J0"] == groups * (K + 1) * chunks
@@ -350,10 +360,11 @@ SWEEP_PINNED = [
 ]
 
 
-def test_sweep_numbers_pinned(scalar_generic, generic_solution):
+def test_sweep_numbers_pinned(scalar_generic, generic_solution, monkeypatch):
     bundle, _, law = generic_solution
+    monkeypatch.setattr(montecarlo, "BLOCK_PATHS", 512)
     reps = variational_sweep(scalar_generic, _sweep_cases(scalar_generic),
-                             [0.05, 0.1], 1100, 8, law, bundle, chunk=512)
+                             [0.05, 0.1], 1100, 8, law, bundle)
     for rep, (slope0, slope_stderr, means) in zip(reps, SWEEP_PINNED):
         assert rep.slope0 == pytest.approx(slope0, rel=1e-12)
         assert rep.slope_stderr == pytest.approx(slope_stderr, rel=1e-12)
