@@ -13,12 +13,12 @@ Each lower level's best-response system (its offset, its controls and the
 Euler step of its filtered states) is written once, node by node, with an
 `affine` switch.  `respond_player1` / `respond_player12` run it with every
 intercept (b, sigma_i, n_i and the offsets' sources) against exogenous
-controls, stepping the physical state in the same node loop; the
-variational sweep in `montecarlo` runs its homogeneous form, which under
-common noise is exactly the response to a control perturbation, the systems
-being linear, for many directions at once on a leading axis.  The offsets
-are solved by riccati's `backward_rk4`, so they are blow-up guarded like
-the ladder.
+controls, stepping the physical state in the same node loop.  Its
+homogeneous form is, under common noise, exactly the response to a control
+perturbation, the systems being linear: the variational sweep in
+`montecarlo` probes it on basis rows for its per-group node tables.  The
+offsets are solved by riccati's `backward_rk4`, so they are blow-up guarded
+like the ladder.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, SpecFormatError
+from .errors import SpecFormatError
 
 NESTED_ADJACENCY = np.array([[0, 0, 1], [0, 1, 1], [1, 1, 1]], dtype=int)
 
@@ -174,23 +174,6 @@ def _coeff_map(spec: GameSpec) -> dict:
         out[f"m{i}"] = pc.m
         out[f"n{i}"] = pc.n_lin
     return out
-
-
-def eval_coeff(spec: GameSpec, which: str, t: float) -> np.ndarray:
-    """Evaluate a named coefficient at time t (right-continuous convention).
-
-    At t == T the last piece is returned.  t outside [0, T] is a DomainError.
-    """
-    T = spec.horizon
-    if not (0.0 <= t <= T):
-        raise DomainError(f"t={t!r} outside [0, {T}]")
-    table = _coeff_map(spec)
-    if which not in table:
-        raise DomainError(f"unknown coefficient id {which!r}")
-    coeff = table[which]
-    if t == T and not coeff.is_constant:
-        return coeff.values[-1]
-    return coeff.at(t)
 
 
 def with_steps(spec: GameSpec, steps: int) -> GameSpec:

@@ -11,10 +11,10 @@ coefficient, and its standard error comes from the per-path linear terms
 `variational_sweep` runs many (player, direction, gain_scale) cases with the
 chunk loop outermost: each chunk of paths draws its Brownian increments once
 and steps one base closed loop, along which one response group per distinct
-(player, gain_scale) advances all its directions on one leading axis and its
-base cost once.  The response is the homogeneous form of closedloop's
-best-response systems, the ones `respond_player1/12` run.  No increment row
-is drawn twice however many cases share the seed.
+(player, gain_scale) advances its base cost and all its directions as one
+block state, on node tables probed once per sweep from the homogeneous,
+linear form of closedloop's best-response systems (those `respond_player1/12`
+run).  No increment row is drawn twice however many cases share the seed.
 
 `simulate_blocks` streams the equilibrium for `stacklq simulate` block by
 block of paths, keeping every thin-th node and each player's running cost,
@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedloop import (BLOCK_PATHS, FeedbackLaw, _follower_control,
-                         _follower_offset, _follower_step, _middle_controls,
-                         _middle_offset, _middle_step, _node_loop, _paths_from,
-                         _state_step)
+                         _follower_offset, _follower_step, _guard,
+                         _middle_controls, _middle_offset, _middle_step,
+                         _node_loop, _paths_from, _state_step)
 from .errors import UnsupportedPerturbationError
 from .lift import CoeffValues
 from .model import GameSpec, solver_times
@@ -154,27 +154,83 @@ def default_directions(spec: GameSpec, include_feedback: bool = False) -> list:
     return dirs
 
 
+def _response_step(bundle: RiccatiBundle, c, k, player, dWk, R, off, dv_own):
+    """Euler step k -> k+1 of a response group's state R (rows (..., w)) under
+    the own control perturbation dv_own: the homogeneous form of closedloop's
+    best-response systems, the lower levels re-responding from their
+    filtered states and the group's response offset off at node k."""
+    n, dv, filtered = c.A.shape[-1], [None, None, None], ()
+    dv[player - 1] = dv_own
+    if player == 2:
+        dxc = R[..., n:]
+        dv[0] = _follower_control(bundle, c, k, dxc, off, False)
+        filtered = (_follower_step(bundle, c, k, dWk, dxc, off,
+                                   dv_own @ c.B[1].T, False),)
+    elif player == 3:
+        dX2h, dX2c = R[..., n:3 * n], R[..., 3 * n:]
+        dv[0], dv[1] = _middle_controls(bundle, c, k, dX2h, dX2c, off, off, False)
+        filtered = _middle_step(bundle, k, dWk, dX2h, dX2c, off, off, dv_own,
+                                dv_own, False)
+    dx = _state_step(c, bundle.times, k, dWk, R[..., :n], dv, False)
+    return np.concatenate((dx, *filtered), axis=-1)
+
+
+def _group_tables(bundle: RiccatiBundle, cv: CoeffValues, nodes, player,
+                  directions):
+    """A group's tables (see _Group), probed from the linear _response_step
+    at every node: on w basis rows without noise and under a unit increment
+    on each channel, on each direction's path with its offset, solved once
+    here, and on unit own controls.  Channels that load nothing are left out."""
+    D, n_nodes, n = len(directions), len(nodes), cv.A.shape[-1]
+    K, w = n_nodes - 1, (1, 2, 5)[player - 1] * n
+    paths = np.stack([np.zeros((n_nodes, n)) if d.path is None else d.path
+                      for d in directions])
+    gains = np.stack([np.zeros((n, n)) if d.gain is None else d.gain
+                      for d in directions])
+    offset = (_follower_offset(bundle, cv.B, paths, np.zeros_like(paths), False)
+              if player == 2 else _middle_offset(bundle, paths, False)
+              if player == 3 else np.zeros((n_nodes, D, n)))
+    # probe rows: the basis four times, then the directions, then own controls
+    R = np.vstack([np.tile(np.eye(w), (4, 1)), np.zeros((D + n, w))])
+    dW = np.vstack([np.zeros((w, 3)), np.repeat(np.eye(3), w, axis=0),
+                    np.zeros((D + n, 3))])
+    dv = np.vstack([np.zeros((4 * w + D, n)), np.eye(n)])
+    off = np.zeros((len(R), offset.shape[-1]))
+    probes = np.empty((K, w, len(R)))   # R's step as columns: probes[k] @ rows
+    for k in range(K):
+        dv[4 * w:-n], off[4 * w:-n] = paths[:, k], offset[k]
+        probes[k] = _response_step(bundle, nodes[k], k, player, dW, R, off, dv).T
+    F = probes[..., :w]
+    loads = [probes[..., (i + 1) * w:(i + 2) * w] - F for i in range(3)]
+    channels = [i for i in range(3) if np.any(loads[i])]
+    return (paths.transpose(1, 2, 0)[..., None],
+            gains.transpose(1, 0, 2) if np.any(gains) else None,
+            np.concatenate([F] + [loads[i] for i in channels], axis=-1),
+            channels, probes[..., 4 * w:-n, None].copy(), probes[..., -n:].copy())
+
+
 class _Group:
     """One player's responses to D directions at one gain scale and their
     per-path cost polynomials J_d(eps) = J0 + eps Bc[d] + eps^2 Cc[d], added
-    up node by node along the base run that a sweep's groups share.  The
-    directions lead each response array, (D, N, ...); J0 and, for a
-    gain_scale other than 1, the state xt re-simulated under the scaled
-    follower gain (player 1 only) are one path per group.
+    up node by node along the base run that a sweep's groups share.
+
+    R (w, D, N) holds the responses as columns of [dx] (player 1), [dx |
+    dxc] (player 2) or [dx | dX2h | dX2c] (player 3); the state stacks it
+    over its copies scaled by the increments of the c loaded `channels`.
+    R's Euler step is step[k] (w, (1 + c) w) times the state, plus drive[k]
+    (w, D, 1) and, for filtered-feedback directions, own[k] (w, n) times
+    gains (n, D, n) Xc (gains is None if no direction has one).  dv[k] (n,
+    D, 1) holds the directions' paths.  J0 and, under a gain_scale other
+    than 1, the state xt of the scaled follower gain are one path per group.
     """
 
-    def __init__(self, spec, bundle: RiccatiBundle, N: int, player: int,
-                 gain_scale: float, paths, gains, offset):
-        D, n = gains.shape[:2]
-        self.player, self.gain_scale, self.bundle = player, gain_scale, bundle
-        self.paths, self.gains, self.offset = paths, gains, offset
-        self.xt = np.tile(spec.x0, (N, 1)) if gain_scale != 1.0 else None
-        # the state's response, then the filtered states that re-respond: the
-        # follower's for player 2, the middle player's 2n pair for player 3
-        self.dx = np.zeros((D, N, n))
-        self.dxc = np.zeros((D, N, n)) if player == 2 else None
-        self.dX2h = self.dX2c = np.zeros((D, N, 2 * n)) if player == 3 else None
-        self.J0, self.Bc, self.Cc = np.zeros(N), np.zeros((D, N)), np.zeros((D, N))
+    def __init__(self, x0, N: int, player: int, gain_scale: float, tables):
+        self.dv, self.gains, self.step, self.channels, self.drive, self.own = tables
+        w, D = self.drive.shape[1:3]
+        self.player, self.gain_scale = player, gain_scale
+        self.xt = np.tile(x0, (N, 1)) if gain_scale != 1.0 else None
+        self.state = np.zeros((1 + len(self.channels), w, D, N))
+        self.J0, self.Bc, self.Cc2 = np.zeros(N), np.zeros((D, N)), np.zeros((D, N))
 
     def node(self, law: FeedbackLaw, c, k: int, Z, V, dW):
         """Add node k's cost terms; before the last node, step to node k+1.
@@ -182,84 +238,70 @@ class _Group:
         c is the node-k coefficient view; the block state Z = [X | Xh | Xc]
         and the controls V = [v1 | v2 | v3] are the shared base run at node k.
         """
-        n, player, bundle, times = law.n, self.player, self.bundle, law.times
-        Xc, own = Z[:, 8 * n:], player - 1
+        n, own, K = law.n, self.player - 1, dW.shape[1]
         v = [V[:, :n], V[:, n:2 * n], V[:, 2 * n:]]
         if self.xt is not None:
-            v[0] = self.gain_scale * (Xc @ law.K1[k].T) + law.k1[k]
+            v[0] = self.gain_scale * (Z[:, 8 * n:] @ law.K1[k].T) + law.k1[k]
         xbase = Z[:, :n] if self.xt is None else self.xt
-        dx, off = self.dx, None if self.offset is None else self.offset[k, :, None]
 
-        # each direction's value, and the lower levels' response at this node
-        dv = [None, None, None]
-        dv[own] = dv_own = self.paths[:, k, None] + Xc[:, :n] @ self.gains
-        if player == 2:
-            dv[0] = _follower_control(bundle, c, k, self.dxc, off, False)
-        elif player == 3:
-            dv[0], dv[1] = _middle_controls(bundle, c, k, self.dX2h,
-                                            self.dX2c, off, off, False)
+        # each direction's value and the response dx contract with the cost
+        # weights: h Q, h m, h R, h n before the last node, G alone at it
+        dv, fed = self.dv[k], None
+        if self.gains is not None:
+            fed = self.gains @ Z[:, 8 * n:9 * n].T
+            dv = dv + fed
+        dx = self.state[0, :n]
+        h = law.times[k + 1] - law.times[k] if k < K else 0.0
+        Wx, wx = (h * c.Q[own], h * c.m[own]) if k < K else (c.G[own], 0.0)
+        Wv, wv = h * c.R[own], h * c.nl[own]
+        self.J0 += _node_cost(c, own, k, law.times, xbase, v[own])
+        self.Bc += (np.einsum("idp,pi->dp", dx, xbase @ Wx + wx)
+                    + np.einsum("idp,pi->dp", dv, v[own] @ Wv + wv))
+        self.Cc2 += (np.einsum("idp,ij,jdp->dp", dx, Wx, dx)
+                     + np.einsum("idp,ij,jdp->dp", dv, Wv, dv))
+        if k < K:
+            _group_step(self, k, dW[:, k], fed, float(law.times[k + 1]))
+            if self.xt is not None:
+                self.xt = _state_step(c, law.times, k, dW[:, k], self.xt, v, True)
 
-        # accumulate the cost polynomials
-        form = lambda a, M, b: np.einsum("...pi,ij,...pj->...p", a, M, b)
-        self.J0 += _node_cost(c, own, k, times, xbase, v[own])
-        if k == dW.shape[1]:
-            self.Bc += form(xbase, c.G[own], dx)
-            self.Cc += 0.5 * form(dx, c.G[own], dx)
-            return
-        h = times[k + 1] - times[k]
-        Q, R, m, nl = c.Q[own], c.R[own], c.m[own], c.nl[own]
-        self.Bc += h * (form(xbase, Q, dx) + form(v[own], R, dv_own)
-                        + dx @ m + dv_own @ nl)
-        self.Cc += h * (0.5 * form(dx, Q, dx) + 0.5 * form(dv_own, R, dv_own))
 
-        # response dynamics (driven by the directions, multiplicative noise)
-        dWk = dW[:, k]
-        if player == 2:
-            self.dxc = _follower_step(bundle, c, k, dWk, self.dxc, off,
-                                      dv_own @ c.B[1].T, False)
-        elif player == 3:
-            self.dX2h, self.dX2c = _middle_step(bundle, k, dWk, self.dX2h,
-                                                self.dX2c, off, off, dv_own,
-                                                dv_own, False)
-        self.dx = _state_step(c, times, k, dWk, dx, dv, False)
-        if self.xt is not None:
-            self.xt = _state_step(c, times, k, dWk, self.xt, v, True)
+def _group_step(group: _Group, k, dWk, fed, t):
+    """R's guarded step k -> k+1 on the group's tables; fed is gains Xc or None."""
+    state = group.state
+    for j, i in enumerate(group.channels, 1):
+        np.multiply(state[0], dWk[:, i], out=state[j])
+    group.state = new = np.empty_like(state)
+    w, D, N = new.shape[1:]
+    np.matmul(group.step[k], state.reshape(-1, D * N), out=new[0].reshape(w, D * N))
+    new[0] += group.drive[k]
+    if fed is not None:
+        new[0] += (group.own[k] @ fed.reshape(fed.shape[0], -1)).reshape(w, D, N)
+    _guard(new[0].transpose(1, 2, 0), t, "response state")
 
 
 def _sweep_setup(spec, law: FeedbackLaw, bundle: RiccatiBundle, cases):
-    """A sweep's path-independent part: the node coefficient views and per
-    (player, gain_scale) group its directions, in case order, as paths
-    (D, K+1, n) and transposed gains (D, n, n), zero where a direction has
-    none, and its response offset (K+1, D, n), solved once."""
+    """A sweep's path-independent part: the node coefficient views and each
+    (player, gain_scale) group's tables, its directions in case order."""
     cv = CoeffValues(spec, law.times)
-    n, nodes = spec.n, law.times.shape[0]
+    nodes = [cv[k] for k in range(law.times.shape[0])]
     groups = {}
     for player, d, gain_scale in cases:
         if player != 1 and (d.kind != "deterministic" or gain_scale != 1):
             raise UnsupportedPerturbationError("feedback directions and the "
                                                "scaled gain test the follower only")
-        paths, gains = groups.setdefault((player, gain_scale), ([], []))
-        det = d.kind == "deterministic"
-        paths.append(d.path if det else np.zeros((nodes, n)))
-        gains.append(np.zeros((n, n)) if det else d.gain.T)
-    for (player, gain_scale), (paths, gains) in groups.items():
-        paths = np.stack(paths)
-        offset = (_follower_offset(bundle, cv.B, paths, np.zeros_like(paths), False)
-                  if player == 2 else
-                  _middle_offset(bundle, paths, False) if player == 3 else None)
-        groups[player, gain_scale] = (paths, np.stack(gains), offset)
-    return [cv[k] for k in range(nodes)], groups
+        groups.setdefault((player, gain_scale), []).append(d)
+    return nodes, {key: _group_tables(bundle, cv, nodes, key[0], directions)
+                   for key, directions in groups.items()}
 
 
-def _sweep_quadratics(spec, law: FeedbackLaw, bundle: RiccatiBundle, cases,
-                      dW: np.ndarray, setup) -> list:
-    """Per-path cost polynomial coefficients (J0, B, C) of J(eps) for each
-    (player, direction, gain_scale) case, all on one base run driven by dW,
-    one response group per (player, gain_scale); setup is the sweep's
-    _sweep_setup."""
+def _sweep_quadratics(spec, law: FeedbackLaw, cases, dW: np.ndarray,
+                      setup) -> list:
+    """Per-path coefficients (J0, B, C) of J(eps) for each (player,
+    direction, gain_scale) case, all on one base run driven by dW, one
+    response group per (player, gain_scale); setup is _sweep_setup's."""
     nodes, groups = setup
-    runs = {key: _Group(spec, bundle, dW.shape[0], *key, *group)
-            for key, group in groups.items()}
+    runs = {key: _Group(spec.x0, dW.shape[0], *key, tables)
+            for key, tables in groups.items()}
     for k, Z, V in _node_loop(spec, law, dW):
         for run in runs.values():
             run.node(law, nodes[k], k, Z, V, dW)
@@ -267,7 +309,7 @@ def _sweep_quadratics(spec, law: FeedbackLaw, bundle: RiccatiBundle, cases,
     for player, _, gain_scale in cases:
         run, d = runs[player, gain_scale], taken[player, gain_scale]
         taken[player, gain_scale] += 1
-        out.append((run.J0, run.Bc[d], run.Cc[d]))
+        out.append((run.J0, run.Bc[d], 0.5 * run.Cc2[d]))
     return out
 
 
@@ -290,7 +332,7 @@ def variational_sweep(spec: GameSpec, cases, epsilons, n_paths: int,
     def run(i0):  # frees each chunk's increments before drawing the next
         dW = plan.increments(np.arange(i0, min(i0 + BLOCK_PATHS, n_paths)))
         with _paths_from(i0):
-            return _sweep_quadratics(spec, law, bundle, cases, dW, setup)
+            return _sweep_quadratics(spec, law, cases, dW, setup)
 
     parts = [run(i0) for i0 in range(0, n_paths, BLOCK_PATHS)]
 

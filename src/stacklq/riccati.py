@@ -214,8 +214,7 @@ def _solve_levels(spec: GameSpec, depth):
     step, so the one raised is the latest in time."""
     times = solver_times(spec)
     K = times.shape[0] - 1
-    rows = CoeffValues(spec, 0.5 * (times[1:] + times[:-1]))[
-        np.repeat(np.arange(K - 1, -1, -1), 4)]
+    mid = CoeffValues(spec, 0.5 * (times[1:] + times[:-1]))
     terminals = _level_states(*terminal_state(spec))
     max_asym, stop, error, lower, arrays = 0.0, 0, None, [], []
 
@@ -234,8 +233,9 @@ def _solve_levels(spec: GameSpec, depth):
             c, q = divmod(r, CHUNK_ROWS)
             if c not in ops:                # a chunk's first stage builds its operands
                 ops.clear()
-                part = slice(r, min(r + CHUNK_ROWS, m))
-                ops[c] = _level_ops(rows[part], *(s[part] for s in lower))
+                end = min(r + CHUNK_ROWS, m)      # row r is step K - r // 4
+                ops[c] = _level_ops(mid[K - 1 - np.arange(r, end) // 4],
+                                    *(s[r:end] for s in lower))
             if seen is not None:
                 seen[r] = y[0]
             return _level_rhs(tuple(o[q] for o in ops[c]), y, loads)

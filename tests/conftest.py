@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import stacklq as sq
+from stacklq.model import Coefficient
 
 
 @pytest.fixture(scope="session")
@@ -70,6 +71,19 @@ def reducible_spec():
     return sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, A=0.4, B1=1.0,
                         C3=0.2, b=0.05, sigma3=0.3,
                         Q1=0.8, R1=1.0, G1=0.6, m1=0.02, n1=0.01)
+
+
+@pytest.fixture(scope="session")
+def offgrid_spec():
+    """Scalar spec whose pieces break between grid nodes: uneven steps."""
+    pw = lambda brk, a, b: Coefficient.piecewise([brk], [[[a]], [[b]]])
+    return sq.make_spec(
+        n=1, T=1.0, steps=100, x0=1.0, A=pw(0.437, 0.3, -0.2), B1=1.0,
+        B2=0.8, B3=pw(0.613, 0.6, 0.3), C1=0.1, C2=pw(0.291, 0.12, 0.05),
+        C3=0.1, b=0.05, sigma1=0.2, sigma2=0.25,
+        sigma3=Coefficient.piecewise([0.5], [[0.3], [0.1]]),
+        Q1=1.0, G1=0.5, m1=0.02, n1=0.01, Q2=0.8, G2=0.4, n2=0.02,
+        Q3=0.6, R3=pw(0.777, 1.5, 0.9), G3=0.3, m3=0.01)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from stacklq.closedloop import (BLOCK_PATHS, _follower_offset, _middle_offset,
                                 respond_player12, simulate_equilibrium)
 from stacklq.errors import BlowUpError, UnsupportedPerturbationError
 from stacklq.lift import CoeffValues, mv, selectors
-from stacklq.model import Coefficient, solver_times
+from stacklq.model import solver_times
 from stacklq.montecarlo import (_sweep_quadratics, _sweep_setup,
                                 default_directions, simulate_blocks,
                                 variational_sweep)
@@ -105,19 +105,6 @@ def _reference_step(law, l3, k, dWk, X, Xh, Xc):
             Xc + h * drift_c + load(Xc, 2))
 
 
-@pytest.fixture(scope="module")
-def offgrid_spec():
-    """Scalar spec whose pieces break between grid nodes: uneven steps."""
-    pw = lambda brk, a, b: Coefficient.piecewise([brk], [[[a]], [[b]]])
-    return sq.make_spec(
-        n=1, T=1.0, steps=100, x0=1.0, A=pw(0.437, 0.3, -0.2), B1=1.0,
-        B2=0.8, B3=pw(0.613, 0.6, 0.3), C1=0.1, C2=pw(0.291, 0.12, 0.05),
-        C3=0.1, b=0.05, sigma1=0.2, sigma2=0.25,
-        sigma3=Coefficient.piecewise([0.5], [[0.3], [0.1]]),
-        Q1=1.0, G1=0.5, m1=0.02, n1=0.01, Q2=0.8, G2=0.4, n2=0.02,
-        Q3=0.6, R3=pw(0.777, 1.5, 0.9), G3=0.3, m3=0.01)
-
-
 @pytest.mark.parametrize("name", ["n2_spec", "reducible_spec", "offgrid_spec"])
 def test_block_kernel_matches_per_system_formulas(name, request):
     # the block state against the three systems stepped on their own; the
@@ -196,7 +183,7 @@ def test_blowup_reported_at_its_step():
     cases = [(1, default_directions(spec)[0], 1.0)]
     runs = (lambda: simulate_equilibrium(spec, law, dW),
             lambda: simulate_state(spec, z, z, z, dW),
-            lambda: _sweep_quadratics(spec, law, bundle, cases, dW,
+            lambda: _sweep_quadratics(spec, law, cases, dW,
                                       _sweep_setup(spec, law, bundle, cases)))
     for run in runs:
         with pytest.raises(BlowUpError) as err:

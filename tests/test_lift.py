@@ -97,7 +97,7 @@ def test_level1_f2bar_matches_naive_product(n2_spec):
     bundle, _ = solve_game(n2_spec)
     k = 7
     t = bundle.times[k]
-    B2 = sq.eval_coeff(n2_spec, "B2", t)
+    B2 = CoeffValues(n2_spec, t).B[1]
     expected = naive_matmul(B2.T, bundle.p.values[k])
     assert np.allclose(bundle.l1.F2bar[k], expected, atol=1e-14)
 
@@ -115,7 +115,7 @@ def test_level2_block_placement():
 def test_level2_calC3_independent_assembly(n2_spec):
     bundle, _ = solve_game(n2_spec)
     k = 11
-    C3 = sq.eval_coeff(n2_spec, "C3", bundle.times[k])
+    C3 = CoeffValues(n2_spec, bundle.times[k]).C[2]
     n = n2_spec.n
     expected = blocks_2x2(n, C3, np.zeros((n, n)), np.zeros((n, n)), C3)
     assert np.array_equal(bundle.l2.calC3[k], expected)
@@ -159,7 +159,7 @@ def test_level3_frakQ3_independent_assembly(n2_spec):
     bundle, _ = solve_game(n2_spec)
     n = n2_spec.n
     k = 23
-    Q3 = sq.eval_coeff(n2_spec, "Q3", bundle.times[k])
+    Q3 = CoeffValues(n2_spec, bundle.times[k]).Q[2]
     calQ3 = bdiag(Q3, np.zeros((n, n)))
     H = bundle.l2cl.H[k]
     expected = blocks_2x2(2 * n, calQ3, H, H, np.zeros((2 * n, 2 * n)))
@@ -202,7 +202,7 @@ def test_dimensional_ladder_slicing(n2_spec):
     assert np.array_equal(bundle.l3.frakA1[k, 2 * n:, 2 * n:],
                           bundle.l2cl.ddA1[k])
     # level-2 upper-left of calA1 is the raw A
-    A = sq.eval_coeff(n2_spec, "A", bundle.times[k])
+    A = CoeffValues(n2_spec, bundle.times[k]).A
     assert np.array_equal(bundle.l2.calA1[k, :n, :n], A)
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import stacklq as sq
-from stacklq.errors import DomainError, SpecFormatError
-from stacklq.model import Coefficient
+from stacklq.errors import SpecFormatError
+from stacklq.lift import CoeffValues
+from stacklq.model import Coefficient, solver_times
 
 
 def test_zero_spec_is_valid(zero_spec):
@@ -49,7 +50,8 @@ def test_psd_threshold_accepts_semidefinite():
 
 
 def test_eval_coeff_constant(scalar_generic):
-    A = sq.eval_coeff(scalar_generic, "A", 0.37)
+    # the pipeline's lookup: CoeffValues at one time, as the solvers read it
+    A = CoeffValues(scalar_generic, 0.37).A
     assert np.array_equal(A, np.array([[0.3]]))
 
 
@@ -57,27 +59,23 @@ def test_eval_coeff_right_continuous():
     M0, M1 = np.array([[1.0]]), np.array([[2.0]])
     pw = Coefficient.piecewise([0.5], [M0, M1])
     spec = sq.make_spec(n=1, A=pw)
-    assert sq.eval_coeff(spec, "A", 0.5)[0, 0] == 2.0
-    assert sq.eval_coeff(spec, "A", 0.499999)[0, 0] == 1.0
-    assert sq.eval_coeff(spec, "A", 1.0)[0, 0] == 2.0
+    assert CoeffValues(spec, 0.5).A[0, 0] == 2.0
+    assert CoeffValues(spec, 0.499999).A[0, 0] == 1.0
+    assert CoeffValues(spec, 1.0).A[0, 0] == 2.0
+    assert CoeffValues(spec, np.array([0.499999, 0.5, 1.0])).A[:, 0, 0].tolist() == [
+        1.0, 2.0, 2.0]
 
 
 def test_eval_coeff_jumps_only_at_breaks():
+    # on the solver grid, which lands on both breakpoints, the node table
+    # jumps there only
     pw = Coefficient.piecewise([0.25, 0.75], [[[0.0]], [[1.0]], [[3.0]]])
-    spec = sq.make_spec(n=1, A=pw)
-    ts = np.linspace(0.0, 1.0, 301)
-    vals = np.array([sq.eval_coeff(spec, "A", t)[0, 0] for t in ts])
+    spec = sq.make_spec(n=1, A=pw, steps=300)
+    ts = solver_times(spec)
+    vals = CoeffValues(spec, ts).A[:, 0, 0]
     jumps = ts[1:][vals[1:] != vals[:-1]]
-    # the sweep grid lands on both breakpoints; jumps appear there only
-    assert set(np.round(jumps, 9)) <= {0.25, 0.75}
+    assert set(np.round(jumps, 9)) == {0.25, 0.75}
     assert sorted(set(vals)) == [0.0, 1.0, 3.0]
-
-
-def test_eval_coeff_domain_error(scalar_generic):
-    with pytest.raises(DomainError):
-        sq.eval_coeff(scalar_generic, "A", -0.1)
-    with pytest.raises(DomainError):
-        sq.eval_coeff(scalar_generic, "A", 1.1)
 
 
 def test_json_roundtrip_bit_exact(tmp_path, scalar_generic, n2_spec):

@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 
 import stacklq as sq
+import stacklq.closedloop as closedloop
 import stacklq.montecarlo as montecarlo
-from stacklq.closedloop import respond_player1, respond_player12
+from stacklq.closedloop import (_follower_control, _follower_offset,
+                                _follower_step, _middle_controls,
+                                _middle_offset, _middle_step, _node_loop,
+                                _state_step, respond_player1, respond_player12)
 from stacklq.lift import CoeffValues
 from stacklq.model import solver_times
 from stacklq.montecarlo import (_node_cost, default_directions, mean_stderr,
                                 particle_filter, simulate_blocks,
                                 variational_sweep)
-from stacklq.riccati import backward_rk4, solve_game
+from stacklq.riccati import BLOWUP_LIMIT, backward_rk4, solve_game
 from stacklq.rng import NoisePlan
 
 
@@ -298,21 +302,28 @@ def _criterion_8_cases(spec):
                          [(_verify_cases, 3), (_criterion_8_cases, 4)])
 def test_sweep_steps_one_group_per_player_and_gain(
         scalar_generic, generic_solution, monkeypatch, make_cases, groups):
-    # per node and chunk: one response step and one base cost J0 per group,
-    # and one scaled-gain state step per sabotage group, not one per case
+    # per node and chunk: one table step of the group state and one base
+    # cost J0 per group, and one scaled-gain state step per sabotage group,
+    # not one per case
     bundle, _, law = generic_solution
     calls = Counter()
-    step, cost = montecarlo._state_step, montecarlo._node_cost
+    step, table_step, cost = (montecarlo._state_step, montecarlo._group_step,
+                              montecarlo._node_cost)
 
     def counted_step(*args):
-        calls["affine" if args[-1] else "response"] += 1
+        calls["affine"] += args[-1]
         return step(*args)
+
+    def counted_table_step(*args):
+        calls["response"] += 1
+        return table_step(*args)
 
     def counted_cost(*args):
         calls["J0"] += 1
         return cost(*args)
 
     monkeypatch.setattr(montecarlo, "_state_step", counted_step)
+    monkeypatch.setattr(montecarlo, "_group_step", counted_table_step)
     monkeypatch.setattr(montecarlo, "_node_cost", counted_cost)
     cases = make_cases(scalar_generic)
     K = scalar_generic.grid.steps
@@ -324,6 +335,143 @@ def test_sweep_steps_one_group_per_player_and_gain(
         assert calls["response"] == groups * K * chunks
         assert calls["J0"] == groups * (K + 1) * chunks
         assert calls["affine"] == (groups - 3) * K * chunks
+
+
+def _helper_group(spec, bundle, law, player, gain_scale, directions, dW):
+    """A response group stepped by closedloop's affine=False helpers on their
+    own, directions on a leading axis: yields at each node k, before its step,
+    the state [dx | dxc] or [dx | dX2h | dX2c] (D, N, w), the lower levels'
+    controls and the cost polynomials' Bc and Cc summed up to node k."""
+    times, n = law.times, spec.n
+    cv = CoeffValues(spec, times)
+    D, N = len(directions), dW.shape[0]
+    paths = np.stack([d.path if d.path is not None else np.zeros((len(times), n))
+                      for d in directions])
+    gains = np.stack([d.gain.T if d.gain is not None else np.zeros((n, n))
+                      for d in directions])
+    off = None
+    if player == 2:
+        off = _follower_offset(bundle, cv.B, paths, np.zeros_like(paths), False)
+    elif player == 3:
+        off = _middle_offset(bundle, paths, False)
+    dx, xt = np.zeros((D, N, n)), np.tile(spec.x0, (N, 1))
+    filt = [np.zeros((D, N, n))] if player == 2 else [np.zeros((D, N, 2 * n))] * 2
+    Bc, Cc = np.zeros((D, N)), np.zeros((D, N))
+    form = lambda a, M, b: np.einsum("...pi,ij,...pj->...p", a, M, b)
+    for k, Z, V in _node_loop(spec, law, dW):
+        c, own, Xc = cv[k], player - 1, Z[:, 8 * n:]
+        offk = None if off is None else off[k, :, None]
+        v = [V[:, :n], V[:, n:2 * n], V[:, 2 * n:]]
+        if gain_scale != 1.0:
+            v[0] = gain_scale * (Xc @ law.K1[k].T) + law.k1[k]
+        xbase = xt if gain_scale != 1.0 else Z[:, :n]
+        dv = [None, None, None]
+        dv[own] = paths[:, k, None] + Xc[:, :n] @ gains
+        if player == 2:
+            dv[0] = _follower_control(bundle, c, k, filt[0], offk, False)
+        elif player == 3:
+            dv[0], dv[1] = _middle_controls(bundle, c, k, *filt, offk, offk, False)
+        if k == len(times) - 1:
+            Bc = Bc + form(xbase, c.G[own], dx)
+            Cc = Cc + 0.5 * form(dx, c.G[own], dx)
+        else:
+            h = times[k + 1] - times[k]
+            Bc = Bc + h * (form(xbase, c.Q[own], dx) + form(v[own], c.R[own], dv[own])
+                           + dx @ c.m[own] + dv[own] @ c.nl[own])
+            Cc = Cc + h * (0.5 * form(dx, c.Q[own], dx)
+                           + 0.5 * form(dv[own], c.R[own], dv[own]))
+        state = np.concatenate([dx] + (filt if player > 1 else []), axis=-1)
+        yield state, dv[:own], offk, Bc, Cc
+        if k < len(times) - 1:
+            dWk = dW[:, k]
+            if player == 2:
+                filt = [_follower_step(bundle, c, k, dWk, filt[0], offk,
+                                       dv[1] @ c.B[1].T, False)]
+            elif player == 3:
+                filt = list(_middle_step(bundle, k, dWk, *filt, offk, offk,
+                                         dv[2], dv[2], False))
+            dx = _state_step(c, times, k, dWk, dx, dv, False)
+            xt = _state_step(c, times, k, dWk, xt, v, True)
+
+
+@pytest.mark.parametrize("name", ["n2_spec", "offgrid_spec", "reducible_spec"])
+def test_sweep_group_tables_match_helpers(name, request):
+    # each group's table-stepped state, the lower levels' controls read off it
+    # and its Bc/Cc against the affine=False helpers stepped on their own;
+    # the summation order differs, so agreement is to rounding: rtol 1e-12,
+    # and the same bound relative to the node's largest entry near zero
+    spec = request.getfixturevalue(name)
+    bundle, _, law = _solution(spec)
+    times, n = law.times, spec.n
+    tilted = montecarlo.Direction("tilted-feedback", "filtered_feedback",
+                                  gain=np.arange(1.0, n * n + 1).reshape(n, n) / n)
+    dirs = default_directions(spec, include_feedback=True) + [tilted]
+    groups = {(1, 1.0): dirs, (2, 1.0): dirs[:5], (3, 1.0): dirs[:5],
+              (1, 1.5): dirs[:2] + dirs[5:]}
+    cases = [(player, d, scale) for (player, scale), ds in groups.items()
+             for d in ds]
+    nodes, tables = montecarlo._sweep_setup(spec, law, bundle, cases)
+    dW = NoisePlan.from_seed(3, np.diff(times)).increments(np.arange(16))
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+    for (player, scale), ds in groups.items():
+        run = montecarlo._Group(spec.x0, 16, player, scale, tables[player, scale])
+        ref = _helper_group(spec, bundle, law, player, scale, ds, dW)
+        for (k, Z, V), (state, lower, off, Bc, Cc) in zip(
+                _node_loop(spec, law, dW), ref):
+            R, c = run.state[0].transpose(1, 2, 0), nodes[k]
+            close(R, state)
+            got = ((_follower_control(bundle, c, k, R[..., n:], off, False),)
+                   if player == 2 else
+                   _middle_controls(bundle, c, k, R[..., n:3 * n], R[..., 3 * n:],
+                                    off, off, False) if player == 3 else ())
+            for g, want in zip(got, lower, strict=True):
+                close(g, want)
+            run.node(law, c, k, Z, V, dW)
+            close(run.Bc, Bc)
+            close(0.5 * run.Cc2, Cc)
+
+
+@pytest.mark.parametrize("player", [2, 3])
+def test_sweep_blowup_reported_at_its_step(player, monkeypatch):
+    # a 1e13 direction value at node 10 moves every response state to about
+    # 1e11 at t_11, below BLOWUP_LIMIT; a W3 increment of 1e3 on step 11 of
+    # path chunk + 5, in the second chunk, lifts that path's whole group state
+    # past it at t_12; no other path and no base state comes near it
+    spec = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, A=0.3, B1=1.0, B2=0.8,
+                        B3=0.6, C3=0.2, sigma3=0.3, Q1=1.0, G1=0.5, Q2=0.8,
+                        Q3=0.6)
+    bundle, _, law = _solution(spec)
+    times = solver_times(spec)
+    chunk = 32
+    bad = chunk + 5
+
+    def increments(plan, idx):
+        dW = np.zeros((len(idx), 100, 3))
+        dW[np.asarray(idx) == bad, 11, 2] = 1e3
+        return dW
+
+    path = np.zeros((101, 1))
+    path[10] = 1e13
+    d = montecarlo.Direction("spike", "deterministic", path=path)
+    monkeypatch.setattr(NoisePlan, "increments", increments)
+    monkeypatch.setattr(montecarlo, "BLOCK_PATHS", chunk)
+    with pytest.raises(sq.BlowUpError) as err:
+        variational_sweep(spec, [(player, d, 1.0)], [0.1], 3 * chunk, 0, law,
+                          bundle)
+    assert err.value.t == times[12]
+    assert err.value.path == bad
+    # the reference, unguarded: the helper-stepped group stays below the
+    # limit at t_11 and crosses it at t_12 on that path only
+    monkeypatch.setattr(closedloop, "BLOWUP_LIMIT", np.inf)
+    dW = increments(None, np.arange(3 * chunk))
+    states = [np.abs(state).max(axis=(0, 2)) for state, *_ in _helper_group(
+        spec, bundle, law, player, 1.0, [d], dW)][:13]
+    assert states[11].max() < BLOWUP_LIMIT
+    assert np.flatnonzero(states[12] > BLOWUP_LIMIT).tolist() == [bad]
 
 
 @pytest.mark.parametrize("N", [1, 2, 6, 7, 1000])

@@ -5,6 +5,7 @@ import pytest
 
 import stacklq as sq
 from stacklq.errors import ReductionError
+from stacklq.lift import CoeffValues
 from stacklq.model import Coefficient
 from stacklq.oracle import (DiscreteLQ, crosscheck_p, reduce_to_single_player,
                             solve_dp)
@@ -30,10 +31,11 @@ def test_reduce_stage_cost_definition(reducible_spec):
     h = reducible_spec.horizon / d.steps
     k = 17
     t = k * h
-    assert np.allclose(d.Q[k], h * sq.eval_coeff(reducible_spec, "Q1", t))
-    assert np.allclose(d.R[k], h * sq.eval_coeff(reducible_spec, "R1", t))
-    assert np.allclose(d.q[k], h * sq.eval_coeff(reducible_spec, "m1", t))
-    assert np.allclose(d.r[k], h * sq.eval_coeff(reducible_spec, "n1", t))
+    c = CoeffValues(reducible_spec, t)
+    assert np.allclose(d.Q[k], h * c.Q[0])
+    assert np.allclose(d.R[k], h * c.R[0])
+    assert np.allclose(d.q[k], h * c.m[0])
+    assert np.allclose(d.r[k], h * c.nl[0])
 
 
 def test_reduce_rejects_nonreducible(scalar_generic):
