@@ -105,14 +105,16 @@ def simulate_blocks(spec: GameSpec, law: FeedbackLaw, plan: NoisePlan,
     Yields (start, records, J) per block, start being its first path index:
     records (paths, K // thin + 1, 15n) holds X, Xh, Xc, v1, v2, v3 at every
     thin-th node and J (3, paths) each player's cost, the package's one
-    cost sum.  Memory is one block's whatever n_paths is; a blow-up names
-    its global path index.
+    cost sum.  Memory is one reused (BLOCK_PATHS, K, 3) increment buffer
+    (23.4 MB at K = 500) plus one block's records, whatever n_paths is; a
+    blow-up names its global path index.
     """
     times = law.times
     K = times.shape[0] - 1
     cv = CoeffValues(spec, times)
     nodes = [cv[k] for k in range(K + 1)]
     n = spec.n
+    plan = plan.reusing(min(BLOCK_PATHS, n_paths))      # every block's noise
     for start in range(0, n_paths, BLOCK_PATHS):
         N = min(start + BLOCK_PATHS, n_paths) - start
         records = np.empty((N, K // thin + 1, 15 * n))
@@ -125,7 +127,6 @@ def simulate_blocks(spec: GameSpec, law: FeedbackLaw, plan: NoisePlan,
                     records[:, k // thin, 12 * n:] = V
                 J += _node_cost(nodes[k], slice(None), k, times, Z[:, :n],
                                 V.reshape(N, 3, n).transpose(1, 0, 2))
-        del dW          # before the next block draws its increments
         yield start, records, J
 
 
@@ -319,17 +320,18 @@ def variational_sweep(spec: GameSpec, cases, epsilons, n_paths: int,
 
     cases is a list of (player, direction, gain_scale); one report per case,
     in order.  The chunk loop is outermost: each chunk of BLOCK_PATHS paths
-    draws its increments once and runs one shared base closed loop that
-    every response group follows, so the sweep holds one chunk of noise and,
-    per case, the chunk's responses and three per-path vectors.
+    draws its increments once, into one reused buffer, and runs one shared
+    base closed loop that every response group follows, so the sweep holds
+    that buffer and, per case, the chunk's responses and three per-path vectors.
     """
     eps = sorted({float(e) for e in epsilons} | {0.0} |
                  {-float(e) for e in epsilons})
     times = solver_times(spec)
-    plan = NoisePlan.from_seed(seed, np.diff(times))
+    plan = NoisePlan.from_seed(seed, np.diff(times)).reusing(
+        min(BLOCK_PATHS, n_paths))
     setup = _sweep_setup(spec, law, bundle, cases)
 
-    def run(i0):  # frees each chunk's increments before drawing the next
+    def run(i0):  # each chunk's increments overwrite the last one's
         dW = plan.increments(np.arange(i0, min(i0 + BLOCK_PATHS, n_paths)))
         with _paths_from(i0):
             return _sweep_quadratics(spec, law, cases, dW, setup)
@@ -387,7 +389,7 @@ def particle_filter(spec: GameSpec, law: FeedbackLaw, target_times,
     kidx = [int(np.argmin(np.abs(times - t))) for t in tts]
 
     outer_plan = NoisePlan.from_seed(seed, dts)
-    inner_plan = NoisePlan.from_seed(seed + 1, dts)
+    inner_plan = NoisePlan.from_seed(seed + 1, dts).reusing(n_inner)
     frozen = (2,) if sigma_field == "G1" else (1, 2)
     # (target, its filter) as blocks of Z = [X | Xh | Xc]
     pairs = ((("X3", 0, 2), ("X3hat", 1, 2)) if sigma_field == "G1"

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ReductionError, StackLQError
+from .errors import BlowUpError, ReductionError, StackLQError
 from .lift import CoeffValues, level1_at
 from .model import GameSpec, with_steps
-from .riccati import backward_rk4, solve_p
+from .riccati import BLOWUP_LIMIT, backward_rk4, solve_p
 
 
 @dataclass(frozen=True)
@@ -153,15 +153,17 @@ def _continuous_value(spec: GameSpec, steps: int):
 
     (phis,) = backward_rk4(rhs_phi, (np.zeros(n),), times, "oracle offset phi")
 
-    def rhs_chi(k, j, y):
-        i = 2 * k - (j + 1) // 2
-        cv, p, phi = stages[i], pv[near[i]], phis[near[i]]
-        w = cv.B[0].T @ phi + cv.nl[0]
-        s3 = cv.sigma[2]
-        return (-(phi @ cv.b + 0.5 * s3 @ (p @ s3)
-                  - 0.5 * w @ (cv.Rinv[0] @ w)),)
-
-    (chis,) = backward_rk4(rhs_chi, (np.zeros(()),), times, "oracle constant chi")
+    # chi's right-hand side reads no chi: its RK4 steps summed back from T
+    phi, p, s3 = phis[near], pv[near], stages.sigma[2]
+    w = np.einsum("sij,si->sj", stages.B[0], phi) + stages.nl[0]
+    f = -(np.einsum("si,si->s", phi, stages.b)
+          + 0.5 * np.einsum("si,si->s", s3, np.einsum("sij,sj->si", p, s3))
+          - 0.5 * np.einsum("si,si->s", w, np.einsum("sij,sj->si", stages.Rinv[0], w)))
+    incr = -np.diff(times) / 6.0 * (f[2::2] + 2.0 * f[1::2] + 2.0 * f[1::2] + f[:-1:2])
+    chis = np.append(np.cumsum(incr[::-1])[::-1], 0.0)
+    bad = np.flatnonzero(~(np.abs(chis) <= BLOWUP_LIMIT))     # NaN is bad too
+    if bad.size:        # backward_rk4 stops at the latest node past the limit
+        raise BlowUpError("oracle constant chi", times[bad[-1]])
     x0 = spec.x0
     return (float(0.5 * x0 @ pv[0] @ x0 + phis[0] @ x0 + chis[0]), pv[0])
 

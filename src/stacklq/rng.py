@@ -12,12 +12,14 @@ advanced by i * 2**128 and an empty output buffer.  Building it per path
 costs far more than the draws, so one generator per component is reset to
 that state for each path instead: counter words [0, 0, i mod 2**64,
 i >> 64], buffer_pos 4, has_uint32 0, uinteger 0.  The rows are bit for bit
-those of `jumped(i)`, so every seed-pinned result keeps its value.
+those of `jumped(i)`, so every seed-pinned result keeps its value.  Each row
+is drawn into one scratch row and scaled straight into place, no (paths,
+steps) temporary made, in the buffer that `reusing` gives a plan if it has one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,44 +32,48 @@ def component_seeds(seed: int) -> tuple:
     return tuple(int(c.generate_state(1, np.uint64)[0]) for c in children)
 
 
-def _component_normals(comp_seed: int, path_indices, n_steps: int) -> np.ndarray:
-    out = np.empty((len(path_indices), n_steps))
-    bitgen = np.random.Philox(key=comp_seed)
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state            # counter 0, empty buffer: jumped(0)
-    counter = state["state"]["counter"]
-    for row, idx in enumerate(path_indices):
-        idx = int(idx)
-        counter[2:] = (idx & _WORD, idx >> 64)
-        bitgen.state = state
-        out[row] = gen.standard_normal(n_steps)
-    return out
-
-
 @dataclass(frozen=True)
 class NoisePlan:
     """Recipe for the increment array of a batch of paths.
 
-    seeds: per-component Philox keys; dts: step sizes on the solver grid.
+    seeds: per-component Philox keys; dts: step sizes on the solver grid;
+    buffer: None, or the (rows, steps, 3) array `reusing` draws batches into.
     """
 
     seeds: tuple
     dts: np.ndarray
+    buffer: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def from_seed(seed: int, dts) -> "NoisePlan":
         return NoisePlan(component_seeds(seed), np.asarray(dts, dtype=float))
 
+    def reusing(self, rows: int) -> "NoisePlan":
+        """The same plan drawing each batch of up to `rows` paths into one
+        buffer: every result is a view that the next batch overwrites."""
+        return replace(self, buffer=np.empty((rows, self.dts.shape[0], 3)))
+
     def increments(self, path_indices) -> np.ndarray:
-        """Gaussian N(0, h_k) increments, shape (paths, steps, 3)."""
+        """Gaussian N(0, h_k) increments, shape (paths, steps, 3), in the
+        plan's buffer if it has one and in a new array otherwise."""
         idx = np.asarray(path_indices, dtype=int)
         if idx.size and idx.min() < 0:
             raise ValueError("path indices must be non-negative")
-        k = self.dts.shape[0]
-        out = np.empty((idx.shape[0], k, 3))
-        scale = np.sqrt(self.dts)
+        N, K = idx.shape[0], self.dts.shape[0]
+        out = np.empty((N, K, 3)) if self.buffer is None else self.buffer[:N]
+        if out.shape[0] < N:
+            raise ValueError(f"{N} paths overflow a {out.shape[0]}-row buffer")
+        scale, scratch = np.sqrt(self.dts), np.empty(K)
         for comp in range(3):
-            out[:, :, comp] = _component_normals(self.seeds[comp], idx, k) * scale
+            bitgen = np.random.Philox(key=self.seeds[comp])
+            gen = np.random.Generator(bitgen)
+            state = bitgen.state        # counter 0, empty buffer: jumped(0)
+            counter = state["state"]["counter"]
+            for row, i in enumerate(idx.tolist()):
+                counter[2:] = (i & _WORD, i >> 64)
+                bitgen.state = state
+                gen.standard_normal(out=scratch)
+                np.multiply(scratch, scale, out=out[row, :, comp])
         return out
 
     def with_component_seed(self, comp: int, new_seed: int) -> "NoisePlan":

@@ -1,5 +1,6 @@
 import dataclasses
-from collections import Counter
+import tracemalloc
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -200,6 +201,40 @@ def _sweep_cases(spec):
     return [(1, dirs["const"], 1.0), (2, dirs["ramp"], 1.0),
             (3, dirs["flip"], 1.0), (1, dirs["xcheck-feedback"], 1.0),
             (1, dirs["front"], 1.5)]
+
+
+def test_blocks_hold_one_reused_noise_buffer(monkeypatch):
+    # every block draws its increments in place into one buffer that the
+    # block loop reuses, with no (N, K) temporaries: above the peak of a
+    # one-path call (the set-up, which no path count changes), 3+ blocks
+    # stay within a quarter buffer of one buffer plus one block's records
+    N, K, thin = 256, 500, 100
+    monkeypatch.setattr(montecarlo, "BLOCK_PATHS", N)
+    spec = sq.make_spec(n=1, T=1.0, steps=K, x0=1.0, A=0.3, B1=1.0, B2=0.8,
+                        B3=0.6, C3=0.1, sigma1=0.2, sigma2=0.25, sigma3=0.3,
+                        Q1=1.0, G1=0.5, Q2=0.8, Q3=0.6)
+    bundle, _, law = _solution(spec)
+    plan = NoisePlan.from_seed(0, np.diff(law.times))
+    buf, records = N * K * 3 * 8, N * (K // thin + 1) * 15 * 8
+
+    def peak(run, n_paths):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run(n_paths)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    def blocks(n_paths):        # keeps no block once the next is drawn
+        deque(simulate_blocks(spec, law, plan, n_paths, thin), maxlen=0)
+
+    def sweep(n_paths):
+        variational_sweep(spec, [(1, default_directions(spec)[0], 1.0)], [0.1],
+                          n_paths, 0, law, bundle)
+
+    assert peak(blocks, 3 * N + 10) - peak(blocks, 1) < 1.25 * buf + records
+    assert peak(sweep, 3 * N + 10) - peak(sweep, 1) < 1.25 * buf
 
 
 def _fingerprint(rep):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import stacklq as sq
-from stacklq.errors import ReductionError
+from stacklq.errors import BlowUpError, ReductionError
 from stacklq.lift import CoeffValues
 from stacklq.model import Coefficient
 from stacklq.oracle import (DiscreteLQ, crosscheck_p, reduce_to_single_player,
@@ -123,6 +123,17 @@ def test_crosscheck_breakpoint_off_the_grid(reducible_spec):
     assert fine.gap_value < coarse.gap_value
     # the continuous value does not depend on where the oracle grid falls
     assert abs(coarse.continuous_value - fine.continuous_value) <= 1e-4
+
+
+def test_crosscheck_chi_blowup_at_latest_node():
+    # uncontrolled, p = G1 = 1 and phi = 0: chi(t) = 0.5 sigma3^2 (T - t),
+    # 3e13 (1 - t), first above BLOWUP_LIMIT = 1e12 going back from T at t_96
+    spec = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, G1=1.0,
+                        sigma3=np.sqrt(6e13))
+    with pytest.raises(BlowUpError) as err:
+        crosscheck_p(spec)
+    assert err.value.what == "oracle constant chi"
+    assert err.value.t == np.linspace(0.0, 1.0, 101)[96]
 
 
 def test_dp_value_matches_optimal_simulation(reducible_spec):

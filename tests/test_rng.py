@@ -64,6 +64,18 @@ def test_rows_equal_jumped_streams(indices):
     dW = plan.increments(indices)
     for comp, seed in enumerate(plan.seeds):
         assert np.array_equal(dW[:, :, comp], _jumped_rows(seed, indices, h, k))
+    # the same rows drawn in place into a plan's reused buffer: a full fill,
+    # then a shorter index list into the buffer's leading rows
+    reused = plan.reusing(len(indices))
+    reused.buffer[...] = np.nan
+    for rows in (indices, indices[:-2][::-1]):
+        got = reused.increments(rows)
+        assert got.shape == (len(rows), k, 3)
+        assert np.shares_memory(got, reused.buffer)
+        for comp, seed in enumerate(plan.seeds):
+            assert np.array_equal(got[:, :, comp], _jumped_rows(seed, rows, h, k))
+    with pytest.raises(ValueError):
+        reused.increments(indices + [0])
 
 
 def test_stream_digest_pinned():
