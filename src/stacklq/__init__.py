@@ -13,7 +13,7 @@ from .model import (GameSpec, TimeGrid, ValidationReport, load_spec,
 from .montecarlo import (CostEstimate, Direction, PerturbationReport,
                          default_directions, mean_stderr, particle_filter,
                          simulate_blocks, variational_sweep)
-from .oracle import crosscheck_p, reduce_to_single_player, solve_dp
+from .oracle import crosscheck_p
 from .riccati import (MatrixTrajectory, OffsetBundle, RiccatiBundle,
                       riccati_residuals, solve_game, solve_p)
 from .rng import NoisePlan

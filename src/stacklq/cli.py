@@ -210,7 +210,7 @@ def cmd_verify(args) -> int:
         for r in artifacts["oracle_rows"]:
             if r.target != "X3hat":
                 continue
-            fh.write(f"{FMT % r.time},{r.sigma_field},{r.component},"
+            fh.write(f"{FMT % r.time},G1,{r.component},"
                      f"{FMT % r.filter_value},{FMT % r.oracle_mean},"
                      f"{FMT % r.oracle_stderr}\n")
     all_ok = True

@@ -1,9 +1,10 @@
 """Streamed costs, variational optimality tests and the filter oracle.
 
 The variational tests exploit linearity: under common random numbers the
-Euler-discretized paths respond affinely to a control perturbation, so one
-base run plus one response run per direction determines every perturbed
-cost exactly as a quadratic polynomial in the perturbation size.  The
+Euler-discretized paths respond affinely to a deterministic control
+perturbation (a direction's path on the grid), so one base run plus one
+response run per direction determines every perturbed cost exactly as a
+quadratic polynomial in the perturbation size.  The
 reported central-difference slope coincides with the polynomial's linear
 coefficient, and its standard error comes from the per-path linear terms
 (classical CRN variance reduction).
@@ -51,17 +52,11 @@ class CostEstimate:
 
 @dataclass(frozen=True)
 class Direction:
-    """An admissible perturbation direction for the variational tests.
-
-    kind "deterministic": path (K+1, n) sampled on the grid.
-    kind "filtered_feedback": gain (n, n) applied to the follower-filtered
-    physical state (player 1 only; the realized path is frozen per run).
-    """
+    """A perturbation direction for the variational tests: the deterministic
+    control perturbation path (K+1, n) sampled on the grid."""
 
     id: str
-    kind: str
-    path: np.ndarray | None = None
-    gain: np.ndarray | None = None
+    path: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,6 @@ def simulate_blocks(spec: GameSpec, law: FeedbackLaw, plan: NoisePlan,
     times = law.times
     K = times.shape[0] - 1
     cv = CoeffValues(spec, times)
-    nodes = [cv[k] for k in range(K + 1)]
     n = spec.n
     plan = plan.reusing(min(BLOCK_PATHS, n_paths))      # every block's noise
     for start in range(0, n_paths, BLOCK_PATHS):
@@ -125,7 +119,7 @@ def simulate_blocks(spec: GameSpec, law: FeedbackLaw, plan: NoisePlan,
                 if k % thin == 0:
                     records[:, k // thin, :12 * n] = Z
                     records[:, k // thin, 12 * n:] = V
-                J += _node_cost(nodes[k], slice(None), k, times, Z[:, :n],
+                J += _node_cost(cv[k], slice(None), k, times, Z[:, :n],
                                 V.reshape(N, 3, n).transpose(1, 0, 2))
         yield start, records, J
 
@@ -134,7 +128,7 @@ def simulate_blocks(spec: GameSpec, law: FeedbackLaw, plan: NoisePlan,
 # fused base + response runner
 # ---------------------------------------------------------------------------
 
-def default_directions(spec: GameSpec, include_feedback: bool = False) -> list:
+def default_directions(spec: GameSpec) -> list:
     """Five stock perturbation directions on the solver grid."""
     times = solver_times(spec)
     T = times[-1]
@@ -147,12 +141,7 @@ def default_directions(spec: GameSpec, include_feedback: bool = False) -> list:
         "front": (times < 0.5 * T).astype(float),
         "tail": (times >= 0.5 * T).astype(float),
     }
-    dirs = [Direction(name, "deterministic", path=np.outer(s, e))
-            for name, s in shapes.items()]
-    if include_feedback:
-        dirs.append(Direction("xcheck-feedback", "filtered_feedback",
-                              gain=0.5 * np.eye(n)))
-    return dirs
+    return [Direction(name, np.outer(s, e)) for name, s in shapes.items()]
 
 
 def _response_step(bundle: RiccatiBundle, c, k, player, dWk, R, off, dv_own):
@@ -176,38 +165,33 @@ def _response_step(bundle: RiccatiBundle, c, k, player, dWk, R, off, dv_own):
     return np.concatenate((dx, *filtered), axis=-1)
 
 
-def _group_tables(bundle: RiccatiBundle, cv: CoeffValues, nodes, player,
-                  directions):
+def _group_tables(bundle: RiccatiBundle, cv: CoeffValues, player, directions):
     """A group's tables (see _Group), probed from the linear _response_step
     at every node: on w basis rows without noise and under a unit increment
-    on each channel, on each direction's path with its offset, solved once
-    here, and on unit own controls.  Channels that load nothing are left out."""
-    D, n_nodes, n = len(directions), len(nodes), cv.A.shape[-1]
+    on each channel, and on each direction's path with its offset, solved
+    once here.  Channels that load nothing are left out."""
+    paths = np.stack([d.path for d in directions])
+    D, n_nodes, n = paths.shape
     K, w = n_nodes - 1, (1, 2, 5)[player - 1] * n
-    paths = np.stack([np.zeros((n_nodes, n)) if d.path is None else d.path
-                      for d in directions])
-    gains = np.stack([np.zeros((n, n)) if d.gain is None else d.gain
-                      for d in directions])
     offset = (_follower_offset(bundle, cv.B, paths, np.zeros_like(paths), False)
               if player == 2 else _middle_offset(bundle, paths, False)
               if player == 3 else np.zeros((n_nodes, D, n)))
-    # probe rows: the basis four times, then the directions, then own controls
-    R = np.vstack([np.tile(np.eye(w), (4, 1)), np.zeros((D + n, w))])
+    # probe rows: the basis four times, then the directions
+    R = np.vstack([np.tile(np.eye(w), (4, 1)), np.zeros((D, w))])
     dW = np.vstack([np.zeros((w, 3)), np.repeat(np.eye(3), w, axis=0),
-                    np.zeros((D + n, 3))])
-    dv = np.vstack([np.zeros((4 * w + D, n)), np.eye(n)])
+                    np.zeros((D, 3))])
+    dv = np.zeros((len(R), n))
     off = np.zeros((len(R), offset.shape[-1]))
     probes = np.empty((K, w, len(R)))   # R's step as columns: probes[k] @ rows
     for k in range(K):
-        dv[4 * w:-n], off[4 * w:-n] = paths[:, k], offset[k]
-        probes[k] = _response_step(bundle, nodes[k], k, player, dW, R, off, dv).T
+        dv[4 * w:], off[4 * w:] = paths[:, k], offset[k]
+        probes[k] = _response_step(bundle, cv[k], k, player, dW, R, off, dv).T
     F = probes[..., :w]
     loads = [probes[..., (i + 1) * w:(i + 2) * w] - F for i in range(3)]
     channels = [i for i in range(3) if np.any(loads[i])]
     return (paths.transpose(1, 2, 0)[..., None],
-            gains.transpose(1, 0, 2) if np.any(gains) else None,
             np.concatenate([F] + [loads[i] for i in channels], axis=-1),
-            channels, probes[..., 4 * w:-n, None].copy(), probes[..., -n:].copy())
+            channels, probes[..., 4 * w:, None].copy())
 
 
 class _Group:
@@ -218,15 +202,14 @@ class _Group:
     R (w, D, N) holds the responses as columns of [dx] (player 1), [dx |
     dxc] (player 2) or [dx | dX2h | dX2c] (player 3); the state stacks it
     over its copies scaled by the increments of the c loaded `channels`.
-    R's Euler step is step[k] (w, (1 + c) w) times the state, plus drive[k]
-    (w, D, 1) and, for filtered-feedback directions, own[k] (w, n) times
-    gains (n, D, n) Xc (gains is None if no direction has one).  dv[k] (n,
-    D, 1) holds the directions' paths.  J0 and, under a gain_scale other
-    than 1, the state xt of the scaled follower gain are one path per group.
+    R's Euler step is step[k] (w, (1 + c) w) times the state plus drive[k]
+    (w, D, 1).  dv[k] (n, D, 1) holds the directions' paths.  J0 and, under
+    a gain_scale other than 1, the state xt of the scaled follower gain are
+    one path per group.
     """
 
     def __init__(self, x0, N: int, player: int, gain_scale: float, tables):
-        self.dv, self.gains, self.step, self.channels, self.drive, self.own = tables
+        self.dv, self.step, self.channels, self.drive = tables
         w, D = self.drive.shape[1:3]
         self.player, self.gain_scale = player, gain_scale
         self.xt = np.tile(x0, (N, 1)) if gain_scale != 1.0 else None
@@ -247,11 +230,7 @@ class _Group:
 
         # each direction's value and the response dx contract with the cost
         # weights: h Q, h m, h R, h n before the last node, G alone at it
-        dv, fed = self.dv[k], None
-        if self.gains is not None:
-            fed = self.gains @ Z[:, 8 * n:9 * n].T
-            dv = dv + fed
-        dx = self.state[0, :n]
+        dv, dx = self.dv[k], self.state[0, :n]
         h = law.times[k + 1] - law.times[k] if k < K else 0.0
         Wx, wx = (h * c.Q[own], h * c.m[own]) if k < K else (c.G[own], 0.0)
         Wv, wv = h * c.R[own], h * c.nl[own]
@@ -261,13 +240,13 @@ class _Group:
         self.Cc2 += (np.einsum("idp,ij,jdp->dp", dx, Wx, dx)
                      + np.einsum("idp,ij,jdp->dp", dv, Wv, dv))
         if k < K:
-            _group_step(self, k, dW[:, k], fed, float(law.times[k + 1]))
+            _group_step(self, k, dW[:, k], float(law.times[k + 1]))
             if self.xt is not None:
                 self.xt = _state_step(c, law.times, k, dW[:, k], self.xt, v, True)
 
 
-def _group_step(group: _Group, k, dWk, fed, t):
-    """R's guarded step k -> k+1 on the group's tables; fed is gains Xc or None."""
+def _group_step(group: _Group, k, dWk, t):
+    """R's guarded step k -> k+1 on the group's tables."""
     state = group.state
     for j, i in enumerate(group.channels, 1):
         np.multiply(state[0], dWk[:, i], out=state[j])
@@ -275,24 +254,21 @@ def _group_step(group: _Group, k, dWk, fed, t):
     w, D, N = new.shape[1:]
     np.matmul(group.step[k], state.reshape(-1, D * N), out=new[0].reshape(w, D * N))
     new[0] += group.drive[k]
-    if fed is not None:
-        new[0] += (group.own[k] @ fed.reshape(fed.shape[0], -1)).reshape(w, D, N)
     _guard(new[0].transpose(1, 2, 0), t, "response state")
 
 
 def _sweep_setup(spec, law: FeedbackLaw, bundle: RiccatiBundle, cases):
-    """A sweep's path-independent part: the node coefficient views and each
+    """A sweep's path-independent part: the coefficient table and each
     (player, gain_scale) group's tables, its directions in case order."""
     cv = CoeffValues(spec, law.times)
-    nodes = [cv[k] for k in range(law.times.shape[0])]
     groups = {}
     for player, d, gain_scale in cases:
-        if player != 1 and (d.kind != "deterministic" or gain_scale != 1):
-            raise UnsupportedPerturbationError("feedback directions and the "
-                                               "scaled gain test the follower only")
+        if player != 1 and gain_scale != 1:
+            raise UnsupportedPerturbationError("the scaled gain tests the "
+                                               "follower only")
         groups.setdefault((player, gain_scale), []).append(d)
-    return nodes, {key: _group_tables(bundle, cv, nodes, key[0], directions)
-                   for key, directions in groups.items()}
+    return cv, {key: _group_tables(bundle, cv, key[0], directions)
+                for key, directions in groups.items()}
 
 
 def _sweep_quadratics(spec, law: FeedbackLaw, cases, dW: np.ndarray,
@@ -300,12 +276,13 @@ def _sweep_quadratics(spec, law: FeedbackLaw, cases, dW: np.ndarray,
     """Per-path coefficients (J0, B, C) of J(eps) for each (player,
     direction, gain_scale) case, all on one base run driven by dW, one
     response group per (player, gain_scale); setup is _sweep_setup's."""
-    nodes, groups = setup
+    cv, groups = setup
     runs = {key: _Group(spec.x0, dW.shape[0], *key, tables)
             for key, tables in groups.items()}
     for k, Z, V in _node_loop(spec, law, dW):
+        c = cv[k]
         for run in runs.values():
-            run.node(law, nodes[k], k, Z, V, dW)
+            run.node(law, c, k, Z, V, dW)
     taken, out = Counter(), []      # a group's directions are in case order
     for player, _, gain_scale in cases:
         run, d = runs[player, gain_scale], taken[player, gain_scale]
@@ -362,7 +339,6 @@ def variational_sweep(spec: GameSpec, cases, epsilons, n_paths: int,
 @dataclass(frozen=True)
 class OracleRow:
     time: float
-    sigma_field: str
     target: str           # "X3" or "X3hat"
     component: int
     filter_value: float
@@ -371,18 +347,14 @@ class OracleRow:
 
 
 def particle_filter(spec: GameSpec, law: FeedbackLaw, target_times,
-                    sigma_field: str, n_outer: int, n_inner: int,
-                    seed: int) -> list:
-    """Brute-force conditional expectations against the closed-form filters.
-
-    G1: freeze one outer draw of the W3 increments, average full simulations
-    over inner (W1, W2) draws, compare with the W3-only filter path.
-    G2: freeze (W2, W3), average over W1, compare with the (W2, W3) filter.
+                    n_outer: int, n_inner: int, seed: int) -> list:
+    """Brute-force conditional expectations given G1 = sigma(W3), to set
+    next to the closed-form filter: freeze one outer draw of the W3
+    increments, average full simulations over inner (W1, W2) draws and
+    report the means of X3 and X3hat with the W3-only filter path X3check.
     """
     if n_inner < 100:
         raise ValueError("n_inner < 100 gives a meaninglessly noisy oracle")
-    if sigma_field not in ("G1", "G2"):
-        raise ValueError("sigma_field must be 'G1' or 'G2'")
     times = law.times
     dts = np.diff(times)
     tts = np.atleast_1d(np.asarray(target_times, dtype=float))
@@ -390,28 +362,23 @@ def particle_filter(spec: GameSpec, law: FeedbackLaw, target_times,
 
     outer_plan = NoisePlan.from_seed(seed, dts)
     inner_plan = NoisePlan.from_seed(seed + 1, dts).reusing(n_inner)
-    frozen = (2,) if sigma_field == "G1" else (1, 2)
-    # (target, its filter) as blocks of Z = [X | Xh | Xc]
-    pairs = ((("X3", 0, 2), ("X3hat", 1, 2)) if sigma_field == "G1"
-             else (("X3", 0, 1),))
 
     rows = []
     for j in range(n_outer):
         outer = outer_plan.increments([j])[0]          # (K, 3)
         dW = inner_plan.increments(np.arange(j * n_inner, (j + 1) * n_inner))
-        for comp in frozen:
-            dW[:, :, comp] = outer[:, comp]
-        # only the target nodes are kept, not whole paths
+        dW[:, :, 2] = outer[:, 2]
+        # only the target nodes are kept, not whole paths, as the blocks of
+        # Z = [X | Xh | Xc]
         at = {k: np.split(Z, 3, axis=1)
               for k, Z, _ in _node_loop(spec, law, dW) if k in kidx}
-        for name, tb, rb in pairs:
-            for k, t in zip(kidx, tts):
-                target, fv = at[k][tb], at[k][rb][0]
+        for name, tb in (("X3", 0), ("X3hat", 1)):
+            for k in kidx:
+                target, fv = at[k][tb], at[k][2][0]
                 mean = target.mean(axis=0)
                 se = target.std(axis=0, ddof=1) / np.sqrt(n_inner)
                 for c in range(mean.shape[0]):
-                    rows.append(OracleRow(time=float(times[k]),
-                                          sigma_field=sigma_field, target=name,
+                    rows.append(OracleRow(time=float(times[k]), target=name,
                                           component=c, filter_value=float(fv[c]),
                                           oracle_mean=float(mean[c]),
                                           oracle_stderr=float(se[c])))

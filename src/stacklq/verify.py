@@ -143,7 +143,7 @@ def check_tower(spec, law, cfg: VerifyConfig):
     T = spec.horizon
     tts = np.linspace(0.2, 0.9, 3) * T
     h = T / spec.grid.steps
-    rows = particle_filter(spec, law, tts, "G1", TOWER_OUTER, TOWER_INNER,
+    rows = particle_filter(spec, law, tts, TOWER_OUTER, TOWER_INNER,
                            cfg.seed + 5)
     worst = -np.inf
     ok = True

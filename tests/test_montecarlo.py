@@ -114,23 +114,14 @@ def test_variational_negative_control(scalar_additive, additive_solution):
     assert fails >= 1
 
 
-def test_variational_feedback_direction(scalar_additive, additive_solution):
-    bundle, offsets, law = additive_solution
-    d = default_directions(scalar_additive, include_feedback=True)[-1]
-    assert d.kind == "filtered_feedback"
-    rep = variational_sweep(scalar_additive, [(1, d, 1.0)], [0.05], 4000, 11,
-                            law, bundle)[0]
-    assert abs(rep.slope0) <= 3.0 * rep.slope_stderr
-
-
-def test_feedback_direction_rejected_for_leaders(scalar_additive,
-                                                 additive_solution):
+def test_scaled_gain_rejected_for_leaders(scalar_additive, additive_solution):
     from stacklq.errors import UnsupportedPerturbationError
     bundle, _, law = additive_solution
-    d = default_directions(scalar_additive, include_feedback=True)[-1]
-    with pytest.raises(UnsupportedPerturbationError):
-        variational_sweep(scalar_additive, [(2, d, 1.0)], [0.05], 16, 1, law,
-                          bundle)
+    d = default_directions(scalar_additive)[0]
+    for player in (2, 3):
+        with pytest.raises(UnsupportedPerturbationError):
+            variational_sweep(scalar_additive, [(player, d, 1.5)], [0.05], 16,
+                              1, law, bundle)
 
 
 def test_stderr_scaling(scalar_generic, generic_solution):
@@ -197,10 +188,9 @@ def test_chunks_do_not_change_results(scalar_generic, generic_solution,
 
 
 def _sweep_cases(spec):
-    dirs = {d.id: d for d in default_directions(spec, include_feedback=True)}
+    dirs = {d.id: d for d in default_directions(spec)}
     return [(1, dirs["const"], 1.0), (2, dirs["ramp"], 1.0),
-            (3, dirs["flip"], 1.0), (1, dirs["xcheck-feedback"], 1.0),
-            (1, dirs["front"], 1.5)]
+            (3, dirs["flip"], 1.0), (1, dirs["front"], 1.5)]
 
 
 def test_blocks_hold_one_reused_noise_buffer(monkeypatch):
@@ -329,8 +319,8 @@ def _verify_cases(spec):
 def _criterion_8_cases(spec):
     # test_criterion_8_variational_optimality's cases
     cases = [(player, d, 1.0) for player in (1, 2, 3)
-             for d in default_directions(spec, include_feedback=(player == 1))[:5]]
-    return cases + [(1, d, 1.5) for d in default_directions(spec)[:5]]
+             for d in default_directions(spec)]
+    return cases + [(1, d, 1.5) for d in default_directions(spec)]
 
 
 @pytest.mark.parametrize("make_cases, groups",
@@ -380,10 +370,7 @@ def _helper_group(spec, bundle, law, player, gain_scale, directions, dW):
     times, n = law.times, spec.n
     cv = CoeffValues(spec, times)
     D, N = len(directions), dW.shape[0]
-    paths = np.stack([d.path if d.path is not None else np.zeros((len(times), n))
-                      for d in directions])
-    gains = np.stack([d.gain.T if d.gain is not None else np.zeros((n, n))
-                      for d in directions])
+    paths = np.stack([d.path for d in directions])
     off = None
     if player == 2:
         off = _follower_offset(bundle, cv.B, paths, np.zeros_like(paths), False)
@@ -401,7 +388,7 @@ def _helper_group(spec, bundle, law, player, gain_scale, directions, dW):
             v[0] = gain_scale * (Xc @ law.K1[k].T) + law.k1[k]
         xbase = xt if gain_scale != 1.0 else Z[:, :n]
         dv = [None, None, None]
-        dv[own] = paths[:, k, None] + Xc[:, :n] @ gains
+        dv[own] = paths[:, k, None]
         if player == 2:
             dv[0] = _follower_control(bundle, c, k, filt[0], offk, False)
         elif player == 3:
@@ -438,14 +425,12 @@ def test_sweep_group_tables_match_helpers(name, request):
     spec = request.getfixturevalue(name)
     bundle, _, law = _solution(spec)
     times, n = law.times, spec.n
-    tilted = montecarlo.Direction("tilted-feedback", "filtered_feedback",
-                                  gain=np.arange(1.0, n * n + 1).reshape(n, n) / n)
-    dirs = default_directions(spec, include_feedback=True) + [tilted]
-    groups = {(1, 1.0): dirs, (2, 1.0): dirs[:5], (3, 1.0): dirs[:5],
-              (1, 1.5): dirs[:2] + dirs[5:]}
+    dirs = default_directions(spec)
+    groups = {(1, 1.0): dirs, (2, 1.0): dirs, (3, 1.0): dirs,
+              (1, 1.5): dirs[:2]}
     cases = [(player, d, scale) for (player, scale), ds in groups.items()
              for d in ds]
-    nodes, tables = montecarlo._sweep_setup(spec, law, bundle, cases)
+    cv, tables = montecarlo._sweep_setup(spec, law, bundle, cases)
     dW = NoisePlan.from_seed(3, np.diff(times)).increments(np.arange(16))
 
     def close(got, want):
@@ -457,7 +442,7 @@ def test_sweep_group_tables_match_helpers(name, request):
         ref = _helper_group(spec, bundle, law, player, scale, ds, dW)
         for (k, Z, V), (state, lower, off, Bc, Cc) in zip(
                 _node_loop(spec, law, dW), ref):
-            R, c = run.state[0].transpose(1, 2, 0), nodes[k]
+            R, c = run.state[0].transpose(1, 2, 0), cv[k]
             close(R, state)
             got = ((_follower_control(bundle, c, k, R[..., n:], off, False),)
                    if player == 2 else
@@ -491,7 +476,7 @@ def test_sweep_blowup_reported_at_its_step(player, monkeypatch):
 
     path = np.zeros((101, 1))
     path[10] = 1e13
-    d = montecarlo.Direction("spike", "deterministic", path=path)
+    d = montecarlo.Direction("spike", path)
     monkeypatch.setattr(NoisePlan, "increments", increments)
     monkeypatch.setattr(montecarlo, "BLOCK_PATHS", chunk)
     with pytest.raises(sq.BlowUpError) as err:
@@ -534,9 +519,6 @@ SWEEP_PINNED = [
     (-0.000254860417319926, 0.001134312632782987,
      (0.2561048482422532, 0.25419783918568245, 0.2535536741529148,
       0.2541723531439504, 0.2560538761587892)),
-    (-0.001399941237025937, 0.006271685054999796,
-     (0.6537711659524298, 0.652779002202663, 0.6524016162448402,
-      0.6526390080789606, 0.6534911777050245)),
     (-0.41418238301332516, 0.009350866577578259,
      (0.8102348510930492, 0.7860859905920068, 0.7642302909912151,
       0.7446677522906742, 0.7273983744903841)),
@@ -548,7 +530,8 @@ def test_sweep_numbers_pinned(scalar_generic, generic_solution, monkeypatch):
     monkeypatch.setattr(montecarlo, "BLOCK_PATHS", 512)
     reps = variational_sweep(scalar_generic, _sweep_cases(scalar_generic),
                              [0.05, 0.1], 1100, 8, law, bundle)
-    for rep, (slope0, slope_stderr, means) in zip(reps, SWEEP_PINNED):
+    for rep, (slope0, slope_stderr, means) in zip(reps, SWEEP_PINNED,
+                                                  strict=True):
         assert rep.slope0 == pytest.approx(slope0, rel=1e-12)
         assert rep.slope_stderr == pytest.approx(slope_stderr, rel=1e-12)
         assert [c.mean for c in rep.costs] == pytest.approx(means, rel=1e-12)
@@ -586,14 +569,14 @@ def test_sweep_response_is_the_public_response():
 def test_particle_filter_rejects_small_inner(scalar_generic, generic_solution):
     _, _, law = generic_solution
     with pytest.raises(ValueError):
-        particle_filter(scalar_generic, law, [0.5], "G1", 2, 50, 1)
+        particle_filter(scalar_generic, law, [0.5], 2, 50, 1)
 
 
 def test_particle_filter_no_noise_exact():
     spec = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, A=0.3, B1=1.0,
                         Q1=0.5, G1=0.5, Q2=0.3, R2=1.0, Q3=0.2, R3=1.0)
     _, _, law = _solution(spec)
-    rows = particle_filter(spec, law, [0.5], "G1", 2, 100, 3)
+    rows = particle_filter(spec, law, [0.5], 2, 100, 3)
     for r in rows:
         assert abs(r.oracle_mean - r.filter_value) < 1e-10
         assert r.oracle_stderr < 1e-12
@@ -603,7 +586,7 @@ def test_particle_filter_independent_component():
     # x = x0 + sigma1 W1 and G1 = sigma(W3): E[x(t)|G1] = x0
     spec = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, sigma1=1.0)
     _, _, law = _solution(spec)
-    rows = particle_filter(spec, law, [0.5], "G1", 3, 400, 7)
+    rows = particle_filter(spec, law, [0.5], 3, 400, 7)
     for r in rows:
         if r.target == "X3" and r.component == 0:
             assert r.filter_value == 1.0
@@ -613,7 +596,7 @@ def test_particle_filter_independent_component():
 def test_tower_identity_small(scalar_generic, generic_solution):
     _, _, law = generic_solution
     h = 1.0 / scalar_generic.grid.steps
-    rows = particle_filter(scalar_generic, law, [0.3, 0.7], "G1", 4, 300, 15)
+    rows = particle_filter(scalar_generic, law, [0.3, 0.7], 4, 300, 15)
     for r in rows:
         if r.target != "X3hat":
             continue
