@@ -11,8 +11,8 @@ from .model import (GameSpec, TimeGrid, ValidationReport, load_spec,
                     make_spec, save_spec, solver_times, spec_from_dict,
                     spec_to_dict, validate_spec)
 from .montecarlo import (CostEstimate, Direction, PerturbationReport,
-                         default_directions, mean_stderr, particle_filter,
-                         simulate_blocks, variational_sweep)
+                         default_directions, mean_stderr, simulate_blocks,
+                         variational_sweep)
 from .oracle import crosscheck_p
 from .riccati import (MatrixTrajectory, OffsetBundle, RiccatiBundle,
                       riccati_residuals, solve_game, solve_p)

@@ -190,6 +190,8 @@ def _epsilons(text: str) -> tuple:
 
 def cmd_verify(args) -> int:
     eps = _epsilons(args.epsilons)
+    if args.paths < 2:      # one path has no spread to put a slope's z on
+        raise SpecFormatError("verify --paths must be at least 2")
     spec, out = _prepare(args)
     cfg = VerifyConfig(seed=args.seed, n_paths=args.paths, epsilons=eps,
                        gain_scale=args.sabotage_gains)
@@ -204,15 +206,18 @@ def cmd_verify(args) -> int:
                 fh.write(f"{rep.player},{rep.direction_id},{FMT % eps_v},"
                          f"{FMT % cost.mean},{FMT % cost.stderr},"
                          f"{cost.n_paths},{cost.seed}\n")
+    # the W3-only run's Xh is E[Xh | W3] exactly: set it beside the filter Xc
+    w3 = artifacts["w3_paths"]
+    nodes = [int(np.argmin(np.abs(w3.times - frac * w3.times[-1])))
+             for frac in (0.2, 0.55, 0.9)]
     with open(out / "oracle.csv", "w") as fh:
         fh.write("time,sigma_field,component,filter_value,oracle_mean,"
                  "oracle_stderr\n")
-        for r in artifacts["oracle_rows"]:
-            if r.target != "X3hat":
-                continue
-            fh.write(f"{FMT % r.time},G1,{r.component},"
-                     f"{FMT % r.filter_value},{FMT % r.oracle_mean},"
-                     f"{FMT % r.oracle_stderr}\n")
+        for xh, xc in zip(w3.X3hat, w3.X3check):
+            for k in nodes:
+                for c, (m, f) in enumerate(zip(xh[k], xc[k])):
+                    fh.write(f"{FMT % w3.times[k]},G1,{c},{FMT % f},"
+                             f"{FMT % m},0\n")
     all_ok = True
     for cid, ok, detail in checks:
         all_ok &= ok

@@ -1,4 +1,4 @@
-"""Streamed costs, variational optimality tests and the filter oracle.
+"""Streamed costs and the variational optimality tests.
 
 The variational tests exploit linearity: under common random numbers the
 Euler-discretized paths respond affinely to a deterministic control
@@ -330,56 +330,3 @@ def variational_sweep(spec: GameSpec, cases, epsilons, n_paths: int,
             costs=tuple(costs), slope0=slope0, slope_stderr=slope_stderr,
             curvature_ok=curvature_ok))
     return reports
-
-
-# ---------------------------------------------------------------------------
-# particle-filter oracle for the conditional expectations
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OracleRow:
-    time: float
-    target: str           # "X3" or "X3hat"
-    component: int
-    filter_value: float
-    oracle_mean: float
-    oracle_stderr: float
-
-
-def particle_filter(spec: GameSpec, law: FeedbackLaw, target_times,
-                    n_outer: int, n_inner: int, seed: int) -> list:
-    """Brute-force conditional expectations given G1 = sigma(W3), to set
-    next to the closed-form filter: freeze one outer draw of the W3
-    increments, average full simulations over inner (W1, W2) draws and
-    report the means of X3 and X3hat with the W3-only filter path X3check.
-    """
-    if n_inner < 100:
-        raise ValueError("n_inner < 100 gives a meaninglessly noisy oracle")
-    times = law.times
-    dts = np.diff(times)
-    tts = np.atleast_1d(np.asarray(target_times, dtype=float))
-    kidx = [int(np.argmin(np.abs(times - t))) for t in tts]
-
-    outer_plan = NoisePlan.from_seed(seed, dts)
-    inner_plan = NoisePlan.from_seed(seed + 1, dts).reusing(n_inner)
-
-    rows = []
-    for j in range(n_outer):
-        outer = outer_plan.increments([j])[0]          # (K, 3)
-        dW = inner_plan.increments(np.arange(j * n_inner, (j + 1) * n_inner))
-        dW[:, :, 2] = outer[:, 2]
-        # only the target nodes are kept, not whole paths, as the blocks of
-        # Z = [X | Xh | Xc]
-        at = {k: np.split(Z, 3, axis=1)
-              for k, Z, _ in _node_loop(spec, law, dW) if k in kidx}
-        for name, tb in (("X3", 0), ("X3hat", 1)):
-            for k in kidx:
-                target, fv = at[k][tb], at[k][2][0]
-                mean = target.mean(axis=0)
-                se = target.std(axis=0, ddof=1) / np.sqrt(n_inner)
-                for c in range(mean.shape[0]):
-                    rows.append(OracleRow(time=float(times[k]), target=name,
-                                          component=c, filter_value=float(fv[c]),
-                                          oracle_mean=float(mean[c]),
-                                          oracle_stderr=float(se[c])))
-    return rows

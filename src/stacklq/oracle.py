@@ -83,37 +83,43 @@ def reduce_to_single_player(spec: GameSpec, steps: int | None = None) -> Discret
 
 
 def solve_dp(d: DiscreteLQ) -> DPSolution:
-    """Exact backward recursion for the affine-quadratic value function."""
-    K = d.steps
-    n = d.G.shape[0]
-    S = np.empty((K + 1, n, n))
-    s = np.empty((K + 1, n))
-    const = np.empty(K + 1)
-    gains = np.empty((K, n, n))
-    offs = np.empty((K, n))
-    S[K], s[K], const[K] = d.G, d.g, 0.0
+    """Exact backward recursion for the affine-quadratic value function.
+
+    It runs on the augmented state y = [x; 1]: the step is y' = Ay y + By v
+    + Cy y xi, the stage cost 0.5 y'Qy y + 0.5 v'Rv + v'Ny y with Ny = [0 | r],
+    and the value 0.5 y'Sy y with Sy = [[S, s], [s', 2 const]].  One product
+    X'Sy X of X = [Ay | sqrt(var) Cy | By] holds every term of a stage:
+        Sy_k = Qy + Ay'Sy Ay + var Cy'Sy Cy - H'M^-1 H,
+        H = By'Sy Ay + Ny,  M = R + By'Sy By,  v = -M^-1 H y.
+    """
+    K, n, m = d.B.shape
+    a = n + 1
+    X = np.zeros((K, a, 2 * a + m))
+    X[:, :n, :n], X[:, :n, n], X[:, n, n] = d.A, d.c, 1.0
+    sd = np.sqrt(d.var)[:, None]
+    X[:, :n, a:a + n], X[:, :n, a + n] = sd[..., None] * d.Cn, sd * d.sn
+    X[:, :n, 2 * a:] = d.B
+    Qy = np.zeros((K, a, a))
+    Qy[:, :n, :n], Qy[:, :n, n], Qy[:, n, :n] = d.Q, d.q, d.q
+    Ny = np.zeros((K, m, a))
+    Ny[:, :, n] = d.r
+    Sy = np.zeros((K + 1, a, a))
+    Sy[K, :n, :n], Sy[K, :n, n], Sy[K, n, :n] = d.G, d.g, d.g
+    F = np.empty((K, m, a))
     for k in range(K - 1, -1, -1):
-        A, B, c, Cn, sn, var = d.A[k], d.B[k], d.c[k], d.Cn[k], d.sn[k], d.var[k]
-        Sp, sp, cp = S[k + 1], s[k + 1], const[k + 1]
-        M = d.R[k] + B.T @ Sp @ B
-        ev = np.linalg.eigvalsh(0.5 * (M + M.T))
-        if ev.min() <= 0:
-            raise StackLQError(f"DP stage {k}: R + B'SB not positive definite")
-        rhs_x = B.T @ Sp @ A
-        rhs_0 = B.T @ (Sp @ c) + B.T @ sp + d.r[k]
-        Kk = -np.linalg.solve(M, rhs_x)
-        kk = -np.linalg.solve(M, rhs_0)
-        Acl = A + B @ Kk
-        S[k] = (d.Q[k] + Kk.T @ d.R[k] @ Kk + Acl.T @ Sp @ Acl
-                + var * Cn.T @ Sp @ Cn)
-        S[k] = 0.5 * (S[k] + S[k].T)
-        u = c + B @ kk
-        s[k] = (d.q[k] + Kk.T @ (d.r[k] + d.R[k] @ kk) + Acl.T @ (Sp @ u + sp)
-                + var * Cn.T @ (Sp @ sn))
-        const[k] = (cp + 0.5 * u @ Sp @ u + sp @ u + 0.5 * var * sn @ Sp @ sn
-                    + 0.5 * kk @ d.R[k] @ kk + d.r[k] @ kk)
-        gains[k], offs[k] = Kk, kk
-    return DPSolution(S=S, s=s, const=const, gains=gains, offs=offs)
+        P = X[k].T @ (Sy[k + 1] @ X[k])
+        M = d.R[k] + P[2 * a:, 2 * a:]
+        try:
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            raise StackLQError(f"DP stage {k}: R + B'SB not positive "
+                               "definite") from None
+        H = P[2 * a:, :a] + Ny[k]
+        F[k] = -np.linalg.solve(M, H)
+        S = Qy[k] + P[:a, :a] + P[a:2 * a, a:2 * a] + H.T @ F[k]
+        Sy[k] = 0.5 * (S + S.T)
+    return DPSolution(S=Sy[:, :n, :n], s=Sy[:, :n, n], const=0.5 * Sy[:, n, n],
+                      gains=F[:, :, :n], offs=F[:, :, n])
 
 
 @dataclass(frozen=True)

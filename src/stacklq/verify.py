@@ -2,9 +2,9 @@
 
 A check is a triple (check_id, passed, detail).  Most check_* functions
 return one check; check_variational returns a list of them with its reports,
-and check_tower returns a pair (check, oracle rows).  check_dp returns None
-when the spec does not reduce to a single controller.  Only checks go into
-the list run_verification returns.
+and check_exact_nesting returns a pair (check, W3-only paths).  check_dp
+returns None when the spec does not reduce to a single controller.  Only
+checks go into the list run_verification returns.
 
 The scales here are CLI defaults; the package's acceptance test suite runs
 the same content at its pinned scales and tolerances.
@@ -20,13 +20,10 @@ from .closedloop import ansatz_residual, build_feedback, simulate_equilibrium
 from .errors import ReductionError
 from .lift import bdiag
 from .model import GameSpec, solver_times, validate_spec, with_steps
-from .montecarlo import default_directions, particle_filter, variational_sweep
+from .montecarlo import default_directions, variational_sweep
 from .oracle import crosscheck_p
 from .riccati import riccati_residuals, solve_game
 from .rng import NoisePlan
-
-TOWER_OUTER = 8     # the tower oracle's frozen W3 draws
-TOWER_INNER = 300   # and its (W1, W2) draws per frozen one
 
 
 @dataclasses.dataclass
@@ -35,15 +32,6 @@ class VerifyConfig:
     n_paths: int = 4000
     epsilons: tuple = (0.05, 0.1, 0.2)
     gain_scale: float = 1.0
-
-
-def _zero_noise(spec: GameSpec) -> GameSpec:
-    from .model import Coefficient
-    n = spec.n
-    zv = Coefficient.constant(np.zeros(n))
-    zm = Coefficient.constant(np.zeros((n, n)))
-    coeffs = dataclasses.replace(spec.coeffs, sigma=(zv, zv, zv), C=(zm, zm, zm))
-    return dataclasses.replace(spec, coeffs=coeffs)
 
 
 def check_terminals(spec, bundle, offsets):
@@ -109,16 +97,27 @@ def check_measurability(spec, law, seed, n_paths=32):
             "hat/check filters bit-identical under W1- and W2-only reseeding")
 
 
-def check_zero_noise_nesting(spec, seed, n_paths=4):
-    sp = _zero_noise(spec)
-    b, o = solve_game(sp)
-    law = build_feedback(b, o, sp)
-    plan = NoisePlan.from_seed(seed, np.diff(solver_times(sp)))
-    paths = simulate_equilibrium(sp, law, plan.increments(np.arange(n_paths)))
-    gap = max(np.abs(paths.X3 - paths.X3hat).max(),
-              np.abs(paths.X3 - paths.X3check).max())
-    return ("zero_noise_nesting", gap <= 1e-12,
-            f"max level gap without noise {gap:.3e} (<= 1e-12)")
+def check_exact_nesting(spec, law, seed, n_paths=4):
+    """The nesting of the information, exact in the Euler scheme.
+
+    Z's step is linear and a step's W1 and W2 increments are independent of
+    Z_k and of W3, so E[X | W2, W3] is the X of the run with W1's increments
+    zeroed and E[X | W3], E[Xh | W3] are the X and Xh of the W3-only run.
+    The filters must equal them: Xh = X with W1 zeroed, and Xc = Xh = X
+    with W1 and W2 zeroed.  Returns the check and the W3-only run.
+    """
+    plan = NoisePlan.from_seed(seed, np.diff(solver_times(spec)))
+    dW = plan.increments(np.arange(n_paths))
+    dW[:, :, 0] = 0.0
+    w23 = simulate_equilibrium(spec, law, dW)
+    dW[:, :, 1] = 0.0
+    w3 = simulate_equilibrium(spec, law, dW)
+    gap23 = np.abs(w23.X3 - w23.X3hat).max()
+    gap3 = max(np.abs(w3.X3 - w3.X3hat).max(),
+               np.abs(w3.X3 - w3.X3check).max())
+    return ("exact_nesting", max(gap23, gap3) <= 1e-12,
+            f"max level gap {gap23:.3e} without W1, {gap3:.3e} with W3 only "
+            "(<= 1e-12)"), w3
 
 
 def check_ansatz_residual(solved, law, fine, seed, n_paths=100):
@@ -137,24 +136,6 @@ def check_ansatz_residual(solved, law, fine, seed, n_paths=100):
     return ("ansatz_residual", ok,
             f"mismatch {worsts[0]:.3e} -> {worsts[1]:.3e} on halved step "
             f"(ratio {ratio:.2f}, want 0.5 +/- 50%)")
-
-
-def check_tower(spec, law, cfg: VerifyConfig):
-    T = spec.horizon
-    tts = np.linspace(0.2, 0.9, 3) * T
-    h = T / spec.grid.steps
-    rows = particle_filter(spec, law, tts, TOWER_OUTER, TOWER_INNER,
-                           cfg.seed + 5)
-    worst = -np.inf
-    ok = True
-    for r in rows:
-        if r.target != "X3hat":
-            continue
-        tol = 3.0 * (r.oracle_stderr + 2.0 * h)
-        gap = abs(r.oracle_mean - r.filter_value)
-        worst = max(worst, gap - tol)
-        ok = ok and gap <= tol
-    return ("tower_oracle", ok, f"worst (gap - tol) = {worst:.3e}"), rows
 
 
 def _z(rep):
@@ -203,15 +184,14 @@ def run_verification(spec: GameSpec, cfg: VerifyConfig):
     solved = (spec, bundle, offsets)
     fine_spec = with_steps(spec, 2 * spec.grid.steps)
     fine = (fine_spec, *solve_game(fine_spec))
-    tower_check, oracle_rows = check_tower(spec, law, cfg)
+    nesting_check, w3_paths = check_exact_nesting(spec, law, cfg.seed)
     checks = [
         check_terminals(spec, bundle, offsets),
         check_residual_order(solved, fine),
         check_p_psd(spec, bundle),
         check_measurability(spec, law, cfg.seed),
-        check_zero_noise_nesting(spec, cfg.seed),
+        nesting_check,
         check_ansatz_residual(solved, law, fine, cfg.seed),
-        tower_check,
     ]
     var_checks, var_reports = check_variational(spec, law, bundle, cfg)
     checks.extend(var_checks)
@@ -219,4 +199,4 @@ def run_verification(spec: GameSpec, cfg: VerifyConfig):
     if dp_check is not None:
         checks.append(dp_check)
     return checks, {"bundle": bundle, "offsets": offsets, "law": law,
-                    "oracle_rows": oracle_rows, "perturbations": var_reports}
+                    "w3_paths": w3_paths, "perturbations": var_reports}

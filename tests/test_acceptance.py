@@ -11,11 +11,11 @@ import stacklq as sq
 from stacklq.closedloop import ansatz_residual, simulate_equilibrium
 from stacklq.model import solver_times, with_steps
 from stacklq.montecarlo import (default_directions, mean_stderr,
-                                particle_filter, simulate_blocks,
-                                variational_sweep)
+                                simulate_blocks, variational_sweep)
 from stacklq.oracle import crosscheck_p
 from stacklq.riccati import riccati_residuals, solve_game, solve_p
 from stacklq.rng import NoisePlan
+from stacklq.verify import check_exact_nesting
 
 
 def _report(num, ok, detail, t0):
@@ -110,26 +110,15 @@ def test_criterion_5_measurability(scalar_generic, generic_solution):
     assert _report(5, ok, "hat/check filters bit-identical under W1/W2 reseeding", t0)
 
 
-def test_criterion_6_tower_oracle(scalar_generic):
+def test_criterion_6_exact_nesting(scalar_generic):
     t0 = time.perf_counter()
     spec = with_steps(scalar_generic, 200)
     bundle, offsets = solve_game(spec)
     law = sq.build_feedback(bundle, offsets, spec)
-    tts = np.array([0.15, 0.3, 0.5, 0.7, 0.9])
-    rows = particle_filter(spec, law, tts, 20, 500, 2024)
-    h = spec.horizon / 200
-    worst = -np.inf
-    ok = True
-    for r in rows:
-        if r.target != "X3hat":
-            continue
-        tol = 3.0 * (r.oracle_stderr + 2.0 * h)
-        gap = abs(r.oracle_mean - r.filter_value)
-        worst = max(worst, gap - tol)
-        ok = ok and gap <= tol
+    (_, ok, detail), _ = check_exact_nesting(spec, law, 2024, n_paths=20)
     dt = time.perf_counter() - t0
-    ok = ok and dt < 120.0
-    assert _report(6, ok, f"worst (gap - tol) = {worst:.3e} over 5 times x 20 draws", t0)
+    ok = ok and dt < 10.0
+    assert _report(6, ok, detail + " over 20 paths", t0)
 
 
 def test_criterion_7_ansatz_residual(scalar_generic):

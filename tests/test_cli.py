@@ -75,6 +75,15 @@ def test_seed_outside_u64_is_a_parse_error(spec_file, tmp_path, command, seed):
     assert not (tmp_path / "o").exists()
 
 
+def test_verify_one_path_is_a_parse_error(spec_file, tmp_path):
+    # one path has no spread, so no slope has a stderr to put its z on;
+    # simulate still takes one path
+    rc = main(["verify", "--spec", str(spec_file), "--out", str(tmp_path / "o"),
+               "--paths", "1"])
+    assert rc == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_parse_error_exit_2(tmp_path):
     p = tmp_path / "garbled.json"
     p.write_text("{ definitely not json !!")
@@ -232,7 +241,7 @@ def test_verify_passes_and_sabotage_fails(spec_file, tmp_path):
     assert all(c["passed"] for c in report)
     ids = {c["id"] for c in report}
     assert {"terminal_conditions", "residual_order", "filter_measurability",
-            "tower_oracle", "variational_p1", "variational_p2",
+            "exact_nesting", "variational_p1", "variational_p2",
             "variational_p3"} <= ids
     # reducible specs additionally route through the DP crosscheck
     assert "dp_crosscheck" not in ids
@@ -264,7 +273,7 @@ def test_verify_threads_bit_identical(tmp_path, reducible_spec):
         main(["verify", "--spec", str(p), "--out", str(out), "--paths", "2500",
               "--seed", "5", "--threads", threads])
         outs.append(out)
-    for name in ("verify_report.json", "variational.csv"):
+    for name in ("verify_report.json", "variational.csv", "oracle.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 

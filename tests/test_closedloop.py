@@ -16,6 +16,7 @@ from stacklq.montecarlo import (_sweep_quadratics, _sweep_setup,
                                 variational_sweep)
 from stacklq.riccati import solve_game
 from stacklq.rng import NoisePlan
+from stacklq.verify import check_exact_nesting, check_measurability
 
 
 def _paths(spec, law, seed, n):
@@ -80,6 +81,55 @@ def test_measurability_bit_identical(generic_solution, scalar_generic,
         w2 = run(plan.with_component_seed(1, 999))
         assert np.array_equal(base.X3check, w2.X3check)
         assert not np.array_equal(base.X3hat, w2.X3hat)
+
+
+def _nesting(spec, seed, law=None):
+    """exact_nesting's (check, W3-only run) on spec's own law or on law."""
+    if law is None:
+        law = sq.build_feedback(*solve_game(spec), spec)
+    return check_exact_nesting(spec, law, seed)
+
+
+def test_exact_nesting_passes_on_fixture_specs(request):
+    # exact in the Euler scheme, with or without noise of either kind
+    no_noise = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, A=0.3, B1=1.0,
+                            Q1=0.5, G1=0.5, Q2=0.3, R2=1.0, Q3=0.2, R3=1.0)
+    names = ("zero_spec", "scalar_generic", "scalar_additive", "n2_spec",
+             "closed_form_spec", "reducible_spec", "offgrid_spec")
+    specs = {name: request.getfixturevalue(name) for name in names}
+    for name, spec in {**specs, "no_noise": no_noise}.items():
+        (_, ok, detail), _ = _nesting(spec, 3)
+        assert ok, (name, detail)
+
+
+def test_exact_nesting_independent_component():
+    # x = x0 + sigma1 W1 and G1 = sigma(W3): E[x(t) | W3] = x0, the X of
+    # the W3-only run, which the filter holds too
+    spec = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, sigma1=1.0)
+    (_, ok, _), w3 = _nesting(spec, 7)
+    assert ok
+    assert np.all(w3.X3[..., 0] == 1.0)
+    assert np.all(w3.X3check[..., 0] == 1.0)
+
+
+def test_exact_nesting_breaks_fail_the_report(generic_solution, scalar_generic):
+    _, _, law = generic_solution
+    (_, ok, _), w3 = _nesting(scalar_generic, 15, law)
+    assert ok           # the tower identity E[Xh | W3] = Xc, exactly
+    assert np.abs(w3.X3hat - w3.X3check).max() <= 1e-12
+    # 1% more of M2 in the Xh row's Xh block: the Xh filter drifts off
+    n4 = 4 * law.n
+    h = np.diff(law.times)[:, None, None]
+    Ft = law.Ft.copy()
+    Ft[:, n4:2 * n4, n4:2 * n4] += 0.01 * h * law.M2[:-1].mT
+    (_, ok, _), _ = _nesting(scalar_generic, 15, dataclasses.replace(law, Ft=Ft))
+    assert not ok
+    # X's W1 load left on Xc: invisible with W1 zeroed, caught by reseeding W1
+    S = law.S.copy()
+    S[:, 0, 2 * n4:] = S[:, 0, :n4]
+    leaky = dataclasses.replace(law, S=S)
+    assert _nesting(scalar_generic, 15, leaky)[0][1]
+    assert not check_measurability(scalar_generic, leaky, 15)[1]
 
 
 def _reference_controls(law, k, X, Xh, Xc):

@@ -15,8 +15,7 @@ from stacklq.closedloop import (_follower_control, _follower_offset,
 from stacklq.lift import CoeffValues
 from stacklq.model import solver_times
 from stacklq.montecarlo import (_node_cost, default_directions, mean_stderr,
-                                particle_filter, simulate_blocks,
-                                variational_sweep)
+                                simulate_blocks, variational_sweep)
 from stacklq.riccati import BLOWUP_LIMIT, backward_rk4, solve_game
 from stacklq.rng import NoisePlan
 
@@ -564,41 +563,3 @@ def test_sweep_response_is_the_public_response():
                     for k in range(times.shape[0]))
             got = rep.costs[rep.epsilons.index(eps)].mean
             assert got == pytest.approx(J.mean(), rel=1e-12), (player, d.id)
-
-
-def test_particle_filter_rejects_small_inner(scalar_generic, generic_solution):
-    _, _, law = generic_solution
-    with pytest.raises(ValueError):
-        particle_filter(scalar_generic, law, [0.5], 2, 50, 1)
-
-
-def test_particle_filter_no_noise_exact():
-    spec = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, A=0.3, B1=1.0,
-                        Q1=0.5, G1=0.5, Q2=0.3, R2=1.0, Q3=0.2, R3=1.0)
-    _, _, law = _solution(spec)
-    rows = particle_filter(spec, law, [0.5], 2, 100, 3)
-    for r in rows:
-        assert abs(r.oracle_mean - r.filter_value) < 1e-10
-        assert r.oracle_stderr < 1e-12
-
-
-def test_particle_filter_independent_component():
-    # x = x0 + sigma1 W1 and G1 = sigma(W3): E[x(t)|G1] = x0
-    spec = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, sigma1=1.0)
-    _, _, law = _solution(spec)
-    rows = particle_filter(spec, law, [0.5], 3, 400, 7)
-    for r in rows:
-        if r.target == "X3" and r.component == 0:
-            assert r.filter_value == 1.0
-            assert abs(r.oracle_mean - 1.0) <= 3.0 * r.oracle_stderr
-
-
-def test_tower_identity_small(scalar_generic, generic_solution):
-    _, _, law = generic_solution
-    h = 1.0 / scalar_generic.grid.steps
-    rows = particle_filter(scalar_generic, law, [0.3, 0.7], 4, 300, 15)
-    for r in rows:
-        if r.target != "X3hat":
-            continue
-        tol = 3.0 * (r.oracle_stderr + 2.0 * h)
-        assert abs(r.oracle_mean - r.filter_value) <= tol

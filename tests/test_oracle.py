@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import stacklq as sq
-from stacklq.errors import BlowUpError, ReductionError
+from stacklq.errors import BlowUpError, ReductionError, StackLQError
 from stacklq.lift import CoeffValues
 from stacklq.model import Coefficient
-from stacklq.oracle import (DiscreteLQ, crosscheck_p, reduce_to_single_player,
-                            solve_dp)
+from stacklq.oracle import (DiscreteLQ, DPSolution, crosscheck_p,
+                            reduce_to_single_player, solve_dp)
 from stacklq.rng import NoisePlan
 
 
@@ -50,6 +50,76 @@ def _plain_lq(K, n, A, B, Q, R, G):
     return DiscreteLQ(A=rep(A), B=rep(B), c=zeros_v, Cn=zeros_m, sn=zeros_v,
                       var=np.zeros(K), Q=rep(Q), R=rep(R), q=zeros_v,
                       r=zeros_v, G=np.asarray(G, float), g=np.zeros(n))
+
+
+def _joseph_dp(d: DiscreteLQ) -> DPSolution:
+    """The recursion on x itself, S updated in Joseph form through the
+    closed-loop map A + B K: the reference for solve_dp's augmented one."""
+    K = d.steps
+    n = d.G.shape[0]
+    S = np.empty((K + 1, n, n))
+    s = np.empty((K + 1, n))
+    const = np.empty(K + 1)
+    gains = np.empty((K, n, n))
+    offs = np.empty((K, n))
+    S[K], s[K], const[K] = d.G, d.g, 0.0
+    for k in range(K - 1, -1, -1):
+        A, B, c, Cn, sn, var = d.A[k], d.B[k], d.c[k], d.Cn[k], d.sn[k], d.var[k]
+        Sp, sp, cp = S[k + 1], s[k + 1], const[k + 1]
+        M = d.R[k] + B.T @ Sp @ B
+        Kk = -np.linalg.solve(M, B.T @ Sp @ A)
+        kk = -np.linalg.solve(M, B.T @ (Sp @ c) + B.T @ sp + d.r[k])
+        Acl = A + B @ Kk
+        S[k] = (d.Q[k] + Kk.T @ d.R[k] @ Kk + Acl.T @ Sp @ Acl
+                + var * Cn.T @ Sp @ Cn)
+        S[k] = 0.5 * (S[k] + S[k].T)
+        u = c + B @ kk
+        s[k] = (d.q[k] + Kk.T @ (d.r[k] + d.R[k] @ kk) + Acl.T @ (Sp @ u + sp)
+                + var * Cn.T @ (Sp @ sn))
+        const[k] = (cp + 0.5 * u @ Sp @ u + sp @ u + 0.5 * var * sn @ Sp @ sn
+                    + 0.5 * kk @ d.R[k] @ kk + d.r[k] @ kk)
+        gains[k], offs[k] = Kk, kk
+    return DPSolution(S=S, s=s, const=const, gains=gains, offs=offs)
+
+
+def _random_lq(K, n, seed):
+    """Every term non-zero: drift, intercept, multiplicative and additive
+    noise, cross costs and a terminal gradient."""
+    rng = np.random.default_rng(seed)
+    h = 1.0 / K
+    mat = lambda s: rng.standard_normal((K, n, n)) * s
+    vec = lambda s: rng.standard_normal((K, n)) * s
+    V = rng.standard_normal((K, n, n))
+    W = rng.standard_normal((n, n))
+    return DiscreteLQ(A=np.eye(n) + h * mat(0.5), B=h * (np.eye(n) + mat(0.3)),
+                      c=h * vec(0.2), Cn=mat(0.3), sn=vec(0.3),
+                      var=np.full(K, h), Q=h * (V @ V.mT / n),
+                      R=h * (np.eye(n) + 0.1 * (V.mT @ V) / n), q=h * vec(0.1),
+                      r=h * vec(0.1), G=W @ W.T / n, g=rng.standard_normal(n))
+
+
+def _dp_gap(a: DPSolution, b: DPSolution, name: str) -> float:
+    x, y = getattr(a, name), getattr(b, name)
+    return float(np.abs(x - y).max() / np.abs(x).max())
+
+
+@pytest.mark.parametrize("which", ["reducible_spec", "random_n2"])
+def test_dp_matches_joseph_form(which, request):
+    d = (reduce_to_single_player(request.getfixturevalue(which), steps=1000)
+         if which == "reducible_spec" else _random_lq(1000, 2, 7))
+    ref, sol = _joseph_dp(d), solve_dp(d)
+    for name in ("S", "s", "const", "gains", "offs"):
+        assert np.any(getattr(ref, name)), name
+        assert _dp_gap(ref, sol, name) <= 1e-12, name
+
+
+def test_dp_rejects_indefinite_stage():
+    # R = -3 at stage 2 only: M = R + B'SB is -2 there, positive elsewhere
+    d = _plain_lq(4, 1, [[1.0]], [[1.0]], [[0.0]], [[1.0]], [[1.0]])
+    R = d.R.copy()
+    R[2] = -3.0
+    with pytest.raises(StackLQError, match="DP stage 2:"):
+        solve_dp(dataclasses.replace(d, R=R))
 
 
 def test_dp_one_step_hand_recursion():
