@@ -4,7 +4,8 @@ For specs in which only the third noise component is active and only the
 follower controls the state, filtering is trivial (the state is adapted to
 the follower's observations) and the problem reduces to a single-controller
 LQG.  The exact backward recursion for the Euler-discretized problem then
-cross-checks the continuous follower Riccati gain and the optimal value.
+cross-checks the solved ladder: its follower gain p(0) and the optimal
+value, whose offset phi is the last quarter of Omega.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ReductionError, StackLQError
-from .lift import CoeffValues, level1_at
-from .model import GameSpec, with_steps
-from .riccati import BLOWUP_LIMIT, backward_rk4, solve_p
+from .lift import CoeffValues, mv
+from .model import GameSpec
+from .riccati import BLOWUP_LIMIT, OffsetBundle, RiccatiBundle
 
 
 @dataclass(frozen=True)
@@ -131,54 +132,35 @@ class CrosscheckReport:
     continuous_value: float
 
 
-def _continuous_value(spec: GameSpec, steps: int):
-    """Value of the reduced continuous problem: the package's follower gain
-    p plus the offset phi and constant chi ODEs on the uniform oracle grid."""
-    T = spec.horizon
-    times = np.linspace(0.0, T, steps + 1)
-    n = spec.n
-    ptraj = solve_p(with_steps(spec, steps))
-    # solve_p's grid adds every breakpoint; keep the node nearest each t_k
-    j = np.clip(np.searchsorted(ptraj.times, times), 1, ptraj.times.shape[0] - 1)
-    j -= times - ptraj.times[j - 1] < ptraj.times[j] - times
-    pv = ptraj.values[j]
-    # coefficients at the RK4 stage times: nodes and step midpoints
-    stage_t = np.empty(2 * steps + 1)
-    stage_t[0::2] = times
-    stage_t[1::2] = times[1:] - 0.5 * np.diff(times)
-    stages = CoeffValues(spec, stage_t)
-    # p and phi at a stage time are taken at the nearest node, ties to even
-    near = np.clip(np.rint(stage_t / T * steps).astype(int), 0, steps)
-    l1 = level1_at(stages, pv[near])
-    Abar, f1bar = l1["Abar"], l1["f1bar"]
-
-    # stage j of the step down from t_k is entry 2k - (0, 1, 1, 2)[j] of the table
-    def rhs_phi(k, j, y):
-        i = 2 * k - (j + 1) // 2
-        return (-(Abar[i].T @ y[0] + f1bar[i]),)
-
-    (phis,) = backward_rk4(rhs_phi, (np.zeros(n),), times, "oracle offset phi")
-
-    # chi's right-hand side reads no chi: its RK4 steps summed back from T
-    phi, p, s3 = phis[near], pv[near], stages.sigma[2]
-    w = np.einsum("sij,si->sj", stages.B[0], phi) + stages.nl[0]
-    f = -(np.einsum("si,si->s", phi, stages.b)
-          + 0.5 * np.einsum("si,si->s", s3, np.einsum("sij,sj->si", p, s3))
-          - 0.5 * np.einsum("si,si->s", w, np.einsum("sij,sj->si", stages.Rinv[0], w)))
-    incr = -np.diff(times) / 6.0 * (f[2::2] + 2.0 * f[1::2] + 2.0 * f[1::2] + f[:-1:2])
-    chis = np.append(np.cumsum(incr[::-1])[::-1], 0.0)
+def _continuous_value(spec: GameSpec, bundle: RiccatiBundle,
+                      offsets: OffsetBundle) -> float:
+    """Value of the reduced continuous problem from the solved ladder: the
+    follower gain p, its offset phi (Omega's last quarter, as in the
+    follower's feedback offset) and the constant chi, whose right-hand side
+    reads no chi, by the midpoint rule on the solver grid, added up backward
+    from T."""
+    times, n = bundle.times, spec.n
+    p, phi = bundle.p.values, offsets.Omega.values[:, 3 * n:]
+    pm, phim = 0.5 * (p[1:] + p[:-1]), 0.5 * (phi[1:] + phi[:-1])
+    mid = CoeffValues(spec, 0.5 * (times[1:] + times[:-1]))
+    # -chi' = phi.b + 1/2 s3'p s3 - 1/2 w'R1^-1 w with w = B1'phi + n1
+    s3, w = mid.sigma[2], mv(mid.B[0].mT, phim) + mid.nl[0]
+    dot = lambda u, v: np.einsum("ki,ki->k", u, v)
+    rate = dot(phim, mid.b) + 0.5 * dot(s3, mv(pm, s3)) - 0.5 * dot(w, mv(mid.Rinv[0], w))
+    chis = np.append(np.cumsum((np.diff(times) * rate)[::-1])[::-1], 0.0)
     bad = np.flatnonzero(~(np.abs(chis) <= BLOWUP_LIMIT))     # NaN is bad too
     if bad.size:        # backward_rk4 stops at the latest node past the limit
         raise BlowUpError("oracle constant chi", times[bad[-1]])
     x0 = spec.x0
-    return (float(0.5 * x0 @ pv[0] @ x0 + phis[0] @ x0 + chis[0]), pv[0])
+    return float(0.5 * x0 @ p[0] @ x0 + phi[0] @ x0 + chis[0])
 
 
-def crosscheck_p(spec: GameSpec, steps: int | None = None) -> CrosscheckReport:
-    """Compare the DP recursion against the continuous follower solution."""
+def crosscheck_p(spec: GameSpec, bundle: RiccatiBundle, offsets: OffsetBundle,
+                 steps: int | None = None) -> CrosscheckReport:
+    """Compare the DP recursion against the solved continuous follower problem."""
     d = reduce_to_single_player(spec, steps)
     sol = solve_dp(d)
-    cont_val, p0 = _continuous_value(spec, d.steps)
+    cont_val, p0 = _continuous_value(spec, bundle, offsets), bundle.p.values[0]
     gap_S0 = float(np.abs(sol.S[0] - p0).max() / (1.0 + np.abs(p0).max()))
     dp_val = sol.value(spec.x0)
     return CrosscheckReport(steps=d.steps, gap_S0=gap_S0,

@@ -9,8 +9,7 @@ uniform one refined with every coefficient breakpoint) whose operands are
 built once, from the stage states the passes below recorded, on the (step,
 stage) rows; every stage reads its step's midpoint coefficients.
 `backward_rk4` is the package's one RK4 loop, with one blow-up guard: it
-runs these passes, the response offsets in `closedloop` and the DP oracle's
-phi/chi equations.
+runs these passes and the response offsets in `closedloop`.
 
 One Riccati form, six instances: dP/dt = -(P M + M^T P + P S P + Q +
 sum_i C_i^T P_(i) C_i), `_riccati`, holds for p and for each level's

@@ -2,9 +2,10 @@
 
 A check is a triple (check_id, passed, detail).  Most check_* functions
 return one check; check_variational returns a list of them with its reports,
-and check_exact_nesting returns a pair (check, W3-only paths).  check_dp
-returns None when the spec does not reduce to a single controller.  Only
-checks go into the list run_verification returns.
+and check_exact_nesting returns a pair (check, W3-only paths).
+check_dp(spec, bundle, offsets) cross-checks the solved ladder and returns
+None when the spec does not reduce to a single controller.  Only checks go
+into the list run_verification returns.
 
 The scales here are CLI defaults; the package's acceptance test suite runs
 the same content at its pinned scales and tolerances.
@@ -17,7 +18,7 @@ import dataclasses
 import numpy as np
 
 from .closedloop import ansatz_residual, build_feedback, simulate_equilibrium
-from .errors import ReductionError
+from .errors import DomainError, ReductionError
 from .lift import bdiag
 from .model import GameSpec, solver_times, validate_spec, with_steps
 from .montecarlo import default_directions, variational_sweep
@@ -163,9 +164,9 @@ def check_variational(spec, law, bundle, cfg: VerifyConfig):
     return results, reports
 
 
-def check_dp(spec):
+def check_dp(spec, bundle, offsets):
     try:
-        rep = crosscheck_p(spec, steps=1000)
+        rep = crosscheck_p(spec, bundle, offsets, steps=1000)
     except ReductionError:
         return None
     ok = rep.gap_S0 <= 0.01
@@ -178,7 +179,7 @@ def run_verification(spec: GameSpec, cfg: VerifyConfig):
     """All checks; returns (list of (id, ok, detail), artifacts dict)."""
     report = validate_spec(spec)
     if not report.valid:
-        raise ValueError(str(report))
+        raise DomainError(str(report))
     bundle, offsets = solve_game(spec)
     law = build_feedback(bundle, offsets, spec)
     solved = (spec, bundle, offsets)
@@ -195,7 +196,7 @@ def run_verification(spec: GameSpec, cfg: VerifyConfig):
     ]
     var_checks, var_reports = check_variational(spec, law, bundle, cfg)
     checks.extend(var_checks)
-    dp_check = check_dp(spec)
+    dp_check = check_dp(spec, bundle, offsets)
     if dp_check is not None:
         checks.append(dp_check)
     return checks, {"bundle": bundle, "offsets": offsets, "law": law,

@@ -170,8 +170,9 @@ def test_criterion_8_variational_optimality(scalar_additive, additive_solution):
 
 def test_criterion_9_dp_crosscheck(reducible_spec):
     t0 = time.perf_counter()
-    rep = crosscheck_p(reducible_spec, steps=1000)
-    gaps = [crosscheck_p(reducible_spec, steps=s).gap_S0
+    solved = sq.solve_game(reducible_spec)
+    rep = crosscheck_p(reducible_spec, *solved, steps=1000)
+    gaps = [crosscheck_p(reducible_spec, *solved, steps=s).gap_S0
             for s in (250, 500, 1000)]
     linear = all(1.5 <= gaps[i] / gaps[i + 1] <= 2.5 for i in range(2))
     dt = time.perf_counter() - t0

@@ -5,11 +5,39 @@ import pytest
 
 import stacklq as sq
 from stacklq.errors import BlowUpError, ReductionError, StackLQError
-from stacklq.lift import CoeffValues
-from stacklq.model import Coefficient
-from stacklq.oracle import (DiscreteLQ, DPSolution, crosscheck_p,
-                            reduce_to_single_player, solve_dp)
+from stacklq.lift import CoeffValues, level1_at
+from stacklq.model import Coefficient, with_steps
+from stacklq.oracle import (DiscreteLQ, DPSolution, _continuous_value,
+                            crosscheck_p, reduce_to_single_player, solve_dp)
+from stacklq.riccati import backward_rk4, solve_p
 from stacklq.rng import NoisePlan
+
+
+def _with_coeffs(spec, **coeffs):
+    return dataclasses.replace(spec, coeffs=dataclasses.replace(spec.coeffs,
+                                                                **coeffs))
+
+
+def _with_leader_costs(spec):
+    players = spec.costs.players
+    leaders = (dataclasses.replace(players[1], Q=Coefficient.constant([[0.5]]),
+                                   G=np.array([[0.3]])),
+               dataclasses.replace(players[2], Q=Coefficient.constant([[0.4]])))
+    return dataclasses.replace(spec, costs=dataclasses.replace(
+        spec.costs, players=(players[0],) + leaders))
+
+
+# reducible_spec's A with a breakpoint between grid nodes
+OFFGRID_A = Coefficient.piecewise([0.337], [[[0.4]], [[-0.3]]])
+
+
+def _reducible(which, request):
+    """A fixture spec, or reducible_spec with leader costs or with OFFGRID_A."""
+    if which == "leader_costs":
+        return _with_leader_costs(request.getfixturevalue("reducible_spec"))
+    if which == "offgrid_A":
+        return _with_coeffs(request.getfixturevalue("reducible_spec"), A=OFFGRID_A)
+    return request.getfixturevalue(which)
 
 
 def test_reduce_zero_spec(zero_spec):
@@ -146,12 +174,8 @@ def test_dp_homogeneous_quadratic():
 
 
 def test_dp_uncontrolled_matches_simulation(reducible_spec):
-    import dataclasses
-    from stacklq.model import Coefficient
-    spec = dataclasses.replace(
-        reducible_spec,
-        coeffs=dataclasses.replace(reducible_spec.coeffs,
-                                   B=(Coefficient.constant(np.zeros((1, 1))),) * 3))
+    spec = _with_coeffs(reducible_spec,
+                        B=(Coefficient.constant(np.zeros((1, 1))),) * 3)
     d = reduce_to_single_player(spec, steps=200)
     sol = solve_dp(d)
     # simulate the uncontrolled cost and compare with the DP value
@@ -168,14 +192,76 @@ def test_dp_uncontrolled_matches_simulation(reducible_spec):
     assert abs(J.mean() - sol.value(spec.x0)) <= 3.0 * se
 
 
+def _oracle_grid_value(spec, steps):
+    """V(0, x0) on a uniform grid of `steps` steps, independent of the solved
+    ladder: p by solve_p on that grid, taken at the node nearest each RK4
+    stage, the offset phi by its own RK4 and the constant chi by the Simpson
+    sum.  The reference for the continuous value the cross-check reads off
+    the ladder."""
+    T, n = spec.horizon, spec.n
+    times = np.linspace(0.0, T, steps + 1)
+    ptraj = solve_p(with_steps(spec, steps))
+    # solve_p's grid adds every breakpoint; keep the node nearest each t_k
+    j = np.clip(np.searchsorted(ptraj.times, times), 1, ptraj.times.shape[0] - 1)
+    j -= times - ptraj.times[j - 1] < ptraj.times[j] - times
+    pv = ptraj.values[j]
+    # coefficients at the RK4 stage times: nodes and step midpoints
+    stage_t = np.empty(2 * steps + 1)
+    stage_t[0::2] = times
+    stage_t[1::2] = times[1:] - 0.5 * np.diff(times)
+    stages = CoeffValues(spec, stage_t)
+    near = np.clip(np.rint(stage_t / T * steps).astype(int), 0, steps)
+    l1 = level1_at(stages, pv[near])
+    Abar, f1bar = l1["Abar"], l1["f1bar"]
+
+    # stage j of the step down from t_k is entry 2k - (0, 1, 1, 2)[j] of the table
+    def rhs_phi(k, j, y):
+        i = 2 * k - (j + 1) // 2
+        return (-(Abar[i].T @ y[0] + f1bar[i]),)
+
+    (phis,) = backward_rk4(rhs_phi, (np.zeros(n),), times, "oracle offset phi")
+    phi, p, s3 = phis[near], pv[near], stages.sigma[2]
+    w = np.einsum("sij,si->sj", stages.B[0], phi) + stages.nl[0]
+    f = -(np.einsum("si,si->s", phi, stages.b)
+          + 0.5 * np.einsum("si,si->s", s3, np.einsum("sij,sj->si", p, s3))
+          - 0.5 * np.einsum("si,si->s", w, np.einsum("sij,sj->si", stages.Rinv[0], w)))
+    chi0 = -np.diff(times) / 6.0 @ (f[2::2] + 4.0 * f[1::2] + f[:-1:2])
+    x0 = spec.x0
+    return float(0.5 * x0 @ pv[0] @ x0 + phis[0] @ x0 + chi0)
+
+
+@pytest.mark.parametrize("which", ["leader_costs", "offgrid_A", "closed_form_spec"])
+def test_continuous_value_matches_oracle_grid(which, request):
+    spec = _reducible(which, request)
+    value = _continuous_value(spec, *sq.solve_game(spec))
+    assert abs(value - _oracle_grid_value(spec, 20000)) <= 1e-6
+
+
+@pytest.mark.parametrize("which", ["reducible_spec", "leader_costs", "offgrid_A",
+                                   "closed_form_spec"])
+def test_follower_gain_reads_only_p(which, request):
+    # v1 = K1 Xc + k1 with K1 = -R1^-1 B1' p on Xc's x block: Omega's last
+    # quarter, k1's offset, is then the follower's phi
+    spec = _reducible(which, request)
+    bundle, offsets = sq.solve_game(spec)
+    law = sq.build_feedback(bundle, offsets, spec)
+    cv = CoeffValues(spec, bundle.times)
+    n = spec.n
+    assert np.array_equal(law.K1[:, :, :n],
+                          -cv.Rinv[0] @ cv.B[0].mT @ bundle.p.values)
+    assert not np.any(law.K1[:, :, n:])
+
+
 def test_crosscheck_closed_form(closed_form_spec):
-    rep = crosscheck_p(closed_form_spec, steps=1000)
+    rep = crosscheck_p(closed_form_spec, *sq.solve_game(closed_form_spec),
+                       steps=1000)
     # p(0) = 0.5; first-order discretization gap
     assert rep.gap_S0 <= 0.01
 
 
 def test_crosscheck_linear_trend(reducible_spec):
-    gaps = [crosscheck_p(reducible_spec, steps=s).gap_S0
+    solved = sq.solve_game(reducible_spec)
+    gaps = [crosscheck_p(reducible_spec, *solved, steps=s).gap_S0
             for s in (100, 200, 400)]
     assert gaps[0] > gaps[1] > gaps[2]
     for a, b in zip(gaps, gaps[1:]):
@@ -183,16 +269,15 @@ def test_crosscheck_linear_trend(reducible_spec):
 
 
 def test_crosscheck_breakpoint_off_the_grid(reducible_spec):
-    # solve_p refines its grid with the breakpoint; the uniform oracle grid
-    # at 100 and 400 steps does not hold it
-    A = Coefficient.piecewise([0.337], [[[0.4]], [[-0.3]]])
-    spec = dataclasses.replace(
-        reducible_spec, coeffs=dataclasses.replace(reducible_spec.coeffs, A=A))
-    coarse, fine = (crosscheck_p(spec, steps=s) for s in (100, 400))
+    # the solver grid holds the breakpoint; the uniform DP grid at 100 and
+    # 400 steps does not
+    spec = _with_coeffs(reducible_spec, A=OFFGRID_A)
+    solved = sq.solve_game(spec)
+    coarse, fine = (crosscheck_p(spec, *solved, steps=s) for s in (100, 400))
     assert fine.gap_S0 < coarse.gap_S0 <= 0.01
     assert fine.gap_value < coarse.gap_value
-    # the continuous value does not depend on where the oracle grid falls
-    assert abs(coarse.continuous_value - fine.continuous_value) <= 1e-4
+    # the continuous value is read off the ladder, not the DP grid
+    assert coarse.continuous_value == fine.continuous_value
 
 
 def test_crosscheck_chi_blowup_at_latest_node():
@@ -201,7 +286,7 @@ def test_crosscheck_chi_blowup_at_latest_node():
     spec = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, G1=1.0,
                         sigma3=np.sqrt(6e13))
     with pytest.raises(BlowUpError) as err:
-        crosscheck_p(spec)
+        crosscheck_p(spec, *sq.solve_game(spec))
     assert err.value.what == "oracle constant chi"
     assert err.value.t == np.linspace(0.0, 1.0, 101)[96]
 
