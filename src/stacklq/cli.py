@@ -150,7 +150,7 @@ def cmd_simulate(args) -> int:
     bundle, offsets = solve_game(spec)
     law = build_feedback(bundle, offsets, spec)
     times = law.times
-    plan = NoisePlan.from_seed(args.seed, np.diff(times))
+    plan = NoisePlan.for_spec(spec, args.seed)
     # one path's lines, the path id and the values filled in per path;
     # simulate_blocks' records hold the values in this order
     template = _row_template(times[::args.thin], _path_rows(spec.n), lead="%s,")

@@ -176,6 +176,12 @@ def _coeff_map(spec: GameSpec) -> dict:
     return out
 
 
+def loads_channel(spec: GameSpec, i: int) -> bool:
+    """Whether C_i or sigma_i of Brownian component i (0-based) is nonzero."""
+    c = spec.coeffs
+    return bool(np.any(c.C[i].values) or np.any(c.sigma[i].values))
+
+
 def with_steps(spec: GameSpec, steps: int) -> GameSpec:
     """The spec on a uniform grid of `steps` steps over the same horizon."""
     return replace(spec, grid=replace(spec.grid, steps=steps))

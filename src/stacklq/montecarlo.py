@@ -205,13 +205,16 @@ class _Group:
     R's Euler step is step[k] (w, (1 + c) w) times the state plus drive[k]
     (w, D, 1).  dv[k] (n, D, 1) holds the directions' paths.  J0 and, under
     a gain_scale other than 1, the state xt of the scaled follower gain are
-    one path per group.
+    one path per group.  A still group, whose drive is all exact zeros (as
+    when its player's B is 0), keeps R = 0: it is never stepped and its
+    costs take only the dv terms.
     """
 
     def __init__(self, x0, N: int, player: int, gain_scale: float, tables):
         self.dv, self.step, self.channels, self.drive = tables
         w, D = self.drive.shape[1:3]
         self.player, self.gain_scale = player, gain_scale
+        self.still = not np.any(self.drive)
         self.xt = np.tile(x0, (N, 1)) if gain_scale != 1.0 else None
         self.state = np.zeros((1 + len(self.channels), w, D, N))
         self.J0, self.Bc, self.Cc2 = np.zeros(N), np.zeros((D, N)), np.zeros((D, N))
@@ -235,12 +238,14 @@ class _Group:
         Wx, wx = (h * c.Q[own], h * c.m[own]) if k < K else (c.G[own], 0.0)
         Wv, wv = h * c.R[own], h * c.nl[own]
         self.J0 += _node_cost(c, own, k, law.times, xbase, v[own])
-        self.Bc += (np.einsum("idp,pi->dp", dx, xbase @ Wx + wx)
-                    + np.einsum("idp,pi->dp", dv, v[own] @ Wv + wv))
-        self.Cc2 += (np.einsum("idp,ij,jdp->dp", dx, Wx, dx)
-                     + np.einsum("idp,ij,jdp->dp", dv, Wv, dv))
+        Bx, Cx = ((0.0, 0.0) if self.still else
+                  (np.einsum("idp,pi->dp", dx, xbase @ Wx + wx),
+                   np.einsum("idp,ij,jdp->dp", dx, Wx, dx)))
+        self.Bc += Bx + np.einsum("idp,pi->dp", dv, v[own] @ Wv + wv)
+        self.Cc2 += Cx + np.einsum("idp,ij,jdp->dp", dv, Wv, dv)
         if k < K:
-            _group_step(self, k, dW[:, k], float(law.times[k + 1]))
+            if not self.still:
+                _group_step(self, k, dW[:, k], float(law.times[k + 1]))
             if self.xt is not None:
                 self.xt = _state_step(c, law.times, k, dW[:, k], self.xt, v, True)
 
@@ -304,8 +309,7 @@ def variational_sweep(spec: GameSpec, cases, epsilons, n_paths: int,
     eps = sorted({float(e) for e in epsilons} | {0.0} |
                  {-float(e) for e in epsilons})
     times = solver_times(spec)
-    plan = NoisePlan.from_seed(seed, np.diff(times)).reusing(
-        min(BLOCK_PATHS, n_paths))
+    plan = NoisePlan.for_spec(spec, seed).reusing(min(BLOCK_PATHS, n_paths))
     setup = _sweep_setup(spec, law, bundle, cases)
 
     def run(i0):  # each chunk's increments overwrite the last one's

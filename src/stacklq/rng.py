@@ -5,7 +5,9 @@ from the master seed with SeedSequence, and path index i uses the stream
 jumped i times (Salmon et al. 2011).  Draws therefore depend only on (seed,
 component, path_index, step), never on how paths are batched across chunks
 or threads, and the three Brownian components can be re-seeded independently
-(the filter measurability checks rely on this).
+(the filter measurability checks rely on this).  A plan built for a spec
+draws only the components it loads; a dead one (C_i and sigma_i zero on
+every piece) is exact zeros, and the live components' rows do not change.
 
 `Philox(key=k).jumped(i)` is the fresh generator with its 256-bit counter
 advanced by i * 2**128 and an empty output buffer.  Building it per path
@@ -23,6 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .model import loads_channel, solver_times
+
 _WORD = 2**64 - 1
 
 
@@ -37,16 +41,24 @@ class NoisePlan:
     """Recipe for the increment array of a batch of paths.
 
     seeds: per-component Philox keys; dts: step sizes on the solver grid;
+    live: per component, whether it is drawn (a dead one is exact zeros);
     buffer: None, or the (rows, steps, 3) array `reusing` draws batches into.
     """
 
     seeds: tuple
     dts: np.ndarray
+    live: tuple = (True, True, True)
     buffer: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def from_seed(seed: int, dts) -> "NoisePlan":
         return NoisePlan(component_seeds(seed), np.asarray(dts, dtype=float))
+
+    @staticmethod
+    def for_spec(spec, seed: int) -> "NoisePlan":
+        """The plan on the spec's solver grid, drawing the components it loads."""
+        return NoisePlan(component_seeds(seed), np.diff(solver_times(spec)),
+                         tuple(loads_channel(spec, i) for i in range(3)))
 
     def reusing(self, rows: int) -> "NoisePlan":
         """The same plan drawing each batch of up to `rows` paths into one
@@ -54,8 +66,8 @@ class NoisePlan:
         return replace(self, buffer=np.empty((rows, self.dts.shape[0], 3)))
 
     def increments(self, path_indices) -> np.ndarray:
-        """Gaussian N(0, h_k) increments, shape (paths, steps, 3), in the
-        plan's buffer if it has one and in a new array otherwise."""
+        """N(0, h_k) increments, exact zeros on dead components, shape (paths,
+        steps, 3), in the plan's buffer if it has one, else in a new array."""
         idx = np.asarray(path_indices, dtype=int)
         if idx.size and idx.min() < 0:
             raise ValueError("path indices must be non-negative")
@@ -64,7 +76,8 @@ class NoisePlan:
         if out.shape[0] < N:
             raise ValueError(f"{N} paths overflow a {out.shape[0]}-row buffer")
         scale, scratch = np.sqrt(self.dts), np.empty(K)
-        for comp in range(3):
+        out[:, :, np.logical_not(self.live)] = 0.0
+        for comp in np.flatnonzero(self.live):
             bitgen = np.random.Philox(key=self.seeds[comp])
             gen = np.random.Generator(bitgen)
             state = bitgen.state        # counter 0, empty buffer: jumped(0)
@@ -77,7 +90,7 @@ class NoisePlan:
         return out
 
     def with_component_seed(self, comp: int, new_seed: int) -> "NoisePlan":
-        """Same plan with one Brownian component re-seeded."""
+        """Same plan, buffer and live mask kept, with one component re-seeded."""
         seeds = list(self.seeds)
         seeds[comp] = component_seeds(new_seed)[comp]
-        return NoisePlan(tuple(seeds), self.dts)
+        return replace(self, seeds=tuple(seeds))

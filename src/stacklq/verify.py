@@ -20,7 +20,7 @@ import numpy as np
 from .closedloop import ansatz_residual, build_feedback, simulate_equilibrium
 from .errors import DomainError, ReductionError
 from .lift import bdiag
-from .model import GameSpec, solver_times, validate_spec, with_steps
+from .model import GameSpec, validate_spec, with_steps
 from .montecarlo import default_directions, variational_sweep
 from .oracle import crosscheck_p
 from .riccati import riccati_residuals, solve_game
@@ -81,18 +81,17 @@ def check_p_psd(spec, bundle):
 
 
 def check_measurability(spec, law, seed, n_paths=32):
-    plan = NoisePlan.from_seed(seed, np.diff(solver_times(spec)))
+    plan = NoisePlan.for_spec(spec, seed)
     base, w1, w2 = (simulate_equilibrium(spec, law, p.increments(np.arange(n_paths)))
                     for p in (plan, plan.with_component_seed(0, seed + 99),
                               plan.with_component_seed(1, seed + 99)))
     ok = (np.array_equal(base.X3hat, w1.X3hat)
           and np.array_equal(base.X3check, w1.X3check)
           and np.array_equal(base.X3check, w2.X3check))
-    # the reseeded component must actually move the state when it is wired in
-    c = spec.coeffs
-    if np.abs(c.C[0].values).max() + np.abs(c.sigma[0].values).max() > 0:
+    # a reseeded component must move the state when it is wired in (drawn)
+    if plan.live[0]:
         ok = ok and not np.array_equal(base.X3, w1.X3)
-    if np.abs(c.C[1].values).max() + np.abs(c.sigma[1].values).max() > 0:
+    if plan.live[1]:
         ok = ok and not np.array_equal(base.X3hat, w2.X3hat)
     return ("filter_measurability", ok,
             "hat/check filters bit-identical under W1- and W2-only reseeding")
@@ -107,8 +106,7 @@ def check_exact_nesting(spec, law, seed, n_paths=4):
     The filters must equal them: Xh = X with W1 zeroed, and Xc = Xh = X
     with W1 and W2 zeroed.  Returns the check and the W3-only run.
     """
-    plan = NoisePlan.from_seed(seed, np.diff(solver_times(spec)))
-    dW = plan.increments(np.arange(n_paths))
+    dW = NoisePlan.for_spec(spec, seed).increments(np.arange(n_paths))
     dW[:, :, 0] = 0.0
     w23 = simulate_equilibrium(spec, law, dW)
     dW[:, :, 1] = 0.0
@@ -128,8 +126,7 @@ def check_ansatz_residual(solved, law, fine, seed, n_paths=100):
     fine_law = build_feedback(fine_bundle, fine_offsets, fine_spec)
     worsts = []
     for (sp, b, o), lw in ((solved, law), (fine, fine_law)):
-        plan = NoisePlan.from_seed(seed, np.diff(solver_times(sp)))
-        dW = plan.increments(np.arange(n_paths))
+        dW = NoisePlan.for_spec(sp, seed).increments(np.arange(n_paths))
         paths = simulate_equilibrium(sp, lw, dW)
         worsts.append(ansatz_residual(sp, b, o, paths, dW))
     ratio = worsts[1] / worsts[0] if worsts[0] > 0 else 0.5

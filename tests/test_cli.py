@@ -277,6 +277,33 @@ def test_verify_threads_bit_identical(tmp_path, reducible_spec):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+# sha256 of verify's outputs on reducible_spec at --paths 600 --seed 7, pinned
+# when the sweep still drew all three Brownian components and stepped every
+# response group: W1, W2 and the undriven groups of players 2 and 3 changed
+# no byte
+VERIFY_REDUCIBLE_PINNED = {
+    "1.0": (0, {
+        "verify_report.json": "f1d9f2cb141c38f5a3e847a885a8aec9b790ce29f9bfb82f9670a2fe98aa1d85",
+        "variational.csv": "360f040ac4c6bc3ebf3e7f21dbe8216b10ee3b818247687572e368773c9811bf",
+        "oracle.csv": "e326e067456c2bd8278a3ae5169d9c1ca0d7af47c782493dd806d4da7339c102"}),
+    "1.5": (4, {
+        "verify_report.json": "c23d6fa4992a4c2bf359e4c39247fbe27c177c7f7d0e037e2c3503da6fedd559",
+        "variational.csv": "e22f99765cbf2ceab5691db44f9aba0fc1b26a781419ad0bbc05519e8760ea87",
+        "oracle.csv": "e326e067456c2bd8278a3ae5169d9c1ca0d7af47c782493dd806d4da7339c102"}),
+}
+
+
+@pytest.mark.parametrize("gains", sorted(VERIFY_REDUCIBLE_PINNED))
+def test_verify_reducible_bytes_pinned(tmp_path, reducible_spec, gains):
+    p = tmp_path / "red.json"
+    sq.save_spec(reducible_spec, p)
+    rc = main(["verify", "--spec", str(p), "--out", str(tmp_path / "v"),
+               "--paths", "600", "--seed", "7", "--sabotage-gains", gains])
+    code, digests = VERIFY_REDUCIBLE_PINNED[gains]
+    assert rc == code
+    assert {name: _sha256(tmp_path / "v" / name) for name in digests} == digests
+
+
 def test_console_entry_point(zero_file, tmp_path):
     exe = shutil.which("stacklq")
     cmd = ([exe] if exe else [sys.executable, "-m", "stacklq.cli"])

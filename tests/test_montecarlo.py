@@ -361,6 +361,46 @@ def test_sweep_steps_one_group_per_player_and_gain(
         assert calls["affine"] == (groups - 3) * K * chunks
 
 
+def test_sweep_draws_and_steps_only_what_the_spec_loads(reducible_spec,
+                                                         monkeypatch):
+    # reducible_spec loads W3 alone (C1 = C2 = sigma1 = sigma2 = 0) and only
+    # player 1 controls it (B2 = B3 = 0): per chunk the sweep draws Philox
+    # rows for component 3 only, one per path, and steps player 1's response
+    # group alone, whatever it asks of players 2 and 3 and the scaled gain
+    spec = reducible_spec
+    bundle, _, law = _solution(spec)
+    seeds = NoisePlan.for_spec(spec, 4).seeds
+    made, rows, steps = [], Counter(), Counter()
+    philox, generator = np.random.Philox, np.random.Generator
+    group_step = montecarlo._group_step
+
+    def counted_philox(key):
+        made.append(seeds.index(key))
+        return philox(key=key)
+
+    class CountedGenerator:
+        def __init__(self, bitgen):
+            self.gen, self.comp = generator(bitgen), made[-1]
+
+        def standard_normal(self, out):
+            rows[self.comp] += 1
+            return self.gen.standard_normal(out=out)
+
+    def counted_group_step(group, *args):
+        steps[group.player, group.gain_scale] += 1
+        return group_step(group, *args)
+
+    monkeypatch.setattr(np.random, "Philox", counted_philox)
+    monkeypatch.setattr(np.random, "Generator", CountedGenerator)
+    monkeypatch.setattr(montecarlo, "_group_step", counted_group_step)
+    monkeypatch.setattr(montecarlo, "BLOCK_PATHS", 32)
+    N, K = 80, spec.grid.steps
+    variational_sweep(spec, _criterion_8_cases(spec), [0.1], N, 4, law, bundle)
+    assert made == [2, 2, 2]
+    assert rows == {2: N}
+    assert steps == {(1, 1.0): 3 * K, (1, 1.5): 3 * K}
+
+
 def _helper_group(spec, bundle, law, player, gain_scale, directions, dW):
     """A response group stepped by closedloop's affine=False helpers on their
     own, directions on a leading axis: yields at each node k, before its step,

@@ -1,8 +1,11 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+import stacklq as sq
+from stacklq.model import Coefficient
 from stacklq.rng import NoisePlan, component_seeds
 
 
@@ -89,3 +92,54 @@ def test_negative_path_index_rejected():
         plan.increments([-1])
     with pytest.raises(ValueError):
         plan.increments([4, 0, -3])
+
+
+def _check_rows(got, plan, full, rows):
+    """Dead components exact zeros, live ones the all-live plan's rows."""
+    want = full.increments(rows)
+    for comp, live in enumerate(plan.live):
+        expected = want[:, :, comp] if live else np.zeros_like(want[:, :, comp])
+        assert np.array_equal(got[:, :, comp], expected)
+
+
+@pytest.mark.parametrize("live", [(False, True, True), (False, False, True),
+                                  (True, False, False)])
+def test_dead_components_zero_beside_jumped_streams(live):
+    # a dead component is exact zeros, never drawn; the live columns are the
+    # all-live plan's rows, in a new array and drawn batch after batch into a
+    # reused buffer whose rows a longer batch left behind
+    h, k = 0.01, 37
+    full = NoisePlan.from_seed(17, np.full(k, h))
+    plan = dataclasses.replace(full, live=live)
+    indices = [0, 3, 2048, 2**40, 1]
+    _check_rows(plan.increments(indices), plan, full, indices)
+    reused = plan.reusing(4)
+    reused.buffer[...] = np.nan
+    for rows in ([0, 3, 2048, 2**40], [1, 5], [2**40, 0, 7]):
+        got = reused.increments(rows)
+        assert np.shares_memory(got, reused.buffer)
+        _check_rows(got, plan, full, rows)
+
+
+def test_jumped_streams_drawn_for_the_components_a_spec_loads(reducible_spec,
+                                                              scalar_generic):
+    # a component is live when its C_i or sigma_i is nonzero on some piece
+    assert NoisePlan.for_spec(reducible_spec, 1).live == (False, False, True)
+    assert NoisePlan.for_spec(scalar_generic, 1).live == (True, True, True)
+    late = sq.make_spec(n=1, T=1.0, steps=10, C1=0.1,
+                        sigma2=Coefficient.piecewise([0.5], [[0.0], [0.3]]))
+    plan = NoisePlan.for_spec(late, 2)
+    assert plan.live == (True, True, False)
+    assert plan.seeds == NoisePlan.from_seed(2, plan.dts).seeds
+
+
+def test_jumped_streams_reseeded_plan_keeps_buffer_and_mask():
+    full = NoisePlan.from_seed(5, np.full(10, 0.1))
+    plan = dataclasses.replace(full, live=(True, False, True)).reusing(2)
+    re0 = plan.with_component_seed(0, 777)
+    assert re0.live == plan.live and re0.buffer is plan.buffer
+    assert re0.seeds[1:] == plan.seeds[1:] and re0.seeds[0] != plan.seeds[0]
+    got = re0.increments([0, 1])
+    assert np.shares_memory(got, plan.buffer)
+    _check_rows(got, re0, dataclasses.replace(re0, live=(True,) * 3,
+                                              buffer=None), [0, 1])
