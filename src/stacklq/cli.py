@@ -185,6 +185,8 @@ def _epsilons(text: str) -> tuple:
         eps = (np.nan,)
     if not np.all(np.isfinite(eps)):
         raise SpecFormatError(f"--epsilons needs finite numbers, got {text!r}")
+    if not any(eps):    # a sweep of epsilon 0 alone has no curvature to gate
+        raise SpecFormatError(f"--epsilons needs a nonzero value, got {text!r}")
     return eps
 
 
@@ -195,29 +197,17 @@ def cmd_verify(args) -> int:
     spec, out = _prepare(args)
     cfg = VerifyConfig(seed=args.seed, n_paths=args.paths, epsilons=eps,
                        gain_scale=args.sabotage_gains)
-    checks, artifacts = run_verification(spec, cfg)
+    checks, reports = run_verification(spec, cfg)
     payload = [{"id": cid, "passed": bool(ok), "detail": detail}
                for cid, ok, detail in checks]
     (out / "verify_report.json").write_text(json.dumps(payload, indent=2) + "\n")
     with open(out / "variational.csv", "w") as fh:
         fh.write("player,direction_id,epsilon,mean,stderr,n_paths,seed\n")
-        for rep in artifacts["perturbations"]:
+        for rep in reports:
             for eps_v, cost in zip(rep.epsilons, rep.costs):
                 fh.write(f"{rep.player},{rep.direction_id},{FMT % eps_v},"
                          f"{FMT % cost.mean},{FMT % cost.stderr},"
                          f"{cost.n_paths},{cost.seed}\n")
-    # the W3-only run's Xh is E[Xh | W3] exactly: set it beside the filter Xc
-    w3 = artifacts["w3_paths"]
-    nodes = [int(np.argmin(np.abs(w3.times - frac * w3.times[-1])))
-             for frac in (0.2, 0.55, 0.9)]
-    with open(out / "oracle.csv", "w") as fh:
-        fh.write("time,sigma_field,component,filter_value,oracle_mean,"
-                 "oracle_stderr\n")
-        for xh, xc in zip(w3.X3hat, w3.X3check):
-            for k in nodes:
-                for c, (m, f) in enumerate(zip(xh[k], xc[k])):
-                    fh.write(f"{FMT % w3.times[k]},G1,{c},{FMT % f},"
-                             f"{FMT % m},0\n")
     all_ok = True
     for cid, ok, detail in checks:
         all_ok &= ok

@@ -4,10 +4,9 @@ Each (component, path) pair gets its own stream: component seeds are spawned
 from the master seed with SeedSequence, and path index i uses the stream
 jumped i times (Salmon et al. 2011).  Draws therefore depend only on (seed,
 component, path_index, step), never on how paths are batched across chunks
-or threads, and the three Brownian components can be re-seeded independently
-(the filter measurability checks rely on this).  A plan built for a spec
-draws only the components it loads; a dead one (C_i and sigma_i zero on
-every piece) is exact zeros, and the live components' rows do not change.
+or threads.  A plan built for a spec draws only the components it loads; a
+dead one (C_i and sigma_i zero on every piece) is exact zeros, and the live
+components' rows do not change.
 
 `Philox(key=k).jumped(i)` is the fresh generator with its 256-bit counter
 advanced by i * 2**128 and an empty output buffer.  Building it per path
@@ -88,9 +87,3 @@ class NoisePlan:
                 gen.standard_normal(out=scratch)
                 np.multiply(scratch, scale, out=out[row, :, comp])
         return out
-
-    def with_component_seed(self, comp: int, new_seed: int) -> "NoisePlan":
-        """Same plan, buffer and live mask kept, with one component re-seeded."""
-        seeds = list(self.seeds)
-        seeds[comp] = component_seeds(new_seed)[comp]
-        return replace(self, seeds=tuple(seeds))

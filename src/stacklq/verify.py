@@ -1,14 +1,14 @@
 """End-to-end verification checks behind the `verify` CLI command.
 
-A check is a triple (check_id, passed, detail).  Most check_* functions
-return one check; check_variational returns a list of them with its reports,
-and check_exact_nesting returns a pair (check, W3-only paths).
+A check is a triple (check_id, passed, detail).  Each check_* function
+returns one check or a list of them: check_measurability returns the
+filter_measurability and exact_nesting checks, and check_variational the
+three players' checks with the sweep's reports, which `verify` writes out.
 check_dp(spec, bundle, offsets) cross-checks the solved ladder and returns
-None when the spec does not reduce to a single controller.  Only checks go
-into the list run_verification returns.
+None when the spec does not reduce to a single controller.
 
-The scales here are CLI defaults; the package's acceptance test suite runs
-the same content at its pinned scales and tolerances.
+The scales here are CLI defaults; the package's acceptance test suite calls
+the same checks at its pinned scales and seeds.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import numpy as np
 
 from .closedloop import ansatz_residual, build_feedback, simulate_equilibrium
 from .errors import DomainError, ReductionError
-from .lift import bdiag
 from .model import GameSpec, validate_spec, with_steps
 from .montecarlo import default_directions, variational_sweep
 from .oracle import crosscheck_p
-from .riccati import riccati_residuals, solve_game
+from .riccati import riccati_residuals, solve_game, terminal_state
 from .rng import NoisePlan
 
 
@@ -36,21 +35,10 @@ class VerifyConfig:
 
 
 def check_terminals(spec, bundle, offsets):
-    n = spec.n
-    G1 = spec.costs.players[0].G
-    calG2 = bdiag(spec.costs.players[1].G, np.zeros((n, n)))
-    frakG3 = bdiag(bdiag(spec.costs.players[2].G, np.zeros((n, n))),
-                   np.zeros((2 * n, 2 * n)))
-    gaps = {
-        "p": np.abs(bundle.p.terminal - G1).max(),
-        "P1": np.abs(bundle.P1.terminal - calG2).max(),
-        "P2": np.abs(bundle.P2.terminal).max(),
-        "Pf1": np.abs(bundle.Pf1.terminal - frakG3).max(),
-        "Pf2": np.abs(bundle.Pf2.terminal).max(),
-        "Pf3": np.abs(bundle.Pf3.terminal).max(),
-        "Omega": np.abs(offsets.Omega.terminal).max(),
-    }
-    worst = max(gaps.values())
+    solved = (bundle.p, bundle.P1, bundle.P2, bundle.Pf1, bundle.Pf2,
+              bundle.Pf3, offsets.Omega)
+    worst = max(np.abs(traj.terminal - want).max()
+                for traj, want in zip(solved, terminal_state(spec)))
     return ("terminal_conditions", worst == 0.0,
             f"max terminal gap {worst:.3e} (exact required)")
 
@@ -81,42 +69,40 @@ def check_p_psd(spec, bundle):
 
 
 def check_measurability(spec, law, seed, n_paths=32):
-    plan = NoisePlan.for_spec(spec, seed)
-    base, w1, w2 = (simulate_equilibrium(spec, law, p.increments(np.arange(n_paths)))
-                    for p in (plan, plan.with_component_seed(0, seed + 99),
-                              plan.with_component_seed(1, seed + 99)))
-    ok = (np.array_equal(base.X3hat, w1.X3hat)
-          and np.array_equal(base.X3check, w1.X3check)
-          and np.array_equal(base.X3check, w2.X3check))
-    # a reseeded component must move the state when it is wired in (drawn)
-    if plan.live[0]:
-        ok = ok and not np.array_equal(base.X3, w1.X3)
-    if plan.live[1]:
-        ok = ok and not np.array_equal(base.X3hat, w2.X3hat)
-    return ("filter_measurability", ok,
-            "hat/check filters bit-identical under W1- and W2-only reseeding")
+    """Filter measurability and the exact nesting of the information, from
+    one set of increments: the base run, then W1 zeroed, then W1 and W2.
 
-
-def check_exact_nesting(spec, law, seed, n_paths=4):
-    """The nesting of the information, exact in the Euler scheme.
-
-    Z's step is linear and a step's W1 and W2 increments are independent of
-    Z_k and of W3, so E[X | W2, W3] is the X of the run with W1's increments
-    zeroed and E[X | W3], E[Xh | W3] are the X and Xh of the W3-only run.
-    The filters must equal them: Xh = X with W1 zeroed, and Xc = Xh = X
-    with W1 and W2 zeroed.  Returns the check and the W3-only run.
+    Measurability is bit-level: Xh must not move when W1 does, nor Xc when
+    W1 or W2 does, while X moves with a live W1 and Xh with a live W2.  Z's
+    step is linear and a step's W1 and W2 increments are independent of Z_k
+    and of W3, so E[X | W2, W3] is the X of the run without W1, and
+    E[X | W3], E[Xh | W3] are the X and Xh of the W3-only run.  The filters
+    must equal them: Xh = X without W1, and Xc = Xh = X with W3 only.  A
+    dead component is already zero, so its zeroed run is the one before.
     """
-    dW = NoisePlan.for_spec(spec, seed).increments(np.arange(n_paths))
-    dW[:, :, 0] = 0.0
-    w23 = simulate_equilibrium(spec, law, dW)
-    dW[:, :, 1] = 0.0
-    w3 = simulate_equilibrium(spec, law, dW)
+    plan = NoisePlan.for_spec(spec, seed)
+    dW = plan.increments(np.arange(n_paths))
+    run = simulate_equilibrium(spec, law, dW)
+    runs = [run]
+    for comp in (0, 1):
+        if plan.live[comp]:
+            dW[:, :, comp] = 0.0
+            run = simulate_equilibrium(spec, law, dW)
+        runs.append(run)
+    base, w23, w3 = runs
+    same = np.array_equal
+    ok = (same(base.X3hat, w23.X3hat) and same(base.X3check, w23.X3check)
+          and same(base.X3check, w3.X3check)
+          and not (plan.live[0] and same(base.X3, w23.X3))
+          and not (plan.live[1] and same(w23.X3hat, w3.X3hat)))
     gap23 = np.abs(w23.X3 - w23.X3hat).max()
     gap3 = max(np.abs(w3.X3 - w3.X3hat).max(),
                np.abs(w3.X3 - w3.X3check).max())
-    return ("exact_nesting", max(gap23, gap3) <= 1e-12,
-            f"max level gap {gap23:.3e} without W1, {gap3:.3e} with W3 only "
-            "(<= 1e-12)"), w3
+    return [("filter_measurability", ok,
+             "hat/check filters bit-identical with W1, then W1 and W2, zeroed"),
+            ("exact_nesting", max(gap23, gap3) <= 1e-12,
+             f"max level gap {gap23:.3e} without W1, {gap3:.3e} with W3 only "
+             "(<= 1e-12)")]
 
 
 def check_ansatz_residual(solved, law, fine, seed, n_paths=100):
@@ -173,7 +159,7 @@ def check_dp(spec, bundle, offsets):
 
 
 def run_verification(spec: GameSpec, cfg: VerifyConfig):
-    """All checks; returns (list of (id, ok, detail), artifacts dict)."""
+    """All checks; returns (list of (id, ok, detail), variational reports)."""
     report = validate_spec(spec)
     if not report.valid:
         raise DomainError(str(report))
@@ -182,13 +168,11 @@ def run_verification(spec: GameSpec, cfg: VerifyConfig):
     solved = (spec, bundle, offsets)
     fine_spec = with_steps(spec, 2 * spec.grid.steps)
     fine = (fine_spec, *solve_game(fine_spec))
-    nesting_check, w3_paths = check_exact_nesting(spec, law, cfg.seed)
     checks = [
         check_terminals(spec, bundle, offsets),
         check_residual_order(solved, fine),
         check_p_psd(spec, bundle),
-        check_measurability(spec, law, cfg.seed),
-        nesting_check,
+        *check_measurability(spec, law, cfg.seed),
         check_ansatz_residual(solved, law, fine, cfg.seed),
     ]
     var_checks, var_reports = check_variational(spec, law, bundle, cfg)
@@ -196,5 +180,4 @@ def run_verification(spec: GameSpec, cfg: VerifyConfig):
     dp_check = check_dp(spec, bundle, offsets)
     if dp_check is not None:
         checks.append(dp_check)
-    return checks, {"bundle": bundle, "offsets": offsets, "law": law,
-                    "w3_paths": w3_paths, "perturbations": var_reports}
+    return checks, var_reports

@@ -177,7 +177,9 @@ def test_simulate_rejects_bad_thin(zero_file, tmp_path, thin):
     assert not (tmp_path / "paths.csv").exists()
 
 
-@pytest.mark.parametrize("epsilons", ["0.1,abc", "", "nan", "0.05,inf"])
+# "0" and "0,-0.0": a sweep of epsilon 0 alone would pass every curvature gate
+@pytest.mark.parametrize("epsilons", ["0.1,abc", "", "nan", "0.05,inf", "0",
+                                      "0,-0.0"])
 def test_verify_rejects_bad_epsilons(spec_file, tmp_path, epsilons):
     rc = main(["verify", "--spec", str(spec_file), "--out", str(tmp_path / "v"),
                "--paths", "8", "--epsilons", epsilons])
@@ -273,23 +275,22 @@ def test_verify_threads_bit_identical(tmp_path, reducible_spec):
         main(["verify", "--spec", str(p), "--out", str(out), "--paths", "2500",
               "--seed", "5", "--threads", threads])
         outs.append(out)
-    for name in ("verify_report.json", "variational.csv", "oracle.csv"):
+    for name in ("verify_report.json", "variational.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 # sha256 of verify's outputs on reducible_spec at --paths 600 --seed 7, pinned
 # when the sweep still drew all three Brownian components and stepped every
 # response group: W1, W2 and the undriven groups of players 2 and 3 changed
-# no byte
+# no byte. verify_report.json was re-pinned when one set of W-zeroed runs
+# took over the measurability and nesting checks: only their details moved.
 VERIFY_REDUCIBLE_PINNED = {
     "1.0": (0, {
-        "verify_report.json": "f1d9f2cb141c38f5a3e847a885a8aec9b790ce29f9bfb82f9670a2fe98aa1d85",
-        "variational.csv": "360f040ac4c6bc3ebf3e7f21dbe8216b10ee3b818247687572e368773c9811bf",
-        "oracle.csv": "e326e067456c2bd8278a3ae5169d9c1ca0d7af47c782493dd806d4da7339c102"}),
+        "verify_report.json": "e425a330f609f04a82790b87f22de7dde7fd85fbf4be7f83f969e560c6c788bb",
+        "variational.csv": "360f040ac4c6bc3ebf3e7f21dbe8216b10ee3b818247687572e368773c9811bf"}),
     "1.5": (4, {
-        "verify_report.json": "c23d6fa4992a4c2bf359e4c39247fbe27c177c7f7d0e037e2c3503da6fedd559",
-        "variational.csv": "e22f99765cbf2ceab5691db44f9aba0fc1b26a781419ad0bbc05519e8760ea87",
-        "oracle.csv": "e326e067456c2bd8278a3ae5169d9c1ca0d7af47c782493dd806d4da7339c102"}),
+        "verify_report.json": "03ceaa903d1f5a80edf46586775e75259dbd9cbd6d01d0ff822ffabe36d3666d",
+        "variational.csv": "e22f99765cbf2ceab5691db44f9aba0fc1b26a781419ad0bbc05519e8760ea87"}),
 }
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stacklq as sq
+import stacklq.verify as verify
 from stacklq.closedloop import (BLOCK_PATHS, _follower_offset, _middle_offset,
                                 _node_loop, _phicheck_gain, _rows_at,
                                 _state_step, ansatz_residual, respond_player1,
@@ -16,7 +17,7 @@ from stacklq.montecarlo import (_sweep_quadratics, _sweep_setup,
                                 variational_sweep)
 from stacklq.riccati import solve_game
 from stacklq.rng import NoisePlan
-from stacklq.verify import check_exact_nesting, check_measurability
+from stacklq.verify import check_measurability
 
 
 def _paths(spec, law, seed, n):
@@ -62,74 +63,111 @@ def test_no_noise_levels_coincide(scalar_generic):
     assert np.abs(paths.X3 - paths.X3check).max() <= 1e-12
 
 
+def _checks(spec, seed, law=None):
+    """check_measurability's two checks on spec's own law or on law."""
+    if law is None:
+        law = sq.build_feedback(*solve_game(spec), spec)
+    return check_measurability(spec, law, seed)
+
+
 def test_measurability_bit_identical(generic_solution, scalar_generic,
                                      n2_spec):
-    bundle2, offsets2 = solve_game(n2_spec)
-    law2 = sq.build_feedback(bundle2, offsets2, n2_spec)
+    law2 = sq.build_feedback(*solve_game(n2_spec), n2_spec)
     for spec, law in ((scalar_generic, generic_solution[2]), (n2_spec, law2)):
         # the systems are coupled (M2, M3 != 0): the zero blocks of the drift
         # and the masked loadings are what keep W1/W2 out of the filters
         assert np.abs(law.M2).max() > 0 and np.abs(law.M3).max() > 0
-        plan = NoisePlan.from_seed(21, np.diff(solver_times(spec)))
-        run = lambda p: simulate_equilibrium(spec, law,
-                                             p.increments(np.arange(16)))
-        base = run(plan)
-        w1 = run(plan.with_component_seed(0, 999))
-        assert np.array_equal(base.X3hat, w1.X3hat)
-        assert np.array_equal(base.X3check, w1.X3check)
-        assert not np.array_equal(base.X3, w1.X3)
-        w2 = run(plan.with_component_seed(1, 999))
-        assert np.array_equal(base.X3check, w2.X3check)
-        assert not np.array_equal(base.X3hat, w2.X3hat)
+        (cid, ok, detail), _ = check_measurability(spec, law, 21, n_paths=16)
+        assert cid == "filter_measurability" and ok, detail
 
 
-def _nesting(spec, seed, law=None):
-    """exact_nesting's (check, W3-only run) on spec's own law or on law."""
-    if law is None:
-        law = sq.build_feedback(*solve_game(spec), spec)
-    return check_exact_nesting(spec, law, seed)
+def test_measurability_and_nesting_share_at_most_three_runs(
+        monkeypatch, reducible_spec, scalar_generic):
+    # one run per live component zeroed, after the base run
+    sigma1_only = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, sigma1=1.0)
+    runs = []
+
+    def counting(spec, law, dW):
+        runs.append(dW.copy())
+        return simulate_equilibrium(spec, law, dW)
+
+    monkeypatch.setattr(verify, "simulate_equilibrium", counting)
+    for spec, want in ((reducible_spec, 1), (sigma1_only, 2),
+                       (scalar_generic, 3)):
+        runs.clear()
+        checks = _checks(spec, 3)
+        assert [cid for cid, _, _ in checks] == ["filter_measurability",
+                                                  "exact_nesting"]
+        assert all(ok for _, ok, _ in checks)
+        assert len(runs) == want
+        for dW, zeroed in zip(runs, ((), (0,), (0, 1))):
+            assert all(np.all(dW[:, :, c] == 0.0) for c in zeroed)
 
 
 def test_exact_nesting_passes_on_fixture_specs(request):
-    # exact in the Euler scheme, with or without noise of either kind
+    # exact in the Euler scheme, with or without noise of either kind, and
+    # the filters bit-identical with the components they do not see zeroed
     no_noise = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, A=0.3, B1=1.0,
                             Q1=0.5, G1=0.5, Q2=0.3, R2=1.0, Q3=0.2, R3=1.0)
+    sigma1_only = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, sigma1=1.0)
     names = ("zero_spec", "scalar_generic", "scalar_additive", "n2_spec",
              "closed_form_spec", "reducible_spec", "offgrid_spec")
     specs = {name: request.getfixturevalue(name) for name in names}
-    for name, spec in {**specs, "no_noise": no_noise}.items():
-        (_, ok, detail), _ = _nesting(spec, 3)
-        assert ok, (name, detail)
+    specs.update(no_noise=no_noise, sigma1_only=sigma1_only)
+    for name, spec in specs.items():
+        law = sq.build_feedback(*solve_game(spec), spec)
+        for seed in (3, 15, 42):
+            for cid, ok, detail in check_measurability(spec, law, seed):
+                assert ok, (name, seed, cid, detail)
 
 
 def test_exact_nesting_independent_component():
     # x = x0 + sigma1 W1 and G1 = sigma(W3): E[x(t) | W3] = x0, the X of
     # the W3-only run, which the filter holds too
     spec = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, sigma1=1.0)
-    (_, ok, _), w3 = _nesting(spec, 7)
-    assert ok
+    law = sq.build_feedback(*solve_game(spec), spec)
+    assert all(ok for _, ok, _ in check_measurability(spec, law, 7))
+    dW = NoisePlan.for_spec(spec, 7).increments(np.arange(4))
+    dW[:, :, 0] = 0.0
+    w3 = simulate_equilibrium(spec, law, dW)
     assert np.all(w3.X3[..., 0] == 1.0)
     assert np.all(w3.X3check[..., 0] == 1.0)
 
 
 def test_exact_nesting_breaks_fail_the_report(generic_solution, scalar_generic):
     _, _, law = generic_solution
-    (_, ok, _), w3 = _nesting(scalar_generic, 15, law)
-    assert ok           # the tower identity E[Xh | W3] = Xc, exactly
-    assert np.abs(w3.X3hat - w3.X3check).max() <= 1e-12
-    # 1% more of M2 in the Xh row's Xh block: the Xh filter drifts off
+    assert all(ok for _, ok, _ in _checks(scalar_generic, 15, law))
     n4 = 4 * law.n
+    X, Xh, Xc = slice(0, n4), slice(n4, 2 * n4), slice(2 * n4, 3 * n4)
+    # 1% more of M2 in the Xh row's Xh block: the Xh filter drifts off
     h = np.diff(law.times)[:, None, None]
     Ft = law.Ft.copy()
-    Ft[:, n4:2 * n4, n4:2 * n4] += 0.01 * h * law.M2[:-1].mT
-    (_, ok, _), _ = _nesting(scalar_generic, 15, dataclasses.replace(law, Ft=Ft))
-    assert not ok
-    # X's W1 load left on Xc: invisible with W1 zeroed, caught by reseeding W1
-    S = law.S.copy()
-    S[:, 0, 2 * n4:] = S[:, 0, :n4]
-    leaky = dataclasses.replace(law, S=S)
-    assert _nesting(scalar_generic, 15, leaky)[0][1]
-    assert not check_measurability(scalar_generic, leaky, 15)[1]
+    Ft[:, Xh, Xh] += 0.01 * h * law.M2[:-1].mT
+    breaks = [dataclasses.replace(law, Ft=Ft)]
+    # a component's additive load copied from X onto a filter that must
+    # not see it: W1 onto Xc, W1 onto Xh, W2 onto Xc
+    for comp, block in ((0, Xc), (0, Xh), (1, Xc)):
+        S = law.S.copy()
+        S[:, comp, block] = S[:, comp, X]
+        breaks.append(dataclasses.replace(law, S=S))
+    # W1's multiplicative load copied from X onto Xh; Ct's columns are
+    # (component, block, column)
+    by_comp = law.Ct.shape[:2] + (3, 3 * n4)
+    Ct = law.Ct.copy().reshape(by_comp)
+    Ct[:, Xh, 0, Xh] = Ct[:, X, 0, X]
+    breaks.append(dataclasses.replace(law, Ct=Ct.reshape(law.Ct.shape)))
+    for i, broken in enumerate(breaks):
+        assert not all(ok for _, ok, _ in _checks(scalar_generic, 15, broken)), i
+    # levels deaf to a component they load: X to W1, X and Xh to W2; the
+    # levels still agree, so only the measurability check sees it
+    for comp, blocks in ((0, (X,)), (1, (X, Xh))):
+        S, Ct = law.S.copy(), law.Ct.copy().reshape(by_comp)
+        for block in blocks:
+            S[:, comp, block] = 0.0
+            Ct[:, block, comp, block] = 0.0
+        deaf = dataclasses.replace(law, S=S, Ct=Ct.reshape(law.Ct.shape))
+        measurable, nested = _checks(scalar_generic, 15, deaf)
+        assert nested[1] and not measurable[1], comp
 
 
 def _reference_controls(law, k, X, Xh, Xc):
