@@ -14,8 +14,7 @@ from .montecarlo import (CostEstimate, Direction, PerturbationReport,
                          default_directions, mean_stderr, simulate_blocks,
                          variational_sweep)
 from .oracle import crosscheck_p
-from .riccati import (MatrixTrajectory, OffsetBundle, RiccatiBundle,
-                      riccati_residuals, solve_game, solve_p)
+from .riccati import RiccatiBundle, riccati_residuals, solve_game, solve_p
 from .rng import NoisePlan
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,7 +23,7 @@ from .closedloop import build_feedback
 from .errors import BlowUpError, DomainError, SpecFormatError, StackLQError
 from .model import load_spec, validate_spec, with_steps
 from .montecarlo import mean_stderr, simulate_blocks
-from .riccati import riccati_residuals, solve_game
+from .riccati import LEVELS, riccati_residuals, solve_game
 from .rng import NoisePlan
 from .verify import VerifyConfig, run_verification
 
@@ -129,14 +129,13 @@ def cmd_validate(args) -> int:
 
 def cmd_solve(args) -> int:
     spec, out = _prepare(args)
-    bundle, offsets = solve_game(spec)
-    law = build_feedback(bundle, offsets, spec)
-    for name in ("p", "P1", "P2", "Pf1", "Pf2", "Pf3"):
-        traj = getattr(bundle, name)
-        _write_trajectory_csv(out / f"{name}.csv", traj.times, traj.values)
-    _write_trajectory_csv(out / "Omega.csv", offsets.times, offsets.Omega.values)
+    bundle, Omega = solve_game(spec)
+    law = build_feedback(bundle, Omega)
+    for name in LEVELS:
+        _write_trajectory_csv(out / f"{name}.csv", bundle.times, getattr(bundle, name))
+    _write_trajectory_csv(out / "Omega.csv", bundle.times, Omega)
     _write_gains_csv(out / "gains.csv", law)
-    res = riccati_residuals(spec, bundle, offsets)
+    res = riccati_residuals(bundle, Omega)
     lines = ["terminal conditions set exactly at T"]
     lines += [f"max centered-difference residual {k}: {v:.6e}"
               for k, v in sorted(res.items())]
@@ -147,8 +146,7 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec, out = _prepare(args)
-    bundle, offsets = solve_game(spec)
-    law = build_feedback(bundle, offsets, spec)
+    law = build_feedback(*solve_game(spec))
     times = law.times
     plan = NoisePlan.for_spec(spec, args.seed)
     # one path's lines, the path id and the values filled in per path;

@@ -18,7 +18,8 @@ homogeneous form is, under common noise, exactly the response to a control
 perturbation, the systems being linear: the variational sweep in
 `montecarlo` probes it on basis rows for its per-group node tables.  The
 offsets are solved by riccati's `backward_rk4`, so they are blow-up guarded
-like the ladder.
+like the ladder.  Gains, responses and residuals read the solve's one grid
+coefficient table, `bundle.cv`, which the law carries on as `law.cv`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import BlowUpError, UnsupportedPerturbationError
 from .lift import CoeffValues, mv, selectors
 from .model import GameSpec
-from .riccati import BLOWUP_LIMIT, OffsetBundle, RiccatiBundle, backward_rk4
+from .riccati import BLOWUP_LIMIT, RiccatiBundle, backward_rk4
 
 # Paths stepped together: a block of the streaming simulate, a chunk of the
 # variational sweep.
@@ -57,11 +58,12 @@ class FeedbackLaw:
     Ct[k]_i summed over i), Ft[k] = (I + h M)^T with block rows [M0, M2, M3],
     [0, M0+M2, M3], [0, 0, M0+M2+M3].  S and Ct hold Sigma_i and frakC_i on
     the blocks that observe W_i (X: W1-W3, Xh: W2-W3, Xc: W3); Ct is None
-    when every frakC_i is 0.
+    when every frakC_i is 0.  cv is the solve's grid coefficient table.
     """
 
     times: np.ndarray
     n: int
+    cv: CoeffValues
     K1: np.ndarray
     k1: np.ndarray
     K2hat: np.ndarray
@@ -99,29 +101,26 @@ class PathBundle:
     v3: np.ndarray
 
 
-def build_feedback(bundle: RiccatiBundle, offsets: OffsetBundle,
-                   spec: GameSpec) -> FeedbackLaw:
-    """Assemble all gain tables and the closed-loop drift tables."""
-    n = spec.n
+def build_feedback(bundle: RiccatiBundle, Omega: np.ndarray) -> FeedbackLaw:
+    """Assemble all gain tables and the closed-loop drift tables from the
+    solved ladder and its offset Omega (K+1, 4n)."""
+    times, cv, p = bundle.times, bundle.cv, bundle.p
+    n = p.shape[-1]
     e1, U, L, s2 = selectors(n)
-    times = bundle.times
-    cv = CoeffValues(spec, times)
     R1i, R2i, R3i = cv.Rinv
     B1 = cv.B[0]
     l2, l3 = bundle.l2, bundle.l3
     cB2, cF2 = l2.calB2, l2.calF2
     B3f, Fa, Fb = l3.frakB3, l3.Fa, l3.Fb
-    p, P1, P2 = bundle.p.values, bundle.P1.values, bundle.P2.values
-    Pf1, Pf2, Pf3 = bundle.Pf1.values, bundle.Pf2.values, bundle.Pf3.values
-    Om = offsets.Omega.values
+    P1, P2, Pf1, Pf2, Pf3 = bundle.P1, bundle.P2, bundle.Pf1, bundle.Pf2, bundle.Pf3
     Psum = Pf1 + Pf2 + Pf3
-    LOm = mv(L, Om)
+    LOm = mv(L, Omega)
 
     g = {}
     g["K3"] = -R3i @ (B3f.mT @ Pf1 + Fa)
     g["K3hat"] = -R3i @ (B3f.mT @ Pf2)
     g["K3check"] = -R3i @ (B3f.mT @ Pf3 + Fb)
-    g["k3"] = mv(-R3i, mv(B3f.mT, Om) + cv.nl[2])
+    g["k3"] = mv(-R3i, mv(B3f.mT, Omega) + cv.nl[2])
     g["Kv3hat"] = -R3i @ (B3f.mT @ (Pf1 + Pf2) + Fa)
     g["Kv3check"] = -R3i @ (B3f.mT @ Psum + Fa + Fb)
 
@@ -138,13 +137,13 @@ def build_feedback(bundle: RiccatiBundle, offsets: OffsetBundle,
     g["M2"] = (l3.frakA2 + l3.frakF1dd @ Pf2
                + (l3.frakF1dd - l3.frakF1bar) @ Pf1 + B3f @ g["K3hat"])
     g["M3"] = l3.frakA3 + l3.frakF1dd @ Pf3 + B3f @ g["K3check"]
-    g["coff"] = mv(l3.frakF1dd, Om) + l3.ddb3 + mv(B3f, g["k3"])
+    g["coff"] = mv(l3.frakF1dd, Omega) + l3.ddb3 + mv(B3f, g["k3"])
 
     for name, table in g.items():
         if not np.all(np.isfinite(table)):
             raise BlowUpError(f"feedback gain {name}", float(times[-1]))
 
-    return FeedbackLaw(times=times, n=n, **_block_tables(times, g, l3), **g)
+    return FeedbackLaw(times=times, n=n, cv=cv, **_block_tables(times, g, l3), **g)
 
 
 def _block_tables(times, g, l3) -> dict:
@@ -252,13 +251,13 @@ def simulate_equilibrium(spec: GameSpec, law: FeedbackLaw,
 # reconstruction of offset processes along equilibrium paths
 # ---------------------------------------------------------------------------
 
-def _phicheck_gain(bundle: RiccatiBundle, offsets: OffsetBundle):
+def _phicheck_gain(bundle: RiccatiBundle, Omega):
     """(G, g) on the node axis such that the follower offset filter is
     phicheck = G X3check + g along equilibrium paths."""
-    _, U, L, s2 = selectors(bundle.p.values.shape[-1])
-    G = (s2 @ (bundle.P1.values + bundle.P2.values) @ U
-         + s2 @ L @ (bundle.Pf1.values + bundle.Pf2.values + bundle.Pf3.values))
-    return G, mv(s2 @ L, offsets.Omega.values)
+    _, U, L, s2 = selectors(bundle.p.shape[-1])
+    G = (s2 @ (bundle.P1 + bundle.P2) @ U
+         + s2 @ L @ (bundle.Pf1 + bundle.Pf2 + bundle.Pf3))
+    return G, mv(s2 @ L, Omega)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +274,6 @@ def _rows_at(v, k, N):
 
 @dataclass(frozen=True)
 class Player1Response:
-    times: np.ndarray
     x: np.ndarray
     xcheck: np.ndarray
     v1: np.ndarray
@@ -283,7 +281,6 @@ class Player1Response:
 
 @dataclass(frozen=True)
 class Player12Response:
-    times: np.ndarray
     X2hat: np.ndarray
     X2check: np.ndarray
     v1: np.ndarray
@@ -301,11 +298,11 @@ def _offset_backward(times, coef, driver, what):
                         (np.zeros_like(driver[..., 0, :]),), times, what)[0]
 
 
-def _follower_offset(bundle: RiccatiBundle, B, v2, v3, affine):
+def _follower_offset(bundle: RiccatiBundle, v2, v3, affine):
     """Follower offset on the grid under deterministic (K+1, n) leader
     controls, or D directions' (D, K+1, n): -phi' = Abar' phi + p (B2 v2 +
-    B3 v3) + f1bar, phi(T) = 0.  B holds the grid tables of (B1, B2, B3)."""
-    drv = mv(bundle.p.values, mv(B[1], v2) + mv(B[2], v3))
+    B3 v3) + f1bar, phi(T) = 0."""
+    drv = mv(bundle.p, mv(bundle.cv.B[1], v2) + mv(bundle.cv.B[2], v3))
     if affine:
         drv = drv + bundle.l1.f1bar
     return _offset_backward(bundle.times, bundle.l1.Abar.mT, drv,
@@ -328,7 +325,7 @@ def _follower_control(bundle: RiccatiBundle, c: CoeffValues, k, xc, phi, affine)
     """Follower control v1 at node k from its filtered state xc and offset
     phi (rows per path); c is the node-k coefficient view."""
     B1 = c.B[0]
-    u = xc @ (B1.T @ bundle.p.values[k]).T + phi @ B1
+    u = xc @ (B1.T @ bundle.p[k]).T + phi @ B1
     if affine:
         u = u + c.nl[0]
     return -u @ c.Rinv[0].T
@@ -342,7 +339,7 @@ def _middle_controls(bundle: RiccatiBundle, c: CoeffValues, k, X2h, X2c,
     n = c.A.shape[-1]
     s2 = selectors(n)[3]
     cB2, cF2 = bundle.l2.calB2[k], bundle.l2.calF2[k]
-    P1, P2 = bundle.P1.values[k], bundle.P2.values[k]
+    P1, P2 = bundle.P1[k], bundle.P2[k]
     u = X2h @ (cB2.T @ P1).T + X2c @ (cB2.T @ P2 + cF2).T + Phih @ cB2
     if affine:
         u = u + c.nl[1]
@@ -398,11 +395,10 @@ def respond_player1(spec: GameSpec, bundle: RiccatiBundle, v2, v3, dW,
     phicheck path reconstructed by the caller; anything else is rejected.
     """
     N, K, _ = dW.shape
-    n = spec.n
-    cv = CoeffValues(spec, bundle.times)
+    n, cv = spec.n, bundle.cv
     if np.ndim(v2) == 2 and np.ndim(v3) == 2:
         vc2, vc3 = np.asarray(v2, dtype=float), np.asarray(v3, dtype=float)
-        phi = _follower_offset(bundle, cv.B, vc2, vc3, True)
+        phi = _follower_offset(bundle, vc2, vc3, True)
     else:
         if vcheck2 is None or vcheck3 is None or phicheck is None:
             raise UnsupportedPerturbationError(
@@ -420,7 +416,7 @@ def respond_player1(spec: GameSpec, bundle: RiccatiBundle, v2, v3, dW,
             xc = _follower_step(bundle, c, k, dW[:, k], xc, phik, drive, True)
             v = (v1[:, k], _rows_at(v2, k, N), _rows_at(v3, k, N))
             x = _state_step(c, bundle.times, k, dW[:, k], x, v, True)
-    return Player1Response(times=bundle.times, x=xs, xcheck=xcs, v1=v1)
+    return Player1Response(x=xs, xcheck=xcs, v1=v1)
 
 
 def respond_player12(spec: GameSpec, bundle: RiccatiBundle, v3, dW,
@@ -436,7 +432,7 @@ def respond_player12(spec: GameSpec, bundle: RiccatiBundle, v3, dW,
     Phicheck = L (Pf1 + Pf2 + Pf3) X3check + L Omega.
     """
     N, K, _ = dW.shape
-    n = spec.n
+    n, cv = spec.n, bundle.cv
     if np.ndim(v3) == 2:
         v3 = np.asarray(v3, dtype=float)
         Phih = Phic = _middle_offset(bundle, v3, True)
@@ -447,7 +443,6 @@ def respond_player12(spec: GameSpec, bundle: RiccatiBundle, v3, dW,
                 "path-valued top control needs vhat3/vcheck3/Phihat/Phicheck paths")
         vh3, vc3, Phih, Phic = vhat3, vcheck3, Phihat, Phicheck
 
-    cv = CoeffValues(spec, bundle.times)
     x = np.tile(spec.x0, (N, 1))
     X2h = np.tile(np.concatenate([spec.x0, np.zeros(n)]), (N, 1))
     X2c = X2h.copy()
@@ -463,16 +458,15 @@ def respond_player12(spec: GameSpec, bundle: RiccatiBundle, v3, dW,
                                     _rows_at(vh3, k, N), _rows_at(vc3, k, N), True)
             v = (v1[:, k], v2[:, k], _rows_at(v3, k, N))
             x = _state_step(cv[k], bundle.times, k, dW[:, k], x, v, True)
-    return Player12Response(times=bundle.times, X2hat=X2hs, X2check=X2cs,
-                            v1=v1, v2=v2, x=xs)
+    return Player12Response(X2hat=X2hs, X2check=X2cs, v1=v1, v2=v2, x=xs)
 
 
 # ---------------------------------------------------------------------------
 # filtered-ansatz drift residual (decoupling diagnostic)
 # ---------------------------------------------------------------------------
 
-def ansatz_residual(spec: GameSpec, bundle: RiccatiBundle, offsets: OffsetBundle,
-                    paths: PathBundle, dW: np.ndarray) -> float:
+def ansatz_residual(bundle: RiccatiBundle, Omega, paths: PathBundle,
+                    dW: np.ndarray) -> float:
     """Max node-wise mismatch between the adjoint drift and the ansatz drift.
 
     The check runs on the follower-filtered quantities: ycheck = -p xcheck -
@@ -480,12 +474,13 @@ def ansatz_residual(spec: GameSpec, bundle: RiccatiBundle, offsets: OffsetBundle
     continuous time; the discrete mismatch must shrink ~linearly with h.
     All steps are evaluated at once on the node axis.
     """
-    times, p, l3 = bundle.times, bundle.p.values, bundle.l3
-    G, g = _phicheck_gain(bundle, offsets)
-    y = -(mv(p, paths.X3check[..., :spec.n]) + mv(G, paths.X3check) + g)
-    cv = CoeffValues(spec, times[:-1])          # left endpoint of each step
+    times, p, l3 = bundle.times, bundle.p, bundle.l3
+    n = p.shape[-1]
+    G, g = _phicheck_gain(bundle, Omega)
+    y = -(mv(p, paths.X3check[..., :n]) + mv(G, paths.X3check) + g)
+    cv = bundle.cv[:-1]                         # left endpoint of each step
     Xc = paths.X3check[:, :-1]
-    xc = Xc[..., :spec.n]
+    xc = Xc[..., :n]
     z = [-mv(p[:-1], mv(Ci, xc) + si) for Ci, si in zip(cv.C, cv.sigma)]
     z[2] = z[2] - mv(G[:-1], mv(l3.frakC3[:-1], Xc) + l3.Sigma3[:-1])
     drift = (mv(cv.A.mT, y[:, :-1]) - mv(cv.Q[0], xc) - cv.m[0]

@@ -14,7 +14,8 @@ with a float t holds one node's coefficients; with an array of times each
 field carries the node axis first and `cv[k]` is the node-k view.  The
 `level*_at` formulas and the block helpers keep the leading axis of their
 first argument, so the ladder's passes call each once on the table of RK4
-(step, stage) rows and `solve_game` once more on the solver-grid table.
+(step, stage) rows and `solve_game` once more on the solver-grid table,
+which it keeps on the bundle as `cv` for every later consumer of the grid.
 """
 
 from __future__ import annotations
@@ -104,15 +105,20 @@ def _with_inverse(R, t, name):
     return R.values[j], inv[j]
 
 
+_STACKED = ("B", "C", "sigma", "Q", "R", "Rinv", "m", "nl")     # player/channel axis first
+
+
 class CoeffValues:
     """All spec coefficients, with R-inverses, at one time or an array of times.
 
     With an array of times every field but G carries the node axis first and
-    cv[k] is the one-node view at t[k].  G is time-independent.  A field with
-    one entry per player or noise channel is one array with that axis first.
+    cv[k] is the one-node view at t[k], cv[a:b] a table's.  G is
+    time-independent.  A field with one entry per player or noise channel is
+    one array with that axis first.  The arrays are read-only: one grid's
+    table is shared by every consumer of the solve.
     """
 
-    __slots__ = ("t", "A", "B", "C", "b", "sigma", "Q", "R", "Rinv", "m", "nl", "G")
+    __slots__ = ("t", "A", "b", "G") + _STACKED
 
     def __init__(self, spec: GameSpec, t):
         c = spec.coeffs
@@ -129,13 +135,22 @@ class CoeffValues:
         self.m = np.stack([p.m.at(t) for p in players])
         self.nl = np.stack([p.n_lin.at(t) for p in players])
         self.G = np.stack([p.G for p in players])
+        for name in self.__slots__[1:]:
+            getattr(self, name).flags.writeable = False
 
     def __getitem__(self, k) -> "CoeffValues":
         node = object.__new__(CoeffValues)
         node.t, node.A, node.b, node.G = self.t[k], self.A[k], self.b[k], self.G
-        for name in ("B", "C", "sigma", "Q", "R", "Rinv", "m", "nl"):
+        for name in _STACKED:
             setattr(node, name, getattr(self, name)[:, k])
         return node
+
+    def changes(self) -> np.ndarray:
+        """(K,) for a table of K+1 times: whether any coefficient at t[k+1]
+        differs from its value at t[k]."""
+        rows = [self.A, self.b] + [np.moveaxis(getattr(self, f), 1, 0) for f in _STACKED]
+        flat = np.concatenate([r.reshape(len(self.t), -1) for r in rows], axis=1)
+        return np.any(flat[1:] != flat[:-1], axis=1)
 
 
 class Family(dict):

@@ -49,13 +49,11 @@ class Coefficient:
     def piecewise(breaks, values) -> "Coefficient":
         b = np.asarray(breaks, dtype=float)
         v = np.asarray(values, dtype=float)
-        if v.shape[0] != b.shape[0] + 1:
+        if b.ndim != 1 or not np.all(np.isfinite(b)):
+            raise SpecFormatError("piecewise breaks must be a list of finite numbers")
+        if v.ndim == 0 or v.shape[0] != b.shape[0] + 1:
             raise SpecFormatError("piecewise coefficient needs len(values) == len(breaks)+1")
         return Coefficient(b, v)
-
-    @property
-    def is_constant(self) -> bool:
-        return self.breaks.size == 0
 
     def at(self, t) -> np.ndarray:
         """Value of the piece whose half-open interval [tau_j, tau_{j+1}) holds t.
@@ -65,7 +63,7 @@ class Coefficient:
         return self.values[np.searchsorted(self.breaks, t, side="right")]
 
     def to_json(self):
-        if self.is_constant:
+        if not self.breaks.size:
             return {"kind": "constant", "value": self.values[0].tolist()}
         return {"kind": "piecewise", "breaks": self.breaks.tolist(),
                 "values": self.values.tolist()}
@@ -89,10 +87,6 @@ class TimeGrid:
 
     horizon: float
     steps: int
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.steps + 1)
 
 
 @dataclass(frozen=True)
@@ -192,7 +186,7 @@ def solver_times(spec: GameSpec) -> np.ndarray:
 
     Integration steps never straddle a coefficient jump.
     """
-    pts = [spec.grid.nodes]
+    pts = [np.linspace(0.0, spec.horizon, spec.grid.steps + 1)]
     for coeff in _coeff_map(spec).values():
         if coeff.breaks.size:
             pts.append(coeff.breaks)
@@ -214,10 +208,6 @@ def _check_shape(coeff, name, shape, bad):
             bad.append(Violation(name, f"expected shape {shape}, got {piece.shape}"))
             return False
     return True
-
-
-def _piece_starts(coeff):
-    return [0.0] + [float(b) for b in coeff.breaks]
 
 
 def _min_eig_sym(M):
@@ -271,7 +261,7 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
                 (f"Q{i}", pc.Q, PSD_EIG_TOL, "not positive semidefinite"),
                 (f"R{i}", pc.R, spec.rho_min,
                  f"min eigenvalue below rho_min={spec.rho_min:g}")):
-            for M, t in zip(W.values, _piece_starts(W)):
+            for M, t in zip(W.values, [0.0, *W.breaks.tolist()]):
                 if M.shape == mat_shape:
                     if np.abs(M - M.T).max(initial=0.0) > SYM_TOL:
                         bad.append(Violation(name, "not symmetric", t))
@@ -308,8 +298,10 @@ def spec_to_dict(spec: GameSpec) -> dict:
 
 def spec_from_dict(obj: dict) -> GameSpec:
     try:
-        n = int(obj["n"])
-        grid = TimeGrid(float(obj["T"]), int(obj["steps"]))
+        n, steps = int(obj["n"]), int(obj["steps"])
+        if (n, steps) != (obj["n"], obj["steps"]):     # 2.7 is not truncated
+            raise SpecFormatError("n and steps must be whole numbers")
+        grid = TimeGrid(float(obj["T"]), steps)
         co = obj["coeffs"]
         coeffs = CoefficientSet(
             A=Coefficient.from_json(co["A"]),
@@ -330,7 +322,7 @@ def spec_from_dict(obj: dict) -> GameSpec:
             ))
         info = InfoStructure(np.asarray(obj["adjacency"], dtype=int))
         x0 = np.asarray(obj["x0"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpecFormatError(f"malformed game spec: {exc}") from exc
     return GameSpec(n=n, grid=grid, coeffs=coeffs, costs=CostSpec(tuple(players)),
                     info=info, x0=x0)

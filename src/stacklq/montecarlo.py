@@ -19,7 +19,8 @@ run).  No increment row is drawn twice however many cases share the seed.
 
 `simulate_blocks` streams the equilibrium for `stacklq simulate` block by
 block of paths, keeping every thin-th node and each player's running cost,
-so no full path is stored.
+so no full path is stored.  Both read their coefficients off the law's grid
+table `law.cv` and build none.
 """
 
 from __future__ import annotations
@@ -104,10 +105,8 @@ def simulate_blocks(spec: GameSpec, law: FeedbackLaw, plan: NoisePlan,
     (23.4 MB at K = 500) plus one block's records, whatever n_paths is; a
     blow-up names its global path index.
     """
-    times = law.times
+    times, cv, n = law.times, law.cv, law.n
     K = times.shape[0] - 1
-    cv = CoeffValues(spec, times)
-    n = spec.n
     plan = plan.reusing(min(BLOCK_PATHS, n_paths))      # every block's noise
     for start in range(0, n_paths, BLOCK_PATHS):
         N = min(start + BLOCK_PATHS, n_paths) - start
@@ -165,15 +164,15 @@ def _response_step(bundle: RiccatiBundle, c, k, player, dWk, R, off, dv_own):
     return np.concatenate((dx, *filtered), axis=-1)
 
 
-def _group_tables(bundle: RiccatiBundle, cv: CoeffValues, player, directions):
+def _group_tables(bundle: RiccatiBundle, player, directions):
     """A group's tables (see _Group), probed from the linear _response_step
     at every node: on w basis rows without noise and under a unit increment
     on each channel, and on each direction's path with its offset, solved
     once here.  Channels that load nothing are left out."""
     paths = np.stack([d.path for d in directions])
     D, n_nodes, n = paths.shape
-    K, w = n_nodes - 1, (1, 2, 5)[player - 1] * n
-    offset = (_follower_offset(bundle, cv.B, paths, np.zeros_like(paths), False)
+    K, w, cv = n_nodes - 1, (1, 2, 5)[player - 1] * n, bundle.cv
+    offset = (_follower_offset(bundle, paths, np.zeros_like(paths), False)
               if player == 2 else _middle_offset(bundle, paths, False)
               if player == 3 else np.zeros((n_nodes, D, n)))
     # probe rows: the basis four times, then the directions
@@ -262,30 +261,28 @@ def _group_step(group: _Group, k, dWk, t):
     _guard(new[0].transpose(1, 2, 0), t, "response state")
 
 
-def _sweep_setup(spec, law: FeedbackLaw, bundle: RiccatiBundle, cases):
-    """A sweep's path-independent part: the coefficient table and each
-    (player, gain_scale) group's tables, its directions in case order."""
-    cv = CoeffValues(spec, law.times)
+def _sweep_setup(bundle: RiccatiBundle, cases):
+    """A sweep's path-independent part: each (player, gain_scale) group's
+    tables, its directions in case order."""
     groups = {}
     for player, d, gain_scale in cases:
         if player != 1 and gain_scale != 1:
             raise UnsupportedPerturbationError("the scaled gain tests the "
                                                "follower only")
         groups.setdefault((player, gain_scale), []).append(d)
-    return cv, {key: _group_tables(bundle, cv, key[0], directions)
-                for key, directions in groups.items()}
+    return {key: _group_tables(bundle, key[0], directions)
+            for key, directions in groups.items()}
 
 
 def _sweep_quadratics(spec, law: FeedbackLaw, cases, dW: np.ndarray,
-                      setup) -> list:
+                      groups) -> list:
     """Per-path coefficients (J0, B, C) of J(eps) for each (player,
     direction, gain_scale) case, all on one base run driven by dW, one
-    response group per (player, gain_scale); setup is _sweep_setup's."""
-    cv, groups = setup
+    response group per (player, gain_scale) with _sweep_setup's tables."""
     runs = {key: _Group(spec.x0, dW.shape[0], *key, tables)
             for key, tables in groups.items()}
     for k, Z, V in _node_loop(spec, law, dW):
-        c = cv[k]
+        c = law.cv[k]
         for run in runs.values():
             run.node(law, c, k, Z, V, dW)
     taken, out = Counter(), []      # a group's directions are in case order
@@ -310,12 +307,12 @@ def variational_sweep(spec: GameSpec, cases, epsilons, n_paths: int,
                  {-float(e) for e in epsilons})
     times = solver_times(spec)
     plan = NoisePlan.for_spec(spec, seed).reusing(min(BLOCK_PATHS, n_paths))
-    setup = _sweep_setup(spec, law, bundle, cases)
+    groups = _sweep_setup(bundle, cases)
 
     def run(i0):  # each chunk's increments overwrite the last one's
         dW = plan.increments(np.arange(i0, min(i0 + BLOCK_PATHS, n_paths)))
         with _paths_from(i0):
-            return _sweep_quadratics(spec, law, cases, dW, setup)
+            return _sweep_quadratics(spec, law, cases, dW, groups)
 
     parts = [run(i0) for i0 in range(0, n_paths, BLOCK_PATHS)]
 

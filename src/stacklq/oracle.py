@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BlowUpError, ReductionError, StackLQError
 from .lift import CoeffValues, mv
 from .model import GameSpec
-from .riccati import BLOWUP_LIMIT, OffsetBundle, RiccatiBundle
+from .riccati import BLOWUP_LIMIT, RiccatiBundle
 
 
 @dataclass(frozen=True)
@@ -58,17 +58,13 @@ class DPSolution:
         return float(0.5 * x0 @ self.S[0] @ x0 + self.s[0] @ x0 + self.const[0])
 
 
-def _coeff_is_zero(coeff) -> bool:
-    return np.abs(coeff.values).max(initial=0.0) == 0.0
-
-
 def reduce_to_single_player(spec: GameSpec, steps: int | None = None) -> DiscreteLQ:
     """Euler discretization of the follower-only, third-noise-only spec."""
     c = spec.coeffs
     offending = [name for name, coeff in
                  (("B2", c.B[1]), ("B3", c.B[2]), ("C1", c.C[0]), ("C2", c.C[1]),
                   ("sigma1", c.sigma[0]), ("sigma2", c.sigma[1]))
-                 if not _coeff_is_zero(coeff)]
+                 if np.any(coeff.values)]
     if offending:
         raise ReductionError("spec is not reducible to a single controller; "
                              f"nonzero: {', '.join(offending)}")
@@ -132,15 +128,14 @@ class CrosscheckReport:
     continuous_value: float
 
 
-def _continuous_value(spec: GameSpec, bundle: RiccatiBundle,
-                      offsets: OffsetBundle) -> float:
+def _continuous_value(spec: GameSpec, bundle: RiccatiBundle, Omega) -> float:
     """Value of the reduced continuous problem from the solved ladder: the
     follower gain p, its offset phi (Omega's last quarter, as in the
     follower's feedback offset) and the constant chi, whose right-hand side
     reads no chi, by the midpoint rule on the solver grid, added up backward
     from T."""
     times, n = bundle.times, spec.n
-    p, phi = bundle.p.values, offsets.Omega.values[:, 3 * n:]
+    p, phi = bundle.p, Omega[:, 3 * n:]
     pm, phim = 0.5 * (p[1:] + p[:-1]), 0.5 * (phi[1:] + phi[:-1])
     mid = CoeffValues(spec, 0.5 * (times[1:] + times[:-1]))
     # -chi' = phi.b + 1/2 s3'p s3 - 1/2 w'R1^-1 w with w = B1'phi + n1
@@ -155,12 +150,12 @@ def _continuous_value(spec: GameSpec, bundle: RiccatiBundle,
     return float(0.5 * x0 @ p[0] @ x0 + phi[0] @ x0 + chis[0])
 
 
-def crosscheck_p(spec: GameSpec, bundle: RiccatiBundle, offsets: OffsetBundle,
+def crosscheck_p(spec: GameSpec, bundle: RiccatiBundle, Omega,
                  steps: int | None = None) -> CrosscheckReport:
     """Compare the DP recursion against the solved continuous follower problem."""
     d = reduce_to_single_player(spec, steps)
     sol = solve_dp(d)
-    cont_val, p0 = _continuous_value(spec, bundle, offsets), bundle.p.values[0]
+    cont_val, p0 = _continuous_value(spec, bundle, Omega), bundle.p[0]
     gap_S0 = float(np.abs(sol.S[0] - p0).max() / (1.0 + np.abs(p0).max()))
     dp_val = sol.value(spec.x0)
     return CrosscheckReport(steps=d.steps, gap_S0=gap_S0,

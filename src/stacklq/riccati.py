@@ -22,6 +22,10 @@ blocks, so P2' = R(P1+P2) - R(P1), and likewise for Pf2 and Pf3.  The level
 functions take one node or a leading row axis, so the residual diagnostic
 calls them once on the table of interior nodes.
 
+`solve_game` returns the ladder's levels as (K+1, d, d) arrays on one
+RiccatiBundle, with the grid's coefficient table `cv` that every consumer of
+the solve reads, and Omega as a (K+1, 4n) array.
+
 Offsets: with deterministic coefficients the offset backward SDEs admit
 deterministic solutions with zero martingale integrands and with all
 conditional-expectation decorations equal to the process itself, so Omega
@@ -44,39 +48,26 @@ from .model import GameSpec, solver_times
 BLOWUP_LIMIT = 1e12
 P_ASYM_TOL = 1e-9
 CHUNK_ROWS = 256    # RK4 stage rows (64 steps) whose level operands are built at once
-
-
-@dataclass(frozen=True)
-class MatrixTrajectory:
-    """A matrix- or vector-valued function sampled on the solver grid."""
-
-    times: np.ndarray
-    values: np.ndarray  # (K+1, ...) one value per node
-
-    @property
-    def terminal(self):
-        return self.values[-1]
+LEVELS = ("p", "P1", "P2", "Pf1", "Pf2", "Pf3")     # RiccatiBundle's arrays, in ladder order
 
 
 @dataclass(frozen=True)
 class RiccatiBundle:
+    """The solved levels, one (K+1, d, d) array each, the lifted families
+    and the coefficient table `cv` on the solver grid `times`."""
+
     times: np.ndarray
-    p: MatrixTrajectory
-    P1: MatrixTrajectory
-    P2: MatrixTrajectory
-    Pf1: MatrixTrajectory
-    Pf2: MatrixTrajectory
-    Pf3: MatrixTrajectory
+    cv: CoeffValues
+    p: np.ndarray
+    P1: np.ndarray
+    P2: np.ndarray
+    Pf1: np.ndarray
+    Pf2: np.ndarray
+    Pf3: np.ndarray
     l1: Family
     l2: Family
     l2cl: Family
     l3: Family
-
-
-@dataclass(frozen=True)
-class OffsetBundle:
-    times: np.ndarray
-    Omega: MatrixTrajectory      # 4n
 
 
 # ---------------------------------------------------------------------------
@@ -257,45 +248,48 @@ def _solve_levels(spec: GameSpec, depth):
 # public operations
 # ---------------------------------------------------------------------------
 
-def solve_p(spec: GameSpec) -> MatrixTrajectory:
-    """Follower Riccati gain; terminal value is the follower's terminal weight."""
-    times, (p,) = _solve_levels(spec, 1)
-    return MatrixTrajectory(times, p[:, 0])
+def solve_p(spec: GameSpec) -> np.ndarray:
+    """Follower Riccati gain p, (K+1, n, n) on the solver grid."""
+    return _solve_levels(spec, 1)[1][0][:, 0]
 
 
 def solve_game(spec: GameSpec):
-    """Full ladder, level by level: RiccatiBundle plus OffsetBundle."""
-    times, (p, P, Pf, Om) = _solve_levels(spec, 3)
-    p, P1, P2, Pf1, Pf2, Pf3, Om = (MatrixTrajectory(times, a) for a in (
-        p[:, 0], P[:, 0], P[:, 1], Pf[:, 0], Pf[:, 1], Pf[:, 2], Om))
+    """Full ladder, level by level: the RiccatiBundle and Omega (K+1, 4n)."""
+    times, (p, P, Pf, Omega) = _solve_levels(spec, 3)
     cv = CoeffValues(spec, times)
-    l1 = level1_at(cv, p.values)
+    l1 = level1_at(cv, p[:, 0])
     l2 = level2_at(cv, l1)
-    l2cl = level2_closedloop_at(cv, l2, P1.values, P2.values)
-    l3 = level3_at(cv, l2, l2cl)
-    bundle = RiccatiBundle(times=times, p=p, P1=P1, P2=P2, Pf1=Pf1, Pf2=Pf2,
-                           Pf3=Pf3, l1=l1, l2=l2, l2cl=l2cl, l3=l3)
-    return bundle, OffsetBundle(times, Om)
+    l2cl = level2_closedloop_at(cv, l2, P[:, 0], P[:, 1])
+    bundle = RiccatiBundle(times=times, cv=cv, p=p[:, 0], P1=P[:, 0], P2=P[:, 1],
+                           Pf1=Pf[:, 0], Pf2=Pf[:, 1], Pf3=Pf[:, 2], l1=l1,
+                           l2=l2, l2cl=l2cl, l3=level3_at(cv, l2, l2cl))
+    return bundle, Omega
 
 
 # ---------------------------------------------------------------------------
 # residual diagnostics
 # ---------------------------------------------------------------------------
 
-def riccati_residuals(spec: GameSpec, bundle: RiccatiBundle,
-                      offsets: OffsetBundle) -> dict:
-    """Max centered-difference residual of every solved backward equation.
+def riccati_residuals(bundle: RiccatiBundle, Omega) -> dict:
+    """Max residual of every solved backward equation at the interior nodes.
 
-    For order-4 trajectories the centered difference carries an O(h^2)
-    truncation error, so residuals should scale like C h^2 on constant
-    coefficients.
+    The derivative is the three-point one on the node's two steps: the
+    centred difference where they are equal, and still O(h^2) beside a
+    breakpoint between grid nodes.  A solution's slope jumps with its
+    coefficients, so the nodes beside a change of the grid table's row are
+    left out.  On RK4 trajectories the residuals should scale like C h^2.
     """
-    times, names = bundle.times, ("p", "P1", "P2", "Pf1", "Pf2", "Pf3")
-    vals = [getattr(bundle, f).values for f in names] + [offsets.Omega.values]
-    ders = _ladder_rhs(CoeffValues(spec, times[1:-1]), [v[1:-1] for v in vals])
-    dt = times[2:] - times[:-2]
+    times = bundle.times
+    vals = [getattr(bundle, f) for f in LEVELS] + [Omega]
+    ders = _ladder_rhs(bundle.cv[1:-1], [v[1:-1] for v in vals])
+    dt, h1, h2 = times[2:] - times[:-2], np.diff(times[:-1]), np.diff(times[1:])
+    jump = bundle.cv.changes()
+    keep = ~(jump[:-1] | jump[1:])
     out = {}
-    for name, v, d in zip(names + ("Omega",), vals, ders):
-        num = (v[2:] - v[:-2]) / dt.reshape((-1,) + (1,) * (v.ndim - 1))
-        out[name] = float(np.abs(num - d).max(initial=0.0))
+    for name, v, d in zip(LEVELS + ("Omega",), vals, ders):
+        col = lambda a: a.reshape((-1,) + (1,) * (v.ndim - 1))
+        v0, v1, v2 = v[:-2], v[1:-1], v[2:]
+        num = ((v2 - v0) / col(dt) + col((h2 - h1) / (h1 * h2 * dt))
+               * (col(h1) * (v1 - v2) + col(h2) * (v1 - v0)))
+        out[name] = float(np.abs(num - d)[keep].max(initial=0.0))
     return out

@@ -4,7 +4,7 @@ A check is a triple (check_id, passed, detail).  Each check_* function
 returns one check or a list of them: check_measurability returns the
 filter_measurability and exact_nesting checks, and check_variational the
 three players' checks with the sweep's reports, which `verify` writes out.
-check_dp(spec, bundle, offsets) cross-checks the solved ladder and returns
+check_dp(spec, bundle, Omega) cross-checks the solved ladder and returns
 None when the spec does not reduce to a single controller.
 
 The scales here are CLI defaults; the package's acceptance test suite calls
@@ -22,7 +22,7 @@ from .errors import DomainError, ReductionError
 from .model import GameSpec, validate_spec, with_steps
 from .montecarlo import default_directions, variational_sweep
 from .oracle import crosscheck_p
-from .riccati import riccati_residuals, solve_game, terminal_state
+from .riccati import LEVELS, riccati_residuals, solve_game, terminal_state
 from .rng import NoisePlan
 
 
@@ -34,25 +34,25 @@ class VerifyConfig:
     gain_scale: float = 1.0
 
 
-def check_terminals(spec, bundle, offsets):
-    solved = (bundle.p, bundle.P1, bundle.P2, bundle.Pf1, bundle.Pf2,
-              bundle.Pf3, offsets.Omega)
-    worst = max(np.abs(traj.terminal - want).max()
-                for traj, want in zip(solved, terminal_state(spec)))
+def check_terminals(spec, bundle, Omega):
+    solved = [getattr(bundle, f) for f in LEVELS] + [Omega]
+    worst = max(np.abs(a[-1] - want).max()
+                for a, want in zip(solved, terminal_state(spec)))
     return ("terminal_conditions", worst == 0.0,
             f"max terminal gap {worst:.3e} (exact required)")
 
 
 def check_residual_order(solved, fine):
-    """Centred-difference residuals must scale like C h^2 with stable C.
+    """The ladder's residuals (riccati_residuals) must scale like C h^2
+    with stable C.
 
-    solved and fine are (spec, bundle, offsets) on the spec's grid and on the
+    solved and fine are (spec, bundle, Omega) on the spec's grid and on the
     grid with twice as many steps.
     """
     steps = solved[0].grid.steps
     rows = {}
-    for sp, b, o in (solved, fine):
-        res = riccati_residuals(sp, b, o)
+    for sp, b, Omega in (solved, fine):
+        res = riccati_residuals(b, Omega)
         h = sp.horizon / sp.grid.steps
         rows[sp.grid.steps] = {k: v / h**2 for k, v in res.items()}
     ratios = {k: (rows[2 * steps][k] / rows[steps][k]) if rows[steps][k] > 0 else 1.0
@@ -63,8 +63,8 @@ def check_residual_order(solved, fine):
     return ("residual_order", ok, detail)
 
 
-def check_p_psd(spec, bundle):
-    worst = min(float(np.linalg.eigvalsh(M).min()) for M in bundle.p.values)
+def check_p_psd(bundle):
+    worst = float(np.linalg.eigvalsh(bundle.p).min())
     return ("p_psd", worst >= -1e-8, f"min eigenvalue {worst:.3e}")
 
 
@@ -108,13 +108,12 @@ def check_measurability(spec, law, seed, n_paths=32):
 def check_ansatz_residual(solved, law, fine, seed, n_paths=100):
     """The ansatz drift mismatch must halve with the step; arguments as in
     check_residual_order, plus the feedback law on the spec's grid."""
-    fine_spec, fine_bundle, fine_offsets = fine
-    fine_law = build_feedback(fine_bundle, fine_offsets, fine_spec)
+    fine_law = build_feedback(*fine[1:])
     worsts = []
-    for (sp, b, o), lw in ((solved, law), (fine, fine_law)):
+    for (sp, b, Omega), lw in ((solved, law), (fine, fine_law)):
         dW = NoisePlan.for_spec(sp, seed).increments(np.arange(n_paths))
         paths = simulate_equilibrium(sp, lw, dW)
-        worsts.append(ansatz_residual(sp, b, o, paths, dW))
+        worsts.append(ansatz_residual(b, Omega, paths, dW))
     ratio = worsts[1] / worsts[0] if worsts[0] > 0 else 0.5
     ok = 0.25 <= ratio <= 0.75
     return ("ansatz_residual", ok,
@@ -147,9 +146,9 @@ def check_variational(spec, law, bundle, cfg: VerifyConfig):
     return results, reports
 
 
-def check_dp(spec, bundle, offsets):
+def check_dp(spec, bundle, Omega):
     try:
-        rep = crosscheck_p(spec, bundle, offsets, steps=1000)
+        rep = crosscheck_p(spec, bundle, Omega, steps=1000)
     except ReductionError:
         return None
     ok = rep.gap_S0 <= 0.01
@@ -163,21 +162,22 @@ def run_verification(spec: GameSpec, cfg: VerifyConfig):
     report = validate_spec(spec)
     if not report.valid:
         raise DomainError(str(report))
-    bundle, offsets = solve_game(spec)
-    law = build_feedback(bundle, offsets, spec)
-    solved = (spec, bundle, offsets)
+    bundle, Omega = solve_game(spec)
+    law = build_feedback(bundle, Omega)
+    solved = (spec, bundle, Omega)
     fine_spec = with_steps(spec, 2 * spec.grid.steps)
     fine = (fine_spec, *solve_game(fine_spec))
     checks = [
-        check_terminals(spec, bundle, offsets),
+        check_terminals(*solved),
         check_residual_order(solved, fine),
-        check_p_psd(spec, bundle),
+        check_p_psd(bundle),
         *check_measurability(spec, law, cfg.seed),
         check_ansatz_residual(solved, law, fine, cfg.seed),
     ]
+    del fine        # the 2K-step solve serves the two order checks only
     var_checks, var_reports = check_variational(spec, law, bundle, cfg)
     checks.extend(var_checks)
-    dp_check = check_dp(spec, bundle, offsets)
+    dp_check = check_dp(*solved)
     if dp_check is not None:
         checks.append(dp_check)
     return checks, var_reports

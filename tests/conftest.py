@@ -87,14 +87,31 @@ def offgrid_spec():
 
 
 @pytest.fixture(scope="session")
+def malformed_documents(reducible_spec):
+    """Spec documents that must not parse: reducible_spec's with A made
+    piecewise on breaks that are not a list of finite numbers or on a single
+    value, or with a grid size that is not a whole number."""
+    docs, two = [], [[[0.4]], [[0.5]]]
+    for breaks, values in ((0.5, two), ([[0.5]], two), ([float("nan")], two),
+                           ([float("inf")], two), ([0.5], 0.5)):
+        doc = sq.spec_to_dict(reducible_spec)
+        doc["coeffs"]["A"] = {"kind": "piecewise", "breaks": breaks,
+                              "values": values}
+        docs.append(doc)
+    for key, value in (("steps", 2.7), ("n", 1.5)):
+        docs.append({**sq.spec_to_dict(reducible_spec), key: value})
+    return docs
+
+
+@pytest.fixture(scope="session")
 def generic_solution(scalar_generic):
-    bundle, offsets = sq.solve_game(scalar_generic)
-    law = sq.build_feedback(bundle, offsets, scalar_generic)
-    return bundle, offsets, law
+    bundle, Omega = sq.solve_game(scalar_generic)
+    law = sq.build_feedback(bundle, Omega)
+    return bundle, Omega, law
 
 
 @pytest.fixture(scope="session")
 def additive_solution(scalar_additive):
-    bundle, offsets = sq.solve_game(scalar_additive)
-    law = sq.build_feedback(bundle, offsets, scalar_additive)
-    return bundle, offsets, law
+    bundle, Omega = sq.solve_game(scalar_additive)
+    law = sq.build_feedback(bundle, Omega)
+    return bundle, Omega, law

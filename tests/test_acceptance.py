@@ -29,7 +29,7 @@ def test_criterion_1_riccati_closed_form():
     t0 = time.perf_counter()
     spec = sq.make_spec(n=1, T=1.0, steps=1000, B1=1.0, R1=1.0, G1=1.0)
     p = solve_p(spec)
-    gap = abs(p.values[0][0, 0] - 0.5)
+    gap = abs(p[0][0, 0] - 0.5)
     dt = time.perf_counter() - t0
     ok = gap <= 1e-8 and dt < 1.0
     assert _report(1, ok, f"|p(0)-0.5| = {gap:.2e} <= 1e-8, runtime {dt:.2f}s < 1s", t0)
@@ -40,12 +40,12 @@ def test_criterion_2_trivial_zero_suite():
     spec = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, A=0.3,
                         B1=1.0, B2=1.0, B3=1.0, C1=0.1, C2=0.1, C3=0.1,
                         b=0.2, sigma1=0.3, sigma2=0.3, sigma3=0.3)
-    bundle, offsets = solve_game(spec)
-    law = sq.build_feedback(bundle, offsets, spec)
+    bundle, Omega = solve_game(spec)
+    law = sq.build_feedback(bundle, Omega)
     worst = 0.0
     for traj in (bundle.p, bundle.P1, bundle.P2, bundle.Pf1, bundle.Pf2,
-                 bundle.Pf3, offsets.Omega):
-        worst = max(worst, np.abs(traj.values).max())
+                 bundle.Pf3, Omega):
+        worst = max(worst, np.abs(traj).max())
     for name in ("K1", "k1", "K2hat", "K2check", "k2", "K3", "K3hat",
                  "K3check", "k3"):
         worst = max(worst, np.abs(getattr(law, name)).max())
@@ -60,10 +60,10 @@ def test_criterion_2_trivial_zero_suite():
 
 def test_criterion_3_convergence_order(n2_spec):
     t0 = time.perf_counter()
-    ref = solve_p(with_steps(n2_spec, 1600)).values
+    ref = solve_p(with_steps(n2_spec, 1600))
     errs = []
     for steps in (100, 200, 400, 800):
-        p = solve_p(with_steps(n2_spec, steps)).values
+        p = solve_p(with_steps(n2_spec, steps))
         stride = 1600 // steps
         errs.append(np.abs(p - ref[::stride]).max())
     factors = [errs[i] / errs[i + 1] for i in range(3)]
@@ -96,8 +96,8 @@ def test_criterion_5_measurability(scalar_generic, generic_solution):
 def test_criterion_6_exact_nesting(scalar_generic):
     t0 = time.perf_counter()
     spec = with_steps(scalar_generic, 200)
-    bundle, offsets = solve_game(spec)
-    law = sq.build_feedback(bundle, offsets, spec)
+    bundle, Omega = solve_game(spec)
+    law = sq.build_feedback(bundle, Omega)
     _, (_, ok, detail) = check_measurability(spec, law, 2024, n_paths=20)
     dt = time.perf_counter() - t0
     ok = ok and dt < 10.0
@@ -107,9 +107,9 @@ def test_criterion_6_exact_nesting(scalar_generic):
 def test_criterion_7_ansatz_residual(scalar_generic):
     t0 = time.perf_counter()
     spec, fine_spec = (with_steps(scalar_generic, s) for s in (150, 300))
-    bundle, offsets = solve_game(spec)
-    law = sq.build_feedback(bundle, offsets, spec)
-    _, ok, detail = check_ansatz_residual((spec, bundle, offsets), law,
+    bundle, Omega = solve_game(spec)
+    law = sq.build_feedback(bundle, Omega)
+    _, ok, detail = check_ansatz_residual((spec, bundle, Omega), law,
                                           (fine_spec, *solve_game(fine_spec)),
                                           5, n_paths=100)
     dt = time.perf_counter() - t0
@@ -119,7 +119,7 @@ def test_criterion_7_ansatz_residual(scalar_generic):
 
 def test_criterion_8_variational_optimality(scalar_additive, additive_solution):
     t0 = time.perf_counter()
-    bundle, offsets, law = additive_solution
+    bundle, Omega, law = additive_solution
     eps = (0.05, 0.1, 0.2)
     # 15 equilibrium cases, then the scaled-follower-gain negative control
     cases = [(player, d, 1.0) for player in (1, 2, 3)

@@ -6,11 +6,14 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import stacklq as sq
 from stacklq.cli import main
 from stacklq.closedloop import BLOCK_PATHS
+from stacklq.lift import CoeffValues
+from stacklq.verify import VerifyConfig, run_verification
 
 
 @pytest.fixture(scope="module")
@@ -84,11 +87,19 @@ def test_verify_one_path_is_a_parse_error(spec_file, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-def test_parse_error_exit_2(tmp_path):
+def test_parse_error_exit_2(tmp_path, malformed_documents):
     p = tmp_path / "garbled.json"
     p.write_text("{ definitely not json !!")
     rc = main(["validate", "--spec", str(p), "--out", str(tmp_path)])
     assert rc == 2
+    # a malformed document is exit 2 before anything runs, whatever the command
+    for doc in malformed_documents:
+        p.write_text(json.dumps(doc))
+        for command in ("validate", "solve"):
+            out = tmp_path / command
+            rc = main([command, "--spec", str(p), "--out", str(out)])
+            assert rc == 2, (command, doc)
+            assert not out.exists()
 
 
 def test_solve_zero_spec_all_zero_csv(zero_file, tmp_path):
@@ -303,6 +314,41 @@ def test_verify_reducible_bytes_pinned(tmp_path, reducible_spec, gains):
     code, digests = VERIFY_REDUCIBLE_PINNED[gains]
     assert rc == code
     assert {name: _sha256(tmp_path / "v" / name) for name in digests} == digests
+
+
+def test_each_grid_builds_its_coefficient_table_once(reducible_spec, tmp_path,
+                                                     monkeypatch):
+    # a solve builds the table of its step midpoints and of its grid, which
+    # the gains, the simulation, the sweep and the residuals all share; the
+    # DP cross-check builds its own two (DP grid and midpoints)
+    built = []
+    init = CoeffValues.__init__
+
+    def counting(cv, spec, t):
+        built.append(np.shape(t))
+        init(cv, spec, t)
+
+    monkeypatch.setattr(CoeffValues, "__init__", counting)
+    p = tmp_path / "red.json"
+    sq.save_spec(reducible_spec, p)
+    for command in ("solve", "simulate"):
+        built.clear()
+        assert main([command, "--spec", str(p), "--out", str(tmp_path / command),
+                     "--paths", "8"]) == 0
+        assert built == [(100,), (101,)], command
+    built.clear()
+    run_verification(reducible_spec, VerifyConfig(seed=3, n_paths=16))
+    assert len(built) == 6, built
+
+
+def test_shared_coefficient_table_is_read_only(reducible_spec):
+    bundle, Omega = sq.solve_game(reducible_spec)
+    law = sq.build_feedback(bundle, Omega)
+    assert law.cv is bundle.cv
+    with pytest.raises(ValueError):
+        bundle.cv.A[0] = 1.0
+    with pytest.raises(ValueError):
+        bundle.cv[1:-1].Rinv[0] += 1.0
 
 
 def test_console_entry_point(zero_file, tmp_path):

@@ -27,14 +27,14 @@ def _paths(spec, law, seed, n):
 
 
 def test_zero_spec_zero_gains_and_paths(zero_spec):
-    bundle, offsets = solve_game(zero_spec)
-    law = sq.build_feedback(bundle, offsets, zero_spec)
+    bundle, Omega = solve_game(zero_spec)
+    law = sq.build_feedback(bundle, Omega)
     for name in ("K1", "k1", "K2hat", "K2check", "k2", "K3", "K3hat",
                  "K3check", "k3"):
         assert np.all(getattr(law, name) == 0.0)
     spec0 = dataclasses.replace(zero_spec, x0=np.zeros(1))
     b0, o0 = solve_game(spec0)
-    law0 = sq.build_feedback(b0, o0, spec0)
+    law0 = sq.build_feedback(b0, o0)
     paths, _ = _paths(spec0, law0, 5, 8)
     assert np.all(paths.X3 == 0.0)
     assert np.all(paths.v1 == 0.0)
@@ -43,10 +43,10 @@ def test_zero_spec_zero_gains_and_paths(zero_spec):
 def test_k3_formula_zero_state():
     # zero dynamics, nonzero n3: k3(t) = -R3^{-1} n3 and Omega = 0
     spec = sq.make_spec(n=1, n3=0.4, R3=2.0)
-    bundle, offsets = solve_game(spec)
-    law = sq.build_feedback(bundle, offsets, spec)
+    bundle, Omega = solve_game(spec)
+    law = sq.build_feedback(bundle, Omega)
     assert np.allclose(law.k3, -0.4 / 2.0, atol=1e-14)
-    assert np.all(offsets.Omega.values == 0.0)
+    assert np.all(Omega == 0.0)
 
 
 def test_no_noise_levels_coincide(scalar_generic):
@@ -56,8 +56,8 @@ def test_no_noise_levels_coincide(scalar_generic):
         scalar_generic,
         coeffs=dataclasses.replace(scalar_generic.coeffs, C=(zc, zc, zc),
                                    sigma=(zv, zv, zv)))
-    bundle, offsets = solve_game(spec)
-    law = sq.build_feedback(bundle, offsets, spec)
+    bundle, Omega = solve_game(spec)
+    law = sq.build_feedback(bundle, Omega)
     paths, _ = _paths(spec, law, 9, 4)
     assert np.abs(paths.X3 - paths.X3hat).max() <= 1e-12
     assert np.abs(paths.X3 - paths.X3check).max() <= 1e-12
@@ -66,13 +66,13 @@ def test_no_noise_levels_coincide(scalar_generic):
 def _checks(spec, seed, law=None):
     """check_measurability's two checks on spec's own law or on law."""
     if law is None:
-        law = sq.build_feedback(*solve_game(spec), spec)
+        law = sq.build_feedback(*solve_game(spec))
     return check_measurability(spec, law, seed)
 
 
 def test_measurability_bit_identical(generic_solution, scalar_generic,
                                      n2_spec):
-    law2 = sq.build_feedback(*solve_game(n2_spec), n2_spec)
+    law2 = sq.build_feedback(*solve_game(n2_spec))
     for spec, law in ((scalar_generic, generic_solution[2]), (n2_spec, law2)):
         # the systems are coupled (M2, M3 != 0): the zero blocks of the drift
         # and the masked loadings are what keep W1/W2 out of the filters
@@ -115,7 +115,7 @@ def test_exact_nesting_passes_on_fixture_specs(request):
     specs = {name: request.getfixturevalue(name) for name in names}
     specs.update(no_noise=no_noise, sigma1_only=sigma1_only)
     for name, spec in specs.items():
-        law = sq.build_feedback(*solve_game(spec), spec)
+        law = sq.build_feedback(*solve_game(spec))
         for seed in (3, 15, 42):
             for cid, ok, detail in check_measurability(spec, law, seed):
                 assert ok, (name, seed, cid, detail)
@@ -125,7 +125,7 @@ def test_exact_nesting_independent_component():
     # x = x0 + sigma1 W1 and G1 = sigma(W3): E[x(t) | W3] = x0, the X of
     # the W3-only run, which the filter holds too
     spec = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, sigma1=1.0)
-    law = sq.build_feedback(*solve_game(spec), spec)
+    law = sq.build_feedback(*solve_game(spec))
     assert all(ok for _, ok, _ in check_measurability(spec, law, 7))
     dW = NoisePlan.for_spec(spec, 7).increments(np.arange(4))
     dW[:, :, 0] = 0.0
@@ -199,8 +199,8 @@ def test_block_kernel_matches_per_system_formulas(name, request):
     # summation order differs, so agreement is to rounding: rtol 1e-12, and
     # the same bound relative to the largest entry for entries near zero
     spec = request.getfixturevalue(name)
-    bundle, offsets = solve_game(spec)
-    law = sq.build_feedback(bundle, offsets, spec)
+    bundle, Omega = solve_game(spec)
+    law = sq.build_feedback(bundle, Omega)
     times = solver_times(spec)
     if name == "offgrid_spec":
         assert np.ptp(np.diff(times)) > 0
@@ -262,8 +262,8 @@ def test_blowup_reported_at_its_step():
     spec = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, A=0.3, B1=1.0, B2=0.8,
                         B3=0.6, sigma1=0.3, sigma2=0.3, sigma3=0.3,
                         Q1=1.0, G1=0.5, Q2=0.8, Q3=0.6)
-    bundle, offsets = solve_game(spec)
-    law = sq.build_feedback(bundle, offsets, spec)
+    bundle, Omega = solve_game(spec)
+    law = sq.build_feedback(bundle, Omega)
     times = solver_times(spec)
     dW = np.zeros((2, 100, 3))
     dW[1, 10, 2] = 1e13
@@ -272,7 +272,7 @@ def test_blowup_reported_at_its_step():
     runs = (lambda: simulate_equilibrium(spec, law, dW),
             lambda: simulate_state(spec, z, z, z, dW),
             lambda: _sweep_quadratics(spec, law, cases, dW,
-                                      _sweep_setup(spec, law, bundle, cases)))
+                                      _sweep_setup(bundle, cases)))
     for run in runs:
         with pytest.raises(BlowUpError) as err:
             run()
@@ -286,8 +286,8 @@ def test_blowup_in_later_block_names_global_path(monkeypatch):
     spec = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, A=0.3, B1=1.0, B2=0.8,
                         B3=0.6, sigma1=0.3, sigma2=0.3, sigma3=0.3,
                         Q1=1.0, G1=0.5, Q2=0.8, Q3=0.6)
-    bundle, offsets = solve_game(spec)
-    law = sq.build_feedback(bundle, offsets, spec)
+    bundle, Omega = solve_game(spec)
+    law = sq.build_feedback(bundle, Omega)
     times = solver_times(spec)
     bad = BLOCK_PATHS + 5
 
@@ -322,8 +322,7 @@ def test_offset_blowup_reported_at_its_node():
     times = solver_times(spec)
     big, zero = np.zeros((101, 1)), np.zeros((101, 1))
     big[:41] = 1e17
-    B = CoeffValues(spec, times).B
-    runs = (lambda: _follower_offset(bundle, B, big, zero, False),
+    runs = (lambda: _follower_offset(bundle, big, zero, False),
             lambda: _middle_offset(bundle, big, False))
     for run in runs:
         with pytest.raises(BlowUpError) as err:
@@ -342,17 +341,17 @@ def test_hat_filter_is_unbiased(generic_solution, scalar_generic):
         assert np.all(np.abs(mean) <= 3.0 * se + 1e-12)
 
 
-def reconstruct_phicheck(bundle, offsets, X3check):
+def reconstruct_phicheck(bundle, Omega, X3check):
     """Follower offset filter along paths: affine in the check-filtered state."""
-    G, g = _phicheck_gain(bundle, offsets)
+    G, g = _phicheck_gain(bundle, Omega)
     return mv(G, X3check) + g
 
 
-def reconstruct_Phi(bundle, offsets, X3hat, X3check):
+def reconstruct_Phi(bundle, Omega, X3hat, X3check):
     """Middle-level offset filters (hat and check versions) along paths."""
-    L = selectors(bundle.p.values.shape[-1])[2]
-    Pf12, Pf3 = bundle.Pf1.values + bundle.Pf2.values, bundle.Pf3.values
-    off = mv(L, offsets.Omega.values)
+    L = selectors(bundle.p.shape[-1])[2]
+    Pf12, Pf3 = bundle.Pf1 + bundle.Pf2, bundle.Pf3
+    off = mv(L, Omega)
     Phih = mv(L @ Pf12, X3hat) + mv(L @ Pf3, X3check) + off
     Phic = mv(L @ (Pf12 + Pf3), X3check) + off
     return Phih, Phic
@@ -370,15 +369,15 @@ def filtered_controls(law, paths):
 def test_offset_reconstruction_matches_per_node_formulas(n2_spec):
     # node-axis reconstruction against the per-node formulas; the summation
     # order may differ, so agreement is to rounding, not to the bit
-    bundle, offsets = solve_game(n2_spec)
-    law = sq.build_feedback(bundle, offsets, n2_spec)
+    bundle, Omega = solve_game(n2_spec)
+    law = sq.build_feedback(bundle, Omega)
     paths, _ = _paths(n2_spec, law, 5, 8)
-    phic = reconstruct_phicheck(bundle, offsets, paths.X3check)
-    Phih, Phic = reconstruct_Phi(bundle, offsets, paths.X3hat, paths.X3check)
+    phic = reconstruct_phicheck(bundle, Omega, paths.X3check)
+    Phih, Phic = reconstruct_Phi(bundle, Omega, paths.X3hat, paths.X3check)
     _, U, L, s2 = selectors(n2_spec.n)
-    P1, P2 = bundle.P1.values, bundle.P2.values
-    Pf1, Pf2, Pf3 = bundle.Pf1.values, bundle.Pf2.values, bundle.Pf3.values
-    Om = offsets.Omega.values
+    P1, P2 = bundle.P1, bundle.P2
+    Pf1, Pf2, Pf3 = bundle.Pf1, bundle.Pf2, bundle.Pf3
+    Om = Omega
     for k in range(bundle.times.shape[0]):
         G = s2 @ (P1[k] + P2[k]) @ U + s2 @ L @ (Pf1[k] + Pf2[k] + Pf3[k])
         want = paths.X3check[:, k] @ G.T + s2 @ (L @ Om[k])
@@ -425,9 +424,9 @@ def test_respond_player1_rejects_paths_without_filters(generic_solution,
 
 def test_respond_player1_equilibrium_fixed_point(generic_solution,
                                                  scalar_generic):
-    bundle, offsets, law = generic_solution
+    bundle, Omega, law = generic_solution
     paths, dW = _paths(scalar_generic, law, 31, 32)
-    phic = reconstruct_phicheck(bundle, offsets, paths.X3check)
+    phic = reconstruct_phicheck(bundle, Omega, paths.X3check)
     vcheck2, _, vcheck3 = filtered_controls(law, paths)
     r = respond_player1(scalar_generic, bundle, paths.v2, paths.v3, dW,
                         vcheck2=vcheck2, vcheck3=vcheck3, phicheck=phic)
@@ -462,9 +461,9 @@ def test_respond_player12_pulse_integral():
 
 def test_respond_player12_equilibrium_fixed_point(generic_solution,
                                                   scalar_generic):
-    bundle, offsets, law = generic_solution
+    bundle, Omega, law = generic_solution
     paths, dW = _paths(scalar_generic, law, 13, 32)
-    Phih, Phic = reconstruct_Phi(bundle, offsets, paths.X3hat, paths.X3check)
+    Phih, Phic = reconstruct_Phi(bundle, Omega, paths.X3hat, paths.X3check)
     _, vhat3, vcheck3 = filtered_controls(law, paths)
     r = respond_player12(scalar_generic, bundle, paths.v3, dW, vhat3=vhat3,
                          vcheck3=vcheck3, Phihat=Phih, Phicheck=Phic)
@@ -480,12 +479,12 @@ def test_ansatz_residual_shrinks(scalar_generic):
         sp = dataclasses.replace(scalar_generic,
                                  grid=dataclasses.replace(
                                      scalar_generic.grid, steps=steps))
-        bundle, offsets = solve_game(sp)
-        law = sq.build_feedback(bundle, offsets, sp)
+        bundle, Omega = solve_game(sp)
+        law = sq.build_feedback(bundle, Omega)
         plan = NoisePlan.from_seed(7, np.diff(solver_times(sp)))
         dW = plan.increments(np.arange(100))
         paths = simulate_equilibrium(sp, law, dW)
-        worsts.append(ansatz_residual(sp, bundle, offsets, paths, dW))
+        worsts.append(ansatz_residual(bundle, Omega, paths, dW))
     assert 0.25 <= worsts[1] / worsts[0] <= 0.75
 
 

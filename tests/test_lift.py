@@ -46,9 +46,9 @@ def test_builders_match_per_node_formulas(name, request):
     families = (bundle.l1, bundle.l2, bundle.l2cl, bundle.l3)
     for k, t in enumerate(bundle.times):
         cv = CoeffValues(spec, t)
-        l1 = level1_at(cv, bundle.p.values[k])
+        l1 = level1_at(cv, bundle.p[k])
         l2 = level2_at(cv, l1)
-        cl = level2_closedloop_at(cv, l2, bundle.P1.values[k], bundle.P2.values[k])
+        cl = level2_closedloop_at(cv, l2, bundle.P1[k], bundle.P2[k])
         l3 = level3_at(cv, l2, cl)
         for table, node in zip(families, (l1, l2, cl, l3)):
             assert table.keys() == node.keys()
@@ -73,7 +73,7 @@ def blocks_2x2(n, M11, M12, M21, M22):
 
 
 def test_zero_spec_all_levels_zero(zero_spec):
-    bundle, offsets = solve_game(zero_spec)
+    bundle, Omega = solve_game(zero_spec)
     for name in ("Abar", "F1bar", "F2bar", "F3bar", "bbar", "f1bar"):
         assert np.all(getattr(bundle.l1, name) == 0.0)
     for name in ("calA1", "calA2", "calF1", "calQ2", "calF2", "calF3",
@@ -98,7 +98,7 @@ def test_level1_f2bar_matches_naive_product(n2_spec):
     k = 7
     t = bundle.times[k]
     B2 = CoeffValues(n2_spec, t).B[1]
-    expected = naive_matmul(B2.T, bundle.p.values[k])
+    expected = naive_matmul(B2.T, bundle.p[k])
     assert np.allclose(bundle.l1.F2bar[k], expected, atol=1e-14)
 
 
@@ -150,7 +150,7 @@ def test_H_recomputable_identity(generic_solution, scalar_generic):
     for k in (0, 50, 199):
         cv = CoeffValues(scalar_generic, bundle.times[k])
         cB2 = bundle.l2.calB2[k]
-        P1 = bundle.P1.values[k]
+        P1 = bundle.P1[k]
         H = P1 @ cB2 @ cv.Rinv[1] @ cB2.T @ P1
         assert np.allclose(bundle.l2cl.H[k], H, atol=1e-13)
 

@@ -96,7 +96,7 @@ def test_piecewise_roundtrip(tmp_path):
     assert json.dumps(sq.spec_to_dict(spec)) == json.dumps(sq.spec_to_dict(again))
 
 
-def test_malformed_document_raises(tmp_path):
+def test_malformed_document_raises(tmp_path, malformed_documents):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
     with pytest.raises(SpecFormatError):
@@ -104,6 +104,10 @@ def test_malformed_document_raises(tmp_path):
     bad.write_text(json.dumps({"n": 1}))
     with pytest.raises(SpecFormatError):
         sq.load_spec(bad)
+    for doc in malformed_documents:
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(SpecFormatError):
+            sq.load_spec(bad)
 
 
 def test_breakpoints_must_increase():

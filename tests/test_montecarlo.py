@@ -21,9 +21,9 @@ from stacklq.rng import NoisePlan
 
 
 def _solution(spec):
-    bundle, offsets = solve_game(spec)
-    law = sq.build_feedback(bundle, offsets, spec)
-    return bundle, offsets, law
+    bundle, Omega = solve_game(spec)
+    law = sq.build_feedback(bundle, Omega)
+    return bundle, Omega, law
 
 
 def _path_costs(spec, seed, n_paths):
@@ -79,7 +79,7 @@ def test_cost_against_moment_ode():
 def test_variational_pure_control_energy():
     # Q = G = m = n = 0 and R = I: J(eps) = eps^2/2 * ||delta||^2 exactly
     spec = sq.make_spec(n=1, T=1.0, steps=100, x0=0.0, B1=1.0)
-    bundle, offsets, law = _solution(spec)
+    bundle, Omega, law = _solution(spec)
     d = default_directions(spec)[0]
     rep = variational_sweep(spec, [(1, d, 1.0)], [0.1, 0.2], 64, 3, law,
                             bundle)[0]
@@ -93,7 +93,7 @@ def test_variational_pure_control_energy():
 
 
 def test_variational_equilibrium_slopes(scalar_additive, additive_solution):
-    bundle, offsets, law = additive_solution
+    bundle, Omega, law = additive_solution
     for player in (1, 2, 3):
         d = default_directions(scalar_additive)[1]
         rep = variational_sweep(scalar_additive, [(player, d, 1.0)],
@@ -103,7 +103,7 @@ def test_variational_equilibrium_slopes(scalar_additive, additive_solution):
 
 
 def test_variational_negative_control(scalar_additive, additive_solution):
-    bundle, offsets, law = additive_solution
+    bundle, Omega, law = additive_solution
     fails = 0
     for d in default_directions(scalar_additive)[:3]:
         rep = variational_sweep(scalar_additive, [(1, d, 1.5)], [0.05], 2000,
@@ -412,7 +412,7 @@ def _helper_group(spec, bundle, law, player, gain_scale, directions, dW):
     paths = np.stack([d.path for d in directions])
     off = None
     if player == 2:
-        off = _follower_offset(bundle, cv.B, paths, np.zeros_like(paths), False)
+        off = _follower_offset(bundle, paths, np.zeros_like(paths), False)
     elif player == 3:
         off = _middle_offset(bundle, paths, False)
     dx, xt = np.zeros((D, N, n)), np.tile(spec.x0, (N, 1))
@@ -469,7 +469,7 @@ def test_sweep_group_tables_match_helpers(name, request):
               (1, 1.5): dirs[:2]}
     cases = [(player, d, scale) for (player, scale), ds in groups.items()
              for d in ds]
-    cv, tables = montecarlo._sweep_setup(spec, law, bundle, cases)
+    tables, cv = montecarlo._sweep_setup(bundle, cases), law.cv
     dW = NoisePlan.from_seed(3, np.diff(times)).increments(np.arange(16))
 
     def close(got, want):

@@ -6,7 +6,7 @@ import pytest
 import stacklq as sq
 from stacklq.errors import BlowUpError, ReductionError, StackLQError
 from stacklq.lift import CoeffValues, level1_at
-from stacklq.model import Coefficient, with_steps
+from stacklq.model import Coefficient, solver_times, with_steps
 from stacklq.oracle import (DiscreteLQ, DPSolution, _continuous_value,
                             crosscheck_p, reduce_to_single_player, solve_dp)
 from stacklq.riccati import backward_rk4, solve_p
@@ -200,11 +200,12 @@ def _oracle_grid_value(spec, steps):
     the ladder."""
     T, n = spec.horizon, spec.n
     times = np.linspace(0.0, T, steps + 1)
-    ptraj = solve_p(with_steps(spec, steps))
+    pspec = with_steps(spec, steps)
+    ptimes = solver_times(pspec)
     # solve_p's grid adds every breakpoint; keep the node nearest each t_k
-    j = np.clip(np.searchsorted(ptraj.times, times), 1, ptraj.times.shape[0] - 1)
-    j -= times - ptraj.times[j - 1] < ptraj.times[j] - times
-    pv = ptraj.values[j]
+    j = np.clip(np.searchsorted(ptimes, times), 1, ptimes.shape[0] - 1)
+    j -= times - ptimes[j - 1] < ptimes[j] - times
+    pv = solve_p(pspec)[j]
     # coefficients at the RK4 stage times: nodes and step midpoints
     stage_t = np.empty(2 * steps + 1)
     stage_t[0::2] = times
@@ -243,12 +244,12 @@ def test_follower_gain_reads_only_p(which, request):
     # v1 = K1 Xc + k1 with K1 = -R1^-1 B1' p on Xc's x block: Omega's last
     # quarter, k1's offset, is then the follower's phi
     spec = _reducible(which, request)
-    bundle, offsets = sq.solve_game(spec)
-    law = sq.build_feedback(bundle, offsets, spec)
+    bundle, Omega = sq.solve_game(spec)
+    law = sq.build_feedback(bundle, Omega)
     cv = CoeffValues(spec, bundle.times)
     n = spec.n
     assert np.array_equal(law.K1[:, :, :n],
-                          -cv.Rinv[0] @ cv.B[0].mT @ bundle.p.values)
+                          -cv.Rinv[0] @ cv.B[0].mT @ bundle.p)
     assert not np.any(law.K1[:, :, n:])
 
 

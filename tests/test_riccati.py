@@ -6,7 +6,7 @@ from stacklq.errors import BlowUpError
 from stacklq.lift import (CoeffValues, bdiag, level1_at, level2_at,
                           level2_closedloop_at, level3_at, mv)
 from stacklq.model import Coefficient, solver_times
-from stacklq.riccati import (MatrixTrajectory, _ladder_rhs, backward_rk4,
+from stacklq.riccati import (_ladder_rhs, backward_rk4,
                              riccati_residuals, solve_game, solve_p,
                              terminal_state)
 
@@ -17,29 +17,29 @@ def integrate_backward(rhs, terminal, times):
         lambda k, j, y: (rhs(times[k] - (0.0, 0.5, 0.5, 1.0)[j]
                              * (times[k] - times[k - 1]), y[0]),),
         (np.asarray(terminal, dtype=float),), times, "backward integration")
-    return MatrixTrajectory(times, values)
+    return values
 
 
 def test_integrate_backward_constant():
     K = np.array([[2.0, 1.0], [1.0, 3.0]])
     traj = integrate_backward(lambda t, M: np.zeros_like(M), K,
                               np.linspace(0, 1, 11))
-    assert np.array_equal(traj.values[0], K)
-    assert np.array_equal(traj.terminal, K)
+    assert np.array_equal(traj[0], K)
+    assert np.array_equal(traj[-1], K)
 
 
 def test_integrate_backward_quadratic_closed_form():
     # dp/dt = p^2 with p(1) = 1 has p(t) = 1/(2 - t), so p(0) = 1/2
     traj = integrate_backward(lambda t, M: M @ M, np.eye(1),
                               np.linspace(0, 1, 1001))
-    assert abs(traj.values[0][0, 0] - 0.5) < 1e-10
+    assert abs(traj[0][0, 0] - 0.5) < 1e-10
 
 
 def test_integrate_backward_linear_closed_form():
     k, g, T = 1.7, 2.0, 1.0
     traj = integrate_backward(lambda t, M: -k * M, np.array([[g]]),
                               np.linspace(0, T, 201))
-    assert abs(traj.values[0][0, 0] - g * np.exp(k * T)) < 1e-9
+    assert abs(traj[0][0, 0] - g * np.exp(k * T)) < 1e-9
 
 
 def test_integrate_backward_blowup():
@@ -51,15 +51,15 @@ def test_integrate_backward_blowup():
 
 def test_solve_p_zero_sources(zero_spec):
     p = solve_p(zero_spec)
-    assert np.all(p.values == 0.0)
+    assert np.all(p == 0.0)
 
 
 def test_solve_p_closed_form(closed_form_spec):
     p = solve_p(closed_form_spec)
     # p(t) = 1/(1 + T - t)
-    assert abs(p.values[0][0, 0] - 0.5) <= 1e-8
-    mid = p.values[len(p.times) // 2][0, 0]
-    tm = p.times[len(p.times) // 2]
+    assert abs(p[0][0, 0] - 0.5) <= 1e-8
+    mid = p[len(p) // 2][0, 0]
+    tm = solver_times(closed_form_spec)[len(p) // 2]
     assert abs(mid - 1.0 / (2.0 - tm)) <= 1e-8
 
 
@@ -70,28 +70,28 @@ def test_solve_p_linear_variation_of_constants():
     p = solve_p(spec)
     lam = 2 * a + c * c
     expect = np.exp(lam * T) * g + q * (np.exp(lam * T) - 1.0) / lam
-    assert abs(p.values[0][0, 0] - expect) < 1e-9
+    assert abs(p[0][0, 0] - expect) < 1e-9
 
 
 def test_solve_p_symmetric_psd(n2_spec):
     p = solve_p(n2_spec)
-    assert np.abs(p.values - p.values.transpose(0, 2, 1)).max() <= 1e-9
-    assert min(np.linalg.eigvalsh(M).min() for M in p.values) >= -1e-8
+    assert np.abs(p - p.transpose(0, 2, 1)).max() <= 1e-9
+    assert min(np.linalg.eigvalsh(M).min() for M in p) >= -1e-8
 
 
 def test_P12_zero_when_uncontrolled():
     spec = sq.make_spec(n=1, A=0.3, B1=1.0, C3=0.2, Q1=0.5, G1=0.4, R1=1.0)
     bundle, _ = solve_game(spec)  # Q2 = G2 = 0 and B2 = 0
-    assert np.all(bundle.P1.values == 0.0)
-    assert np.all(bundle.P2.values == 0.0)
+    assert np.all(bundle.P1 == 0.0)
+    assert np.all(bundle.P2 == 0.0)
 
 
 def test_P1_terminal_exact(n2_spec):
     bundle, _ = solve_game(n2_spec)
     n = n2_spec.n
     calG2 = bdiag(n2_spec.costs.players[1].G, np.zeros((n, n)))
-    assert np.array_equal(bundle.P1.terminal, calG2)
-    assert np.all(bundle.P2.terminal == 0.0)
+    assert np.array_equal(bundle.P1[-1], calG2)
+    assert np.all(bundle.P2[-1] == 0.0)
 
 
 def test_P123_zero_sources():
@@ -99,16 +99,16 @@ def test_P123_zero_sources():
     spec0 = sq.make_spec(n=1, A=0.2, B1=1.0, Q1=0.4, G1=0.3)
     b0, _ = solve_game(spec0)
     assert np.all(b0.l2cl.H == 0.0)
-    assert np.all(b0.Pf1.values == 0.0)
-    assert np.all(b0.Pf2.values == 0.0)
-    assert np.all(b0.Pf3.values == 0.0)
+    assert np.all(b0.Pf1 == 0.0)
+    assert np.all(b0.Pf2 == 0.0)
+    assert np.all(b0.Pf3 == 0.0)
 
 
 def test_Pf1_terminal_exact(n2_spec):
     bundle, _ = solve_game(n2_spec)
-    assert np.array_equal(bundle.Pf1.terminal, terminal_state(n2_spec)[3])
-    assert np.all(bundle.Pf2.terminal == 0.0)
-    assert np.all(bundle.Pf3.terminal == 0.0)
+    assert np.array_equal(bundle.Pf1[-1], terminal_state(n2_spec)[3])
+    assert np.all(bundle.Pf2[-1] == 0.0)
+    assert np.all(bundle.Pf3[-1] == 0.0)
 
 
 def test_residuals_scale_h2(scalar_generic):
@@ -119,7 +119,7 @@ def test_residuals_scale_h2(scalar_generic):
                                  grid=dataclasses.replace(scalar_generic.grid,
                                                           steps=steps))
         b, o = solve_game(sp)
-        res = riccati_residuals(sp, b, o)
+        res = riccati_residuals(b, o)
         h = sp.horizon / steps
         vals[steps] = {k: v / h**2 for k, v in res.items()}
     for name in vals[200]:
@@ -130,40 +130,40 @@ def test_residuals_scale_h2(scalar_generic):
 
 
 def test_offsets_zero_sources(zero_spec):
-    bundle, offsets = solve_game(zero_spec)
-    assert np.all(offsets.Omega.values == 0.0)
+    bundle, Omega = solve_game(zero_spec)
+    assert np.all(Omega == 0.0)
 
 
 def test_offsets_constant_source_integral():
     # all dynamics zero, m3 = const: Omega' = -(m3; 0; 0; 0), Omega(T) = 0
     m3 = 0.37
     spec = sq.make_spec(n=1, T=1.0, steps=100, m3=m3)
-    bundle, offsets = solve_game(spec)
+    bundle, Omega = solve_game(spec)
     expect = np.array([m3 * 1.0, 0.0, 0.0, 0.0])
-    assert np.allclose(offsets.Omega.values[0], expect, atol=1e-12)
-    assert np.all(offsets.Omega.terminal == 0.0)
+    assert np.allclose(Omega[0], expect, atol=1e-12)
+    assert np.all(Omega[-1] == 0.0)
 
 
 def test_sequential_ops_match_joint(scalar_generic):
     bundle, _ = solve_game(scalar_generic)
     p = solve_p(scalar_generic)
-    assert np.array_equal(p.values, bundle.p.values)
+    assert np.array_equal(p, bundle.p)
 
 
 def test_determinism(scalar_generic):
     b1, o1 = solve_game(scalar_generic)
     b2, o2 = solve_game(scalar_generic)
     for name in ("p", "P1", "P2", "Pf1", "Pf2", "Pf3"):
-        assert np.array_equal(getattr(b1, name).values,
-                              getattr(b2, name).values)
-    assert np.array_equal(o1.Omega.values, o2.Omega.values)
+        assert np.array_equal(getattr(b1, name),
+                              getattr(b2, name))
+    assert np.array_equal(o1, o2)
 
 
 def test_middle_and_top_solutions_symmetric(n2_spec):
     # the re-derived equations preserve symmetry; no symmetrization applied
     bundle, _ = solve_game(n2_spec)
     for name in ("P1", "P2", "Pf1", "Pf2", "Pf3"):
-        v = getattr(bundle, name).values
+        v = getattr(bundle, name)
         assert np.abs(v - v.transpose(0, 2, 1)).max() < 1e-10, name
 
 
@@ -171,10 +171,10 @@ def test_piecewise_coefficients_integrate():
     from stacklq.model import Coefficient
     pw = Coefficient.piecewise([0.4], [[[0.5]], [[-0.2]]])
     spec = sq.make_spec(n=1, T=1.0, steps=100, A=pw, B1=1.0, Q1=0.5, G1=0.5)
-    bundle, offsets = solve_game(spec)
+    bundle, Omega = solve_game(spec)
     # grid contains the breakpoint and the residuals stay small off it
     assert np.any(np.isclose(bundle.times, 0.4))
-    assert np.all(np.isfinite(bundle.p.values))
+    assert np.all(np.isfinite(bundle.p))
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +267,11 @@ def test_stack_rhs_matches_block_equations(name, request):
     spec = request.getfixturevalue(name)
     rng = np.random.default_rng(5)
     ts = rng.uniform(0.0, spec.horizon, 12)
-    bundle, offsets = solve_game(spec)
-    solved = tuple(getattr(bundle, f).values
+    bundle, Omega = solve_game(spec)
+    solved = tuple(getattr(bundle, f)
                    for f in ("p", "P1", "P2", "Pf1", "Pf2", "Pf3"))
     cases = [(CoeffValues(spec, ts), _random_states(rng, ts.shape[0], spec.n)),
-             (CoeffValues(spec, bundle.times), solved + (offsets.Omega.values,))]
+             (CoeffValues(spec, bundle.times), solved + (Omega,))]
     for cv, state in cases:
         for got, ref in zip(_ladder_rhs(cv, state), _block_rhs(cv, state)):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -294,9 +294,9 @@ def _joint_ladder(spec):
 @pytest.mark.parametrize("name", ("scalar_generic", "n2_spec", "offgrid_spec"))
 def test_ladder_levels_match_joint_rk4(name, request):
     spec = request.getfixturevalue(name)
-    bundle, offsets = solve_game(spec)
-    got = [getattr(bundle, f).values for f in ("p", "P1", "P2", "Pf1", "Pf2", "Pf3")]
-    got.append(offsets.Omega.values)
+    bundle, Omega = solve_game(spec)
+    got = [getattr(bundle, f) for f in ("p", "P1", "P2", "Pf1", "Pf2", "Pf3")]
+    got.append(Omega)
     for g, ref in zip(got, _joint_ladder(spec)):
         assert g.shape == ref.shape
         assert np.abs(g - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -329,10 +329,10 @@ def test_ladder_blowup_time_pinned():
 def test_ladder_numbers_pinned(n2_spec):
     # recorded from the per-block equations (`_block_rhs`) before the ladder
     # became one Riccati instance per cumulative sum
-    bundle, offsets = solve_game(n2_spec)
-    law = sq.build_feedback(bundle, offsets, n2_spec)
-    arrays = {"P2": bundle.P2.values, "Pf2": bundle.Pf2.values,
-              "Pf3": bundle.Pf3.values, "Omega": offsets.Omega.values,
+    bundle, Omega = solve_game(n2_spec)
+    law = sq.build_feedback(bundle, Omega)
+    arrays = {"P2": bundle.P2, "Pf2": bundle.Pf2,
+              "Pf3": bundle.Pf3, "Omega": Omega,
               "K2check": law.K2check, "K3check": law.K3check}
     for (name, k), want in LADDER_PINNED.items():
         got = arrays[name][k]

@@ -3,7 +3,9 @@ import pytest
 import stacklq as sq
 import stacklq.riccati as riccati
 from stacklq.errors import DomainError
-from stacklq.verify import VerifyConfig, run_verification
+from stacklq.model import with_steps
+from stacklq.riccati import riccati_residuals, solve_game
+from stacklq.verify import VerifyConfig, check_residual_order, run_verification
 
 
 def test_verification_solves_the_ladder_twice(reducible_spec, monkeypatch):
@@ -26,3 +28,18 @@ def test_verification_rejects_an_invalid_spec():
     spec = sq.make_spec(n=1, T=1.0, steps=50, B1=1.0, G1=-1.0)
     with pytest.raises(DomainError, match="G1"):
         run_verification(spec, VerifyConfig(n_paths=16))
+
+
+def test_residual_order_holds_across_offgrid_breakpoints(offgrid_spec):
+    # breaks between grid nodes give unequal steps beside them and a kink in
+    # every solution at them: the three-point differences and the nodes left
+    # out beside each jump keep the residuals at C h^2 with a steady C
+    solved = [(sp, *solve_game(sp))
+              for sp in (with_steps(offgrid_spec, s) for s in (200, 400))]
+    _, ok, detail = check_residual_order(*solved)
+    assert ok, detail
+    C = [{name: r / (sp.horizon / sp.grid.steps) ** 2
+          for name, r in riccati_residuals(b, Omega).items()}
+         for sp, b, Omega in solved]
+    for name, c in C[0].items():
+        assert 0.5 <= C[1][name] / c <= 2.0, (name, detail)
