@@ -241,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", parents=[common])
     ver.add_argument("--epsilons", default="0.05,0.1,0.2")
     ver.add_argument("--sabotage-gains", type=float, default=1.0,
-                     help="test hook: scale the follower gain before the "
-                          "variational check (1.0 = off)")
+                     help="test hook: verify the law whose follower gain "
+                          "is scaled by X (1.0 = off)")
     ver.set_defaults(fn=cmd_verify)
     return ap
 

@@ -20,6 +20,8 @@ perturbation, the systems being linear: the variational sweep in
 offsets are solved by riccati's `backward_rk4`, so they are blow-up guarded
 like the ladder.  Gains, responses and residuals read the solve's one grid
 coefficient table, `bundle.cv`, which the law carries on as `law.cv`.
+`verify`'s negative control is a law too: `build_feedback` with a
+gain_scale other than 1 scales the follower gain on every block.
 """
 
 from __future__ import annotations
@@ -101,9 +103,14 @@ class PathBundle:
     v3: np.ndarray
 
 
-def build_feedback(bundle: RiccatiBundle, Omega: np.ndarray) -> FeedbackLaw:
+def build_feedback(bundle: RiccatiBundle, Omega: np.ndarray,
+                   gain_scale: float = 1.0) -> FeedbackLaw:
     """Assemble all gain tables and the closed-loop drift tables from the
-    solved ladder and its offset Omega (K+1, 4n)."""
+    solved ladder and its offset Omega (K+1, 4n).
+
+    A gain_scale other than 1 builds the sabotaged law of `verify
+    --sabotage-gains`: the follower plays v1 = gain_scale K1 Xc + k1, which
+    drives the x rows of all three blocks, so the law stays nested."""
     times, cv, p = bundle.times, bundle.cv, bundle.p
     n = p.shape[-1]
     e1, U, L, s2 = selectors(n)
@@ -138,6 +145,9 @@ def build_feedback(bundle: RiccatiBundle, Omega: np.ndarray) -> FeedbackLaw:
                + (l3.frakF1dd - l3.frakF1bar) @ Pf1 + B3f @ g["K3hat"])
     g["M3"] = l3.frakA3 + l3.frakF1dd @ Pf3 + B3f @ g["K3check"]
     g["coff"] = mv(l3.frakF1dd, Omega) + l3.ddb3 + mv(B3f, g["k3"])
+    if gain_scale != 1.0:
+        g["M3"] = g["M3"] + (gain_scale - 1.0) * (e1.T @ B1 @ g["K1"])
+        g["K1"] = gain_scale * g["K1"]
 
     for name, table in g.items():
         if not np.all(np.isfinite(table)):

@@ -9,13 +9,14 @@ reported central-difference slope coincides with the polynomial's linear
 coefficient, and its standard error comes from the per-path linear terms
 (classical CRN variance reduction).
 
-`variational_sweep` runs many (player, direction, gain_scale) cases with the
-chunk loop outermost: each chunk of paths draws its Brownian increments once
-and steps one base closed loop, along which one response group per distinct
-(player, gain_scale) advances its base cost and all its directions as one
-block state, on node tables probed once per sweep from the homogeneous,
-linear form of closedloop's best-response systems (those `respond_player1/12`
-run).  No increment row is drawn twice however many cases share the seed.
+`variational_sweep` tests players against directions with the chunk loop
+outermost: each chunk of paths draws its Brownian increments once and steps
+one base closed loop of the law it is handed, along which one response group
+per player advances its base cost and all the directions as one block state,
+on node tables probed once per sweep from the homogeneous, linear form of
+closedloop's best-response systems (those `respond_player1/12` run).  No
+increment row is drawn twice however many players and directions share the
+seed.  The sabotaged law of `verify --sabotage-gains` is swept like any other.
 
 `simulate_blocks` streams the equilibrium for `stacklq simulate` block by
 block of paths, keeping every thin-th node and each player's running cost,
@@ -25,7 +26,6 @@ table `law.cv` and build none.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +34,6 @@ from .closedloop import (BLOCK_PATHS, FeedbackLaw, _follower_control,
                          _follower_offset, _follower_step, _guard,
                          _middle_controls, _middle_offset, _middle_step,
                          _node_loop, _paths_from, _state_step)
-from .errors import UnsupportedPerturbationError
 from .lift import CoeffValues
 from .model import GameSpec, solver_times
 from .riccati import RiccatiBundle
@@ -194,27 +193,24 @@ def _group_tables(bundle: RiccatiBundle, player, directions):
 
 
 class _Group:
-    """One player's responses to D directions at one gain scale and their
-    per-path cost polynomials J_d(eps) = J0 + eps Bc[d] + eps^2 Cc[d], added
-    up node by node along the base run that a sweep's groups share.
+    """One player's responses to D directions and their per-path cost
+    polynomials J_d(eps) = J0 + eps Bc[d] + eps^2 Cc[d], added up node by node
+    along the base run that a sweep's groups share.
 
     R (w, D, N) holds the responses as columns of [dx] (player 1), [dx |
     dxc] (player 2) or [dx | dX2h | dX2c] (player 3); the state stacks it
     over its copies scaled by the increments of the c loaded `channels`.
     R's Euler step is step[k] (w, (1 + c) w) times the state plus drive[k]
-    (w, D, 1).  dv[k] (n, D, 1) holds the directions' paths.  J0 and, under
-    a gain_scale other than 1, the state xt of the scaled follower gain are
-    one path per group.  A still group, whose drive is all exact zeros (as
-    when its player's B is 0), keeps R = 0: it is never stepped and its
-    costs take only the dv terms.
+    (w, D, 1).  dv[k] (n, D, 1) holds the directions' paths.  A still group,
+    whose drive is all exact zeros (as when its player's B is 0), keeps
+    R = 0: it is never stepped and its costs take only the dv terms.
     """
 
-    def __init__(self, x0, N: int, player: int, gain_scale: float, tables):
+    def __init__(self, N: int, player: int, tables):
         self.dv, self.step, self.channels, self.drive = tables
         w, D = self.drive.shape[1:3]
-        self.player, self.gain_scale = player, gain_scale
+        self.player = player
         self.still = not np.any(self.drive)
-        self.xt = np.tile(x0, (N, 1)) if gain_scale != 1.0 else None
         self.state = np.zeros((1 + len(self.channels), w, D, N))
         self.J0, self.Bc, self.Cc2 = np.zeros(N), np.zeros((D, N)), np.zeros((D, N))
 
@@ -225,10 +221,7 @@ class _Group:
         and the controls V = [v1 | v2 | v3] are the shared base run at node k.
         """
         n, own, K = law.n, self.player - 1, dW.shape[1]
-        v = [V[:, :n], V[:, n:2 * n], V[:, 2 * n:]]
-        if self.xt is not None:
-            v[0] = self.gain_scale * (Z[:, 8 * n:] @ law.K1[k].T) + law.k1[k]
-        xbase = Z[:, :n] if self.xt is None else self.xt
+        x, vown = Z[:, :n], V[:, own * n:(own + 1) * n]
 
         # each direction's value and the response dx contract with the cost
         # weights: h Q, h m, h R, h n before the last node, G alone at it
@@ -236,17 +229,14 @@ class _Group:
         h = law.times[k + 1] - law.times[k] if k < K else 0.0
         Wx, wx = (h * c.Q[own], h * c.m[own]) if k < K else (c.G[own], 0.0)
         Wv, wv = h * c.R[own], h * c.nl[own]
-        self.J0 += _node_cost(c, own, k, law.times, xbase, v[own])
+        self.J0 += _node_cost(c, own, k, law.times, x, vown)
         Bx, Cx = ((0.0, 0.0) if self.still else
-                  (np.einsum("idp,pi->dp", dx, xbase @ Wx + wx),
+                  (np.einsum("idp,pi->dp", dx, x @ Wx + wx),
                    np.einsum("idp,ij,jdp->dp", dx, Wx, dx)))
-        self.Bc += Bx + np.einsum("idp,pi->dp", dv, v[own] @ Wv + wv)
+        self.Bc += Bx + np.einsum("idp,pi->dp", dv, vown @ Wv + wv)
         self.Cc2 += Cx + np.einsum("idp,ij,jdp->dp", dv, Wv, dv)
-        if k < K:
-            if not self.still:
-                _group_step(self, k, dW[:, k], float(law.times[k + 1]))
-            if self.xt is not None:
-                self.xt = _state_step(c, law.times, k, dW[:, k], self.xt, v, True)
+        if k < K and not self.still:
+            _group_step(self, k, dW[:, k], float(law.times[k + 1]))
 
 
 def _group_step(group: _Group, k, dWk, t):
@@ -261,73 +251,52 @@ def _group_step(group: _Group, k, dWk, t):
     _guard(new[0].transpose(1, 2, 0), t, "response state")
 
 
-def _sweep_setup(bundle: RiccatiBundle, cases):
-    """A sweep's path-independent part: each (player, gain_scale) group's
-    tables, its directions in case order."""
-    groups = {}
-    for player, d, gain_scale in cases:
-        if player != 1 and gain_scale != 1:
-            raise UnsupportedPerturbationError("the scaled gain tests the "
-                                               "follower only")
-        groups.setdefault((player, gain_scale), []).append(d)
-    return {key: _group_tables(bundle, key[0], directions)
-            for key, directions in groups.items()}
+def variational_sweep(spec: GameSpec, players, directions, epsilons,
+                      n_paths: int, seed: int, law: FeedbackLaw,
+                      bundle: RiccatiBundle) -> list:
+    """CRN perturbation sweep of players against directions on one draw of
+    the noise, along the closed loop of law.
 
-
-def _sweep_quadratics(spec, law: FeedbackLaw, cases, dW: np.ndarray,
-                      groups) -> list:
-    """Per-path coefficients (J0, B, C) of J(eps) for each (player,
-    direction, gain_scale) case, all on one base run driven by dW, one
-    response group per (player, gain_scale) with _sweep_setup's tables."""
-    runs = {key: _Group(spec.x0, dW.shape[0], *key, tables)
-            for key, tables in groups.items()}
-    for k, Z, V in _node_loop(spec, law, dW):
-        c = law.cv[k]
-        for run in runs.values():
-            run.node(law, c, k, Z, V, dW)
-    taken, out = Counter(), []      # a group's directions are in case order
-    for player, _, gain_scale in cases:
-        run, d = runs[player, gain_scale], taken[player, gain_scale]
-        taken[player, gain_scale] += 1
-        out.append((run.J0, run.Bc[d], 0.5 * run.Cc2[d]))
-    return out
-
-
-def variational_sweep(spec: GameSpec, cases, epsilons, n_paths: int,
-                      seed: int, law: FeedbackLaw, bundle: RiccatiBundle) -> list:
-    """CRN perturbation sweep over many cases on one draw of the noise.
-
-    cases is a list of (player, direction, gain_scale); one report per case,
-    in order.  The chunk loop is outermost: each chunk of BLOCK_PATHS paths
-    draws its increments once, into one reused buffer, and runs one shared
-    base closed loop that every response group follows, so the sweep holds
-    that buffer and, per case, the chunk's responses and three per-path vectors.
+    One report per (player, direction), player by player, each player's in
+    direction order.  The chunk loop is outermost: each chunk of BLOCK_PATHS
+    paths draws its increments once, into one reused buffer, and runs one
+    base closed loop that every player's response group follows, so the
+    sweep holds that buffer and, per group, the chunk's responses and
+    per-path cost vectors.
     """
     eps = sorted({float(e) for e in epsilons} | {0.0} |
                  {-float(e) for e in epsilons})
     times = solver_times(spec)
     plan = NoisePlan.for_spec(spec, seed).reusing(min(BLOCK_PATHS, n_paths))
-    groups = _sweep_setup(bundle, cases)
+    tables = [_group_tables(bundle, player, directions) for player in players]
 
     def run(i0):  # each chunk's increments overwrite the last one's
         dW = plan.increments(np.arange(i0, min(i0 + BLOCK_PATHS, n_paths)))
+        groups = [_Group(dW.shape[0], player, table)
+                  for player, table in zip(players, tables)]
         with _paths_from(i0):
-            return _sweep_quadratics(spec, law, cases, dW, groups)
+            for k, Z, V in _node_loop(spec, law, dW):
+                c = law.cv[k]
+                for group in groups:
+                    group.node(law, c, k, Z, V, dW)
+        return [(g.J0, g.Bc, 0.5 * g.Cc2) for g in groups]
 
     parts = [run(i0) for i0 in range(0, n_paths, BLOCK_PATHS)]
 
     reports = []
-    for i, (player, direction, _) in enumerate(cases):
-        J0, B, C = (np.concatenate([part[i][j] for part in parts])
-                    for j in range(3))
-        costs = [CostEstimate(player, *mean_stderr(J0 + e * B + e * e * C),
-                              n_paths, seed, times.shape[0] - 1) for e in eps]
-        j0 = costs[eps.index(0.0)]
-        curvature_ok = all(c.mean >= j0.mean - 3.0 * max(c.stderr, 1e-300)
-                           for c in costs)
-        slope0, slope_stderr = mean_stderr(B)
-        reports.append(PerturbationReport(
-            player=player, direction_id=direction.id, epsilons=tuple(eps),
-            costs=tuple(costs), slope0=slope0, slope_stderr=slope_stderr,
-            curvature_ok=curvature_ok))
+    for i, player in enumerate(players):
+        J0 = np.concatenate([part[i][0] for part in parts])
+        for d, direction in enumerate(directions):
+            B, C = (np.concatenate([part[i][j][d] for part in parts])
+                    for j in (1, 2))
+            costs = [CostEstimate(player, *mean_stderr(J0 + e * B + e * e * C),
+                                  n_paths, seed, times.shape[0] - 1) for e in eps]
+            j0 = costs[eps.index(0.0)]
+            curvature_ok = all(c.mean >= j0.mean - 3.0 * max(c.stderr, 1e-300)
+                               for c in costs)
+            slope0, slope_stderr = mean_stderr(B)
+            reports.append(PerturbationReport(
+                player=player, direction_id=direction.id, epsilons=tuple(eps),
+                costs=tuple(costs), slope0=slope0, slope_stderr=slope_stderr,
+                curvature_ok=curvature_ok))
     return reports

@@ -6,6 +6,8 @@ filter_measurability and exact_nesting checks, and check_variational the
 three players' checks with the sweep's reports, which `verify` writes out.
 check_dp(spec, bundle, Omega) cross-checks the solved ladder and returns
 None when the spec does not reduce to a single controller.
+run_verification builds both grids' laws with cfg.gain_scale, so under
+`--sabotage-gains` every check that simulates runs the sabotaged law.
 
 The scales here are CLI defaults; the package's acceptance test suite calls
 the same checks at its pinned scales and seeds.
@@ -105,10 +107,9 @@ def check_measurability(spec, law, seed, n_paths=32):
              "(<= 1e-12)")]
 
 
-def check_ansatz_residual(solved, law, fine, seed, n_paths=100):
+def check_ansatz_residual(solved, law, fine, fine_law, seed, n_paths=100):
     """The ansatz drift mismatch must halve with the step; arguments as in
-    check_residual_order, plus the feedback law on the spec's grid."""
-    fine_law = build_feedback(*fine[1:])
+    check_residual_order, each followed by its grid's feedback law."""
     worsts = []
     for (sp, b, Omega), lw in ((solved, law), (fine, fine_law)):
         dW = NoisePlan.for_spec(sp, seed).increments(np.arange(n_paths))
@@ -129,11 +130,8 @@ def _z(rep):
 
 def check_variational(spec, law, bundle, cfg: VerifyConfig):
     """One CRN sweep over every player and stock direction."""
-    directions = default_directions(spec)
-    cases = [(player, d, cfg.gain_scale if player == 1 else 1.0)
-             for player in (1, 2, 3) for d in directions]
-    reports = variational_sweep(spec, cases, cfg.epsilons, cfg.n_paths,
-                                cfg.seed, law, bundle)
+    reports = variational_sweep(spec, (1, 2, 3), default_directions(spec),
+                                cfg.epsilons, cfg.n_paths, cfg.seed, law, bundle)
     results = []
     for player in (1, 2, 3):
         fails = [f"{rep.direction_id}(z={_z(rep):+.1f})"
@@ -163,7 +161,7 @@ def run_verification(spec: GameSpec, cfg: VerifyConfig):
     if not report.valid:
         raise DomainError(str(report))
     bundle, Omega = solve_game(spec)
-    law = build_feedback(bundle, Omega)
+    law = build_feedback(bundle, Omega, cfg.gain_scale)
     solved = (spec, bundle, Omega)
     fine_spec = with_steps(spec, 2 * spec.grid.steps)
     fine = (fine_spec, *solve_game(fine_spec))
@@ -172,7 +170,9 @@ def run_verification(spec: GameSpec, cfg: VerifyConfig):
         check_residual_order(solved, fine),
         check_p_psd(bundle),
         *check_measurability(spec, law, cfg.seed),
-        check_ansatz_residual(solved, law, fine, cfg.seed),
+        check_ansatz_residual(solved, law, fine,
+                              build_feedback(*fine[1:], cfg.gain_scale),
+                              cfg.seed),
     ]
     del fine        # the 2K-step solve serves the two order checks only
     var_checks, var_reports = check_variational(spec, law, bundle, cfg)

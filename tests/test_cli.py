@@ -295,13 +295,16 @@ def test_verify_threads_bit_identical(tmp_path, reducible_spec):
 # response group: W1, W2 and the undriven groups of players 2 and 3 changed
 # no byte. verify_report.json was re-pinned when one set of W-zeroed runs
 # took over the measurability and nesting checks: only their details moved.
+# The "1.5" digests were re-pinned when --sabotage-gains became a law that
+# every check runs: player 1's rows of variational.csv and the exact_nesting,
+# ansatz_residual and variational_p1 details moved.
 VERIFY_REDUCIBLE_PINNED = {
     "1.0": (0, {
         "verify_report.json": "e425a330f609f04a82790b87f22de7dde7fd85fbf4be7f83f969e560c6c788bb",
         "variational.csv": "360f040ac4c6bc3ebf3e7f21dbe8216b10ee3b818247687572e368773c9811bf"}),
     "1.5": (4, {
-        "verify_report.json": "03ceaa903d1f5a80edf46586775e75259dbd9cbd6d01d0ff822ffabe36d3666d",
-        "variational.csv": "e22f99765cbf2ceab5691db44f9aba0fc1b26a781419ad0bbc05519e8760ea87"}),
+        "verify_report.json": "1d1b55f0d157bbcfdf2295448a8767e138b3be04f64a97b146d38427573abd15",
+        "variational.csv": "37112027124e3aac75e18f6200bddf334b7ccaac16095fe2b77b49a4ec861846"}),
 }
 
 

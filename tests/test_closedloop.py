@@ -12,8 +12,7 @@ from stacklq.closedloop import (BLOCK_PATHS, _follower_offset, _middle_offset,
 from stacklq.errors import BlowUpError, UnsupportedPerturbationError
 from stacklq.lift import CoeffValues, mv, selectors
 from stacklq.model import solver_times
-from stacklq.montecarlo import (_sweep_quadratics, _sweep_setup,
-                                default_directions, simulate_blocks,
+from stacklq.montecarlo import (default_directions, simulate_blocks,
                                 variational_sweep)
 from stacklq.riccati import solve_game
 from stacklq.rng import NoisePlan
@@ -72,8 +71,11 @@ def _checks(spec, seed, law=None):
 
 def test_measurability_bit_identical(generic_solution, scalar_generic,
                                      n2_spec):
+    # the 1.5-scaled follower gain (verify --sabotage-gains) is a law too
     law2 = sq.build_feedback(*solve_game(n2_spec))
-    for spec, law in ((scalar_generic, generic_solution[2]), (n2_spec, law2)):
+    scaled = sq.build_feedback(*generic_solution[:2], 1.5)
+    for spec, law in ((scalar_generic, generic_solution[2]), (n2_spec, law2),
+                      (scalar_generic, scaled)):
         # the systems are coupled (M2, M3 != 0): the zero blocks of the drift
         # and the masked loadings are what keep W1/W2 out of the filters
         assert np.abs(law.M2).max() > 0 and np.abs(law.M3).max() > 0
@@ -106,7 +108,8 @@ def test_measurability_and_nesting_share_at_most_three_runs(
 
 def test_exact_nesting_passes_on_fixture_specs(request):
     # exact in the Euler scheme, with or without noise of either kind, and
-    # the filters bit-identical with the components they do not see zeroed
+    # the filters bit-identical with the components they do not see zeroed,
+    # on each spec's law and on its law with a 1.5-scaled follower gain
     no_noise = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, A=0.3, B1=1.0,
                             Q1=0.5, G1=0.5, Q2=0.3, R2=1.0, Q3=0.2, R3=1.0)
     sigma1_only = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, sigma1=1.0)
@@ -115,10 +118,12 @@ def test_exact_nesting_passes_on_fixture_specs(request):
     specs = {name: request.getfixturevalue(name) for name in names}
     specs.update(no_noise=no_noise, sigma1_only=sigma1_only)
     for name, spec in specs.items():
-        law = sq.build_feedback(*solve_game(spec))
-        for seed in (3, 15, 42):
-            for cid, ok, detail in check_measurability(spec, law, seed):
-                assert ok, (name, seed, cid, detail)
+        solved = solve_game(spec)
+        for scale in (1.0, 1.5):
+            law = sq.build_feedback(*solved, scale)
+            for seed in (3, 15, 42):
+                for cid, ok, detail in check_measurability(spec, law, seed):
+                    assert ok, (name, scale, seed, cid, detail)
 
 
 def test_exact_nesting_independent_component():
@@ -217,6 +222,31 @@ def test_block_kernel_matches_per_system_formulas(name, request):
             X, Xh, Xc = _reference_step(law, bundle.l3, k, dW[:, k], X, Xh, Xc)
 
 
+def test_scaled_law_plays_the_scaled_gain(n2_spec):
+    # verify's negative control is a law: v1 = 1.5 K1 Xc + k1 of the correct
+    # law, and X's x rows are the physical state that those controls drive,
+    # stepped on its own (it reads no M3), with multiplicative noise on
+    # every channel
+    spec, n = n2_spec, n2_spec.n
+    bundle, Omega = solve_game(spec)
+    law, scaled = sq.build_feedback(bundle, Omega), sq.build_feedback(
+        bundle, Omega, 1.5)
+    times = law.times
+    dW = NoisePlan.for_spec(spec, 3).increments(np.arange(16))
+    x = np.tile(spec.x0, (16, 1))
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+    for k, Z, V in _node_loop(spec, scaled, dW):
+        close(V[:, :n], 1.5 * (Z[:, 8 * n:] @ law.K1[k].T) + law.k1[k])
+        close(Z[:, :n], x)
+        if k < times.shape[0] - 1:
+            x = _state_step(law.cv[k], times, k, dW[:, k], x,
+                            np.split(V, 3, axis=1), True)
+
+
 def simulate_state(spec, v1, v2, v3, dW):
     """Euler integration of the physical state under given control paths."""
     N, K, _ = dW.shape
@@ -257,7 +287,7 @@ def test_simulate_state_exponential_growth():
     assert abs(xs[0, -1, 0] - np.exp(a * T)) < 2e-4 * np.exp(a * T)
 
 
-def test_blowup_reported_at_its_step():
+def test_blowup_reported_at_its_step(monkeypatch):
     # one huge W3 increment on step 10 of path 1 must be caught at t_11
     spec = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, A=0.3, B1=1.0, B2=0.8,
                         B3=0.6, sigma1=0.3, sigma2=0.3, sigma3=0.3,
@@ -268,11 +298,11 @@ def test_blowup_reported_at_its_step():
     dW = np.zeros((2, 100, 3))
     dW[1, 10, 2] = 1e13
     z = np.zeros((101, 1))
-    cases = [(1, default_directions(spec)[0], 1.0)]
+    monkeypatch.setattr(NoisePlan, "increments", lambda plan, idx: dW[idx])
     runs = (lambda: simulate_equilibrium(spec, law, dW),
             lambda: simulate_state(spec, z, z, z, dW),
-            lambda: _sweep_quadratics(spec, law, cases, dW,
-                                      _sweep_setup(bundle, cases)))
+            lambda: variational_sweep(spec, (1,), default_directions(spec)[:1],
+                                      (0.1,), 2, 0, law, bundle))
     for run in runs:
         with pytest.raises(BlowUpError) as err:
             run()
@@ -307,7 +337,7 @@ def test_blowup_in_later_block_names_global_path(monkeypatch):
     assert err.value.t == times[11]
     const = default_directions(spec)[0]
     with pytest.raises(BlowUpError) as err:
-        variational_sweep(spec, [(1, const, 1.0)], (0.1,), bad + 10, 0, law,
+        variational_sweep(spec, (1,), [const], (0.1,), bad + 10, 0, law,
                           bundle)
     assert err.value.path == bad
     assert err.value.t == times[11]

@@ -81,7 +81,7 @@ def test_variational_pure_control_energy():
     spec = sq.make_spec(n=1, T=1.0, steps=100, x0=0.0, B1=1.0)
     bundle, Omega, law = _solution(spec)
     d = default_directions(spec)[0]
-    rep = variational_sweep(spec, [(1, d, 1.0)], [0.1, 0.2], 64, 3, law,
+    rep = variational_sweep(spec, (1,), [d], [0.1, 0.2], 64, 3, law,
                             bundle)[0]
     assert rep.slope0 == 0.0
     assert rep.slope_stderr == 0.0
@@ -96,31 +96,22 @@ def test_variational_equilibrium_slopes(scalar_additive, additive_solution):
     bundle, Omega, law = additive_solution
     for player in (1, 2, 3):
         d = default_directions(scalar_additive)[1]
-        rep = variational_sweep(scalar_additive, [(player, d, 1.0)],
+        rep = variational_sweep(scalar_additive, (player,), [d],
                                 [0.05, 0.1], 4000, 21, law, bundle)[0]
         assert abs(rep.slope0) <= 3.0 * rep.slope_stderr, (player, rep)
         assert rep.curvature_ok
 
 
 def test_variational_negative_control(scalar_additive, additive_solution):
-    bundle, Omega, law = additive_solution
+    bundle, Omega, _ = additive_solution
+    scaled = sq.build_feedback(bundle, Omega, 1.5)
     fails = 0
     for d in default_directions(scalar_additive)[:3]:
-        rep = variational_sweep(scalar_additive, [(1, d, 1.5)], [0.05], 2000,
-                                11, law, bundle)[0]
+        rep = variational_sweep(scalar_additive, (1,), [d], [0.05], 2000, 11,
+                                scaled, bundle)[0]
         if abs(rep.slope0) > 2.0 * rep.slope_stderr:
             fails += 1
     assert fails >= 1
-
-
-def test_scaled_gain_rejected_for_leaders(scalar_additive, additive_solution):
-    from stacklq.errors import UnsupportedPerturbationError
-    bundle, _, law = additive_solution
-    d = default_directions(scalar_additive)[0]
-    for player in (2, 3):
-        with pytest.raises(UnsupportedPerturbationError):
-            variational_sweep(scalar_additive, [(player, d, 1.5)], [0.05], 16,
-                              1, law, bundle)
 
 
 def test_stderr_scaling(scalar_generic, generic_solution):
@@ -128,7 +119,7 @@ def test_stderr_scaling(scalar_generic, generic_solution):
     d = default_directions(scalar_generic)[0]
     ses = {}
     for n in (2000, 8000):
-        reps = [variational_sweep(scalar_generic, [(1, d, 1.0)], [0.1], n,
+        reps = [variational_sweep(scalar_generic, (1,), [d], [0.1], n,
                                   seed, law, bundle)[0] for seed in (1, 2, 3)]
         ses[n] = np.mean([r.costs[-1].stderr for r in reps])
     ratio = ses[2000] / ses[8000]
@@ -139,7 +130,7 @@ def test_crn_second_difference_epsilon_independent(scalar_generic,
                                                    generic_solution):
     bundle, _, law = generic_solution
     d = default_directions(scalar_generic)[2]
-    rep = variational_sweep(scalar_generic, [(2, d, 1.0)], [0.05, 0.1, 0.2],
+    rep = variational_sweep(scalar_generic, (2,), [d], [0.05, 0.1, 0.2],
                             500, 9, law, bundle)[0]
     eps = np.array(rep.epsilons)
     means = np.array([c.mean for c in rep.costs])
@@ -156,7 +147,7 @@ def test_crn_second_difference_epsilon_independent(scalar_generic,
 def test_report_epsilons_symmetric(scalar_generic, generic_solution):
     bundle, _, law = generic_solution
     d = default_directions(scalar_generic)[0]
-    rep = variational_sweep(scalar_generic, [(3, d, 1.0)], [0.1, 0.05], 100, 2,
+    rep = variational_sweep(scalar_generic, (3,), [d], [0.1, 0.05], 100, 2,
                             law, bundle)[0]
     eps = np.array(rep.epsilons)
     assert 0.0 in eps
@@ -166,7 +157,7 @@ def test_report_epsilons_symmetric(scalar_generic, generic_solution):
 def test_seed_determinism(scalar_generic, generic_solution):
     bundle, _, law = generic_solution
     d = default_directions(scalar_generic)[1]
-    r1, r2 = (variational_sweep(scalar_generic, [(1, d, 1.0)], [0.1], 512, 13,
+    r1, r2 = (variational_sweep(scalar_generic, (1,), [d], [0.1], 512, 13,
                                 law, bundle)[0] for _ in range(2))
     assert r1.slope0 == r2.slope0
     assert [c.mean for c in r1.costs] == [c.mean for c in r2.costs]
@@ -179,17 +170,19 @@ def test_chunks_do_not_change_results(scalar_generic, generic_solution,
     reps = []
     for chunk in (512, 3000):
         monkeypatch.setattr(montecarlo, "BLOCK_PATHS", chunk)
-        reps += variational_sweep(scalar_generic, [(2, d, 1.0)], [0.1], 3000,
+        reps += variational_sweep(scalar_generic, (2,), [d], [0.1], 3000,
                                   4, law, bundle)
     r1, r2 = reps
     assert r1.slope0 == r2.slope0
     assert [c.mean for c in r1.costs] == [c.mean for c in r2.costs]
 
 
-def _sweep_cases(spec):
+def _pinned_cases(spec, law, scaled):
+    # (player, direction, law) of SWEEP_PINNED's rows; scaled is law with
+    # a 1.5-scaled follower gain
     dirs = {d.id: d for d in default_directions(spec)}
-    return [(1, dirs["const"], 1.0), (2, dirs["ramp"], 1.0),
-            (3, dirs["flip"], 1.0), (1, dirs["front"], 1.5)]
+    return [(1, dirs["const"], law), (2, dirs["ramp"], law),
+            (3, dirs["flip"], law), (1, dirs["front"], scaled)]
 
 
 def test_blocks_hold_one_reused_noise_buffer(monkeypatch):
@@ -219,7 +212,7 @@ def test_blocks_hold_one_reused_noise_buffer(monkeypatch):
         deque(simulate_blocks(spec, law, plan, n_paths, thin), maxlen=0)
 
     def sweep(n_paths):
-        variational_sweep(spec, [(1, default_directions(spec)[0], 1.0)], [0.1],
+        variational_sweep(spec, (1,), default_directions(spec)[:1], [0.1],
                           n_paths, 0, law, bundle)
 
     assert peak(blocks, 3 * N + 10) - peak(blocks, 1) < 1.25 * buf + records
@@ -234,32 +227,37 @@ def _fingerprint(rep):
 
 def test_sweep_matches_one_test_per_case(scalar_generic, generic_solution,
                                          monkeypatch):
-    bundle, _, law = generic_solution
+    # every player against one direction at a time, on the pinned rows'
+    # laws: each report bit for bit the one-player sweep's
+    bundle, Omega, law = generic_solution
     monkeypatch.setattr(montecarlo, "BLOCK_PATHS", 512)
-    cases = _sweep_cases(scalar_generic)
+    scaled = sq.build_feedback(bundle, Omega, 1.5)
     eps, N, seed = [0.05, 0.1], 1100, 8
-    reps = variational_sweep(scalar_generic, cases, eps, N, seed, law, bundle)
-    assert len(reps) == len(cases)
-    for rep, case in zip(reps, cases):
-        one = variational_sweep(scalar_generic, [case], eps, N, seed, law,
-                                bundle)[0]
-        assert _fingerprint(rep) == _fingerprint(one)
+    for _, d, lw in _pinned_cases(scalar_generic, law, scaled):
+        reps = variational_sweep(scalar_generic, (1, 2, 3), [d], eps, N, seed,
+                                 lw, bundle)
+        assert [rep.player for rep in reps] == [1, 2, 3]
+        for rep in reps:
+            one = variational_sweep(scalar_generic, (rep.player,), [d], eps, N,
+                                    seed, lw, bundle)[0]
+            assert _fingerprint(rep) == _fingerprint(one)
 
 
 def test_sweep_groups_match_one_test_per_case_n2(n2_spec):
     # n = 2 with multiplicative noise in every channel: the products of a
     # group's direction axis sum more than one term, so a group's reports
     # equal the one-case runs to rounding rather than bit for bit
-    bundle, _, law = _solution(n2_spec)
+    bundle, Omega, law = _solution(n2_spec)
     dirs = default_directions(n2_spec)
     eps, N, seed = [0.05, 0.1], 300, 7
-    groups = [[(player, d, 1.0) for d in dirs] for player in (1, 2, 3)]
-    groups.append([(1, d, 1.5) for d in dirs[:3]])
-    for cases in groups:
-        reps = variational_sweep(n2_spec, cases, eps, N, seed, law, bundle)
-        for rep, (player, d, gain_scale) in zip(reps, cases):
-            one = variational_sweep(n2_spec, [(player, d, gain_scale)], eps, N,
-                                    seed, law, bundle)[0]
+    sweeps = [((1, 2, 3), dirs, law),
+              ((1,), dirs[:3], sq.build_feedback(bundle, Omega, 1.5))]
+    for players, ds, lw in sweeps:
+        reps = variational_sweep(n2_spec, players, ds, eps, N, seed, lw, bundle)
+        cases = [(player, d) for player in players for d in ds]
+        for rep, (player, d) in zip(reps, cases, strict=True):
+            one = variational_sweep(n2_spec, (player,), [d], eps, N, seed, lw,
+                                    bundle)[0]
             label = lambda r: (r.player, r.direction_id, r.epsilons,
                                r.curvature_ok)
             numbers = lambda r: [r.slope0, r.slope_stderr] + [
@@ -282,8 +280,9 @@ def test_sweep_draws_each_chunk_once(scalar_generic, generic_solution,
     monkeypatch.setattr(NoisePlan, "increments", counted)
     N, chunk = 1100, 512
     monkeypatch.setattr(montecarlo, "BLOCK_PATHS", chunk)
-    variational_sweep(scalar_generic, _sweep_cases(scalar_generic), [0.1], N,
-                      3, law, bundle)
+    variational_sweep(scalar_generic, (1, 2, 3),
+                      default_directions(scalar_generic), [0.1], N, 3, law,
+                      bundle)
     assert len(calls) == -(-N // chunk)
     assert sum(calls) == N
 
@@ -300,26 +299,24 @@ def test_sweep_solves_each_offset_once(scalar_generic, generic_solution,
             calls[_name] += 1
             return _solve(*args)
         monkeypatch.setattr(montecarlo, name, counted)
-    dirs = default_directions(scalar_generic)
-    cases = [(player, d, 1.0) for player in (1, 2, 3) for d in dirs[:2]]
+    dirs = default_directions(scalar_generic)[:2]
     for chunk in (90, 30):      # one chunk, three chunks
         calls.clear()
         monkeypatch.setattr(montecarlo, "BLOCK_PATHS", chunk)
-        variational_sweep(scalar_generic, cases, [0.1], 90, 4, law, bundle)
+        variational_sweep(scalar_generic, (1, 2, 3), dirs, [0.1], 90, 4, law,
+                          bundle)
         assert calls == {"_follower_offset": 1, "_middle_offset": 1}, chunk
 
 
-def _verify_cases(spec):
-    # check_variational's cases
-    return [(player, d, 1.0) for player in (1, 2, 3)
-            for d in default_directions(spec)]
+def _verify_cases():
+    # check_variational's sweep: (players, follower gain scale of the law)
+    return [((1, 2, 3), 1.0)]
 
 
-def _criterion_8_cases(spec):
-    # test_criterion_8_variational_optimality's cases
-    cases = [(player, d, 1.0) for player in (1, 2, 3)
-             for d in default_directions(spec)]
-    return cases + [(1, d, 1.5) for d in default_directions(spec)]
+def _criterion_8_cases():
+    # test_criterion_8_variational_optimality's two sweeps, the second on
+    # the sabotaged law
+    return [((1, 2, 3), 1.0), ((1,), 1.5)]
 
 
 @pytest.mark.parametrize("make_cases, groups",
@@ -327,16 +324,12 @@ def _criterion_8_cases(spec):
 def test_sweep_steps_one_group_per_player_and_gain(
         scalar_generic, generic_solution, monkeypatch, make_cases, groups):
     # per node and chunk: one table step of the group state and one base
-    # cost J0 per group, and one scaled-gain state step per sabotage group,
-    # not one per case
-    bundle, _, law = generic_solution
+    # cost J0 per player's group, not one per direction
+    bundle, Omega, _ = generic_solution
+    laws = {scale: sq.build_feedback(bundle, Omega, scale)
+            for scale in (1.0, 1.5)}
     calls = Counter()
-    step, table_step, cost = (montecarlo._state_step, montecarlo._group_step,
-                              montecarlo._node_cost)
-
-    def counted_step(*args):
-        calls["affine"] += args[-1]
-        return step(*args)
+    table_step, cost = montecarlo._group_step, montecarlo._node_cost
 
     def counted_table_step(*args):
         calls["response"] += 1
@@ -346,19 +339,18 @@ def test_sweep_steps_one_group_per_player_and_gain(
         calls["J0"] += 1
         return cost(*args)
 
-    monkeypatch.setattr(montecarlo, "_state_step", counted_step)
     monkeypatch.setattr(montecarlo, "_group_step", counted_table_step)
     monkeypatch.setattr(montecarlo, "_node_cost", counted_cost)
-    cases = make_cases(scalar_generic)
-    K = scalar_generic.grid.steps
+    dirs, K = default_directions(scalar_generic), scalar_generic.grid.steps
     for chunk in (60, 30):      # one chunk, two chunks
         calls.clear()
         monkeypatch.setattr(montecarlo, "BLOCK_PATHS", chunk)
-        variational_sweep(scalar_generic, cases, [0.1], 60, 4, law, bundle)
+        for players, scale in make_cases():
+            variational_sweep(scalar_generic, players, dirs, [0.1], 60, 4,
+                              laws[scale], bundle)
         chunks = 60 // chunk
         assert calls["response"] == groups * K * chunks
         assert calls["J0"] == groups * (K + 1) * chunks
-        assert calls["affine"] == (groups - 3) * K * chunks
 
 
 def test_sweep_draws_and_steps_only_what_the_spec_loads(reducible_spec,
@@ -366,9 +358,10 @@ def test_sweep_draws_and_steps_only_what_the_spec_loads(reducible_spec,
     # reducible_spec loads W3 alone (C1 = C2 = sigma1 = sigma2 = 0) and only
     # player 1 controls it (B2 = B3 = 0): per chunk the sweep draws Philox
     # rows for component 3 only, one per path, and steps player 1's response
-    # group alone, whatever it asks of players 2 and 3 and the scaled gain
+    # group alone, whatever it asks of players 2 and 3, on the law and on
+    # the law with a 1.5-scaled follower gain
     spec = reducible_spec
-    bundle, _, law = _solution(spec)
+    bundle, Omega, law = _solution(spec)
     seeds = NoisePlan.for_spec(spec, 4).seeds
     made, rows, steps = [], Counter(), Counter()
     philox, generator = np.random.Philox, np.random.Generator
@@ -387,21 +380,25 @@ def test_sweep_draws_and_steps_only_what_the_spec_loads(reducible_spec,
             return self.gen.standard_normal(out=out)
 
     def counted_group_step(group, *args):
-        steps[group.player, group.gain_scale] += 1
+        steps[group.player] += 1
         return group_step(group, *args)
 
     monkeypatch.setattr(np.random, "Philox", counted_philox)
     monkeypatch.setattr(np.random, "Generator", CountedGenerator)
     monkeypatch.setattr(montecarlo, "_group_step", counted_group_step)
     monkeypatch.setattr(montecarlo, "BLOCK_PATHS", 32)
-    N, K = 80, spec.grid.steps
-    variational_sweep(spec, _criterion_8_cases(spec), [0.1], N, 4, law, bundle)
-    assert made == [2, 2, 2]
-    assert rows == {2: N}
-    assert steps == {(1, 1.0): 3 * K, (1, 1.5): 3 * K}
+    N, K, dirs = 80, spec.grid.steps, default_directions(spec)
+    for players, scale in _criterion_8_cases():
+        for counts in (made, rows, steps):
+            counts.clear()
+        variational_sweep(spec, players, dirs, [0.1], N, 4,
+                          sq.build_feedback(bundle, Omega, scale), bundle)
+        assert made == [2, 2, 2]
+        assert rows == {2: N}
+        assert steps == {1: 3 * K}
 
 
-def _helper_group(spec, bundle, law, player, gain_scale, directions, dW):
+def _helper_group(spec, bundle, law, player, directions, dW):
     """A response group stepped by closedloop's affine=False helpers on their
     own, directions on a leading axis: yields at each node k, before its step,
     the state [dx | dxc] or [dx | dX2h | dX2c] (D, N, w), the lower levels'
@@ -415,17 +412,14 @@ def _helper_group(spec, bundle, law, player, gain_scale, directions, dW):
         off = _follower_offset(bundle, paths, np.zeros_like(paths), False)
     elif player == 3:
         off = _middle_offset(bundle, paths, False)
-    dx, xt = np.zeros((D, N, n)), np.tile(spec.x0, (N, 1))
+    dx = np.zeros((D, N, n))
     filt = [np.zeros((D, N, n))] if player == 2 else [np.zeros((D, N, 2 * n))] * 2
     Bc, Cc = np.zeros((D, N)), np.zeros((D, N))
     form = lambda a, M, b: np.einsum("...pi,ij,...pj->...p", a, M, b)
     for k, Z, V in _node_loop(spec, law, dW):
-        c, own, Xc = cv[k], player - 1, Z[:, 8 * n:]
+        c, own, xbase = cv[k], player - 1, Z[:, :n]
         offk = None if off is None else off[k, :, None]
         v = [V[:, :n], V[:, n:2 * n], V[:, 2 * n:]]
-        if gain_scale != 1.0:
-            v[0] = gain_scale * (Xc @ law.K1[k].T) + law.k1[k]
-        xbase = xt if gain_scale != 1.0 else Z[:, :n]
         dv = [None, None, None]
         dv[own] = paths[:, k, None]
         if player == 2:
@@ -452,7 +446,6 @@ def _helper_group(spec, bundle, law, player, gain_scale, directions, dW):
                 filt = list(_middle_step(bundle, k, dWk, *filt, offk, offk,
                                          dv[2], dv[2], False))
             dx = _state_step(c, times, k, dWk, dx, dv, False)
-            xt = _state_step(c, times, k, dWk, xt, v, True)
 
 
 @pytest.mark.parametrize("name", ["n2_spec", "offgrid_spec", "reducible_spec"])
@@ -462,25 +455,24 @@ def test_sweep_group_tables_match_helpers(name, request):
     # the summation order differs, so agreement is to rounding: rtol 1e-12,
     # and the same bound relative to the node's largest entry near zero
     spec = request.getfixturevalue(name)
-    bundle, _, law = _solution(spec)
-    times, n = law.times, spec.n
+    bundle, Omega, law = _solution(spec)
+    times, n, cv = law.times, spec.n, law.cv
     dirs = default_directions(spec)
-    groups = {(1, 1.0): dirs, (2, 1.0): dirs, (3, 1.0): dirs,
-              (1, 1.5): dirs[:2]}
-    cases = [(player, d, scale) for (player, scale), ds in groups.items()
-             for d in ds]
-    tables, cv = montecarlo._sweep_setup(bundle, cases), law.cv
+    scaled = sq.build_feedback(bundle, Omega, 1.5)
+    groups = [(1, dirs, law), (2, dirs, law), (3, dirs, law),
+              (1, dirs[:2], scaled)]
     dW = NoisePlan.from_seed(3, np.diff(times)).increments(np.arange(16))
 
     def close(got, want):
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
 
-    for (player, scale), ds in groups.items():
-        run = montecarlo._Group(spec.x0, 16, player, scale, tables[player, scale])
-        ref = _helper_group(spec, bundle, law, player, scale, ds, dW)
+    for player, ds, lw in groups:
+        run = montecarlo._Group(16, player,
+                                montecarlo._group_tables(bundle, player, ds))
+        ref = _helper_group(spec, bundle, lw, player, ds, dW)
         for (k, Z, V), (state, lower, off, Bc, Cc) in zip(
-                _node_loop(spec, law, dW), ref):
+                _node_loop(spec, lw, dW), ref):
             R, c = run.state[0].transpose(1, 2, 0), cv[k]
             close(R, state)
             got = ((_follower_control(bundle, c, k, R[..., n:], off, False),)
@@ -489,7 +481,7 @@ def test_sweep_group_tables_match_helpers(name, request):
                                     off, off, False) if player == 3 else ())
             for g, want in zip(got, lower, strict=True):
                 close(g, want)
-            run.node(law, c, k, Z, V, dW)
+            run.node(lw, c, k, Z, V, dW)
             close(run.Bc, Bc)
             close(0.5 * run.Cc2, Cc)
 
@@ -519,7 +511,7 @@ def test_sweep_blowup_reported_at_its_step(player, monkeypatch):
     monkeypatch.setattr(NoisePlan, "increments", increments)
     monkeypatch.setattr(montecarlo, "BLOCK_PATHS", chunk)
     with pytest.raises(sq.BlowUpError) as err:
-        variational_sweep(spec, [(player, d, 1.0)], [0.1], 3 * chunk, 0, law,
+        variational_sweep(spec, (player,), [d], [0.1], 3 * chunk, 0, law,
                           bundle)
     assert err.value.t == times[12]
     assert err.value.path == bad
@@ -528,7 +520,7 @@ def test_sweep_blowup_reported_at_its_step(player, monkeypatch):
     monkeypatch.setattr(closedloop, "BLOWUP_LIMIT", np.inf)
     dW = increments(None, np.arange(3 * chunk))
     states = [np.abs(state).max(axis=(0, 2)) for state, *_ in _helper_group(
-        spec, bundle, law, player, 1.0, [d], dW)][:13]
+        spec, bundle, law, player, [d], dW)][:13]
     assert states[11].max() < BLOWUP_LIMIT
     assert np.flatnonzero(states[12] > BLOWUP_LIMIT).tolist() == [bad]
 
@@ -547,7 +539,8 @@ def test_mean_stderr_exactly_zero_for_equal_values(N):
         assert mean_stderr(np.linspace(0.0, 1.0, N))[1] > 0.0
 
 
-# recorded from the sweep before its response system moved into closedloop
+# rows 0-2 recorded from the sweep before its response system moved into
+# closedloop
 SWEEP_PINNED = [
     (-0.009200142164814051, 0.016737194406495938,
      (0.6638288492353569, 0.6554884280465897, 0.6524016162448402,
@@ -558,17 +551,21 @@ SWEEP_PINNED = [
     (-0.000254860417319926, 0.001134312632782987,
      (0.2561048482422532, 0.25419783918568245, 0.2535536741529148,
       0.2541723531439504, 0.2560538761587892)),
-    (-0.41418238301332516, 0.009350866577578259,
-     (0.8102348510930492, 0.7860859905920068, 0.7642302909912151,
-      0.7446677522906742, 0.7273983744903841)),
+    # re-pinned when the sabotage became a law (build_feedback's gain_scale):
+    # the whole closed loop now plays the 1.5-scaled follower gain
+    (-0.2431747149692373, 0.010151668381767774,
+     (0.7385830749074633, 0.7229845978086253, 0.709679281610038,
+      0.6986671263117017, 0.6899481319136159)),
 ]
 
 
 def test_sweep_numbers_pinned(scalar_generic, generic_solution, monkeypatch):
-    bundle, _, law = generic_solution
+    bundle, Omega, law = generic_solution
     monkeypatch.setattr(montecarlo, "BLOCK_PATHS", 512)
-    reps = variational_sweep(scalar_generic, _sweep_cases(scalar_generic),
-                             [0.05, 0.1], 1100, 8, law, bundle)
+    scaled = sq.build_feedback(bundle, Omega, 1.5)
+    reps = [variational_sweep(scalar_generic, (player,), [d], [0.05, 0.1], 1100,
+                              8, lw, bundle)[0]
+            for player, d, lw in _pinned_cases(scalar_generic, law, scaled)]
     for rep, (slope0, slope_stderr, means) in zip(reps, SWEEP_PINNED,
                                                   strict=True):
         assert rep.slope0 == pytest.approx(slope0, rel=1e-12)
@@ -592,7 +589,7 @@ def test_sweep_response_is_the_public_response():
     zero = np.zeros((times.shape[0], 1))
     for player in (2, 3):
         for d in default_directions(spec):
-            rep = variational_sweep(spec, [(player, d, 1.0)], [eps], N, seed,
+            rep = variational_sweep(spec, (player,), [d], [eps], N, seed,
                                     law, bundle)[0]
             if player == 2:
                 r = respond_player1(spec, bundle, eps * d.path, zero, dW)
