@@ -1,8 +1,7 @@
 """Three-level stochastic LQ leader-follower game solver and verifier."""
 
-from .closedloop import (FeedbackLaw, PathBundle, build_feedback,
-                         respond_player1, respond_player12,
-                         simulate_equilibrium)
+from .closedloop import (FeedbackLaw, PathBundle, Response, build_feedback,
+                         respond, simulate_equilibrium)
 from .errors import (BlowUpError, ConsistencyError, DomainError,
                      ReductionError, SingularCoefficientError,
                      SpecFormatError, StackLQError,
@@ -14,7 +13,8 @@ from .montecarlo import (CostEstimate, Direction, PerturbationReport,
                          default_directions, mean_stderr, simulate_blocks,
                          variational_sweep)
 from .oracle import crosscheck_p
-from .riccati import RiccatiBundle, riccati_residuals, solve_game, solve_p
+from .riccati import (RiccatiBundle, riccati_residuals, solve_game, solve_p,
+                      without_intercepts)
 from .rng import NoisePlan
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -192,6 +192,8 @@ def cmd_verify(args) -> int:
     eps = _epsilons(args.epsilons)
     if args.paths < 2:      # one path has no spread to put a slope's z on
         raise SpecFormatError("verify --paths must be at least 2")
+    if not np.isfinite(args.sabotage_gains):
+        raise SpecFormatError("--sabotage-gains must be a finite number")
     spec, out = _prepare(args)
     cfg = VerifyConfig(seed=args.seed, n_paths=args.paths, epsilons=eps,
                        gain_scale=args.sabotage_gains)

@@ -10,16 +10,16 @@ coarser filter never sees a component outside its sigma-algebra: a masked
 entry adds an exact zero, which the bit-level measurability checks exercise.
 
 Each lower level's best-response system (its offset, its controls and the
-Euler step of its filtered states) is written once, node by node, with an
-`affine` switch.  `respond_player1` / `respond_player12` run it with every
-intercept (b, sigma_i, n_i and the offsets' sources) against exogenous
-controls, stepping the physical state in the same node loop.  Its
-homogeneous form is, under common noise, exactly the response to a control
-perturbation, the systems being linear: the variational sweep in
-`montecarlo` probes it on basis rows for its per-group node tables.  The
-offsets are solved by riccati's `backward_rk4`, so they are blow-up guarded
-like the ladder.  Gains, responses and residuals read the solve's one grid
-coefficient table, `bundle.cv`, which the law carries on as `law.cv`.
+Euler step of its filtered states) is written once, with its intercepts,
+and composed once per node by `_response_step`, which steps the physical
+state too; `respond` runs it against exogenous controls.  Run on
+riccati's `without_intercepts(bundle)` it is the homogeneous form, under
+common noise exactly the response to a control perturbation, the systems
+being linear: the variational sweep in `montecarlo` probes it on basis rows
+for its per-group node tables.  The offsets are solved by riccati's
+`backward_rk4`, so they are blow-up guarded like the ladder.  Gains,
+responses and residuals read the solve's one grid coefficient table,
+`bundle.cv`, which the law carries on as `law.cv`.
 `verify`'s negative control is a law too: `build_feedback` with a
 gain_scale other than 1 scales the follower gain on every block.
 """
@@ -198,23 +198,24 @@ def _paths_from(start: int):
         raise BlowUpError(err.what, err.t, path=start + err.path) from None
 
 
-def _state_step(cv: CoeffValues, times, k, dWk, x, v, affine):
+def _pushed(drift, B, v):
+    """drift + B_i v_i over the controls v_i that move (those not None)."""
+    for Bi, vi in zip(B, v):
+        if vi is not None:
+            drift = drift + vi @ Bi.T
+    return drift
+
+
+def _state_step(cv: CoeffValues, times, k, dWk, x, v):
     """Euler step k -> k+1 of the physical state under controls v, guarded.
 
     cv is the node-k coefficient view; v holds (v1, v2, v3) at node k, None
-    for a control that does not move.  affine=False drops b and the sigma_i:
-    the step of a response to a control perturbation.  x is rows (N, n) or,
-    as in the response helpers below, D directions' rows (D, N, n).
+    for a control that does not move.  x is rows (N, n) or, as in the
+    response helpers below, D directions' rows (D, N, n).
     """
     h = times[k + 1] - times[k]
-    drift = x @ cv.A.T
-    loads = [x @ Ci.T for Ci in cv.C]
-    if affine:
-        drift = drift + cv.b
-        loads = [load + si for load, si in zip(loads, cv.sigma)]
-    for Bi, vi in zip(cv.B, v):
-        if vi is not None:
-            drift = drift + vi @ Bi.T
+    drift = _pushed(x @ cv.A.T + cv.b, cv.B, v)
+    loads = [x @ Ci.T + si for Ci, si in zip(cv.C, cv.sigma)]
     x = x + h * drift + sum(dWk[:, i:i + 1] * loads[i] for i in range(3))
     _guard(x, float(times[k + 1]), "state")
     return x
@@ -271,7 +272,7 @@ def _phicheck_gain(bundle: RiccatiBundle, Omega):
 
 
 # ---------------------------------------------------------------------------
-# lower-level best-response systems (affine=False: the homogeneous form)
+# lower-level best-response systems
 # ---------------------------------------------------------------------------
 
 def _rows_at(v, k, N):
@@ -283,19 +284,15 @@ def _rows_at(v, k, N):
 
 
 @dataclass(frozen=True)
-class Player1Response:
-    x: np.ndarray
-    xcheck: np.ndarray
-    v1: np.ndarray
+class Response:
+    """The lower levels' best response, one row per noise path: the state x
+    (N, K+1, n), the responders' filtered states (the follower's xcheck, or
+    the middle player's [X2hat | X2check]) and their controls ([v1] or
+    [v1 | v2])."""
 
-
-@dataclass(frozen=True)
-class Player12Response:
-    X2hat: np.ndarray
-    X2check: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
     x: np.ndarray
+    filtered: np.ndarray
+    controls: np.ndarray
 
 
 def _offset_backward(times, coef, driver, what):
@@ -308,41 +305,34 @@ def _offset_backward(times, coef, driver, what):
                         (np.zeros_like(driver[..., 0, :]),), times, what)[0]
 
 
-def _follower_offset(bundle: RiccatiBundle, v2, v3, affine):
+def _follower_offset(bundle: RiccatiBundle, v2, v3):
     """Follower offset on the grid under deterministic (K+1, n) leader
     controls, or D directions' (D, K+1, n): -phi' = Abar' phi + p (B2 v2 +
     B3 v3) + f1bar, phi(T) = 0."""
     drv = mv(bundle.p, mv(bundle.cv.B[1], v2) + mv(bundle.cv.B[2], v3))
-    if affine:
-        drv = drv + bundle.l1.f1bar
-    return _offset_backward(bundle.times, bundle.l1.Abar.mT, drv,
-                            "follower offset")
+    return _offset_backward(bundle.times, bundle.l1.Abar.mT,
+                            drv + bundle.l1.f1bar, "follower offset")
 
 
-def _middle_offset(bundle: RiccatiBundle, v3, affine):
+def _middle_offset(bundle: RiccatiBundle, v3):
     """Middle-level offset on the grid under a deterministic (K+1, n) top
     control, or D directions' (D, K+1, n): -Phi' = (ddA1 + ddA2 + ddA3)' Phi
     + (va + vc) v3 + ddf2, Phi(T) = 0."""
     cl = bundle.l2cl
-    drv = mv(cl.va + cl.vc, v3)
-    if affine:
-        drv = drv + cl.ddf2
-    return _offset_backward(bundle.times, (cl.ddA1 + cl.ddA2 + cl.ddA3).mT, drv,
-                            "middle offset")
+    return _offset_backward(bundle.times, (cl.ddA1 + cl.ddA2 + cl.ddA3).mT,
+                            mv(cl.va + cl.vc, v3) + cl.ddf2, "middle offset")
 
 
-def _follower_control(bundle: RiccatiBundle, c: CoeffValues, k, xc, phi, affine):
+def _follower_control(bundle: RiccatiBundle, c: CoeffValues, k, xc, phi):
     """Follower control v1 at node k from its filtered state xc and offset
     phi (rows per path); c is the node-k coefficient view."""
     B1 = c.B[0]
-    u = xc @ (B1.T @ bundle.p[k]).T + phi @ B1
-    if affine:
-        u = u + c.nl[0]
+    u = xc @ (B1.T @ bundle.p[k]).T + phi @ B1 + c.nl[0]
     return -u @ c.Rinv[0].T
 
 
 def _middle_controls(bundle: RiccatiBundle, c: CoeffValues, k, X2h, X2c,
-                     Phih, Phic, affine):
+                     Phih, Phic):
     """(v1, v2) at node k from the middle player's hat and check filtered 2n
     states and offsets: v2 from the middle level's feedback, v1 from the
     follower's, fed the follower offset filter phicheck."""
@@ -350,29 +340,26 @@ def _middle_controls(bundle: RiccatiBundle, c: CoeffValues, k, X2h, X2c,
     s2 = selectors(n)[3]
     cB2, cF2 = bundle.l2.calB2[k], bundle.l2.calF2[k]
     P1, P2 = bundle.P1[k], bundle.P2[k]
-    u = X2h @ (cB2.T @ P1).T + X2c @ (cB2.T @ P2 + cF2).T + Phih @ cB2
-    if affine:
-        u = u + c.nl[1]
+    u = X2h @ (cB2.T @ P1).T + X2c @ (cB2.T @ P2 + cF2).T + Phih @ cB2 + c.nl[1]
     phick = X2c @ (s2 @ (P1 + P2)).T + Phic @ s2.T
-    v1 = _follower_control(bundle, c, k, X2c[..., :n], phick, affine)
+    v1 = _follower_control(bundle, c, k, X2c[..., :n], phick)
     return v1, -u @ c.Rinv[1].T
 
 
 def _follower_step(bundle: RiccatiBundle, c: CoeffValues, k, dWk, xc, phi,
-                   drive, affine):
+                   vc2, vc3):
     """Euler step k -> k+1 of the follower-filtered state, which sees W3 only;
-    drive is the leaders' B2 v2 + B3 v3 at node k as the follower sees it."""
+    vc2/vc3 are the leaders' controls at node k as the follower sees them,
+    None for one that does not move."""
     l1 = bundle.l1
     h = bundle.times[k + 1] - bundle.times[k]
-    drift = xc @ l1.Abar[k].T + phi @ l1.F1bar[k].T + drive
-    load = xc @ c.C[2].T
-    if affine:
-        drift, load = drift + l1.bbar[k], load + c.sigma[2]
-    return xc + h * drift + dWk[:, 2:3] * load
+    drift = _pushed(xc @ l1.Abar[k].T + phi @ l1.F1bar[k].T, c.B[1:], (vc2, vc3))
+    load = xc @ c.C[2].T + c.sigma[2]
+    return xc + h * (drift + l1.bbar[k]) + dWk[:, 2:3] * load
 
 
 def _middle_step(bundle: RiccatiBundle, k, dWk, X2h, X2c, Phih, Phic, vh3,
-                 vc3, affine):
+                 vc3):
     """Euler step k -> k+1 of the middle player's filtered 2n states: the hat
     filter sees W2 and W3, the check filter W3 only.  vh3/vc3 are the top
     control at node k as each filter sees it."""
@@ -380,95 +367,85 @@ def _middle_step(bundle: RiccatiBundle, k, dWk, X2h, X2c, Phih, Phic, vh3,
     h = bundle.times[k + 1] - bundle.times[k]
     ddA12 = cl.ddA1[k] + cl.ddA2[k]
     drift_h = (X2h @ ddA12.T + X2c @ cl.ddA3[k].T + Phih @ cl.ddF1[k].T
-               + vh3 @ l2.calB3[k].T)
+               + vh3 @ l2.calB3[k].T + cl.ddb2[k])
     drift_c = (X2c @ (ddA12 + cl.ddA3[k]).T + Phic @ cl.ddF1[k].T
-               + vc3 @ l2.calB3[k].T)
-    load_h2, load_h3 = X2h @ l2.calC2[k].T, X2h @ l2.calC3[k].T
-    load_c3 = X2c @ l2.calC3[k].T
-    if affine:
-        drift_h, drift_c = drift_h + cl.ddb2[k], drift_c + cl.ddb2[k]
-        load_h2, load_h3 = load_h2 + l2.barsigma2[k], load_h3 + l2.barsigma3[k]
-        load_c3 = load_c3 + l2.barsigma3[k]
+               + vc3 @ l2.calB3[k].T + cl.ddb2[k])
     d2, d3 = dWk[:, 1:2], dWk[:, 2:3]
-    return (X2h + h * drift_h + d2 * load_h2 + d3 * load_h3,
-            X2c + h * drift_c + d3 * load_c3)
+    return (X2h + h * drift_h + d2 * (X2h @ l2.calC2[k].T + l2.barsigma2[k])
+            + d3 * (X2h @ l2.calC3[k].T + l2.barsigma3[k]),
+            X2c + h * drift_c + d3 * (X2c @ l2.calC3[k].T + l2.barsigma3[k]))
 
 
-def respond_player1(spec: GameSpec, bundle: RiccatiBundle, v2, v3, dW,
-                    vcheck2=None, vcheck3=None,
-                    phicheck=None) -> Player1Response:
-    """Follower best response to exogenous leader controls.
+def _response_step(bundle: RiccatiBundle, c: CoeffValues, k, dWk, R, off, v,
+                   seen):
+    """The best response of the levels below l = 4 - len(v) to the exogenous
+    controls v = (v_l, ..., v3) at node k, c being the node-k view.
 
-    Deterministic (K+1, n) controls are handled in full (their filters are
-    themselves and the offset solves as a backward ODE).  Path-valued
-    controls are admitted only together with their filter paths and a
-    phicheck path reconstructed by the caller; anything else is rejected.
+    R holds the rows [x] (l = 1), [x | xcheck] (l = 2) or [x | X2hat |
+    X2check] (l = 3); off the responders' offsets, () or (phicheck,) or
+    (Phihat, Phicheck); seen the exogenous controls as their filters see
+    them, () or (vcheck2, vcheck3) or (vhat3, vcheck3).  A None control
+    does not move.  Returns the responders' controls, () or (v1,) or (v1,
+    v2), and R at node k+1, None at the last node.
+    """
+    n, level = c.A.shape[-1], 4 - len(v)
+    if level == 2:
+        controls = (_follower_control(bundle, c, k, R[..., n:], *off),)
+    elif level == 3:
+        controls = _middle_controls(bundle, c, k, R[..., n:3 * n], R[..., 3 * n:],
+                                    *off)
+    else:
+        controls = ()
+    if dWk is None:
+        return controls, None
+    filtered = ((_follower_step(bundle, c, k, dWk, R[..., n:], *off, *seen),)
+                if level == 2 else
+                _middle_step(bundle, k, dWk, R[..., n:3 * n], R[..., 3 * n:],
+                             *off, *seen) if level == 3 else ())
+    x = _state_step(c, bundle.times, k, dWk, R[..., :n], controls + tuple(v))
+    return controls, np.concatenate((x, *filtered), axis=-1)
+
+
+def respond(spec: GameSpec, bundle: RiccatiBundle, v, dW, seen=None,
+            offsets=None) -> Response:
+    """Best response of the levels below l = 4 - len(v) to the exogenous
+    controls v = (v_l, ..., v3) on the increments dW: the follower's to (v2,
+    v3), the two lower levels' to (v3,), none to (v1, v2, v3).
+
+    Deterministic (K+1, n) controls are handled in full: each filter sees
+    them as they are and the offsets solve as backward ODEs.  Path-valued
+    (N, K+1, n) controls need `seen` and `offsets` as `_response_step`
+    reads them, as paths.  The offsets are affine in the filtered states:
+    with U/L the upper/lower 2n rows of 4n and s2 the lower n of 2n, Phihat
+    = L (Pf1 + Pf2) X3hat + L Pf3 X3check + L Omega, Phicheck = L (Pf1 +
+    Pf2 + Pf3) X3check + L Omega and phicheck = s2 ((P1 + P2) U X3check +
+    Phicheck).  On `without_intercepts(bundle)` it steps the homogeneous
+    systems.
     """
     N, K, _ = dW.shape
-    n, cv = spec.n, bundle.cv
-    if np.ndim(v2) == 2 and np.ndim(v3) == 2:
-        vc2, vc3 = np.asarray(v2, dtype=float), np.asarray(v3, dtype=float)
-        phi = _follower_offset(bundle, vc2, vc3, True)
-    else:
-        if vcheck2 is None or vcheck3 is None or phicheck is None:
-            raise UnsupportedPerturbationError(
-                "path-valued leader controls need vcheck2/vcheck3/phicheck paths")
-        vc2, vc3, phi = vcheck2, vcheck3, phicheck
-
-    x = xc = np.tile(spec.x0, (N, 1))
-    xs, xcs, v1 = (np.empty((N, K + 1, n)) for _ in range(3))
+    n, level = spec.n, 4 - len(v)
+    if all(np.ndim(u) == 2 for u in v):
+        v = tuple(np.asarray(u, dtype=float) for u in v)
+        seen = v * (level - 1)
+        offsets = ((_follower_offset(bundle, *v),) if level == 2 else
+                   (_middle_offset(bundle, *v),) * 2 if level == 3 else ())
+    elif level > 1 and (seen is None or offsets is None):
+        raise UnsupportedPerturbationError(
+            "path-valued exogenous controls need their filters' and the "
+            "offsets' paths")
+    x0, z = spec.x0, np.zeros(n)
+    R = np.tile(np.concatenate((x0,) * level if level < 3 else (x0, x0, z, x0, z)),
+                (N, 1))
+    Rs = np.empty((N, K + 1, R.shape[-1]))
+    us = np.empty((N, K + 1, (level - 1) * n))
+    at = lambda arrs, k: tuple(_rows_at(a, k, N) for a in arrs or ())
     for k in range(K + 1):
-        c, phik = cv[k], _rows_at(phi, k, N)
-        xs[:, k], xcs[:, k] = x, xc
-        v1[:, k] = _follower_control(bundle, c, k, xc, phik, True)
-        if k < K:
-            drive = _rows_at(vc2, k, N) @ c.B[1].T + _rows_at(vc3, k, N) @ c.B[2].T
-            xc = _follower_step(bundle, c, k, dW[:, k], xc, phik, drive, True)
-            v = (v1[:, k], _rows_at(v2, k, N), _rows_at(v3, k, N))
-            x = _state_step(c, bundle.times, k, dW[:, k], x, v, True)
-    return Player1Response(x=xs, xcheck=xcs, v1=v1)
-
-
-def respond_player12(spec: GameSpec, bundle: RiccatiBundle, v3, dW,
-                     vhat3=None, vcheck3=None,
-                     Phihat=None, Phicheck=None) -> Player12Response:
-    """Joint best response of the two lower levels to an exogenous top control.
-
-    Deterministic (K+1, n) top controls are handled in full (the offset
-    collapses to one backward ODE).  Path-valued controls additionally need
-    their filter paths and the hat/check offset paths, which are affine in
-    the filtered states: with L the lower 2n rows of the 4n ladder,
-    Phihat = L (Pf1 + Pf2) X3hat + L Pf3 X3check + L Omega and
-    Phicheck = L (Pf1 + Pf2 + Pf3) X3check + L Omega.
-    """
-    N, K, _ = dW.shape
-    n, cv = spec.n, bundle.cv
-    if np.ndim(v3) == 2:
-        v3 = np.asarray(v3, dtype=float)
-        Phih = Phic = _middle_offset(bundle, v3, True)
-        vh3 = vc3 = v3
-    else:
-        if any(a is None for a in (vhat3, vcheck3, Phihat, Phicheck)):
-            raise UnsupportedPerturbationError(
-                "path-valued top control needs vhat3/vcheck3/Phihat/Phicheck paths")
-        vh3, vc3, Phih, Phic = vhat3, vcheck3, Phihat, Phicheck
-
-    x = np.tile(spec.x0, (N, 1))
-    X2h = np.tile(np.concatenate([spec.x0, np.zeros(n)]), (N, 1))
-    X2c = X2h.copy()
-    X2hs, X2cs = np.empty((N, K + 1, 2 * n)), np.empty((N, K + 1, 2 * n))
-    xs, v1, v2 = (np.empty((N, K + 1, n)) for _ in range(3))
-    for k in range(K + 1):
-        Phihk, Phick = _rows_at(Phih, k, N), _rows_at(Phic, k, N)
-        xs[:, k], X2hs[:, k], X2cs[:, k] = x, X2h, X2c
-        v1[:, k], v2[:, k] = _middle_controls(
-            bundle, cv[k], k, X2h, X2c, Phihk, Phick, True)
-        if k < K:
-            X2h, X2c = _middle_step(bundle, k, dW[:, k], X2h, X2c, Phihk, Phick,
-                                    _rows_at(vh3, k, N), _rows_at(vc3, k, N), True)
-            v = (v1[:, k], v2[:, k], _rows_at(v3, k, N))
-            x = _state_step(cv[k], bundle.times, k, dW[:, k], x, v, True)
-    return Player12Response(X2hat=X2hs, X2check=X2cs, v1=v1, v2=v2, x=xs)
+        Rs[:, k] = R
+        u, R = _response_step(bundle, bundle.cv[k], k, dW[:, k] if k < K else None,
+                              R, at(offsets, k), at(v, k), at(seen, k))
+        if u:
+            us[:, k] = np.concatenate(u, axis=-1)
+    return Response(x=Rs[..., :n], filtered=Rs[..., n:], controls=us)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ coefficient, and its standard error comes from the per-path linear terms
 outermost: each chunk of paths draws its Brownian increments once and steps
 one base closed loop of the law it is handed, along which one response group
 per player advances its base cost and all the directions as one block state,
-on node tables probed once per sweep from the homogeneous, linear form of
-closedloop's best-response systems (those `respond_player1/12` run).  No
+on node tables probed once per sweep from closedloop's `_response_step`, the
+best-response systems that `respond` runs, on the bundle's intercept-free
+twin `without_intercepts(bundle)`: their homogeneous, linear form.  No
 increment row is drawn twice however many players and directions share the
 seed.  The sabotaged law of `verify --sabotage-gains` is swept like any other.
 
@@ -30,13 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedloop import (BLOCK_PATHS, FeedbackLaw, _follower_control,
-                         _follower_offset, _follower_step, _guard,
-                         _middle_controls, _middle_offset, _middle_step,
-                         _node_loop, _paths_from, _state_step)
+from .closedloop import (BLOCK_PATHS, FeedbackLaw, _follower_offset, _guard,
+                         _middle_offset, _node_loop, _paths_from,
+                         _response_step)
 from .lift import CoeffValues
 from .model import GameSpec, solver_times
-from .riccati import RiccatiBundle
+from .riccati import RiccatiBundle, without_intercepts
 from .rng import NoisePlan
 
 
@@ -142,48 +142,31 @@ def default_directions(spec: GameSpec) -> list:
     return [Direction(name, np.outer(s, e)) for name, s in shapes.items()]
 
 
-def _response_step(bundle: RiccatiBundle, c, k, player, dWk, R, off, dv_own):
-    """Euler step k -> k+1 of a response group's state R (rows (..., w)) under
-    the own control perturbation dv_own: the homogeneous form of closedloop's
-    best-response systems, the lower levels re-responding from their
-    filtered states and the group's response offset off at node k."""
-    n, dv, filtered = c.A.shape[-1], [None, None, None], ()
-    dv[player - 1] = dv_own
-    if player == 2:
-        dxc = R[..., n:]
-        dv[0] = _follower_control(bundle, c, k, dxc, off, False)
-        filtered = (_follower_step(bundle, c, k, dWk, dxc, off,
-                                   dv_own @ c.B[1].T, False),)
-    elif player == 3:
-        dX2h, dX2c = R[..., n:3 * n], R[..., 3 * n:]
-        dv[0], dv[1] = _middle_controls(bundle, c, k, dX2h, dX2c, off, off, False)
-        filtered = _middle_step(bundle, k, dWk, dX2h, dX2c, off, off, dv_own,
-                                dv_own, False)
-    dx = _state_step(c, bundle.times, k, dWk, R[..., :n], dv, False)
-    return np.concatenate((dx, *filtered), axis=-1)
-
-
-def _group_tables(bundle: RiccatiBundle, player, directions):
-    """A group's tables (see _Group), probed from the linear _response_step
-    at every node: on w basis rows without noise and under a unit increment
-    on each channel, and on each direction's path with its offset, solved
-    once here.  Channels that load nothing are left out."""
+def _group_tables(twin: RiccatiBundle, player, directions):
+    """A group's tables (see _Group), probed from closedloop's
+    `_response_step` on the homogeneous bundle twin at every node: on w
+    basis rows without noise and under a unit increment on each channel,
+    and on each direction's path with its offset, solved once here.
+    Channels that load nothing are left out."""
     paths = np.stack([d.path for d in directions])
     D, n_nodes, n = paths.shape
-    K, w, cv = n_nodes - 1, (1, 2, 5)[player - 1] * n, bundle.cv
-    offset = (_follower_offset(bundle, paths, np.zeros_like(paths), False)
-              if player == 2 else _middle_offset(bundle, paths, False)
-              if player == 3 else np.zeros((n_nodes, D, n)))
+    K, w, cv = n_nodes - 1, (1, 2, 5)[player - 1] * n, twin.cv
+    offset = (_follower_offset(twin, paths, np.zeros_like(paths))
+              if player == 2 else _middle_offset(twin, paths)
+              if player == 3 else np.zeros((n_nodes, D, 0)))
     # probe rows: the basis four times, then the directions
     R = np.vstack([np.tile(np.eye(w), (4, 1)), np.zeros((D, w))])
     dW = np.vstack([np.zeros((w, 3)), np.repeat(np.eye(3), w, axis=0),
                     np.zeros((D, 3))])
     dv = np.zeros((len(R), n))
     off = np.zeros((len(R), offset.shape[-1]))
+    # only the own control moves, and every filter sees it as it is
+    v = (dv,) + (None,) * (3 - player)
     probes = np.empty((K, w, len(R)))   # R's step as columns: probes[k] @ rows
     for k in range(K):
         dv[4 * w:], off[4 * w:] = paths[:, k], offset[k]
-        probes[k] = _response_step(bundle, cv[k], k, player, dW, R, off, dv).T
+        probes[k] = _response_step(twin, cv[k], k, dW, R, (off,) * (player - 1),
+                                   v, v * (player - 1))[1].T
     F = probes[..., :w]
     loads = [probes[..., (i + 1) * w:(i + 2) * w] - F for i in range(3)]
     channels = [i for i in range(3) if np.any(loads[i])]
@@ -268,7 +251,9 @@ def variational_sweep(spec: GameSpec, players, directions, epsilons,
                  {-float(e) for e in epsilons})
     times = solver_times(spec)
     plan = NoisePlan.for_spec(spec, seed).reusing(min(BLOCK_PATHS, n_paths))
-    tables = [_group_tables(bundle, player, directions) for player in players]
+    twin = without_intercepts(bundle)
+    tables = [_group_tables(twin, player, directions) for player in players]
+    del twin        # probed only: not held through the run
 
     def run(i0):  # each chunk's increments overwrite the last one's
         dW = plan.increments(np.arange(i0, min(i0 + BLOCK_PATHS, n_paths)))

@@ -24,7 +24,9 @@ calls them once on the table of interior nodes.
 
 `solve_game` returns the ladder's levels as (K+1, d, d) arrays on one
 RiccatiBundle, with the grid's coefficient table `cv` that every consumer of
-the solve reads, and Omega as a (K+1, 4n) array.
+the solve reads, and Omega as a (K+1, 4n) array.  `without_intercepts`
+gives its homogeneous twin: the same ladder, whose equations read no
+intercept, on the table with b, sigma_i, m_i and n_i zeroed.
 
 Offsets: with deterministic coefficients the offset backward SDEs admit
 deterministic solutions with zero martingale integrands and with all
@@ -54,7 +56,7 @@ LEVELS = ("p", "P1", "P2", "Pf1", "Pf2", "Pf3")     # RiccatiBundle's arrays, in
 @dataclass(frozen=True)
 class RiccatiBundle:
     """The solved levels, one (K+1, d, d) array each, the lifted families
-    and the coefficient table `cv` on the solver grid `times`."""
+    and the coefficient table `cv` on the solver grid `times`, all read-only."""
 
     times: np.ndarray
     cv: CoeffValues
@@ -256,14 +258,31 @@ def solve_p(spec: GameSpec) -> np.ndarray:
 def solve_game(spec: GameSpec):
     """Full ladder, level by level: the RiccatiBundle and Omega (K+1, 4n)."""
     times, (p, P, Pf, Omega) = _solve_levels(spec, 3)
-    cv = CoeffValues(spec, times)
-    l1 = level1_at(cv, p[:, 0])
+    return _on_table(CoeffValues(spec, times), times, p[:, 0], P[:, 0], P[:, 1],
+                     Pf[:, 0], Pf[:, 1], Pf[:, 2]), Omega
+
+
+def without_intercepts(bundle: RiccatiBundle) -> RiccatiBundle:
+    """The bundle of the homogeneous best-response systems: the same ladder
+    arrays (the ladder reads no b, sigma_i, m_i or n_i), the grid table with
+    those intercepts zeroed and the families read off it.  Under common
+    noise, its systems step the response to a control perturbation."""
+    return _on_table(bundle.cv.without_intercepts(), bundle.times,
+                     *(getattr(bundle, name) for name in LEVELS))
+
+
+def _on_table(cv, times, p, P1, P2, Pf1, Pf2, Pf3) -> RiccatiBundle:
+    """The RiccatiBundle of solved levels, its families read off the grid
+    table cv; like cv's, its arrays are read-only."""
+    l1 = level1_at(cv, p)
     l2 = level2_at(cv, l1)
-    l2cl = level2_closedloop_at(cv, l2, P[:, 0], P[:, 1])
-    bundle = RiccatiBundle(times=times, cv=cv, p=p[:, 0], P1=P[:, 0], P2=P[:, 1],
-                           Pf1=Pf[:, 0], Pf2=Pf[:, 1], Pf3=Pf[:, 2], l1=l1,
-                           l2=l2, l2cl=l2cl, l3=level3_at(cv, l2, l2cl))
-    return bundle, Omega
+    l2cl = level2_closedloop_at(cv, l2, P1, P2)
+    l3 = level3_at(cv, l2, l2cl)
+    for arr in (p, P1, P2, Pf1, Pf2, Pf3, *l1.values(), *l2.values(),
+                *l2cl.values(), *l3.values()):
+        arr.flags.writeable = False
+    return RiccatiBundle(times=times, cv=cv, p=p, P1=P1, P2=P2, Pf1=Pf1,
+                         Pf2=Pf2, Pf3=Pf3, l1=l1, l2=l2, l2cl=l2cl, l3=l3)
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,15 @@ def test_verify_rejects_bad_epsilons(spec_file, tmp_path, epsilons):
     assert not (tmp_path / "v").exists()
 
 
+# a non-finite scale would build a law of NaN gains and end as a blow-up
+@pytest.mark.parametrize("gains", ["nan", "inf", "-inf"])
+def test_verify_rejects_non_finite_sabotage_gains(spec_file, tmp_path, gains):
+    rc = main(["verify", "--spec", str(spec_file), "--out", str(tmp_path / "v"),
+               "--paths", "8", f"--sabotage-gains={gains}"])
+    assert rc == 2
+    assert not (tmp_path / "v").exists()
+
+
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 

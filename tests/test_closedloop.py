@@ -7,8 +7,8 @@ import stacklq as sq
 import stacklq.verify as verify
 from stacklq.closedloop import (BLOCK_PATHS, _follower_offset, _middle_offset,
                                 _node_loop, _phicheck_gain, _rows_at,
-                                _state_step, ansatz_residual, respond_player1,
-                                respond_player12, simulate_equilibrium)
+                                _state_step, ansatz_residual, respond,
+                                simulate_equilibrium)
 from stacklq.errors import BlowUpError, UnsupportedPerturbationError
 from stacklq.lift import CoeffValues, mv, selectors
 from stacklq.model import solver_times
@@ -244,7 +244,7 @@ def test_scaled_law_plays_the_scaled_gain(n2_spec):
         close(Z[:, :n], x)
         if k < times.shape[0] - 1:
             x = _state_step(law.cv[k], times, k, dW[:, k], x,
-                            np.split(V, 3, axis=1), True)
+                            np.split(V, 3, axis=1))
 
 
 def simulate_state(spec, v1, v2, v3, dW):
@@ -257,7 +257,7 @@ def simulate_state(spec, v1, v2, v3, dW):
     for k in range(K):
         xs[:, k] = x
         v = [_rows_at(vi, k, N) for vi in (v1, v2, v3)]
-        x = _state_step(cv[k], times, k, dW[:, k], x, v, True)
+        x = _state_step(cv[k], times, k, dW[:, k], x, v)
     xs[:, K] = x
     return xs
 
@@ -352,8 +352,8 @@ def test_offset_blowup_reported_at_its_node():
     times = solver_times(spec)
     big, zero = np.zeros((101, 1)), np.zeros((101, 1))
     big[:41] = 1e17
-    runs = (lambda: _follower_offset(bundle, big, zero, False),
-            lambda: _middle_offset(bundle, big, False))
+    runs = (lambda: _follower_offset(bundle, big, zero),
+            lambda: _middle_offset(bundle, big))
     for run in runs:
         with pytest.raises(BlowUpError) as err:
             run()
@@ -426,9 +426,9 @@ def test_respond_player1_zero_spec():
     K = solver_times(spec).shape[0]
     dW = np.zeros((3, K - 1, 3))
     z = np.zeros((K, 1))
-    r = respond_player1(spec, bundle, z, z, dW)
+    r = respond(spec, bundle, (z, z), dW)
     assert np.allclose(r.x, 2.0, atol=1e-12)
-    assert np.allclose(r.v1, -0.3 / 1.5, atol=1e-12)
+    assert np.allclose(r.controls, -0.3 / 1.5, atol=1e-12)
 
 
 def test_respond_player1_deterministic_bump():
@@ -439,9 +439,9 @@ def test_respond_player1_deterministic_bump():
     K = times.shape[0]
     v2 = (times < 0.5).astype(float)[:, None]
     dW = np.zeros((2, K - 1, 3))
-    r = respond_player1(spec, bundle, v2, np.zeros((K, 1)), dW)
+    r = respond(spec, bundle, (v2, np.zeros((K, 1))), dW)
     expect = 1.0 + np.minimum(times, 0.5)
-    assert np.allclose(r.xcheck[0, :, 0], expect, atol=1e-12)
+    assert np.allclose(r.filtered[0, :, 0], expect, atol=1e-12)
 
 
 def test_respond_player1_rejects_paths_without_filters(generic_solution,
@@ -449,7 +449,7 @@ def test_respond_player1_rejects_paths_without_filters(generic_solution,
     bundle, _, law = generic_solution
     paths, dW = _paths(scalar_generic, law, 31, 4)
     with pytest.raises(UnsupportedPerturbationError):
-        respond_player1(scalar_generic, bundle, paths.v2, paths.v3, dW)
+        respond(scalar_generic, bundle, (paths.v2, paths.v3), dW)
 
 
 def test_respond_player1_equilibrium_fixed_point(generic_solution,
@@ -458,11 +458,11 @@ def test_respond_player1_equilibrium_fixed_point(generic_solution,
     paths, dW = _paths(scalar_generic, law, 31, 32)
     phic = reconstruct_phicheck(bundle, Omega, paths.X3check)
     vcheck2, _, vcheck3 = filtered_controls(law, paths)
-    r = respond_player1(scalar_generic, bundle, paths.v2, paths.v3, dW,
-                        vcheck2=vcheck2, vcheck3=vcheck3, phicheck=phic)
+    r = respond(scalar_generic, bundle, (paths.v2, paths.v3), dW,
+                seen=(vcheck2, vcheck3), offsets=(phic,))
     h = 1.0 / scalar_generic.grid.steps
-    assert np.abs(r.v1 - paths.v1).max() <= 10 * h
-    assert np.abs(r.xcheck - paths.X3check[:, :, :1]).max() <= 10 * h
+    assert np.abs(r.controls - paths.v1).max() <= 10 * h
+    assert np.abs(r.filtered - paths.X3check[:, :, :1]).max() <= 10 * h
 
 
 def test_respond_player12_zero_spec():
@@ -470,8 +470,8 @@ def test_respond_player12_zero_spec():
     bundle, _ = solve_game(spec)
     K = solver_times(spec).shape[0]
     dW = np.zeros((2, K - 1, 3))
-    r = respond_player12(spec, bundle, np.zeros((K, 1)), dW)
-    assert np.allclose(r.v2, -0.25 / 1.25, atol=1e-12)
+    r = respond(spec, bundle, (np.zeros((K, 1)),), dW)
+    assert np.allclose(r.controls[..., 1:], -0.25 / 1.25, atol=1e-12)
 
 
 def test_respond_player12_pulse_integral():
@@ -483,10 +483,10 @@ def test_respond_player12_pulse_integral():
     K = times.shape[0]
     v3 = ((times >= 0.2) & (times < 0.6)).astype(float)[:, None]
     dW = np.zeros((1, K - 1, 3))
-    r = respond_player12(spec, bundle, v3, dW)
+    r = respond(spec, bundle, (v3,), dW)
     expect = np.clip(times, 0.2, 0.6) - 0.2
-    assert np.allclose(r.X2check[0, :, 0], expect, atol=1e-12)
-    assert np.all(r.X2check[0, :, 1] == 0.0)
+    assert np.allclose(r.filtered[0, :, 2], expect, atol=1e-12)
+    assert np.all(r.filtered[0, :, 3] == 0.0)
 
 
 def test_respond_player12_equilibrium_fixed_point(generic_solution,
@@ -495,12 +495,37 @@ def test_respond_player12_equilibrium_fixed_point(generic_solution,
     paths, dW = _paths(scalar_generic, law, 13, 32)
     Phih, Phic = reconstruct_Phi(bundle, Omega, paths.X3hat, paths.X3check)
     _, vhat3, vcheck3 = filtered_controls(law, paths)
-    r = respond_player12(scalar_generic, bundle, paths.v3, dW, vhat3=vhat3,
-                         vcheck3=vcheck3, Phihat=Phih, Phicheck=Phic)
+    r = respond(scalar_generic, bundle, (paths.v3,), dW, seen=(vhat3, vcheck3),
+                offsets=(Phih, Phic))
     h = 1.0 / scalar_generic.grid.steps
-    assert np.abs(r.v2 - paths.v2).max() <= 10 * h
-    assert np.abs(r.v1 - paths.v1).max() <= 10 * h
-    assert np.abs(r.X2hat - paths.X3hat[:, :, :2]).max() <= 10 * h
+    assert np.abs(r.controls[..., 1:] - paths.v2).max() <= 10 * h
+    assert np.abs(r.controls[..., :1] - paths.v1).max() <= 10 * h
+    assert np.abs(r.filtered[..., :2] - paths.X3hat[:, :, :2]).max() <= 10 * h
+
+
+@pytest.mark.parametrize("name", ["n2_spec", "offgrid_spec"])
+def test_response_on_the_twin_is_the_response_difference(name, request):
+    # the systems are linear, so on one draw of the noise and from x0 = 0
+    # the homogeneous systems of without_intercepts(bundle) step the
+    # difference of two responses on the bundle: the sweep's probes rely on
+    # it, and a twin that kept any intercept breaks it
+    spec = request.getfixturevalue(name)
+    spec = dataclasses.replace(spec, x0=np.zeros(spec.n))
+    bundle, _ = solve_game(spec)
+    twin = sq.without_intercepts(bundle)
+    dW = NoisePlan.for_spec(spec, 3).increments(np.arange(16))
+    zero = np.zeros((bundle.times.shape[0], spec.n))
+    for level in (2, 3):
+        rest = (zero,) * (3 - level)
+        base = respond(spec, bundle, (zero,) + rest, dW)
+        for d in default_directions(spec):
+            v = (0.1 * d.path,) + rest
+            got, full = respond(spec, twin, v, dW), respond(spec, bundle, v, dW)
+            for field in ("x", "filtered", "controls"):
+                want = getattr(full, field) - getattr(base, field)
+                np.testing.assert_allclose(
+                    getattr(got, field), want, rtol=0,
+                    atol=1e-10 * np.abs(want).max(), err_msg=(level, d.id, field))
 
 
 def test_ansatz_residual_shrinks(scalar_generic):

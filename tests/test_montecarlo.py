@@ -11,12 +11,13 @@ import stacklq.montecarlo as montecarlo
 from stacklq.closedloop import (_follower_control, _follower_offset,
                                 _follower_step, _middle_controls,
                                 _middle_offset, _middle_step, _node_loop,
-                                _state_step, respond_player1, respond_player12)
+                                _state_step, respond)
 from stacklq.lift import CoeffValues
 from stacklq.model import solver_times
 from stacklq.montecarlo import (_node_cost, default_directions, mean_stderr,
                                 simulate_blocks, variational_sweep)
-from stacklq.riccati import BLOWUP_LIMIT, backward_rk4, solve_game
+from stacklq.riccati import (BLOWUP_LIMIT, backward_rk4, solve_game,
+                             without_intercepts)
 from stacklq.rng import NoisePlan
 
 
@@ -399,33 +400,35 @@ def test_sweep_draws_and_steps_only_what_the_spec_loads(reducible_spec,
 
 
 def _helper_group(spec, bundle, law, player, directions, dW):
-    """A response group stepped by closedloop's affine=False helpers on their
-    own, directions on a leading axis: yields at each node k, before its step,
-    the state [dx | dxc] or [dx | dX2h | dX2c] (D, N, w), the lower levels'
-    controls and the cost polynomials' Bc and Cc summed up to node k."""
+    """A response group stepped by closedloop's helpers on their own on the
+    homogeneous twin of bundle, directions on a leading axis: yields at each
+    node k, before its step, the state [dx | dxc] or [dx | dX2h | dX2c]
+    (D, N, w), the lower levels' controls and the cost polynomials' Bc and
+    Cc summed up to node k, whose weights are the real table's."""
     times, n = law.times, spec.n
-    cv = CoeffValues(spec, times)
+    twin = without_intercepts(bundle)
+    cv, tcv = bundle.cv, twin.cv
     D, N = len(directions), dW.shape[0]
     paths = np.stack([d.path for d in directions])
     off = None
     if player == 2:
-        off = _follower_offset(bundle, paths, np.zeros_like(paths), False)
+        off = _follower_offset(twin, paths, np.zeros_like(paths))
     elif player == 3:
-        off = _middle_offset(bundle, paths, False)
+        off = _middle_offset(twin, paths)
     dx = np.zeros((D, N, n))
     filt = [np.zeros((D, N, n))] if player == 2 else [np.zeros((D, N, 2 * n))] * 2
     Bc, Cc = np.zeros((D, N)), np.zeros((D, N))
     form = lambda a, M, b: np.einsum("...pi,ij,...pj->...p", a, M, b)
     for k, Z, V in _node_loop(spec, law, dW):
-        c, own, xbase = cv[k], player - 1, Z[:, :n]
+        c, tc, own, xbase = cv[k], tcv[k], player - 1, Z[:, :n]
         offk = None if off is None else off[k, :, None]
         v = [V[:, :n], V[:, n:2 * n], V[:, 2 * n:]]
         dv = [None, None, None]
         dv[own] = paths[:, k, None]
         if player == 2:
-            dv[0] = _follower_control(bundle, c, k, filt[0], offk, False)
+            dv[0] = _follower_control(twin, tc, k, filt[0], offk)
         elif player == 3:
-            dv[0], dv[1] = _middle_controls(bundle, c, k, *filt, offk, offk, False)
+            dv[0], dv[1] = _middle_controls(twin, tc, k, *filt, offk, offk)
         if k == len(times) - 1:
             Bc = Bc + form(xbase, c.G[own], dx)
             Cc = Cc + 0.5 * form(dx, c.G[own], dx)
@@ -440,23 +443,24 @@ def _helper_group(spec, bundle, law, player, directions, dW):
         if k < len(times) - 1:
             dWk = dW[:, k]
             if player == 2:
-                filt = [_follower_step(bundle, c, k, dWk, filt[0], offk,
-                                       dv[1] @ c.B[1].T, False)]
+                filt = [_follower_step(twin, tc, k, dWk, filt[0], offk,
+                                       dv[1], None)]
             elif player == 3:
-                filt = list(_middle_step(bundle, k, dWk, *filt, offk, offk,
-                                         dv[2], dv[2], False))
-            dx = _state_step(c, times, k, dWk, dx, dv, False)
+                filt = list(_middle_step(twin, k, dWk, *filt, offk, offk,
+                                         dv[2], dv[2]))
+            dx = _state_step(tc, times, k, dWk, dx, dv)
 
 
 @pytest.mark.parametrize("name", ["n2_spec", "offgrid_spec", "reducible_spec"])
 def test_sweep_group_tables_match_helpers(name, request):
     # each group's table-stepped state, the lower levels' controls read off it
-    # and its Bc/Cc against the affine=False helpers stepped on their own;
+    # and its Bc/Cc against the helpers stepped on their own on the
+    # homogeneous twin;
     # the summation order differs, so agreement is to rounding: rtol 1e-12,
     # and the same bound relative to the node's largest entry near zero
     spec = request.getfixturevalue(name)
     bundle, Omega, law = _solution(spec)
-    times, n, cv = law.times, spec.n, law.cv
+    times, n, twin = law.times, spec.n, without_intercepts(bundle)
     dirs = default_directions(spec)
     scaled = sq.build_feedback(bundle, Omega, 1.5)
     groups = [(1, dirs, law), (2, dirs, law), (3, dirs, law),
@@ -469,19 +473,19 @@ def test_sweep_group_tables_match_helpers(name, request):
 
     for player, ds, lw in groups:
         run = montecarlo._Group(16, player,
-                                montecarlo._group_tables(bundle, player, ds))
+                                montecarlo._group_tables(twin, player, ds))
         ref = _helper_group(spec, bundle, lw, player, ds, dW)
         for (k, Z, V), (state, lower, off, Bc, Cc) in zip(
                 _node_loop(spec, lw, dW), ref):
-            R, c = run.state[0].transpose(1, 2, 0), cv[k]
+            R, tc = run.state[0].transpose(1, 2, 0), twin.cv[k]
             close(R, state)
-            got = ((_follower_control(bundle, c, k, R[..., n:], off, False),)
+            got = ((_follower_control(twin, tc, k, R[..., n:], off),)
                    if player == 2 else
-                   _middle_controls(bundle, c, k, R[..., n:3 * n], R[..., 3 * n:],
-                                    off, off, False) if player == 3 else ())
+                   _middle_controls(twin, tc, k, R[..., n:3 * n], R[..., 3 * n:],
+                                    off, off) if player == 3 else ())
             for g, want in zip(got, lower, strict=True):
                 close(g, want)
-            run.node(lw, c, k, Z, V, dW)
+            run.node(lw, law.cv[k], k, Z, V, dW)
             close(run.Bc, Bc)
             close(0.5 * run.Cc2, Cc)
 
@@ -576,7 +580,7 @@ def test_sweep_numbers_pinned(scalar_generic, generic_solution, monkeypatch):
 def test_sweep_response_is_the_public_response():
     # no intercept anywhere and x0 = 0: the base run is identically 0, so
     # J(eps) is the player's cost along the lower levels' best response to
-    # eps * d alone, which respond_player1/12 compute on the same noise
+    # eps * d alone, which respond computes on the same noise
     spec = sq.make_spec(n=1, T=1.0, steps=60, x0=0.0,
                         A=0.3, B1=1.0, B2=0.8, B3=0.6, C1=0.15, C2=0.12,
                         C3=0.1, Q1=1.0, R1=1.0, G1=0.5, Q2=0.8, R2=1.2,
@@ -591,10 +595,7 @@ def test_sweep_response_is_the_public_response():
         for d in default_directions(spec):
             rep = variational_sweep(spec, (player,), [d], [eps], N, seed,
                                     law, bundle)[0]
-            if player == 2:
-                r = respond_player1(spec, bundle, eps * d.path, zero, dW)
-            else:
-                r = respond_player12(spec, bundle, eps * d.path, dW)
+            r = respond(spec, bundle, (eps * d.path, zero)[:4 - player], dW)
             J = sum(_node_cost(cv[k], player - 1, k, times, r.x[:, k],
                                np.broadcast_to(eps * d.path[k], (N, 1)))
                     for k in range(times.shape[0]))
