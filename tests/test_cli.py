@@ -69,6 +69,45 @@ def test_rho_min_must_be_positive(tmp_path, rho_min):
     assert "rho_min" in {v.field for v in report.violations}
 
 
+@pytest.mark.parametrize("field, value", [("G1", -1.0)])
+def test_invalid_spec_exits_1_before_out(tmp_path, field, value):
+    p = tmp_path / "bad.json"
+    sq.save_spec(sq.make_spec(n=1, **{field: value}), p)
+    rc = main(["validate", "--spec", str(p), "--out", str(tmp_path / "report")])
+    assert rc == 1
+    assert (tmp_path / "report" / "validation.txt").read_text().startswith(
+        f"{field}: ")
+    for command in ("solve", "simulate", "verify"):
+        out = tmp_path / command
+        assert main([command, "--spec", str(p), "--out", str(out)]) == 1, command
+        assert not out.exists()
+
+
+def test_rho_min_override_takes_effect(tmp_path, capsys):
+    p = tmp_path / "spec.json"
+    sq.save_spec(sq.make_spec(n=1, R1=1.0), p)
+    rc = main(["solve", "--spec", str(p), "--out", str(tmp_path / "o"),
+               "--rho-min", "2"])
+    assert rc == 1
+    assert "R1 at t=0: min eigenvalue below rho_min=2" in capsys.readouterr().err
+
+
+def test_simulate_blow_up_exits_3(tmp_path, capsys):
+    p = tmp_path / "spec.json"
+    sq.save_spec(sq.make_spec(n=1, steps=50, A=40.0, sigma3=0.1), p)
+    rc = main(["simulate", "--spec", str(p), "--out", str(tmp_path / "o"),
+               "--paths", "4"])
+    assert rc == 3
+    assert "numerical blow-up: equilibrium state blew up" in capsys.readouterr().err
+
+
+def test_zero_paths_is_a_parse_error(zero_file, tmp_path):
+    rc = main(["simulate", "--spec", str(zero_file), "--out", str(tmp_path / "o"),
+               "--paths", "0"])
+    assert rc == 2
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_seed_outside_u64_is_a_parse_error(spec_file, tmp_path, command, seed):

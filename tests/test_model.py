@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -124,3 +125,107 @@ def test_solver_times_include_breakpoints():
     assert np.any(np.isclose(times, 0.333))
     assert times[0] == 0.0 and times[-1] == 1.0
     assert np.all(np.diff(times) > 0)
+
+
+def _edited(edit):
+    """The document of make_spec(), changed in place by `edit`."""
+    doc = sq.spec_to_dict(sq.make_spec())
+    edit(doc)
+    return doc
+
+
+_pw = lambda brk, a, b: Coefficient.piecewise([brk], [a, b])
+_ASYM = [[1.0, 0.5], [0.0, 1.0]]
+
+# Every validation and parse message, word for word.  A case builds a spec
+# (its report is checked), a document (parsed from a file) or JSON text
+# (loaded from a file whose path stands for {path}).
+MESSAGE_CASES = [
+    pytest.param(lambda: sq.make_spec(A=np.eye(2)),
+                 "A: expected shape (1, 1), got (2, 2)", id="coeff_shape"),
+    pytest.param(lambda: dataclasses.replace(sq.make_spec(), n=0),
+                 "n: state dimension must be >= 1", id="n_below_1"),
+    pytest.param(lambda: sq.make_spec(T=0.0),
+                 "T: horizon must be a positive finite real", id="T_zero"),
+    pytest.param(lambda: sq.make_spec(T=np.inf),
+                 "T: horizon must be a positive finite real", id="T_inf"),
+    pytest.param(lambda: sq.make_spec(steps=1),
+                 "steps: need at least 2 grid steps", id="steps_below_2"),
+    pytest.param(lambda: sq.make_spec(n=2, x0=np.zeros(3)),
+                 "x0: expected shape (2,), got (3,)", id="x0_shape"),
+    pytest.param(lambda: sq.make_spec(x0=np.nan),
+                 "x0: non-finite entries", id="x0_nan"),
+    pytest.param(lambda: sq.make_spec(B2=np.inf),
+                 "B2: non-finite or unbounded entries", id="coeff_inf"),
+    pytest.param(lambda: sq.make_spec(b=1e19),
+                 "b: non-finite or unbounded entries", id="coeff_unbounded"),
+    pytest.param(lambda: sq.make_spec(A=_pw(1.5, [[0.1]], [[0.2]])),
+                 "A: piecewise breakpoints outside (0, T)", id="breaks_outside"),
+    pytest.param(lambda: sq.make_spec(C1=Coefficient.piecewise(
+        [0.6, 0.3], [[[1.0]], [[2.0]], [[3.0]]])),
+                 "C1: piecewise breakpoints not strictly increasing",
+                 id="breaks_not_increasing"),
+    pytest.param(lambda: sq.make_spec(G1=np.eye(2)),
+                 "G1: expected shape (1, 1), got (2, 2)", id="G_shape"),
+    pytest.param(lambda: sq.make_spec(n=2, x0=np.zeros(2), G2=_ASYM),
+                 "G2: not symmetric", id="G_asymmetric"),
+    pytest.param(lambda: sq.make_spec(G3=-1.0),
+                 "G3: not positive semidefinite", id="G_indefinite"),
+    pytest.param(lambda: sq.make_spec(n=2, x0=np.zeros(2),
+                                      Q1=_pw(0.5, np.eye(2), _ASYM)),
+                 "Q1 at t=0.5: not symmetric", id="Q_asymmetric_piece"),
+    pytest.param(lambda: sq.make_spec(n=2, x0=np.zeros(2), R3=_ASYM),
+                 "R3 at t=0: not symmetric", id="R_asymmetric"),
+    pytest.param(lambda: sq.make_spec(R2=_pw(0.437, [[1.0]], [[-0.5]])),
+                 "R2 at t=0.437: min eigenvalue below rho_min=1e-08",
+                 id="R_below_rho_min"),
+    pytest.param(lambda: dataclasses.replace(sq.make_spec(), rho_min=np.nan),
+                 "rho_min: must be a positive finite real", id="rho_min_nan"),
+    pytest.param(lambda: sq.make_spec(adjacency=np.ones((3, 3), dtype=int)),
+                 "adjacency: information pattern must be the nested "
+                 "lower-triangular {001,011,111}", id="adjacency"),
+    pytest.param(lambda: sq.make_spec(steps=1, B3=np.nan, G2=-1.0, R1=-1.0,
+                                      n1=[1.0, 2.0], adjacency=np.eye(3)),
+                 "steps: need at least 2 grid steps\n"
+                 "B3: non-finite or unbounded entries\n"
+                 "n1: expected shape (1,), got (2,)\n"
+                 "R1 at t=0: min eigenvalue below rho_min=1e-08\n"
+                 "G2: not positive semidefinite\n"
+                 "adjacency: information pattern must be the nested "
+                 "lower-triangular {001,011,111}", id="report_order"),
+    pytest.param(lambda: "{ not json",
+                 "{path}: line 1, column 3: Expecting property name enclosed "
+                 "in double quotes", id="not_json"),
+    pytest.param(lambda: "[1]", "{path}: top-level JSON value must be an object",
+                 id="top_level_not_object"),
+    pytest.param(lambda: {"n": 1}, "malformed game spec: 'steps'", id="missing_key"),
+    pytest.param(lambda: _edited(lambda d: d.update(steps=2.7)),
+                 "n and steps must be whole numbers", id="steps_fraction"),
+    pytest.param(lambda: _edited(lambda d: d["coeffs"].update(
+        B1={"kind": "constant"})),
+                 "bad coefficient entry: 'value'", id="entry_without_value"),
+    pytest.param(lambda: _edited(lambda d: d["costs"]["player2"]["R"].update(
+        kind="spline")),
+                 "unknown coefficient kind 'spline'", id="unknown_kind"),
+    pytest.param(lambda: _edited(lambda d: d["coeffs"].update(A={
+        "kind": "piecewise", "breaks": 0.5, "values": [[[0.1]], [[0.2]]]})),
+                 "piecewise breaks must be a list of finite numbers",
+                 id="breaks_not_a_list"),
+    pytest.param(lambda: _edited(lambda d: d["costs"]["player3"].update(m={
+        "kind": "piecewise", "breaks": [0.5], "values": [[0.1]]})),
+                 "piecewise coefficient needs len(values) == len(breaks)+1",
+                 id="values_count"),
+]
+
+
+@pytest.mark.parametrize("make, message", MESSAGE_CASES)
+def test_every_message_pinned(tmp_path, make, message):
+    given = make()
+    if isinstance(given, sq.GameSpec):
+        assert str(sq.validate_spec(given)) == message
+        return
+    path = tmp_path / "spec.json"
+    path.write_text(given if isinstance(given, str) else json.dumps(given))
+    with pytest.raises(SpecFormatError) as err:
+        sq.load_spec(path)
+    assert str(err.value) == message.replace("{path}", str(path))
