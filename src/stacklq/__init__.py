@@ -6,9 +6,9 @@ from .errors import (BlowUpError, ConsistencyError, DomainError,
                      ReductionError, SingularCoefficientError,
                      SpecFormatError, StackLQError,
                      UnsupportedPerturbationError)
-from .model import (GameSpec, TimeGrid, ValidationReport, load_spec,
-                    make_spec, save_spec, solver_times, spec_from_dict,
-                    spec_to_dict, validate_spec)
+from .model import (GameSpec, ValidationReport, load_spec, make_spec,
+                    save_spec, solver_times, spec_from_dict, spec_to_dict,
+                    validate_spec)
 from .montecarlo import (CostEstimate, Direction, PerturbationReport,
                          default_directions, mean_stderr, simulate_blocks,
                          variational_sweep)

@@ -171,7 +171,7 @@ def cmd_simulate(args) -> int:
             mean, stderr = mean_stderr(J[player - 1])
             fh.write(f"{player},{FMT % mean},{FMT % stderr},"
                      f"{args.paths},{args.seed},{times.shape[0] - 1}\n")
-    print(f"simulated {args.paths} paths on {spec.grid.steps} steps "
+    print(f"simulated {args.paths} paths on {spec.steps} steps "
           f"(seed {args.seed})")
     return EXIT_OK
 

@@ -121,20 +121,15 @@ class CoeffValues:
     __slots__ = ("t", "A", "b", "G") + _STACKED
 
     def __init__(self, spec: GameSpec, t):
-        c = spec.coeffs
-        players = spec.costs.players
+        at = lambda name: spec.coeffs[name].at(t)
+        stack = lambda name: np.stack([at(f"{name}{i}") for i in (1, 2, 3)])
         self.t = t
-        self.A = c.A.at(t)
-        self.B = np.stack([x.at(t) for x in c.B])
-        self.C = np.stack([x.at(t) for x in c.C])
-        self.b = c.b.at(t)
-        self.sigma = np.stack([x.at(t) for x in c.sigma])
-        self.Q = np.stack([p.Q.at(t) for p in players])
+        self.A, self.b = at("A"), at("b")
+        self.B, self.C, self.sigma = stack("B"), stack("C"), stack("sigma")
+        self.Q, self.m, self.nl = stack("Q"), stack("m"), stack("n")
         self.R, self.Rinv = map(np.stack, zip(*(
-            _with_inverse(p.R, t, f"R{i + 1}") for i, p in enumerate(players))))
-        self.m = np.stack([p.m.at(t) for p in players])
-        self.nl = np.stack([p.n_lin.at(t) for p in players])
-        self.G = np.stack([p.G for p in players])
+            _with_inverse(spec.coeffs[f"R{i}"], t, f"R{i}") for i in (1, 2, 3))))
+        self.G = np.stack(spec.G)
         for name in self.__slots__[1:]:
             getattr(self, name).flags.writeable = False
 

@@ -9,13 +9,20 @@ player 1 observes W3, player 2 observes (W2, W3) and player 3 observes all
 three Brownian components.  Coefficients are constant or piecewise-constant
 in time so that specs are exactly representable in JSON and integrable
 without quadrature ambiguity.
+
+A GameSpec is the parsed JSON document, its fields the document's keys:
+spec.coeffs["B1"] is a Coefficient by its JSON name (player i's weights as
+Q{i}, R{i}, m{i}, n{i}), spec.G[0] is player 1's G, and spec.T and
+spec.steps fix the grid.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -28,9 +35,16 @@ RHO_MIN_DEFAULT = 1e-8      # min eigenvalue required for R
 SYM_TOL = 1e-10
 BIG = 1e18                  # finiteness guard (uniform boundedness surrogate)
 
-COEFF_NAMES = ("A", "B1", "B2", "B3", "C1", "C2", "C3",
-               "b", "sigma1", "sigma2", "sigma3")
-VECTOR_COEFFS = ("b", "sigma1", "sigma2", "sigma3")
+# The document's time coefficients by name, in document order: the dynamics
+# under "coeffs", then each player's weights under "costs/player{i}", whose
+# keys are PLAYER_KEYS.  G_i is a constant matrix, not a coefficient.
+DYNAMICS = ("A", "B1", "B2", "B3", "C1", "C2", "C3",
+            "b", "sigma1", "sigma2", "sigma3")
+PLAYER_KEYS = ("Q", "R", "G", "m", "n")
+COEFF_NAMES = DYNAMICS + tuple(f"{key}{i}" for i in (1, 2, 3)
+                               for key in PLAYER_KEYS if key != "G")
+VECTOR_COEFFS = frozenset(("b", "sigma1", "sigma2", "sigma3",
+                           "m1", "n1", "m2", "n2", "m3", "n3"))
 
 
 @dataclass(frozen=True)
@@ -82,54 +96,25 @@ class Coefficient:
 
 
 @dataclass(frozen=True)
-class TimeGrid:
-    """Uniform solver grid t_k = k T / steps."""
-
-    horizon: float
-    steps: int
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    A: Coefficient
-    B: tuple        # (B1, B2, B3), each n x n
-    C: tuple        # (C1, C2, C3), each n x n
-    b: Coefficient
-    sigma: tuple    # (sigma1, sigma2, sigma3), each n
-
-
-@dataclass(frozen=True)
-class PlayerCost:
-    Q: Coefficient  # n x n, PSD
-    R: Coefficient  # n x n, PD
-    G: np.ndarray   # n x n, PSD, time-independent
-    m: Coefficient  # n
-    n_lin: Coefficient  # n (linear control weight; "n" in the cost integrand)
-
-
-@dataclass(frozen=True)
-class CostSpec:
-    players: tuple  # (PlayerCost, PlayerCost, PlayerCost)
-
-
-@dataclass(frozen=True)
-class InfoStructure:
-    adjacency: np.ndarray  # 3 x 3 binary
-
-
-@dataclass(frozen=True)
 class GameSpec:
+    """A parsed spec document: one field per top-level key.
+
+    coeffs maps each name of COEFF_NAMES to its Coefficient, read-only; G is
+    (G1, G2, G3), each n x n, PSD and time-independent.
+    """
+
     n: int
-    grid: TimeGrid
-    coeffs: CoefficientSet
-    costs: CostSpec
-    info: InfoStructure
+    T: float
+    steps: int                 # uniform solver grid t_k = k T / steps
     x0: np.ndarray
+    coeffs: Mapping[str, Coefficient]
+    G: tuple
+    adjacency: np.ndarray      # 3 x 3 binary
     rho_min: float = RHO_MIN_DEFAULT
 
-    @property
-    def horizon(self) -> float:
-        return self.grid.horizon
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", MappingProxyType(
+            {name: self.coeffs[name] for name in COEFF_NAMES}))
 
 
 @dataclass(frozen=True)
@@ -157,28 +142,9 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def _coeff_map(spec: GameSpec) -> dict:
-    c = spec.coeffs
-    out = {"A": c.A, "B1": c.B[0], "B2": c.B[1], "B3": c.B[2],
-           "C1": c.C[0], "C2": c.C[1], "C3": c.C[2], "b": c.b,
-           "sigma1": c.sigma[0], "sigma2": c.sigma[1], "sigma3": c.sigma[2]}
-    for i, pc in enumerate(spec.costs.players, start=1):
-        out[f"Q{i}"] = pc.Q
-        out[f"R{i}"] = pc.R
-        out[f"m{i}"] = pc.m
-        out[f"n{i}"] = pc.n_lin
-    return out
-
-
-def loads_channel(spec: GameSpec, i: int) -> bool:
-    """Whether C_i or sigma_i of Brownian component i (0-based) is nonzero."""
-    c = spec.coeffs
-    return bool(np.any(c.C[i].values) or np.any(c.sigma[i].values))
-
-
 def with_steps(spec: GameSpec, steps: int) -> GameSpec:
     """The spec on a uniform grid of `steps` steps over the same horizon."""
-    return replace(spec, grid=replace(spec.grid, steps=steps))
+    return replace(spec, steps=steps)
 
 
 def solver_times(spec: GameSpec) -> np.ndarray:
@@ -186,15 +152,12 @@ def solver_times(spec: GameSpec) -> np.ndarray:
 
     Integration steps never straddle a coefficient jump.
     """
-    pts = [np.linspace(0.0, spec.horizon, spec.grid.steps + 1)]
-    for coeff in _coeff_map(spec).values():
-        if coeff.breaks.size:
-            pts.append(coeff.breaks)
-    t = np.concatenate(pts)
-    t = t[(t >= 0.0) & (t <= spec.horizon)]
+    t = np.concatenate([np.linspace(0.0, spec.T, spec.steps + 1),
+                        *(coeff.breaks for coeff in spec.coeffs.values())])
+    t = t[(t >= 0.0) & (t <= spec.T)]
     t = np.unique(t)
     # merge near-duplicates from decimal breakpoints landing on grid nodes
-    keep = np.concatenate([[True], np.diff(t) > 1e-12 * max(spec.horizon, 1.0)])
+    keep = np.concatenate([[True], np.diff(t) > 1e-12 * max(spec.T, 1.0)])
     return t[keep]
 
 
@@ -210,6 +173,10 @@ def _check_shape(coeff, name, shape, bad):
     return True
 
 
+def _bounded(values) -> bool:
+    return bool(np.all(np.isfinite(values))) and np.abs(values).max(initial=0.0) <= BIG
+
+
 def _min_eig_sym(M):
     return float(np.linalg.eigvalsh(0.5 * (M + M.T)).min())
 
@@ -217,7 +184,7 @@ def _min_eig_sym(M):
 def validate_spec(spec: GameSpec) -> ValidationReport:
     """Collect every violated invariant; an empty report means a valid spec."""
     bad: list[Violation] = []
-    n, T = spec.n, spec.horizon
+    n, T = spec.n, spec.T
 
     if n < 1:
         bad.append(Violation("n", "state dimension must be >= 1"))
@@ -226,7 +193,7 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
         bad.append(Violation("rho_min", "must be a positive finite real"))
     if not (T > 0.0 and np.isfinite(T)):
         bad.append(Violation("T", "horizon must be a positive finite real"))
-    if spec.grid.steps < 2:
+    if spec.steps < 2:
         bad.append(Violation("steps", "need at least 2 grid steps"))
     if spec.x0.shape != (n,):
         bad.append(Violation("x0", f"expected shape ({n},), got {spec.x0.shape}"))
@@ -234,12 +201,11 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
         bad.append(Violation("x0", "non-finite entries"))
 
     mat_shape, vec_shape = (n, n), (n,)
-    table = _coeff_map(spec)
-    for name, coeff in table.items():
-        shape = vec_shape if (name in VECTOR_COEFFS or name[0] in "mn") else mat_shape
+    for name, coeff in spec.coeffs.items():
+        shape = vec_shape if name in VECTOR_COEFFS else mat_shape
         if not _check_shape(coeff, name, shape, bad):
             continue
-        if not np.all(np.isfinite(coeff.values)) or np.abs(coeff.values).max(initial=0.0) > BIG:
+        if not _bounded(coeff.values):
             bad.append(Violation(name, "non-finite or unbounded entries"))
         if coeff.breaks.size:
             if np.any(np.diff(coeff.breaks) <= 0):
@@ -248,19 +214,19 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
                 bad.append(Violation(name, "piecewise breakpoints outside (0, T)"))
 
     # weight sign conditions on every piece, reported at the piece's start
-    for i, pc in enumerate(spec.costs.players, start=1):
-        G = pc.G
+    for i, G in enumerate(spec.G, start=1):
         if G.shape != mat_shape:
             bad.append(Violation(f"G{i}", f"expected shape {mat_shape}, got {G.shape}"))
-        else:
-            if np.abs(G - G.T).max(initial=0.0) > SYM_TOL:
-                bad.append(Violation(f"G{i}", "not symmetric"))
-            elif _min_eig_sym(G) < PSD_EIG_TOL:
-                bad.append(Violation(f"G{i}", "not positive semidefinite"))
-        for name, W, floor, low in (
-                (f"Q{i}", pc.Q, PSD_EIG_TOL, "not positive semidefinite"),
-                (f"R{i}", pc.R, spec.rho_min,
-                 f"min eigenvalue below rho_min={spec.rho_min:g}")):
+        elif not _bounded(G):
+            bad.append(Violation(f"G{i}", "non-finite or unbounded entries"))
+        elif np.abs(G - G.T).max(initial=0.0) > SYM_TOL:
+            bad.append(Violation(f"G{i}", "not symmetric"))
+        elif _min_eig_sym(G) < PSD_EIG_TOL:
+            bad.append(Violation(f"G{i}", "not positive semidefinite"))
+        for name, floor, low in (
+                (f"Q{i}", PSD_EIG_TOL, "not positive semidefinite"),
+                (f"R{i}", spec.rho_min, f"min eigenvalue below rho_min={spec.rho_min:g}")):
+            W = spec.coeffs[name]
             for M, t in zip(W.values, [0.0, *W.breaks.tolist()]):
                 if M.shape == mat_shape:
                     if np.abs(M - M.T).max(initial=0.0) > SYM_TOL:
@@ -270,8 +236,7 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
                         bad.append(Violation(name, low, t))
                         break
 
-    adj = spec.info.adjacency
-    if adj.shape != (3, 3) or not np.array_equal(adj, NESTED_ADJACENCY):
+    if not np.array_equal(spec.adjacency, NESTED_ADJACENCY):
         bad.append(Violation("adjacency", "information pattern must be the nested "
                                           "lower-triangular {001,011,111}"))
 
@@ -284,16 +249,12 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
 
 def spec_to_dict(spec: GameSpec) -> dict:
     """Canonical JSON-ready form of a spec."""
-    coeffs = {name: coeff.to_json() for name, coeff in _coeff_map(spec).items()
-              if name in COEFF_NAMES}
-    costs = {}
-    for i, pc in enumerate(spec.costs.players, start=1):
-        costs[f"player{i}"] = {"Q": pc.Q.to_json(), "R": pc.R.to_json(),
-                               "G": pc.G.tolist(), "m": pc.m.to_json(),
-                               "n": pc.n_lin.to_json()}
-    return {"n": spec.n, "T": spec.horizon, "steps": spec.grid.steps,
-            "x0": spec.x0.tolist(), "coeffs": coeffs, "costs": costs,
-            "adjacency": spec.info.adjacency.tolist()}
+    costs = {f"player{i}": {key: spec.G[i - 1].tolist() if key == "G"
+                            else spec.coeffs[f"{key}{i}"].to_json()
+                            for key in PLAYER_KEYS} for i in (1, 2, 3)}
+    return {"n": spec.n, "T": spec.T, "steps": spec.steps, "x0": spec.x0.tolist(),
+            "coeffs": {name: spec.coeffs[name].to_json() for name in DYNAMICS},
+            "costs": costs, "adjacency": spec.adjacency.tolist()}
 
 
 def spec_from_dict(obj: dict) -> GameSpec:
@@ -301,31 +262,24 @@ def spec_from_dict(obj: dict) -> GameSpec:
         n, steps = int(obj["n"]), int(obj["steps"])
         if (n, steps) != (obj["n"], obj["steps"]):     # 2.7 is not truncated
             raise SpecFormatError("n and steps must be whole numbers")
-        grid = TimeGrid(float(obj["T"]), steps)
-        co = obj["coeffs"]
-        coeffs = CoefficientSet(
-            A=Coefficient.from_json(co["A"]),
-            B=tuple(Coefficient.from_json(co[f"B{i}"]) for i in (1, 2, 3)),
-            C=tuple(Coefficient.from_json(co[f"C{i}"]) for i in (1, 2, 3)),
-            b=Coefficient.from_json(co["b"]),
-            sigma=tuple(Coefficient.from_json(co[f"sigma{i}"]) for i in (1, 2, 3)),
-        )
-        players = []
+        T = float(obj["T"])
+        coeffs = {name: Coefficient.from_json(obj["coeffs"][name]) for name in DYNAMICS}
+        G = []
         for i in (1, 2, 3):
-            pc = obj["costs"][f"player{i}"]
-            players.append(PlayerCost(
-                Q=Coefficient.from_json(pc["Q"]),
-                R=Coefficient.from_json(pc["R"]),
-                G=np.asarray(pc["G"], dtype=float),
-                m=Coefficient.from_json(pc["m"]),
-                n_lin=Coefficient.from_json(pc["n"]),
-            ))
-        info = InfoStructure(np.asarray(obj["adjacency"], dtype=int))
+            player = obj["costs"][f"player{i}"]
+            for key in PLAYER_KEYS:
+                if key == "G":
+                    G.append(np.asarray(player["G"], dtype=float))
+                else:
+                    coeffs[f"{key}{i}"] = Coefficient.from_json(player[key])
+        adjacency = np.asarray(obj["adjacency"], dtype=int)
+        if not np.array_equal(adjacency, obj["adjacency"]):    # nor is 1.9
+            raise SpecFormatError("adjacency entries must be whole numbers")
         x0 = np.asarray(obj["x0"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpecFormatError(f"malformed game spec: {exc}") from exc
-    return GameSpec(n=n, grid=grid, coeffs=coeffs, costs=CostSpec(tuple(players)),
-                    info=info, x0=x0)
+    return GameSpec(n=n, T=T, steps=steps, x0=x0, coeffs=coeffs, G=tuple(G),
+                    adjacency=adjacency)
 
 
 def load_spec(path) -> GameSpec:
@@ -363,20 +317,13 @@ def make_spec(n=1, T=1.0, steps=100, x0=1.0, A=0.0, B1=0.0, B2=0.0, B3=0.0,
               Q3=0.0, R3=1.0, G3=0.0, m3=0.0, n3=0.0,
               adjacency=None) -> GameSpec:
     """Build a spec from scalars/arrays, broadcasting scalars to n x n or n."""
-    mk = lambda x: _as_coeff(x, n)
-    mkv = lambda x: _as_coeff(x, n, vector=True)
-    mkG = lambda x: (np.asarray(x, dtype=float) if np.ndim(x) == 2
-                     else float(x) * np.eye(n))
+    given = locals()
+    coeffs = {name: _as_coeff(given[name], n, name in VECTOR_COEFFS)
+              for name in COEFF_NAMES}
+    G = tuple(np.asarray(x, dtype=float) if np.ndim(x) == 2 else float(x) * np.eye(n)
+              for x in (G1, G2, G3))
     x0v = np.asarray(x0, dtype=float) * np.ones(n) if np.ndim(x0) == 0 \
         else np.asarray(x0, dtype=float)
-    coeffs = CoefficientSet(A=mk(A), B=(mk(B1), mk(B2), mk(B3)),
-                            C=(mk(C1), mk(C2), mk(C3)), b=mkv(b),
-                            sigma=(mkv(sigma1), mkv(sigma2), mkv(sigma3)))
-    players = (
-        PlayerCost(mk(Q1), mk(R1), mkG(G1), mkv(m1), mkv(n1)),
-        PlayerCost(mk(Q2), mk(R2), mkG(G2), mkv(m2), mkv(n2)),
-        PlayerCost(mk(Q3), mk(R3), mkG(G3), mkv(m3), mkv(n3)),
-    )
     adj = NESTED_ADJACENCY if adjacency is None else np.asarray(adjacency, dtype=int)
-    return GameSpec(n=n, grid=TimeGrid(float(T), int(steps)), coeffs=coeffs,
-                    costs=CostSpec(players), info=InfoStructure(adj), x0=x0v)
+    return GameSpec(n=n, T=float(T), steps=int(steps), x0=x0v, coeffs=coeffs, G=G,
+                    adjacency=adj)

@@ -60,23 +60,19 @@ class DPSolution:
 
 def reduce_to_single_player(spec: GameSpec, steps: int | None = None) -> DiscreteLQ:
     """Euler discretization of the follower-only, third-noise-only spec."""
-    c = spec.coeffs
-    offending = [name for name, coeff in
-                 (("B2", c.B[1]), ("B3", c.B[2]), ("C1", c.C[0]), ("C2", c.C[1]),
-                  ("sigma1", c.sigma[0]), ("sigma2", c.sigma[1]))
-                 if np.any(coeff.values)]
+    offending = [name for name in ("B2", "B3", "C1", "C2", "sigma1", "sigma2")
+                 if np.any(spec.coeffs[name].values)]
     if offending:
         raise ReductionError("spec is not reducible to a single controller; "
                              f"nonzero: {', '.join(offending)}")
-    K = spec.grid.steps if steps is None else int(steps)
-    T = spec.horizon
-    h = T / K
+    K = spec.steps if steps is None else int(steps)
+    h = spec.T / K
     n = spec.n
     cv = CoeffValues(spec, np.arange(K) * h)
     return DiscreteLQ(A=np.eye(n) + h * cv.A, B=h * cv.B[0], c=h * cv.b,
                       Cn=cv.C[2], sn=cv.sigma[2], var=np.full(K, h),
                       Q=h * cv.Q[0], R=h * cv.R[0], q=h * cv.m[0], r=h * cv.nl[0],
-                      G=spec.costs.players[0].G.copy(), g=np.zeros(n))
+                      G=spec.G[0].copy(), g=np.zeros(n))
 
 
 def solve_dp(d: DiscreteLQ) -> DPSolution:

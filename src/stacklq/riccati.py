@@ -146,7 +146,7 @@ _LOADS = (np.array(((0,), (0,), (0,))), np.array(((0, 0), (0, 0), (0, 1))),
 def terminal_state(spec: GameSpec):
     """The ladder's terminal values; the only builder of calG2 and frakG3."""
     n = spec.n
-    G1, G2, G3 = (player.G for player in spec.costs.players)
+    G1, G2, G3 = spec.G
     z, z2, z4 = (np.zeros((d, d)) for d in (n, 2 * n, 4 * n))
     return (G1.copy(), bdiag(G2, z), z2, bdiag(bdiag(G3, z), z2), z4, z4,
             np.zeros(4 * n))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import loads_channel, solver_times
+from .model import solver_times
 
 _WORD = 2**64 - 1
 
@@ -57,7 +57,9 @@ class NoisePlan:
     def for_spec(spec, seed: int) -> "NoisePlan":
         """The plan on the spec's solver grid, drawing the components it loads."""
         return NoisePlan(component_seeds(seed), np.diff(solver_times(spec)),
-                         tuple(loads_channel(spec, i) for i in range(3)))
+                         tuple(bool(np.any(spec.coeffs[f"C{i}"].values)
+                                    or np.any(spec.coeffs[f"sigma{i}"].values))
+                               for i in (1, 2, 3)))
 
     def reusing(self, rows: int) -> "NoisePlan":
         """The same plan drawing each batch of up to `rows` paths into one

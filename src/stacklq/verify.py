@@ -51,12 +51,12 @@ def check_residual_order(solved, fine):
     solved and fine are (spec, bundle, Omega) on the spec's grid and on the
     grid with twice as many steps.
     """
-    steps = solved[0].grid.steps
+    steps = solved[0].steps
     rows = {}
     for sp, b, Omega in (solved, fine):
         res = riccati_residuals(b, Omega)
-        h = sp.horizon / sp.grid.steps
-        rows[sp.grid.steps] = {k: v / h**2 for k, v in res.items()}
+        h = sp.T / sp.steps
+        rows[sp.steps] = {k: v / h**2 for k, v in res.items()}
     ratios = {k: (rows[2 * steps][k] / rows[steps][k]) if rows[steps][k] > 0 else 1.0
               for k in rows[steps]}
     ok = all(0.25 <= r <= 4.0 for r in ratios.values())
@@ -163,7 +163,7 @@ def run_verification(spec: GameSpec, cfg: VerifyConfig):
     bundle, Omega = solve_game(spec)
     law = build_feedback(bundle, Omega, cfg.gain_scale)
     solved = (spec, bundle, Omega)
-    fine_spec = with_steps(spec, 2 * spec.grid.steps)
+    fine_spec = with_steps(spec, 2 * spec.steps)
     fine = (fine_spec, *solve_game(fine_spec))
     checks = [
         check_terminals(*solved),

@@ -90,7 +90,8 @@ def offgrid_spec():
 def malformed_documents(reducible_spec):
     """Spec documents that must not parse: reducible_spec's with A made
     piecewise on breaks that are not a list of finite numbers or on a single
-    value, or with a grid size that is not a whole number."""
+    value, or with a grid size or an adjacency entry that is not a whole
+    number."""
     docs, two = [], [[[0.4]], [[0.5]]]
     for breaks, values in ((0.5, two), ([[0.5]], two), ([float("nan")], two),
                            ([float("inf")], two), ([0.5], 0.5)):
@@ -98,7 +99,8 @@ def malformed_documents(reducible_spec):
         doc["coeffs"]["A"] = {"kind": "piecewise", "breaks": breaks,
                               "values": values}
         docs.append(doc)
-    for key, value in (("steps", 2.7), ("n", 1.5)):
+    for key, value in (("steps", 2.7), ("n", 1.5),
+                       ("adjacency", [[0, 0, 1.9], [0, 1.5, 1], [1, 1, 1]])):
         docs.append({**sq.spec_to_dict(reducible_spec), key: value})
     return docs
 

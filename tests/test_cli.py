@@ -69,7 +69,8 @@ def test_rho_min_must_be_positive(tmp_path, rho_min):
     assert "rho_min" in {v.field for v in report.violations}
 
 
-@pytest.mark.parametrize("field, value", [("G1", -1.0)])
+@pytest.mark.parametrize("field, value", [("G1", -1.0), ("G1", np.nan),
+                                          ("G2", np.inf), ("G3", 1e300)])
 def test_invalid_spec_exits_1_before_out(tmp_path, field, value):
     p = tmp_path / "bad.json"
     sq.save_spec(sq.make_spec(n=1, **{field: value}), p)

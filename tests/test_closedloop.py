@@ -52,9 +52,8 @@ def test_no_noise_levels_coincide(scalar_generic):
     zc = sq.model.Coefficient.constant(np.zeros((1, 1)))
     zv = sq.model.Coefficient.constant(np.zeros(1))
     spec = dataclasses.replace(
-        scalar_generic,
-        coeffs=dataclasses.replace(scalar_generic.coeffs, C=(zc, zc, zc),
-                                   sigma=(zv, zv, zv)))
+        scalar_generic, coeffs={**scalar_generic.coeffs, "C1": zc, "C2": zc,
+                                "C3": zc, "sigma1": zv, "sigma2": zv, "sigma3": zv})
     bundle, Omega = solve_game(spec)
     law = sq.build_feedback(bundle, Omega)
     paths, _ = _paths(spec, law, 9, 4)
@@ -460,7 +459,7 @@ def test_respond_player1_equilibrium_fixed_point(generic_solution,
     vcheck2, _, vcheck3 = filtered_controls(law, paths)
     r = respond(scalar_generic, bundle, (paths.v2, paths.v3), dW,
                 seen=(vcheck2, vcheck3), offsets=(phic,))
-    h = 1.0 / scalar_generic.grid.steps
+    h = 1.0 / scalar_generic.steps
     assert np.abs(r.controls - paths.v1).max() <= 10 * h
     assert np.abs(r.filtered - paths.X3check[:, :, :1]).max() <= 10 * h
 
@@ -497,7 +496,7 @@ def test_respond_player12_equilibrium_fixed_point(generic_solution,
     _, vhat3, vcheck3 = filtered_controls(law, paths)
     r = respond(scalar_generic, bundle, (paths.v3,), dW, seen=(vhat3, vcheck3),
                 offsets=(Phih, Phic))
-    h = 1.0 / scalar_generic.grid.steps
+    h = 1.0 / scalar_generic.steps
     assert np.abs(r.controls[..., 1:] - paths.v2).max() <= 10 * h
     assert np.abs(r.controls[..., :1] - paths.v1).max() <= 10 * h
     assert np.abs(r.filtered[..., :2] - paths.X3hat[:, :, :2]).max() <= 10 * h
@@ -531,9 +530,7 @@ def test_response_on_the_twin_is_the_response_difference(name, request):
 def test_ansatz_residual_shrinks(scalar_generic):
     worsts = []
     for steps in (100, 200):
-        sp = dataclasses.replace(scalar_generic,
-                                 grid=dataclasses.replace(
-                                     scalar_generic.grid, steps=steps))
+        sp = dataclasses.replace(scalar_generic, steps=steps)
         bundle, Omega = solve_game(sp)
         law = sq.build_feedback(bundle, Omega)
         plan = NoisePlan.from_seed(7, np.diff(solver_times(sp)))

@@ -172,7 +172,7 @@ def test_level3_frakQ3_independent_assembly(n2_spec):
 def test_level3_frakG3_upper_left(n2_spec):
     frakG3 = terminal_state(n2_spec)[3]
     n = n2_spec.n
-    G3 = n2_spec.costs.players[2].G
+    G3 = n2_spec.G[2]
     assert np.array_equal(frakG3[:2 * n, :2 * n], bdiag(G3, np.zeros((n, n))))
     assert np.all(frakG3[2 * n:, :] == 0.0)
 

@@ -7,7 +7,7 @@ import pytest
 import stacklq as sq
 from stacklq.errors import SpecFormatError
 from stacklq.lift import CoeffValues
-from stacklq.model import Coefficient, solver_times
+from stacklq.model import Coefficient, solver_times, with_steps
 
 
 def test_zero_spec_is_valid(zero_spec):
@@ -111,6 +111,23 @@ def test_malformed_document_raises(tmp_path, malformed_documents):
             sq.load_spec(bad)
 
 
+def test_spec_is_immutable(reducible_spec):
+    A, x = reducible_spec.coeffs["A"], Coefficient.constant([[0.9]])
+    with pytest.raises(TypeError):
+        reducible_spec.coeffs["A"] = x
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        reducible_spec.steps = 7
+    other = dataclasses.replace(reducible_spec, coeffs={**reducible_spec.coeffs, "A": x})
+    assert other.coeffs["A"] is x and reducible_spec.coeffs["A"] is A
+    assert list(other.coeffs) == list(reducible_spec.coeffs)
+    with pytest.raises(TypeError):
+        other.coeffs["A"] = A
+    fine = with_steps(reducible_spec, 200)
+    assert (fine.steps, reducible_spec.steps) == (200, 100)
+    assert all(a is b for a, b in zip(fine.coeffs.values(),
+                                      reducible_spec.coeffs.values()))
+
+
 def test_breakpoints_must_increase():
     pw = Coefficient.piecewise([0.6, 0.3], [[[1.0]], [[2.0]], [[3.0]]])
     spec = sq.make_spec(n=1, A=pw)
@@ -193,6 +210,12 @@ MESSAGE_CASES = [
                  "G2: not positive semidefinite\n"
                  "adjacency: information pattern must be the nested "
                  "lower-triangular {001,011,111}", id="report_order"),
+    pytest.param(lambda: sq.make_spec(G1=np.nan),
+                 "G1: non-finite or unbounded entries", id="G_nan"),
+    pytest.param(lambda: sq.make_spec(G2=np.inf),
+                 "G2: non-finite or unbounded entries", id="G_inf"),
+    pytest.param(lambda: sq.make_spec(G3=1e300),
+                 "G3: non-finite or unbounded entries", id="G_unbounded"),
     pytest.param(lambda: "{ not json",
                  "{path}: line 1, column 3: Expecting property name enclosed "
                  "in double quotes", id="not_json"),
@@ -201,6 +224,9 @@ MESSAGE_CASES = [
     pytest.param(lambda: {"n": 1}, "malformed game spec: 'steps'", id="missing_key"),
     pytest.param(lambda: _edited(lambda d: d.update(steps=2.7)),
                  "n and steps must be whole numbers", id="steps_fraction"),
+    pytest.param(lambda: _edited(lambda d: d.update(
+        adjacency=[[0, 0, 1.9], [0, 1.5, 1], [1, 1, 1]])),
+                 "adjacency entries must be whole numbers", id="adjacency_fraction"),
     pytest.param(lambda: _edited(lambda d: d["coeffs"].update(
         B1={"kind": "constant"})),
                  "bad coefficient entry: 'value'", id="entry_without_value"),
@@ -219,7 +245,7 @@ MESSAGE_CASES = [
 
 
 @pytest.mark.parametrize("make, message", MESSAGE_CASES)
-def test_every_message_pinned(tmp_path, make, message):
+def test_each_message_verbatim(tmp_path, make, message):
     given = make()
     if isinstance(given, sq.GameSpec):
         assert str(sq.validate_spec(given)) == message

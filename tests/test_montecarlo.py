@@ -33,7 +33,7 @@ def _path_costs(spec, seed, n_paths):
     _, _, law = _solution(spec)
     plan = NoisePlan.from_seed(seed, np.diff(solver_times(spec)))
     return np.concatenate([J for _, _, J in simulate_blocks(
-        spec, law, plan, n_paths, thin=spec.grid.steps)], axis=1)
+        spec, law, plan, n_paths, thin=spec.steps)], axis=1)
 
 
 def test_cost_constant_path_exact():
@@ -342,7 +342,7 @@ def test_sweep_steps_one_group_per_player_and_gain(
 
     monkeypatch.setattr(montecarlo, "_group_step", counted_table_step)
     monkeypatch.setattr(montecarlo, "_node_cost", counted_cost)
-    dirs, K = default_directions(scalar_generic), scalar_generic.grid.steps
+    dirs, K = default_directions(scalar_generic), scalar_generic.steps
     for chunk in (60, 30):      # one chunk, two chunks
         calls.clear()
         monkeypatch.setattr(montecarlo, "BLOCK_PATHS", chunk)
@@ -388,7 +388,7 @@ def test_sweep_draws_and_steps_only_what_the_spec_loads(reducible_spec,
     monkeypatch.setattr(np.random, "Generator", CountedGenerator)
     monkeypatch.setattr(montecarlo, "_group_step", counted_group_step)
     monkeypatch.setattr(montecarlo, "BLOCK_PATHS", 32)
-    N, K, dirs = 80, spec.grid.steps, default_directions(spec)
+    N, K, dirs = 80, spec.steps, default_directions(spec)
     for players, scale in _criterion_8_cases():
         for counts in (made, rows, steps):
             counts.clear()

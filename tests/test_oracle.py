@@ -14,17 +14,13 @@ from stacklq.rng import NoisePlan
 
 
 def _with_coeffs(spec, **coeffs):
-    return dataclasses.replace(spec, coeffs=dataclasses.replace(spec.coeffs,
-                                                                **coeffs))
+    return dataclasses.replace(spec, coeffs={**spec.coeffs, **coeffs})
 
 
 def _with_leader_costs(spec):
-    players = spec.costs.players
-    leaders = (dataclasses.replace(players[1], Q=Coefficient.constant([[0.5]]),
-                                   G=np.array([[0.3]])),
-               dataclasses.replace(players[2], Q=Coefficient.constant([[0.4]])))
-    return dataclasses.replace(spec, costs=dataclasses.replace(
-        spec.costs, players=(players[0],) + leaders))
+    spec = _with_coeffs(spec, Q2=Coefficient.constant([[0.5]]),
+                        Q3=Coefficient.constant([[0.4]]))
+    return dataclasses.replace(spec, G=(spec.G[0], np.array([[0.3]]), spec.G[2]))
 
 
 # reducible_spec's A with a breakpoint between grid nodes
@@ -56,7 +52,7 @@ def test_reduce_euler_map():
 
 def test_reduce_stage_cost_definition(reducible_spec):
     d = reduce_to_single_player(reducible_spec)
-    h = reducible_spec.horizon / d.steps
+    h = reducible_spec.T / d.steps
     k = 17
     t = k * h
     c = CoeffValues(reducible_spec, t)
@@ -174,16 +170,16 @@ def test_dp_homogeneous_quadratic():
 
 
 def test_dp_uncontrolled_matches_simulation(reducible_spec):
-    spec = _with_coeffs(reducible_spec,
-                        B=(Coefficient.constant(np.zeros((1, 1))),) * 3)
+    spec = _with_coeffs(reducible_spec, **dict.fromkeys(
+        ("B1", "B2", "B3"), Coefficient.constant(np.zeros((1, 1)))))
     d = reduce_to_single_player(spec, steps=200)
     sol = solve_dp(d)
     # simulate the uncontrolled cost and compare with the DP value
-    plan = NoisePlan.from_seed(3, np.full(200, spec.horizon / 200))
+    plan = NoisePlan.from_seed(3, np.full(200, spec.T / 200))
     dW = plan.increments(np.arange(20000))[:, :, 2]
     x = np.full(20000, spec.x0[0])
     J = np.zeros(20000)
-    h = spec.horizon / 200
+    h = spec.T / 200
     for k in range(200):
         J += (0.5 * d.Q[k][0, 0] * x * x + d.q[k][0] * x)
         x = d.A[k][0, 0] * x + d.c[k][0] + (d.Cn[k][0, 0] * x + d.sn[k][0]) * dW[:, k]
@@ -198,7 +194,7 @@ def _oracle_grid_value(spec, steps):
     stage, the offset phi by its own RK4 and the constant chi by the Simpson
     sum.  The reference for the continuous value the cross-check reads off
     the ladder."""
-    T, n = spec.horizon, spec.n
+    T, n = spec.T, spec.n
     times = np.linspace(0.0, T, steps + 1)
     pspec = with_steps(spec, steps)
     ptimes = solver_times(pspec)
@@ -296,7 +292,7 @@ def test_dp_value_matches_optimal_simulation(reducible_spec):
     # simulate the DP policy and a perturbed policy; DP may not cost more
     d = reduce_to_single_player(reducible_spec, steps=150)
     sol = solve_dp(d)
-    plan = NoisePlan.from_seed(9, np.full(150, reducible_spec.horizon / 150))
+    plan = NoisePlan.from_seed(9, np.full(150, reducible_spec.T / 150))
     dW = plan.increments(np.arange(20000))[:, :, 2]
 
     def run(gain_scale):

@@ -89,7 +89,7 @@ def test_P12_zero_when_uncontrolled():
 def test_P1_terminal_exact(n2_spec):
     bundle, _ = solve_game(n2_spec)
     n = n2_spec.n
-    calG2 = bdiag(n2_spec.costs.players[1].G, np.zeros((n, n)))
+    calG2 = bdiag(n2_spec.G[1], np.zeros((n, n)))
     assert np.array_equal(bundle.P1[-1], calG2)
     assert np.all(bundle.P2[-1] == 0.0)
 
@@ -115,12 +115,10 @@ def test_residuals_scale_h2(scalar_generic):
     import dataclasses
     vals = {}
     for steps in (200, 400):
-        sp = dataclasses.replace(scalar_generic,
-                                 grid=dataclasses.replace(scalar_generic.grid,
-                                                          steps=steps))
+        sp = dataclasses.replace(scalar_generic, steps=steps)
         b, o = solve_game(sp)
         res = riccati_residuals(b, o)
-        h = sp.horizon / steps
+        h = sp.T / steps
         vals[steps] = {k: v / h**2 for k, v in res.items()}
     for name in vals[200]:
         c1, c2 = vals[200][name], vals[400][name]
@@ -266,7 +264,7 @@ def _random_states(rng, m, n):
 def test_stack_rhs_matches_block_equations(name, request):
     spec = request.getfixturevalue(name)
     rng = np.random.default_rng(5)
-    ts = rng.uniform(0.0, spec.horizon, 12)
+    ts = rng.uniform(0.0, spec.T, 12)
     bundle, Omega = solve_game(spec)
     solved = tuple(getattr(bundle, f)
                    for f in ("p", "P1", "P2", "Pf1", "Pf2", "Pf3"))

@@ -15,7 +15,7 @@ def test_verification_solves_the_ladder_twice(reducible_spec, monkeypatch):
     solve_levels = riccati._solve_levels
 
     def counting(spec, depth):
-        calls.append((spec.grid.steps, depth))
+        calls.append((spec.steps, depth))
         return solve_levels(spec, depth)
 
     monkeypatch.setattr(riccati, "_solve_levels", counting)
@@ -38,7 +38,7 @@ def test_residual_order_holds_across_offgrid_breakpoints(offgrid_spec):
               for sp in (with_steps(offgrid_spec, s) for s in (200, 400))]
     _, ok, detail = check_residual_order(*solved)
     assert ok, detail
-    C = [{name: r / (sp.horizon / sp.grid.steps) ** 2
+    C = [{name: r / (sp.T / sp.steps) ** 2
           for name, r in riccati_residuals(b, Omega).items()}
          for sp, b, Omega in solved]
     for name, c in C[0].items():
