@@ -1,7 +1,6 @@
 """Three-level stochastic LQ leader-follower game solver and verifier."""
 
-from .closedloop import (FeedbackLaw, PathBundle, Response, build_feedback,
-                         respond, simulate_equilibrium)
+from .closedloop import FeedbackLaw, Response, build_feedback, respond
 from .errors import (BlowUpError, ConsistencyError, DomainError,
                      ReductionError, SingularCoefficientError,
                      SpecFormatError, StackLQError,
@@ -9,9 +8,8 @@ from .errors import (BlowUpError, ConsistencyError, DomainError,
 from .model import (GameSpec, ValidationReport, load_spec, make_spec,
                     save_spec, solver_times, spec_from_dict, spec_to_dict,
                     validate_spec)
-from .montecarlo import (CostEstimate, Direction, PerturbationReport,
-                         default_directions, mean_stderr, simulate_blocks,
-                         variational_sweep)
+from .montecarlo import (Direction, PerturbationReport, default_directions,
+                         mean_stderr, simulate_blocks, variational_sweep)
 from .oracle import crosscheck_p
 from .riccati import (RiccatiBundle, riccati_residuals, solve_game, solve_p,
                       without_intercepts)

@@ -204,10 +204,9 @@ def cmd_verify(args) -> int:
     with open(out / "variational.csv", "w") as fh:
         fh.write("player,direction_id,epsilon,mean,stderr,n_paths,seed\n")
         for rep in reports:
-            for eps_v, cost in zip(rep.epsilons, rep.costs):
+            for eps_v, mean, se in zip(rep.epsilons, rep.means, rep.stderrs):
                 fh.write(f"{rep.player},{rep.direction_id},{FMT % eps_v},"
-                         f"{FMT % cost.mean},{FMT % cost.stderr},"
-                         f"{cost.n_paths},{cost.seed}\n")
+                         f"{FMT % mean},{FMT % se},{args.paths},{args.seed}\n")
     all_ok = True
     for cid, ok, detail in checks:
         all_ok &= ok

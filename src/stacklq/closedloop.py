@@ -8,6 +8,8 @@ Xc] on one set of Brownian increments.  Z's drift is block upper-triangular
 and its noise loadings are masked (X sees W1-W3, Xh W2-W3, Xc W3), so a
 coarser filter never sees a component outside its sigma-algebra: a masked
 entry adds an exact zero, which the bit-level measurability checks exercise.
+`_node_loop` steps Z; `simulate_blocks`, the one path simulator, the
+variational sweep and `verify`'s path checks all run it.
 
 Each lower level's best-response system (its offset, its controls and the
 Euler step of its filtered states) is written once, with its intercepts,
@@ -88,19 +90,6 @@ class FeedbackLaw:
     Ct: np.ndarray | None   # (K, 12n, 36n): [C1^T | C2^T | C3^T]
     KzT: np.ndarray         # (K+1, 12n, 3n)
     kz: np.ndarray          # (K+1, 3n)
-
-
-@dataclass(frozen=True)
-class PathBundle:
-    """Simulated equilibrium paths (one row per noise path)."""
-
-    times: np.ndarray
-    X3: np.ndarray        # (N, K+1, 4n)
-    X3hat: np.ndarray
-    X3check: np.ndarray
-    v1: np.ndarray        # (N, K+1, n)
-    v2: np.ndarray
-    v3: np.ndarray
 
 
 def build_feedback(bundle: RiccatiBundle, Omega: np.ndarray,
@@ -242,20 +231,6 @@ def _node_loop(spec: GameSpec, law: FeedbackLaw, dW: np.ndarray):
                                 (Z @ law.Ct[k]).reshape(N, 3, -1))
             _guard(Zn, float(times[k + 1]), "equilibrium state")
             Z = Zn
-
-
-def simulate_equilibrium(spec: GameSpec, law: FeedbackLaw,
-                         dW: np.ndarray) -> PathBundle:
-    """Explicit first-order stepping of the three filtered systems driven by
-    the increments dW (paths, steps, 3)."""
-    N, K, _ = dW.shape
-    Zs, Vs = np.empty((N, K + 1, 12 * law.n)), np.empty((N, K + 1, 3 * law.n))
-    for k, Z, V in _node_loop(spec, law, dW):
-        Zs[:, k], Vs[:, k] = Z, V
-    X, Xh, Xc = np.split(Zs, 3, axis=-1)
-    v1, v2, v3 = np.split(Vs, 3, axis=-1)
-    return PathBundle(times=law.times, X3=X, X3hat=Xh, X3check=Xc,
-                      v1=v1, v2=v2, v3=v3)
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +427,10 @@ def respond(spec: GameSpec, bundle: RiccatiBundle, v, dW, seen=None,
 # filtered-ansatz drift residual (decoupling diagnostic)
 # ---------------------------------------------------------------------------
 
-def ansatz_residual(bundle: RiccatiBundle, Omega, paths: PathBundle,
+def ansatz_residual(bundle: RiccatiBundle, Omega, Xc: np.ndarray,
                     dW: np.ndarray) -> float:
-    """Max node-wise mismatch between the adjoint drift and the ansatz drift.
+    """Max node-wise mismatch between the adjoint drift and the ansatz drift
+    along the follower-filter paths Xc (paths, K+1, 4n) driven by dW.
 
     The check runs on the follower-filtered quantities: ycheck = -p xcheck -
     phicheck with the martingale integrand read off the ansatz.  Exact in
@@ -464,9 +440,9 @@ def ansatz_residual(bundle: RiccatiBundle, Omega, paths: PathBundle,
     times, p, l3 = bundle.times, bundle.p, bundle.l3
     n = p.shape[-1]
     G, g = _phicheck_gain(bundle, Omega)
-    y = -(mv(p, paths.X3check[..., :n]) + mv(G, paths.X3check) + g)
+    y = -(mv(p, Xc[..., :n]) + mv(G, Xc) + g)
     cv = bundle.cv[:-1]                         # left endpoint of each step
-    Xc = paths.X3check[:, :-1]
+    Xc = Xc[:, :-1]
     xc = Xc[..., :n]
     z = [-mv(p[:-1], mv(Ci, xc) + si) for Ci, si in zip(cv.C, cv.sigma)]
     z[2] = z[2] - mv(G[:-1], mv(l3.frakC3[:-1], Xc) + l3.Sigma3[:-1])

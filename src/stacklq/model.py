@@ -197,8 +197,8 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
         bad.append(Violation("steps", "need at least 2 grid steps"))
     if spec.x0.shape != (n,):
         bad.append(Violation("x0", f"expected shape ({n},), got {spec.x0.shape}"))
-    elif not np.all(np.isfinite(spec.x0)):
-        bad.append(Violation("x0", "non-finite entries"))
+    elif not _bounded(spec.x0):
+        bad.append(Violation("x0", "non-finite or unbounded entries"))
 
     mat_shape, vec_shape = (n, n), (n,)
     for name, coeff in spec.coeffs.items():
@@ -283,9 +283,10 @@ def spec_from_dict(obj: dict) -> GameSpec:
 
 
 def load_spec(path) -> GameSpec:
-    text = Path(path).read_text()
     try:
-        obj = json.loads(text)
+        obj = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecFormatError(f"{path}: cannot read spec file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(obj, dict):

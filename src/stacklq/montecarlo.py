@@ -18,11 +18,13 @@ best-response systems that `respond` runs, on the bundle's intercept-free
 twin `without_intercepts(bundle)`: their homogeneous, linear form.  No
 increment row is drawn twice however many players and directions share the
 seed.  The sabotaged law of `verify --sabotage-gains` is swept like any other.
+Each (player, direction) gets one `PerturbationReport`: the mean cost and its
+standard error at each epsilon, the slope and the curvature gate.
 
-`simulate_blocks` streams the equilibrium for `stacklq simulate` block by
-block of paths, keeping every thin-th node and each player's running cost,
-so no full path is stored.  Both read their coefficients off the law's grid
-table `law.cv` and build none.
+`simulate_blocks`, the package's one path simulator, streams the equilibrium
+for `stacklq simulate` block by block of paths, keeping every thin-th node
+and each player's running cost, so no full path is stored.  Both read their
+coefficients off the law's grid table `law.cv` and build none.
 """
 
 from __future__ import annotations
@@ -41,16 +43,6 @@ from .rng import NoisePlan
 
 
 @dataclass(frozen=True)
-class CostEstimate:
-    player: int
-    mean: float
-    stderr: float
-    n_paths: int
-    seed: int
-    grid_steps: int
-
-
-@dataclass(frozen=True)
 class Direction:
     """A perturbation direction for the variational tests: the deterministic
     control perturbation path (K+1, n) sampled on the grid."""
@@ -64,7 +56,8 @@ class PerturbationReport:
     player: int
     direction_id: str
     epsilons: tuple
-    costs: tuple            # CostEstimate per epsilon, same order
+    means: tuple            # mean cost at each epsilon, same order
+    stderrs: tuple          # its standard error
     slope0: float
     slope_stderr: float
     curvature_ok: bool
@@ -249,7 +242,6 @@ def variational_sweep(spec: GameSpec, players, directions, epsilons,
     """
     eps = sorted({float(e) for e in epsilons} | {0.0} |
                  {-float(e) for e in epsilons})
-    times = solver_times(spec)
     plan = NoisePlan.for_spec(spec, seed).reusing(min(BLOCK_PATHS, n_paths))
     twin = without_intercepts(bundle)
     tables = [_group_tables(twin, player, directions) for player in players]
@@ -274,14 +266,14 @@ def variational_sweep(spec: GameSpec, players, directions, epsilons,
         for d, direction in enumerate(directions):
             B, C = (np.concatenate([part[i][j][d] for part in parts])
                     for j in (1, 2))
-            costs = [CostEstimate(player, *mean_stderr(J0 + e * B + e * e * C),
-                                  n_paths, seed, times.shape[0] - 1) for e in eps]
-            j0 = costs[eps.index(0.0)]
-            curvature_ok = all(c.mean >= j0.mean - 3.0 * max(c.stderr, 1e-300)
-                               for c in costs)
+            means, stderrs = zip(*(mean_stderr(J0 + e * B + e * e * C)
+                                   for e in eps))
+            j0 = means[eps.index(0.0)]
+            curvature_ok = all(m >= j0 - 3.0 * max(se, 1e-300)
+                               for m, se in zip(means, stderrs))
             slope0, slope_stderr = mean_stderr(B)
             reports.append(PerturbationReport(
                 player=player, direction_id=direction.id, epsilons=tuple(eps),
-                costs=tuple(costs), slope0=slope0, slope_stderr=slope_stderr,
-                curvature_ok=curvature_ok))
+                means=means, stderrs=stderrs, slope0=slope0,
+                slope_stderr=slope_stderr, curvature_ok=curvature_ok))
     return reports

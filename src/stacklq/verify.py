@@ -8,6 +8,8 @@ check_dp(spec, bundle, Omega) cross-checks the solved ladder and returns
 None when the spec does not reduce to a single controller.
 run_verification builds both grids' laws with cfg.gain_scale, so under
 `--sabotage-gains` every check that simulates runs the sabotaged law.
+The measurability, nesting and ansatz checks keep whole paths of X, Xh and
+Xc from the node loop of `simulate_blocks`: the runs `stacklq simulate` writes.
 
 The scales here are CLI defaults; the package's acceptance test suite calls
 the same checks at its pinned scales and seeds.
@@ -19,7 +21,7 @@ import dataclasses
 
 import numpy as np
 
-from .closedloop import ansatz_residual, build_feedback, simulate_equilibrium
+from .closedloop import _node_loop, ansatz_residual, build_feedback
 from .errors import DomainError, ReductionError
 from .model import GameSpec, validate_spec, with_steps
 from .montecarlo import default_directions, variational_sweep
@@ -70,6 +72,13 @@ def check_p_psd(bundle):
     return ("p_psd", worst >= -1e-8, f"min eigenvalue {worst:.3e}")
 
 
+def _filtered_paths(spec, law, dW):
+    """X, Xh, Xc (paths, K+1, 4n) on the increments dW: the node loop's Z,
+    the runs `simulate_blocks` records, stacked over the nodes."""
+    Z = np.stack([Z for _, Z, _ in _node_loop(spec, law, dW)], axis=1)
+    return np.split(Z, 3, axis=-1)
+
+
 def check_measurability(spec, law, seed, n_paths=32):
     """Filter measurability and the exact nesting of the information, from
     one set of increments: the base run, then W1 zeroed, then W1 and W2.
@@ -84,22 +93,20 @@ def check_measurability(spec, law, seed, n_paths=32):
     """
     plan = NoisePlan.for_spec(spec, seed)
     dW = plan.increments(np.arange(n_paths))
-    run = simulate_equilibrium(spec, law, dW)
+    run = _filtered_paths(spec, law, dW)
     runs = [run]
     for comp in (0, 1):
         if plan.live[comp]:
             dW[:, :, comp] = 0.0
-            run = simulate_equilibrium(spec, law, dW)
+            run = _filtered_paths(spec, law, dW)
         runs.append(run)
-    base, w23, w3 = runs
+    (X, Xh, Xc), (X23, Xh23, Xc23), (X3, Xh3, Xc3) = runs
     same = np.array_equal
-    ok = (same(base.X3hat, w23.X3hat) and same(base.X3check, w23.X3check)
-          and same(base.X3check, w3.X3check)
-          and not (plan.live[0] and same(base.X3, w23.X3))
-          and not (plan.live[1] and same(w23.X3hat, w3.X3hat)))
-    gap23 = np.abs(w23.X3 - w23.X3hat).max()
-    gap3 = max(np.abs(w3.X3 - w3.X3hat).max(),
-               np.abs(w3.X3 - w3.X3check).max())
+    ok = (same(Xh, Xh23) and same(Xc, Xc23) and same(Xc, Xc3)
+          and not (plan.live[0] and same(X, X23))
+          and not (plan.live[1] and same(Xh23, Xh3)))
+    gap23 = np.abs(X23 - Xh23).max()
+    gap3 = max(np.abs(X3 - Xh3).max(), np.abs(X3 - Xc3).max())
     return [("filter_measurability", ok,
              "hat/check filters bit-identical with W1, then W1 and W2, zeroed"),
             ("exact_nesting", max(gap23, gap3) <= 1e-12,
@@ -113,8 +120,8 @@ def check_ansatz_residual(solved, law, fine, fine_law, seed, n_paths=100):
     worsts = []
     for (sp, b, Omega), lw in ((solved, law), (fine, fine_law)):
         dW = NoisePlan.for_spec(sp, seed).increments(np.arange(n_paths))
-        paths = simulate_equilibrium(sp, lw, dW)
-        worsts.append(ansatz_residual(b, Omega, paths, dW))
+        worsts.append(ansatz_residual(b, Omega, _filtered_paths(sp, lw, dW)[2],
+                                      dW))
     ratio = worsts[1] / worsts[0] if worsts[0] > 0 else 0.5
     ok = 0.25 <= ratio <= 0.75
     return ("ansatz_residual", ok,

@@ -70,7 +70,8 @@ def test_rho_min_must_be_positive(tmp_path, rho_min):
 
 
 @pytest.mark.parametrize("field, value", [("G1", -1.0), ("G1", np.nan),
-                                          ("G2", np.inf), ("G3", 1e300)])
+                                          ("G2", np.inf), ("G3", 1e300),
+                                          ("x0", 1e300), ("x0", -1e19)])
 def test_invalid_spec_exits_1_before_out(tmp_path, field, value):
     p = tmp_path / "bad.json"
     sq.save_spec(sq.make_spec(n=1, **{field: value}), p)
@@ -140,6 +141,22 @@ def test_parse_error_exit_2(tmp_path, malformed_documents):
             rc = main([command, "--spec", str(p), "--out", str(out)])
             assert rc == 2, (command, doc)
             assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "simulate", "verify"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
+def test_unreadable_spec_file_exit_2(tmp_path, capsys, kind, command):
+    # a spec file that cannot be read or decoded is an input failure
+    p = tmp_path / "spec.json"
+    if kind == "directory":
+        p.mkdir()
+    elif kind == "undecodable":
+        p.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "out"
+    rc = main([command, "--spec", str(p), "--out", str(out), "--paths", "2"])
+    assert rc == 2
+    assert f"parse error: {p}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_zero_spec_all_zero_csv(zero_file, tmp_path):

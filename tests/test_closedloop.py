@@ -1,14 +1,15 @@
 import dataclasses
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 import stacklq as sq
+import stacklq.montecarlo as montecarlo
 import stacklq.verify as verify
 from stacklq.closedloop import (BLOCK_PATHS, _follower_offset, _middle_offset,
                                 _node_loop, _phicheck_gain, _rows_at,
-                                _state_step, ansatz_residual, respond,
-                                simulate_equilibrium)
+                                _state_step, ansatz_residual, respond)
 from stacklq.errors import BlowUpError, UnsupportedPerturbationError
 from stacklq.lift import CoeffValues, mv, selectors
 from stacklq.model import solver_times
@@ -19,10 +20,21 @@ from stacklq.rng import NoisePlan
 from stacklq.verify import check_measurability
 
 
-def _paths(spec, law, seed, n):
-    plan = NoisePlan.from_seed(seed, np.diff(solver_times(spec)))
-    dW = plan.increments(np.arange(n))
-    return simulate_equilibrium(spec, law, dW), dW
+Paths = namedtuple("Paths", "X Xh Xc v1 v2 v3")
+
+
+def _plan(spec, seed):
+    return NoisePlan.from_seed(seed, np.diff(solver_times(spec)))
+
+
+def _paths(spec, law, seed, n, thin=1):
+    """X, Xh, Xc, v1, v2, v3 of n paths at every thin-th node as `stacklq
+    simulate` writes them: simulate_blocks' records, split by column; the
+    paths' increments are _plan(spec, seed).increments(np.arange(n))."""
+    blocks = simulate_blocks(spec, law, _plan(spec, seed), n, thin)
+    records = np.concatenate([r for _, r, _ in blocks])
+    return Paths(*np.split(records, np.cumsum([4, 4, 4, 1, 1]) * spec.n,
+                           axis=-1))
 
 
 def test_zero_spec_zero_gains_and_paths(zero_spec):
@@ -34,8 +46,8 @@ def test_zero_spec_zero_gains_and_paths(zero_spec):
     spec0 = dataclasses.replace(zero_spec, x0=np.zeros(1))
     b0, o0 = solve_game(spec0)
     law0 = sq.build_feedback(b0, o0)
-    paths, _ = _paths(spec0, law0, 5, 8)
-    assert np.all(paths.X3 == 0.0)
+    paths = _paths(spec0, law0, 5, 8)
+    assert np.all(paths.X == 0.0)
     assert np.all(paths.v1 == 0.0)
 
 
@@ -56,9 +68,9 @@ def test_no_noise_levels_coincide(scalar_generic):
                                 "C3": zc, "sigma1": zv, "sigma2": zv, "sigma3": zv})
     bundle, Omega = solve_game(spec)
     law = sq.build_feedback(bundle, Omega)
-    paths, _ = _paths(spec, law, 9, 4)
-    assert np.abs(paths.X3 - paths.X3hat).max() <= 1e-12
-    assert np.abs(paths.X3 - paths.X3check).max() <= 1e-12
+    paths = _paths(spec, law, 9, 4)
+    assert np.abs(paths.X - paths.Xh).max() <= 1e-12
+    assert np.abs(paths.X - paths.Xc).max() <= 1e-12
 
 
 def _checks(spec, seed, law=None):
@@ -87,12 +99,13 @@ def test_measurability_and_nesting_share_at_most_three_runs(
     # one run per live component zeroed, after the base run
     sigma1_only = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, sigma1=1.0)
     runs = []
+    filtered_paths = verify._filtered_paths
 
     def counting(spec, law, dW):
         runs.append(dW.copy())
-        return simulate_equilibrium(spec, law, dW)
+        return filtered_paths(spec, law, dW)
 
-    monkeypatch.setattr(verify, "simulate_equilibrium", counting)
+    monkeypatch.setattr(verify, "_filtered_paths", counting)
     for spec, want in ((reducible_spec, 1), (sigma1_only, 2),
                        (scalar_generic, 3)):
         runs.clear()
@@ -133,9 +146,9 @@ def test_exact_nesting_independent_component():
     assert all(ok for _, ok, _ in check_measurability(spec, law, 7))
     dW = NoisePlan.for_spec(spec, 7).increments(np.arange(4))
     dW[:, :, 0] = 0.0
-    w3 = simulate_equilibrium(spec, law, dW)
-    assert np.all(w3.X3[..., 0] == 1.0)
-    assert np.all(w3.X3check[..., 0] == 1.0)
+    X, _, Xc = verify._filtered_paths(spec, law, dW)
+    assert np.all(X[..., 0] == 1.0)
+    assert np.all(Xc[..., 0] == 1.0)
 
 
 def test_exact_nesting_breaks_fail_the_report(generic_solution, scalar_generic):
@@ -298,7 +311,8 @@ def test_blowup_reported_at_its_step(monkeypatch):
     dW[1, 10, 2] = 1e13
     z = np.zeros((101, 1))
     monkeypatch.setattr(NoisePlan, "increments", lambda plan, idx: dW[idx])
-    runs = (lambda: simulate_equilibrium(spec, law, dW),
+    plan = NoisePlan.from_seed(0, np.diff(times))
+    runs = (lambda: list(simulate_blocks(spec, law, plan, 2, thin=1)),
             lambda: simulate_state(spec, z, z, z, dW),
             lambda: variational_sweep(spec, (1,), default_directions(spec)[:1],
                                       (0.1,), 2, 0, law, bundle))
@@ -361,10 +375,11 @@ def test_offset_blowup_reported_at_its_node():
 
 def test_hat_filter_is_unbiased(generic_solution, scalar_generic):
     _, _, law = generic_solution
-    paths, _ = _paths(scalar_generic, law, 17, 10000)
-    K = paths.times.shape[0] - 1
-    for k in (K // 4, K // 2, K):
-        diff = paths.X3[:, k] - paths.X3hat[:, k]
+    # nodes 0, K/4, K/2, 3K/4 and K; the test reads K/4, K/2 and K
+    paths = _paths(scalar_generic, law, 17, 10000,
+                   thin=scalar_generic.steps // 4)
+    for k in (1, 2, 4):
+        diff = paths.X[:, k] - paths.Xh[:, k]
         mean = diff.mean(axis=0)
         se = diff.std(axis=0, ddof=1) / np.sqrt(diff.shape[0])
         assert np.all(np.abs(mean) <= 3.0 * se + 1e-12)
@@ -389,7 +404,7 @@ def reconstruct_Phi(bundle, Omega, X3hat, X3check):
 def filtered_controls(law, paths):
     """(vcheck2, vhat3, vcheck3): the leaders' equilibrium controls as the
     lower levels' filters see them, from the law's Kv tables."""
-    Xh, Xc = paths.X3hat, paths.X3check
+    Xh, Xc = paths.Xh, paths.Xc
     return (mv(law.Kv2check, Xc) + law.k2,
             mv(law.Kv3hat, Xh) + mv(law.K3check, Xc) + law.k3,
             mv(law.Kv3check, Xc) + law.k3)
@@ -400,20 +415,20 @@ def test_offset_reconstruction_matches_per_node_formulas(n2_spec):
     # order may differ, so agreement is to rounding, not to the bit
     bundle, Omega = solve_game(n2_spec)
     law = sq.build_feedback(bundle, Omega)
-    paths, _ = _paths(n2_spec, law, 5, 8)
-    phic = reconstruct_phicheck(bundle, Omega, paths.X3check)
-    Phih, Phic = reconstruct_Phi(bundle, Omega, paths.X3hat, paths.X3check)
+    paths = _paths(n2_spec, law, 5, 8)
+    phic = reconstruct_phicheck(bundle, Omega, paths.Xc)
+    Phih, Phic = reconstruct_Phi(bundle, Omega, paths.Xh, paths.Xc)
     _, U, L, s2 = selectors(n2_spec.n)
     P1, P2 = bundle.P1, bundle.P2
     Pf1, Pf2, Pf3 = bundle.Pf1, bundle.Pf2, bundle.Pf3
     Om = Omega
     for k in range(bundle.times.shape[0]):
         G = s2 @ (P1[k] + P2[k]) @ U + s2 @ L @ (Pf1[k] + Pf2[k] + Pf3[k])
-        want = paths.X3check[:, k] @ G.T + s2 @ (L @ Om[k])
+        want = paths.Xc[:, k] @ G.T + s2 @ (L @ Om[k])
         np.testing.assert_allclose(phic[:, k], want, rtol=1e-12, atol=1e-14)
-        want_h = (paths.X3hat[:, k] @ (L @ (Pf1[k] + Pf2[k])).T
-                  + paths.X3check[:, k] @ (L @ Pf3[k]).T + L @ Om[k])
-        want_c = (paths.X3check[:, k] @ (L @ (Pf1[k] + Pf2[k] + Pf3[k])).T
+        want_h = (paths.Xh[:, k] @ (L @ (Pf1[k] + Pf2[k])).T
+                  + paths.Xc[:, k] @ (L @ Pf3[k]).T + L @ Om[k])
+        want_c = (paths.Xc[:, k] @ (L @ (Pf1[k] + Pf2[k] + Pf3[k])).T
                   + L @ Om[k])
         np.testing.assert_allclose(Phih[:, k], want_h, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(Phic[:, k], want_c, rtol=1e-12, atol=1e-14)
@@ -446,7 +461,8 @@ def test_respond_player1_deterministic_bump():
 def test_respond_player1_rejects_paths_without_filters(generic_solution,
                                                        scalar_generic):
     bundle, _, law = generic_solution
-    paths, dW = _paths(scalar_generic, law, 31, 4)
+    paths = _paths(scalar_generic, law, 31, 4)
+    dW = _plan(scalar_generic, 31).increments(np.arange(4))
     with pytest.raises(UnsupportedPerturbationError):
         respond(scalar_generic, bundle, (paths.v2, paths.v3), dW)
 
@@ -454,14 +470,15 @@ def test_respond_player1_rejects_paths_without_filters(generic_solution,
 def test_respond_player1_equilibrium_fixed_point(generic_solution,
                                                  scalar_generic):
     bundle, Omega, law = generic_solution
-    paths, dW = _paths(scalar_generic, law, 31, 32)
-    phic = reconstruct_phicheck(bundle, Omega, paths.X3check)
+    paths = _paths(scalar_generic, law, 31, 32)
+    dW = _plan(scalar_generic, 31).increments(np.arange(32))
+    phic = reconstruct_phicheck(bundle, Omega, paths.Xc)
     vcheck2, _, vcheck3 = filtered_controls(law, paths)
     r = respond(scalar_generic, bundle, (paths.v2, paths.v3), dW,
                 seen=(vcheck2, vcheck3), offsets=(phic,))
     h = 1.0 / scalar_generic.steps
     assert np.abs(r.controls - paths.v1).max() <= 10 * h
-    assert np.abs(r.filtered - paths.X3check[:, :, :1]).max() <= 10 * h
+    assert np.abs(r.filtered - paths.Xc[:, :, :1]).max() <= 10 * h
 
 
 def test_respond_player12_zero_spec():
@@ -491,15 +508,16 @@ def test_respond_player12_pulse_integral():
 def test_respond_player12_equilibrium_fixed_point(generic_solution,
                                                   scalar_generic):
     bundle, Omega, law = generic_solution
-    paths, dW = _paths(scalar_generic, law, 13, 32)
-    Phih, Phic = reconstruct_Phi(bundle, Omega, paths.X3hat, paths.X3check)
+    paths = _paths(scalar_generic, law, 13, 32)
+    dW = _plan(scalar_generic, 13).increments(np.arange(32))
+    Phih, Phic = reconstruct_Phi(bundle, Omega, paths.Xh, paths.Xc)
     _, vhat3, vcheck3 = filtered_controls(law, paths)
     r = respond(scalar_generic, bundle, (paths.v3,), dW, seen=(vhat3, vcheck3),
                 offsets=(Phih, Phic))
     h = 1.0 / scalar_generic.steps
     assert np.abs(r.controls[..., 1:] - paths.v2).max() <= 10 * h
     assert np.abs(r.controls[..., :1] - paths.v1).max() <= 10 * h
-    assert np.abs(r.filtered[..., :2] - paths.X3hat[:, :, :2]).max() <= 10 * h
+    assert np.abs(r.filtered[..., :2] - paths.Xh[:, :, :2]).max() <= 10 * h
 
 
 @pytest.mark.parametrize("name", ["n2_spec", "offgrid_spec"])
@@ -533,21 +551,21 @@ def test_ansatz_residual_shrinks(scalar_generic):
         sp = dataclasses.replace(scalar_generic, steps=steps)
         bundle, Omega = solve_game(sp)
         law = sq.build_feedback(bundle, Omega)
-        plan = NoisePlan.from_seed(7, np.diff(solver_times(sp)))
-        dW = plan.increments(np.arange(100))
-        paths = simulate_equilibrium(sp, law, dW)
-        worsts.append(ansatz_residual(bundle, Omega, paths, dW))
+        dW = _plan(sp, 7).increments(np.arange(100))
+        worsts.append(ansatz_residual(bundle, Omega, _paths(sp, law, 7, 100).Xc,
+                                      dW))
     assert 0.25 <= worsts[1] / worsts[0] <= 0.75
 
 
 def test_simulation_deterministic_and_chunk_invariant(generic_solution,
-                                                      scalar_generic):
+                                                      scalar_generic,
+                                                      monkeypatch):
     _, _, law = generic_solution
-    plan = NoisePlan.from_seed(77, np.diff(solver_times(scalar_generic)))
-    a = simulate_equilibrium(scalar_generic, law, plan.increments(np.arange(24)))
-    b = simulate_equilibrium(scalar_generic, law, plan.increments(np.arange(24)))
-    assert np.array_equal(a.X3, b.X3)
-    # paths are keyed by index: simulating a sub-block reproduces its rows
-    sub = simulate_equilibrium(scalar_generic, law,
-                               plan.increments(np.arange(8, 16)))
-    assert np.array_equal(a.X3[8:16], sub.X3)
+    a = _paths(scalar_generic, law, 77, 24)
+    b = _paths(scalar_generic, law, 77, 24)
+    assert np.array_equal(a.X, b.X)
+    # paths are keyed by index: blocks of 8 paths, each stepped on its own,
+    # reproduce the rows of one block of 24
+    monkeypatch.setattr(montecarlo, "BLOCK_PATHS", 8)
+    sub = _paths(scalar_generic, law, 77, 24)
+    assert all(np.array_equal(x, y) for x, y in zip(a, sub, strict=True))

@@ -171,7 +171,9 @@ MESSAGE_CASES = [
     pytest.param(lambda: sq.make_spec(n=2, x0=np.zeros(3)),
                  "x0: expected shape (2,), got (3,)", id="x0_shape"),
     pytest.param(lambda: sq.make_spec(x0=np.nan),
-                 "x0: non-finite entries", id="x0_nan"),
+                 "x0: non-finite or unbounded entries", id="x0_nan"),
+    pytest.param(lambda: sq.make_spec(x0=1e300, B1=1.0, G1=1.0),
+                 "x0: non-finite or unbounded entries", id="x0_unbounded"),
     pytest.param(lambda: sq.make_spec(B2=np.inf),
                  "B2: non-finite or unbounded entries", id="coeff_inf"),
     pytest.param(lambda: sq.make_spec(b=1e19),

@@ -88,8 +88,8 @@ def test_variational_pure_control_energy():
     assert rep.slope_stderr == 0.0
     times = solver_times(spec)
     l2 = np.sum(np.diff(times)[:, None] * d.path[:-1] ** 2)
-    for eps, cost in zip(rep.epsilons, rep.costs):
-        assert abs(cost.mean - 0.5 * eps * eps * l2) < 1e-14
+    for eps, mean in zip(rep.epsilons, rep.means):
+        assert abs(mean - 0.5 * eps * eps * l2) < 1e-14
     assert rep.curvature_ok
 
 
@@ -122,7 +122,7 @@ def test_stderr_scaling(scalar_generic, generic_solution):
     for n in (2000, 8000):
         reps = [variational_sweep(scalar_generic, (1,), [d], [0.1], n,
                                   seed, law, bundle)[0] for seed in (1, 2, 3)]
-        ses[n] = np.mean([r.costs[-1].stderr for r in reps])
+        ses[n] = np.mean([r.stderrs[-1] for r in reps])
     ratio = ses[2000] / ses[8000]
     assert 1.6 <= ratio <= 2.4  # quadrupling paths halves stderr within 20%
 
@@ -134,7 +134,7 @@ def test_crn_second_difference_epsilon_independent(scalar_generic,
     rep = variational_sweep(scalar_generic, (2,), [d], [0.05, 0.1, 0.2],
                             500, 9, law, bundle)[0]
     eps = np.array(rep.epsilons)
-    means = np.array([c.mean for c in rep.costs])
+    means = np.array(rep.means)
     # per fixed seed J(eps) is a quadratic polynomial: second difference const
     d2 = []
     for i in range(1, len(eps) - 1):
@@ -161,7 +161,7 @@ def test_seed_determinism(scalar_generic, generic_solution):
     r1, r2 = (variational_sweep(scalar_generic, (1,), [d], [0.1], 512, 13,
                                 law, bundle)[0] for _ in range(2))
     assert r1.slope0 == r2.slope0
-    assert [c.mean for c in r1.costs] == [c.mean for c in r2.costs]
+    assert r1.means == r2.means
 
 
 def test_chunks_do_not_change_results(scalar_generic, generic_solution,
@@ -175,7 +175,7 @@ def test_chunks_do_not_change_results(scalar_generic, generic_solution,
                                   4, law, bundle)
     r1, r2 = reps
     assert r1.slope0 == r2.slope0
-    assert [c.mean for c in r1.costs] == [c.mean for c in r2.costs]
+    assert r1.means == r2.means
 
 
 def _pinned_cases(spec, law, scaled):
@@ -222,8 +222,7 @@ def test_blocks_hold_one_reused_noise_buffer(monkeypatch):
 
 def _fingerprint(rep):
     return (rep.player, rep.direction_id, rep.epsilons, rep.slope0,
-            rep.slope_stderr, rep.curvature_ok,
-            [(c.mean, c.stderr, c.n_paths) for c in rep.costs])
+            rep.slope_stderr, rep.curvature_ok, rep.means, rep.stderrs)
 
 
 def test_sweep_matches_one_test_per_case(scalar_generic, generic_solution,
@@ -261,8 +260,8 @@ def test_sweep_groups_match_one_test_per_case_n2(n2_spec):
                                     bundle)[0]
             label = lambda r: (r.player, r.direction_id, r.epsilons,
                                r.curvature_ok)
-            numbers = lambda r: [r.slope0, r.slope_stderr] + [
-                x for c in r.costs for x in (c.mean, c.stderr)]
+            numbers = lambda r: [r.slope0, r.slope_stderr, *r.means,
+                                 *r.stderrs]
             assert label(rep) == label(one)
             assert numbers(rep) == pytest.approx(numbers(one), rel=1e-12,
                                                  abs=0.0), (player, d.id)
@@ -574,7 +573,7 @@ def test_sweep_numbers_pinned(scalar_generic, generic_solution, monkeypatch):
                                                   strict=True):
         assert rep.slope0 == pytest.approx(slope0, rel=1e-12)
         assert rep.slope_stderr == pytest.approx(slope_stderr, rel=1e-12)
-        assert [c.mean for c in rep.costs] == pytest.approx(means, rel=1e-12)
+        assert rep.means == pytest.approx(means, rel=1e-12)
 
 
 def test_sweep_response_is_the_public_response():
@@ -599,5 +598,5 @@ def test_sweep_response_is_the_public_response():
             J = sum(_node_cost(cv[k], player - 1, k, times, r.x[:, k],
                                np.broadcast_to(eps * d.path[k], (N, 1)))
                     for k in range(times.shape[0]))
-            got = rep.costs[rep.epsilons.index(eps)].mean
+            got = rep.means[rep.epsilons.index(eps)]
             assert got == pytest.approx(J.mean(), rel=1e-12), (player, d.id)

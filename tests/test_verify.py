@@ -1,10 +1,14 @@
+import numpy as np
 import pytest
 
 import stacklq as sq
+import stacklq.montecarlo as montecarlo
 import stacklq.riccati as riccati
+import stacklq.verify as verify
 from stacklq.errors import DomainError
 from stacklq.model import with_steps
 from stacklq.riccati import riccati_residuals, solve_game
+from stacklq.rng import NoisePlan
 from stacklq.verify import VerifyConfig, check_residual_order, run_verification
 
 
@@ -43,3 +47,23 @@ def test_residual_order_holds_across_offgrid_breakpoints(offgrid_spec):
          for sp, b, Omega in solved]
     for name, c in C[0].items():
         assert 0.5 <= C[1][name] / c <= 2.0, (name, detail)
+
+
+@pytest.mark.parametrize("block", [8, 20])
+@pytest.mark.parametrize("name", ["n2_spec", "offgrid_spec"])
+def test_verify_runs_are_simulate_records_bit_identical(name, block, request,
+                                                        monkeypatch):
+    # the measurability, nesting and ansatz checks keep whole paths of X, Xh
+    # and Xc; `stacklq simulate` streams the same node loop in blocks of
+    # BLOCK_PATHS paths. 45 paths cross block boundaries, and every row of
+    # the checks' runs must be the row simulate writes.
+    spec = request.getfixturevalue(name)
+    law = sq.build_feedback(*solve_game(spec))
+    monkeypatch.setattr(montecarlo, "BLOCK_PATHS", block)
+    N = 45
+    dW = NoisePlan.for_spec(spec, 3).increments(np.arange(N))
+    runs = np.concatenate(verify._filtered_paths(spec, law, dW), axis=-1)
+    blocks = sq.simulate_blocks(spec, law, NoisePlan.for_spec(spec, 3), N,
+                                thin=1)
+    records = np.concatenate([r for _, r, _ in blocks])
+    assert np.array_equal(runs, records[..., :12 * spec.n])
