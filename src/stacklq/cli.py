@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 domain/validation failure, 2 input parse failure,
 3 numerical blow-up, 4 verification failure.  All outputs land under the
 --out directory; reruns with the same configuration replace them
 deterministically.  Numbers are printed with 17 significant digits so CSV
-round-trips are bit-faithful.
+round-trips are bit-faithful; one writer writes solve's tables.  The options
+are the one source of verify's seed, paths and epsilons.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .model import load_spec, validate_spec, with_steps
 from .montecarlo import mean_stderr, simulate_blocks
 from .riccati import LEVELS, riccati_residuals, solve_game
 from .rng import NoisePlan
-from .verify import VerifyConfig, run_verification
+from .verify import run_verification
 
 log = logging.getLogger("stacklq")
 
@@ -52,30 +53,16 @@ def _row_template(times, rows, lead: str = "") -> str:
     return "".join(node.replace("\0", FMT % t) for t in times)
 
 
-def _write_trajectory_csv(path: Path, times, values):
-    """Columns t,row,col,value; vectors use col=0."""
-    vals = np.asarray(values)
-    if vals.ndim == 2:
-        vals = vals[:, :, None]
-    _, rows, cols = vals.shape
-    template = _row_template(times, [f"{i},{j}" for i in range(rows)
-                                     for j in range(cols)])
+def _write_tables_csv(path: Path, header: str, times, tables: dict):
+    """The header, then `t,{label}{row},{col},value` lines node by node over
+    tables: (K+1, rows, cols) or (K+1, rows) arrays by label, a vector's col 0."""
+    vals = [v.reshape(*v.shape[:2], -1) for v in tables.values()]
+    template = _row_template(times, [
+        f"{label}{i},{j}" for label, v in zip(tables, vals)
+        for i in range(v.shape[1]) for j in range(v.shape[2])])
+    values = np.concatenate([v.reshape(len(times), -1) for v in vals], axis=1)
     with open(path, "w") as fh:
-        fh.write("t,row,col,value\n")
-        fh.write(template % tuple(vals.ravel().tolist()))
-
-
-def _write_gains_csv(path: Path, law):
-    names = ("K1", "k1", "K2hat", "K2check", "k2", "K3", "K3hat", "K3check",
-             "k3", "Kv2check", "Kv3hat", "Kv3check")
-    nodes = law.times.shape[0]
-    gains = [getattr(law, name).reshape(nodes, law.n, -1) for name in names]
-    template = _row_template(law.times, [
-        f"{name},{i},{j}" for name, g in zip(names, gains)
-        for i in range(g.shape[1]) for j in range(g.shape[2])])
-    values = np.concatenate([g.reshape(nodes, -1) for g in gains], axis=1)
-    with open(path, "w") as fh:
-        fh.write("t,gain,row,col,value\n")
+        fh.write(header + "\n")
         fh.write(template % tuple(values.ravel().tolist()))
 
 
@@ -131,10 +118,12 @@ def cmd_solve(args) -> int:
     spec, out = _prepare(args)
     bundle, Omega = solve_game(spec)
     law = build_feedback(bundle, Omega)
-    for name in LEVELS:
-        _write_trajectory_csv(out / f"{name}.csv", bundle.times, getattr(bundle, name))
-    _write_trajectory_csv(out / "Omega.csv", bundle.times, Omega)
-    _write_gains_csv(out / "gains.csv", law)
+    levels = {name: getattr(bundle, name) for name in LEVELS} | {"Omega": Omega}
+    for name, values in levels.items():
+        _write_tables_csv(out / f"{name}.csv", "t,row,col,value", bundle.times,
+                          {"": values})
+    _write_tables_csv(out / "gains.csv", "t,gain,row,col,value", bundle.times,
+                      {f"{name},": g for name, g in law.gains.items()})
     res = riccati_residuals(bundle, Omega)
     lines = ["terminal conditions set exactly at T"]
     lines += [f"max centered-difference residual {k}: {v:.6e}"
@@ -195,9 +184,9 @@ def cmd_verify(args) -> int:
     if not np.isfinite(args.sabotage_gains):
         raise SpecFormatError("--sabotage-gains must be a finite number")
     spec, out = _prepare(args)
-    cfg = VerifyConfig(seed=args.seed, n_paths=args.paths, epsilons=eps,
-                       gain_scale=args.sabotage_gains)
-    checks, reports = run_verification(spec, cfg)
+    checks, reports = run_verification(spec, seed=args.seed, n_paths=args.paths,
+                                       epsilons=eps,
+                                       gain_scale=args.sabotage_gains)
     payload = [{"id": cid, "passed": bool(ok), "detail": detail}
                for cid, ok, detail in checks]
     (out / "verify_report.json").write_text(json.dumps(payload, indent=2) + "\n")

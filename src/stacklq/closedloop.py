@@ -17,19 +17,22 @@ and composed once per node by `_response_step`, which steps the physical
 state too; `respond` runs it against exogenous controls.  Run on
 riccati's `without_intercepts(bundle)` it is the homogeneous form, under
 common noise exactly the response to a control perturbation, the systems
-being linear: the variational sweep in `montecarlo` probes it on basis rows
-for its per-group node tables.  The offsets are solved by riccati's
-`backward_rk4`, so they are blow-up guarded like the ladder.  Gains,
-responses and residuals read the solve's one grid coefficient table,
-`bundle.cv`, which the law carries on as `law.cv`.
+being linear: the variational sweep in `montecarlo` probes it on basis rows,
+zero rows for the controls that do not move, for its per-group node tables.
+The offsets are solved by riccati's `backward_rk4`, so they are blow-up
+guarded like the ladder.  The gains, one read-only mapping `law.gains` keyed
+by `GAINS`, the responses and the residuals read the solve's one grid
+coefficient table, `bundle.cv`, which the law carries on as `law.cv`.
 `verify`'s negative control is a law too: `build_feedback` with a
 gain_scale other than 1 scales the follower gain on every block.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -42,12 +45,16 @@ from .riccati import BLOWUP_LIMIT, RiccatiBundle, backward_rk4
 # variational sweep.
 BLOCK_PATHS = 2048
 
+# The output gains by name, in gains.csv order.
+GAINS = ("K1", "k1", "K2hat", "K2check", "k2", "K3", "K3hat", "K3check", "k3",
+         "Kv2check", "Kv3hat", "Kv3check")
+
 
 @dataclass(frozen=True)
 class FeedbackLaw:
     """Gain tables on the solver grid plus the closed-loop drift they induce.
 
-    Controls:
+    Controls, with the gains of the read-only mapping `gains` by name:
         v1 = K1 Xc + k1
         v2 = K2hat Xh + K2check Xc + k2
         v3 = K3 X + K3hat Xh + K3check Xc + k3
@@ -68,18 +75,7 @@ class FeedbackLaw:
     times: np.ndarray
     n: int
     cv: CoeffValues
-    K1: np.ndarray
-    k1: np.ndarray
-    K2hat: np.ndarray
-    K2check: np.ndarray
-    k2: np.ndarray
-    K3: np.ndarray
-    K3hat: np.ndarray
-    K3check: np.ndarray
-    k3: np.ndarray
-    Kv2check: np.ndarray
-    Kv3hat: np.ndarray
-    Kv3check: np.ndarray
+    gains: Mapping[str, np.ndarray]     # GAINS: (K+1, n, m) or (K+1, n)
     M0: np.ndarray      # closed-loop drift: dX = (M0 X + M2 Xh + M3 Xc + coff)dt + ...
     M2: np.ndarray
     M3: np.ndarray
@@ -142,7 +138,9 @@ def build_feedback(bundle: RiccatiBundle, Omega: np.ndarray,
         if not np.all(np.isfinite(table)):
             raise BlowUpError(f"feedback gain {name}", float(times[-1]))
 
-    return FeedbackLaw(times=times, n=n, cv=cv, **_block_tables(times, g, l3), **g)
+    tables = _block_tables(times, g, l3)
+    gains = MappingProxyType({name: g.pop(name) for name in GAINS})
+    return FeedbackLaw(times=times, n=n, cv=cv, gains=gains, **tables, **g)
 
 
 def _block_tables(times, g, l3) -> dict:
@@ -187,23 +185,15 @@ def _paths_from(start: int):
         raise BlowUpError(err.what, err.t, path=start + err.path) from None
 
 
-def _pushed(drift, B, v):
-    """drift + B_i v_i over the controls v_i that move (those not None)."""
-    for Bi, vi in zip(B, v):
-        if vi is not None:
-            drift = drift + vi @ Bi.T
-    return drift
-
-
 def _state_step(cv: CoeffValues, times, k, dWk, x, v):
     """Euler step k -> k+1 of the physical state under controls v, guarded.
 
-    cv is the node-k coefficient view; v holds (v1, v2, v3) at node k, None
-    for a control that does not move.  x is rows (N, n) or, as in the
-    response helpers below, D directions' rows (D, N, n).
+    cv is the node-k coefficient view; v holds (v1, v2, v3) at node k.  x
+    is rows (N, n) or, as in the response helpers below, D directions' rows
+    (D, N, n).
     """
     h = times[k + 1] - times[k]
-    drift = _pushed(x @ cv.A.T + cv.b, cv.B, v)
+    drift = sum((vi @ Bi.T for Bi, vi in zip(cv.B, v)), x @ cv.A.T + cv.b)
     loads = [x @ Ci.T + si for Ci, si in zip(cv.C, cv.sigma)]
     x = x + h * drift + sum(dWk[:, i:i + 1] * loads[i] for i in range(3))
     _guard(x, float(times[k + 1]), "state")
@@ -324,11 +314,11 @@ def _middle_controls(bundle: RiccatiBundle, c: CoeffValues, k, X2h, X2c,
 def _follower_step(bundle: RiccatiBundle, c: CoeffValues, k, dWk, xc, phi,
                    vc2, vc3):
     """Euler step k -> k+1 of the follower-filtered state, which sees W3 only;
-    vc2/vc3 are the leaders' controls at node k as the follower sees them,
-    None for one that does not move."""
+    vc2/vc3 are the leaders' controls at node k as the follower sees them."""
     l1 = bundle.l1
     h = bundle.times[k + 1] - bundle.times[k]
-    drift = _pushed(xc @ l1.Abar[k].T + phi @ l1.F1bar[k].T, c.B[1:], (vc2, vc3))
+    drift = (xc @ l1.Abar[k].T + phi @ l1.F1bar[k].T + vc2 @ c.B[1].T
+             + vc3 @ c.B[2].T)
     load = xc @ c.C[2].T + c.sigma[2]
     return xc + h * (drift + l1.bbar[k]) + dWk[:, 2:3] * load
 
@@ -359,9 +349,9 @@ def _response_step(bundle: RiccatiBundle, c: CoeffValues, k, dWk, R, off, v,
     R holds the rows [x] (l = 1), [x | xcheck] (l = 2) or [x | X2hat |
     X2check] (l = 3); off the responders' offsets, () or (phicheck,) or
     (Phihat, Phicheck); seen the exogenous controls as their filters see
-    them, () or (vcheck2, vcheck3) or (vhat3, vcheck3).  A None control
-    does not move.  Returns the responders' controls, () or (v1,) or (v1,
-    v2), and R at node k+1, None at the last node.
+    them, () or (vcheck2, vcheck3) or (vhat3, vcheck3).  Returns the
+    responders' controls, () or (v1,) or (v1, v2), and R at node k+1, None
+    at the last node.
     """
     n, level = c.A.shape[-1], 4 - len(v)
     if level == 2:

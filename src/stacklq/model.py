@@ -213,7 +213,7 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
             if coeff.breaks[0] <= 0.0 or coeff.breaks[-1] >= T:
                 bad.append(Violation(name, "piecewise breakpoints outside (0, T)"))
 
-    # weight sign conditions on every piece, reported at the piece's start
+    # sign conditions on every piece of a bounded weight, reported at its start
     for i, G in enumerate(spec.G, start=1):
         if G.shape != mat_shape:
             bad.append(Violation(f"G{i}", f"expected shape {mat_shape}, got {G.shape}"))
@@ -228,7 +228,7 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
                 (f"R{i}", spec.rho_min, f"min eigenvalue below rho_min={spec.rho_min:g}")):
             W = spec.coeffs[name]
             for M, t in zip(W.values, [0.0, *W.breaks.tolist()]):
-                if M.shape == mat_shape:
+                if M.shape == mat_shape and _bounded(W.values):
                     if np.abs(M - M.T).max(initial=0.0) > SYM_TOL:
                         bad.append(Violation(name, "not symmetric", t))
                         break
@@ -257,7 +257,17 @@ def spec_to_dict(spec: GameSpec) -> dict:
             "costs": costs, "adjacency": spec.adjacency.tolist()}
 
 
+def _reject_bools(obj, at=""):
+    """SpecFormatError at the first JSON true/false: the format has none."""
+    if isinstance(obj, bool):
+        raise SpecFormatError(f"{at[1:]}: expected a number, got {json.dumps(obj)}")
+    for key, value in (enumerate(obj) if isinstance(obj, list) else
+                       obj.items() if isinstance(obj, dict) else ()):
+        _reject_bools(value, f"{at}/{key}")
+
+
 def spec_from_dict(obj: dict) -> GameSpec:
+    _reject_bools(obj)      # Python reads true as 1
     try:
         n, steps = int(obj["n"]), int(obj["steps"])
         if (n, steps) != (obj["n"], obj["steps"]):     # 2.7 is not truncated

@@ -153,8 +153,8 @@ def _group_tables(twin: RiccatiBundle, player, directions):
                     np.zeros((D, 3))])
     dv = np.zeros((len(R), n))
     off = np.zeros((len(R), offset.shape[-1]))
-    # only the own control moves, and every filter sees it as it is
-    v = (dv,) + (None,) * (3 - player)
+    # the own control moves, the others are zero rows; every filter sees them
+    v = (dv,) + (np.zeros_like(dv),) * (3 - player)
     probes = np.empty((K, w, len(R)))   # R's step as columns: probes[k] @ rows
     for k in range(K):
         dv[4 * w:], off[4 * w:] = paths[:, k], offset[k]

@@ -6,18 +6,18 @@ filter_measurability and exact_nesting checks, and check_variational the
 three players' checks with the sweep's reports, which `verify` writes out.
 check_dp(spec, bundle, Omega) cross-checks the solved ladder and returns
 None when the spec does not reduce to a single controller.
-run_verification builds both grids' laws with cfg.gain_scale, so under
+run_verification takes the seed, the sweep's path count and epsilons and
+the gain_scale as keywords without defaults: `stacklq verify`'s options are
+their one source.  It builds both grids' laws with gain_scale, so under
 `--sabotage-gains` every check that simulates runs the sabotaged law.
 The measurability, nesting and ansatz checks keep whole paths of X, Xh and
 Xc from the node loop of `simulate_blocks`: the runs `stacklq simulate` writes.
 
-The scales here are CLI defaults; the package's acceptance test suite calls
-the same checks at its pinned scales and seeds.
+The path checks' own path counts are fixed here; the package's acceptance
+test suite calls the same checks at its pinned scales and seeds.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -28,14 +28,6 @@ from .montecarlo import default_directions, variational_sweep
 from .oracle import crosscheck_p
 from .riccati import LEVELS, riccati_residuals, solve_game, terminal_state
 from .rng import NoisePlan
-
-
-@dataclasses.dataclass
-class VerifyConfig:
-    seed: int = 42
-    n_paths: int = 4000
-    epsilons: tuple = (0.05, 0.1, 0.2)
-    gain_scale: float = 1.0
 
 
 def check_terminals(spec, bundle, Omega):
@@ -135,10 +127,10 @@ def _z(rep):
         return float(np.divide(rep.slope0, rep.slope_stderr))
 
 
-def check_variational(spec, law, bundle, cfg: VerifyConfig):
+def check_variational(spec, law, bundle, seed, n_paths, epsilons):
     """One CRN sweep over every player and stock direction."""
     reports = variational_sweep(spec, (1, 2, 3), default_directions(spec),
-                                cfg.epsilons, cfg.n_paths, cfg.seed, law, bundle)
+                                epsilons, n_paths, seed, law, bundle)
     results = []
     for player in (1, 2, 3):
         fails = [f"{rep.direction_id}(z={_z(rep):+.1f})"
@@ -162,13 +154,13 @@ def check_dp(spec, bundle, Omega):
             f"value gap {rep.gap_value:.3e}")
 
 
-def run_verification(spec: GameSpec, cfg: VerifyConfig):
+def run_verification(spec: GameSpec, *, seed, n_paths, epsilons, gain_scale):
     """All checks; returns (list of (id, ok, detail), variational reports)."""
     report = validate_spec(spec)
     if not report.valid:
         raise DomainError(str(report))
     bundle, Omega = solve_game(spec)
-    law = build_feedback(bundle, Omega, cfg.gain_scale)
+    law = build_feedback(bundle, Omega, gain_scale)
     solved = (spec, bundle, Omega)
     fine_spec = with_steps(spec, 2 * spec.steps)
     fine = (fine_spec, *solve_game(fine_spec))
@@ -176,15 +168,14 @@ def run_verification(spec: GameSpec, cfg: VerifyConfig):
         check_terminals(*solved),
         check_residual_order(solved, fine),
         check_p_psd(bundle),
-        *check_measurability(spec, law, cfg.seed),
+        *check_measurability(spec, law, seed),
         check_ansatz_residual(solved, law, fine,
-                              build_feedback(*fine[1:], cfg.gain_scale),
-                              cfg.seed),
+                              build_feedback(*fine[1:], gain_scale), seed),
     ]
     del fine        # the 2K-step solve serves the two order checks only
-    var_checks, var_reports = check_variational(spec, law, bundle, cfg)
+    var_checks, reports = check_variational(spec, law, bundle, seed, n_paths, epsilons)
     checks.extend(var_checks)
     dp_check = check_dp(*solved)
     if dp_check is not None:
         checks.append(dp_check)
-    return checks, var_reports
+    return checks, reports

@@ -15,7 +15,8 @@ from stacklq.oracle import crosscheck_p
 from stacklq.riccati import solve_game, solve_p
 from stacklq.rng import NoisePlan
 from stacklq.verify import (check_ansatz_residual, check_dp,
-                            check_measurability, check_residual_order)
+                            check_measurability, check_residual_order,
+                            check_variational)
 
 
 def _report(num, ok, detail, t0):
@@ -46,9 +47,8 @@ def test_criterion_2_trivial_zero_suite():
     for traj in (bundle.p, bundle.P1, bundle.P2, bundle.Pf1, bundle.Pf2,
                  bundle.Pf3, Omega):
         worst = max(worst, np.abs(traj).max())
-    for name in ("K1", "k1", "K2hat", "K2check", "k2", "K3", "K3hat",
-                 "K3check", "k3"):
-        worst = max(worst, np.abs(getattr(law, name)).max())
+    for gain in law.gains.values():
+        worst = max(worst, np.abs(gain).max())
     plan = NoisePlan.from_seed(1, np.diff(solver_times(spec)))
     for _, _, J in simulate_blocks(spec, law, plan, 64, thin=1):
         for player in (1, 2, 3):
@@ -122,24 +122,20 @@ def test_criterion_8_variational_optimality(scalar_additive, additive_solution):
     t0 = time.perf_counter()
     bundle, Omega, law = additive_solution
     eps, dirs = (0.05, 0.1, 0.2), default_directions(scalar_additive)
-    # 15 equilibrium cases, then the negative control: player 1 on the law
-    # whose follower gain is scaled by 1.5
-    reps = variational_sweep(scalar_additive, (1, 2, 3), dirs, eps, 10000,
-                             2026, law, bundle)
-    reps += variational_sweep(scalar_additive, (1,), dirs, eps, 10000, 2026,
-                              sq.build_feedback(bundle, Omega, 1.5), bundle)
-    ok = True
+    # the 15 equilibrium cases, judged by verify's own check
+    checks, reps = check_variational(scalar_additive, law, bundle, 2026, 10000,
+                                     eps)
+    ok = all(passed for _, passed, _ in checks)
     details = []
     for player in (1, 2, 3):
-        zmax = 0.0
-        for rep in reps[5 * (player - 1):5 * player]:
-            z = abs(rep.slope0) / rep.slope_stderr
-            zmax = max(zmax, z)
-            ok = ok and abs(rep.slope0) <= 2.0 * rep.slope_stderr
-            ok = ok and rep.curvature_ok
+        zmax = max(abs(rep.slope0) / rep.slope_stderr
+                   for rep in reps if rep.player == player)
         details.append(f"P{player} max|z|={zmax:.2f}")
-    # negative control: scaled follower gain must be detected
-    fails = sum(abs(rep.slope0) > 2.0 * rep.slope_stderr for rep in reps[15:])
+    # negative control: player 1 on the law whose follower gain is scaled by
+    # 1.5; the scaled gain must be detected
+    neg = variational_sweep(scalar_additive, (1,), dirs, eps, 10000, 2026,
+                            sq.build_feedback(bundle, Omega, 1.5), bundle)
+    fails = sum(abs(rep.slope0) > 2.0 * rep.slope_stderr for rep in neg)
     ok = ok and fails >= 1
     details.append(f"negative control fails {fails}/5 directions")
     dt = time.perf_counter() - t0

@@ -13,7 +13,7 @@ import stacklq as sq
 from stacklq.cli import main
 from stacklq.closedloop import BLOCK_PATHS
 from stacklq.lift import CoeffValues
-from stacklq.verify import VerifyConfig, run_verification
+from stacklq.verify import run_verification
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +143,19 @@ def test_parse_error_exit_2(tmp_path, malformed_documents):
             assert not out.exists()
 
 
+def test_boolean_entry_exits_2_before_out(spec_file, tmp_path, capsys):
+    # "n": true would read as n = 1 and the spec as valid
+    doc = json.loads(spec_file.read_text())
+    p = tmp_path / "bool.json"
+    p.write_text(json.dumps({**doc, "n": True}))
+    for command in ("validate", "solve", "simulate", "verify"):
+        out = tmp_path / command
+        assert main([command, "--spec", str(p), "--out", str(out)]) == 2, command
+        assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["parse error: n: expected a number, got true"] * 4
+
+
 @pytest.mark.parametrize("command", ["validate", "solve", "simulate", "verify"])
 @pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
 def test_unreadable_spec_file_exit_2(tmp_path, capsys, kind, command):
@@ -186,6 +199,31 @@ def test_gains_cover_every_node(spec_file, tmp_path):
     rows = (tmp_path / "gains.csv").read_text().strip().splitlines()[1:]
     ts = {r.split(",")[0] for r in rows}
     assert len(ts) == 151
+
+
+# sha256 of every file `solve` writes for offgrid_spec, whose pieces break
+# between grid nodes: the six ladder levels, Omega, the gains and the summary
+SOLVE_OFFGRID_PINNED = {
+    "p.csv": "84616e168bad3286476c64473d5220478a3282d72570dedd5be4b885a40279ef",
+    "P1.csv": "d63a7fc688cb45f786009236eae0064633d594e42a08591ccf5aeb837732f462",
+    "P2.csv": "4e70fc0a6415d1cebc66fd8ad0b50563b2b892390f63bc216080031c55418f46",
+    "Pf1.csv": "c72afda56355929cfda32d1a4ccf5ece5ee0620e5040a2fb34ea85d615900189",
+    "Pf2.csv": "7f46d5c27c35133604ccea3c5fa2f1256ad6da38587fd6bec59bc488983175e7",
+    "Pf3.csv": "a73171056d56503728a5c3884bec7777181059d1e50a1da63dab0945f029aecb",
+    "Omega.csv": "7efede3ceaf376fd21fc967a4750720fe300a5defcbcd0f5126e5582c2fbea63",
+    "gains.csv": "d3a7d8dfe5b0e32a294148d50cd3071a69a50208d186bf8bf2cda85b2ad780d9",
+    "solve_summary.txt": "4ddf3d74318f3aca372e1afdb330d51c7f38c45e4909cb511ebc4a5917ad36be",
+}
+
+
+def test_solve_bytes_pinned(offgrid_spec, tmp_path):
+    p = tmp_path / "offgrid.json"
+    sq.save_spec(offgrid_spec, p)
+    out = tmp_path / "solved"
+    assert main(["solve", "--spec", str(p), "--out", str(out)]) == 0
+    assert sorted(f.name for f in out.iterdir()) == sorted(SOLVE_OFFGRID_PINNED)
+    assert {name: _sha256(out / name) for name in SOLVE_OFFGRID_PINNED} == (
+        SOLVE_OFFGRID_PINNED)
 
 
 def test_simulate_zero_cost_and_deterministic_stderr(zero_file, tmp_path):
@@ -406,7 +444,8 @@ def test_each_grid_builds_its_coefficient_table_once(reducible_spec, tmp_path,
                      "--paths", "8"]) == 0
         assert built == [(100,), (101,)], command
     built.clear()
-    run_verification(reducible_spec, VerifyConfig(seed=3, n_paths=16))
+    run_verification(reducible_spec, seed=3, n_paths=16,
+                     epsilons=(0.05, 0.1, 0.2), gain_scale=1.0)
     assert len(built) == 6, built
 
 

@@ -40,9 +40,8 @@ def _paths(spec, law, seed, n, thin=1):
 def test_zero_spec_zero_gains_and_paths(zero_spec):
     bundle, Omega = solve_game(zero_spec)
     law = sq.build_feedback(bundle, Omega)
-    for name in ("K1", "k1", "K2hat", "K2check", "k2", "K3", "K3hat",
-                 "K3check", "k3"):
-        assert np.all(getattr(law, name) == 0.0)
+    for name, gain in law.gains.items():
+        assert np.all(gain == 0.0), name
     spec0 = dataclasses.replace(zero_spec, x0=np.zeros(1))
     b0, o0 = solve_game(spec0)
     law0 = sq.build_feedback(b0, o0)
@@ -56,7 +55,7 @@ def test_k3_formula_zero_state():
     spec = sq.make_spec(n=1, n3=0.4, R3=2.0)
     bundle, Omega = solve_game(spec)
     law = sq.build_feedback(bundle, Omega)
-    assert np.allclose(law.k3, -0.4 / 2.0, atol=1e-14)
+    assert np.allclose(law.gains["k3"], -0.4 / 2.0, atol=1e-14)
     assert np.all(Omega == 0.0)
 
 
@@ -189,10 +188,10 @@ def test_exact_nesting_breaks_fail_the_report(generic_solution, scalar_generic):
 
 def _reference_controls(law, k, X, Xh, Xc):
     """Controls at node k, one gain product per filtered system."""
-    v1 = Xc @ law.K1[k].T + law.k1[k]
-    v2 = Xh @ law.K2hat[k].T + Xc @ law.K2check[k].T + law.k2[k]
-    v3 = (X @ law.K3[k].T + Xh @ law.K3hat[k].T + Xc @ law.K3check[k].T
-          + law.k3[k])
+    g = {name: gain[k] for name, gain in law.gains.items()}
+    v1 = Xc @ g["K1"].T + g["k1"]
+    v2 = Xh @ g["K2hat"].T + Xc @ g["K2check"].T + g["k2"]
+    v3 = X @ g["K3"].T + Xh @ g["K3hat"].T + Xc @ g["K3check"].T + g["k3"]
     return v1, v2, v3
 
 
@@ -252,7 +251,8 @@ def test_scaled_law_plays_the_scaled_gain(n2_spec):
                                    atol=1e-12 * np.abs(want).max())
 
     for k, Z, V in _node_loop(spec, scaled, dW):
-        close(V[:, :n], 1.5 * (Z[:, 8 * n:] @ law.K1[k].T) + law.k1[k])
+        close(V[:, :n], 1.5 * (Z[:, 8 * n:] @ law.gains["K1"][k].T)
+              + law.gains["k1"][k])
         close(Z[:, :n], x)
         if k < times.shape[0] - 1:
             x = _state_step(law.cv[k], times, k, dW[:, k], x,
@@ -404,10 +404,10 @@ def reconstruct_Phi(bundle, Omega, X3hat, X3check):
 def filtered_controls(law, paths):
     """(vcheck2, vhat3, vcheck3): the leaders' equilibrium controls as the
     lower levels' filters see them, from the law's Kv tables."""
-    Xh, Xc = paths.Xh, paths.Xc
-    return (mv(law.Kv2check, Xc) + law.k2,
-            mv(law.Kv3hat, Xh) + mv(law.K3check, Xc) + law.k3,
-            mv(law.Kv3check, Xc) + law.k3)
+    Xh, Xc, g = paths.Xh, paths.Xc, law.gains
+    return (mv(g["Kv2check"], Xc) + g["k2"],
+            mv(g["Kv3hat"], Xh) + mv(g["K3check"], Xc) + g["k3"],
+            mv(g["Kv3check"], Xc) + g["k3"])
 
 
 def test_offset_reconstruction_matches_per_node_formulas(n2_spec):

@@ -218,6 +218,13 @@ MESSAGE_CASES = [
                  "G2: non-finite or unbounded entries", id="G_inf"),
     pytest.param(lambda: sq.make_spec(G3=1e300),
                  "G3: non-finite or unbounded entries", id="G_unbounded"),
+    # an unbounded weight is reported once, without its symmetry and sign
+    # tests, whose inf - inf would warn
+    pytest.param(lambda: sq.make_spec(Q1=np.inf, Q3=-np.inf),
+                 "Q1: non-finite or unbounded entries\n"
+                 "Q3: non-finite or unbounded entries", id="Q_inf"),
+    pytest.param(lambda: sq.make_spec(R2=np.inf),
+                 "R2: non-finite or unbounded entries", id="R_inf"),
     pytest.param(lambda: "{ not json",
                  "{path}: line 1, column 3: Expecting property name enclosed "
                  "in double quotes", id="not_json"),
@@ -229,6 +236,21 @@ MESSAGE_CASES = [
     pytest.param(lambda: _edited(lambda d: d.update(
         adjacency=[[0, 0, 1.9], [0, 1.5, 1], [1, 1, 1]])),
                  "adjacency entries must be whole numbers", id="adjacency_fraction"),
+    # JSON true/false, which Python reads as 1/0: the format has no boolean
+    pytest.param(lambda: _edited(lambda d: d.update(n=True)),
+                 "n: expected a number, got true", id="bool_n"),
+    pytest.param(lambda: _edited(lambda d: d.update(T=True)),
+                 "T: expected a number, got true", id="bool_T"),
+    pytest.param(lambda: _edited(lambda d: d.update(x0=[True])),
+                 "x0/0: expected a number, got true", id="bool_x0"),
+    pytest.param(lambda: _edited(lambda d: d.update(adjacency=[
+        [False, False, True], [False, True, True], [True, True, True]])),
+                 "adjacency/0/0: expected a number, got false", id="bool_adjacency"),
+    pytest.param(lambda: _edited(lambda d: d["coeffs"]["B1"].update(value=[[True]])),
+                 "coeffs/B1/value/0/0: expected a number, got true",
+                 id="bool_coeff_value"),
+    pytest.param(lambda: _edited(lambda d: d["costs"]["player1"].update(G=[[True]])),
+                 "costs/player1/G/0/0: expected a number, got true", id="bool_G"),
     pytest.param(lambda: _edited(lambda d: d["coeffs"].update(
         B1={"kind": "constant"})),
                  "bad coefficient entry: 'value'", id="entry_without_value"),

@@ -422,7 +422,7 @@ def _helper_group(spec, bundle, law, player, directions, dW):
         c, tc, own, xbase = cv[k], tcv[k], player - 1, Z[:, :n]
         offk = None if off is None else off[k, :, None]
         v = [V[:, :n], V[:, n:2 * n], V[:, 2 * n:]]
-        dv = [None, None, None]
+        dv = [np.zeros((D, 1, n))] * 3     # zero rows: the controls that do not move
         dv[own] = paths[:, k, None]
         if player == 2:
             dv[0] = _follower_control(twin, tc, k, filt[0], offk)
@@ -443,7 +443,7 @@ def _helper_group(spec, bundle, law, player, directions, dW):
             dWk = dW[:, k]
             if player == 2:
                 filt = [_follower_step(twin, tc, k, dWk, filt[0], offk,
-                                       dv[1], None)]
+                                       dv[1], dv[2])]
             elif player == 3:
                 filt = list(_middle_step(twin, k, dWk, *filt, offk, offk,
                                          dv[2], dv[2]))

@@ -244,9 +244,9 @@ def test_follower_gain_reads_only_p(which, request):
     law = sq.build_feedback(bundle, Omega)
     cv = CoeffValues(spec, bundle.times)
     n = spec.n
-    assert np.array_equal(law.K1[:, :, :n],
+    assert np.array_equal(law.gains["K1"][:, :, :n],
                           -cv.Rinv[0] @ cv.B[0].mT @ bundle.p)
-    assert not np.any(law.K1[:, :, n:])
+    assert not np.any(law.gains["K1"][:, :, n:])
 
 
 def test_crosscheck_closed_form(closed_form_spec):

@@ -331,7 +331,7 @@ def test_ladder_numbers_pinned(n2_spec):
     law = sq.build_feedback(bundle, Omega)
     arrays = {"P2": bundle.P2, "Pf2": bundle.Pf2,
               "Pf3": bundle.Pf3, "Omega": Omega,
-              "K2check": law.K2check, "K3check": law.K3check}
+              "K2check": law.gains["K2check"], "K3check": law.gains["K3check"]}
     for (name, k), want in LADDER_PINNED.items():
         got = arrays[name][k]
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (name, k)

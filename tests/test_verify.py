@@ -9,7 +9,7 @@ from stacklq.errors import DomainError
 from stacklq.model import with_steps
 from stacklq.riccati import riccati_residuals, solve_game
 from stacklq.rng import NoisePlan
-from stacklq.verify import VerifyConfig, check_residual_order, run_verification
+from stacklq.verify import check_residual_order, run_verification
 
 
 def test_verification_solves_the_ladder_twice(reducible_spec, monkeypatch):
@@ -23,7 +23,8 @@ def test_verification_solves_the_ladder_twice(reducible_spec, monkeypatch):
         return solve_levels(spec, depth)
 
     monkeypatch.setattr(riccati, "_solve_levels", counting)
-    checks, _ = run_verification(reducible_spec, VerifyConfig(seed=3, n_paths=16))
+    checks, _ = run_verification(reducible_spec, seed=3, n_paths=16,
+                                 epsilons=(0.05, 0.1, 0.2), gain_scale=1.0)
     assert "dp_crosscheck" in {check_id for check_id, _, _ in checks}
     assert calls == [(100, 3), (200, 3)]
 
@@ -31,7 +32,8 @@ def test_verification_solves_the_ladder_twice(reducible_spec, monkeypatch):
 def test_verification_rejects_an_invalid_spec():
     spec = sq.make_spec(n=1, T=1.0, steps=50, B1=1.0, G1=-1.0)
     with pytest.raises(DomainError, match="G1"):
-        run_verification(spec, VerifyConfig(n_paths=16))
+        run_verification(spec, seed=42, n_paths=16, epsilons=(0.05, 0.1, 0.2),
+                         gain_scale=1.0)
 
 
 def test_residual_order_holds_across_offgrid_breakpoints(offgrid_spec):
