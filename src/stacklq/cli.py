@@ -172,6 +172,9 @@ def _epsilons(text: str) -> tuple:
         eps = (np.nan,)
     if not np.all(np.isfinite(eps)):
         raise SpecFormatError(f"--epsilons needs finite numbers, got {text!r}")
+    if not np.all(np.isfinite([e * e for e in eps])):   # a cost's eps^2 term
+        raise SpecFormatError(f"--epsilons needs numbers whose squares are "
+                              f"finite, got {text!r}")
     if not any(eps):    # a sweep of epsilon 0 alone has no curvature to gate
         raise SpecFormatError(f"--epsilons needs a nonzero value, got {text!r}")
     return eps

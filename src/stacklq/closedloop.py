@@ -8,23 +8,23 @@ Xc] on one set of Brownian increments.  Z's drift is block upper-triangular
 and its noise loadings are masked (X sees W1-W3, Xh W2-W3, Xc W3), so a
 coarser filter never sees a component outside its sigma-algebra: a masked
 entry adds an exact zero, which the bit-level measurability checks exercise.
-`_node_loop` steps Z; `simulate_blocks`, the one path simulator, the
-variational sweep and `verify`'s path checks all run it.
+`_node_loop` steps Z by `LinearStep.advance`, the one linear Euler step,
+which the sweep's response groups take too; `simulate_blocks`, the one path
+simulator, the variational sweep and `verify`'s path checks all run it.
 
 Each lower level's best-response system (its offset, its controls and the
 Euler step of its filtered states) is written once, with its intercepts,
 and composed once per node by `_response_step`, which steps the physical
-state too; `respond` runs it against exogenous controls.  Run on
-riccati's `without_intercepts(bundle)` it is the homogeneous form, under
-common noise exactly the response to a control perturbation, the systems
-being linear: the variational sweep in `montecarlo` probes it on basis rows,
-zero rows for the controls that do not move, for its per-group node tables.
-The offsets are solved by riccati's `backward_rk4`, so they are blow-up
-guarded like the ladder.  The gains, one read-only mapping `law.gains` keyed
-by `GAINS`, the responses and the residuals read the solve's one grid
-coefficient table, `bundle.cv`, which the law carries on as `law.cv`.
-`verify`'s negative control is a law too: `build_feedback` with a
-gain_scale other than 1 scales the follower gain on every block.
+state too; `respond` runs it against exogenous controls.  On riccati's
+`without_intercepts(bundle)` it is the homogeneous form, under common noise
+exactly the response to a control perturbation: the variational sweep in
+`montecarlo` probes it on basis rows for its groups' tables.  The offsets
+are solved by riccati's `backward_rk4`, blow-up guarded like the ladder.
+The gains, one read-only mapping `law.gains` keyed by `GAINS`, the
+responses and the residuals read the solve's grid coefficient table,
+`bundle.cv`, which the law carries on as `law.cv`.  `verify`'s negative
+control is a law too: `build_feedback` with a gain_scale other than 1
+scales the follower gain on every block.
 """
 
 from __future__ import annotations
@@ -51,6 +51,30 @@ GAINS = ("K1", "k1", "K2hat", "K2check", "k2", "K3", "K3hat", "K3check", "k3",
 
 
 @dataclass(frozen=True)
+class LinearStep:
+    """The tables of the base law's and every response group's Euler step
+    Y' = Y F[k] + c[k] + sum_i dW_{k,i} (s[k, i] + Y L[i][k]), rows Y being
+    Z (N, 12n) or a group's (D, N, w), one row block per direction."""
+
+    F: np.ndarray                   # (K, w, w)
+    c: np.ndarray                   # (K, w) intercept, or (K, D, 1, w) drives
+    s: np.ndarray | None            # (K, 3, w); None for a response group
+    L: Mapping[int, np.ndarray]     # (K, w, w) by channel, those loading Y
+
+    def advance(self, k, Y, dWk, t, what):
+        """Y's step k -> k+1 on the increments dWk (N, 3), guarded: a
+        blow-up at t, the time of node k+1, is named `what`."""
+        Yn = Y @ self.F[k]          # in place below: few (N, w) temporaries
+        if self.s is not None:
+            Yn += dWk @ self.s[k]
+        Yn += self.c[k]
+        if self.L:
+            Yn += sum(dWk[:, i, None] * (Y @ Li[k]) for i, Li in self.L.items())
+        _guard(Yn, t, what)
+        return Yn
+
+
+@dataclass(frozen=True)
 class FeedbackLaw:
     """Gain tables on the solver grid plus the closed-loop drift they induce.
 
@@ -65,11 +89,10 @@ class FeedbackLaw:
         vcheck3 = Kv3check Xc + k3.
 
     Simulation reads the block tables of Z = [X | Xh | Xc]: [v1 | v2 | v3] =
-    Z KzT[k] + kz[k], and a step is Z Ft[k] + dW_k S[k] + cz[k] (+ dW_k,i Z
-    Ct[k]_i summed over i), Ft[k] = (I + h M)^T with block rows [M0, M2, M3],
-    [0, M0+M2, M3], [0, 0, M0+M2+M3].  S and Ct hold Sigma_i and frakC_i on
-    the blocks that observe W_i (X: W1-W3, Xh: W2-W3, Xc: W3); Ct is None
-    when every frakC_i is 0.  cv is the solve's grid coefficient table.
+    Z KzT[k] + kz[k], and `step` is Z's LinearStep: F[k] = (I + h M)^T with
+    block rows [M0, M2, M3], [0, M0+M2, M3], [0, 0, M0+M2+M3], c[k] h coff on
+    each block, s and L Sigma_i and frakC_i^T on the blocks that observe W_i
+    (X: W1-W3, Xh: W2-W3, Xc: W3).  cv is the solve's grid coefficient table.
     """
 
     times: np.ndarray
@@ -80,10 +103,7 @@ class FeedbackLaw:
     M2: np.ndarray
     M3: np.ndarray
     coff: np.ndarray
-    Ft: np.ndarray          # (K, 12n, 12n)
-    S: np.ndarray           # (K, 3, 12n)
-    cz: np.ndarray          # (K, 12n): h coff on each block
-    Ct: np.ndarray | None   # (K, 12n, 36n): [C1^T | C2^T | C3^T]
+    step: LinearStep
     KzT: np.ndarray         # (K+1, 12n, 3n)
     kz: np.ndarray          # (K+1, 3n)
 
@@ -138,32 +158,33 @@ def build_feedback(bundle: RiccatiBundle, Omega: np.ndarray,
         if not np.all(np.isfinite(table)):
             raise BlowUpError(f"feedback gain {name}", float(times[-1]))
 
-    tables = _block_tables(times, g, l3)
+    On = np.zeros_like(g["K1"])
+    Kz = np.block([[On, On, g["K1"]], [On, g["K2hat"], g["K2check"]],
+                   [g["K3"], g["K3hat"], g["K3check"]]])
+    kz = np.concatenate([g["k1"], g["k2"], g["k3"]], axis=-1)
     gains = MappingProxyType({name: g.pop(name) for name in GAINS})
-    return FeedbackLaw(times=times, n=n, cv=cv, gains=gains, **tables, **g)
+    return FeedbackLaw(times=times, n=n, cv=cv, gains=gains, kz=kz,
+                       KzT=np.ascontiguousarray(Kz.mT),
+                       step=_block_tables(times, g, l3), **g)
 
 
-def _block_tables(times, g, l3) -> dict:
-    """FeedbackLaw's step and control tables of Z = [X | Xh | Xc]."""
+def _block_tables(times, g, l3) -> LinearStep:
+    """Z = [X | Xh | Xc]'s LinearStep."""
     K, n4 = times.shape[0] - 1, g["M0"].shape[-1]
     h = np.diff(times)[:, None, None]
     M0, M2, M3 = (g[name][:-1] for name in ("M0", "M2", "M3"))
-    O, On = np.zeros_like(M0), np.zeros_like(g["K1"])
+    O = np.zeros_like(M0)
     M = np.block([[M0, M2, M3], [O, M0 + M2, M3], [O, O, M0 + M2 + M3]])
-    Kz = np.block([[On, On, g["K1"]], [On, g["K2hat"], g["K2check"]],
-                   [g["K3"], g["K3hat"], g["K3check"]]])
     sees = np.tril(np.ones((3, 3)))     # [i, b]: block b observes W_{i+1}
     Sig = np.stack([l3.Sigma1, l3.Sigma2, l3.Sigma3], axis=1)[:-1]
     C = np.stack([l3.frakC1, l3.frakC2, l3.frakC3], axis=1)[:-1]
-    Ct = None
-    if np.any(C):   # Ct[k][(b, r), (i, d, c)] = frakC_i[c, r] if d = b sees W_i
-        Ct = np.einsum("ib,bd,kicr->kbridc", sees, np.eye(3), C)
-    return dict(Ft=np.ascontiguousarray((np.eye(3 * n4) + h * M).mT),
-                S=np.einsum("ib,kic->kibc", sees, Sig).reshape(K, 3, 3 * n4),
-                cz=np.tile(h[:, 0] * g["coff"][:-1], 3),
-                Ct=None if Ct is None else Ct.reshape(K, 3 * n4, 9 * n4),
-                KzT=np.ascontiguousarray(Kz.mT),
-                kz=np.concatenate([g["k1"], g["k2"], g["k3"]], axis=-1))
+    # L[i][k][(b, r), (d, c)] = frakC_i[c, r] if d = b sees W_i
+    L = {i: np.einsum("b,bd,kcr->kbrdc", sees[i], np.eye(3), C[:, i])
+         .reshape(K, 3 * n4, 3 * n4) for i in range(3) if np.any(C[:, i])}
+    return LinearStep(F=np.ascontiguousarray((np.eye(3 * n4) + h * M).mT),
+                      c=np.tile(h[:, 0] * g["coff"][:-1], 3),
+                      s=np.einsum("ib,kic->kibc", sees, Sig).reshape(K, 3, 3 * n4),
+                      L=L)
 
 
 def _guard(arr, t, what):
@@ -212,15 +233,8 @@ def _node_loop(spec: GameSpec, law: FeedbackLaw, dW: np.ndarray):
     for k in range(K + 1):
         yield k, Z, Z @ law.KzT[k] + law.kz[k]
         if k < K:
-            dWk = dW[:, k]
-            Zn = Z @ law.Ft[k]          # in place: no (N, 12n) temporaries
-            Zn += dWk @ law.S[k]
-            Zn += law.cz[k]
-            if law.Ct is not None:
-                Zn += np.einsum("pi,pij->pj", dWk,
-                                (Z @ law.Ct[k]).reshape(N, 3, -1))
-            _guard(Zn, float(times[k + 1]), "equilibrium state")
-            Z = Zn
+            Z = law.step.advance(k, Z, dW[:, k], float(times[k + 1]),
+                                 "equilibrium state")
 
 
 # ---------------------------------------------------------------------------

@@ -157,8 +157,10 @@ def solver_times(spec: GameSpec) -> np.ndarray:
     t = t[(t >= 0.0) & (t <= spec.T)]
     t = np.unique(t)
     # merge near-duplicates from decimal breakpoints landing on grid nodes
-    keep = np.concatenate([[True], np.diff(t) > 1e-12 * max(spec.T, 1.0)])
-    return t[keep]
+    # into the earlier node, and a break that close to T into T
+    t = t[np.concatenate([[True], np.diff(t) > 1e-12 * max(spec.T, 1.0)])]
+    t[-1] = spec.T
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +259,19 @@ def spec_to_dict(spec: GameSpec) -> dict:
             "costs": costs, "adjacency": spec.adjacency.tolist()}
 
 
-def _reject_bools(obj, at=""):
-    """SpecFormatError at the first JSON true/false: the format has none."""
-    if isinstance(obj, bool):
+def _reject_non_numbers(obj, at=""):
+    """SpecFormatError at the first JSON true/false, or string not under
+    `kind`: the format has no other, and Python reads true as 1 and "1.0"
+    as 1.0."""
+    if isinstance(obj, bool) or isinstance(obj, str) and not at.endswith("/kind"):
         raise SpecFormatError(f"{at[1:]}: expected a number, got {json.dumps(obj)}")
     for key, value in (enumerate(obj) if isinstance(obj, list) else
                        obj.items() if isinstance(obj, dict) else ()):
-        _reject_bools(value, f"{at}/{key}")
+        _reject_non_numbers(value, f"{at}/{key}")
 
 
 def spec_from_dict(obj: dict) -> GameSpec:
-    _reject_bools(obj)      # Python reads true as 1
+    _reject_non_numbers(obj)
     try:
         n, steps = int(obj["n"]), int(obj["steps"])
         if (n, steps) != (obj["n"], obj["steps"]):     # 2.7 is not truncated

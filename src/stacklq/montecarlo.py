@@ -12,10 +12,10 @@ coefficient, and its standard error comes from the per-path linear terms
 `variational_sweep` tests players against directions with the chunk loop
 outermost: each chunk of paths draws its Brownian increments once and steps
 one base closed loop of the law it is handed, along which one response group
-per player advances its base cost and all the directions as one block state,
-on node tables probed once per sweep from closedloop's `_response_step`, the
-best-response systems that `respond` runs, on the bundle's intercept-free
-twin `without_intercepts(bundle)`: their homogeneous, linear form.  No
+per player advances its base cost and all the directions as one row state.
+Its tables are a `LinearStep`, the law's form, stepped by the same
+`advance`, and probed once per sweep from closedloop's `_response_step` on
+the bundle's intercept-free twin `without_intercepts(bundle)`.  No
 increment row is drawn twice however many players and directions share the
 seed.  The sabotaged law of `verify --sabotage-gains` is swept like any other.
 Each (player, direction) gets one `PerturbationReport`: the mean cost and its
@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedloop import (BLOCK_PATHS, FeedbackLaw, _follower_offset, _guard,
-                         _middle_offset, _node_loop, _paths_from,
-                         _response_step)
+from .closedloop import (BLOCK_PATHS, FeedbackLaw, LinearStep, _follower_offset,
+                         _middle_offset, _node_loop, _paths_from, _response_step)
 from .lift import CoeffValues
 from .model import GameSpec, solver_times
 from .riccati import RiccatiBundle, without_intercepts
@@ -135,13 +134,12 @@ def default_directions(spec: GameSpec) -> list:
     return [Direction(name, np.outer(s, e)) for name, s in shapes.items()]
 
 
-def _group_tables(twin: RiccatiBundle, player, directions):
-    """A group's tables (see _Group), probed from closedloop's
+def _group_tables(twin: RiccatiBundle, player, paths) -> LinearStep:
+    """A group's LinearStep (see _Group), probed from closedloop's
     `_response_step` on the homogeneous bundle twin at every node: on w
     basis rows without noise and under a unit increment on each channel,
-    and on each direction's path with its offset, solved once here.
-    Channels that load nothing are left out."""
-    paths = np.stack([d.path for d in directions])
+    and on each direction's path (D, K+1, n) with its offset, solved once
+    here.  Channels that load nothing are left out."""
     D, n_nodes, n = paths.shape
     K, w, cv = n_nodes - 1, (1, 2, 5)[player - 1] * n, twin.cv
     offset = (_follower_offset(twin, paths, np.zeros_like(paths))
@@ -155,17 +153,15 @@ def _group_tables(twin: RiccatiBundle, player, directions):
     off = np.zeros((len(R), offset.shape[-1]))
     # the own control moves, the others are zero rows; every filter sees them
     v = (dv,) + (np.zeros_like(dv),) * (3 - player)
-    probes = np.empty((K, w, len(R)))   # R's step as columns: probes[k] @ rows
+    probes = np.empty((K, len(R), w))   # row j: probe row j's image
     for k in range(K):
         dv[4 * w:], off[4 * w:] = paths[:, k], offset[k]
         probes[k] = _response_step(twin, cv[k], k, dW, R, (off,) * (player - 1),
-                                   v, v * (player - 1))[1].T
-    F = probes[..., :w]
-    loads = [probes[..., (i + 1) * w:(i + 2) * w] - F for i in range(3)]
-    channels = [i for i in range(3) if np.any(loads[i])]
-    return (paths.transpose(1, 2, 0)[..., None],
-            np.concatenate([F] + [loads[i] for i in channels], axis=-1),
-            channels, probes[..., 4 * w:, None].copy())
+                                   v, v * (player - 1))[1]
+    F = probes[:, :w].copy()
+    L = {i: probes[:, (i + 1) * w:(i + 2) * w] - F for i in range(3)}
+    return LinearStep(F=F, c=probes[:, 4 * w:, None].copy(), s=None,
+                      L={i: Li for i, Li in L.items() if np.any(Li)})
 
 
 class _Group:
@@ -173,21 +169,20 @@ class _Group:
     polynomials J_d(eps) = J0 + eps Bc[d] + eps^2 Cc[d], added up node by node
     along the base run that a sweep's groups share.
 
-    R (w, D, N) holds the responses as columns of [dx] (player 1), [dx |
-    dxc] (player 2) or [dx | dX2h | dX2c] (player 3); the state stacks it
-    over its copies scaled by the increments of the c loaded `channels`.
-    R's Euler step is step[k] (w, (1 + c) w) times the state plus drive[k]
-    (w, D, 1).  dv[k] (n, D, 1) holds the directions' paths.  A still group,
-    whose drive is all exact zeros (as when its player's B is 0), keeps
-    R = 0: it is never stepped and its costs take only the dv terms.
+    state (D, N, w) holds the responses as rows of [dx] (player 1), [dx |
+    dxc] (player 2) or [dx | dX2h | dX2c] (player 3), one row block per
+    direction, stepped on the group's LinearStep `step`, whose c[k] (D, 1, w)
+    is each direction's drive.  dv (D, K+1, n) holds the directions' paths.
+    A still group, whose drive is all exact zeros (as when its player's B is
+    0), keeps state = 0: it is never stepped and its costs take only the dv
+    terms.
     """
 
-    def __init__(self, N: int, player: int, tables):
-        self.dv, self.step, self.channels, self.drive = tables
-        w, D = self.drive.shape[1:3]
-        self.player = player
-        self.still = not np.any(self.drive)
-        self.state = np.zeros((1 + len(self.channels), w, D, N))
+    def __init__(self, N: int, player: int, dv, step: LinearStep):
+        self.dv, self.step, self.player = dv, step, player
+        self.still = not np.any(step.c)
+        D = len(dv)
+        self.state = np.zeros((D, N, step.F.shape[-1]))
         self.J0, self.Bc, self.Cc2 = np.zeros(N), np.zeros((D, N)), np.zeros((D, N))
 
     def node(self, law: FeedbackLaw, c, k: int, Z, V, dW):
@@ -201,30 +196,19 @@ class _Group:
 
         # each direction's value and the response dx contract with the cost
         # weights: h Q, h m, h R, h n before the last node, G alone at it
-        dv, dx = self.dv[k], self.state[0, :n]
+        dv, dx = self.dv[:, k], self.state[..., :n]
         h = law.times[k + 1] - law.times[k] if k < K else 0.0
         Wx, wx = (h * c.Q[own], h * c.m[own]) if k < K else (c.G[own], 0.0)
         Wv, wv = h * c.R[own], h * c.nl[own]
         self.J0 += _node_cost(c, own, k, law.times, x, vown)
         Bx, Cx = ((0.0, 0.0) if self.still else
-                  (np.einsum("idp,pi->dp", dx, x @ Wx + wx),
-                   np.einsum("idp,ij,jdp->dp", dx, Wx, dx)))
-        self.Bc += Bx + np.einsum("idp,pi->dp", dv, vown @ Wv + wv)
-        self.Cc2 += Cx + np.einsum("idp,ij,jdp->dp", dv, Wv, dv)
+                  (np.einsum("dpi,pi->dp", dx, x @ Wx + wx),
+                   np.einsum("dpi,ij,dpj->dp", dx, Wx, dx)))
+        self.Bc += Bx + np.einsum("di,pi->dp", dv, vown @ Wv + wv)
+        self.Cc2 += Cx + np.einsum("di,ij,dj->d", dv, Wv, dv)[:, None]
         if k < K and not self.still:
-            _group_step(self, k, dW[:, k], float(law.times[k + 1]))
-
-
-def _group_step(group: _Group, k, dWk, t):
-    """R's guarded step k -> k+1 on the group's tables."""
-    state = group.state
-    for j, i in enumerate(group.channels, 1):
-        np.multiply(state[0], dWk[:, i], out=state[j])
-    group.state = new = np.empty_like(state)
-    w, D, N = new.shape[1:]
-    np.matmul(group.step[k], state.reshape(-1, D * N), out=new[0].reshape(w, D * N))
-    new[0] += group.drive[k]
-    _guard(new[0].transpose(1, 2, 0), t, "response state")
+            self.state = self.step.advance(k, self.state, dW[:, k],
+                                           float(law.times[k + 1]), "response state")
 
 
 def variational_sweep(spec: GameSpec, players, directions, epsilons,
@@ -244,13 +228,14 @@ def variational_sweep(spec: GameSpec, players, directions, epsilons,
                  {-float(e) for e in epsilons})
     plan = NoisePlan.for_spec(spec, seed).reusing(min(BLOCK_PATHS, n_paths))
     twin = without_intercepts(bundle)
-    tables = [_group_tables(twin, player, directions) for player in players]
+    paths = np.stack([d.path for d in directions])
+    steps = [_group_tables(twin, player, paths) for player in players]
     del twin        # probed only: not held through the run
 
     def run(i0):  # each chunk's increments overwrite the last one's
         dW = plan.increments(np.arange(i0, min(i0 + BLOCK_PATHS, n_paths)))
-        groups = [_Group(dW.shape[0], player, table)
-                  for player, table in zip(players, tables)]
+        groups = [_Group(dW.shape[0], player, paths, step)
+                  for player, step in zip(players, steps)]
         with _paths_from(i0):
             for k, Z, V in _node_loop(spec, law, dW):
                 c = law.cv[k]

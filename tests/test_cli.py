@@ -156,6 +156,19 @@ def test_boolean_entry_exits_2_before_out(spec_file, tmp_path, capsys):
     assert err == ["parse error: n: expected a number, got true"] * 4
 
 
+def test_string_number_exits_2_before_out(spec_file, tmp_path, capsys):
+    # "T": "1.0" would read as T = 1.0 and the spec as valid
+    doc = json.loads(spec_file.read_text())
+    p = tmp_path / "string.json"
+    p.write_text(json.dumps({**doc, "T": "1.0"}))
+    for command in ("validate", "solve", "simulate", "verify"):
+        out = tmp_path / command
+        assert main([command, "--spec", str(p), "--out", str(out)]) == 2, command
+        assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == ['parse error: T: expected a number, got "1.0"'] * 4
+
+
 @pytest.mark.parametrize("command", ["validate", "solve", "simulate", "verify"])
 @pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
 def test_unreadable_spec_file_exit_2(tmp_path, capsys, kind, command):
@@ -293,6 +306,20 @@ def test_verify_rejects_bad_epsilons(spec_file, tmp_path, epsilons):
     assert not (tmp_path / "v").exists()
 
 
+# 1e200 is finite but its square is not: each mean would read inf with
+# stderr 0, and the curvature gate would pass on nothing
+@pytest.mark.parametrize("epsilons", ["1e200", "0.1,-1e155"])
+def test_verify_rejects_epsilons_whose_squares_overflow(spec_file, tmp_path,
+                                                        capsys, epsilons):
+    rc = main(["verify", "--spec", str(spec_file), "--out", str(tmp_path / "v"),
+               "--paths", "8", "--epsilons", epsilons])
+    assert rc == 2
+    assert not (tmp_path / "v").exists()
+    assert capsys.readouterr().err == (
+        "parse error: --epsilons needs numbers whose squares are finite, "
+        f"got {epsilons!r}\n")
+
+
 # a non-finite scale would build a law of NaN gains and end as a blow-up
 @pytest.mark.parametrize("gains", ["nan", "inf", "-inf"])
 def test_verify_rejects_non_finite_sabotage_gains(spec_file, tmp_path, gains):
@@ -401,14 +428,17 @@ def test_verify_threads_bit_identical(tmp_path, reducible_spec):
 # took over the measurability and nesting checks: only their details moved.
 # The "1.5" digests were re-pinned when --sabotage-gains became a law that
 # every check runs: player 1's rows of variational.csv and the exact_nesting,
-# ansatz_residual and variational_p1 details moved.
+# ansatz_residual and variational_p1 details moved.  Both variational.csv
+# digests were re-pinned when the response groups took the base law's row
+# form and stepper: 9 of 210 mean and 8 of 210 stderr values moved, each by
+# at most 2.2e-16 of its column's largest value.
 VERIFY_REDUCIBLE_PINNED = {
     "1.0": (0, {
         "verify_report.json": "e425a330f609f04a82790b87f22de7dde7fd85fbf4be7f83f969e560c6c788bb",
-        "variational.csv": "360f040ac4c6bc3ebf3e7f21dbe8216b10ee3b818247687572e368773c9811bf"}),
+        "variational.csv": "2e17bbfa878c6da35bebe36210cba77185b8cc98f4e4ff9c7a5dd7c31d54ffd7"}),
     "1.5": (4, {
         "verify_report.json": "1d1b55f0d157bbcfdf2295448a8767e138b3be04f64a97b146d38427573abd15",
-        "variational.csv": "37112027124e3aac75e18f6200bddf334b7ccaac16095fe2b77b49a4ec861846"}),
+        "variational.csv": "bf3c79e4e717bc9314eae70b096677850f7a329fbcfed48426315213456a1272"}),
 }
 
 

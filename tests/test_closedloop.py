@@ -157,31 +157,34 @@ def test_exact_nesting_breaks_fail_the_report(generic_solution, scalar_generic):
     X, Xh, Xc = slice(0, n4), slice(n4, 2 * n4), slice(2 * n4, 3 * n4)
     # 1% more of M2 in the Xh row's Xh block: the Xh filter drifts off
     h = np.diff(law.times)[:, None, None]
-    Ft = law.Ft.copy()
-    Ft[:, Xh, Xh] += 0.01 * h * law.M2[:-1].mT
-    breaks = [dataclasses.replace(law, Ft=Ft)]
+    step = law.step
+    with_step = lambda **tables: dataclasses.replace(
+        law, step=dataclasses.replace(step, **tables))
+    F = step.F.copy()
+    F[:, Xh, Xh] += 0.01 * h * law.M2[:-1].mT
+    breaks = [with_step(F=F)]
     # a component's additive load copied from X onto a filter that must
     # not see it: W1 onto Xc, W1 onto Xh, W2 onto Xc
     for comp, block in ((0, Xc), (0, Xh), (1, Xc)):
-        S = law.S.copy()
-        S[:, comp, block] = S[:, comp, X]
-        breaks.append(dataclasses.replace(law, S=S))
-    # W1's multiplicative load copied from X onto Xh; Ct's columns are
-    # (component, block, column)
-    by_comp = law.Ct.shape[:2] + (3, 3 * n4)
-    Ct = law.Ct.copy().reshape(by_comp)
-    Ct[:, Xh, 0, Xh] = Ct[:, X, 0, X]
-    breaks.append(dataclasses.replace(law, Ct=Ct.reshape(law.Ct.shape)))
+        s = step.s.copy()
+        s[:, comp, block] = s[:, comp, X]
+        breaks.append(with_step(s=s))
+    # W1's multiplicative load copied from X onto Xh; L holds a channel's
+    # (12n, 12n) tables by channel, and every channel loads here
+    assert sorted(step.L) == [0, 1, 2]
+    L1 = step.L[0].copy()
+    L1[:, Xh, Xh] = L1[:, X, X]
+    breaks.append(with_step(L={**step.L, 0: L1}))
     for i, broken in enumerate(breaks):
         assert not all(ok for _, ok, _ in _checks(scalar_generic, 15, broken)), i
     # levels deaf to a component they load: X to W1, X and Xh to W2; the
     # levels still agree, so only the measurability check sees it
     for comp, blocks in ((0, (X,)), (1, (X, Xh))):
-        S, Ct = law.S.copy(), law.Ct.copy().reshape(by_comp)
+        s, Li = step.s.copy(), step.L[comp].copy()
         for block in blocks:
-            S[:, comp, block] = 0.0
-            Ct[:, block, comp, block] = 0.0
-        deaf = dataclasses.replace(law, S=S, Ct=Ct.reshape(law.Ct.shape))
+            s[:, comp, block] = 0.0
+            Li[:, block, block] = 0.0
+        deaf = with_step(s=s, L={**step.L, comp: Li})
         measurable, nested = _checks(scalar_generic, 15, deaf)
         assert nested[1] and not measurable[1], comp
 

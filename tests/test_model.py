@@ -144,6 +144,19 @@ def test_solver_times_include_breakpoints():
     assert np.all(np.diff(times) > 0)
 
 
+@pytest.mark.parametrize("T", [1.0, 3.7])
+def test_solver_times_end_at_T(T):
+    # a break within the merge tolerance of T merges into T, not T into the
+    # break: the grid's last node, where the terminal conditions are set,
+    # is T exactly
+    spec = sq.make_spec(n=1, T=T, steps=10,
+                        A=_pw(T * (1 - 1e-13), [[0.1]], [[0.2]]))
+    assert sq.validate_spec(spec).valid
+    times = sq.solver_times(spec)
+    assert times[-1] == T and times.shape == (11,)
+    assert sq.solve_game(spec)[0].times[-1] == T
+
+
 def _edited(edit):
     """The document of make_spec(), changed in place by `edit`."""
     doc = sq.spec_to_dict(sq.make_spec())
@@ -251,6 +264,27 @@ MESSAGE_CASES = [
                  id="bool_coeff_value"),
     pytest.param(lambda: _edited(lambda d: d["costs"]["player1"].update(G=[[True]])),
                  "costs/player1/G/0/0: expected a number, got true", id="bool_G"),
+    # JSON strings, which float() reads as numbers: the format's one string
+    # is a coefficient's kind
+    pytest.param(lambda: _edited(lambda d: d.update(T="1.0")),
+                 'T: expected a number, got "1.0"', id="string_T"),
+    pytest.param(lambda: _edited(lambda d: d.update(steps="100")),
+                 'steps: expected a number, got "100"', id="string_steps"),
+    pytest.param(lambda: _edited(lambda d: d.update(x0=["1.0"])),
+                 'x0/0: expected a number, got "1.0"', id="string_x0"),
+    pytest.param(lambda: _edited(lambda d: d["coeffs"]["B1"].update(value=[["0.5"]])),
+                 'coeffs/B1/value/0/0: expected a number, got "0.5"',
+                 id="string_coeff_value"),
+    pytest.param(lambda: _edited(lambda d: d["coeffs"].update(A={
+        "kind": "piecewise", "breaks": ["0.5"], "values": [[[0.1]], [[0.2]]]})),
+                 'coeffs/A/breaks/0: expected a number, got "0.5"',
+                 id="string_breaks"),
+    pytest.param(lambda: _edited(lambda d: d["costs"]["player2"].update(G=[["0.4"]])),
+                 'costs/player2/G/0/0: expected a number, got "0.4"',
+                 id="string_G"),
+    pytest.param(lambda: _edited(lambda d: d["costs"]["player3"].update(G="0.3")),
+                 'costs/player3/G: expected a number, got "0.3"',
+                 id="string_G_scalar"),
     pytest.param(lambda: _edited(lambda d: d["coeffs"].update(
         B1={"kind": "constant"})),
                  "bad coefficient entry: 'value'", id="entry_without_value"),

@@ -323,23 +323,27 @@ def _criterion_8_cases():
                          [(_verify_cases, 3), (_criterion_8_cases, 4)])
 def test_sweep_steps_one_group_per_player_and_gain(
         scalar_generic, generic_solution, monkeypatch, make_cases, groups):
-    # per node and chunk: one table step of the group state and one base
-    # cost J0 per player's group, not one per direction
+    # per node and chunk: one step of each group's table and one base cost
+    # J0 per player's group, not one per direction; and one step of the law's
+    # table per sweep
     bundle, Omega, _ = generic_solution
     laws = {scale: sq.build_feedback(bundle, Omega, scale)
             for scale in (1.0, 1.5)}
+    law_steps = [lw.step for lw in laws.values()]
     calls = Counter()
-    table_step, cost = montecarlo._group_step, montecarlo._node_cost
+    table_step, cost = closedloop.LinearStep.advance, montecarlo._node_cost
 
-    def counted_table_step(*args):
-        calls["response"] += 1
-        return table_step(*args)
+    def counted_table_step(table, *args):
+        stepped = ("law" if any(table is s for s in law_steps) else
+                   "response")
+        calls[stepped] += 1
+        return table_step(table, *args)
 
     def counted_cost(*args):
         calls["J0"] += 1
         return cost(*args)
 
-    monkeypatch.setattr(montecarlo, "_group_step", counted_table_step)
+    monkeypatch.setattr(closedloop.LinearStep, "advance", counted_table_step)
     monkeypatch.setattr(montecarlo, "_node_cost", counted_cost)
     dirs, K = default_directions(scalar_generic), scalar_generic.steps
     for chunk in (60, 30):      # one chunk, two chunks
@@ -351,6 +355,7 @@ def test_sweep_steps_one_group_per_player_and_gain(
         chunks = 60 // chunk
         assert calls["response"] == groups * K * chunks
         assert calls["J0"] == groups * (K + 1) * chunks
+        assert calls["law"] == len(make_cases()) * K * chunks
 
 
 def test_sweep_draws_and_steps_only_what_the_spec_loads(reducible_spec,
@@ -365,7 +370,14 @@ def test_sweep_draws_and_steps_only_what_the_spec_loads(reducible_spec,
     seeds = NoisePlan.for_spec(spec, 4).seeds
     made, rows, steps = [], Counter(), Counter()
     philox, generator = np.random.Philox, np.random.Generator
-    group_step = montecarlo._group_step
+    group_tables = montecarlo._group_tables
+    table_step = closedloop.LinearStep.advance
+    player_of = {}      # a group's table by id: the player whose group it is
+
+    def recorded_group_tables(twin, player, paths):
+        table = group_tables(twin, player, paths)
+        player_of[id(table)] = player
+        return table
 
     def counted_philox(key):
         made.append(seeds.index(key))
@@ -379,17 +391,19 @@ def test_sweep_draws_and_steps_only_what_the_spec_loads(reducible_spec,
             rows[self.comp] += 1
             return self.gen.standard_normal(out=out)
 
-    def counted_group_step(group, *args):
-        steps[group.player] += 1
-        return group_step(group, *args)
+    def counted_table_step(table, *args):     # the groups' steps only
+        if id(table) in player_of:
+            steps[player_of[id(table)]] += 1
+        return table_step(table, *args)
 
     monkeypatch.setattr(np.random, "Philox", counted_philox)
     monkeypatch.setattr(np.random, "Generator", CountedGenerator)
-    monkeypatch.setattr(montecarlo, "_group_step", counted_group_step)
+    monkeypatch.setattr(montecarlo, "_group_tables", recorded_group_tables)
+    monkeypatch.setattr(closedloop.LinearStep, "advance", counted_table_step)
     monkeypatch.setattr(montecarlo, "BLOCK_PATHS", 32)
     N, K, dirs = 80, spec.steps, default_directions(spec)
     for players, scale in _criterion_8_cases():
-        for counts in (made, rows, steps):
+        for counts in (made, rows, steps, player_of):
             counts.clear()
         variational_sweep(spec, players, dirs, [0.1], N, 4,
                           sq.build_feedback(bundle, Omega, scale), bundle)
@@ -471,12 +485,13 @@ def test_sweep_group_tables_match_helpers(name, request):
                                    atol=1e-12 * np.abs(want).max())
 
     for player, ds, lw in groups:
-        run = montecarlo._Group(16, player,
-                                montecarlo._group_tables(twin, player, ds))
+        paths = np.stack([d.path for d in ds])
+        run = montecarlo._Group(16, player, paths,
+                                montecarlo._group_tables(twin, player, paths))
         ref = _helper_group(spec, bundle, lw, player, ds, dW)
         for (k, Z, V), (state, lower, off, Bc, Cc) in zip(
                 _node_loop(spec, lw, dW), ref):
-            R, tc = run.state[0].transpose(1, 2, 0), twin.cv[k]
+            R, tc = run.state, twin.cv[k]
             close(R, state)
             got = ((_follower_control(twin, tc, k, R[..., n:], off),)
                    if player == 2 else
