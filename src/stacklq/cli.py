@@ -154,6 +154,7 @@ def cmd_simulate(args) -> int:
                 fields[0::2] = (str(pid),) * lines
                 fields[1::2] = row.tolist()
                 fh.write(template % tuple(fields))
+            del records, row, Jb     # nothing of a block alive as the next is drawn
     with open(out / "costs.csv", "w") as fh:
         fh.write("player,mean,stderr,n_paths,seed,grid_steps\n")
         for player in (1, 2, 3):

@@ -41,9 +41,12 @@ from .lift import CoeffValues, mv, selectors
 from .model import GameSpec
 from .riccati import BLOWUP_LIMIT, RiccatiBundle, backward_rk4
 
-# Paths stepped together: a block of the streaming simulate, a chunk of the
-# variational sweep.
-BLOCK_PATHS = 2048
+# Paths stepped together: a block of the streaming simulate, whose reused
+# increment buffer and records scale with it (11.7 MB of noise at K = 500),
+# and a chunk of the variational sweep, whose CPU time on the verify-reducible
+# benchmark rose 7.8% with 1024-path chunks against 1.7% for simulate's.
+BLOCK_PATHS = 1024
+CHUNK_PATHS = 2048
 
 # The output gains by name, in gains.csv order.
 GAINS = ("K1", "k1", "K2hat", "K2check", "k2", "K3", "K3hat", "K3check", "k3",
@@ -68,8 +71,14 @@ class LinearStep:
         if self.s is not None:
             Yn += dWk @ self.s[k]
         Yn += self.c[k]
-        if self.L:
-            Yn += sum(dWk[:, i, None] * (Y @ Li[k]) for i, Li in self.L.items())
+        if self.L:      # the channels' sum from zero, each term scaled in place
+            loads = 0.0
+            for i, Li in self.L.items():
+                YL = Y @ Li[k]
+                YL *= dWk[:, i, None]
+                YL += loads
+                loads = YL
+            Yn += loads
         _guard(Yn, t, what)
         return Yn
 

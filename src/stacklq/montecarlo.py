@@ -22,9 +22,10 @@ Each (player, direction) gets one `PerturbationReport`: the mean cost and its
 standard error at each epsilon, the slope and the curvature gate.
 
 `simulate_blocks`, the package's one path simulator, streams the equilibrium
-for `stacklq simulate` block by block of paths, keeping every thin-th node
-and each player's running cost, so no full path is stored.  Both read their
-coefficients off the law's grid table `law.cv` and build none.
+for `stacklq simulate` block by block of paths, one block alive at a time,
+keeping every thin-th node and each player's running cost, so no full path
+is stored.  Both read their coefficients off the law's grid table `law.cv`
+and build none.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedloop import (BLOCK_PATHS, FeedbackLaw, LinearStep, _follower_offset,
-                         _middle_offset, _node_loop, _paths_from, _response_step)
+from .closedloop import (BLOCK_PATHS, CHUNK_PATHS, FeedbackLaw, LinearStep,
+                         _follower_offset, _middle_offset, _node_loop,
+                         _paths_from, _response_step)
 from .lift import CoeffValues
 from .model import GameSpec, solver_times
 from .riccati import RiccatiBundle, without_intercepts
@@ -92,9 +94,11 @@ def simulate_blocks(spec: GameSpec, law: FeedbackLaw, plan: NoisePlan,
     Yields (start, records, J) per block, start being its first path index:
     records (paths, K // thin + 1, 15n) holds X, Xh, Xc, v1, v2, v3 at every
     thin-th node and J (3, paths) each player's cost, the package's one
-    cost sum.  Memory is one reused (BLOCK_PATHS, K, 3) increment buffer
-    (23.4 MB at K = 500) plus one block's records, whatever n_paths is; a
-    blow-up names its global path index.
+    cost sum.  Each block's arrays are new, and the generator lets go of
+    them once yielded, so memory is one reused (BLOCK_PATHS, K, 3)
+    increment buffer (11.7 MB at K = 500) plus the records of the block a
+    consumer holds, whatever n_paths is; a blow-up names its global path
+    index.
     """
     times, cv, n = law.times, law.cv, law.n
     K = times.shape[0] - 1
@@ -112,6 +116,7 @@ def simulate_blocks(spec: GameSpec, law: FeedbackLaw, plan: NoisePlan,
                 J += _node_cost(cv[k], slice(None), k, times, Z[:, :n],
                                 V.reshape(N, 3, n).transpose(1, 0, 2))
         yield start, records, J
+        del records, J      # a block's records are not held while the next is drawn
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +223,7 @@ def variational_sweep(spec: GameSpec, players, directions, epsilons,
     the noise, along the closed loop of law.
 
     One report per (player, direction), player by player, each player's in
-    direction order.  The chunk loop is outermost: each chunk of BLOCK_PATHS
+    direction order.  The chunk loop is outermost: each chunk of CHUNK_PATHS
     paths draws its increments once, into one reused buffer, and runs one
     base closed loop that every player's response group follows, so the
     sweep holds that buffer and, per group, the chunk's responses and
@@ -226,14 +231,14 @@ def variational_sweep(spec: GameSpec, players, directions, epsilons,
     """
     eps = sorted({float(e) for e in epsilons} | {0.0} |
                  {-float(e) for e in epsilons})
-    plan = NoisePlan.for_spec(spec, seed).reusing(min(BLOCK_PATHS, n_paths))
+    plan = NoisePlan.for_spec(spec, seed).reusing(min(CHUNK_PATHS, n_paths))
     twin = without_intercepts(bundle)
     paths = np.stack([d.path for d in directions])
     steps = [_group_tables(twin, player, paths) for player in players]
     del twin        # probed only: not held through the run
 
     def run(i0):  # each chunk's increments overwrite the last one's
-        dW = plan.increments(np.arange(i0, min(i0 + BLOCK_PATHS, n_paths)))
+        dW = plan.increments(np.arange(i0, min(i0 + CHUNK_PATHS, n_paths)))
         groups = [_Group(dW.shape[0], player, paths, step)
                   for player, step in zip(players, steps)]
         with _paths_from(i0):
@@ -243,7 +248,7 @@ def variational_sweep(spec: GameSpec, players, directions, epsilons,
                     group.node(law, c, k, Z, V, dW)
         return [(g.J0, g.Bc, 0.5 * g.Cc2) for g in groups]
 
-    parts = [run(i0) for i0 in range(0, n_paths, BLOCK_PATHS)]
+    parts = [run(i0) for i0 in range(0, n_paths, CHUNK_PATHS)]
 
     reports = []
     for i, player in enumerate(players):
@@ -251,10 +256,12 @@ def variational_sweep(spec: GameSpec, players, directions, epsilons,
         for d, direction in enumerate(directions):
             B, C = (np.concatenate([part[i][j][d] for part in parts])
                     for j in (1, 2))
-            means, stderrs = zip(*(mean_stderr(J0 + e * B + e * e * C)
-                                   for e in eps))
+            with np.errstate(over="ignore", invalid="ignore"):  # inf fails below
+                means, stderrs = zip(*(mean_stderr(J0 + e * B + e * e * C)
+                                       for e in eps))
             j0 = means[eps.index(0.0)]
-            curvature_ok = all(m >= j0 - 3.0 * max(se, 1e-300)
+            curvature_ok = all(np.isfinite((m, se)).all()    # inf >= j0 is no pass
+                               and m >= j0 - 3.0 * max(se, 1e-300)
                                for m, se in zip(means, stderrs))
             slope0, slope_stderr = mean_stderr(B)
             reports.append(PerturbationReport(

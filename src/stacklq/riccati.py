@@ -79,13 +79,14 @@ class RiccatiBundle:
 def _riccati(blocks, M, S, Q, C, loads):
     """The instances P, cumulative sums of the blocks on the third-last axis,
     and the blocks' derivatives from -(P M + M^T P + P S P + Q + sum_i C_i^T
-    P[loads[i]] C_i), with C (..., 3, 1, d, d) stacking the channels."""
+    P[loads[i]] C_i), with C (..., c, 1, d, d) stacking the channels, all
+    three or those that load, added in channel order."""
     P = blocks.cumsum(axis=-3)
-    terms = C.mT @ P[..., loads, :, :] @ C
-    R = -(P @ M + M.mT @ P + P @ S @ P + Q + terms[..., 0, :, :, :]
-          + terms[..., 1, :, :, :] + terms[..., 2, :, :, :])
-    dB = R.copy()
-    dB[..., 1:, :, :] -= R[..., :-1, :, :]
+    R = P @ M + M.mT @ P + P @ S @ P + Q
+    if len(loads):
+        R = sum((C.mT @ P[..., loads, :, :] @ C).swapaxes(0, -4), R)
+    dB = -R
+    dB[..., 1:, :, :] += R[..., :-1, :, :]
     return P, dB
 
 
@@ -97,8 +98,11 @@ def _level_rhs(ops, y, loads):
         return (dB,)
     M, S, _, C, Sig, b, f, g = ops
     Pc = P[..., 2, :, :]
-    s = mv(C[..., 0, :, :].mT, mv(P[..., loads[:, -1], :, :], Sig))
-    src = s[..., 0, :] + s[..., 1, :] + s[..., 2, :] + mv(Pc, b) + f - g
+    s = -0.0            # x + -0.0 is x, bit for bit: the sum of no channel
+    if len(loads):
+        s = sum(mv(C[..., 0, :, :].mT, mv(P[..., loads[:, -1], :, :], Sig))
+                .swapaxes(0, -2), s)
+    src = s + mv(Pc, b) + f - g
     return dB, -(mv(M[..., 2, :, :].mT + Pc @ S[..., 2, :, :], y[1]) + src)
 
 
@@ -226,11 +230,16 @@ def _solve_levels(spec: GameSpec, depth):
             if c not in ops:                # a chunk's first stage builds its operands
                 ops.clear()
                 end = min(r + CHUNK_ROWS, m)      # row r is step K - r // 4
-                ops[c] = _level_ops(mid[K - 1 - np.arange(r, end) // 4],
-                                    *(s[r:end] for s in lower))
+                o = list(_level_ops(mid[K - 1 - np.arange(r, end) // 4],
+                                    *(s[r:end] for s in lower)))
+                # the channels whose C loads on the chunk: C, Sigma, loads rows
+                live = np.any(o[3], axis=(0, 2, 3, 4))
+                o[3:5] = (a[:, live] for a in o[3:5])
+                ops[c] = o, loads[live]
             if seen is not None:
                 seen[r] = y[0]
-            return _level_rhs(tuple(o[q] for o in ops[c]), y, loads)
+            o, live_loads = ops[c]
+            return _level_rhs(tuple(a[q] for a in o), y, live_loads)
 
         try:
             arrays += backward_rk4(stage, terminals[i], times, "riccati system",

@@ -127,16 +127,25 @@ def _z(rep):
         return float(np.divide(rep.slope0, rep.slope_stderr))
 
 
+def _failure(rep):
+    """rep's entry in its player's list of failures, None if it passes: a
+    cost that is not finite names its epsilon, any other failure its z."""
+    for eps, mean, se in zip(rep.epsilons, rep.means, rep.stderrs):
+        if not np.isfinite((mean, se)).all():
+            return f"{rep.direction_id}(eps={eps:g}: mean {mean:g}, stderr {se:g})"
+    if abs(rep.slope0) > 2.0 * rep.slope_stderr or not rep.curvature_ok:
+        return f"{rep.direction_id}(z={_z(rep):+.1f})"
+    return None
+
+
 def check_variational(spec, law, bundle, seed, n_paths, epsilons):
     """One CRN sweep over every player and stock direction."""
     reports = variational_sweep(spec, (1, 2, 3), default_directions(spec),
                                 epsilons, n_paths, seed, law, bundle)
     results = []
     for player in (1, 2, 3):
-        fails = [f"{rep.direction_id}(z={_z(rep):+.1f})"
-                 for rep in reports if rep.player == player
-                 and (abs(rep.slope0) > 2.0 * rep.slope_stderr
-                      or not rep.curvature_ok)]
+        fails = [fail for rep in reports if rep.player == player
+                 and (fail := _failure(rep)) is not None]
         results.append((f"variational_p{player}", not fails,
                         "all slopes within 2 stderr" if not fails
                         else "failed: " + ", ".join(fails)))

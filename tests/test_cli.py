@@ -320,6 +320,30 @@ def test_verify_rejects_epsilons_whose_squares_overflow(spec_file, tmp_path,
         f"got {epsilons!r}\n")
 
 
+def test_verify_fails_costs_that_overflow(tmp_path):
+    # 1e154 squares to a finite 1e308, but e^2 C, or its sum over the paths,
+    # overflows: 30 of the 45 rows of variational.csv read inf, and an inf
+    # mean must fail its player's check, naming its direction and epsilon
+    spec = sq.make_spec(n=1, T=1.0, steps=500, x0=1.0, A=0.3, B1=1.0, B2=0.8,
+                        B3=0.6, sigma1=0.25, sigma2=0.3, sigma3=0.35,
+                        Q1=1.0, R1=1.0, G1=0.5, Q2=0.8, R2=1.2, G2=0.4,
+                        Q3=0.6, R3=1.5, G3=0.3)
+    sq.save_spec(spec, tmp_path / "readme.json")
+    out = tmp_path / "v"
+    rc = main(["verify", "--spec", str(tmp_path / "readme.json"), "--out",
+               str(out), "--epsilons", "1e154", "--steps", "20", "--paths",
+               "16"])
+    assert rc == 4
+    rows = (out / "variational.csv").read_text().splitlines()[1:]
+    assert sum(row.split(",")[3] == "inf" for row in rows) == 30
+    report = {c["id"]: c for c in json.loads(
+        (out / "verify_report.json").read_text())}
+    for player in (1, 2, 3):
+        check = report[f"variational_p{player}"]
+        assert not check["passed"]
+        assert "const(eps=-1e+154: mean inf" in check["detail"], check
+
+
 # a non-finite scale would build a law of NaN gains and end as a blow-up
 @pytest.mark.parametrize("gains", ["nan", "inf", "-inf"])
 def test_verify_rejects_non_finite_sabotage_gains(spec_file, tmp_path, gains):
@@ -360,14 +384,17 @@ def test_simulate_bytes_pinned_across_blocks(n2_spec, tmp_path):
 
 
 def test_simulate_memory_bounded_in_paths(spec_file, tmp_path):
+    # at --thin 1 a block's records (0.61 MB here) are the largest thing
+    # simulate holds: 4 blocks must peak as 1 block does, so no block's
+    # records outlive the drawing of the next
     def simulate(paths):
-        return main(["simulate", "--spec", str(spec_file), "--steps", "10",
-                     "--thin", "10", "--out", str(tmp_path / str(paths)),
+        return main(["simulate", "--spec", str(spec_file), "--steps", "4",
+                     "--thin", "1", "--out", str(tmp_path / str(paths)),
                      "--paths", str(paths)])
 
     assert simulate(2) == 0     # one-time allocations stay out of the peaks
     peaks = []
-    for blocks in (2, 4):
+    for blocks in (1, 4):
         tracemalloc.start()
         try:
             assert simulate(blocks * BLOCK_PATHS) == 0

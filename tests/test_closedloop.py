@@ -7,9 +7,10 @@ import pytest
 import stacklq as sq
 import stacklq.montecarlo as montecarlo
 import stacklq.verify as verify
-from stacklq.closedloop import (BLOCK_PATHS, _follower_offset, _middle_offset,
-                                _node_loop, _phicheck_gain, _rows_at,
-                                _state_step, ansatz_residual, respond)
+from stacklq.closedloop import (BLOCK_PATHS, CHUNK_PATHS, _follower_offset,
+                                _middle_offset, _node_loop, _phicheck_gain,
+                                _rows_at, _state_step, ansatz_residual,
+                                respond)
 from stacklq.errors import BlowUpError, UnsupportedPerturbationError
 from stacklq.lift import CoeffValues, mv, selectors
 from stacklq.model import solver_times
@@ -328,7 +329,8 @@ def test_blowup_reported_at_its_step(monkeypatch):
 
 def test_blowup_in_later_block_names_global_path(monkeypatch):
     # a huge W3 increment on step 10 of path BLOCK_PATHS + 5, in the second
-    # block (or sweep chunk), is reported with that path index at t_11
+    # block, and of path CHUNK_PATHS + 5, in the second sweep chunk, is
+    # reported with that path index at t_11
     spec = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, A=0.3, B1=1.0, B2=0.8,
                         B3=0.6, sigma1=0.3, sigma2=0.3, sigma3=0.3,
                         Q1=1.0, G1=0.5, Q2=0.8, Q3=0.6)
@@ -351,6 +353,7 @@ def test_blowup_in_later_block_names_global_path(monkeypatch):
     assert starts == [0]
     assert err.value.path == bad
     assert err.value.t == times[11]
+    bad = CHUNK_PATHS + 5
     const = default_directions(spec)[0]
     with pytest.raises(BlowUpError) as err:
         variational_sweep(spec, (1,), [const], (0.1,), bad + 10, 0, law,

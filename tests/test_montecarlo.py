@@ -57,8 +57,8 @@ def test_cost_against_moment_ode():
     a, c, s3, x0, T, steps = 0.3, 0.25, 0.4, 1.0, 1.0, 400
     spec = sq.make_spec(n=1, T=T, steps=steps, x0=x0, A=a, C3=c, sigma3=s3,
                         G1=1.0)
-    # 4000 paths are two blocks: the streamed sum crosses a block boundary
-    assert montecarlo.BLOCK_PATHS < 4000 <= 2 * montecarlo.BLOCK_PATHS
+    # 4000 paths are several blocks: the streamed sum crosses block boundaries
+    assert montecarlo.BLOCK_PATHS < 4000
     mean, stderr = mean_stderr(_path_costs(spec, 5, 4000)[0])
 
     # independent oracle: m1' = a m1; m2' = (2a + c^2) m2 + 2 c s3 m1 + s3^2,
@@ -170,7 +170,7 @@ def test_chunks_do_not_change_results(scalar_generic, generic_solution,
     d = default_directions(scalar_generic)[0]
     reps = []
     for chunk in (512, 3000):
-        monkeypatch.setattr(montecarlo, "BLOCK_PATHS", chunk)
+        monkeypatch.setattr(montecarlo, "CHUNK_PATHS", chunk)
         reps += variational_sweep(scalar_generic, (2,), [d], [0.1], 3000,
                                   4, law, bundle)
     r1, r2 = reps
@@ -186,19 +186,19 @@ def _pinned_cases(spec, law, scaled):
             (3, dirs["flip"], law), (1, dirs["front"], scaled)]
 
 
-def test_blocks_hold_one_reused_noise_buffer(monkeypatch):
-    # every block draws its increments in place into one buffer that the
-    # block loop reuses, with no (N, K) temporaries: above the peak of a
-    # one-path call (the set-up, which no path count changes), 3+ blocks
-    # stay within a quarter buffer of one buffer plus one block's records
-    N, K, thin = 256, 500, 100
+def _block_peaks(monkeypatch, thin):
+    """Traced peaks above a one-path call (the set-up, which no path count
+    changes) of simulate_blocks and of the sweep over 3 blocks of N = 256
+    paths and 10 more, each block consumed and let go before the next; with
+    the sizes of one noise buffer and one block's records, in bytes."""
+    N, K = 256, 500
     monkeypatch.setattr(montecarlo, "BLOCK_PATHS", N)
+    monkeypatch.setattr(montecarlo, "CHUNK_PATHS", N)
     spec = sq.make_spec(n=1, T=1.0, steps=K, x0=1.0, A=0.3, B1=1.0, B2=0.8,
                         B3=0.6, C3=0.1, sigma1=0.2, sigma2=0.25, sigma3=0.3,
                         Q1=1.0, G1=0.5, Q2=0.8, Q3=0.6)
     bundle, _, law = _solution(spec)
     plan = NoisePlan.from_seed(0, np.diff(law.times))
-    buf, records = N * K * 3 * 8, N * (K // thin + 1) * 15 * 8
 
     def peak(run, n_paths):
         tracemalloc.start()
@@ -216,8 +216,27 @@ def test_blocks_hold_one_reused_noise_buffer(monkeypatch):
         variational_sweep(spec, (1,), default_directions(spec)[:1], [0.1],
                           n_paths, 0, law, bundle)
 
-    assert peak(blocks, 3 * N + 10) - peak(blocks, 1) < 1.25 * buf + records
-    assert peak(sweep, 3 * N + 10) - peak(sweep, 1) < 1.25 * buf
+    grow = {run.__name__: peak(run, 3 * N + 10) - peak(run, 1)
+            for run in (blocks, sweep)}
+    return grow, N * K * 3 * 8, N * (K // thin + 1) * 15 * 8
+
+
+def test_blocks_hold_one_reused_noise_buffer(monkeypatch):
+    # every block draws its increments in place into one buffer that the
+    # block loop reuses, with no (N, K) temporaries: 3+ blocks stay within
+    # a quarter buffer of one buffer plus one block's records
+    grow, buf, records = _block_peaks(monkeypatch, thin=100)
+    assert grow["blocks"] < 1.25 * buf + records
+    assert grow["sweep"] < 1.25 * buf
+
+
+def test_blocks_hold_one_block_of_records_at_thin_1(monkeypatch):
+    # at thin 1 a block's records (15.4 MB) outweigh the buffer (3.1 MB):
+    # neither simulate_blocks nor its consumer may hold the last block's
+    # records while the next block is drawn and filled
+    grow, buf, records = _block_peaks(monkeypatch, thin=1)
+    assert records > 4 * buf
+    assert grow["blocks"] < 1.25 * buf + records
 
 
 def _fingerprint(rep):
@@ -230,7 +249,7 @@ def test_sweep_matches_one_test_per_case(scalar_generic, generic_solution,
     # every player against one direction at a time, on the pinned rows'
     # laws: each report bit for bit the one-player sweep's
     bundle, Omega, law = generic_solution
-    monkeypatch.setattr(montecarlo, "BLOCK_PATHS", 512)
+    monkeypatch.setattr(montecarlo, "CHUNK_PATHS", 512)
     scaled = sq.build_feedback(bundle, Omega, 1.5)
     eps, N, seed = [0.05, 0.1], 1100, 8
     for _, d, lw in _pinned_cases(scalar_generic, law, scaled):
@@ -279,7 +298,7 @@ def test_sweep_draws_each_chunk_once(scalar_generic, generic_solution,
 
     monkeypatch.setattr(NoisePlan, "increments", counted)
     N, chunk = 1100, 512
-    monkeypatch.setattr(montecarlo, "BLOCK_PATHS", chunk)
+    monkeypatch.setattr(montecarlo, "CHUNK_PATHS", chunk)
     variational_sweep(scalar_generic, (1, 2, 3),
                       default_directions(scalar_generic), [0.1], N, 3, law,
                       bundle)
@@ -302,7 +321,7 @@ def test_sweep_solves_each_offset_once(scalar_generic, generic_solution,
     dirs = default_directions(scalar_generic)[:2]
     for chunk in (90, 30):      # one chunk, three chunks
         calls.clear()
-        monkeypatch.setattr(montecarlo, "BLOCK_PATHS", chunk)
+        monkeypatch.setattr(montecarlo, "CHUNK_PATHS", chunk)
         variational_sweep(scalar_generic, (1, 2, 3), dirs, [0.1], 90, 4, law,
                           bundle)
         assert calls == {"_follower_offset": 1, "_middle_offset": 1}, chunk
@@ -348,7 +367,7 @@ def test_sweep_steps_one_group_per_player_and_gain(
     dirs, K = default_directions(scalar_generic), scalar_generic.steps
     for chunk in (60, 30):      # one chunk, two chunks
         calls.clear()
-        monkeypatch.setattr(montecarlo, "BLOCK_PATHS", chunk)
+        monkeypatch.setattr(montecarlo, "CHUNK_PATHS", chunk)
         for players, scale in make_cases():
             variational_sweep(scalar_generic, players, dirs, [0.1], 60, 4,
                               laws[scale], bundle)
@@ -400,7 +419,7 @@ def test_sweep_draws_and_steps_only_what_the_spec_loads(reducible_spec,
     monkeypatch.setattr(np.random, "Generator", CountedGenerator)
     monkeypatch.setattr(montecarlo, "_group_tables", recorded_group_tables)
     monkeypatch.setattr(closedloop.LinearStep, "advance", counted_table_step)
-    monkeypatch.setattr(montecarlo, "BLOCK_PATHS", 32)
+    monkeypatch.setattr(montecarlo, "CHUNK_PATHS", 32)
     N, K, dirs = 80, spec.steps, default_directions(spec)
     for players, scale in _criterion_8_cases():
         for counts in (made, rows, steps, player_of):
@@ -527,7 +546,7 @@ def test_sweep_blowup_reported_at_its_step(player, monkeypatch):
     path[10] = 1e13
     d = montecarlo.Direction("spike", path)
     monkeypatch.setattr(NoisePlan, "increments", increments)
-    monkeypatch.setattr(montecarlo, "BLOCK_PATHS", chunk)
+    monkeypatch.setattr(montecarlo, "CHUNK_PATHS", chunk)
     with pytest.raises(sq.BlowUpError) as err:
         variational_sweep(spec, (player,), [d], [0.1], 3 * chunk, 0, law,
                           bundle)
@@ -579,7 +598,7 @@ SWEEP_PINNED = [
 
 def test_sweep_numbers_pinned(scalar_generic, generic_solution, monkeypatch):
     bundle, Omega, law = generic_solution
-    monkeypatch.setattr(montecarlo, "BLOCK_PATHS", 512)
+    monkeypatch.setattr(montecarlo, "CHUNK_PATHS", 512)
     scaled = sq.build_feedback(bundle, Omega, 1.5)
     reps = [variational_sweep(scalar_generic, (player,), [d], [0.05, 0.1], 1100,
                               8, lw, bundle)[0]
