@@ -15,11 +15,12 @@ simulator, the variational sweep and `verify`'s path checks all run it.
 Each lower level's best-response system (its offset, its controls and the
 Euler step of its filtered states) is written once, with its intercepts,
 and composed once per node by `_response_step`, which steps the physical
-state too; `respond` runs it against exogenous controls.  On riccati's
-`without_intercepts(bundle)` it is the homogeneous form, under common noise
-exactly the response to a control perturbation: the variational sweep in
-`montecarlo` probes it on basis rows for its groups' tables.  The offsets
-are solved by riccati's `backward_rk4`, blow-up guarded like the ladder.
+state too.  On riccati's `without_intercepts(bundle)` it is the homogeneous
+form, under common noise exactly the response to a control perturbation:
+the variational sweep in `montecarlo` probes it on basis rows for its
+groups' tables.  The tests' reference `respond` (tests/reference.py) runs
+it path by path against exogenous controls.  The offsets are solved by
+riccati's `backward_rk4`, blow-up guarded like the ladder.
 The gains, one read-only mapping `law.gains` keyed by `GAINS`, the
 responses and the residuals read the solve's grid coefficient table,
 `bundle.cv`, which the law carries on as `law.cv`.  `verify`'s negative
@@ -36,10 +37,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BlowUpError, UnsupportedPerturbationError
+from .errors import BlowUpError
 from .lift import CoeffValues, mv, selectors
-from .model import GameSpec
-from .riccati import BLOWUP_LIMIT, RiccatiBundle, backward_rk4
+from .model import BLOWUP_LIMIT, GameSpec
+from .riccati import RiccatiBundle, backward_rk4
 
 # Paths stepped together: a block of the streaming simulate, whose reused
 # increment buffer and records scale with it (11.7 MB of noise at K = 500),
@@ -263,26 +264,6 @@ def _phicheck_gain(bundle: RiccatiBundle, Omega):
 # lower-level best-response systems
 # ---------------------------------------------------------------------------
 
-def _rows_at(v, k, N):
-    """(N, d) rows at node k of a (K+1, d) or (N, K+1, d) array."""
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim == 2:
-        return np.broadcast_to(arr[k], (N, arr.shape[-1]))
-    return arr[:, k]
-
-
-@dataclass(frozen=True)
-class Response:
-    """The lower levels' best response, one row per noise path: the state x
-    (N, K+1, n), the responders' filtered states (the follower's xcheck, or
-    the middle player's [X2hat | X2check]) and their controls ([v1] or
-    [v1 | v2])."""
-
-    x: np.ndarray
-    filtered: np.ndarray
-    controls: np.ndarray
-
-
 def _offset_backward(times, coef, driver, what):
     """RK4 for -y' = coef y + driver, y(T) = 0, with node-tabulated inputs
     averaged over each step; a driver (D, K+1, d) gives D solutions at once,
@@ -392,48 +373,6 @@ def _response_step(bundle: RiccatiBundle, c: CoeffValues, k, dWk, R, off, v,
                              *off, *seen) if level == 3 else ())
     x = _state_step(c, bundle.times, k, dWk, R[..., :n], controls + tuple(v))
     return controls, np.concatenate((x, *filtered), axis=-1)
-
-
-def respond(spec: GameSpec, bundle: RiccatiBundle, v, dW, seen=None,
-            offsets=None) -> Response:
-    """Best response of the levels below l = 4 - len(v) to the exogenous
-    controls v = (v_l, ..., v3) on the increments dW: the follower's to (v2,
-    v3), the two lower levels' to (v3,), none to (v1, v2, v3).
-
-    Deterministic (K+1, n) controls are handled in full: each filter sees
-    them as they are and the offsets solve as backward ODEs.  Path-valued
-    (N, K+1, n) controls need `seen` and `offsets` as `_response_step`
-    reads them, as paths.  The offsets are affine in the filtered states:
-    with U/L the upper/lower 2n rows of 4n and s2 the lower n of 2n, Phihat
-    = L (Pf1 + Pf2) X3hat + L Pf3 X3check + L Omega, Phicheck = L (Pf1 +
-    Pf2 + Pf3) X3check + L Omega and phicheck = s2 ((P1 + P2) U X3check +
-    Phicheck).  On `without_intercepts(bundle)` it steps the homogeneous
-    systems.
-    """
-    N, K, _ = dW.shape
-    n, level = spec.n, 4 - len(v)
-    if all(np.ndim(u) == 2 for u in v):
-        v = tuple(np.asarray(u, dtype=float) for u in v)
-        seen = v * (level - 1)
-        offsets = ((_follower_offset(bundle, *v),) if level == 2 else
-                   (_middle_offset(bundle, *v),) * 2 if level == 3 else ())
-    elif level > 1 and (seen is None or offsets is None):
-        raise UnsupportedPerturbationError(
-            "path-valued exogenous controls need their filters' and the "
-            "offsets' paths")
-    x0, z = spec.x0, np.zeros(n)
-    R = np.tile(np.concatenate((x0,) * level if level < 3 else (x0, x0, z, x0, z)),
-                (N, 1))
-    Rs = np.empty((N, K + 1, R.shape[-1]))
-    us = np.empty((N, K + 1, (level - 1) * n))
-    at = lambda arrs, k: tuple(_rows_at(a, k, N) for a in arrs or ())
-    for k in range(K + 1):
-        Rs[:, k] = R
-        u, R = _response_step(bundle, bundle.cv[k], k, dW[:, k] if k < K else None,
-                              R, at(offsets, k), at(v, k), at(seen, k))
-        if u:
-            us[:, k] = np.concatenate(u, axis=-1)
-    return Response(x=Rs[..., :n], filtered=Rs[..., n:], controls=us)
 
 
 # ---------------------------------------------------------------------------

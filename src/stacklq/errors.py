@@ -37,9 +37,5 @@ class ConsistencyError(StackLQError):
     """An internal identity that must hold numerically was violated."""
 
 
-class UnsupportedPerturbationError(StackLQError):
-    """An exogenous control without a computable conditional expectation."""
-
-
 class ReductionError(StackLQError):
     """Spec does not satisfy the single-controller reduction preconditions."""

@@ -34,6 +34,7 @@ PSD_EIG_TOL = -1e-10        # min eigenvalue accepted for Q, G
 RHO_MIN_DEFAULT = 1e-8      # min eigenvalue required for R
 SYM_TOL = 1e-10
 BIG = 1e18                  # finiteness guard (uniform boundedness surrogate)
+BLOWUP_LIMIT = 1e12         # the solve's and simulation's blow-up guard
 
 # The document's time coefficients by name, in document order: the dynamics
 # under "coeffs", then each player's weights under "costs/player{i}", whose
@@ -201,6 +202,8 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
         bad.append(Violation("x0", f"expected shape ({n},), got {spec.x0.shape}"))
     elif not _bounded(spec.x0):
         bad.append(Violation("x0", "non-finite or unbounded entries"))
+    elif np.abs(spec.x0).max(initial=0.0) > BLOWUP_LIMIT:
+        bad.append(Violation("x0", f"entries beyond the blow-up limit {BLOWUP_LIMIT:g}"))
 
     mat_shape, vec_shape = (n, n), (n,)
     for name, coeff in spec.coeffs.items():

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import BlowUpError, ReductionError, StackLQError
 from .lift import CoeffValues, mv
-from .model import GameSpec
-from .riccati import BLOWUP_LIMIT, RiccatiBundle
+from .model import BLOWUP_LIMIT, GameSpec
+from .riccati import RiccatiBundle
 
 
 @dataclass(frozen=True)

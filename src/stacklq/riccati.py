@@ -22,11 +22,12 @@ blocks, so P2' = R(P1+P2) - R(P1), and likewise for Pf2 and Pf3.  The level
 functions take one node or a leading row axis, so the residual diagnostic
 calls them once on the table of interior nodes.
 
-`solve_game` returns the ladder's levels as (K+1, d, d) arrays on one
-RiccatiBundle, with the grid's coefficient table `cv` that every consumer of
-the solve reads, and Omega as a (K+1, 4n) array.  `without_intercepts`
-gives its homogeneous twin: the same ladder, whose equations read no
-intercept, on the table with b, sigma_i, m_i and n_i zeroed.
+`solve_game`, the one entry point, returns the ladder's levels as (K+1,
+d, d) arrays on one RiccatiBundle, with the grid's coefficient table `cv`
+that every consumer of the solve reads, and Omega as a (K+1, 4n) array.
+`without_intercepts` gives its homogeneous twin: the same ladder, whose
+equations read no intercept, on the table with b, sigma_i, m_i and n_i
+zeroed.
 
 Offsets: with deterministic coefficients the offset backward SDEs admit
 deterministic solutions with zero martingale integrands and with all
@@ -45,9 +46,8 @@ import numpy as np
 from .errors import BlowUpError, ConsistencyError
 from .lift import (CoeffValues, Family, bdiag, level1_at, level2_at,
                    level2_closedloop_at, level3_at, mv)
-from .model import GameSpec, solver_times
+from .model import BLOWUP_LIMIT, GameSpec, solver_times
 
-BLOWUP_LIMIT = 1e12
 P_ASYM_TOL = 1e-9
 CHUNK_ROWS = 256    # RK4 stage rows (64 steps) whose level operands are built at once
 LEVELS = ("p", "P1", "P2", "Pf1", "Pf2", "Pf3")     # RiccatiBundle's arrays, in ladder order
@@ -176,13 +176,15 @@ def _axpy(state, ders, a):
     return tuple(s + a * d for s, d in zip(state, ders))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def backward_rk4(rhs, terminal, times, what, fix=lambda y: y, stop=0):
     """Classical RK4 run backward from the terminal tuple of arrays.
 
     rhs(k, j, y) gives the derivatives of y at stage j of the step from node k
     down to node k-1, at time t_k - (0, 1/2, 1/2, 1)[j] h.  fix(y) runs after
     each step and every new state is checked for blow-up.  Steps run down to
-    node `stop`; returns (K+1-stop, ...) arrays.
+    node `stop`; returns (K+1-stop, ...) arrays.  A step that overflows is
+    that blow-up, not a warning: its inf and NaN fail the check.
     """
     K = times.shape[0] - 1
     y = tuple(terminal)
@@ -203,8 +205,8 @@ def backward_rk4(rhs, terminal, times, what, fix=lambda y: y, stop=0):
     return [np.array(traj[::-1]) for traj in zip(*hist)]
 
 
-def _solve_levels(spec: GameSpec, depth):
-    """Backward RK4 of the ladder's first `depth` levels, one pass per level,
+def _solve_levels(spec: GameSpec):
+    """Backward RK4 of the ladder's three levels, one pass per level,
     each reading the stage states the passes below it recorded, on rows that
     run step K's four stages first.  A blow-up ends every higher pass at its
     step, so the one raised is the latest in time."""
@@ -220,9 +222,10 @@ def _solve_levels(spec: GameSpec, depth):
         max_asym = max(max_asym, np.abs(y[0] - y[0].mT).max(initial=0.0))
         return (0.5 * (y[0] + y[0].mT),)
 
-    for i, loads in enumerate(_LOADS[:depth]):
+    for i, loads in enumerate(_LOADS):
         m, ops = 4 * (K - stop), {}
-        seen = np.empty((m,) + terminals[i][0].shape) if i + 1 < depth else None
+        seen = (np.empty((m,) + terminals[i][0].shape)
+                if i + 1 < len(_LOADS) else None)
 
         def stage(k, j, y):
             r = 4 * (K - k) + j
@@ -259,14 +262,9 @@ def _solve_levels(spec: GameSpec, depth):
 # public operations
 # ---------------------------------------------------------------------------
 
-def solve_p(spec: GameSpec) -> np.ndarray:
-    """Follower Riccati gain p, (K+1, n, n) on the solver grid."""
-    return _solve_levels(spec, 1)[1][0][:, 0]
-
-
 def solve_game(spec: GameSpec):
     """Full ladder, level by level: the RiccatiBundle and Omega (K+1, 4n)."""
-    times, (p, P, Pf, Omega) = _solve_levels(spec, 3)
+    times, (p, P, Pf, Omega) = _solve_levels(spec)
     return _on_table(CoeffValues(spec, times), times, p[:, 0], P[:, 0], P[:, 1],
                      Pf[:, 0], Pf[:, 1], Pf[:, 2]), Omega
 

@@ -4,9 +4,10 @@ Each (component, path) pair gets its own stream: component seeds are spawned
 from the master seed with SeedSequence, and path index i uses the stream
 jumped i times (Salmon et al. 2011).  Draws therefore depend only on (seed,
 component, path_index, step), never on how paths are batched across chunks
-or threads.  A plan built for a spec draws only the components it loads; a
-dead one (C_i and sigma_i zero on every piece) is exact zeros, and the live
-components' rows do not change.
+or threads.  A plan built for a spec, `NoisePlan.for_spec(spec, seed)`,
+draws only the components it loads; a dead one (C_i and sigma_i zero on
+every piece) is exact zeros, and the live components' rows do not change.
+`NoisePlan(component_seeds(seed), dts)` draws all three on the steps dts.
 
 `Philox(key=k).jumped(i)` is the fresh generator with its 256-bit counter
 advanced by i * 2**128 and an empty output buffer.  Building it per path
@@ -48,10 +49,6 @@ class NoisePlan:
     dts: np.ndarray
     live: tuple = (True, True, True)
     buffer: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @staticmethod
-    def from_seed(seed: int, dts) -> "NoisePlan":
-        return NoisePlan(component_seeds(seed), np.asarray(dts, dtype=float))
 
     @staticmethod
     def for_spec(spec, seed: int) -> "NoisePlan":

@@ -12,8 +12,8 @@ from stacklq.model import solver_times, with_steps
 from stacklq.montecarlo import (default_directions, mean_stderr,
                                 simulate_blocks, variational_sweep)
 from stacklq.oracle import crosscheck_p
-from stacklq.riccati import solve_game, solve_p
-from stacklq.rng import NoisePlan
+from stacklq.riccati import solve_game
+from stacklq.rng import NoisePlan, component_seeds
 from stacklq.verify import (check_ansatz_residual, check_dp,
                             check_measurability, check_residual_order,
                             check_variational)
@@ -29,7 +29,7 @@ def _report(num, ok, detail, t0):
 def test_criterion_1_riccati_closed_form():
     t0 = time.perf_counter()
     spec = sq.make_spec(n=1, T=1.0, steps=1000, B1=1.0, R1=1.0, G1=1.0)
-    p = solve_p(spec)
+    p = solve_game(spec)[0].p
     gap = abs(p[0][0, 0] - 0.5)
     dt = time.perf_counter() - t0
     ok = gap <= 1e-8 and dt < 1.0
@@ -49,7 +49,7 @@ def test_criterion_2_trivial_zero_suite():
         worst = max(worst, np.abs(traj).max())
     for gain in law.gains.values():
         worst = max(worst, np.abs(gain).max())
-    plan = NoisePlan.from_seed(1, np.diff(solver_times(spec)))
+    plan = NoisePlan(component_seeds(1), np.diff(solver_times(spec)))
     for _, _, J in simulate_blocks(spec, law, plan, 64, thin=1):
         for player in (1, 2, 3):
             worst = max(worst, abs(mean_stderr(J[player - 1])[0]))
@@ -60,10 +60,10 @@ def test_criterion_2_trivial_zero_suite():
 
 def test_criterion_3_convergence_order(n2_spec):
     t0 = time.perf_counter()
-    ref = solve_p(with_steps(n2_spec, 1600))
+    ref = solve_game(with_steps(n2_spec, 1600))[0].p
     errs = []
     for steps in (100, 200, 400, 800):
-        p = solve_p(with_steps(n2_spec, steps))
+        p = solve_game(with_steps(n2_spec, steps))[0].p
         stride = 1600 // steps
         errs.append(np.abs(p - ref[::stride]).max())
     factors = [errs[i] / errs[i + 1] for i in range(3)]

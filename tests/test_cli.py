@@ -71,7 +71,8 @@ def test_rho_min_must_be_positive(tmp_path, rho_min):
 
 @pytest.mark.parametrize("field, value", [("G1", -1.0), ("G1", np.nan),
                                           ("G2", np.inf), ("G3", 1e300),
-                                          ("x0", 1e300), ("x0", -1e19)])
+                                          ("x0", 1e300), ("x0", -1e19),
+                                          ("x0", 1e13)])
 def test_invalid_spec_exits_1_before_out(tmp_path, field, value):
     p = tmp_path / "bad.json"
     sq.save_spec(sq.make_spec(n=1, **{field: value}), p)
@@ -101,6 +102,17 @@ def test_simulate_blow_up_exits_3(tmp_path, capsys):
                "--paths", "4"])
     assert rc == 3
     assert "numerical blow-up: equilibrium state blew up" in capsys.readouterr().err
+
+
+def test_solve_overflow_reports_only_the_blow_up(tmp_path, capsys):
+    # one RK4 step of 5e38 overflows: stderr holds the blow-up line alone
+    p = tmp_path / "spec.json"
+    sq.save_spec(sq.make_spec(n=1, T=1e40, steps=20, A=0.3, B1=1.0, Q1=1.0,
+                              G1=0.5), p)
+    rc = main(["solve", "--spec", str(p), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "numerical blow-up: riccati system blew up at t=9.5e+39\n")
 
 
 def test_zero_paths_is_a_parse_error(zero_file, tmp_path):

@@ -9,23 +9,24 @@ import stacklq.montecarlo as montecarlo
 import stacklq.verify as verify
 from stacklq.closedloop import (BLOCK_PATHS, CHUNK_PATHS, _follower_offset,
                                 _middle_offset, _node_loop, _phicheck_gain,
-                                _rows_at, _state_step, ansatz_residual,
-                                respond)
-from stacklq.errors import BlowUpError, UnsupportedPerturbationError
+                                _state_step, ansatz_residual)
+from stacklq.errors import BlowUpError
 from stacklq.lift import CoeffValues, mv, selectors
 from stacklq.model import solver_times
 from stacklq.montecarlo import (default_directions, simulate_blocks,
                                 variational_sweep)
 from stacklq.riccati import solve_game
-from stacklq.rng import NoisePlan
+from stacklq.rng import NoisePlan, component_seeds
 from stacklq.verify import check_measurability
+
+from reference import UnsupportedPerturbationError, respond, rows_at
 
 
 Paths = namedtuple("Paths", "X Xh Xc v1 v2 v3")
 
 
 def _plan(spec, seed):
-    return NoisePlan.from_seed(seed, np.diff(solver_times(spec)))
+    return NoisePlan(component_seeds(seed), np.diff(solver_times(spec)))
 
 
 def _paths(spec, law, seed, n, thin=1):
@@ -224,7 +225,7 @@ def test_block_kernel_matches_per_system_formulas(name, request):
     times = solver_times(spec)
     if name == "offgrid_spec":
         assert np.ptp(np.diff(times)) > 0
-    dW = NoisePlan.from_seed(3, np.diff(times)).increments(np.arange(16))
+    dW = NoisePlan(component_seeds(3), np.diff(times)).increments(np.arange(16))
     X = np.tile(np.concatenate([spec.x0, np.zeros(3 * spec.n)]), (16, 1))
     Xh, Xc = X.copy(), X.copy()
     for k, Z, V in _node_loop(spec, law, dW):
@@ -272,7 +273,7 @@ def simulate_state(spec, v1, v2, v3, dW):
     xs = np.empty((N, K + 1, spec.n))
     for k in range(K):
         xs[:, k] = x
-        v = [_rows_at(vi, k, N) for vi in (v1, v2, v3)]
+        v = [rows_at(vi, k, N) for vi in (v1, v2, v3)]
         x = _state_step(cv[k], times, k, dW[:, k], x, v)
     xs[:, K] = x
     return xs
@@ -315,7 +316,7 @@ def test_blowup_reported_at_its_step(monkeypatch):
     dW[1, 10, 2] = 1e13
     z = np.zeros((101, 1))
     monkeypatch.setattr(NoisePlan, "increments", lambda plan, idx: dW[idx])
-    plan = NoisePlan.from_seed(0, np.diff(times))
+    plan = NoisePlan(component_seeds(0), np.diff(times))
     runs = (lambda: list(simulate_blocks(spec, law, plan, 2, thin=1)),
             lambda: simulate_state(spec, z, z, z, dW),
             lambda: variational_sweep(spec, (1,), default_directions(spec)[:1],
@@ -345,7 +346,7 @@ def test_blowup_in_later_block_names_global_path(monkeypatch):
         return dW
 
     monkeypatch.setattr(NoisePlan, "increments", increments)
-    plan = NoisePlan.from_seed(0, np.diff(times))
+    plan = NoisePlan(component_seeds(0), np.diff(times))
     starts = []
     with pytest.raises(BlowUpError) as err:
         for start, _, _ in simulate_blocks(spec, law, plan, bad + 10, thin=1):

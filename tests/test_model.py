@@ -187,6 +187,10 @@ MESSAGE_CASES = [
                  "x0: non-finite or unbounded entries", id="x0_nan"),
     pytest.param(lambda: sq.make_spec(x0=1e300, B1=1.0, G1=1.0),
                  "x0: non-finite or unbounded entries", id="x0_unbounded"),
+    # bounded, but past the guard that stops every simulation at t_1
+    pytest.param(lambda: sq.make_spec(x0=-1e13),
+                 "x0: entries beyond the blow-up limit 1e+12",
+                 id="x0_beyond_blowup_limit"),
     pytest.param(lambda: sq.make_spec(B2=np.inf),
                  "B2: non-finite or unbounded entries", id="coeff_inf"),
     pytest.param(lambda: sq.make_spec(b=1e19),

@@ -11,14 +11,16 @@ import stacklq.montecarlo as montecarlo
 from stacklq.closedloop import (_follower_control, _follower_offset,
                                 _follower_step, _middle_controls,
                                 _middle_offset, _middle_step, _node_loop,
-                                _state_step, respond)
+                                _state_step)
 from stacklq.lift import CoeffValues
-from stacklq.model import solver_times
+from stacklq.model import solver_times, with_steps
 from stacklq.montecarlo import (_node_cost, default_directions, mean_stderr,
                                 simulate_blocks, variational_sweep)
 from stacklq.riccati import (BLOWUP_LIMIT, backward_rk4, solve_game,
                              without_intercepts)
-from stacklq.rng import NoisePlan
+from stacklq.rng import NoisePlan, component_seeds
+
+from reference import respond
 
 
 def _solution(spec):
@@ -31,7 +33,7 @@ def _path_costs(spec, seed, n_paths):
     """Each player's per-path cost (3, n_paths) as simulate_blocks streams
     it, block by block."""
     _, _, law = _solution(spec)
-    plan = NoisePlan.from_seed(seed, np.diff(solver_times(spec)))
+    plan = NoisePlan(component_seeds(seed), np.diff(solver_times(spec)))
     return np.concatenate([J for _, _, J in simulate_blocks(
         spec, law, plan, n_paths, thin=spec.steps)], axis=1)
 
@@ -198,7 +200,7 @@ def _block_peaks(monkeypatch, thin):
                         B3=0.6, C3=0.1, sigma1=0.2, sigma2=0.25, sigma3=0.3,
                         Q1=1.0, G1=0.5, Q2=0.8, Q3=0.6)
     bundle, _, law = _solution(spec)
-    plan = NoisePlan.from_seed(0, np.diff(law.times))
+    plan = NoisePlan(component_seeds(0), np.diff(law.times))
 
     def peak(run, n_paths):
         tracemalloc.start()
@@ -497,7 +499,7 @@ def test_sweep_group_tables_match_helpers(name, request):
     scaled = sq.build_feedback(bundle, Omega, 1.5)
     groups = [(1, dirs, law), (2, dirs, law), (3, dirs, law),
               (1, dirs[:2], scaled)]
-    dW = NoisePlan.from_seed(3, np.diff(times)).increments(np.arange(16))
+    dW = NoisePlan(component_seeds(3), np.diff(times)).increments(np.arange(16))
 
     def close(got, want):
         np.testing.assert_allclose(got, want, rtol=1e-12,
@@ -610,6 +612,26 @@ def test_sweep_numbers_pinned(scalar_generic, generic_solution, monkeypatch):
         assert rep.means == pytest.approx(means, rel=1e-12)
 
 
+@pytest.mark.parametrize("name", ["scalar_generic", "n2_spec", "reducible_spec",
+                                  "offgrid_spec"])
+def test_sweep_base_run_is_simulates_run(name, request, monkeypatch):
+    # on one spec, seed and path count, the mean at epsilon 0 that verify
+    # writes to variational.csv is simulate's per-player mean, bit for bit,
+    # with the paths split into 3 blocks and 2 sweep chunks
+    monkeypatch.setattr(montecarlo, "BLOCK_PATHS", 128)
+    monkeypatch.setattr(montecarlo, "CHUNK_PATHS", 256)
+    spec = with_steps(request.getfixturevalue(name), 60)
+    bundle, _, law = _solution(spec)
+    J = np.concatenate([Jb for _, _, Jb in simulate_blocks(
+        spec, law, NoisePlan.for_spec(spec, 3), 300, thin=spec.steps)], axis=1)
+    reps = variational_sweep(spec, (1, 2, 3), default_directions(spec),
+                             (0.05, 0.1, 0.2), 300, 3, law, bundle)
+    for rep in reps:
+        base = rep.means[rep.epsilons.index(0.0)]
+        assert base == mean_stderr(J[rep.player - 1])[0], (rep.player,
+                                                            rep.direction_id)
+
+
 def test_sweep_response_is_the_public_response():
     # no intercept anywhere and x0 = 0: the base run is identically 0, so
     # J(eps) is the player's cost along the lower levels' best response to
@@ -622,7 +644,7 @@ def test_sweep_response_is_the_public_response():
     times = solver_times(spec)
     cv = CoeffValues(spec, times)
     N, seed, eps = 64, 5, 0.1
-    dW = NoisePlan.from_seed(seed, np.diff(times)).increments(np.arange(N))
+    dW = NoisePlan(component_seeds(seed), np.diff(times)).increments(np.arange(N))
     zero = np.zeros((times.shape[0], 1))
     for player in (2, 3):
         for d in default_directions(spec):

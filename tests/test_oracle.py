@@ -9,8 +9,8 @@ from stacklq.lift import CoeffValues, level1_at
 from stacklq.model import Coefficient, solver_times, with_steps
 from stacklq.oracle import (DiscreteLQ, DPSolution, _continuous_value,
                             crosscheck_p, reduce_to_single_player, solve_dp)
-from stacklq.riccati import backward_rk4, solve_p
-from stacklq.rng import NoisePlan
+from stacklq.riccati import backward_rk4
+from stacklq.rng import NoisePlan, component_seeds
 
 
 def _with_coeffs(spec, **coeffs):
@@ -175,7 +175,7 @@ def test_dp_uncontrolled_matches_simulation(reducible_spec):
     d = reduce_to_single_player(spec, steps=200)
     sol = solve_dp(d)
     # simulate the uncontrolled cost and compare with the DP value
-    plan = NoisePlan.from_seed(3, np.full(200, spec.T / 200))
+    plan = NoisePlan(component_seeds(3), np.full(200, spec.T / 200))
     dW = plan.increments(np.arange(20000))[:, :, 2]
     x = np.full(20000, spec.x0[0])
     J = np.zeros(20000)
@@ -190,7 +190,7 @@ def test_dp_uncontrolled_matches_simulation(reducible_spec):
 
 def _oracle_grid_value(spec, steps):
     """V(0, x0) on a uniform grid of `steps` steps, independent of the solved
-    ladder: p by solve_p on that grid, taken at the node nearest each RK4
+    ladder: p by solve_game on that grid, taken at the node nearest each RK4
     stage, the offset phi by its own RK4 and the constant chi by the Simpson
     sum.  The reference for the continuous value the cross-check reads off
     the ladder."""
@@ -198,10 +198,10 @@ def _oracle_grid_value(spec, steps):
     times = np.linspace(0.0, T, steps + 1)
     pspec = with_steps(spec, steps)
     ptimes = solver_times(pspec)
-    # solve_p's grid adds every breakpoint; keep the node nearest each t_k
+    # the solver grid adds every breakpoint; keep the node nearest each t_k
     j = np.clip(np.searchsorted(ptimes, times), 1, ptimes.shape[0] - 1)
     j -= times - ptimes[j - 1] < ptimes[j] - times
-    pv = solve_p(pspec)[j]
+    pv = sq.solve_game(pspec)[0].p[j]
     # coefficients at the RK4 stage times: nodes and step midpoints
     stage_t = np.empty(2 * steps + 1)
     stage_t[0::2] = times
@@ -292,7 +292,7 @@ def test_dp_value_matches_optimal_simulation(reducible_spec):
     # simulate the DP policy and a perturbed policy; DP may not cost more
     d = reduce_to_single_player(reducible_spec, steps=150)
     sol = solve_dp(d)
-    plan = NoisePlan.from_seed(9, np.full(150, reducible_spec.T / 150))
+    plan = NoisePlan(component_seeds(9), np.full(150, reducible_spec.T / 150))
     dW = plan.increments(np.arange(20000))[:, :, 2]
 
     def run(gain_scale):

@@ -7,8 +7,8 @@ from stacklq.lift import (CoeffValues, bdiag, level1_at, level2_at,
                           level2_closedloop_at, level3_at, mv)
 from stacklq.model import Coefficient, solver_times
 from stacklq.riccati import (LEVELS, _ladder_rhs, backward_rk4,
-                             riccati_residuals, solve_game, solve_p,
-                             terminal_state, without_intercepts)
+                             riccati_residuals, solve_game, terminal_state,
+                             without_intercepts)
 
 
 def integrate_backward(rhs, terminal, times):
@@ -50,12 +50,12 @@ def test_integrate_backward_blowup():
 
 
 def test_solve_p_zero_sources(zero_spec):
-    p = solve_p(zero_spec)
+    p = solve_game(zero_spec)[0].p
     assert np.all(p == 0.0)
 
 
 def test_solve_p_closed_form(closed_form_spec):
-    p = solve_p(closed_form_spec)
+    p = solve_game(closed_form_spec)[0].p
     # p(t) = 1/(1 + T - t)
     assert abs(p[0][0, 0] - 0.5) <= 1e-8
     mid = p[len(p) // 2][0, 0]
@@ -67,14 +67,14 @@ def test_solve_p_linear_variation_of_constants():
     # B1 = 0: dp/dt = -(2A + C^2) p - Q, scalar closed form
     a, c, q, g, T = 0.4, 0.3, 0.7, 0.6, 1.0
     spec = sq.make_spec(n=1, T=T, steps=400, A=a, C3=c, Q1=q, G1=g)
-    p = solve_p(spec)
+    p = solve_game(spec)[0].p
     lam = 2 * a + c * c
     expect = np.exp(lam * T) * g + q * (np.exp(lam * T) - 1.0) / lam
     assert abs(p[0][0, 0] - expect) < 1e-9
 
 
 def test_solve_p_symmetric_psd(n2_spec):
-    p = solve_p(n2_spec)
+    p = solve_game(n2_spec)[0].p
     assert np.abs(p - p.transpose(0, 2, 1)).max() <= 1e-9
     assert min(np.linalg.eigvalsh(M).min() for M in p) >= -1e-8
 
@@ -140,12 +140,6 @@ def test_offsets_constant_source_integral():
     expect = np.array([m3 * 1.0, 0.0, 0.0, 0.0])
     assert np.allclose(Omega[0], expect, atol=1e-12)
     assert np.all(Omega[-1] == 0.0)
-
-
-def test_sequential_ops_match_joint(scalar_generic):
-    bundle, _ = solve_game(scalar_generic)
-    p = solve_p(scalar_generic)
-    assert np.array_equal(p, bundle.p)
 
 
 def test_determinism(scalar_generic):
@@ -315,13 +309,22 @@ def test_ladder_blowup_time_pinned():
     # B1 = B2 = B3 = 0: p blows up alone at t = 0.116; the levels above it
     # would blow up by t = 0.028 on their own, so they must stop at p's step
     kw = dict(A=16.0, B1=0.0, B2=0.0, B3=0.0, G2=1e-3, G3=1e-3)
-    for solve in (solve_p, solve_game):
-        with pytest.raises(BlowUpError) as err:
-            solve(sq.make_spec(**{**readme, **kw}))
-        assert err.value.t == pytest.approx(0.116, abs=1e-9)
+    with pytest.raises(BlowUpError) as err:
+        solve_game(sq.make_spec(**{**readme, **kw}))
+    assert err.value.t == pytest.approx(0.116, abs=1e-9)
     with pytest.raises(BlowUpError) as err:
         solve_game(sq.make_spec(**{**readme, **kw, "G1": 1e-6}))
     assert err.value.t == pytest.approx(0.028, abs=1e-9)
+
+
+@pytest.mark.parametrize("T", [1e40, 1e300])
+def test_ladder_overflow_is_a_blow_up(T):
+    # a step of T/20 overflows inside the first RK4 step: its inf and NaN
+    # are the blow-up reported at the step's end, not a RuntimeWarning
+    spec = sq.make_spec(n=1, T=T, steps=20, A=0.3, B1=1.0, Q1=1.0, G1=0.5)
+    with pytest.raises(BlowUpError) as err:
+        solve_game(spec)
+    assert err.value.t == solver_times(spec)[19]
 
 
 def test_ladder_numbers_pinned(n2_spec):

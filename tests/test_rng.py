@@ -11,23 +11,23 @@ from stacklq.rng import NoisePlan, component_seeds
 
 def test_increment_moments():
     h = 0.01
-    plan = NoisePlan.from_seed(123, np.full(50, h))
+    plan = NoisePlan(component_seeds(123), np.full(50, h))
     dW = plan.increments(np.arange(2000))
     assert abs(dW.mean()) < 3.0 * np.sqrt(h / dW.size)
     assert abs(dW.var() - h) < 0.02 * h
 
 
 def test_path_indexed_reproducibility():
-    plan = NoisePlan.from_seed(9, np.full(20, 0.05))
+    plan = NoisePlan(component_seeds(9), np.full(20, 0.05))
     a = plan.increments([0, 1, 2, 3])
     b = plan.increments([2, 3])
     assert np.array_equal(a[2:], b)
-    again = NoisePlan.from_seed(9, np.full(20, 0.05)).increments([0, 1, 2, 3])
+    again = NoisePlan(component_seeds(9), np.full(20, 0.05)).increments([0, 1, 2, 3])
     assert np.array_equal(a, again)
 
 
 def test_component_reseeding_is_local():
-    plan = NoisePlan.from_seed(5, np.full(10, 0.1))
+    plan = NoisePlan(component_seeds(5), np.full(10, 0.1))
     base = plan.increments([0, 1])
     seeds = (component_seeds(777)[0],) + plan.seeds[1:]
     re0 = dataclasses.replace(plan, seeds=seeds).increments([0, 1])
@@ -42,14 +42,14 @@ def test_component_seeds_distinct():
 
 def test_nonuniform_step_scaling():
     dts = np.array([0.1, 0.4])
-    plan = NoisePlan.from_seed(3, dts)
+    plan = NoisePlan(component_seeds(3), dts)
     dW = plan.increments(np.arange(4000))
     v = dW.var(axis=(0, 2))
     assert abs(v[0] - 0.1) < 0.02
     assert abs(v[1] - 0.4) < 0.05
 
 
-# digest of increments([0, 5, 3]) of NoisePlan.from_seed(9, np.full(20, 0.05)),
+# digest of increments([0, 5, 3]) of NoisePlan(component_seeds(9), np.full(20, 0.05)),
 # pinned when each path still built its own jumped Philox generator
 PINNED_SHA256 = "c266ce13c29f9559fd68d8b453ec9216704445f2a9c700f41b3e0e39ecce4994"
 
@@ -64,7 +64,7 @@ def _jumped_rows(seed, indices, h, k):
                                      [2048, 3, 3, 0, 2**40, 1, 0]])
 def test_rows_equal_jumped_streams(indices):
     h, k = 0.01, 37
-    plan = NoisePlan.from_seed(17, np.full(k, h))
+    plan = NoisePlan(component_seeds(17), np.full(k, h))
     dW = plan.increments(indices)
     for comp, seed in enumerate(plan.seeds):
         assert np.array_equal(dW[:, :, comp], _jumped_rows(seed, indices, h, k))
@@ -83,12 +83,12 @@ def test_rows_equal_jumped_streams(indices):
 
 
 def test_stream_digest_pinned():
-    dW = NoisePlan.from_seed(9, np.full(20, 0.05)).increments([0, 5, 3])
+    dW = NoisePlan(component_seeds(9), np.full(20, 0.05)).increments([0, 5, 3])
     assert hashlib.sha256(dW.tobytes()).hexdigest() == PINNED_SHA256
 
 
 def test_negative_path_index_rejected():
-    plan = NoisePlan.from_seed(9, np.full(20, 0.05))
+    plan = NoisePlan(component_seeds(9), np.full(20, 0.05))
     with pytest.raises(ValueError):
         plan.increments([-1])
     with pytest.raises(ValueError):
@@ -110,7 +110,7 @@ def test_dead_components_zero_beside_jumped_streams(live):
     # all-live plan's rows, in a new array and drawn batch after batch into a
     # reused buffer whose rows a longer batch left behind
     h, k = 0.01, 37
-    full = NoisePlan.from_seed(17, np.full(k, h))
+    full = NoisePlan(component_seeds(17), np.full(k, h))
     plan = dataclasses.replace(full, live=live)
     indices = [0, 3, 2048, 2**40, 1]
     _check_rows(plan.increments(indices), plan, full, indices)
@@ -131,4 +131,4 @@ def test_jumped_streams_drawn_for_the_components_a_spec_loads(reducible_spec,
                         sigma2=Coefficient.piecewise([0.5], [[0.0], [0.3]]))
     plan = NoisePlan.for_spec(late, 2)
     assert plan.live == (True, True, False)
-    assert plan.seeds == NoisePlan.from_seed(2, plan.dts).seeds
+    assert plan.seeds == NoisePlan(component_seeds(2), plan.dts).seeds

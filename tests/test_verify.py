@@ -18,15 +18,15 @@ def test_verification_solves_the_ladder_twice(reducible_spec, monkeypatch):
     calls = []
     solve_levels = riccati._solve_levels
 
-    def counting(spec, depth):
-        calls.append((spec.steps, depth))
-        return solve_levels(spec, depth)
+    def counting(spec):
+        calls.append(spec.steps)
+        return solve_levels(spec)
 
     monkeypatch.setattr(riccati, "_solve_levels", counting)
     checks, _ = run_verification(reducible_spec, seed=3, n_paths=16,
                                  epsilons=(0.05, 0.1, 0.2), gain_scale=1.0)
     assert "dp_crosscheck" in {check_id for check_id, _, _ in checks}
-    assert calls == [(100, 3), (200, 3)]
+    assert calls == [100, 200]
 
 
 def test_verification_rejects_an_invalid_spec():
