@@ -118,6 +118,7 @@ class FeedbackLaw:
     kz: np.ndarray          # (K+1, 3n)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_feedback(bundle: RiccatiBundle, Omega: np.ndarray,
                    gain_scale: float = 1.0) -> FeedbackLaw:
     """Assemble all gain tables and the closed-loop drift tables from the

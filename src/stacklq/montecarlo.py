@@ -19,7 +19,7 @@ the bundle's intercept-free twin `without_intercepts(bundle)`.  No
 increment row is drawn twice however many players and directions share the
 seed.  The sabotaged law of `verify --sabotage-gains` is swept like any other.
 Each (player, direction) gets one `PerturbationReport`: the mean cost and its
-standard error at each epsilon, the slope and the curvature gate.
+standard error at each epsilon, and the slope with its own; verify judges it.
 
 `simulate_blocks`, the package's one path simulator, streams the equilibrium
 for `stacklq simulate` block by block of paths, one block alive at a time,
@@ -61,7 +61,6 @@ class PerturbationReport:
     stderrs: tuple          # its standard error
     slope0: float
     slope_stderr: float
-    curvature_ok: bool
 
 
 def _node_cost(c: CoeffValues, i, k: int, times, x, v) -> np.ndarray:
@@ -256,16 +255,12 @@ def variational_sweep(spec: GameSpec, players, directions, epsilons,
         for d, direction in enumerate(directions):
             B, C = (np.concatenate([part[i][j][d] for part in parts])
                     for j in (1, 2))
-            with np.errstate(over="ignore", invalid="ignore"):  # inf fails below
+            with np.errstate(over="ignore", invalid="ignore"):  # inf is judged
                 means, stderrs = zip(*(mean_stderr(J0 + e * B + e * e * C)
                                        for e in eps))
-            j0 = means[eps.index(0.0)]
-            curvature_ok = all(np.isfinite((m, se)).all()    # inf >= j0 is no pass
-                               and m >= j0 - 3.0 * max(se, 1e-300)
-                               for m, se in zip(means, stderrs))
             slope0, slope_stderr = mean_stderr(B)
             reports.append(PerturbationReport(
                 player=player, direction_id=direction.id, epsilons=tuple(eps),
                 means=means, stderrs=stderrs, slope0=slope0,
-                slope_stderr=slope_stderr, curvature_ok=curvature_ok))
+                slope_stderr=slope_stderr))
     return reports

@@ -2,10 +2,10 @@
 
 A check is a triple (check_id, passed, detail).  Each check_* function
 returns one check or a list of them: check_measurability returns the
-filter_measurability and exact_nesting checks, and check_variational the
-three players' checks with the sweep's reports, which `verify` writes out.
-check_dp(spec, bundle, Omega) cross-checks the solved ladder and returns
-None when the spec does not reduce to a single controller.
+filter_measurability and exact_nesting checks, check_variational the three
+players' checks with the sweep's reports, which `verify` writes out, and
+check_dp(spec, bundle, Omega) the ladder's cross-check, none when the spec
+does not reduce to a single controller.  `_failure` judges each report.
 run_verification takes the seed, the sweep's path count and epsilons and
 the gain_scale as keywords without defaults: `stacklq verify`'s options are
 their one source.  It builds both grids' laws with gain_scale, so under
@@ -76,7 +76,8 @@ def check_measurability(spec, law, seed, n_paths=32):
     one set of increments: the base run, then W1 zeroed, then W1 and W2.
 
     Measurability is bit-level: Xh must not move when W1 does, nor Xc when
-    W1 or W2 does, while X moves with a live W1 and Xh with a live W2.  Z's
+    W1 or W2 does, while X moves with W1 and Xh with W2 where it loads the
+    state: C_i x + sigma_i, from the spec's law.cv, nonzero on its run.  Z's
     step is linear and a step's W1 and W2 increments are independent of Z_k
     and of W3, so E[X | W2, W3] is the X of the run without W1, and
     E[X | W3], E[Xh | W3] are the X and Xh of the W3-only run.  The filters
@@ -93,10 +94,12 @@ def check_measurability(spec, law, seed, n_paths=32):
             run = _filtered_paths(spec, law, dW)
         runs.append(run)
     (X, Xh, Xc), (X23, Xh23, Xc23), (X3, Xh3, Xc3) = runs
-    same = np.array_equal
+    same, cv = np.array_equal, law.cv
+    loads = lambda i, x: np.any(np.einsum("kij,pkj->pki", cv.C[i, :-1],
+                                          x[:, :-1, :spec.n]) + cv.sigma[i, :-1])
     ok = (same(Xh, Xh23) and same(Xc, Xc23) and same(Xc, Xc3)
-          and not (plan.live[0] and same(X, X23))
-          and not (plan.live[1] and same(Xh23, Xh3)))
+          and not (loads(0, X) and same(X, X23))
+          and not (loads(1, X23) and same(Xh23, Xh3)))
     gap23 = np.abs(X23 - Xh23).max()
     gap3 = max(np.abs(X3 - Xh3).max(), np.abs(X3 - Xc3).max())
     return [("filter_measurability", ok,
@@ -129,11 +132,14 @@ def _z(rep):
 
 def _failure(rep):
     """rep's entry in its player's list of failures, None if it passes: a
-    cost that is not finite names its epsilon, any other failure its z."""
+    cost that is not finite names its epsilon; a slope over 2 stderr from 0,
+    or a mean over 3 of its stderrs below the eps = 0 mean, names its z."""
     for eps, mean, se in zip(rep.epsilons, rep.means, rep.stderrs):
         if not np.isfinite((mean, se)).all():
             return f"{rep.direction_id}(eps={eps:g}: mean {mean:g}, stderr {se:g})"
-    if abs(rep.slope0) > 2.0 * rep.slope_stderr or not rep.curvature_ok:
+    j0 = rep.means[rep.epsilons.index(0.0)]
+    if abs(rep.slope0) > 2.0 * rep.slope_stderr or any(
+            m < j0 - 3.0 * max(se, 1e-300) for m, se in zip(rep.means, rep.stderrs)):
         return f"{rep.direction_id}(z={_z(rep):+.1f})"
     return None
 
@@ -156,11 +162,10 @@ def check_dp(spec, bundle, Omega):
     try:
         rep = crosscheck_p(spec, bundle, Omega, steps=1000)
     except ReductionError:
-        return None
-    ok = rep.gap_S0 <= 0.01
-    return ("dp_crosscheck", ok,
-            f"|S0 - p(0)|/(1+|p0|) = {rep.gap_S0:.3e}, "
-            f"value gap {rep.gap_value:.3e}")
+        return []
+    return [("dp_crosscheck", rep.gap_S0 <= 0.01,
+             f"|S0 - p(0)|/(1+|p0|) = {rep.gap_S0:.3e}, "
+             f"value gap {rep.gap_value:.3e}")]
 
 
 def run_verification(spec: GameSpec, *, seed, n_paths, epsilons, gain_scale):
@@ -183,8 +188,4 @@ def run_verification(spec: GameSpec, *, seed, n_paths, epsilons, gain_scale):
     ]
     del fine        # the 2K-step solve serves the two order checks only
     var_checks, reports = check_variational(spec, law, bundle, seed, n_paths, epsilons)
-    checks.extend(var_checks)
-    dp_check = check_dp(*solved)
-    if dp_check is not None:
-        checks.append(dp_check)
-    return checks, reports
+    return checks + var_checks + check_dp(*solved), reports

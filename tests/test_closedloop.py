@@ -126,10 +126,14 @@ def test_exact_nesting_passes_on_fixture_specs(request):
     no_noise = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, A=0.3, B1=1.0,
                             Q1=0.5, G1=0.5, Q2=0.3, R2=1.0, Q3=0.2, R3=1.0)
     sigma1_only = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, sigma1=1.0)
+    # x stays at x0 = 0, so a live but multiplicative-only W1 (or W2) loads
+    # nothing and cannot move X (or Xh)
+    still = {f"still_{c}": sq.make_spec(n=1, steps=50, x0=0.0, B1=1.0, Q1=1.0,
+                                        **{c: 0.3}) for c in ("C1", "C2")}
     names = ("zero_spec", "scalar_generic", "scalar_additive", "n2_spec",
              "closed_form_spec", "reducible_spec", "offgrid_spec")
     specs = {name: request.getfixturevalue(name) for name in names}
-    specs.update(no_noise=no_noise, sigma1_only=sigma1_only)
+    specs.update(no_noise=no_noise, sigma1_only=sigma1_only, **still)
     for name, spec in specs.items():
         solved = solve_game(spec)
         for scale in (1.0, 1.5):
@@ -361,6 +365,15 @@ def test_blowup_in_later_block_names_global_path(monkeypatch):
                           bundle)
     assert err.value.path == bad
     assert err.value.t == times[11]
+
+
+def test_huge_gain_scale_is_a_blowup_not_a_warning():
+    # 1e308 times the follower gain overflows: the finite check names K1,
+    # with no RuntimeWarning (an error in this suite) raised before it
+    spec = sq.make_spec(n=1, steps=20, x0=1.0, A=0.3, B1=3.0, sigma3=0.3,
+                        Q1=1.0, G1=2.0)
+    with pytest.raises(BlowUpError, match="feedback gain K1"):
+        sq.build_feedback(*solve_game(spec), 1e308)
 
 
 def test_offset_blowup_reported_at_its_node():

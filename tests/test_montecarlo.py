@@ -19,6 +19,7 @@ from stacklq.montecarlo import (_node_cost, default_directions, mean_stderr,
 from stacklq.riccati import (BLOWUP_LIMIT, backward_rk4, solve_game,
                              without_intercepts)
 from stacklq.rng import NoisePlan, component_seeds
+from stacklq.verify import _failure
 
 from reference import respond
 
@@ -92,7 +93,7 @@ def test_variational_pure_control_energy():
     l2 = np.sum(np.diff(times)[:, None] * d.path[:-1] ** 2)
     for eps, mean in zip(rep.epsilons, rep.means):
         assert abs(mean - 0.5 * eps * eps * l2) < 1e-14
-    assert rep.curvature_ok
+    assert _failure(rep) is None
 
 
 def test_variational_equilibrium_slopes(scalar_additive, additive_solution):
@@ -102,7 +103,8 @@ def test_variational_equilibrium_slopes(scalar_additive, additive_solution):
         rep = variational_sweep(scalar_additive, (player,), [d],
                                 [0.05, 0.1], 4000, 21, law, bundle)[0]
         assert abs(rep.slope0) <= 3.0 * rep.slope_stderr, (player, rep)
-        assert rep.curvature_ok
+        # the judge's other rules, the slope being held to 3 stderr above
+        assert _failure(dataclasses.replace(rep, slope0=0.0)) is None, rep
 
 
 def test_variational_negative_control(scalar_additive, additive_solution):
@@ -243,7 +245,7 @@ def test_blocks_hold_one_block_of_records_at_thin_1(monkeypatch):
 
 def _fingerprint(rep):
     return (rep.player, rep.direction_id, rep.epsilons, rep.slope0,
-            rep.slope_stderr, rep.curvature_ok, rep.means, rep.stderrs)
+            rep.slope_stderr, _failure(rep), rep.means, rep.stderrs)
 
 
 def test_sweep_matches_one_test_per_case(scalar_generic, generic_solution,
@@ -280,7 +282,7 @@ def test_sweep_groups_match_one_test_per_case_n2(n2_spec):
             one = variational_sweep(n2_spec, (player,), [d], eps, N, seed, lw,
                                     bundle)[0]
             label = lambda r: (r.player, r.direction_id, r.epsilons,
-                               r.curvature_ok)
+                               _failure(r) is None)
             numbers = lambda r: [r.slope0, r.slope_stderr, *r.means,
                                  *r.stderrs]
             assert label(rep) == label(one)

@@ -7,6 +7,7 @@ import stacklq.riccati as riccati
 import stacklq.verify as verify
 from stacklq.errors import DomainError
 from stacklq.model import with_steps
+from stacklq.montecarlo import PerturbationReport
 from stacklq.riccati import riccati_residuals, solve_game
 from stacklq.rng import NoisePlan
 from stacklq.verify import check_residual_order, run_verification
@@ -69,3 +70,40 @@ def test_verify_runs_are_simulate_records_bit_identical(name, block, request,
                                 thin=1)
     records = np.concatenate([r for _, r, _ in blocks])
     assert np.array_equal(runs, records[..., :12 * spec.n])
+
+
+def _judged(means, stderrs, slope0=0.0, slope_stderr=1.0):
+    """verify's verdict on a hand-built report at epsilons -0.1, 0, 0.1."""
+    return verify._failure(PerturbationReport(
+        player=1, direction_id="const", epsilons=(-0.1, 0.0, 0.1),
+        means=means, stderrs=stderrs, slope0=slope0, slope_stderr=slope_stderr))
+
+
+def test_judge_names_a_cost_that_is_not_finite_by_its_epsilon():
+    assert (_judged((1.0, 1.0, np.inf), (0.1, 0.1, 0.1))
+            == "const(eps=0.1: mean inf, stderr 0.1)")
+    assert (_judged((1.0, 1.0, 1.0), (np.nan, 0.1, 0.1))
+            == "const(eps=-0.1: mean 1, stderr nan)")
+
+
+def test_judge_fails_a_slope_over_two_stderr():
+    assert _judged((1.1, 1.0, 1.1), (0.1,) * 3, slope0=-1.9) is None
+    assert _judged((1.1, 1.0, 1.1), (0.1,) * 3, slope0=2.5) == "const(z=+2.5)"
+
+
+def test_judge_passes_a_zero_slope_whose_paths_do_not_spread():
+    assert _judged((0.5, 0.0, 0.5), (0.0,) * 3, 0.0, 0.0) is None
+    # a nonzero slope without spread is infinitely many stderr from 0
+    assert _judged((0.5, 0.0, 0.5), (0.0,) * 3, 1e-3, 0.0) == "const(z=+inf)"
+
+
+def test_judge_fails_a_cost_that_curves_down():
+    # the slope is 0, but the eps = 0.1 mean lies 4 of its stderrs below
+    # the eps = 0 mean; 2.9 of them pass
+    assert _judged((1.0, 1.0, 0.6), (0.1,) * 3) == "const(z=+0.0)"
+    assert _judged((1.0, 1.0, 0.71), (0.1,) * 3) is None
+
+
+def test_dp_crosscheck_is_no_check_on_a_spec_that_does_not_reduce(
+        scalar_generic, generic_solution):
+    assert verify.check_dp(scalar_generic, *generic_solution[:2]) == []
