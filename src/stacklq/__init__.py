@@ -10,8 +10,7 @@ from .model import (GameSpec, ValidationReport, load_spec, make_spec,
 from .montecarlo import (Direction, PerturbationReport, default_directions,
                          mean_stderr, simulate_blocks, variational_sweep)
 from .oracle import crosscheck_p
-from .riccati import (RiccatiBundle, riccati_residuals, solve_game,
-                      without_intercepts)
+from .riccati import RiccatiBundle, riccati_residuals, solve_game
 from .rng import NoisePlan
 
 __all__ = [name for name in dir() if not name.startswith("_")]

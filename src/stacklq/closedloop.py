@@ -1,4 +1,4 @@
-"""Equilibrium feedback laws, path simulation and best-response systems.
+"""Equilibrium feedback laws and the linear Euler step of path simulation.
 
 The equilibrium is simulated through three coupled forward systems: the 4n
 information state X, its filter Xh given the middle player's observations
@@ -12,17 +12,12 @@ entry adds an exact zero, which the bit-level measurability checks exercise.
 which the sweep's response groups take too; `simulate_blocks`, the one path
 simulator, the variational sweep and `verify`'s path checks all run it.
 
-Each lower level's best-response system (its offset, its controls and the
-Euler step of its filtered states) is written once, with its intercepts,
-and composed once per node by `_response_step`, which steps the physical
-state too.  On riccati's `without_intercepts(bundle)` it is the homogeneous
-form, under common noise exactly the response to a control perturbation:
-the variational sweep in `montecarlo` probes it on basis rows for its
-groups' tables.  The tests' reference `respond` (tests/reference.py) runs
-it path by path against exogenous controls.  The offsets are solved by
-riccati's `backward_rk4`, blow-up guarded like the ladder.
+`_euler_step` is the one builder of a LinearStep: from the drift M, the
+drive and the diagonal blocks' loads of a system y' = y + h (M y + drive)
++ sum_i dW_i (s_i + C_i y), masked as each block observes, it makes Z's
+tables here and the sweep's response groups' tables in `montecarlo`.
 The gains, one read-only mapping `law.gains` keyed by `GAINS`, the
-responses and the residuals read the solve's grid coefficient table,
+simulation and the residuals read the solve's grid coefficient table,
 `bundle.cv`, which the law carries on as `law.cv`.  `verify`'s negative
 control is a law too: `build_feedback` with a gain_scale other than 1
 scales the follower gain on every block.
@@ -40,7 +35,7 @@ import numpy as np
 from .errors import BlowUpError
 from .lift import CoeffValues, mv, selectors
 from .model import BLOWUP_LIMIT, GameSpec
-from .riccati import RiccatiBundle, backward_rk4
+from .riccati import RiccatiBundle
 
 # Paths stepped together: a block of the streaming simulate, whose reused
 # increment buffer and records scale with it (11.7 MB of noise at K = 500),
@@ -180,22 +175,41 @@ def build_feedback(bundle: RiccatiBundle, Omega: np.ndarray,
 
 
 def _block_tables(times, g, l3) -> LinearStep:
-    """Z = [X | Xh | Xc]'s LinearStep."""
-    K, n4 = times.shape[0] - 1, g["M0"].shape[-1]
-    h = np.diff(times)[:, None, None]
-    M0, M2, M3 = (g[name][:-1] for name in ("M0", "M2", "M3"))
+    """Z = [X | Xh | Xc]'s LinearStep: X observes W1-W3, Xh W2-W3, Xc W3."""
+    K = times.shape[0] - 1
+    M0, M2, M3 = g["M0"], g["M2"], g["M3"]
     O = np.zeros_like(M0)
     M = np.block([[M0, M2, M3], [O, M0 + M2, M3], [O, O, M0 + M2 + M3]])
     sees = np.tril(np.ones((3, 3)))     # [i, b]: block b observes W_{i+1}
     Sig = np.stack([l3.Sigma1, l3.Sigma2, l3.Sigma3], axis=1)[:-1]
-    C = np.stack([l3.frakC1, l3.frakC2, l3.frakC3], axis=1)[:-1]
-    # L[i][k][(b, r), (d, c)] = frakC_i[c, r] if d = b sees W_i
-    L = {i: np.einsum("b,bd,kcr->kbrdc", sees[i], np.eye(3), C[:, i])
-         .reshape(K, 3 * n4, 3 * n4) for i in range(3) if np.any(C[:, i])}
-    return LinearStep(F=np.ascontiguousarray((np.eye(3 * n4) + h * M).mT),
-                      c=np.tile(h[:, 0] * g["coff"][:-1], 3),
-                      s=np.einsum("ib,kic->kibc", sees, Sig).reshape(K, 3, 3 * n4),
-                      L=L)
+    C = np.stack([l3.frakC1, l3.frakC2, l3.frakC3])
+    return _euler_step(times, M, np.tile(g["coff"], 3),
+                       [(0, C), (1, C), (2, C)],
+                       s=np.einsum("ib,kic->kibc", sees, Sig).reshape(K, 3, -1))
+
+
+def _euler_step(times, M, drive, blocks, s=None) -> LinearStep:
+    """The LinearStep of the Euler step y' = y + h (M y + drive) + sum_i
+    dW_i (s_i + C_i y) from node tables (K+1, ...), the last node unread:
+    F = (I + h M)^T, c = h drive and L_i = C_i^T.  blocks lists y's
+    diagonal blocks as (f, C), C (3, K+1, d, d) their loads by channel, a
+    block observing W_i for i >= f; C_i is block-diagonal, C[i] on each
+    block that observes W_i.  Channels that load nothing are left out."""
+    K, w = times.shape[0] - 1, M.shape[-1]
+    h = np.diff(times)
+    L = {}
+    for i in range(3):
+        Li, at = np.zeros((K, w, w)), 0
+        for first, C in blocks:
+            d = C.shape[-1]
+            if i >= first:
+                Li[:, at:at + d, at:at + d] = C[i, :-1].mT
+            at += d
+        if np.any(Li):
+            L[i] = Li
+    F = (np.eye(w) + h[:, None, None] * M[:-1]).mT
+    return LinearStep(F=np.ascontiguousarray(F), s=s, L=L,
+                      c=h.reshape((K,) + (1,) * (drive.ndim - 1)) * drive[:-1])
 
 
 def _guard(arr, t, what):
@@ -215,21 +229,6 @@ def _paths_from(start: int):
         if err.path is None:
             raise
         raise BlowUpError(err.what, err.t, path=start + err.path) from None
-
-
-def _state_step(cv: CoeffValues, times, k, dWk, x, v):
-    """Euler step k -> k+1 of the physical state under controls v, guarded.
-
-    cv is the node-k coefficient view; v holds (v1, v2, v3) at node k.  x
-    is rows (N, n) or, as in the response helpers below, D directions' rows
-    (D, N, n).
-    """
-    h = times[k + 1] - times[k]
-    drift = sum((vi @ Bi.T for Bi, vi in zip(cv.B, v)), x @ cv.A.T + cv.b)
-    loads = [x @ Ci.T + si for Ci, si in zip(cv.C, cv.sigma)]
-    x = x + h * drift + sum(dWk[:, i:i + 1] * loads[i] for i in range(3))
-    _guard(x, float(times[k + 1]), "state")
-    return x
 
 
 def _node_loop(spec: GameSpec, law: FeedbackLaw, dW: np.ndarray):
@@ -259,121 +258,6 @@ def _phicheck_gain(bundle: RiccatiBundle, Omega):
     G = (s2 @ (bundle.P1 + bundle.P2) @ U
          + s2 @ L @ (bundle.Pf1 + bundle.Pf2 + bundle.Pf3))
     return G, mv(s2 @ L, Omega)
-
-
-# ---------------------------------------------------------------------------
-# lower-level best-response systems
-# ---------------------------------------------------------------------------
-
-def _offset_backward(times, coef, driver, what):
-    """RK4 for -y' = coef y + driver, y(T) = 0, with node-tabulated inputs
-    averaged over each step; a driver (D, K+1, d) gives D solutions at once,
-    as (K+1, D, d)."""
-    CmT = (0.5 * (coef[1:] + coef[:-1])).mT
-    dm = 0.5 * (driver[..., 1:, :] + driver[..., :-1, :])
-    return backward_rk4(lambda k, j, y: (-(y[0] @ CmT[k - 1] + dm[..., k - 1, :]),),
-                        (np.zeros_like(driver[..., 0, :]),), times, what)[0]
-
-
-def _follower_offset(bundle: RiccatiBundle, v2, v3):
-    """Follower offset on the grid under deterministic (K+1, n) leader
-    controls, or D directions' (D, K+1, n): -phi' = Abar' phi + p (B2 v2 +
-    B3 v3) + f1bar, phi(T) = 0."""
-    drv = mv(bundle.p, mv(bundle.cv.B[1], v2) + mv(bundle.cv.B[2], v3))
-    return _offset_backward(bundle.times, bundle.l1.Abar.mT,
-                            drv + bundle.l1.f1bar, "follower offset")
-
-
-def _middle_offset(bundle: RiccatiBundle, v3):
-    """Middle-level offset on the grid under a deterministic (K+1, n) top
-    control, or D directions' (D, K+1, n): -Phi' = (ddA1 + ddA2 + ddA3)' Phi
-    + (va + vc) v3 + ddf2, Phi(T) = 0."""
-    cl = bundle.l2cl
-    return _offset_backward(bundle.times, (cl.ddA1 + cl.ddA2 + cl.ddA3).mT,
-                            mv(cl.va + cl.vc, v3) + cl.ddf2, "middle offset")
-
-
-def _follower_control(bundle: RiccatiBundle, c: CoeffValues, k, xc, phi):
-    """Follower control v1 at node k from its filtered state xc and offset
-    phi (rows per path); c is the node-k coefficient view."""
-    B1 = c.B[0]
-    u = xc @ (B1.T @ bundle.p[k]).T + phi @ B1 + c.nl[0]
-    return -u @ c.Rinv[0].T
-
-
-def _middle_controls(bundle: RiccatiBundle, c: CoeffValues, k, X2h, X2c,
-                     Phih, Phic):
-    """(v1, v2) at node k from the middle player's hat and check filtered 2n
-    states and offsets: v2 from the middle level's feedback, v1 from the
-    follower's, fed the follower offset filter phicheck."""
-    n = c.A.shape[-1]
-    s2 = selectors(n)[3]
-    cB2, cF2 = bundle.l2.calB2[k], bundle.l2.calF2[k]
-    P1, P2 = bundle.P1[k], bundle.P2[k]
-    u = X2h @ (cB2.T @ P1).T + X2c @ (cB2.T @ P2 + cF2).T + Phih @ cB2 + c.nl[1]
-    phick = X2c @ (s2 @ (P1 + P2)).T + Phic @ s2.T
-    v1 = _follower_control(bundle, c, k, X2c[..., :n], phick)
-    return v1, -u @ c.Rinv[1].T
-
-
-def _follower_step(bundle: RiccatiBundle, c: CoeffValues, k, dWk, xc, phi,
-                   vc2, vc3):
-    """Euler step k -> k+1 of the follower-filtered state, which sees W3 only;
-    vc2/vc3 are the leaders' controls at node k as the follower sees them."""
-    l1 = bundle.l1
-    h = bundle.times[k + 1] - bundle.times[k]
-    drift = (xc @ l1.Abar[k].T + phi @ l1.F1bar[k].T + vc2 @ c.B[1].T
-             + vc3 @ c.B[2].T)
-    load = xc @ c.C[2].T + c.sigma[2]
-    return xc + h * (drift + l1.bbar[k]) + dWk[:, 2:3] * load
-
-
-def _middle_step(bundle: RiccatiBundle, k, dWk, X2h, X2c, Phih, Phic, vh3,
-                 vc3):
-    """Euler step k -> k+1 of the middle player's filtered 2n states: the hat
-    filter sees W2 and W3, the check filter W3 only.  vh3/vc3 are the top
-    control at node k as each filter sees it."""
-    l2, cl = bundle.l2, bundle.l2cl
-    h = bundle.times[k + 1] - bundle.times[k]
-    ddA12 = cl.ddA1[k] + cl.ddA2[k]
-    drift_h = (X2h @ ddA12.T + X2c @ cl.ddA3[k].T + Phih @ cl.ddF1[k].T
-               + vh3 @ l2.calB3[k].T + cl.ddb2[k])
-    drift_c = (X2c @ (ddA12 + cl.ddA3[k]).T + Phic @ cl.ddF1[k].T
-               + vc3 @ l2.calB3[k].T + cl.ddb2[k])
-    d2, d3 = dWk[:, 1:2], dWk[:, 2:3]
-    return (X2h + h * drift_h + d2 * (X2h @ l2.calC2[k].T + l2.barsigma2[k])
-            + d3 * (X2h @ l2.calC3[k].T + l2.barsigma3[k]),
-            X2c + h * drift_c + d3 * (X2c @ l2.calC3[k].T + l2.barsigma3[k]))
-
-
-def _response_step(bundle: RiccatiBundle, c: CoeffValues, k, dWk, R, off, v,
-                   seen):
-    """The best response of the levels below l = 4 - len(v) to the exogenous
-    controls v = (v_l, ..., v3) at node k, c being the node-k view.
-
-    R holds the rows [x] (l = 1), [x | xcheck] (l = 2) or [x | X2hat |
-    X2check] (l = 3); off the responders' offsets, () or (phicheck,) or
-    (Phihat, Phicheck); seen the exogenous controls as their filters see
-    them, () or (vcheck2, vcheck3) or (vhat3, vcheck3).  Returns the
-    responders' controls, () or (v1,) or (v1, v2), and R at node k+1, None
-    at the last node.
-    """
-    n, level = c.A.shape[-1], 4 - len(v)
-    if level == 2:
-        controls = (_follower_control(bundle, c, k, R[..., n:], *off),)
-    elif level == 3:
-        controls = _middle_controls(bundle, c, k, R[..., n:3 * n], R[..., 3 * n:],
-                                    *off)
-    else:
-        controls = ()
-    if dWk is None:
-        return controls, None
-    filtered = ((_follower_step(bundle, c, k, dWk, R[..., n:], *off, *seen),)
-                if level == 2 else
-                _middle_step(bundle, k, dWk, R[..., n:3 * n], R[..., 3 * n:],
-                             *off, *seen) if level == 3 else ())
-    x = _state_step(c, bundle.times, k, dWk, R[..., :n], controls + tuple(v))
-    return controls, np.concatenate((x, *filtered), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -140,17 +140,6 @@ class CoeffValues:
             setattr(node, name, getattr(self, name)[:, k])
         return node
 
-    def without_intercepts(self) -> "CoeffValues":
-        """This table with b, the sigma_i, the m_i and the n_i exact zeros,
-        its other fields shared: the coefficients of the homogeneous
-        best-response systems.  Evaluates nothing."""
-        twin = self[:]
-        for name in ("b", "sigma", "m", "nl"):
-            zero = np.zeros_like(getattr(self, name))
-            zero.flags.writeable = False
-            setattr(twin, name, zero)
-        return twin
-
     def changes(self) -> np.ndarray:
         """(K,) for a table of K+1 times: whether any coefficient at t[k+1]
         differs from its value at t[k]."""

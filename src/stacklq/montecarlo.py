@@ -14,10 +14,13 @@ outermost: each chunk of paths draws its Brownian increments once and steps
 one base closed loop of the law it is handed, along which one response group
 per player advances its base cost and all the directions as one row state.
 Its tables are a `LinearStep`, the law's form, stepped by the same
-`advance`, and probed once per sweep from closedloop's `_response_step` on
-the bundle's intercept-free twin `without_intercepts(bundle)`.  No
-increment row is drawn twice however many players and directions share the
-seed.  The sabotaged law of `verify --sabotage-gains` is swept like any other.
+`advance` and built once per sweep in closed form from the solved bundle by
+closedloop's `_euler_step`, as Z's are: the homogeneous best response of
+the levels below the player, whose feedback on their filtered states folds
+into the drift, and each direction's drive from its path and the offset it
+drives, solved by riccati's `backward_rk4`.  No increment row is drawn
+twice however many players and directions share the seed.  The sabotaged
+law of `verify --sabotage-gains` is swept like any other.
 Each (player, direction) gets one `PerturbationReport`: the mean cost and its
 standard error at each epsilon, and the slope with its own; verify judges it.
 
@@ -35,11 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedloop import (BLOCK_PATHS, CHUNK_PATHS, FeedbackLaw, LinearStep,
-                         _follower_offset, _middle_offset, _node_loop,
-                         _paths_from, _response_step)
-from .lift import CoeffValues
+                         _euler_step, _node_loop, _paths_from)
+from .lift import CoeffValues, mv
 from .model import GameSpec, solver_times
-from .riccati import RiccatiBundle, without_intercepts
+from .riccati import RiccatiBundle, backward_rk4
 from .rng import NoisePlan
 
 
@@ -138,34 +140,55 @@ def default_directions(spec: GameSpec) -> list:
     return [Direction(name, np.outer(s, e)) for name, s in shapes.items()]
 
 
-def _group_tables(twin: RiccatiBundle, player, paths) -> LinearStep:
-    """A group's LinearStep (see _Group), probed from closedloop's
-    `_response_step` on the homogeneous bundle twin at every node: on w
-    basis rows without noise and under a unit increment on each channel,
-    and on each direction's path (D, K+1, n) with its offset, solved once
-    here.  Channels that load nothing are left out."""
-    D, n_nodes, n = paths.shape
-    K, w, cv = n_nodes - 1, (1, 2, 5)[player - 1] * n, twin.cv
-    offset = (_follower_offset(twin, paths, np.zeros_like(paths))
-              if player == 2 else _middle_offset(twin, paths)
-              if player == 3 else np.zeros((n_nodes, D, 0)))
-    # probe rows: the basis four times, then the directions
-    R = np.vstack([np.tile(np.eye(w), (4, 1)), np.zeros((D, w))])
-    dW = np.vstack([np.zeros((w, 3)), np.repeat(np.eye(3), w, axis=0),
-                    np.zeros((D, 3))])
-    dv = np.zeros((len(R), n))
-    off = np.zeros((len(R), offset.shape[-1]))
-    # the own control moves, the others are zero rows; every filter sees them
-    v = (dv,) + (np.zeros_like(dv),) * (3 - player)
-    probes = np.empty((K, len(R), w))   # row j: probe row j's image
-    for k in range(K):
-        dv[4 * w:], off[4 * w:] = paths[:, k], offset[k]
-        probes[k] = _response_step(twin, cv[k], k, dW, R, (off,) * (player - 1),
-                                   v, v * (player - 1))[1]
-    F = probes[:, :w].copy()
-    L = {i: probes[:, (i + 1) * w:(i + 2) * w] - F for i in range(3)}
-    return LinearStep(F=F, c=probes[:, 4 * w:, None].copy(), s=None,
-                      L={i: Li for i, Li in L.items() if np.any(Li)})
+def _offset_backward(times, coef, driver, what):
+    """RK4 for -y' = coef y + driver, y(T) = 0, with node-tabulated inputs
+    averaged over each step; a driver (D, K+1, d) gives D solutions at once,
+    as (K+1, D, d)."""
+    CmT = (0.5 * (coef[1:] + coef[:-1])).mT
+    dm = 0.5 * (driver[..., 1:, :] + driver[..., :-1, :])
+    return backward_rk4(lambda k, j, y: (-(y[0] @ CmT[k - 1] + dm[..., k - 1, :]),),
+                        (np.zeros_like(driver[..., 0, :]),), times, what)[0]
+
+
+def _group_tables(bundle: RiccatiBundle, player, paths) -> LinearStep:
+    """A group's LinearStep (see _Group) in closed form from the solved
+    bundle: the homogeneous best response of the levels below player to
+    each direction's path (D, K+1, n) of its control.  The lower levels'
+    feedback on their filtered states is folded into the drift; their
+    feedback on the offset a direction drives, solved once here, and the
+    direction's own control make its drive.  The loads are masked as each
+    filter observes."""
+    times, cv, p = bundle.times, bundle.cv, bundle.p
+    n = p.shape[-1]
+    A, C, (B1, B2, B3) = cv.A, cv.C, cv.B
+    dv = paths.swapaxes(0, 1)       # (K+1, D, n)
+    if player == 1:                 # [dx]
+        M, drive, blocks = A, dv @ B1.mT, [(0, C)]
+    elif player == 2:               # [dx | dxc]: v1 = -R1^-1 B1' (p dxc + phi)
+        l1 = bundle.l1
+        phi = _offset_backward(times, l1.Abar.mT, mv(p, mv(B2, paths)),
+                               "follower offset")
+        M = np.block([[A, l1.F1bar @ p], [np.zeros_like(A), l1.Abar]])
+        drive = np.tile(phi @ l1.F1bar.mT + dv @ B2.mT, 2)
+        blocks = [(0, C), (2, C)]
+    else:       # [dx | dX2h | dX2c]: v2 = K2h dX2h + K2c dX2c + k2 Phi and
+        # v1 = K1 dX2c + k1 s2 Phi, fed the follower offset filter
+        l2, cl, P1, P2 = bundle.l2, bundle.l2cl, bundle.P1, bundle.P2
+        Phi = _offset_backward(times, (cl.ddA1 + cl.ddA2 + cl.ddA3).mT,
+                               mv(cl.va + cl.vc, paths), "middle offset")
+        s2 = np.eye(n, 2 * n, n)
+        k1, k2 = -cv.Rinv[0] @ B1.mT, -cv.Rinv[1] @ l2.calB2.mT
+        K1 = k1 @ (p @ np.eye(n, 2 * n) + s2 @ (P1 + P2))
+        K2h, K2c = k2 @ P1, k2 @ P2 - cv.Rinv[1] @ l2.calF2
+        ddA12, O = cl.ddA1 + cl.ddA2, np.zeros_like(cl.ddA1[..., :n])
+        M = np.block([[A, B2 @ K2h, B1 @ K1 + B2 @ K2c], [O, ddA12, cl.ddA3],
+                      [O, np.zeros_like(ddA12), ddA12 + cl.ddA3]])
+        on_Phi = np.concatenate([B1 @ k1 @ s2 + B2 @ k2, cl.ddF1, cl.ddF1], axis=-2)
+        on_dv = np.concatenate([B3, l2.calB3, l2.calB3], axis=-2)
+        drive = Phi @ on_Phi.mT + dv @ on_dv.mT
+        calC = np.stack([l2.calC1, l2.calC2, l2.calC3])
+        blocks = [(0, C), (1, calC), (2, calC)]
+    return _euler_step(times, M, drive[:, :, None], blocks)
 
 
 class _Group:
@@ -231,10 +254,8 @@ def variational_sweep(spec: GameSpec, players, directions, epsilons,
     eps = sorted({float(e) for e in epsilons} | {0.0} |
                  {-float(e) for e in epsilons})
     plan = NoisePlan.for_spec(spec, seed).reusing(min(CHUNK_PATHS, n_paths))
-    twin = without_intercepts(bundle)
     paths = np.stack([d.path for d in directions])
-    steps = [_group_tables(twin, player, paths) for player in players]
-    del twin        # probed only: not held through the run
+    steps = [_group_tables(bundle, player, paths) for player in players]
 
     def run(i0):  # each chunk's increments overwrite the last one's
         dW = plan.increments(np.arange(i0, min(i0 + CHUNK_PATHS, n_paths)))

@@ -9,7 +9,7 @@ uniform one refined with every coefficient breakpoint) whose operands are
 built once, from the stage states the passes below recorded, on the (step,
 stage) rows; every stage reads its step's midpoint coefficients.
 `backward_rk4` is the package's one RK4 loop, with one blow-up guard: it
-runs these passes and the response offsets in `closedloop`.
+runs these passes and the sweep's response offsets in `montecarlo`.
 
 One Riccati form, six instances: dP/dt = -(P M + M^T P + P S P + Q +
 sum_i C_i^T P_(i) C_i), `_riccati`, holds for p and for each level's
@@ -25,9 +25,8 @@ calls them once on the table of interior nodes.
 `solve_game`, the one entry point, returns the ladder's levels as (K+1,
 d, d) arrays on one RiccatiBundle, with the grid's coefficient table `cv`
 that every consumer of the solve reads, and Omega as a (K+1, 4n) array.
-`without_intercepts` gives its homogeneous twin: the same ladder, whose
-equations read no intercept, on the table with b, sigma_i, m_i and n_i
-zeroed.
+No equation of the ladder reads an intercept (b, sigma_i, m_i or n_i) but
+Omega's, so a spec with them zeroed solves to the same levels.
 
 Offsets: with deterministic coefficients the offset backward SDEs admit
 deterministic solutions with zero martingale integrands and with all
@@ -263,24 +262,12 @@ def _solve_levels(spec: GameSpec):
 # ---------------------------------------------------------------------------
 
 def solve_game(spec: GameSpec):
-    """Full ladder, level by level: the RiccatiBundle and Omega (K+1, 4n)."""
+    """Full ladder, level by level: the RiccatiBundle, its families read off
+    the grid table cv and, like cv's, its arrays read-only, and Omega
+    (K+1, 4n)."""
     times, (p, P, Pf, Omega) = _solve_levels(spec)
-    return _on_table(CoeffValues(spec, times), times, p[:, 0], P[:, 0], P[:, 1],
-                     Pf[:, 0], Pf[:, 1], Pf[:, 2]), Omega
-
-
-def without_intercepts(bundle: RiccatiBundle) -> RiccatiBundle:
-    """The bundle of the homogeneous best-response systems: the same ladder
-    arrays (the ladder reads no b, sigma_i, m_i or n_i), the grid table with
-    those intercepts zeroed and the families read off it.  Under common
-    noise, its systems step the response to a control perturbation."""
-    return _on_table(bundle.cv.without_intercepts(), bundle.times,
-                     *(getattr(bundle, name) for name in LEVELS))
-
-
-def _on_table(cv, times, p, P1, P2, Pf1, Pf2, Pf3) -> RiccatiBundle:
-    """The RiccatiBundle of solved levels, its families read off the grid
-    table cv; like cv's, its arrays are read-only."""
+    cv = CoeffValues(spec, times)
+    p, P1, P2, Pf1, Pf2, Pf3 = p[:, 0], P[:, 0], P[:, 1], Pf[:, 0], Pf[:, 1], Pf[:, 2]
     l1 = level1_at(cv, p)
     l2 = level2_at(cv, l1)
     l2cl = level2_closedloop_at(cv, l2, P1, P2)
@@ -289,7 +276,7 @@ def _on_table(cv, times, p, P1, P2, Pf1, Pf2, Pf3) -> RiccatiBundle:
                 *l2cl.values(), *l3.values()):
         arr.flags.writeable = False
     return RiccatiBundle(times=times, cv=cv, p=p, P1=P1, P2=P2, Pf1=Pf1,
-                         Pf2=Pf2, Pf3=Pf3, l1=l1, l2=l2, l2cl=l2cl, l3=l3)
+                         Pf2=Pf2, Pf3=Pf3, l1=l1, l2=l2, l2cl=l2cl, l3=l3), Omega
 
 
 # ---------------------------------------------------------------------------

@@ -97,12 +97,15 @@ def check_measurability(spec, law, seed, n_paths=32):
     same, cv = np.array_equal, law.cv
     loads = lambda i, x: np.any(np.einsum("kij,pkj->pki", cv.C[i, :-1],
                                           x[:, :-1, :spec.n]) + cv.sigma[i, :-1])
-    ok = (same(Xh, Xh23) and same(Xc, Xc23) and same(Xc, Xc3)
-          and not (loads(0, X) and same(X, X23))
-          and not (loads(1, X23) and same(Xh23, Xh3)))
+    broken = [what for what, bad in (
+        ("Xh moved with W1", not same(Xh, Xh23)),
+        ("Xc moved with W1 or W2", not (same(Xc, Xc23) and same(Xc, Xc3))),
+        ("X did not move with W1", loads(0, X) and same(X, X23)),
+        ("Xh did not move with W2", loads(1, X23) and same(Xh23, Xh3))) if bad]
     gap23 = np.abs(X23 - Xh23).max()
     gap3 = max(np.abs(X3 - Xh3).max(), np.abs(X3 - Xc3).max())
-    return [("filter_measurability", ok,
+    return [("filter_measurability", not broken,
+             "failed: " + ", ".join(broken) if broken else
              "hat/check filters bit-identical with W1, then W1 and W2, zeroed"),
             ("exact_nesting", max(gap23, gap3) <= 1e-12,
              f"max level gap {gap23:.3e} without W1, {gap3:.3e} with W3 only "
@@ -132,15 +135,19 @@ def _z(rep):
 
 def _failure(rep):
     """rep's entry in its player's list of failures, None if it passes: a
-    cost that is not finite names its epsilon; a slope over 2 stderr from 0,
-    or a mean over 3 of its stderrs below the eps = 0 mean, names its z."""
+    cost that is not finite names its epsilon; a slope over 2 stderr from 0
+    names its z; else a mean over 3 of its stderrs below the eps = 0 mean
+    names the curvature rule, the first such epsilon and how far below."""
     for eps, mean, se in zip(rep.epsilons, rep.means, rep.stderrs):
         if not np.isfinite((mean, se)).all():
             return f"{rep.direction_id}(eps={eps:g}: mean {mean:g}, stderr {se:g})"
-    j0 = rep.means[rep.epsilons.index(0.0)]
-    if abs(rep.slope0) > 2.0 * rep.slope_stderr or any(
-            m < j0 - 3.0 * max(se, 1e-300) for m, se in zip(rep.means, rep.stderrs)):
+    if abs(rep.slope0) > 2.0 * rep.slope_stderr:
         return f"{rep.direction_id}(z={_z(rep):+.1f})"
+    j0 = rep.means[rep.epsilons.index(0.0)]
+    for eps, mean, se in zip(rep.epsilons, rep.means, rep.stderrs):
+        if mean < j0 - 3.0 * max(se, 1e-300):
+            return (f"{rep.direction_id}(curvature, eps={eps:g}: mean "
+                    f"{(j0 - mean) / max(se, 1e-300):.1f} stderr below eps=0)")
     return None
 
 

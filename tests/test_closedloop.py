@@ -7,9 +7,8 @@ import pytest
 import stacklq as sq
 import stacklq.montecarlo as montecarlo
 import stacklq.verify as verify
-from stacklq.closedloop import (BLOCK_PATHS, CHUNK_PATHS, _follower_offset,
-                                _middle_offset, _node_loop, _phicheck_gain,
-                                _state_step, ansatz_residual)
+from stacklq.closedloop import (BLOCK_PATHS, CHUNK_PATHS, _node_loop,
+                                _phicheck_gain, ansatz_residual)
 from stacklq.errors import BlowUpError
 from stacklq.lift import CoeffValues, mv, selectors
 from stacklq.model import solver_times
@@ -19,7 +18,9 @@ from stacklq.riccati import solve_game
 from stacklq.rng import NoisePlan, component_seeds
 from stacklq.verify import check_measurability
 
-from reference import UnsupportedPerturbationError, respond, rows_at
+from reference import (UnsupportedPerturbationError, _follower_offset,
+                       _middle_offset, _state_step, homogeneous, respond,
+                       rows_at)
 
 
 Paths = namedtuple("Paths", "X Xh Xc v1 v2 v3")
@@ -93,6 +94,20 @@ def test_measurability_bit_identical(generic_solution, scalar_generic,
         assert np.abs(law.M2).max() > 0 and np.abs(law.M3).max() > 0
         (cid, ok, detail), _ = check_measurability(spec, law, 21, n_paths=16)
         assert cid == "filter_measurability" and ok, detail
+
+
+def test_measurability_names_the_condition_that_broke(generic_solution,
+                                                      scalar_generic):
+    # a law whose additive loads leak W1 into the Xh block: Xh moves with
+    # W1, the one condition that breaks, and the failing detail names it
+    law, n4 = generic_solution[2], 4 * scalar_generic.n
+    s = law.step.s.copy()
+    s[:, 0, n4:2 * n4] = s[:, 0, :n4]
+    leaky = dataclasses.replace(law, step=dataclasses.replace(law.step, s=s))
+    (cid, ok, detail), _ = check_measurability(scalar_generic, leaky, 21,
+                                               n_paths=16)
+    assert (cid, ok, detail) == ("filter_measurability", False,
+                                 "failed: Xh moved with W1")
 
 
 def test_measurability_and_nesting_share_at_most_three_runs(
@@ -543,13 +558,14 @@ def test_respond_player12_equilibrium_fixed_point(generic_solution,
 @pytest.mark.parametrize("name", ["n2_spec", "offgrid_spec"])
 def test_response_on_the_twin_is_the_response_difference(name, request):
     # the systems are linear, so on one draw of the noise and from x0 = 0
-    # the homogeneous systems of without_intercepts(bundle) step the
-    # difference of two responses on the bundle: the sweep's probes rely on
-    # it, and a twin that kept any intercept breaks it
+    # the homogeneous systems, on the twin (the bundle of the spec with its
+    # intercepts zeroed), step the difference of two responses on the spec's
+    # bundle: the sweep's response groups rely on it, and a twin that kept
+    # any intercept breaks it
     spec = request.getfixturevalue(name)
     spec = dataclasses.replace(spec, x0=np.zeros(spec.n))
     bundle, _ = solve_game(spec)
-    twin = sq.without_intercepts(bundle)
+    twin, _ = solve_game(homogeneous(spec))
     dW = NoisePlan.for_spec(spec, 3).increments(np.arange(16))
     zero = np.zeros((bundle.times.shape[0], spec.n))
     for level in (2, 3):

@@ -8,20 +8,18 @@ import pytest
 import stacklq as sq
 import stacklq.closedloop as closedloop
 import stacklq.montecarlo as montecarlo
-from stacklq.closedloop import (_follower_control, _follower_offset,
-                                _follower_step, _middle_controls,
-                                _middle_offset, _middle_step, _node_loop,
-                                _state_step)
+from stacklq.closedloop import _node_loop
 from stacklq.lift import CoeffValues
 from stacklq.model import solver_times, with_steps
 from stacklq.montecarlo import (_node_cost, default_directions, mean_stderr,
                                 simulate_blocks, variational_sweep)
-from stacklq.riccati import (BLOWUP_LIMIT, backward_rk4, solve_game,
-                             without_intercepts)
+from stacklq.riccati import BLOWUP_LIMIT, backward_rk4, solve_game
 from stacklq.rng import NoisePlan, component_seeds
 from stacklq.verify import _failure
 
-from reference import respond
+from reference import (_follower_control, _follower_offset, _follower_step,
+                       _middle_controls, _middle_offset, _middle_step,
+                       _state_step, homogeneous, respond)
 
 
 def _solution(spec):
@@ -317,18 +315,20 @@ def test_sweep_solves_each_offset_once(scalar_generic, generic_solution,
     # and however many chunks the paths make
     bundle, _, law = generic_solution
     calls = Counter()
-    for name in ("_follower_offset", "_middle_offset"):
-        def counted(*args, _solve=getattr(montecarlo, name), _name=name):
-            calls[_name] += 1
-            return _solve(*args)
-        monkeypatch.setattr(montecarlo, name, counted)
+    solve = montecarlo._offset_backward
+
+    def counted(times, coef, driver, what):
+        calls[what] += 1
+        return solve(times, coef, driver, what)
+
+    monkeypatch.setattr(montecarlo, "_offset_backward", counted)
     dirs = default_directions(scalar_generic)[:2]
     for chunk in (90, 30):      # one chunk, three chunks
         calls.clear()
         monkeypatch.setattr(montecarlo, "CHUNK_PATHS", chunk)
         variational_sweep(scalar_generic, (1, 2, 3), dirs, [0.1], 90, 4, law,
                           bundle)
-        assert calls == {"_follower_offset": 1, "_middle_offset": 1}, chunk
+        assert calls == {"follower offset": 1, "middle offset": 1}, chunk
 
 
 def _verify_cases():
@@ -397,8 +397,8 @@ def test_sweep_draws_and_steps_only_what_the_spec_loads(reducible_spec,
     table_step = closedloop.LinearStep.advance
     player_of = {}      # a group's table by id: the player whose group it is
 
-    def recorded_group_tables(twin, player, paths):
-        table = group_tables(twin, player, paths)
+    def recorded_group_tables(bundle, player, paths):
+        table = group_tables(bundle, player, paths)
         player_of[id(table)] = player
         return table
 
@@ -436,21 +436,21 @@ def test_sweep_draws_and_steps_only_what_the_spec_loads(reducible_spec,
 
 
 def _helper_group(spec, bundle, law, player, directions, dW):
-    """A response group stepped by closedloop's helpers on their own on the
-    homogeneous twin of bundle, directions on a leading axis: yields at each
+    """A response group stepped by the reference helpers on their own on the
+    bundle of homogeneous(spec), directions on a leading axis: yields at each
     node k, before its step, the state [dx | dxc] or [dx | dX2h | dX2c]
     (D, N, w), the lower levels' controls and the cost polynomials' Bc and
     Cc summed up to node k, whose weights are the real table's."""
     times, n = law.times, spec.n
-    twin = without_intercepts(bundle)
-    cv, tcv = bundle.cv, twin.cv
+    hom = solve_game(homogeneous(spec))[0]
+    cv, tcv = bundle.cv, hom.cv
     D, N = len(directions), dW.shape[0]
     paths = np.stack([d.path for d in directions])
     off = None
     if player == 2:
-        off = _follower_offset(twin, paths, np.zeros_like(paths))
+        off = _follower_offset(hom, paths, np.zeros_like(paths))
     elif player == 3:
-        off = _middle_offset(twin, paths)
+        off = _middle_offset(hom, paths)
     dx = np.zeros((D, N, n))
     filt = [np.zeros((D, N, n))] if player == 2 else [np.zeros((D, N, 2 * n))] * 2
     Bc, Cc = np.zeros((D, N)), np.zeros((D, N))
@@ -462,9 +462,9 @@ def _helper_group(spec, bundle, law, player, directions, dW):
         dv = [np.zeros((D, 1, n))] * 3     # zero rows: the controls that do not move
         dv[own] = paths[:, k, None]
         if player == 2:
-            dv[0] = _follower_control(twin, tc, k, filt[0], offk)
+            dv[0] = _follower_control(hom, tc, k, filt[0], offk)
         elif player == 3:
-            dv[0], dv[1] = _middle_controls(twin, tc, k, *filt, offk, offk)
+            dv[0], dv[1] = _middle_controls(hom, tc, k, *filt, offk, offk)
         if k == len(times) - 1:
             Bc = Bc + form(xbase, c.G[own], dx)
             Cc = Cc + 0.5 * form(dx, c.G[own], dx)
@@ -479,24 +479,50 @@ def _helper_group(spec, bundle, law, player, directions, dW):
         if k < len(times) - 1:
             dWk = dW[:, k]
             if player == 2:
-                filt = [_follower_step(twin, tc, k, dWk, filt[0], offk,
+                filt = [_follower_step(hom, tc, k, dWk, filt[0], offk,
                                        dv[1], dv[2])]
             elif player == 3:
-                filt = list(_middle_step(twin, k, dWk, *filt, offk, offk,
+                filt = list(_middle_step(hom, k, dWk, *filt, offk, offk,
                                          dv[2], dv[2]))
             dx = _state_step(tc, times, k, dWk, dx, dv)
+
+
+@pytest.mark.parametrize("name", ["scalar_generic", "n2_spec"])
+def test_sweep_group_loads_are_the_load_blocks(name, request):
+    # each group's L_i is its blocks' loads, bit for bit, transposed for the
+    # row form: C_i on dx; C3 on dxc, which observes W3 only; calC2 and calC3
+    # on dX2h, which observes W2 and W3; calC3 on dX2c; exact zeros elsewhere
+    spec = request.getfixturevalue(name)
+    bundle, _ = solve_game(spec)
+    n, K = spec.n, bundle.times.shape[0] - 1
+    Ct = bundle.cv.C[:, :-1].mT
+    calCt = np.stack([bundle.l2.calC1, bundle.l2.calC2, bundle.l2.calC3])[:, :-1].mT
+    O, O12, O2 = np.zeros((K, n, n)), np.zeros((K, n, 2 * n)), np.zeros((K, 2 * n, 2 * n))
+    want = {
+        1: [Ct[i] for i in range(3)],
+        2: [np.block([[Ct[i], O], [O, Ct[2] if i == 2 else O]]) for i in range(3)],
+        3: [np.block([[Ct[i], O12, O12], [O12.mT, calCt[i] if i > 0 else O2, O2],
+                      [O12.mT, O2, calCt[2] if i == 2 else O2]]) for i in range(3)]}
+    paths = np.stack([d.path for d in default_directions(spec)])
+    for player, loads in want.items():
+        L = montecarlo._group_tables(bundle, player, paths).L
+        assert sorted(L) == [0, 1, 2]
+        for i, Li in L.items():
+            assert Li.shape == loads[i].shape
+            assert Li.tobytes() == loads[i].tobytes(), (player, i)
 
 
 @pytest.mark.parametrize("name", ["n2_spec", "offgrid_spec", "reducible_spec"])
 def test_sweep_group_tables_match_helpers(name, request):
     # each group's table-stepped state, the lower levels' controls read off it
-    # and its Bc/Cc against the helpers stepped on their own on the
-    # homogeneous twin;
+    # and its Bc/Cc against the reference helpers stepped on their own on the
+    # bundle of the homogeneous spec;
     # the summation order differs, so agreement is to rounding: rtol 1e-12,
     # and the same bound relative to the node's largest entry near zero
     spec = request.getfixturevalue(name)
     bundle, Omega, law = _solution(spec)
-    times, n, twin = law.times, spec.n, without_intercepts(bundle)
+    times, n = law.times, spec.n
+    hom = solve_game(homogeneous(spec))[0]
     dirs = default_directions(spec)
     scaled = sq.build_feedback(bundle, Omega, 1.5)
     groups = [(1, dirs, law), (2, dirs, law), (3, dirs, law),
@@ -510,15 +536,15 @@ def test_sweep_group_tables_match_helpers(name, request):
     for player, ds, lw in groups:
         paths = np.stack([d.path for d in ds])
         run = montecarlo._Group(16, player, paths,
-                                montecarlo._group_tables(twin, player, paths))
+                                montecarlo._group_tables(bundle, player, paths))
         ref = _helper_group(spec, bundle, lw, player, ds, dW)
         for (k, Z, V), (state, lower, off, Bc, Cc) in zip(
                 _node_loop(spec, lw, dW), ref):
-            R, tc = run.state, twin.cv[k]
+            R, tc = run.state, hom.cv[k]
             close(R, state)
-            got = ((_follower_control(twin, tc, k, R[..., n:], off),)
+            got = ((_follower_control(hom, tc, k, R[..., n:], off),)
                    if player == 2 else
-                   _middle_controls(twin, tc, k, R[..., n:3 * n], R[..., 3 * n:],
+                   _middle_controls(hom, tc, k, R[..., n:3 * n], R[..., 3 * n:],
                                     off, off) if player == 3 else ())
             for g, want in zip(got, lower, strict=True):
                 close(g, want)

@@ -12,6 +12,8 @@ from stacklq.oracle import (DiscreteLQ, DPSolution, _continuous_value,
 from stacklq.riccati import backward_rk4
 from stacklq.rng import NoisePlan, component_seeds
 
+from reference import solve_p
+
 
 def _with_coeffs(spec, **coeffs):
     return dataclasses.replace(spec, coeffs={**spec.coeffs, **coeffs})
@@ -190,10 +192,11 @@ def test_dp_uncontrolled_matches_simulation(reducible_spec):
 
 def _oracle_grid_value(spec, steps):
     """V(0, x0) on a uniform grid of `steps` steps, independent of the solved
-    ladder: p by solve_game on that grid, taken at the node nearest each RK4
-    stage, the offset phi by its own RK4 and the constant chi by the Simpson
-    sum.  The reference for the continuous value the cross-check reads off
-    the ladder."""
+    ladder: p by reference.solve_p (solve_game's p, without the levels
+    above it) on that grid, taken at the node nearest each RK4 stage, the
+    offset phi by its own RK4 and the constant chi by the Simpson sum.  The
+    reference for the continuous value the cross-check reads off the
+    ladder."""
     T, n = spec.T, spec.n
     times = np.linspace(0.0, T, steps + 1)
     pspec = with_steps(spec, steps)
@@ -201,7 +204,7 @@ def _oracle_grid_value(spec, steps):
     # the solver grid adds every breakpoint; keep the node nearest each t_k
     j = np.clip(np.searchsorted(ptimes, times), 1, ptimes.shape[0] - 1)
     j -= times - ptimes[j - 1] < ptimes[j] - times
-    pv = sq.solve_game(pspec)[0].p[j]
+    pv = solve_p(pspec)[j]
     # coefficients at the RK4 stage times: nodes and step midpoints
     stage_t = np.empty(2 * steps + 1)
     stage_t[0::2] = times

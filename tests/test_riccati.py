@@ -6,9 +6,8 @@ from stacklq.errors import BlowUpError
 from stacklq.lift import (CoeffValues, bdiag, level1_at, level2_at,
                           level2_closedloop_at, level3_at, mv)
 from stacklq.model import Coefficient, solver_times
-from stacklq.riccati import (LEVELS, _ladder_rhs, backward_rk4,
-                             riccati_residuals, solve_game, terminal_state,
-                             without_intercepts)
+from stacklq.riccati import (_ladder_rhs, backward_rk4, riccati_residuals,
+                             solve_game, terminal_state)
 
 
 def integrate_backward(rhs, terminal, times):
@@ -458,45 +457,3 @@ LADDER_PINNED = {
         -0.011160110150320623, 0.055840858371420304, -0.26615202109855207, -0.066218896685161899,
     ]).reshape(2, 8),
 }
-
-
-# the family members that b, the sigma_i, the m_i and the n_i feed
-INTERCEPT_FED = {"l1": ("bbar", "f1bar"),
-                 "l2": ("barb2", "barsigma1", "barsigma2", "barsigma3", "f2bar"),
-                 "l2cl": ("ddb2", "ddf2"),
-                 "l3": ("ddb3", "Sigma1", "Sigma2", "Sigma3", "ddf3")}
-
-
-@pytest.mark.parametrize("name", ["n2_spec", "offgrid_spec"])
-def test_without_intercepts_zeroes_the_intercepts_alone(name, request,
-                                                        monkeypatch):
-    # the twin shares the ladder, zeroes exactly the intercepts and what
-    # they feed, keeps every other field and member to the bit, and is
-    # built from the bundle's grid table without evaluating the spec again
-    bundle, _ = solve_game(request.getfixturevalue(name))
-    built = []
-    init = CoeffValues.__init__
-    monkeypatch.setattr(CoeffValues, "__init__",
-                        lambda cv, *args: built.append(args) or init(cv, *args))
-    twin = without_intercepts(bundle)
-    assert built == []
-    assert twin.times is bundle.times
-    for level in LEVELS:
-        assert getattr(twin, level) is getattr(bundle, level)
-
-    def same(got, want, zeroed):
-        assert got.shape == want.shape
-        if zeroed:
-            assert np.all(got == 0.0) and np.any(want)
-        else:
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert not got.flags.writeable
-
-    for field in CoeffValues.__slots__[1:]:
-        same(getattr(twin.cv, field), getattr(bundle.cv, field),
-             field in ("b", "sigma", "m", "nl"))
-    for family, zeroed in INTERCEPT_FED.items():
-        got, want = getattr(twin, family), getattr(bundle, family)
-        assert got.keys() == want.keys()
-        for key in want:
-            same(got[key], want[key], key in zeroed)

@@ -100,7 +100,8 @@ def test_judge_passes_a_zero_slope_whose_paths_do_not_spread():
 def test_judge_fails_a_cost_that_curves_down():
     # the slope is 0, but the eps = 0.1 mean lies 4 of its stderrs below
     # the eps = 0 mean; 2.9 of them pass
-    assert _judged((1.0, 1.0, 0.6), (0.1,) * 3) == "const(z=+0.0)"
+    assert (_judged((1.0, 1.0, 0.6), (0.1,) * 3)
+            == "const(curvature, eps=0.1: mean 4.0 stderr below eps=0)")
     assert _judged((1.0, 1.0, 0.71), (0.1,) * 3) is None
 
 
