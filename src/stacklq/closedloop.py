@@ -14,8 +14,8 @@ simulator, the variational sweep and `verify`'s path checks all run it.
 
 `_euler_step` is the one builder of a LinearStep: from the drift M, the
 drive and the diagonal blocks' loads of a system y' = y + h (M y + drive)
-+ sum_i dW_i (s_i + C_i y), masked as each block observes, it makes Z's
-tables here and the sweep's response groups' tables in `montecarlo`.
++ sum_i dW_i (s_i + C_i y), s_i and C_i masked alike as each block observes,
+it makes Z's tables here and the response groups' tables in `montecarlo`.
 The gains, one read-only mapping `law.gains` keyed by `GAINS`, the
 simulation and the residuals read the solve's grid coefficient table,
 `bundle.cv`, which the law carries on as `law.cv`.  `verify`'s negative
@@ -87,14 +87,15 @@ class FeedbackLaw:
         v1 = K1 Xc + k1
         v2 = K2hat Xh + K2check Xc + k2
         v3 = K3 X + K3hat Xh + K3check Xc + k3
-    with X the 4n information state, Xh/Xc its two filters.  The filtered
-    controls (used to freeze equilibrium processes) are
+    with X the 4n information state, Xh/Xc its two filters.  gains.csv also
+    holds the filtered controls
         vcheck2 = Kv2check Xc + k2
         vhat3   = Kv3hat Xh + K3check Xc + k3
         vcheck3 = Kv3check Xc + k3.
 
     Simulation reads the block tables of Z = [X | Xh | Xc]: [v1 | v2 | v3] =
-    Z KzT[k] + kz[k], and `step` is Z's LinearStep: F[k] = (I + h M)^T with
+    Z KzT[k] + kz[k], and `step` is Z's LinearStep for the closed-loop drift
+    dX = (M0 X + M2 Xh + M3 Xc + coff) dt + ...: F[k] = (I + h M)^T with
     block rows [M0, M2, M3], [0, M0+M2, M3], [0, 0, M0+M2+M3], c[k] h coff on
     each block, s and L Sigma_i and frakC_i^T on the blocks that observe W_i
     (X: W1-W3, Xh: W2-W3, Xc: W3).  cv is the solve's grid coefficient table.
@@ -104,10 +105,6 @@ class FeedbackLaw:
     n: int
     cv: CoeffValues
     gains: Mapping[str, np.ndarray]     # GAINS: (K+1, n, m) or (K+1, n)
-    M0: np.ndarray      # closed-loop drift: dX = (M0 X + M2 Xh + M3 Xc + coff)dt + ...
-    M2: np.ndarray
-    M3: np.ndarray
-    coff: np.ndarray
     step: LinearStep
     KzT: np.ndarray         # (K+1, 12n, 3n)
     kz: np.ndarray          # (K+1, 3n)
@@ -168,42 +165,33 @@ def build_feedback(bundle: RiccatiBundle, Omega: np.ndarray,
     Kz = np.block([[On, On, g["K1"]], [On, g["K2hat"], g["K2check"]],
                    [g["K3"], g["K3hat"], g["K3check"]]])
     kz = np.concatenate([g["k1"], g["k2"], g["k3"]], axis=-1)
-    gains = MappingProxyType({name: g.pop(name) for name in GAINS})
-    return FeedbackLaw(times=times, n=n, cv=cv, gains=gains, kz=kz,
-                       KzT=np.ascontiguousarray(Kz.mT),
-                       step=_block_tables(times, g, l3), **g)
-
-
-def _block_tables(times, g, l3) -> LinearStep:
-    """Z = [X | Xh | Xc]'s LinearStep: X observes W1-W3, Xh W2-W3, Xc W3."""
-    K = times.shape[0] - 1
-    M0, M2, M3 = g["M0"], g["M2"], g["M3"]
-    O = np.zeros_like(M0)
+    M0, M2, M3, O = g["M0"], g["M2"], g["M3"], np.zeros_like(g["M0"])
     M = np.block([[M0, M2, M3], [O, M0 + M2, M3], [O, O, M0 + M2 + M3]])
-    sees = np.tril(np.ones((3, 3)))     # [i, b]: block b observes W_{i+1}
-    Sig = np.stack([l3.Sigma1, l3.Sigma2, l3.Sigma3], axis=1)[:-1]
-    C = np.stack([l3.frakC1, l3.frakC2, l3.frakC3])
-    return _euler_step(times, M, np.tile(g["coff"], 3),
-                       [(0, C), (1, C), (2, C)],
-                       s=np.einsum("ib,kic->kibc", sees, Sig).reshape(K, 3, -1))
+    step = _euler_step(times, M, np.tile(g["coff"], 3),
+                       [(first, l3.frakC, l3.Sigma) for first in range(3)])
+    gains = MappingProxyType({name: g[name] for name in GAINS})
+    return FeedbackLaw(times=times, n=n, cv=cv, gains=gains, step=step,
+                       KzT=np.ascontiguousarray(Kz.mT), kz=kz)
 
 
-def _euler_step(times, M, drive, blocks, s=None) -> LinearStep:
+def _euler_step(times, M, drive, blocks) -> LinearStep:
     """The LinearStep of the Euler step y' = y + h (M y + drive) + sum_i
     dW_i (s_i + C_i y) from node tables (K+1, ...), the last node unread:
-    F = (I + h M)^T, c = h drive and L_i = C_i^T.  blocks lists y's
-    diagonal blocks as (f, C), C (3, K+1, d, d) their loads by channel, a
-    block observing W_i for i >= f; C_i is block-diagonal, C[i] on each
-    block that observes W_i.  Channels that load nothing are left out."""
+    F = (I + h M)^T, c = h drive and L_i = C_i^T.  blocks lists y's diagonal
+    blocks as (f, C, S), C (3, K+1, d, d) and S (3, K+1, d) or None their
+    loads by channel: a block observes W_i for i >= f, and there C_i and s_i
+    carry C[i] and S[i].  Channels whose C loads nothing are left out."""
     K, w = times.shape[0] - 1, M.shape[-1]
     h = np.diff(times)
-    L = {}
+    L, s = {}, None if blocks[0][2] is None else np.zeros((K, 3, w))
     for i in range(3):
         Li, at = np.zeros((K, w, w)), 0
-        for first, C in blocks:
+        for first, C, S in blocks:
             d = C.shape[-1]
             if i >= first:
                 Li[:, at:at + d, at:at + d] = C[i, :-1].mT
+                if s is not None:
+                    s[:, i, at:at + d] = S[i, :-1]
             at += d
         if np.any(Li):
             L[i] = Li
@@ -282,7 +270,7 @@ def ansatz_residual(bundle: RiccatiBundle, Omega, Xc: np.ndarray,
     Xc = Xc[:, :-1]
     xc = Xc[..., :n]
     z = [-mv(p[:-1], mv(Ci, xc) + si) for Ci, si in zip(cv.C, cv.sigma)]
-    z[2] = z[2] - mv(G[:-1], mv(l3.frakC3[:-1], Xc) + l3.Sigma3[:-1])
+    z[2] = z[2] - mv(G[:-1], mv(l3.frakC[2, :-1], Xc) + l3.Sigma[2, :-1])
     drift = (mv(cv.A.mT, y[:, :-1]) - mv(cv.Q[0], xc) - cv.m[0]
              + sum(mv(Ci.mT, zi) for Ci, zi in zip(cv.C, z)))
     pred = -np.diff(times)[:, None] * drift + dW[..., 2:3] * z[2]

@@ -10,7 +10,7 @@ class SpecFormatError(StackLQError):
 
 
 class DomainError(StackLQError):
-    """An argument lies outside its admissible domain (e.g. t outside [0, T])."""
+    """A spec fails validation; the message lists every violation."""
 
 
 class SingularCoefficientError(StackLQError):

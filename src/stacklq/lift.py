@@ -16,6 +16,8 @@ field carries the node axis first and `cv[k]` is the node-k view.  The
 first argument, so the ladder's passes call each once on the table of RK4
 (step, stage) rows and `solve_game` once more on the solver-grid table,
 which it keeps on the bundle as `cv` for every later consumer of the grid.
+A family with one entry per noise channel (calC, barsigma, frakC, Sigma) is
+one array with the channel axis first, as C and sigma are in CoeffValues.
 """
 
 from __future__ import annotations
@@ -183,22 +185,20 @@ def level2_at(cv: CoeffValues, l1: dict) -> Family:
     n = cv.A.shape[-1]
     z = np.zeros((n, n))
     zv = np.zeros(n)
+    calC = bdiag(cv.C, np.zeros_like(cv.C))     # W3 on both blocks
+    calC[2, ..., n:, n:] = cv.C[2]
     return Family(
         calA1=bdiag(cv.A, l1["Abar"]),
         calA2=bdiag(l1["Abar"] - cv.A, z),
         calF1=anti(l1["F1bar"]),
         calB2=stack_top(cv.B[1], n),
         calB3=stack_top(cv.B[2], n),
-        calC1=bdiag(cv.C[0], z),
-        calC2=bdiag(cv.C[1], z),
-        calC3=bdiag(cv.C[2], cv.C[2]),
+        calC=calC,
         calQ2=bdiag(cv.Q[1], z),
         calF2=row_right(l1["F2bar"], n),
         calF3=row_right(l1["F3bar"], n),
         barb2=vcat(l1["bbar"], zv),
-        barsigma1=vcat(cv.sigma[0], zv),
-        barsigma2=vcat(cv.sigma[1], zv),
-        barsigma3=vcat(cv.sigma[2], zv),
+        barsigma=vcat(cv.sigma, np.zeros_like(cv.sigma)),
         f2bar=vcat(cv.m[1], l1["f1bar"]),
     )
 
@@ -207,13 +207,12 @@ def level2_closedloop_at(cv: CoeffValues, l2: dict, P1, P2) -> Family:
     Rinv2, n2 = cv.Rinv[1], cv.nl[1]
     cB2, cB3, cF1, cF2, cF3 = (l2["calB2"], l2["calB3"], l2["calF1"],
                                l2["calF2"], l2["calF3"])
+    C, s = l2["calC"], l2["barsigma"]
     K = cB2 @ Rinv2                       # 2n x n
     KBt = K @ cB2.mT                      # 2n x 2n
     P12 = P1 + P2
-    ddf2 = (l2["f2bar"] + mv(P12, l2["barb2"])
-            + mv(l2["calC1"].mT, mv(P1, l2["barsigma1"]))
-            + mv(l2["calC2"].mT, mv(P1, l2["barsigma2"]))
-            + mv(l2["calC3"].mT, mv(P12, l2["barsigma3"]))
+    ddf2 = (l2["f2bar"] + mv(P12, l2["barb2"]) + mv(C[0].mT, mv(P1, s[0]))
+            + mv(C[1].mT, mv(P1, s[1])) + mv(C[2].mT, mv(P12, s[2]))
             - mv(P12, mv(K, n2)) - mv(cF2.mT, mv(Rinv2, n2)))
     return Family(
         ddA1=l2["calA1"] + cF1 @ P1,
@@ -231,10 +230,11 @@ def level2_closedloop_at(cv: CoeffValues, l2: dict, P1, P2) -> Family:
 def level3_at(cv: CoeffValues, l2: dict, cl: dict) -> Family:
     n = cv.A.shape[-1]
     z = np.zeros((n, n))
-    z2 = np.zeros((2 * n, 2 * n))
     zv2 = np.zeros(2 * n)
     frakQ3 = anti(cl["H"])
     frakQ3[..., :2 * n, :2 * n] = bdiag(cv.Q[2], z)
+    frakC = bdiag(l2["calC"], np.zeros_like(l2["calC"]))   # W2 on both blocks
+    frakC[1, ..., 2 * n:, 2 * n:] = l2["calC"][1]
     return Family(
         frakA1=bdiag(cl["ddA1"], cl["ddA1"]),
         frakA2=bdiag(cl["ddA2"], cl["ddA2"]),
@@ -242,16 +242,12 @@ def level3_at(cv: CoeffValues, l2: dict, cl: dict) -> Family:
         frakF1bar=anti(l2["calF1"]),
         frakF1dd=anti(cl["ddF1"]),
         frakB3=stack_top(l2["calB3"], 2 * n),
-        frakC1=bdiag(l2["calC1"], z2),
-        frakC2=bdiag(l2["calC2"], l2["calC2"]),
-        frakC3=bdiag(l2["calC3"], z2),
+        frakC=frakC,
         frakQ3=frakQ3,
         frakQ3dd=anti(-cl["H"]),
         Fa=row_right(cl["va"].mT, 2 * n),
         Fb=row_right(cl["vc"].mT, 2 * n),
         ddb3=vcat(cl["ddb2"], zv2),
-        Sigma1=vcat(l2["barsigma1"], zv2),
-        Sigma2=vcat(l2["barsigma2"], zv2),
-        Sigma3=vcat(l2["barsigma3"], zv2),
+        Sigma=vcat(l2["barsigma"], np.zeros_like(l2["barsigma"])),
         ddf3=vcat(vcat(cv.m[2], np.zeros(n)), cl["ddf2"]),
     )

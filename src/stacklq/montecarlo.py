@@ -11,9 +11,9 @@ coefficient, and its standard error comes from the per-path linear terms
 
 `variational_sweep` tests players against directions with the chunk loop
 outermost: each chunk of paths draws its Brownian increments once and steps
-one base closed loop of the law it is handed, along which one response group
-per player advances its base cost and all the directions as one row state.
-Its tables are a `LinearStep`, the law's form, stepped by the same
+one base closed loop of the law it is handed, whose costs it sums once for
+all players, and along it one response group per player, which advances
+all the directions as one row state and their eps terms.  Its tables are a `LinearStep`, the law's form, stepped by the same
 `advance` and built once per sweep in closed form from the solved bundle by
 closedloop's `_euler_step`, as Z's are: the homogeneous best response of
 the levels below the player, whose feedback on their filtered states folds
@@ -65,19 +65,19 @@ class PerturbationReport:
     slope_stderr: float
 
 
-def _node_cost(c: CoeffValues, i, k: int, times, x, v) -> np.ndarray:
-    """Player i+1's per-path cost term at node k, c being the node-k view:
-    h (x'Qx/2 + v'Rv/2 + x.m + v.nl) before the last node, x'Gx/2 at it.
-    With several players i (a list, or slice(None) for all three, which
-    takes the stacked tables without a copy), v holds one (N, n) control
-    per player and the terms come one row per player."""
+def _node_cost(c: CoeffValues, k: int, times, Z, V) -> np.ndarray:
+    """The three players' per-path cost terms (3, N) at node k along the
+    block state Z (N, 12n) and controls V = [v1 | v2 | v3], c being the
+    node-k view: player i's is h (x'Q_i x/2 + v_i'R_i v_i/2 + x.m_i +
+    v_i.nl_i) before the last node and x'G_i x/2 at it."""
+    x, v = Z[:, :V.shape[1] // 3], V.reshape(len(V), 3, -1).transpose(1, 0, 2)
     if k == times.shape[0] - 1:
-        return 0.5 * np.einsum("pi,...ij,pj->...p", x, c.G[i], x)
+        return 0.5 * np.einsum("pi,...ij,pj->...p", x, c.G, x)
     h = times[k + 1] - times[k]
-    return h * (0.5 * np.einsum("pi,...ij,pj->...p", x, c.Q[i], x)
-                + 0.5 * np.einsum("...pi,...ij,...pj->...p", v, c.R[i], v)
-                + np.einsum("pi,...i->...p", x, c.m[i])
-                + np.einsum("...pi,...i->...p", v, c.nl[i]))
+    return h * (0.5 * np.einsum("pi,...ij,pj->...p", x, c.Q, x)
+                + 0.5 * np.einsum("...pi,...ij,...pj->...p", v, c.R, v)
+                + np.einsum("pi,...i->...p", x, c.m)
+                + np.einsum("...pi,...i->...p", v, c.nl))
 
 
 def mean_stderr(J: np.ndarray) -> tuple:
@@ -114,8 +114,7 @@ def simulate_blocks(spec: GameSpec, law: FeedbackLaw, plan: NoisePlan,
                 if k % thin == 0:
                     records[:, k // thin, :12 * n] = Z
                     records[:, k // thin, 12 * n:] = V
-                J += _node_cost(cv[k], slice(None), k, times, Z[:, :n],
-                                V.reshape(N, 3, n).transpose(1, 0, 2))
+                J += _node_cost(cv[k], k, times, Z, V)
         yield start, records, J
         del records, J      # a block's records are not held while the next is drawn
 
@@ -163,14 +162,14 @@ def _group_tables(bundle: RiccatiBundle, player, paths) -> LinearStep:
     A, C, (B1, B2, B3) = cv.A, cv.C, cv.B
     dv = paths.swapaxes(0, 1)       # (K+1, D, n)
     if player == 1:                 # [dx]
-        M, drive, blocks = A, dv @ B1.mT, [(0, C)]
+        M, drive, blocks = A, dv @ B1.mT, [(0, C, None)]
     elif player == 2:               # [dx | dxc]: v1 = -R1^-1 B1' (p dxc + phi)
         l1 = bundle.l1
         phi = _offset_backward(times, l1.Abar.mT, mv(p, mv(B2, paths)),
                                "follower offset")
         M = np.block([[A, l1.F1bar @ p], [np.zeros_like(A), l1.Abar]])
         drive = np.tile(phi @ l1.F1bar.mT + dv @ B2.mT, 2)
-        blocks = [(0, C), (2, C)]
+        blocks = [(0, C, None), (2, C, None)]
     else:       # [dx | dX2h | dX2c]: v2 = K2h dX2h + K2c dX2c + k2 Phi and
         # v1 = K1 dX2c + k1 s2 Phi, fed the follower offset filter
         l2, cl, P1, P2 = bundle.l2, bundle.l2cl, bundle.P1, bundle.P2
@@ -186,15 +185,14 @@ def _group_tables(bundle: RiccatiBundle, player, paths) -> LinearStep:
         on_Phi = np.concatenate([B1 @ k1 @ s2 + B2 @ k2, cl.ddF1, cl.ddF1], axis=-2)
         on_dv = np.concatenate([B3, l2.calB3, l2.calB3], axis=-2)
         drive = Phi @ on_Phi.mT + dv @ on_dv.mT
-        calC = np.stack([l2.calC1, l2.calC2, l2.calC3])
-        blocks = [(0, C), (1, calC), (2, calC)]
+        blocks = [(0, C, None), (1, l2.calC, None), (2, l2.calC, None)]
     return _euler_step(times, M, drive[:, :, None], blocks)
 
 
 class _Group:
-    """One player's responses to D directions and their per-path cost
-    polynomials J_d(eps) = J0 + eps Bc[d] + eps^2 Cc[d], added up node by node
-    along the base run that a sweep's groups share.
+    """One player's responses to D directions and the eps terms of their
+    per-path cost polynomials J_d(eps) = J0 + eps Bc[d] + eps^2 Cc[d], added
+    up node by node along the base run, whose J0 the sweep sums for all.
 
     state (D, N, w) holds the responses as rows of [dx] (player 1), [dx |
     dxc] (player 2) or [dx | dX2h | dX2c] (player 3), one row block per
@@ -210,10 +208,10 @@ class _Group:
         self.still = not np.any(step.c)
         D = len(dv)
         self.state = np.zeros((D, N, step.F.shape[-1]))
-        self.J0, self.Bc, self.Cc2 = np.zeros(N), np.zeros((D, N)), np.zeros((D, N))
+        self.Bc, self.Cc2 = np.zeros((D, N)), np.zeros((D, N))
 
     def node(self, law: FeedbackLaw, c, k: int, Z, V, dW):
-        """Add node k's cost terms; before the last node, step to node k+1.
+        """Add node k's eps and eps^2 terms; before the last node, step to k+1.
 
         c is the node-k coefficient view; the block state Z = [X | Xh | Xc]
         and the controls V = [v1 | v2 | v3] are the shared base run at node k.
@@ -227,7 +225,6 @@ class _Group:
         h = law.times[k + 1] - law.times[k] if k < K else 0.0
         Wx, wx = (h * c.Q[own], h * c.m[own]) if k < K else (c.G[own], 0.0)
         Wv, wv = h * c.R[own], h * c.nl[own]
-        self.J0 += _node_cost(c, own, k, law.times, x, vown)
         Bx, Cx = ((0.0, 0.0) if self.still else
                   (np.einsum("dpi,pi->dp", dx, x @ Wx + wx),
                    np.einsum("dpi,ij,dpj->dp", dx, Wx, dx)))
@@ -261,12 +258,14 @@ def variational_sweep(spec: GameSpec, players, directions, epsilons,
         dW = plan.increments(np.arange(i0, min(i0 + CHUNK_PATHS, n_paths)))
         groups = [_Group(dW.shape[0], player, paths, step)
                   for player, step in zip(players, steps)]
+        J = np.zeros((3, dW.shape[0]))      # the base run's, every player's
         with _paths_from(i0):
             for k, Z, V in _node_loop(spec, law, dW):
                 c = law.cv[k]
+                J += _node_cost(c, k, law.times, Z, V)
                 for group in groups:
                     group.node(law, c, k, Z, V, dW)
-        return [(g.J0, g.Bc, 0.5 * g.Cc2) for g in groups]
+        return [(J[g.player - 1], g.Bc, 0.5 * g.Cc2) for g in groups]
 
     parts = [run(i0) for i0 in range(0, n_paths, CHUNK_PATHS)]
 

@@ -123,7 +123,7 @@ def _level_ops(cv, *lower):
         ddF1 = l2.calF1 - cB2 @ R2 @ cB2.mT          # the closed loop's, free of P
         return (_instances(l2.calA1, l2.calA1 + l2.calA2 - cB2 @ RF2),
                 _instances(ddF1, ddF1), _instances(l2.calQ2, l2.calQ2 - cF2.mT @ RF2),
-                _instances(l2.calC1, l2.calC2, l2.calC3)[..., None, :, :])
+                _instances(*l2.calC)[..., None, :, :])
     P = lower[1]
     l3 = level3_at(cv, l2, level2_closedloop_at(cv, l2, P[..., 0, :, :],
                                                 P[..., 1, :, :]))
@@ -134,8 +134,7 @@ def _level_ops(cv, *lower):
     return (_instances(l3.frakA1 - B @ RFa, A12 - B @ RFa, A12 + l3.frakA3 - B @ RFab),
             _instances(l3.frakF1bar - BRB, S, S),
             _instances(l3.frakQ3 - Fa.mT @ RFa, Q3 - Fa.mT @ RFa, Q3 - Fab.mT @ RFab),
-            _instances(l3.frakC1, l3.frakC2, l3.frakC3)[..., None, :, :],
-            np.stack((l3.Sigma1, l3.Sigma2, l3.Sigma3), axis=-2),
+            _instances(*l3.frakC)[..., None, :, :], np.stack(tuple(l3.Sigma), axis=-2),
             l3.ddb3 - mv(B, Rn3), l3.ddf3, mv(Fab.mT, Rn3))
 
 

@@ -4,8 +4,8 @@ A check is a triple (check_id, passed, detail).  Each check_* function
 returns one check or a list of them: check_measurability returns the
 filter_measurability and exact_nesting checks, check_variational the three
 players' checks with the sweep's reports, which `verify` writes out, and
-check_dp(spec, bundle, Omega) the ladder's cross-check, none when the spec
-does not reduce to a single controller.  `_failure` judges each report.
+check_dp(spec, bundle, Omega) the ladder's cross-check, an empty list when
+the spec does not reduce to a single controller.  `_failure` judges each report.
 run_verification takes the seed, the sweep's path count and epsilons and
 the gain_scale as keywords without defaults: `stacklq verify`'s options are
 their one source.  It builds both grids' laws with gain_scale, so under

@@ -138,9 +138,10 @@ def _middle_step(bundle: RiccatiBundle, k, dWk, X2h, X2c, Phih, Phic, vh3,
     drift_c = (X2c @ (ddA12 + cl.ddA3[k]).T + Phic @ cl.ddF1[k].T
                + vc3 @ l2.calB3[k].T + cl.ddb2[k])
     d2, d3 = dWk[:, 1:2], dWk[:, 2:3]
-    return (X2h + h * drift_h + d2 * (X2h @ l2.calC2[k].T + l2.barsigma2[k])
-            + d3 * (X2h @ l2.calC3[k].T + l2.barsigma3[k]),
-            X2c + h * drift_c + d3 * (X2c @ l2.calC3[k].T + l2.barsigma3[k]))
+    C, s = l2.calC[:, k], l2.barsigma[:, k]
+    return (X2h + h * drift_h + d2 * (X2h @ C[1].T + s[1])
+            + d3 * (X2h @ C[2].T + s[2]),
+            X2c + h * drift_c + d3 * (X2c @ C[2].T + s[2]))
 
 
 def _response_step(bundle: RiccatiBundle, c: CoeffValues, k, dWk, R, off, v,

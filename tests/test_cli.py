@@ -495,6 +495,34 @@ def test_verify_reducible_bytes_pinned(tmp_path, reducible_spec, gains):
     assert {name: _sha256(tmp_path / "v" / name) for name in digests} == digests
 
 
+# sha256 of verify's outputs on n2_spec at --steps 40 --paths 300 --seed 7: a
+# spec that loads every channel (every C_i and sigma_i nonzero, drift and cost
+# intercepts too) and drives all three response groups, so every load table
+# of Z and of the groups reaches these bytes.  At 40 steps the correct law's
+# O(h) Euler slope fails variational_p2 and variational_p3: exit 4 at both
+# gain scales.
+VERIFY_N2_PINNED = {
+    "1.0": (4, {
+        "verify_report.json": "f3c4b86f64995b70b2c491d664683b378dfb0275a263cbdb2c700073feb5d284",
+        "variational.csv": "7954018a97882bd179067c48cee1a52aa861127e45f9b22a832f764819cbfb35"}),
+    "1.5": (4, {
+        "verify_report.json": "a2c11746e4b84b77146effb8e45c58c4f8297599b6880bcbdb79a5ac6609e1ee",
+        "variational.csv": "43d1ef4be852c759e9017773703a1b5a1064083a5eb602f1c9a659a1244d1ef4"}),
+}
+
+
+@pytest.mark.parametrize("gains", sorted(VERIFY_N2_PINNED))
+def test_verify_every_channel_bytes_pinned(tmp_path, n2_spec, gains):
+    p = tmp_path / "n2.json"
+    sq.save_spec(n2_spec, p)
+    rc = main(["verify", "--spec", str(p), "--out", str(tmp_path / "v"),
+               "--steps", "40", "--paths", "300", "--seed", "7",
+               "--sabotage-gains", gains])
+    code, digests = VERIFY_N2_PINNED[gains]
+    assert rc == code
+    assert {name: _sha256(tmp_path / "v" / name) for name in digests} == digests
+
+
 def test_each_grid_builds_its_coefficient_table_once(reducible_spec, tmp_path,
                                                      monkeypatch):
     # a solve builds the table of its step midpoints and of its grid, which

@@ -89,9 +89,12 @@ def test_measurability_bit_identical(generic_solution, scalar_generic,
     scaled = sq.build_feedback(*generic_solution[:2], 1.5)
     for spec, law in ((scalar_generic, generic_solution[2]), (n2_spec, law2),
                       (scalar_generic, scaled)):
-        # the systems are coupled (M2, M3 != 0): the zero blocks of the drift
-        # and the masked loadings are what keep W1/W2 out of the filters
-        assert np.abs(law.M2).max() > 0 and np.abs(law.M3).max() > 0
+        # the systems are coupled (M2, M3 != 0, the blocks of X's drift on Xh
+        # and Xc, in F = (I + h M)^T): the zero blocks of the drift and the
+        # masked loadings are what keep W1/W2 out of the filters
+        n4, F = 4 * law.n, law.step.F
+        assert np.abs(F[:, n4:2 * n4, :n4]).max() > 0
+        assert np.abs(F[:, 2 * n4:, :n4]).max() > 0
         (cid, ok, detail), _ = check_measurability(spec, law, 21, n_paths=16)
         assert cid == "filter_measurability" and ok, detail
 
@@ -172,7 +175,7 @@ def test_exact_nesting_independent_component():
 
 
 def test_exact_nesting_breaks_fail_the_report(generic_solution, scalar_generic):
-    _, _, law = generic_solution
+    bundle, Omega, law = generic_solution
     assert all(ok for _, ok, _ in _checks(scalar_generic, 15, law))
     n4 = 4 * law.n
     X, Xh, Xc = slice(0, n4), slice(n4, 2 * n4), slice(2 * n4, 3 * n4)
@@ -182,7 +185,7 @@ def test_exact_nesting_breaks_fail_the_report(generic_solution, scalar_generic):
     with_step = lambda **tables: dataclasses.replace(
         law, step=dataclasses.replace(step, **tables))
     F = step.F.copy()
-    F[:, Xh, Xh] += 0.01 * h * law.M2[:-1].mT
+    F[:, Xh, Xh] += 0.01 * h * _reference_drift(bundle, Omega, law)[1][:-1].mT
     breaks = [with_step(F=F)]
     # a component's additive load copied from X onto a filter that must
     # not see it: W1 onto Xc, W1 onto Xh, W2 onto Xc
@@ -219,15 +222,29 @@ def _reference_controls(law, k, X, Xh, Xc):
     return v1, v2, v3
 
 
-def _reference_step(law, l3, k, dWk, X, Xh, Xc):
+def _reference_drift(bundle, Omega, law):
+    """(M0, M2, M3, coff) of the closed-loop drift dX = (M0 X + M2 Xh +
+    M3 Xc + coff) dt + ..., from the top level's gains law.gains and the
+    lifted families bundle.l3."""
+    l3, g, Pf1 = bundle.l3, law.gains, bundle.Pf1
+    B3 = l3.frakB3
+    return (l3.frakA1 + l3.frakF1bar @ Pf1 + B3 @ g["K3"],
+            l3.frakA2 + l3.frakF1dd @ bundle.Pf2
+            + (l3.frakF1dd - l3.frakF1bar) @ Pf1 + B3 @ g["K3hat"],
+            l3.frakA3 + l3.frakF1dd @ bundle.Pf3 + B3 @ g["K3check"],
+            mv(l3.frakF1dd, Omega) + l3.ddb3 + mv(B3, g["k3"]))
+
+
+def _reference_step(law, l3, drift_tables, k, dWk, X, Xh, Xc):
     """Euler step k -> k+1 of the state and its two filters, each system on
     its own: X sees W1-W3, Xh sees W2-W3, Xc sees W3."""
     h = law.times[k + 1] - law.times[k]
-    C, S = (l3.frakC1, l3.frakC2, l3.frakC3), (l3.Sigma1, l3.Sigma2, l3.Sigma3)
-    drift = X @ law.M0[k].T + Xh @ law.M2[k].T + Xc @ law.M3[k].T + law.coff[k]
-    drift_h = Xh @ (law.M0[k] + law.M2[k]).T + Xc @ law.M3[k].T + law.coff[k]
-    drift_c = Xc @ (law.M0[k] + law.M2[k] + law.M3[k]).T + law.coff[k]
-    load = lambda Y, i: dWk[:, i:i + 1] * (Y @ C[i][k].T + S[i][k])
+    C, S = l3.frakC, l3.Sigma
+    M0, M2, M3, coff = (a[k] for a in drift_tables)
+    drift = X @ M0.T + Xh @ M2.T + Xc @ M3.T + coff
+    drift_h = Xh @ (M0 + M2).T + Xc @ M3.T + coff
+    drift_c = Xc @ (M0 + M2 + M3).T + coff
+    load = lambda Y, i: dWk[:, i:i + 1] * (Y @ C[i, k].T + S[i, k])
     return (X + h * drift + load(X, 0) + load(X, 1) + load(X, 2),
             Xh + h * drift_h + load(Xh, 1) + load(Xh, 2),
             Xc + h * drift_c + load(Xc, 2))
@@ -241,6 +258,7 @@ def test_block_kernel_matches_per_system_formulas(name, request):
     spec = request.getfixturevalue(name)
     bundle, Omega = solve_game(spec)
     law = sq.build_feedback(bundle, Omega)
+    drift_tables = _reference_drift(bundle, Omega, law)
     times = solver_times(spec)
     if name == "offgrid_spec":
         assert np.ptp(np.diff(times)) > 0
@@ -254,7 +272,8 @@ def test_block_kernel_matches_per_system_formulas(name, request):
             np.testing.assert_allclose(g, w, rtol=1e-12,
                                        atol=1e-12 * np.abs(w).max())
         if k < times.shape[0] - 1:
-            X, Xh, Xc = _reference_step(law, bundle.l3, k, dW[:, k], X, Xh, Xc)
+            X, Xh, Xc = _reference_step(law, bundle.l3, drift_tables, k,
+                                        dW[:, k], X, Xh, Xc)
 
 
 def test_scaled_law_plays_the_scaled_gain(n2_spec):

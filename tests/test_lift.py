@@ -24,6 +24,7 @@ def piecewise_spec():
 
 SPECS = ("n2_spec", "piecewise_spec")
 FIELDS = ("A", "B", "C", "b", "sigma", "Q", "R", "Rinv", "m", "nl", "G")
+CHANNEL_FIRST = ("calC", "barsigma", "frakC", "Sigma")     # (3, K+1, ...)
 
 
 @pytest.mark.parametrize("name", SPECS)
@@ -53,7 +54,9 @@ def test_builders_match_per_node_formulas(name, request):
         for table, node in zip(families, (l1, l2, cl, l3)):
             assert table.keys() == node.keys()
             for field, value in node.items():
-                assert np.array_equal(table[field][k], value), (k, field)
+                row = (table[field][:, k] if field in CHANNEL_FIRST
+                       else table[field][k])
+                assert np.array_equal(row, value), (k, field)
 
 
 def naive_matmul(A, B):
@@ -118,7 +121,7 @@ def test_level2_calC3_independent_assembly(n2_spec):
     C3 = CoeffValues(n2_spec, bundle.times[k]).C[2]
     n = n2_spec.n
     expected = blocks_2x2(n, C3, np.zeros((n, n)), np.zeros((n, n)), C3)
-    assert np.array_equal(bundle.l2.calC3[k], expected)
+    assert np.array_equal(bundle.l2.calC[2, k], expected)
 
 
 def test_closedloop_zero_riccati(scalar_generic):
@@ -189,7 +192,7 @@ def test_zero_blocks_exact(n2_spec):
     assert np.all(l3.frakA1[:, :2 * n, 2 * n:] == 0.0)
     assert np.all(l3.frakB3[:, 2 * n:, :] == 0.0)
     assert np.all(l3.Fa[:, :, :2 * n] == 0.0)
-    assert np.all(l3.Sigma1[:, 2 * n:] == 0.0)
+    assert np.all(l3.Sigma[0, :, 2 * n:] == 0.0)
 
 
 def test_dimensional_ladder_slicing(n2_spec):

@@ -346,9 +346,9 @@ def _criterion_8_cases():
                          [(_verify_cases, 3), (_criterion_8_cases, 4)])
 def test_sweep_steps_one_group_per_player_and_gain(
         scalar_generic, generic_solution, monkeypatch, make_cases, groups):
-    # per node and chunk: one step of each group's table and one base cost
-    # J0 per player's group, not one per direction; and one step of the law's
-    # table per sweep
+    # per node and chunk: one step of each group's table, not one per
+    # direction; and per sweep one step of the law's table and one sum of
+    # the base costs J0, every player's at once
     bundle, Omega, _ = generic_solution
     laws = {scale: sq.build_feedback(bundle, Omega, scale)
             for scale in (1.0, 1.5)}
@@ -377,7 +377,7 @@ def test_sweep_steps_one_group_per_player_and_gain(
                               laws[scale], bundle)
         chunks = 60 // chunk
         assert calls["response"] == groups * K * chunks
-        assert calls["J0"] == groups * (K + 1) * chunks
+        assert calls["J0"] == len(make_cases()) * (K + 1) * chunks
         assert calls["law"] == len(make_cases()) * K * chunks
 
 
@@ -496,7 +496,7 @@ def test_sweep_group_loads_are_the_load_blocks(name, request):
     bundle, _ = solve_game(spec)
     n, K = spec.n, bundle.times.shape[0] - 1
     Ct = bundle.cv.C[:, :-1].mT
-    calCt = np.stack([bundle.l2.calC1, bundle.l2.calC2, bundle.l2.calC3])[:, :-1].mT
+    calCt = bundle.l2.calC[:, :-1].mT
     O, O12, O2 = np.zeros((K, n, n)), np.zeros((K, n, 2 * n)), np.zeros((K, 2 * n, 2 * n))
     want = {
         1: [Ct[i] for i in range(3)],
@@ -679,8 +679,9 @@ def test_sweep_response_is_the_public_response():
             rep = variational_sweep(spec, (player,), [d], [eps], N, seed,
                                     law, bundle)[0]
             r = respond(spec, bundle, (eps * d.path, zero)[:4 - player], dW)
-            J = sum(_node_cost(cv[k], player - 1, k, times, r.x[:, k],
-                               np.broadcast_to(eps * d.path[k], (N, 1)))
+            V = np.zeros((times.shape[0], N, 3))    # n = 1: the player's control alone
+            V[..., player - 1] = eps * d.path
+            J = sum(_node_cost(cv[k], k, times, r.x[:, k], V[k])[player - 1]
                     for k in range(times.shape[0]))
             got = rep.means[rep.epsilons.index(eps)]
             assert got == pytest.approx(J.mean(), rel=1e-12), (player, d.id)

@@ -187,7 +187,7 @@ def _block_rhs(cv, state):
           + quad(cv.C, p))
 
     cA1, cA2, cB2, cF2 = l2.calA1, l2.calA2, l2.calB2, l2.calF2
-    cC = (l2.calC1, l2.calC2, l2.calC3)
+    cC = tuple(l2.calC)
     K = cB2 @ R2
     S = l2.calF1 - K @ cB2.mT
     A12, P12 = cA1 + cA2, P1 + P2
@@ -199,7 +199,7 @@ def _block_rhs(cv, state):
 
     A1, A2, A3 = l3.frakA1, l3.frakA2, l3.frakA3
     B, Fa, Fb = l3.frakB3, l3.Fa, l3.Fb
-    fC = (l3.frakC1, l3.frakC2, l3.frakC3)
+    fC, Sig = tuple(l3.frakC), l3.Sigma
     BRB = B @ R3 @ B.mT
     Ma = A1 - B @ R3 @ Fa
     Mb = A1 + A2 - B @ R3 @ Fa
@@ -218,8 +218,8 @@ def _block_rhs(cv, state):
 
     Rn3 = mv(R3, cv.nl[2])
     W = (A1 + A2 + A3).mT - (Fa + Fb).mT @ R3 @ B.mT + Psum @ S
-    src = (mv(fC[0].mT, mv(Pf1, l3.Sigma1)) + mv(fC[1].mT, mv(P12, l3.Sigma2))
-           + mv(fC[2].mT, mv(Psum, l3.Sigma3))
+    src = (mv(fC[0].mT, mv(Pf1, Sig[0])) + mv(fC[1].mT, mv(P12, Sig[1]))
+           + mv(fC[2].mT, mv(Psum, Sig[2]))
            + mv(Psum, l3.ddb3 - mv(B, Rn3)) + l3.ddf3 - mv((Fa + Fb).mT, Rn3))
     dOm = mv(W, Om) + src
     return tuple(-d for d in (dp, dP1, dP2, dPf1, dPf2, dPf3, dOm))
