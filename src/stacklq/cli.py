@@ -138,11 +138,9 @@ def cmd_simulate(args) -> int:
     law = build_feedback(*solve_game(spec))
     times = law.times
     plan = NoisePlan.for_spec(spec, args.seed)
-    # one path's lines, the path id and the values filled in per path;
+    # one path's lines, its id put in once and then its values filled in;
     # simulate_blocks' records hold the values in this order
-    template = _row_template(times[::args.thin], _path_rows(spec.n), lead="%s,")
-    lines = template.count("\n")
-    fields = [None] * (2 * lines)
+    template = _row_template(times[::args.thin], _path_rows(spec.n), lead="\1,")
     J = np.empty((3, args.paths))
     with open(out / "paths.csv", "w") as fh:
         fh.write("path_id,t,block,component,value\n")
@@ -151,9 +149,7 @@ def cmd_simulate(args) -> int:
             N = Jb.shape[1]
             J[:, start:start + N] = Jb
             for pid, row in zip(range(start, start + N), records.reshape(N, -1)):
-                fields[0::2] = (str(pid),) * lines
-                fields[1::2] = row.tolist()
-                fh.write(template % tuple(fields))
+                fh.write(template.replace("\1", str(pid)) % tuple(row.tolist()))
             del records, row, Jb     # nothing of a block alive as the next is drawn
     with open(out / "costs.csv", "w") as fh:
         fh.write("player,mean,stderr,n_paths,seed,grid_steps\n")

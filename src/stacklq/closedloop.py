@@ -11,11 +11,17 @@ entry adds an exact zero, which the bit-level measurability checks exercise.
 `_node_loop` steps Z by `LinearStep.advance`, the one linear Euler step,
 which the sweep's response groups take too; `simulate_blocks`, the one path
 simulator, the variational sweep and `verify`'s path checks all run it.
+Paths lie on the last, contiguous axis of every per-path array: Z is (12n,
+paths) and each node's products run along rows of paths.  A path's bits do
+not depend on how paths are batched: BLAS gives a column the same result
+wherever it sits in a product whose width is a multiple of PAD_PATHS, and a
+short batch is padded to one by `padded`.
 
 `_euler_step` is the one builder of a LinearStep: from the drift M, the
 drive and the diagonal blocks' loads of a system y' = y + h (M y + drive)
 + sum_i dW_i (s_i + C_i y), s_i and C_i masked alike as each block observes,
-it makes Z's tables here and the response groups' tables in `montecarlo`.
+it makes Z's tables here and the response groups' tables in `montecarlo`,
+in the column form Y' = F Y + ... with F = I + h M.
 The gains, one read-only mapping `law.gains` keyed by `GAINS`, the
 simulation and the residuals read the solve's grid coefficient table,
 `bundle.cv`, which the law carries on as `law.cv`.  `verify`'s negative
@@ -43,6 +49,10 @@ from .riccati import RiccatiBundle
 # benchmark rose 7.8% with 1024-path chunks against 1.7% for simulate's.
 BLOCK_PATHS = 1024
 CHUNK_PATHS = 2048
+# A batch of paths is stepped at a width that is a multiple of this: with
+# OpenBLAS's Haswell kernels a column's product varies with a width that is
+# 1-4 mod 8, and numpy gives a one-column product to its matrix-vector kernel.
+PAD_PATHS = 8
 
 # The output gains by name, in gains.csv order.
 GAINS = ("K1", "k1", "K2hat", "K2check", "k2", "K3", "K3hat", "K3check", "k3",
@@ -52,26 +62,26 @@ GAINS = ("K1", "k1", "K2hat", "K2check", "k2", "K3", "K3hat", "K3check", "k3",
 @dataclass(frozen=True)
 class LinearStep:
     """The tables of the base law's and every response group's Euler step
-    Y' = Y F[k] + c[k] + sum_i dW_{k,i} (s[k, i] + Y L[i][k]), rows Y being
-    Z (N, 12n) or a group's (D, N, w), one row block per direction."""
+    Y' = F[k] Y + s[k] dW_k + c[k] + sum_i dW_{k,i} L[i][k] Y, columns Y
+    being Z (12n, N) or a group's (D, w, N), one block per direction."""
 
-    F: np.ndarray                   # (K, w, w)
-    c: np.ndarray                   # (K, w) intercept, or (K, D, 1, w) drives
-    s: np.ndarray | None            # (K, 3, w); None for a response group
+    F: np.ndarray                   # (K, w, w): I + h M
+    c: np.ndarray                   # (K, w, 1) intercept, or (K, D, w, 1) drives
+    s: np.ndarray | None            # (K, w, 3); None for a response group
     L: Mapping[int, np.ndarray]     # (K, w, w) by channel, those loading Y
 
     def advance(self, k, Y, dWk, t, what):
-        """Y's step k -> k+1 on the increments dWk (N, 3), guarded: a
+        """Y's step k -> k+1 on the increments dWk (3, N), guarded: a
         blow-up at t, the time of node k+1, is named `what`."""
-        Yn = Y @ self.F[k]          # in place below: few (N, w) temporaries
+        Yn = self.F[k] @ Y          # in place below: few (w, N) temporaries
         if self.s is not None:
-            Yn += dWk @ self.s[k]
+            Yn += self.s[k] @ dWk
         Yn += self.c[k]
         if self.L:      # the channels' sum from zero, each term scaled in place
             loads = 0.0
             for i, Li in self.L.items():
-                YL = Y @ Li[k]
-                YL *= dWk[:, i, None]
+                YL = Li[k] @ Y
+                YL *= dWk[i]
                 YL += loads
                 loads = YL
             Yn += loads
@@ -93,12 +103,13 @@ class FeedbackLaw:
         vhat3   = Kv3hat Xh + K3check Xc + k3
         vcheck3 = Kv3check Xc + k3.
 
-    Simulation reads the block tables of Z = [X | Xh | Xc]: [v1 | v2 | v3] =
-    Z KzT[k] + kz[k], and `step` is Z's LinearStep for the closed-loop drift
-    dX = (M0 X + M2 Xh + M3 Xc + coff) dt + ...: F[k] = (I + h M)^T with
-    block rows [M0, M2, M3], [0, M0+M2, M3], [0, 0, M0+M2+M3], c[k] h coff on
-    each block, s and L Sigma_i and frakC_i^T on the blocks that observe W_i
-    (X: W1-W3, Xh: W2-W3, Xc: W3).  cv is the solve's grid coefficient table.
+    Simulation reads the block tables of Z = [X | Xh | Xc], stacked on
+    rows, paths on columns: [v1 | v2 | v3] = Kz[k] Z + kz[k], and `step` is
+    Z's LinearStep for the closed-loop drift dX = (M0 X + M2 Xh + M3 Xc +
+    coff) dt + ...: F[k] = I + h M with block rows [M0, M2, M3], [0, M0+M2,
+    M3], [0, 0, M0+M2+M3], c[k] h coff on each block, s and L Sigma_i and
+    frakC_i on the blocks that observe W_i (X: W1-W3, Xh: W2-W3, Xc: W3).
+    cv is the solve's grid coefficient table.
     """
 
     times: np.ndarray
@@ -106,8 +117,8 @@ class FeedbackLaw:
     cv: CoeffValues
     gains: Mapping[str, np.ndarray]     # GAINS: (K+1, n, m) or (K+1, n)
     step: LinearStep
-    KzT: np.ndarray         # (K+1, 12n, 3n)
-    kz: np.ndarray          # (K+1, 3n)
+    Kz: np.ndarray          # (K+1, 3n, 12n)
+    kz: np.ndarray          # (K+1, 3n, 1)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -164,48 +175,59 @@ def build_feedback(bundle: RiccatiBundle, Omega: np.ndarray,
     On = np.zeros_like(g["K1"])
     Kz = np.block([[On, On, g["K1"]], [On, g["K2hat"], g["K2check"]],
                    [g["K3"], g["K3hat"], g["K3check"]]])
-    kz = np.concatenate([g["k1"], g["k2"], g["k3"]], axis=-1)
+    kz = np.concatenate([g["k1"], g["k2"], g["k3"]], axis=-1)[..., None]
     M0, M2, M3, O = g["M0"], g["M2"], g["M3"], np.zeros_like(g["M0"])
     M = np.block([[M0, M2, M3], [O, M0 + M2, M3], [O, O, M0 + M2 + M3]])
     step = _euler_step(times, M, np.tile(g["coff"], 3),
                        [(first, l3.frakC, l3.Sigma) for first in range(3)])
     gains = MappingProxyType({name: g[name] for name in GAINS})
     return FeedbackLaw(times=times, n=n, cv=cv, gains=gains, step=step,
-                       KzT=np.ascontiguousarray(Kz.mT), kz=kz)
+                       Kz=Kz, kz=kz)
 
 
 def _euler_step(times, M, drive, blocks) -> LinearStep:
     """The LinearStep of the Euler step y' = y + h (M y + drive) + sum_i
     dW_i (s_i + C_i y) from node tables (K+1, ...), the last node unread:
-    F = (I + h M)^T, c = h drive and L_i = C_i^T.  blocks lists y's diagonal
-    blocks as (f, C, S), C (3, K+1, d, d) and S (3, K+1, d) or None their
-    loads by channel: a block observes W_i for i >= f, and there C_i and s_i
-    carry C[i] and S[i].  Channels whose C loads nothing are left out."""
+    F = I + h M, c = h drive as a column and L_i = C_i.  blocks lists y's
+    diagonal blocks as (f, C, S), C (3, K+1, d, d) and S (3, K+1, d) or None
+    their loads by channel: a block observes W_i for i >= f, and there C_i
+    and s_i carry C[i] and S[i].  Channels whose C loads nothing are left
+    out."""
     K, w = times.shape[0] - 1, M.shape[-1]
     h = np.diff(times)
-    L, s = {}, None if blocks[0][2] is None else np.zeros((K, 3, w))
+    L, s = {}, None if blocks[0][2] is None else np.zeros((K, w, 3))
     for i in range(3):
         Li, at = np.zeros((K, w, w)), 0
         for first, C, S in blocks:
             d = C.shape[-1]
             if i >= first:
-                Li[:, at:at + d, at:at + d] = C[i, :-1].mT
+                Li[:, at:at + d, at:at + d] = C[i, :-1]
                 if s is not None:
-                    s[:, i, at:at + d] = S[i, :-1]
+                    s[:, at:at + d, i] = S[i, :-1]
             at += d
         if np.any(Li):
             L[i] = Li
-    F = (np.eye(w) + h[:, None, None] * M[:-1]).mT
-    return LinearStep(F=np.ascontiguousarray(F), s=s, L=L,
-                      c=h.reshape((K,) + (1,) * (drive.ndim - 1)) * drive[:-1])
+    c = h.reshape((K,) + (1,) * (drive.ndim - 1)) * drive[:-1]
+    return LinearStep(F=np.eye(w) + h[:, None, None] * M[:-1], s=s, L=L,
+                      c=c[..., None])
 
 
 def _guard(arr, t, what):
-    """BlowUpError naming the first bad path (axis -2) if arr is non-finite or huge."""
+    """BlowUpError naming the first bad path (the last axis) if arr is
+    non-finite or huge."""
     if not np.abs(arr).max(initial=0.0) <= BLOWUP_LIMIT:   # NaN fails too
-        ok = np.abs(arr).max(axis=-1) <= BLOWUP_LIMIT
+        ok = np.abs(arr) <= BLOWUP_LIMIT
         bad = np.flatnonzero(~ok.reshape(-1, ok.shape[-1]).all(axis=0))
         raise BlowUpError(what, t, path=int(bad[0]) if bad.size else None)
+
+
+def padded(dW: np.ndarray) -> np.ndarray:
+    """dW (K, 3, N) with its path axis rounded up to a multiple of PAD_PATHS
+    by copies of its last path, dW itself if it is one already.  A copy
+    steps bit for bit as the path it copies, so no blow-up names it first
+    and its columns are dropped before any output."""
+    pad = -dW.shape[-1] % PAD_PATHS
+    return np.pad(dW, ((0, 0), (0, 0), (0, pad)), mode="edge") if pad else dW
 
 
 @contextmanager
@@ -220,18 +242,22 @@ def _paths_from(start: int):
 
 
 def _node_loop(spec: GameSpec, law: FeedbackLaw, dW: np.ndarray):
-    """Yield (k, Z, V) at each node k = 0..K, Z = [X | Xh | Xc] driven by dW
-    and V = [v1 | v2 | v3] its equilibrium controls; then step to k+1.  Each
-    step makes new arrays, so a consumer may keep what it is handed."""
-    N, K, _ = dW.shape
+    """Yield (k, Z, V) at each node k = 0..K, Z = [X | Xh | Xc] (12n, N)
+    driven by dW (K, 3, N) and V = [v1 | v2 | v3] (3n, N) its equilibrium
+    controls; then step to k+1.  Each step makes new arrays, so a consumer
+    may keep what it is handed."""
+    K, _, N = dW.shape
     times = law.times
     if K != times.shape[0] - 1:
         raise ValueError("noise increments do not match the solver grid")
-    Z = np.tile(np.concatenate([spec.x0, np.zeros(3 * spec.n)]), (N, 3))
+    Z = np.tile(np.concatenate([spec.x0, np.zeros(3 * spec.n)])[:, None],
+                (3, N))
     for k in range(K + 1):
-        yield k, Z, Z @ law.KzT[k] + law.kz[k]
+        V = law.Kz[k] @ Z
+        V += law.kz[k]
+        yield k, Z, V
         if k < K:
-            Z = law.step.advance(k, Z, dW[:, k], float(times[k + 1]),
+            Z = law.step.advance(k, Z, dW[k], float(times[k + 1]),
                                  "equilibrium state")
 
 
@@ -255,7 +281,8 @@ def _phicheck_gain(bundle: RiccatiBundle, Omega):
 def ansatz_residual(bundle: RiccatiBundle, Omega, Xc: np.ndarray,
                     dW: np.ndarray) -> float:
     """Max node-wise mismatch between the adjoint drift and the ansatz drift
-    along the follower-filter paths Xc (paths, K+1, 4n) driven by dW.
+    along the follower-filter paths Xc (paths, K+1, 4n) driven by dW (K, 3,
+    paths).
 
     The check runs on the follower-filtered quantities: ycheck = -p xcheck -
     phicheck with the martingale integrand read off the ansatz.  Exact in
@@ -273,5 +300,5 @@ def ansatz_residual(bundle: RiccatiBundle, Omega, Xc: np.ndarray,
     z[2] = z[2] - mv(G[:-1], mv(l3.frakC[2, :-1], Xc) + l3.Sigma[2, :-1])
     drift = (mv(cv.A.mT, y[:, :-1]) - mv(cv.Q[0], xc) - cv.m[0]
              + sum(mv(Ci.mT, zi) for Ci, zi in zip(cv.C, z)))
-    pred = -np.diff(times)[:, None] * drift + dW[..., 2:3] * z[2]
+    pred = -np.diff(times)[:, None] * drift + dW[:, 2].T[..., None] * z[2]
     return float(np.abs(np.diff(y, axis=1) - pred).max())

@@ -13,7 +13,7 @@ coefficient, and its standard error comes from the per-path linear terms
 outermost: each chunk of paths draws its Brownian increments once and steps
 one base closed loop of the law it is handed, whose costs it sums once for
 all players, and along it one response group per player, which advances
-all the directions as one row state and their eps terms.  Its tables are a `LinearStep`, the law's form, stepped by the same
+all the directions as one state and their eps terms.  Its tables are a `LinearStep`, the law's form, stepped by the same
 `advance` and built once per sweep in closed form from the solved bundle by
 closedloop's `_euler_step`, as Z's are: the homogeneous best response of
 the levels below the player, whose feedback on their filtered states folds
@@ -28,7 +28,9 @@ standard error at each epsilon, and the slope with its own; verify judges it.
 for `stacklq simulate` block by block of paths, one block alive at a time,
 keeping every thin-th node and each player's running cost, so no full path
 is stored.  Both read their coefficients off the law's grid table `law.cv`
-and build none.
+and build none.  Both step paths on the last axis, a short final block or
+chunk padded by `padded`, so each path's records, costs and eps terms are
+bit for bit those it has inside a full block.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedloop import (BLOCK_PATHS, CHUNK_PATHS, FeedbackLaw, LinearStep,
-                         _euler_step, _node_loop, _paths_from)
+                         _euler_step, _node_loop, _paths_from, padded)
 from .lift import CoeffValues, mv
 from .model import GameSpec, solver_times
 from .riccati import RiccatiBundle, backward_rk4
@@ -67,17 +69,17 @@ class PerturbationReport:
 
 def _node_cost(c: CoeffValues, k: int, times, Z, V) -> np.ndarray:
     """The three players' per-path cost terms (3, N) at node k along the
-    block state Z (N, 12n) and controls V = [v1 | v2 | v3], c being the
-    node-k view: player i's is h (x'Q_i x/2 + v_i'R_i v_i/2 + x.m_i +
+    block state Z (12n, N) and controls V = [v1 | v2 | v3] (3n, N), c being
+    the node-k view: player i's is h (x'Q_i x/2 + v_i'R_i v_i/2 + x.m_i +
     v_i.nl_i) before the last node and x'G_i x/2 at it."""
-    x, v = Z[:, :V.shape[1] // 3], V.reshape(len(V), 3, -1).transpose(1, 0, 2)
+    x, v = Z[:len(V) // 3], V.reshape(3, -1, V.shape[-1])
     if k == times.shape[0] - 1:
-        return 0.5 * np.einsum("pi,...ij,pj->...p", x, c.G, x)
+        return 0.5 * np.einsum("ip,...ij,jp->...p", x, c.G, x)
     h = times[k + 1] - times[k]
-    return h * (0.5 * np.einsum("pi,...ij,pj->...p", x, c.Q, x)
-                + 0.5 * np.einsum("...pi,...ij,...pj->...p", v, c.R, v)
-                + np.einsum("pi,...i->...p", x, c.m)
-                + np.einsum("...pi,...i->...p", v, c.nl))
+    return h * (0.5 * np.einsum("ip,...ij,jp->...p", x, c.Q, x)
+                + 0.5 * np.einsum("...ip,...ij,...jp->...p", v, c.R, v)
+                + np.einsum("ip,...i->...p", x, c.m)
+                + np.einsum("...ip,...i->...p", v, c.nl))
 
 
 def mean_stderr(J: np.ndarray) -> tuple:
@@ -96,7 +98,7 @@ def simulate_blocks(spec: GameSpec, law: FeedbackLaw, plan: NoisePlan,
     records (paths, K // thin + 1, 15n) holds X, Xh, Xc, v1, v2, v3 at every
     thin-th node and J (3, paths) each player's cost, the package's one
     cost sum.  Each block's arrays are new, and the generator lets go of
-    them once yielded, so memory is one reused (BLOCK_PATHS, K, 3)
+    them once yielded, so memory is one reused (K, 3, BLOCK_PATHS)
     increment buffer (11.7 MB at K = 500) plus the records of the block a
     consumer holds, whatever n_paths is; a blow-up names its global path
     index.
@@ -108,13 +110,13 @@ def simulate_blocks(spec: GameSpec, law: FeedbackLaw, plan: NoisePlan,
         N = min(start + BLOCK_PATHS, n_paths) - start
         records = np.empty((N, K // thin + 1, 15 * n))
         J = np.zeros((3, N))
-        dW = plan.increments(np.arange(start, start + N))
+        dW = padded(plan.increments(np.arange(start, start + N)))
         with _paths_from(start):
             for k, Z, V in _node_loop(spec, law, dW):
                 if k % thin == 0:
-                    records[:, k // thin, :12 * n] = Z
-                    records[:, k // thin, 12 * n:] = V
-                J += _node_cost(cv[k], k, times, Z, V)
+                    records[:, k // thin, :12 * n] = Z[:, :N].T
+                    records[:, k // thin, 12 * n:] = V[:, :N].T
+                J += _node_cost(cv[k], k, times, Z, V)[:, :N]
         yield start, records, J
         del records, J      # a block's records are not held while the next is drawn
 
@@ -186,7 +188,7 @@ def _group_tables(bundle: RiccatiBundle, player, paths) -> LinearStep:
         on_dv = np.concatenate([B3, l2.calB3, l2.calB3], axis=-2)
         drive = Phi @ on_Phi.mT + dv @ on_dv.mT
         blocks = [(0, C, None), (1, l2.calC, None), (2, l2.calC, None)]
-    return _euler_step(times, M, drive[:, :, None], blocks)
+    return _euler_step(times, M, drive, blocks)
 
 
 class _Group:
@@ -194,9 +196,9 @@ class _Group:
     per-path cost polynomials J_d(eps) = J0 + eps Bc[d] + eps^2 Cc[d], added
     up node by node along the base run, whose J0 the sweep sums for all.
 
-    state (D, N, w) holds the responses as rows of [dx] (player 1), [dx |
-    dxc] (player 2) or [dx | dX2h | dX2c] (player 3), one row block per
-    direction, stepped on the group's LinearStep `step`, whose c[k] (D, 1, w)
+    state (D, w, N) holds the responses as columns of [dx] (player 1), [dx |
+    dxc] (player 2) or [dx | dX2h | dX2c] (player 3), one block per
+    direction, stepped on the group's LinearStep `step`, whose c[k] (D, w, 1)
     is each direction's drive.  dv (D, K+1, n) holds the directions' paths.
     A still group, whose drive is all exact zeros (as when its player's B is
     0), keeps state = 0: it is never stepped and its costs take only the dv
@@ -207,7 +209,7 @@ class _Group:
         self.dv, self.step, self.player = dv, step, player
         self.still = not np.any(step.c)
         D = len(dv)
-        self.state = np.zeros((D, N, step.F.shape[-1]))
+        self.state = np.zeros((D, step.F.shape[-1], N))
         self.Bc, self.Cc2 = np.zeros((D, N)), np.zeros((D, N))
 
     def node(self, law: FeedbackLaw, c, k: int, Z, V, dW):
@@ -216,22 +218,23 @@ class _Group:
         c is the node-k coefficient view; the block state Z = [X | Xh | Xc]
         and the controls V = [v1 | v2 | v3] are the shared base run at node k.
         """
-        n, own, K = law.n, self.player - 1, dW.shape[1]
-        x, vown = Z[:, :n], V[:, own * n:(own + 1) * n]
+        n, own, K = law.n, self.player - 1, dW.shape[0]
+        x, vown = Z[:n], V[own * n:(own + 1) * n]
 
         # each direction's value and the response dx contract with the cost
         # weights: h Q, h m, h R, h n before the last node, G alone at it
-        dv, dx = self.dv[:, k], self.state[..., :n]
+        dv, dx = self.dv[:, k], self.state[:, :n]
         h = law.times[k + 1] - law.times[k] if k < K else 0.0
-        Wx, wx = (h * c.Q[own], h * c.m[own]) if k < K else (c.G[own], 0.0)
-        Wv, wv = h * c.R[own], h * c.nl[own]
+        Wx, wx = ((h * c.Q[own], h * c.m[own][:, None]) if k < K
+                  else (c.G[own], 0.0))
+        Wv, wv = h * c.R[own], h * c.nl[own][:, None]
         Bx, Cx = ((0.0, 0.0) if self.still else
-                  (np.einsum("dpi,pi->dp", dx, x @ Wx + wx),
-                   np.einsum("dpi,ij,dpj->dp", dx, Wx, dx)))
-        self.Bc += Bx + np.einsum("di,pi->dp", dv, vown @ Wv + wv)
+                  (np.einsum("dip,ip->dp", dx, Wx.mT @ x + wx),
+                   np.einsum("dip,ij,djp->dp", dx, Wx, dx)))
+        self.Bc += Bx + np.einsum("di,ip->dp", dv, Wv.mT @ vown + wv)
         self.Cc2 += Cx + np.einsum("di,ij,dj->d", dv, Wv, dv)[:, None]
         if k < K and not self.still:
-            self.state = self.step.advance(k, self.state, dW[:, k],
+            self.state = self.step.advance(k, self.state, dW[k],
                                            float(law.times[k + 1]), "response state")
 
 
@@ -255,17 +258,19 @@ def variational_sweep(spec: GameSpec, players, directions, epsilons,
     steps = [_group_tables(bundle, player, paths) for player in players]
 
     def run(i0):  # each chunk's increments overwrite the last one's
-        dW = plan.increments(np.arange(i0, min(i0 + CHUNK_PATHS, n_paths)))
-        groups = [_Group(dW.shape[0], player, paths, step)
+        N = min(i0 + CHUNK_PATHS, n_paths) - i0
+        dW = padded(plan.increments(np.arange(i0, i0 + N)))
+        groups = [_Group(dW.shape[-1], player, paths, step)
                   for player, step in zip(players, steps)]
-        J = np.zeros((3, dW.shape[0]))      # the base run's, every player's
+        J = np.zeros((3, dW.shape[-1]))     # the base run's, every player's
         with _paths_from(i0):
             for k, Z, V in _node_loop(spec, law, dW):
                 c = law.cv[k]
                 J += _node_cost(c, k, law.times, Z, V)
                 for group in groups:
                     group.node(law, c, k, Z, V, dW)
-        return [(J[g.player - 1], g.Bc, 0.5 * g.Cc2) for g in groups]
+        return [(J[g.player - 1, :N], g.Bc[:, :N], 0.5 * g.Cc2[:, :N])
+                for g in groups]
 
     parts = [run(i0) for i0 in range(0, n_paths, CHUNK_PATHS)]
 

@@ -14,9 +14,11 @@ advanced by i * 2**128 and an empty output buffer.  Building it per path
 costs far more than the draws, so one generator per component is reset to
 that state for each path instead: counter words [0, 0, i mod 2**64,
 i >> 64], buffer_pos 4, has_uint32 0, uinteger 0.  The rows are bit for bit
-those of `jumped(i)`, so every seed-pinned result keeps its value.  Each row
-is drawn into one scratch row and scaled straight into place, no (paths,
-steps) temporary made, in the buffer that `reusing` gives a plan if it has one.
+those of `jumped(i)`, so every seed-pinned result keeps its value.  Paths
+lie on the last, contiguous axis, (steps, 3, paths), as the simulation's
+per-node products read them: a tile of TILE rows is drawn into one small
+scratch block and scaled into place at once, no (steps, paths) temporary
+made, in the buffer that `reusing` gives a plan if it has one.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 from .model import solver_times
 
 _WORD = 2**64 - 1
+TILE = 16       # paths drawn into the scratch block per scaled copy
 
 
 def component_seeds(seed: int) -> tuple:
@@ -42,7 +45,7 @@ class NoisePlan:
 
     seeds: per-component Philox keys; dts: step sizes on the solver grid;
     live: per component, whether it is drawn (a dead one is exact zeros);
-    buffer: None, or the (rows, steps, 3) array `reusing` draws batches into.
+    buffer: None, or the (steps, 3, rows) array `reusing` draws batches into.
     """
 
     seeds: tuple
@@ -61,28 +64,31 @@ class NoisePlan:
     def reusing(self, rows: int) -> "NoisePlan":
         """The same plan drawing each batch of up to `rows` paths into one
         buffer: every result is a view that the next batch overwrites."""
-        return replace(self, buffer=np.empty((rows, self.dts.shape[0], 3)))
+        return replace(self, buffer=np.empty((self.dts.shape[0], 3, rows)))
 
     def increments(self, path_indices) -> np.ndarray:
-        """N(0, h_k) increments, exact zeros on dead components, shape (paths,
-        steps, 3), in the plan's buffer if it has one, else in a new array."""
+        """N(0, h_k) increments, exact zeros on dead components, shape (steps,
+        3, paths), in the plan's buffer if it has one, else in a new array."""
         idx = np.asarray(path_indices, dtype=int)
         if idx.size and idx.min() < 0:
             raise ValueError("path indices must be non-negative")
         N, K = idx.shape[0], self.dts.shape[0]
-        out = np.empty((N, K, 3)) if self.buffer is None else self.buffer[:N]
-        if out.shape[0] < N:
-            raise ValueError(f"{N} paths overflow a {out.shape[0]}-row buffer")
-        scale, scratch = np.sqrt(self.dts), np.empty(K)
-        out[:, :, np.logical_not(self.live)] = 0.0
+        out = np.empty((K, 3, N)) if self.buffer is None else self.buffer[..., :N]
+        if out.shape[-1] < N:
+            raise ValueError(f"{N} paths overflow a {out.shape[-1]}-path buffer")
+        scale, scratch = np.sqrt(self.dts)[:, None], np.empty((TILE, K))
+        out[:, np.logical_not(self.live)] = 0.0
         for comp in np.flatnonzero(self.live):
             bitgen = np.random.Philox(key=self.seeds[comp])
             gen = np.random.Generator(bitgen)
             state = bitgen.state        # counter 0, empty buffer: jumped(0)
             counter = state["state"]["counter"]
-            for row, i in enumerate(idx.tolist()):
-                counter[2:] = (i & _WORD, i >> 64)
-                bitgen.state = state
-                gen.standard_normal(out=scratch)
-                np.multiply(scratch, scale, out=out[row, :, comp])
+            for at in range(0, N, TILE):
+                tile = idx[at:at + TILE].tolist()
+                for row, i in enumerate(tile):
+                    counter[2:] = (i & _WORD, i >> 64)
+                    bitgen.state = state
+                    gen.standard_normal(out=scratch[row])
+                np.multiply(scratch[:len(tile)].T, scale,
+                            out=out[:, comp, at:at + len(tile)])
         return out

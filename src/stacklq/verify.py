@@ -11,7 +11,8 @@ the gain_scale as keywords without defaults: `stacklq verify`'s options are
 their one source.  It builds both grids' laws with gain_scale, so under
 `--sabotage-gains` every check that simulates runs the sabotaged law.
 The measurability, nesting and ansatz checks keep whole paths of X, Xh and
-Xc from the node loop of `simulate_blocks`: the runs `stacklq simulate` writes.
+Xc from the node loop of `simulate_blocks`, padded as it pads a short block:
+the runs `stacklq simulate` writes, bit for bit.
 
 The path checks' own path counts are fixed here; the package's acceptance
 test suite calls the same checks at its pinned scales and seeds.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .closedloop import _node_loop, ansatz_residual, build_feedback
+from .closedloop import _node_loop, ansatz_residual, build_feedback, padded
 from .errors import DomainError, ReductionError
 from .model import GameSpec, validate_spec, with_steps
 from .montecarlo import default_directions, variational_sweep
@@ -65,10 +66,12 @@ def check_p_psd(bundle):
 
 
 def _filtered_paths(spec, law, dW):
-    """X, Xh, Xc (paths, K+1, 4n) on the increments dW: the node loop's Z,
-    the runs `simulate_blocks` records, stacked over the nodes."""
-    Z = np.stack([Z for _, Z, _ in _node_loop(spec, law, dW)], axis=1)
-    return np.split(Z, 3, axis=-1)
+    """X, Xh, Xc (paths, K+1, 4n) on the increments dW (K, 3, paths): the
+    node loop's Z, the runs `simulate_blocks` records, stacked over the
+    nodes."""
+    N = dW.shape[-1]
+    Z = np.stack([Z[:, :N] for _, Z, _ in _node_loop(spec, law, padded(dW))])
+    return np.split(Z.transpose(2, 0, 1), 3, axis=-1)
 
 
 def check_measurability(spec, law, seed, n_paths=32):
@@ -90,7 +93,7 @@ def check_measurability(spec, law, seed, n_paths=32):
     runs = [run]
     for comp in (0, 1):
         if plan.live[comp]:
-            dW[:, :, comp] = 0.0
+            dW[:, comp] = 0.0
             run = _filtered_paths(spec, law, dW)
         runs.append(run)
     (X, Xh, Xc), (X23, Xh23, Xc23), (X3, Xh3, Xc3) = runs

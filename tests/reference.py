@@ -62,13 +62,13 @@ def _state_step(cv: CoeffValues, times, k, dWk, x, v):
 
     cv is the node-k coefficient view; v holds (v1, v2, v3) at node k.  x
     is rows (N, n) or, as in the response helpers below, D directions' rows
-    (D, N, n).
+    (D, N, n), and dWk the step's increments as rows (N, 3).
     """
     h = times[k + 1] - times[k]
     drift = sum((vi @ Bi.T for Bi, vi in zip(cv.B, v)), x @ cv.A.T + cv.b)
     loads = [x @ Ci.T + si for Ci, si in zip(cv.C, cv.sigma)]
     x = x + h * drift + sum(dWk[:, i:i + 1] * loads[i] for i in range(3))
-    _guard(x, float(times[k + 1]), "state")
+    _guard(x.mT, float(times[k + 1]), "state")     # paths on the last axis
     return x
 
 
@@ -201,7 +201,8 @@ class Response:
 def respond(spec: GameSpec, bundle: RiccatiBundle, v, dW, seen=None,
             offsets=None) -> Response:
     """Best response of the levels below l = 4 - len(v) to the exogenous
-    controls v = (v_l, ..., v3) on the increments dW: the follower's to (v2,
+    controls v = (v_l, ..., v3) on the increments dW (K, 3, N), as
+    `NoisePlan.increments` lays them out: the follower's to (v2,
     v3), the two lower levels' to (v3,), none to (v1, v2, v3).
 
     Deterministic (K+1, n) controls are handled in full: each filter sees
@@ -214,7 +215,7 @@ def respond(spec: GameSpec, bundle: RiccatiBundle, v, dW, seen=None,
     Phicheck).  On the bundle of `homogeneous(spec)` it steps the
     homogeneous systems.
     """
-    N, K, _ = dW.shape
+    K, _, N = dW.shape
     n, level = spec.n, 4 - len(v)
     if all(np.ndim(u) == 2 for u in v):
         v = tuple(np.asarray(u, dtype=float) for u in v)
@@ -233,7 +234,7 @@ def respond(spec: GameSpec, bundle: RiccatiBundle, v, dW, seen=None,
     at = lambda arrs, k: tuple(rows_at(a, k, N) for a in arrs or ())
     for k in range(K + 1):
         Rs[:, k] = R
-        u, R = _response_step(bundle, bundle.cv[k], k, dW[:, k] if k < K else None,
+        u, R = _response_step(bundle, bundle.cv[k], k, dW[k].T if k < K else None,
                               R, at(offsets, k), at(v, k), at(seen, k))
         if u:
             us[:, k] = np.concatenate(u, axis=-1)

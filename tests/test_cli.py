@@ -387,12 +387,16 @@ def test_simulate_bytes_pinned_across_blocks(n2_spec, tmp_path):
         "c110c205c5b9946317d70cb31c98d68b5d2f47922b1ce30a848ee084bd2ca53f")
     assert _sha256(out / "costs.csv") == (
         "5a67a756cea625c901bb1a39809a1d836073639067894d99e00c08a5f66726d0")
+    # re-pinned when a one-path block came to be padded to a batch width,
+    # not stepped by numpy's matrix-vector kernel: the one path's costs are
+    # now those it has inside a full block, each mean moved by at most
+    # 1.24e-15 relative (the four-block digests above did not move)
     one = tmp_path / "one"
     assert main(base + ["--out", str(one), "--paths", "1"]) == 0
     rows = (one / "costs.csv").read_text().strip().splitlines()[1:]
     assert [r.split(",")[2] for r in rows] == ["0", "0", "0"]
     assert _sha256(one / "costs.csv") == (
-        "7e07e1510ad4e2af7eeb13772ee908a8fae3e709227f843aa938f874e9637b7b")
+        "b58ddad67d64c1d5a62b6897a9db8c999474438efe89d81807c2f1e9f9289a53")
 
 
 def test_simulate_memory_bounded_in_paths(spec_file, tmp_path):

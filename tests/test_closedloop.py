@@ -90,11 +90,11 @@ def test_measurability_bit_identical(generic_solution, scalar_generic,
     for spec, law in ((scalar_generic, generic_solution[2]), (n2_spec, law2),
                       (scalar_generic, scaled)):
         # the systems are coupled (M2, M3 != 0, the blocks of X's drift on Xh
-        # and Xc, in F = (I + h M)^T): the zero blocks of the drift and the
+        # and Xc, in F = I + h M): the zero blocks of the drift and the
         # masked loadings are what keep W1/W2 out of the filters
         n4, F = 4 * law.n, law.step.F
-        assert np.abs(F[:, n4:2 * n4, :n4]).max() > 0
-        assert np.abs(F[:, 2 * n4:, :n4]).max() > 0
+        assert np.abs(F[:, :n4, n4:2 * n4]).max() > 0
+        assert np.abs(F[:, :n4, 2 * n4:]).max() > 0
         (cid, ok, detail), _ = check_measurability(spec, law, 21, n_paths=16)
         assert cid == "filter_measurability" and ok, detail
 
@@ -105,7 +105,7 @@ def test_measurability_names_the_condition_that_broke(generic_solution,
     # W1, the one condition that breaks, and the failing detail names it
     law, n4 = generic_solution[2], 4 * scalar_generic.n
     s = law.step.s.copy()
-    s[:, 0, n4:2 * n4] = s[:, 0, :n4]
+    s[:, n4:2 * n4, 0] = s[:, :n4, 0]
     leaky = dataclasses.replace(law, step=dataclasses.replace(law.step, s=s))
     (cid, ok, detail), _ = check_measurability(scalar_generic, leaky, 21,
                                                n_paths=16)
@@ -134,7 +134,7 @@ def test_measurability_and_nesting_share_at_most_three_runs(
         assert all(ok for _, ok, _ in checks)
         assert len(runs) == want
         for dW, zeroed in zip(runs, ((), (0,), (0, 1))):
-            assert all(np.all(dW[:, :, c] == 0.0) for c in zeroed)
+            assert all(np.all(dW[:, c] == 0.0) for c in zeroed)
 
 
 def test_exact_nesting_passes_on_fixture_specs(request):
@@ -168,7 +168,7 @@ def test_exact_nesting_independent_component():
     law = sq.build_feedback(*solve_game(spec))
     assert all(ok for _, ok, _ in check_measurability(spec, law, 7))
     dW = NoisePlan.for_spec(spec, 7).increments(np.arange(4))
-    dW[:, :, 0] = 0.0
+    dW[:, 0] = 0.0
     X, _, Xc = verify._filtered_paths(spec, law, dW)
     assert np.all(X[..., 0] == 1.0)
     assert np.all(Xc[..., 0] == 1.0)
@@ -185,13 +185,13 @@ def test_exact_nesting_breaks_fail_the_report(generic_solution, scalar_generic):
     with_step = lambda **tables: dataclasses.replace(
         law, step=dataclasses.replace(step, **tables))
     F = step.F.copy()
-    F[:, Xh, Xh] += 0.01 * h * _reference_drift(bundle, Omega, law)[1][:-1].mT
+    F[:, Xh, Xh] += 0.01 * h * _reference_drift(bundle, Omega, law)[1][:-1]
     breaks = [with_step(F=F)]
     # a component's additive load copied from X onto a filter that must
     # not see it: W1 onto Xc, W1 onto Xh, W2 onto Xc
     for comp, block in ((0, Xc), (0, Xh), (1, Xc)):
         s = step.s.copy()
-        s[:, comp, block] = s[:, comp, X]
+        s[:, block, comp] = s[:, X, comp]
         breaks.append(with_step(s=s))
     # W1's multiplicative load copied from X onto Xh; L holds a channel's
     # (12n, 12n) tables by channel, and every channel loads here
@@ -206,7 +206,7 @@ def test_exact_nesting_breaks_fail_the_report(generic_solution, scalar_generic):
     for comp, blocks in ((0, (X,)), (1, (X, Xh))):
         s, Li = step.s.copy(), step.L[comp].copy()
         for block in blocks:
-            s[:, comp, block] = 0.0
+            s[:, block, comp] = 0.0
             Li[:, block, block] = 0.0
         deaf = with_step(s=s, L={**step.L, comp: Li})
         measurable, nested = _checks(scalar_generic, 15, deaf)
@@ -266,14 +266,14 @@ def test_block_kernel_matches_per_system_formulas(name, request):
     X = np.tile(np.concatenate([spec.x0, np.zeros(3 * spec.n)]), (16, 1))
     Xh, Xc = X.copy(), X.copy()
     for k, Z, V in _node_loop(spec, law, dW):
-        got = np.split(Z, 3, axis=1) + np.split(V, 3, axis=1)
+        got = np.split(Z.T, 3, axis=1) + np.split(V.T, 3, axis=1)
         want = (X, Xh, Xc) + _reference_controls(law, k, X, Xh, Xc)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12,
                                        atol=1e-12 * np.abs(w).max())
         if k < times.shape[0] - 1:
             X, Xh, Xc = _reference_step(law, bundle.l3, drift_tables, k,
-                                        dW[:, k], X, Xh, Xc)
+                                        dW[k].T, X, Xh, Xc)
 
 
 def test_scaled_law_plays_the_scaled_gain(n2_spec):
@@ -294,17 +294,19 @@ def test_scaled_law_plays_the_scaled_gain(n2_spec):
                                    atol=1e-12 * np.abs(want).max())
 
     for k, Z, V in _node_loop(spec, scaled, dW):
+        Z, V = Z.T, V.T     # rows per path, as the reference reads them
         close(V[:, :n], 1.5 * (Z[:, 8 * n:] @ law.gains["K1"][k].T)
               + law.gains["k1"][k])
         close(Z[:, :n], x)
         if k < times.shape[0] - 1:
-            x = _state_step(law.cv[k], times, k, dW[:, k], x,
+            x = _state_step(law.cv[k], times, k, dW[k].T, x,
                             np.split(V, 3, axis=1))
 
 
 def simulate_state(spec, v1, v2, v3, dW):
-    """Euler integration of the physical state under given control paths."""
-    N, K, _ = dW.shape
+    """Euler integration of the physical state under given control paths on
+    the increments dW (K, 3, N)."""
+    K, _, N = dW.shape
     times = solver_times(spec)
     cv = CoeffValues(spec, times)
     x = np.tile(spec.x0, (N, 1))
@@ -312,14 +314,14 @@ def simulate_state(spec, v1, v2, v3, dW):
     for k in range(K):
         xs[:, k] = x
         v = [rows_at(vi, k, N) for vi in (v1, v2, v3)]
-        x = _state_step(cv[k], times, k, dW[:, k], x, v)
+        x = _state_step(cv[k], times, k, dW[k].T, x, v)
     xs[:, K] = x
     return xs
 
 
 def test_simulate_state_constant():
     spec = sq.make_spec(n=1, x0=3.0, steps=50)
-    dW = np.zeros((2, 50, 3))
+    dW = np.zeros((50, 3, 2))
     xs = simulate_state(spec, np.zeros((51, 1)), np.zeros((51, 1)),
                         np.zeros((51, 1)), dW)
     assert np.all(xs == 3.0)
@@ -327,7 +329,7 @@ def test_simulate_state_constant():
 
 def test_simulate_state_linear_drift():
     spec = sq.make_spec(n=1, x0=0.5, b=1.0, steps=80)
-    dW = np.zeros((1, 80, 3))
+    dW = np.zeros((80, 3, 1))
     z = np.zeros((81, 1))
     xs = simulate_state(spec, z, z, z, dW)
     assert np.allclose(xs[0, :, 0], 0.5 + solver_times(spec), atol=1e-12)
@@ -336,7 +338,7 @@ def test_simulate_state_linear_drift():
 def test_simulate_state_exponential_growth():
     a, T, steps = 0.8, 1.0, 4000
     spec = sq.make_spec(n=1, x0=1.0, A=a, T=T, steps=steps)
-    dW = np.zeros((1, steps, 3))
+    dW = np.zeros((steps, 3, 1))
     z = np.zeros((steps + 1, 1))
     xs = simulate_state(spec, z, z, z, dW)
     assert abs(xs[0, -1, 0] - np.exp(a * T)) < 2e-4 * np.exp(a * T)
@@ -350,10 +352,10 @@ def test_blowup_reported_at_its_step(monkeypatch):
     bundle, Omega = solve_game(spec)
     law = sq.build_feedback(bundle, Omega)
     times = solver_times(spec)
-    dW = np.zeros((2, 100, 3))
-    dW[1, 10, 2] = 1e13
+    dW = np.zeros((100, 3, 2))
+    dW[10, 2, 1] = 1e13
     z = np.zeros((101, 1))
-    monkeypatch.setattr(NoisePlan, "increments", lambda plan, idx: dW[idx])
+    monkeypatch.setattr(NoisePlan, "increments", lambda plan, idx: dW[..., idx])
     plan = NoisePlan(component_seeds(0), np.diff(times))
     runs = (lambda: list(simulate_blocks(spec, law, plan, 2, thin=1)),
             lambda: simulate_state(spec, z, z, z, dW),
@@ -379,8 +381,8 @@ def test_blowup_in_later_block_names_global_path(monkeypatch):
     bad = BLOCK_PATHS + 5
 
     def increments(plan, idx):
-        dW = np.zeros((len(idx), 100, 3))
-        dW[np.asarray(idx) == bad, 10, 2] = 1e13
+        dW = np.zeros((100, 3, len(idx)))
+        dW[10, 2, np.asarray(idx) == bad] = 1e13
         return dW
 
     monkeypatch.setattr(NoisePlan, "increments", increments)
@@ -492,7 +494,7 @@ def test_respond_player1_zero_spec():
     spec = sq.make_spec(n=1, x0=2.0, n1=0.3, R1=1.5, steps=60)
     bundle, _ = solve_game(spec)
     K = solver_times(spec).shape[0]
-    dW = np.zeros((3, K - 1, 3))
+    dW = np.zeros((K - 1, 3, 3))
     z = np.zeros((K, 1))
     r = respond(spec, bundle, (z, z), dW)
     assert np.allclose(r.x, 2.0, atol=1e-12)
@@ -506,7 +508,7 @@ def test_respond_player1_deterministic_bump():
     times = solver_times(spec)
     K = times.shape[0]
     v2 = (times < 0.5).astype(float)[:, None]
-    dW = np.zeros((2, K - 1, 3))
+    dW = np.zeros((K - 1, 3, 2))
     r = respond(spec, bundle, (v2, np.zeros((K, 1))), dW)
     expect = 1.0 + np.minimum(times, 0.5)
     assert np.allclose(r.filtered[0, :, 0], expect, atol=1e-12)
@@ -539,7 +541,7 @@ def test_respond_player12_zero_spec():
     spec = sq.make_spec(n=1, x0=1.0, n2=0.25, R2=1.25, steps=60)
     bundle, _ = solve_game(spec)
     K = solver_times(spec).shape[0]
-    dW = np.zeros((2, K - 1, 3))
+    dW = np.zeros((K - 1, 3, 2))
     r = respond(spec, bundle, (np.zeros((K, 1)),), dW)
     assert np.allclose(r.controls[..., 1:], -0.25 / 1.25, atol=1e-12)
 
@@ -552,7 +554,7 @@ def test_respond_player12_pulse_integral():
     times = solver_times(spec)
     K = times.shape[0]
     v3 = ((times >= 0.2) & (times < 0.6)).astype(float)[:, None]
-    dW = np.zeros((1, K - 1, 3))
+    dW = np.zeros((K - 1, 3, 1))
     r = respond(spec, bundle, (v3,), dW)
     expect = np.clip(times, 0.2, 0.6) - 0.2
     assert np.allclose(r.filtered[0, :, 2], expect, atol=1e-12)

@@ -180,6 +180,60 @@ def test_chunks_do_not_change_results(scalar_generic, generic_solution,
     assert r1.means == r2.means
 
 
+def _n4_spec():
+    """n = 4 with noise, multiplicative and additive, on every channel and
+    intercepts on every drift and cost: Z's tables have 48 rows."""
+    n, rng = 4, np.random.default_rng(44)
+    mat = lambda s: rng.standard_normal((n, n)) * s
+    vec = lambda s: rng.standard_normal(n) * s
+
+    def psd(s):
+        V = rng.standard_normal((n, n))
+        return s * (V @ V.T) / n
+
+    costs = {f"{w}{i}": f for i in (1, 2, 3) for w, f in (
+        ("Q", psd(0.6)), ("R", psd(0.4) + np.eye(n)), ("G", psd(0.3)),
+        ("m", vec(0.02)), ("n", vec(0.02)))}
+    return sq.make_spec(n=n, T=1.0, steps=12, x0=vec(1.0), A=mat(0.3),
+                        B1=mat(0.5) + np.eye(n), B2=mat(0.4), B3=mat(0.4),
+                        C1=mat(0.1), C2=mat(0.1), C3=mat(0.1), b=vec(0.05),
+                        sigma1=vec(0.2), sigma2=vec(0.2), sigma3=vec(0.2),
+                        **costs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_final_block_paths_bit_identical_to_full_block(n, request,
+                                                       monkeypatch):
+    # a path's bits do not depend on --paths: each path of a final block, or
+    # sweep chunk, of 1 to 17 paths has the records, the per-path costs and
+    # the per-path sweep terms (J0 + eps Bc + eps^2 Cc at each eps, and Bc)
+    # that it has inside a full block of BLOCK_PATHS, or CHUNK_PATHS, paths
+    spec = {1: lambda: request.getfixturevalue("scalar_generic"),
+            2: lambda: request.getfixturevalue("n2_spec"), 4: _n4_spec}[n]()
+    spec = with_steps(spec, 12)
+    bundle, _, law = _solution(spec)
+    plan, dirs = NoisePlan.for_spec(spec, 5), default_directions(spec)
+    terms = []      # the per-path arrays the sweep reduces, in its order
+    monkeypatch.setattr(montecarlo, "mean_stderr",
+                        lambda J: terms.append(J.copy()) or (0.0, 0.0))
+
+    def run(n_sim, n_sweep):
+        (_, records, J), = simulate_blocks(spec, law, plan, n_sim, thin=1)
+        terms.clear()
+        variational_sweep(spec, (1, 2, 3), dirs, [0.1], n_sweep, 5, law,
+                          bundle)
+        return records, J, list(terms)
+
+    records, J, sweep = run(montecarlo.BLOCK_PATHS, montecarlo.CHUNK_PATHS)
+    for width in range(1, 18):
+        got = run(width, width)
+        assert np.array_equal(got[0], records[:width]), width
+        assert np.array_equal(got[1], J[:, :width]), width
+        assert len(got[2]) == len(sweep) == 15 * 4
+        for a, b in zip(got[2], sweep):
+            assert np.array_equal(a, b[:width]), width
+
+
 def _pinned_cases(spec, law, scaled):
     # (player, direction, law) of SWEEP_PINNED's rows; scaled is law with
     # a 1.5-scaled follower gain
@@ -437,14 +491,15 @@ def test_sweep_draws_and_steps_only_what_the_spec_loads(reducible_spec,
 
 def _helper_group(spec, bundle, law, player, directions, dW):
     """A response group stepped by the reference helpers on their own on the
-    bundle of homogeneous(spec), directions on a leading axis: yields at each
-    node k, before its step, the state [dx | dxc] or [dx | dX2h | dX2c]
-    (D, N, w), the lower levels' controls and the cost polynomials' Bc and
-    Cc summed up to node k, whose weights are the real table's."""
+    bundle of homogeneous(spec), directions on a leading axis, on the
+    increments dW (K, 3, N): yields at each node k, before its step, the
+    state [dx | dxc] or [dx | dX2h | dX2c] as rows (D, N, w), the lower
+    levels' controls and the cost polynomials' Bc and Cc summed up to node
+    k, whose weights are the real table's."""
     times, n = law.times, spec.n
     hom = solve_game(homogeneous(spec))[0]
     cv, tcv = bundle.cv, hom.cv
-    D, N = len(directions), dW.shape[0]
+    D, N = len(directions), dW.shape[-1]
     paths = np.stack([d.path for d in directions])
     off = None
     if player == 2:
@@ -456,6 +511,7 @@ def _helper_group(spec, bundle, law, player, directions, dW):
     Bc, Cc = np.zeros((D, N)), np.zeros((D, N))
     form = lambda a, M, b: np.einsum("...pi,ij,...pj->...p", a, M, b)
     for k, Z, V in _node_loop(spec, law, dW):
+        Z, V = Z.T, V.T     # rows per path, as the helpers read them
         c, tc, own, xbase = cv[k], tcv[k], player - 1, Z[:, :n]
         offk = None if off is None else off[k, :, None]
         v = [V[:, :n], V[:, n:2 * n], V[:, 2 * n:]]
@@ -477,7 +533,7 @@ def _helper_group(spec, bundle, law, player, directions, dW):
         state = np.concatenate([dx] + (filt if player > 1 else []), axis=-1)
         yield state, dv[:own], offk, Bc, Cc
         if k < len(times) - 1:
-            dWk = dW[:, k]
+            dWk = dW[k].T
             if player == 2:
                 filt = [_follower_step(hom, tc, k, dWk, filt[0], offk,
                                        dv[1], dv[2])]
@@ -489,20 +545,20 @@ def _helper_group(spec, bundle, law, player, directions, dW):
 
 @pytest.mark.parametrize("name", ["scalar_generic", "n2_spec"])
 def test_sweep_group_loads_are_the_load_blocks(name, request):
-    # each group's L_i is its blocks' loads, bit for bit, transposed for the
-    # row form: C_i on dx; C3 on dxc, which observes W3 only; calC2 and calC3
+    # each group's L_i is its blocks' loads, bit for bit, in the column
+    # form: C_i on dx; C3 on dxc, which observes W3 only; calC2 and calC3
     # on dX2h, which observes W2 and W3; calC3 on dX2c; exact zeros elsewhere
     spec = request.getfixturevalue(name)
     bundle, _ = solve_game(spec)
     n, K = spec.n, bundle.times.shape[0] - 1
-    Ct = bundle.cv.C[:, :-1].mT
-    calCt = bundle.l2.calC[:, :-1].mT
+    C = bundle.cv.C[:, :-1]
+    calC = bundle.l2.calC[:, :-1]
     O, O12, O2 = np.zeros((K, n, n)), np.zeros((K, n, 2 * n)), np.zeros((K, 2 * n, 2 * n))
     want = {
-        1: [Ct[i] for i in range(3)],
-        2: [np.block([[Ct[i], O], [O, Ct[2] if i == 2 else O]]) for i in range(3)],
-        3: [np.block([[Ct[i], O12, O12], [O12.mT, calCt[i] if i > 0 else O2, O2],
-                      [O12.mT, O2, calCt[2] if i == 2 else O2]]) for i in range(3)]}
+        1: [C[i] for i in range(3)],
+        2: [np.block([[C[i], O], [O, C[2] if i == 2 else O]]) for i in range(3)],
+        3: [np.block([[C[i], O12, O12], [O12.mT, calC[i] if i > 0 else O2, O2],
+                      [O12.mT, O2, calC[2] if i == 2 else O2]]) for i in range(3)]}
     paths = np.stack([d.path for d in default_directions(spec)])
     for player, loads in want.items():
         L = montecarlo._group_tables(bundle, player, paths).L
@@ -540,7 +596,7 @@ def test_sweep_group_tables_match_helpers(name, request):
         ref = _helper_group(spec, bundle, lw, player, ds, dW)
         for (k, Z, V), (state, lower, off, Bc, Cc) in zip(
                 _node_loop(spec, lw, dW), ref):
-            R, tc = run.state, hom.cv[k]
+            R, tc = run.state.mT, hom.cv[k]
             close(R, state)
             got = ((_follower_control(hom, tc, k, R[..., n:], off),)
                    if player == 2 else
@@ -568,8 +624,8 @@ def test_sweep_blowup_reported_at_its_step(player, monkeypatch):
     bad = chunk + 5
 
     def increments(plan, idx):
-        dW = np.zeros((len(idx), 100, 3))
-        dW[np.asarray(idx) == bad, 11, 2] = 1e3
+        dW = np.zeros((100, 3, len(idx)))
+        dW[11, 2, np.asarray(idx) == bad] = 1e3
         return dW
 
     path = np.zeros((101, 1))
@@ -679,9 +735,9 @@ def test_sweep_response_is_the_public_response():
             rep = variational_sweep(spec, (player,), [d], [eps], N, seed,
                                     law, bundle)[0]
             r = respond(spec, bundle, (eps * d.path, zero)[:4 - player], dW)
-            V = np.zeros((times.shape[0], N, 3))    # n = 1: the player's control alone
-            V[..., player - 1] = eps * d.path
-            J = sum(_node_cost(cv[k], k, times, r.x[:, k], V[k])[player - 1]
+            V = np.zeros((times.shape[0], 3, N))    # n = 1: the player's control alone
+            V[:, player - 1] = eps * d.path
+            J = sum(_node_cost(cv[k], k, times, r.x[:, k].T, V[k])[player - 1]
                     for k in range(times.shape[0]))
             got = rep.means[rep.epsilons.index(eps)]
             assert got == pytest.approx(J.mean(), rel=1e-12), (player, d.id)

@@ -178,13 +178,13 @@ def test_dp_uncontrolled_matches_simulation(reducible_spec):
     sol = solve_dp(d)
     # simulate the uncontrolled cost and compare with the DP value
     plan = NoisePlan(component_seeds(3), np.full(200, spec.T / 200))
-    dW = plan.increments(np.arange(20000))[:, :, 2]
+    dW = plan.increments(np.arange(20000))[:, 2]
     x = np.full(20000, spec.x0[0])
     J = np.zeros(20000)
     h = spec.T / 200
     for k in range(200):
         J += (0.5 * d.Q[k][0, 0] * x * x + d.q[k][0] * x)
-        x = d.A[k][0, 0] * x + d.c[k][0] + (d.Cn[k][0, 0] * x + d.sn[k][0]) * dW[:, k]
+        x = d.A[k][0, 0] * x + d.c[k][0] + (d.Cn[k][0, 0] * x + d.sn[k][0]) * dW[k]
     J += 0.5 * d.G[0, 0] * x * x
     se = J.std(ddof=1) / np.sqrt(J.shape[0])
     assert abs(J.mean() - sol.value(spec.x0)) <= 3.0 * se
@@ -296,7 +296,7 @@ def test_dp_value_matches_optimal_simulation(reducible_spec):
     d = reduce_to_single_player(reducible_spec, steps=150)
     sol = solve_dp(d)
     plan = NoisePlan(component_seeds(9), np.full(150, reducible_spec.T / 150))
-    dW = plan.increments(np.arange(20000))[:, :, 2]
+    dW = plan.increments(np.arange(20000))[:, 2]
 
     def run(gain_scale):
         x = np.full(20000, reducible_spec.x0[0])
@@ -306,7 +306,7 @@ def test_dp_value_matches_optimal_simulation(reducible_spec):
             J += (0.5 * d.Q[k][0, 0] * x * x + 0.5 * d.R[k][0, 0] * v * v
                   + d.q[k][0] * x + d.r[k][0] * v)
             x = (d.A[k][0, 0] * x + d.B[k][0, 0] * v + d.c[k][0]
-                 + (d.Cn[k][0, 0] * x + d.sn[k][0]) * dW[:, k])
+                 + (d.Cn[k][0, 0] * x + d.sn[k][0]) * dW[k])
         J += 0.5 * d.G[0, 0] * x * x
         return J
 

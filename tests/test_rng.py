@@ -21,7 +21,7 @@ def test_path_indexed_reproducibility():
     plan = NoisePlan(component_seeds(9), np.full(20, 0.05))
     a = plan.increments([0, 1, 2, 3])
     b = plan.increments([2, 3])
-    assert np.array_equal(a[2:], b)
+    assert np.array_equal(a[..., 2:], b)
     again = NoisePlan(component_seeds(9), np.full(20, 0.05)).increments([0, 1, 2, 3])
     assert np.array_equal(a, again)
 
@@ -31,8 +31,8 @@ def test_component_reseeding_is_local():
     base = plan.increments([0, 1])
     seeds = (component_seeds(777)[0],) + plan.seeds[1:]
     re0 = dataclasses.replace(plan, seeds=seeds).increments([0, 1])
-    assert not np.array_equal(base[:, :, 0], re0[:, :, 0])
-    assert np.array_equal(base[:, :, 1:], re0[:, :, 1:])
+    assert not np.array_equal(base[:, 0], re0[:, 0])
+    assert np.array_equal(base[:, 1:], re0[:, 1:])
 
 
 def test_component_seeds_distinct():
@@ -44,20 +44,22 @@ def test_nonuniform_step_scaling():
     dts = np.array([0.1, 0.4])
     plan = NoisePlan(component_seeds(3), dts)
     dW = plan.increments(np.arange(4000))
-    v = dW.var(axis=(0, 2))
+    v = dW.var(axis=(1, 2))
     assert abs(v[0] - 0.1) < 0.02
     assert abs(v[1] - 0.4) < 0.05
 
 
 # digest of increments([0, 5, 3]) of NoisePlan(component_seeds(9), np.full(20, 0.05)),
-# pinned when each path still built its own jumped Philox generator
+# pinned when each path still built its own jumped Philox generator and the
+# increments were laid out (paths, steps, 3), the order hashed
 PINNED_SHA256 = "c266ce13c29f9559fd68d8b453ec9216704445f2a9c700f41b3e0e39ecce4994"
 
 
 def _jumped_rows(seed, indices, h, k):
+    """(k, paths): each path's jumped stream, scaled, as a column."""
     return np.stack([
         np.random.Generator(np.random.Philox(key=seed).jumped(i))
-        .standard_normal(k) * np.sqrt(h) for i in indices])
+        .standard_normal(k) * np.sqrt(h) for i in indices], axis=-1)
 
 
 @pytest.mark.parametrize("indices", [[0, 1, 2047, 2048, 10**6, 2**40],
@@ -67,24 +69,25 @@ def test_rows_equal_jumped_streams(indices):
     plan = NoisePlan(component_seeds(17), np.full(k, h))
     dW = plan.increments(indices)
     for comp, seed in enumerate(plan.seeds):
-        assert np.array_equal(dW[:, :, comp], _jumped_rows(seed, indices, h, k))
+        assert np.array_equal(dW[:, comp], _jumped_rows(seed, indices, h, k))
     # the same rows drawn in place into a plan's reused buffer: a full fill,
     # then a shorter index list into the buffer's leading rows
     reused = plan.reusing(len(indices))
     reused.buffer[...] = np.nan
     for rows in (indices, indices[:-2][::-1]):
         got = reused.increments(rows)
-        assert got.shape == (len(rows), k, 3)
+        assert got.shape == (k, 3, len(rows))
         assert np.shares_memory(got, reused.buffer)
         for comp, seed in enumerate(plan.seeds):
-            assert np.array_equal(got[:, :, comp], _jumped_rows(seed, rows, h, k))
+            assert np.array_equal(got[:, comp], _jumped_rows(seed, rows, h, k))
     with pytest.raises(ValueError):
         reused.increments(indices + [0])
 
 
 def test_stream_digest_pinned():
     dW = NoisePlan(component_seeds(9), np.full(20, 0.05)).increments([0, 5, 3])
-    assert hashlib.sha256(dW.tobytes()).hexdigest() == PINNED_SHA256
+    assert (hashlib.sha256(dW.transpose(2, 0, 1).tobytes()).hexdigest()
+            == PINNED_SHA256)
 
 
 def test_negative_path_index_rejected():
@@ -99,8 +102,8 @@ def _check_rows(got, plan, full, rows):
     """Dead components exact zeros, live ones the all-live plan's rows."""
     want = full.increments(rows)
     for comp, live in enumerate(plan.live):
-        expected = want[:, :, comp] if live else np.zeros_like(want[:, :, comp])
-        assert np.array_equal(got[:, :, comp], expected)
+        expected = want[:, comp] if live else np.zeros_like(want[:, comp])
+        assert np.array_equal(got[:, comp], expected)
 
 
 @pytest.mark.parametrize("live", [(False, True, True), (False, False, True),
