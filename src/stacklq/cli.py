@@ -13,8 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -28,8 +26,6 @@ from .riccati import LEVELS, riccati_residuals, solve_game
 from .rng import NoisePlan
 from .verify import run_verification
 
-log = logging.getLogger("stacklq")
-
 FMT = "%.17g"
 
 EXIT_OK = 0
@@ -37,12 +33,6 @@ EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_BLOWUP = 3
 EXIT_VERIFY = 4
-
-
-def _setup_logging():
-    level = os.environ.get("STACKLQ_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(name)s %(levelname)s %(message)s")
 
 
 def _row_template(times, rows, lead: str = "") -> str:
@@ -238,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

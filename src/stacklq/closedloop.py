@@ -9,13 +9,14 @@ and its noise loadings are masked (X sees W1-W3, Xh W2-W3, Xc W3), so a
 coarser filter never sees a component outside its sigma-algebra: a masked
 entry adds an exact zero, which the bit-level measurability checks exercise.
 `_node_loop` steps Z by `LinearStep.advance`, the one linear Euler step,
-which the sweep's response groups take too; `simulate_blocks`, the one path
-simulator, the variational sweep and `verify`'s path checks all run it.
-Paths lie on the last, contiguous axis of every per-path array: Z is (12n,
-paths) and each node's products run along rows of paths.  A path's bits do
-not depend on how paths are batched: BLAS gives a column the same result
-wherever it sits in a product whose width is a multiple of PAD_PATHS, and a
-short batch is padded to one by `padded`.
+which the sweep's response groups take too; `batches` draws each batch of
+paths and hands out its node loop to `simulate_blocks`, the one path
+simulator, to the variational sweep and to `verify`'s path checks.  Paths
+lie on the last, contiguous axis of every per-path array: Z is (12n, paths)
+and each node's products run along rows of paths.  A path's bits do not
+depend on how paths are batched: BLAS gives a column the same result
+wherever it sits in a product whose width is a multiple of PAD_PATHS, to
+which `batches` pads a short batch.
 
 `_euler_step` is the one builder of a LinearStep: from the drift M, the
 drive and the diagonal blocks' loads of a system y' = y + h (M y + drive)
@@ -32,7 +33,6 @@ scales the follower gain on every block.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from contextlib import contextmanager
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -44,9 +44,11 @@ from .model import BLOWUP_LIMIT, GameSpec
 from .riccati import RiccatiBundle
 
 # Paths stepped together: a block of the streaming simulate, whose reused
-# increment buffer and records scale with it (11.7 MB of noise at K = 500),
-# and a chunk of the variational sweep, whose CPU time on the verify-reducible
-# benchmark rose 7.8% with 1024-path chunks against 1.7% for simulate's.
+# increment buffer (12.3 MB at K = 500) and records scale with it, and a chunk
+# of the variational sweep.  In process on a 2-vCPU VM, one BLAS thread: the
+# sweep on verify-reducible's seed-1 spec (4000 paths) took 0.107 s in median
+# with 2048-path chunks and 0.126 s with 1024; simulate-8k's blocks took 0.58 s
+# at 2048 paths and 0.64 s at 1024, at twice the traced peak (28 against 14 MB).
 BLOCK_PATHS = 1024
 CHUNK_PATHS = 2048
 # A batch of paths is stepped at a width that is a multiple of this: with
@@ -70,9 +72,9 @@ class LinearStep:
     s: np.ndarray | None            # (K, w, 3); None for a response group
     L: Mapping[int, np.ndarray]     # (K, w, w) by channel, those loading Y
 
-    def advance(self, k, Y, dWk, t, what):
+    def advance(self, k, Y, dWk, t, what, first):
         """Y's step k -> k+1 on the increments dWk (3, N), guarded: a
-        blow-up at t, the time of node k+1, is named `what`."""
+        blow-up at t, node k+1's time, names `what` and path first + column."""
         Yn = self.F[k] @ Y          # in place below: few (w, N) temporaries
         if self.s is not None:
             Yn += self.s[k] @ dWk
@@ -85,7 +87,7 @@ class LinearStep:
                 YL += loads
                 loads = YL
             Yn += loads
-        _guard(Yn, t, what)
+        _guard(Yn, t, what, first)
         return Yn
 
 
@@ -212,40 +214,35 @@ def _euler_step(times, M, drive, blocks) -> LinearStep:
                       c=c[..., None])
 
 
-def _guard(arr, t, what):
-    """BlowUpError naming the first bad path (the last axis) if arr is
-    non-finite or huge."""
+def _guard(arr, t, what, first):
+    """BlowUpError naming the first bad path, first + its index on the last
+    axis, if arr is non-finite or huge."""
     if not np.abs(arr).max(initial=0.0) <= BLOWUP_LIMIT:   # NaN fails too
         ok = np.abs(arr) <= BLOWUP_LIMIT
         bad = np.flatnonzero(~ok.reshape(-1, ok.shape[-1]).all(axis=0))
-        raise BlowUpError(what, t, path=int(bad[0]) if bad.size else None)
+        raise BlowUpError(what, t, path=first + int(bad[0]) if bad.size else None)
 
 
-def padded(dW: np.ndarray) -> np.ndarray:
-    """dW (K, 3, N) with its path axis rounded up to a multiple of PAD_PATHS
-    by copies of its last path, dW itself if it is one already.  A copy
-    steps bit for bit as the path it copies, so no blow-up names it first
-    and its columns are dropped before any output."""
-    pad = -dW.shape[-1] % PAD_PATHS
-    return np.pad(dW, ((0, 0), (0, 0), (0, pad)), mode="edge") if pad else dW
+def batches(spec: GameSpec, law: FeedbackLaw, plan, n_paths: int, width: int):
+    """Yield (start, N, dW, nodes) per batch of `width` of paths 0..n_paths-1:
+    its first path and size, its increments (K, 3, N') in the NoisePlan
+    plan's one reused buffer, padded by copies of its last path to N', a
+    multiple of PAD_PATHS, and `nodes`, its `_node_loop`.  A copy steps as
+    its path bit for bit, so no blow-up names it first; drop columns past N."""
+    plan = plan.reusing(min(width, n_paths))
+    for start in range(0, n_paths, width):
+        N = min(start + width, n_paths) - start
+        dW = plan.increments(np.arange(start, start + N))
+        if pad := -N % PAD_PATHS:
+            dW = np.pad(dW, ((0, 0), (0, 0), (0, pad)), mode="edge")
+        yield start, N, dW, _node_loop(spec, law, dW, start)
 
 
-@contextmanager
-def _paths_from(start: int):
-    """Name a blow-up inside a block of paths by its global path index."""
-    try:
-        yield
-    except BlowUpError as err:
-        if err.path is None:
-            raise
-        raise BlowUpError(err.what, err.t, path=start + err.path) from None
-
-
-def _node_loop(spec: GameSpec, law: FeedbackLaw, dW: np.ndarray):
+def _node_loop(spec: GameSpec, law: FeedbackLaw, dW: np.ndarray, first: int):
     """Yield (k, Z, V) at each node k = 0..K, Z = [X | Xh | Xc] (12n, N)
-    driven by dW (K, 3, N) and V = [v1 | v2 | v3] (3n, N) its equilibrium
-    controls; then step to k+1.  Each step makes new arrays, so a consumer
-    may keep what it is handed."""
+    driven by dW (K, 3, N), whose first path is path `first`, and V = [v1 |
+    v2 | v3] (3n, N) its equilibrium controls; then step to k+1.  Each step
+    makes new arrays, so a consumer may keep what it is handed."""
     K, _, N = dW.shape
     times = law.times
     if K != times.shape[0] - 1:
@@ -258,7 +255,7 @@ def _node_loop(spec: GameSpec, law: FeedbackLaw, dW: np.ndarray):
         yield k, Z, V
         if k < K:
             Z = law.step.advance(k, Z, dW[k], float(times[k + 1]),
-                                 "equilibrium state")
+                                 "equilibrium state", first)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ standard error at each epsilon, and the slope with its own; verify judges it.
 for `stacklq simulate` block by block of paths, one block alive at a time,
 keeping every thin-th node and each player's running cost, so no full path
 is stored.  Both read their coefficients off the law's grid table `law.cv`
-and build none.  Both step paths on the last axis, a short final block or
-chunk padded by `padded`, so each path's records, costs and eps terms are
+and build none.  Both iterate closedloop's `batches`, which draws each block
+or chunk, pads a short one and hands out its node loop, named by the global
+path index in a blow-up, so each path's records, costs and eps terms are
 bit for bit those it has inside a full block.
 """
 
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedloop import (BLOCK_PATHS, CHUNK_PATHS, FeedbackLaw, LinearStep,
-                         _euler_step, _node_loop, _paths_from, padded)
+                         _euler_step, batches)
 from .lift import CoeffValues, mv
 from .model import GameSpec, solver_times
 from .riccati import RiccatiBundle, backward_rk4
@@ -99,24 +100,20 @@ def simulate_blocks(spec: GameSpec, law: FeedbackLaw, plan: NoisePlan,
     thin-th node and J (3, paths) each player's cost, the package's one
     cost sum.  Each block's arrays are new, and the generator lets go of
     them once yielded, so memory is one reused (K, 3, BLOCK_PATHS)
-    increment buffer (11.7 MB at K = 500) plus the records of the block a
+    increment buffer (12.3 MB at K = 500) plus the records of the block a
     consumer holds, whatever n_paths is; a blow-up names its global path
     index.
     """
     times, cv, n = law.times, law.cv, law.n
     K = times.shape[0] - 1
-    plan = plan.reusing(min(BLOCK_PATHS, n_paths))      # every block's noise
-    for start in range(0, n_paths, BLOCK_PATHS):
-        N = min(start + BLOCK_PATHS, n_paths) - start
+    for start, N, dW, nodes in batches(spec, law, plan, n_paths, BLOCK_PATHS):
         records = np.empty((N, K // thin + 1, 15 * n))
         J = np.zeros((3, N))
-        dW = padded(plan.increments(np.arange(start, start + N)))
-        with _paths_from(start):
-            for k, Z, V in _node_loop(spec, law, dW):
-                if k % thin == 0:
-                    records[:, k // thin, :12 * n] = Z[:, :N].T
-                    records[:, k // thin, 12 * n:] = V[:, :N].T
-                J += _node_cost(cv[k], k, times, Z, V)[:, :N]
+        for k, Z, V in nodes:
+            if k % thin == 0:
+                records[:, k // thin, :12 * n] = Z[:, :N].T
+                records[:, k // thin, 12 * n:] = V[:, :N].T
+            J += _node_cost(cv[k], k, times, Z, V)[:, :N]
         yield start, records, J
         del records, J      # a block's records are not held while the next is drawn
 
@@ -212,11 +209,12 @@ class _Group:
         self.state = np.zeros((D, step.F.shape[-1], N))
         self.Bc, self.Cc2 = np.zeros((D, N)), np.zeros((D, N))
 
-    def node(self, law: FeedbackLaw, c, k: int, Z, V, dW):
+    def node(self, law: FeedbackLaw, c, k: int, Z, V, dW, first: int):
         """Add node k's eps and eps^2 terms; before the last node, step to k+1.
 
         c is the node-k coefficient view; the block state Z = [X | Xh | Xc]
-        and the controls V = [v1 | v2 | v3] are the shared base run at node k.
+        and the controls V = [v1 | v2 | v3] are the shared base run at node k
+        on dW, whose first path is path `first`.
         """
         n, own, K = law.n, self.player - 1, dW.shape[0]
         x, vown = Z[:n], V[own * n:(own + 1) * n]
@@ -235,7 +233,8 @@ class _Group:
         self.Cc2 += Cx + np.einsum("di,ij,dj->d", dv, Wv, dv)[:, None]
         if k < K and not self.still:
             self.state = self.step.advance(k, self.state, dW[k],
-                                           float(law.times[k + 1]), "response state")
+                                           float(law.times[k + 1]),
+                                           "response state", first)
 
 
 def variational_sweep(spec: GameSpec, players, directions, epsilons,
@@ -253,26 +252,22 @@ def variational_sweep(spec: GameSpec, players, directions, epsilons,
     """
     eps = sorted({float(e) for e in epsilons} | {0.0} |
                  {-float(e) for e in epsilons})
-    plan = NoisePlan.for_spec(spec, seed).reusing(min(CHUNK_PATHS, n_paths))
     paths = np.stack([d.path for d in directions])
     steps = [_group_tables(bundle, player, paths) for player in players]
-
-    def run(i0):  # each chunk's increments overwrite the last one's
-        N = min(i0 + CHUNK_PATHS, n_paths) - i0
-        dW = padded(plan.increments(np.arange(i0, i0 + N)))
+    parts = []
+    for start, N, dW, nodes in batches(spec, law, NoisePlan.for_spec(spec, seed),
+                                       n_paths, CHUNK_PATHS):
         groups = [_Group(dW.shape[-1], player, paths, step)
                   for player, step in zip(players, steps)]
         J = np.zeros((3, dW.shape[-1]))     # the base run's, every player's
-        with _paths_from(i0):
-            for k, Z, V in _node_loop(spec, law, dW):
-                c = law.cv[k]
-                J += _node_cost(c, k, law.times, Z, V)
-                for group in groups:
-                    group.node(law, c, k, Z, V, dW)
-        return [(J[g.player - 1, :N], g.Bc[:, :N], 0.5 * g.Cc2[:, :N])
-                for g in groups]
-
-    parts = [run(i0) for i0 in range(0, n_paths, CHUNK_PATHS)]
+        for k, Z, V in nodes:
+            c = law.cv[k]
+            J += _node_cost(c, k, law.times, Z, V)
+            for group in groups:
+                group.node(law, c, k, Z, V, dW, start)
+        parts.append([(J[g.player - 1, :N], g.Bc[:, :N], 0.5 * g.Cc2[:, :N])
+                      for g in groups])
+        groups = group = None   # a chunk's responses go before the next is drawn
 
     reports = []
     for i, player in enumerate(players):

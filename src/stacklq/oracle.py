@@ -117,10 +117,8 @@ def solve_dp(d: DiscreteLQ) -> DPSolution:
 
 @dataclass(frozen=True)
 class CrosscheckReport:
-    steps: int
     gap_S0: float          # |S0 - p(0)| (max norm, relative to 1+|p(0)|)
     gap_value: float       # |DP value - continuous value| at x0
-    dp_value: float
     continuous_value: float
 
 
@@ -153,7 +151,5 @@ def crosscheck_p(spec: GameSpec, bundle: RiccatiBundle, Omega,
     sol = solve_dp(d)
     cont_val, p0 = _continuous_value(spec, bundle, Omega), bundle.p[0]
     gap_S0 = float(np.abs(sol.S[0] - p0).max() / (1.0 + np.abs(p0).max()))
-    dp_val = sol.value(spec.x0)
-    return CrosscheckReport(steps=d.steps, gap_S0=gap_S0,
-                            gap_value=abs(dp_val - cont_val),
-                            dp_value=dp_val, continuous_value=cont_val)
+    return CrosscheckReport(gap_S0=gap_S0, continuous_value=cont_val,
+                            gap_value=abs(sol.value(spec.x0) - cont_val))

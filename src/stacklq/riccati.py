@@ -82,8 +82,7 @@ def _riccati(blocks, M, S, Q, C, loads):
     three or those that load, added in channel order."""
     P = blocks.cumsum(axis=-3)
     R = P @ M + M.mT @ P + P @ S @ P + Q
-    if len(loads):
-        R = sum((C.mT @ P[..., loads, :, :] @ C).swapaxes(0, -4), R)
+    R = sum((C.mT @ P[..., loads, :, :] @ C).swapaxes(0, -4), R)
     dB = -R
     dB[..., 1:, :, :] += R[..., :-1, :, :]
     return P, dB
@@ -97,10 +96,8 @@ def _level_rhs(ops, y, loads):
         return (dB,)
     M, S, _, C, Sig, b, f, g = ops
     Pc = P[..., 2, :, :]
-    s = -0.0            # x + -0.0 is x, bit for bit: the sum of no channel
-    if len(loads):
-        s = sum(mv(C[..., 0, :, :].mT, mv(P[..., loads[:, -1], :, :], Sig))
-                .swapaxes(0, -2), s)
+    s = sum(mv(C[..., 0, :, :].mT, mv(P[..., loads[:, -1], :, :], Sig))
+            .swapaxes(0, -2), -0.0)     # x + -0.0 is x: the sum of no channel
     src = s + mv(Pc, b) + f - g
     return dB, -(mv(M[..., 2, :, :].mT + Pc @ S[..., 2, :, :], y[1]) + src)
 
@@ -263,7 +260,7 @@ def _solve_levels(spec: GameSpec):
 def solve_game(spec: GameSpec):
     """Full ladder, level by level: the RiccatiBundle, its families read off
     the grid table cv and, like cv's, its arrays read-only, and Omega
-    (K+1, 4n)."""
+    (K+1, 4n), read-only too."""
     times, (p, P, Pf, Omega) = _solve_levels(spec)
     cv = CoeffValues(spec, times)
     p, P1, P2, Pf1, Pf2, Pf3 = p[:, 0], P[:, 0], P[:, 1], Pf[:, 0], Pf[:, 1], Pf[:, 2]
@@ -271,8 +268,8 @@ def solve_game(spec: GameSpec):
     l2 = level2_at(cv, l1)
     l2cl = level2_closedloop_at(cv, l2, P1, P2)
     l3 = level3_at(cv, l2, l2cl)
-    for arr in (p, P1, P2, Pf1, Pf2, Pf3, *l1.values(), *l2.values(),
-                *l2cl.values(), *l3.values()):
+    for arr in (times, p, P1, P2, Pf1, Pf2, Pf3, Omega, *l1.values(),
+                *l2.values(), *l2cl.values(), *l3.values()):
         arr.flags.writeable = False
     return RiccatiBundle(times=times, cv=cv, p=p, P1=P1, P2=P2, Pf1=Pf1,
                          Pf2=Pf2, Pf3=Pf3, l1=l1, l2=l2, l2cl=l2cl, l3=l3), Omega

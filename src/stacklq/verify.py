@@ -11,8 +11,8 @@ the gain_scale as keywords without defaults: `stacklq verify`'s options are
 their one source.  It builds both grids' laws with gain_scale, so under
 `--sabotage-gains` every check that simulates runs the sabotaged law.
 The measurability, nesting and ansatz checks keep whole paths of X, Xh and
-Xc from the node loop of `simulate_blocks`, padded as it pads a short block:
-the runs `stacklq simulate` writes, bit for bit.
+Xc from one batch of closedloop's `batches`, which `simulate_blocks`
+iterates too: the runs `stacklq simulate` writes, bit for bit.
 
 The path checks' own path counts are fixed here; the package's acceptance
 test suite calls the same checks at its pinned scales and seeds.
@@ -20,9 +20,11 @@ test suite calls the same checks at its pinned scales and seeds.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .closedloop import _node_loop, ansatz_residual, build_feedback, padded
+from .closedloop import ansatz_residual, batches, build_feedback
 from .errors import DomainError, ReductionError
 from .model import GameSpec, validate_spec, with_steps
 from .montecarlo import default_directions, variational_sweep
@@ -65,18 +67,17 @@ def check_p_psd(bundle):
     return ("p_psd", worst >= -1e-8, f"min eigenvalue {worst:.3e}")
 
 
-def _filtered_paths(spec, law, dW):
-    """X, Xh, Xc (paths, K+1, 4n) on the increments dW (K, 3, paths): the
-    node loop's Z, the runs `simulate_blocks` records, stacked over the
-    nodes."""
-    N = dW.shape[-1]
-    Z = np.stack([Z[:, :N] for _, Z, _ in _node_loop(spec, law, padded(dW))])
-    return np.split(Z.transpose(2, 0, 1), 3, axis=-1)
+def _filtered_paths(spec, law, plan, n_paths):
+    """X, Xh, Xc (paths, K+1, 4n) and dW (K, 3, paths) of paths 0..n_paths-1
+    drawn by plan: the node loop's Z, as `simulate_blocks` records it."""
+    (_, N, dW, nodes), = batches(spec, law, plan, n_paths, n_paths)
+    Z = np.stack([Z[:, :N] for _, Z, _ in nodes])
+    return (*np.split(Z.transpose(2, 0, 1), 3, axis=-1), dW[..., :N])
 
 
 def check_measurability(spec, law, seed, n_paths=32):
     """Filter measurability and the exact nesting of the information, from
-    one set of increments: the base run, then W1 zeroed, then W1 and W2.
+    one seed's increments: the base run, then W1 dead, then W1 and W2.
 
     Measurability is bit-level: Xh must not move when W1 does, nor Xc when
     W1 or W2 does, while X moves with W1 and Xh with W2 where it loads the
@@ -85,18 +86,18 @@ def check_measurability(spec, law, seed, n_paths=32):
     and of W3, so E[X | W2, W3] is the X of the run without W1, and
     E[X | W3], E[Xh | W3] are the X and Xh of the W3-only run.  The filters
     must equal them: Xh = X without W1, and Xc = Xh = X with W3 only.  A
-    dead component is already zero, so its zeroed run is the one before.
+    plan draws a dead component as zeros and the live ones' rows unchanged;
+    a component the spec leaves dead reuses the run before.
     """
     plan = NoisePlan.for_spec(spec, seed)
-    dW = plan.increments(np.arange(n_paths))
-    run = _filtered_paths(spec, law, dW)
+    run = _filtered_paths(spec, law, plan, n_paths)
     runs = [run]
     for comp in (0, 1):
         if plan.live[comp]:
-            dW[:, comp] = 0.0
-            run = _filtered_paths(spec, law, dW)
+            plan = replace(plan, live=(False,) * (comp + 1) + plan.live[comp + 1:])
+            run = _filtered_paths(spec, law, plan, n_paths)
         runs.append(run)
-    (X, Xh, Xc), (X23, Xh23, Xc23), (X3, Xh3, Xc3) = runs
+    (X, Xh, Xc, _), (X23, Xh23, Xc23, _), (X3, Xh3, Xc3, _) = runs
     same, cv = np.array_equal, law.cv
     loads = lambda i, x: np.any(np.einsum("kij,pkj->pki", cv.C[i, :-1],
                                           x[:, :-1, :spec.n]) + cv.sigma[i, :-1])
@@ -120,9 +121,8 @@ def check_ansatz_residual(solved, law, fine, fine_law, seed, n_paths=100):
     check_residual_order, each followed by its grid's feedback law."""
     worsts = []
     for (sp, b, Omega), lw in ((solved, law), (fine, fine_law)):
-        dW = NoisePlan.for_spec(sp, seed).increments(np.arange(n_paths))
-        worsts.append(ansatz_residual(b, Omega, _filtered_paths(sp, lw, dW)[2],
-                                      dW))
+        *_, Xc, dW = _filtered_paths(sp, lw, NoisePlan.for_spec(sp, seed), n_paths)
+        worsts.append(ansatz_residual(b, Omega, Xc, dW))
     ratio = worsts[1] / worsts[0] if worsts[0] > 0 else 0.5
     ok = 0.25 <= ratio <= 0.75
     return ("ansatz_residual", ok,

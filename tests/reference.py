@@ -68,7 +68,7 @@ def _state_step(cv: CoeffValues, times, k, dWk, x, v):
     drift = sum((vi @ Bi.T for Bi, vi in zip(cv.B, v)), x @ cv.A.T + cv.b)
     loads = [x @ Ci.T + si for Ci, si in zip(cv.C, cv.sigma)]
     x = x + h * drift + sum(dWk[:, i:i + 1] * loads[i] for i in range(3))
-    _guard(x.mT, float(times[k + 1]), "state")     # paths on the last axis
+    _guard(x.mT, float(times[k + 1]), "state", 0)   # paths on the last axis
     return x
 
 

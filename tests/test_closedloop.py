@@ -120,9 +120,10 @@ def test_measurability_and_nesting_share_at_most_three_runs(
     runs = []
     filtered_paths = verify._filtered_paths
 
-    def counting(spec, law, dW):
-        runs.append(dW.copy())
-        return filtered_paths(spec, law, dW)
+    def counting(spec, law, plan, n_paths):
+        run = filtered_paths(spec, law, plan, n_paths)
+        runs.append(run[3])
+        return run
 
     monkeypatch.setattr(verify, "_filtered_paths", counting)
     for spec, want in ((reducible_spec, 1), (sigma1_only, 2),
@@ -167,9 +168,8 @@ def test_exact_nesting_independent_component():
     spec = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, sigma1=1.0)
     law = sq.build_feedback(*solve_game(spec))
     assert all(ok for _, ok, _ in check_measurability(spec, law, 7))
-    dW = NoisePlan.for_spec(spec, 7).increments(np.arange(4))
-    dW[:, 0] = 0.0
-    X, _, Xc = verify._filtered_paths(spec, law, dW)
+    plan = dataclasses.replace(NoisePlan.for_spec(spec, 7), live=(False,) * 3)
+    X, _, Xc, _ = verify._filtered_paths(spec, law, plan, 4)
     assert np.all(X[..., 0] == 1.0)
     assert np.all(Xc[..., 0] == 1.0)
 
@@ -265,7 +265,7 @@ def test_block_kernel_matches_per_system_formulas(name, request):
     dW = NoisePlan(component_seeds(3), np.diff(times)).increments(np.arange(16))
     X = np.tile(np.concatenate([spec.x0, np.zeros(3 * spec.n)]), (16, 1))
     Xh, Xc = X.copy(), X.copy()
-    for k, Z, V in _node_loop(spec, law, dW):
+    for k, Z, V in _node_loop(spec, law, dW, 0):
         got = np.split(Z.T, 3, axis=1) + np.split(V.T, 3, axis=1)
         want = (X, Xh, Xc) + _reference_controls(law, k, X, Xh, Xc)
         for g, w in zip(got, want):
@@ -293,7 +293,7 @@ def test_scaled_law_plays_the_scaled_gain(n2_spec):
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
 
-    for k, Z, V in _node_loop(spec, scaled, dW):
+    for k, Z, V in _node_loop(spec, scaled, dW, 0):
         Z, V = Z.T, V.T     # rows per path, as the reference reads them
         close(V[:, :n], 1.5 * (Z[:, 8 * n:] @ law.gains["K1"][k].T)
               + law.gains["k1"][k])
@@ -401,6 +401,38 @@ def test_blowup_in_later_block_names_global_path(monkeypatch):
                           bundle)
     assert err.value.path == bad
     assert err.value.t == times[11]
+
+
+def test_blowup_on_last_path_of_padded_batch_names_that_path(monkeypatch):
+    # a huge W3 increment on step 10 of the last path of a final block or
+    # chunk, which copies of that path pad to a multiple of PAD_PATHS: the
+    # copies blow up with it, and the blow-up names the path itself at t_11
+    spec = sq.make_spec(n=1, T=1.0, steps=100, x0=1.0, A=0.3, B1=1.0, B2=0.8,
+                        B3=0.6, sigma1=0.3, sigma2=0.3, sigma3=0.3,
+                        Q1=1.0, G1=0.5, Q2=0.8, Q3=0.6)
+    bundle, Omega = solve_game(spec)
+    law = sq.build_feedback(bundle, Omega)
+    times = solver_times(spec)
+    plan = NoisePlan(component_seeds(0), np.diff(times))
+    const = default_directions(spec)[:1]
+
+    def increments(plan, idx):
+        dW = np.zeros((100, 3, len(idx)))
+        dW[10, 2, np.asarray(idx) == bad] = 1e13
+        return dW
+
+    monkeypatch.setattr(NoisePlan, "increments", increments)
+    monkeypatch.setattr(montecarlo, "CHUNK_PATHS", 16)
+    simulate = lambda n: list(simulate_blocks(spec, law, plan, n, thin=1))
+    sweep = lambda n: variational_sweep(spec, (1,), const, (0.1,), n, 0, law,
+                                        bundle)
+    for run, n_paths in ((simulate, BLOCK_PATHS + 3), (sweep, 19),
+                         (simulate, 3), (sweep, 3)):
+        bad = n_paths - 1
+        with pytest.raises(BlowUpError) as err:
+            run(n_paths)
+        assert err.value.path == bad, (run, n_paths)
+        assert err.value.t == times[11]
 
 
 def test_huge_gain_scale_is_a_blowup_not_a_warning():

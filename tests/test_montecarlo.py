@@ -510,7 +510,7 @@ def _helper_group(spec, bundle, law, player, directions, dW):
     filt = [np.zeros((D, N, n))] if player == 2 else [np.zeros((D, N, 2 * n))] * 2
     Bc, Cc = np.zeros((D, N)), np.zeros((D, N))
     form = lambda a, M, b: np.einsum("...pi,ij,...pj->...p", a, M, b)
-    for k, Z, V in _node_loop(spec, law, dW):
+    for k, Z, V in _node_loop(spec, law, dW, 0):
         Z, V = Z.T, V.T     # rows per path, as the helpers read them
         c, tc, own, xbase = cv[k], tcv[k], player - 1, Z[:, :n]
         offk = None if off is None else off[k, :, None]
@@ -595,7 +595,7 @@ def test_sweep_group_tables_match_helpers(name, request):
                                 montecarlo._group_tables(bundle, player, paths))
         ref = _helper_group(spec, bundle, lw, player, ds, dW)
         for (k, Z, V), (state, lower, off, Bc, Cc) in zip(
-                _node_loop(spec, lw, dW), ref):
+                _node_loop(spec, lw, dW, 0), ref):
             R, tc = run.state.mT, hom.cv[k]
             close(R, state)
             got = ((_follower_control(hom, tc, k, R[..., n:], off),)
@@ -604,7 +604,7 @@ def test_sweep_group_tables_match_helpers(name, request):
                                     off, off) if player == 3 else ())
             for g, want in zip(got, lower, strict=True):
                 close(g, want)
-            run.node(lw, law.cv[k], k, Z, V, dW)
+            run.node(lw, law.cv[k], k, Z, V, dW, 0)
             close(run.Bc, Bc)
             close(0.5 * run.Cc2, Cc)
 

@@ -6,8 +6,8 @@ from stacklq.errors import BlowUpError
 from stacklq.lift import (CoeffValues, bdiag, level1_at, level2_at,
                           level2_closedloop_at, level3_at, mv)
 from stacklq.model import Coefficient, solver_times
-from stacklq.riccati import (_ladder_rhs, backward_rk4, riccati_residuals,
-                             solve_game, terminal_state)
+from stacklq.riccati import (LEVELS, _ladder_rhs, backward_rk4,
+                             riccati_residuals, solve_game, terminal_state)
 
 
 def integrate_backward(rhs, terminal, times):
@@ -148,6 +148,21 @@ def test_determinism(scalar_generic):
         assert np.array_equal(getattr(b1, name),
                               getattr(b2, name))
     assert np.array_equal(o1, o2)
+
+
+def test_solve_game_returns_read_only_arrays(n2_spec):
+    # every consumer of a solve shares its arrays: the grid, the six levels,
+    # the four lifted families, the coefficient table's fields and Omega
+    bundle, Omega = solve_game(n2_spec)
+    arrays = {"times": bundle.times, "Omega": Omega,
+              **{name: getattr(bundle, name) for name in LEVELS},
+              **{f"cv.{name}": getattr(bundle.cv, name)
+                 for name in bundle.cv.__slots__},
+              **{f"{family}.{name}": value
+                 for family in ("l1", "l2", "l2cl", "l3")
+                 for name, value in getattr(bundle, family).items()}}
+    for name, arr in arrays.items():
+        assert not arr.flags.writeable, name
 
 
 def test_middle_and_top_solutions_symmetric(n2_spec):

@@ -64,8 +64,8 @@ def test_verify_runs_are_simulate_records_bit_identical(name, block, request,
     law = sq.build_feedback(*solve_game(spec))
     monkeypatch.setattr(montecarlo, "BLOCK_PATHS", block)
     N = 45
-    dW = NoisePlan.for_spec(spec, 3).increments(np.arange(N))
-    runs = np.concatenate(verify._filtered_paths(spec, law, dW), axis=-1)
+    runs = np.concatenate(verify._filtered_paths(
+        spec, law, NoisePlan.for_spec(spec, 3), N)[:3], axis=-1)
     blocks = sq.simulate_blocks(spec, law, NoisePlan.for_spec(spec, 3), N,
                                 thin=1)
     records = np.concatenate([r for _, r, _ in blocks])
