@@ -23,9 +23,9 @@ drive and the diagonal blocks' loads of a system y' = y + h (M y + drive)
 + sum_i dW_i (s_i + C_i y), s_i and C_i masked alike as each block observes,
 it makes Z's tables here and the response groups' tables in `montecarlo`,
 in the column form Y' = F Y + ... with F = I + h M.
-The gains, one read-only mapping `law.gains` keyed by `GAINS`, the
-simulation and the residuals read the solve's grid coefficient table,
-`bundle.cv`, which the law carries on as `law.cv`.  `verify`'s negative
+The gains, one read-only mapping `law.gains` keyed by `GAINS`, the law's
+Euler cost table `law.cost` and the residuals read the solve's grid
+coefficient table, `bundle.cv`, carried on as `law.cv`.  `verify`'s negative
 control is a law too: `build_feedback` with a gain_scale other than 1
 scales the follower gain on every block.
 """
@@ -39,7 +39,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import BlowUpError
-from .lift import CoeffValues, mv, selectors
+from .lift import CoeffValues, Family, mv, selectors
 from .model import BLOWUP_LIMIT, GameSpec
 from .riccati import RiccatiBundle
 
@@ -111,12 +111,15 @@ class FeedbackLaw:
     coff) dt + ...: F[k] = I + h M with block rows [M0, M2, M3], [0, M0+M2,
     M3], [0, 0, M0+M2+M3], c[k] h coff on each block, s and L Sigma_i and
     frakC_i on the blocks that observe W_i (X: W1-W3, Xh: W2-W3, Xc: W3).
-    cv is the solve's grid coefficient table.
+    cv is the solve's grid coefficient table and cost the Euler cost table
+    that montecarlo's `_node_cost` reads: at node k, h its step (1 at the
+    last node) and Q_i, R_i, m_i, n_i (G_i, 0, 0, 0 at the last) by player.
     """
 
     times: np.ndarray
     n: int
     cv: CoeffValues
+    cost: Family            # h (K+1,); Wx, Wv (K+1, 3, n, n); wx, wv (K+1, 3, n)
     gains: Mapping[str, np.ndarray]     # GAINS: (K+1, n, m) or (K+1, n)
     step: LinearStep
     Kz: np.ndarray          # (K+1, 3n, 12n)
@@ -183,8 +186,13 @@ def build_feedback(bundle: RiccatiBundle, Omega: np.ndarray,
     step = _euler_step(times, M, np.tile(g["coff"], 3),
                        [(first, l3.frakC, l3.Sigma) for first in range(3)])
     gains = MappingProxyType({name: g[name] for name in GAINS})
-    return FeedbackLaw(times=times, n=n, cv=cv, gains=gains, step=step,
-                       Kz=Kz, kz=kz)
+    cost = Family(h=np.append(np.diff(times), 1.0))
+    for name, w, last in (("Wx", cv.Q, cv.G), ("Wv", cv.R, 0.0),
+                          ("wx", cv.m, 0.0), ("wv", cv.nl, 0.0)):
+        cost[name] = np.moveaxis(w, 1, 0).copy()    # node-major and writable
+        cost[name][-1] = last
+    return FeedbackLaw(times=times, n=n, cv=cv, cost=cost, gains=gains,
+                       step=step, Kz=Kz, kz=kz)
 
 
 def _euler_step(times, M, drive, blocks) -> LinearStep:

@@ -13,9 +13,9 @@ Every formula takes one node or a leading node axis.  `CoeffValues(spec, t)`
 with a float t holds one node's coefficients; with an array of times each
 field carries the node axis first and `cv[k]` is the node-k view.  The
 `level*_at` formulas and the block helpers keep the leading axis of their
-first argument, so the ladder's passes call each once on the table of RK4
-(step, stage) rows and `solve_game` once more on the solver-grid table,
-which it keeps on the bundle as `cv` for every later consumer of the grid.
+first argument: the ladder's passes call each on the (step, stage) rows of
+the solver grid's one table, row k for step k, and `solve_game` on the
+table itself, kept on the bundle as `cv` for every consumer of the grid.
 A family with one entry per noise channel (calC, barsigma, frakC, Sigma) is
 one array with the channel axis first, as C and sigma are in CoeffValues.
 """

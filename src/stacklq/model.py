@@ -149,18 +149,14 @@ def with_steps(spec: GameSpec, steps: int) -> GameSpec:
 
 
 def solver_times(spec: GameSpec) -> np.ndarray:
-    """Uniform grid nodes joined with every declared breakpoint.
-
-    Integration steps never straddle a coefficient jump.
-    """
+    """Uniform grid nodes joined with every breakpoint; of two nodes closer
+    than 1e-12 T the later is kept and 0 and T are the ends, so each step
+    lies in one piece of every coefficient not broken within 1e-12 T of 0."""
     t = np.concatenate([np.linspace(0.0, spec.T, spec.steps + 1),
                         *(coeff.breaks for coeff in spec.coeffs.values())])
-    t = t[(t >= 0.0) & (t <= spec.T)]
-    t = np.unique(t)
-    # merge near-duplicates from decimal breakpoints landing on grid nodes
-    # into the earlier node, and a break that close to T into T
-    t = t[np.concatenate([[True], np.diff(t) > 1e-12 * max(spec.T, 1.0)])]
-    t[-1] = spec.T
+    t = np.unique(t[(t >= 0.0) & (t <= spec.T)])
+    t = t[np.append(np.diff(t) > 1e-12 * spec.T, True)]
+    t[0], t[-1] = 0.0, spec.T
     return t
 
 

@@ -27,11 +27,11 @@ standard error at each epsilon, and the slope with its own; verify judges it.
 `simulate_blocks`, the package's one path simulator, streams the equilibrium
 for `stacklq simulate` block by block of paths, one block alive at a time,
 keeping every thin-th node and each player's running cost, so no full path
-is stored.  Both read their coefficients off the law's grid table `law.cv`
-and build none.  Both iterate closedloop's `batches`, which draws each block
-or chunk, pads a short one and hands out its node loop, named by the global
-path index in a blow-up, so each path's records, costs and eps terms are
-bit for bit those it has inside a full block.
+is stored.  Both read their cost weights off the law's Euler cost table
+`law.cost` and build none.  Both iterate closedloop's `batches`, which
+draws each block or chunk, pads a short one and hands out its node loop,
+named by the global path index in a blow-up, so each path's records, costs
+and eps terms are bit for bit those it has inside a full block.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .closedloop import (BLOCK_PATHS, CHUNK_PATHS, FeedbackLaw, LinearStep,
                          _euler_step, batches)
-from .lift import CoeffValues, mv
+from .lift import Family, mv
 from .model import GameSpec, solver_times
 from .riccati import RiccatiBundle, backward_rk4
 from .rng import NoisePlan
@@ -68,19 +68,17 @@ class PerturbationReport:
     slope_stderr: float
 
 
-def _node_cost(c: CoeffValues, k: int, times, Z, V) -> np.ndarray:
+def _node_cost(cost: Family, k: int, Z, V) -> np.ndarray:
     """The three players' per-path cost terms (3, N) at node k along the
-    block state Z (12n, N) and controls V = [v1 | v2 | v3] (3n, N), c being
-    the node-k view: player i's is h (x'Q_i x/2 + v_i'R_i v_i/2 + x.m_i +
-    v_i.nl_i) before the last node and x'G_i x/2 at it."""
+    block state Z (12n, N) and controls V = [v1 | v2 | v3] (3n, N), from the
+    law's Euler cost table: player i's is h (x'Wx x/2 + v_i'Wv v_i/2 + wx.x
+    + wv.v_i) on node k's row, x'G_i x/2 at the last node."""
     x, v = Z[:len(V) // 3], V.reshape(3, -1, V.shape[-1])
-    if k == times.shape[0] - 1:
-        return 0.5 * np.einsum("ip,...ij,jp->...p", x, c.G, x)
-    h = times[k + 1] - times[k]
-    return h * (0.5 * np.einsum("ip,...ij,jp->...p", x, c.Q, x)
-                + 0.5 * np.einsum("...ip,...ij,...jp->...p", v, c.R, v)
-                + np.einsum("ip,...i->...p", x, c.m)
-                + np.einsum("...ip,...i->...p", v, c.nl))
+    Wx, Wv, wx, wv = cost.Wx[k], cost.Wv[k], cost.wx[k], cost.wv[k]
+    return cost.h[k] * (0.5 * np.einsum("ip,...ij,jp->...p", x, Wx, x)
+                        + 0.5 * np.einsum("...ip,...ij,...jp->...p", v, Wv, v)
+                        + np.einsum("ip,...i->...p", x, wx)
+                        + np.einsum("...ip,...i->...p", v, wv))
 
 
 def mean_stderr(J: np.ndarray) -> tuple:
@@ -104,8 +102,7 @@ def simulate_blocks(spec: GameSpec, law: FeedbackLaw, plan: NoisePlan,
     consumer holds, whatever n_paths is; a blow-up names its global path
     index.
     """
-    times, cv, n = law.times, law.cv, law.n
-    K = times.shape[0] - 1
+    K, n = law.times.shape[0] - 1, law.n
     for start, N, dW, nodes in batches(spec, law, plan, n_paths, BLOCK_PATHS):
         records = np.empty((N, K // thin + 1, 15 * n))
         J = np.zeros((3, N))
@@ -113,7 +110,7 @@ def simulate_blocks(spec: GameSpec, law: FeedbackLaw, plan: NoisePlan,
             if k % thin == 0:
                 records[:, k // thin, :12 * n] = Z[:, :N].T
                 records[:, k // thin, 12 * n:] = V[:, :N].T
-            J += _node_cost(cv[k], k, times, Z, V)[:, :N]
+            J += _node_cost(law.cost, k, Z, V)[:, :N]
         yield start, records, J
         del records, J      # a block's records are not held while the next is drawn
 
@@ -191,7 +188,8 @@ def _group_tables(bundle: RiccatiBundle, player, paths) -> LinearStep:
 class _Group:
     """One player's responses to D directions and the eps terms of their
     per-path cost polynomials J_d(eps) = J0 + eps Bc[d] + eps^2 Cc[d], added
-    up node by node along the base run, whose J0 the sweep sums for all.
+    up node by node along the base run, whose J0 the sweep sums for all, on
+    the player's row of the law's cost table `law.cost`.
 
     state (D, w, N) holds the responses as columns of [dx] (player 1), [dx |
     dxc] (player 2) or [dx | dX2h | dX2c] (player 3), one block per
@@ -209,23 +207,22 @@ class _Group:
         self.state = np.zeros((D, step.F.shape[-1], N))
         self.Bc, self.Cc2 = np.zeros((D, N)), np.zeros((D, N))
 
-    def node(self, law: FeedbackLaw, c, k: int, Z, V, dW, first: int):
+    def node(self, law: FeedbackLaw, k: int, Z, V, dW, first: int):
         """Add node k's eps and eps^2 terms; before the last node, step to k+1.
 
-        c is the node-k coefficient view; the block state Z = [X | Xh | Xc]
-        and the controls V = [v1 | v2 | v3] are the shared base run at node k
-        on dW, whose first path is path `first`.
+        The block state Z = [X | Xh | Xc] and the controls V = [v1 | v2 | v3]
+        are the shared base run at node k on dW, whose first path is path
+        `first`.
         """
         n, own, K = law.n, self.player - 1, dW.shape[0]
         x, vown = Z[:n], V[own * n:(own + 1) * n]
 
-        # each direction's value and the response dx contract with the cost
-        # weights: h Q, h m, h R, h n before the last node, G alone at it
+        # each direction's value and the response dx contract with the
+        # player's row of the law's cost table, scaled by the node's h
         dv, dx = self.dv[:, k], self.state[:, :n]
-        h = law.times[k + 1] - law.times[k] if k < K else 0.0
-        Wx, wx = ((h * c.Q[own], h * c.m[own][:, None]) if k < K
-                  else (c.G[own], 0.0))
-        Wv, wv = h * c.R[own], h * c.nl[own][:, None]
+        c, h = law.cost, law.cost.h[k]
+        Wx, wx = h * c.Wx[k, own], h * c.wx[k, own][:, None]
+        Wv, wv = h * c.Wv[k, own], h * c.wv[k, own][:, None]
         Bx, Cx = ((0.0, 0.0) if self.still else
                   (np.einsum("dip,ip->dp", dx, Wx.mT @ x + wx),
                    np.einsum("dip,ij,djp->dp", dx, Wx, dx)))
@@ -261,10 +258,9 @@ def variational_sweep(spec: GameSpec, players, directions, epsilons,
                   for player, step in zip(players, steps)]
         J = np.zeros((3, dW.shape[-1]))     # the base run's, every player's
         for k, Z, V in nodes:
-            c = law.cv[k]
-            J += _node_cost(c, k, law.times, Z, V)
+            J += _node_cost(law.cost, k, Z, V)
             for group in groups:
-                group.node(law, c, k, Z, V, dW, start)
+                group.node(law, k, Z, V, dW, start)
         parts.append([(J[g.player - 1, :N], g.Bc[:, :N], 0.5 * g.Cc2[:, :N])
                       for g in groups])
         groups = group = None   # a chunk's responses go before the next is drawn

@@ -126,16 +126,16 @@ def _continuous_value(spec: GameSpec, bundle: RiccatiBundle, Omega) -> float:
     """Value of the reduced continuous problem from the solved ladder: the
     follower gain p, its offset phi (Omega's last quarter, as in the
     follower's feedback offset) and the constant chi, whose right-hand side
-    reads no chi, by the midpoint rule on the solver grid, added up backward
-    from T."""
+    reads no chi, by the midpoint rule on the solver grid (each step's row of
+    the grid table, p and phi averaged), added up backward from T."""
     times, n = bundle.times, spec.n
     p, phi = bundle.p, Omega[:, 3 * n:]
     pm, phim = 0.5 * (p[1:] + p[:-1]), 0.5 * (phi[1:] + phi[:-1])
-    mid = CoeffValues(spec, 0.5 * (times[1:] + times[:-1]))
+    c = bundle.cv[:-1]
     # -chi' = phi.b + 1/2 s3'p s3 - 1/2 w'R1^-1 w with w = B1'phi + n1
-    s3, w = mid.sigma[2], mv(mid.B[0].mT, phim) + mid.nl[0]
+    s3, w = c.sigma[2], mv(c.B[0].mT, phim) + c.nl[0]
     dot = lambda u, v: np.einsum("ki,ki->k", u, v)
-    rate = dot(phim, mid.b) + 0.5 * dot(s3, mv(pm, s3)) - 0.5 * dot(w, mv(mid.Rinv[0], w))
+    rate = dot(phim, c.b) + 0.5 * dot(s3, mv(pm, s3)) - 0.5 * dot(w, mv(c.Rinv[0], w))
     chis = np.append(np.cumsum((np.diff(times) * rate)[::-1])[::-1], 0.0)
     bad = np.flatnonzero(~(np.abs(chis) <= BLOWUP_LIMIT))     # NaN is bad too
     if bad.size:        # backward_rk4 stops at the latest node past the limit

@@ -7,7 +7,7 @@ Omega need p, P1 and P2.  RK4 of a triangular system is RK4 of each level in
 turn, so each level is one classical fourth-order pass over the grid (the
 uniform one refined with every coefficient breakpoint) whose operands are
 built once, from the stage states the passes below recorded, on the (step,
-stage) rows; every stage reads its step's midpoint coefficients.
+stage) rows; every stage of step k reads row k of the grid's table.
 `backward_rk4` is the package's one RK4 loop, with one blow-up guard: it
 runs these passes and the sweep's response offsets in `montecarlo`.
 
@@ -22,9 +22,9 @@ blocks, so P2' = R(P1+P2) - R(P1), and likewise for Pf2 and Pf3.  The level
 functions take one node or a leading row axis, so the residual diagnostic
 calls them once on the table of interior nodes.
 
-`solve_game`, the one entry point, returns the ladder's levels as (K+1,
-d, d) arrays on one RiccatiBundle, with the grid's coefficient table `cv`
-that every consumer of the solve reads, and Omega as a (K+1, 4n) array.
+`solve_game`, the one entry point, builds the grid's one coefficient table
+`cv`, which the ladder and every later consumer read, and returns it and
+the levels, (K+1, d, d) arrays, on one RiccatiBundle, and Omega (K+1, 4n).
 No equation of the ladder reads an intercept (b, sigma_i, m_i or n_i) but
 Omega's, so a spec with them zeroed solves to the same levels.
 
@@ -200,14 +200,13 @@ def backward_rk4(rhs, terminal, times, what, fix=lambda y: y, stop=0):
     return [np.array(traj[::-1]) for traj in zip(*hist)]
 
 
-def _solve_levels(spec: GameSpec):
-    """Backward RK4 of the ladder's three levels, one pass per level,
-    each reading the stage states the passes below it recorded, on rows that
-    run step K's four stages first.  A blow-up ends every higher pass at its
-    step, so the one raised is the latest in time."""
-    times = solver_times(spec)
+def _solve_levels(spec: GameSpec, cv: CoeffValues):
+    """Backward RK4 of the ladder's three levels on the grid of the table cv,
+    one pass per level, each reading the stage states the passes below it
+    recorded, on rows that run step K's four stages first.  A blow-up ends
+    every higher pass at its step, so the one raised is the latest in time."""
+    times = cv.t
     K = times.shape[0] - 1
-    mid = CoeffValues(spec, 0.5 * (times[1:] + times[:-1]))
     terminals = _level_states(*terminal_state(spec))
     max_asym, stop, error, lower, arrays = 0.0, 0, None, [], []
 
@@ -228,7 +227,7 @@ def _solve_levels(spec: GameSpec):
             if c not in ops:                # a chunk's first stage builds its operands
                 ops.clear()
                 end = min(r + CHUNK_ROWS, m)      # row r is step K - r // 4
-                o = list(_level_ops(mid[K - 1 - np.arange(r, end) // 4],
+                o = list(_level_ops(cv[K - 1 - np.arange(r, end) // 4],
                                     *(s[r:end] for s in lower)))
                 # the channels whose C loads on the chunk: C, Sigma, loads rows
                 live = np.any(o[3], axis=(0, 2, 3, 4))
@@ -250,7 +249,7 @@ def _solve_levels(spec: GameSpec):
     if max_asym > P_ASYM_TOL:
         raise ConsistencyError(f"follower gain asymmetry {max_asym:.3e} exceeds "
                                f"{P_ASYM_TOL:g}")
-    return times, arrays
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +257,11 @@ def _solve_levels(spec: GameSpec):
 # ---------------------------------------------------------------------------
 
 def solve_game(spec: GameSpec):
-    """Full ladder, level by level: the RiccatiBundle, its families read off
-    the grid table cv and, like cv's, its arrays read-only, and Omega
-    (K+1, 4n), read-only too."""
-    times, (p, P, Pf, Omega) = _solve_levels(spec)
-    cv = CoeffValues(spec, times)
+    """Full ladder, level by level, on the grid table cv built first: the
+    RiccatiBundle, its families read off cv and, like cv's, its arrays
+    read-only, and Omega (K+1, 4n), read-only too."""
+    cv = CoeffValues(spec, solver_times(spec))
+    times, (p, P, Pf, Omega) = cv.t, _solve_levels(spec, cv)
     p, P1, P2, Pf1, Pf2, Pf3 = p[:, 0], P[:, 0], P[:, 1], Pf[:, 0], Pf[:, 1], Pf[:, 2]
     l1 = level1_at(cv, p)
     l2 = level2_at(cv, l1)

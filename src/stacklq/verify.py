@@ -110,7 +110,7 @@ def check_measurability(spec, law, seed, n_paths=32):
     gap3 = max(np.abs(X3 - Xh3).max(), np.abs(X3 - Xc3).max())
     return [("filter_measurability", not broken,
              "failed: " + ", ".join(broken) if broken else
-             "hat/check filters bit-identical with W1, then W1 and W2, zeroed"),
+             "hat/check filters bit-identical with W1, then W1 and W2, dead"),
             ("exact_nesting", max(gap23, gap3) <= 1e-12,
              f"max level gap {gap23:.3e} without W1, {gap3:.3e} with W3 only "
              "(<= 1e-12)")]

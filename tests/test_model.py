@@ -157,6 +157,64 @@ def test_solver_times_end_at_T(T):
     assert sq.solve_game(spec)[0].times[-1] == T
 
 
+@pytest.mark.parametrize("T", [1e-11, 1e-13])
+def test_solver_times_tiny_horizon_keeps_every_node(T):
+    # the merge tolerance is relative to T: below T = 1 an absolute 1e-12
+    # merged nodes that are whole steps apart (T = 1e-13 left one node, T)
+    spec = sq.make_spec(n=1, T=T, steps=10, A=0.3, B1=1.0, Q1=1.0, G1=0.5)
+    assert sq.validate_spec(spec).valid
+    times = solver_times(spec)
+    assert times.shape == (11,) and times[0] == 0.0 and times[-1] == T
+    assert np.all(np.diff(times) > 0.0)
+    assert np.array_equal(sq.solve_game(spec)[0].times, times)
+
+
+# break sets in decimal, each on a coefficient of its own: j T / d rounded to
+# 12 significant digits, as a spec file writes them, lands on or within
+# rounding of a uniform grid node whenever steps is a multiple of d
+_DECIMAL_BREAKS = {"A": 10, "R1": 20, "sigma3": 25, "n2": 8}
+
+
+@pytest.mark.parametrize("T", [1.0, 3.7, 0.25])
+def test_grid_table_rows_are_each_steps_coefficients(T):
+    # no step straddles a piece: row k < K of the grid's table is, field by
+    # field, the coefficients at step k's midpoint, which the ladder's RK4
+    # stages of step k, the Euler step from node k and the cost of step k
+    # all read
+    for steps in (2, 7, 10, 16, 20, 25, 40, 50, 70, 80, 99, 100, 120, 200,
+                  333, 400, 500, 1000):
+        coeffs = {}
+        for name, d in _DECIMAL_BREAKS.items():
+            breaks = [float(f"{j * T / d:.12g}") for j in range(1, d)]
+            pieces = 1.0 + 0.1 * np.arange(d)
+            shape = (d, 1) if name in ("sigma3", "n2") else (d, 1, 1)
+            coeffs[name] = Coefficient.piecewise(breaks, pieces.reshape(shape))
+        spec = sq.make_spec(n=1, T=T, steps=steps, **coeffs)
+        times = solver_times(spec)
+        assert times[0] == 0.0 and times[-1] == T and np.all(np.diff(times) > 0)
+        rows = CoeffValues(spec, times)[:-1]
+        mid = CoeffValues(spec, 0.5 * (times[1:] + times[:-1]))
+        for field in CoeffValues.__slots__[1:]:
+            assert np.array_equal(getattr(rows, field), getattr(mid, field)), \
+                (steps, field)
+
+
+def test_decimal_break_on_a_node_starts_its_step():
+    # at 70 steps the uniform node 7 is 0.09999999999999999 and the break
+    # 0.1: the grid keeps the later of the two, so step 7 starts at the
+    # break and the table, the ladder and the law's step all read A = 2.0 on
+    # it (no control: the law's drift is A on every block)
+    spec = sq.make_spec(n=1, T=1.0, steps=70, x0=1.0,
+                        A=_pw(0.1, [[0.3]], [[2.0]]), sigma3=0.2)
+    bundle, Omega = sq.solve_game(spec)
+    law = sq.build_feedback(bundle, Omega)
+    times = bundle.times
+    assert times.shape == (71,) and times[7] == 0.1
+    assert bundle.cv.A[6, 0, 0] == 0.3 and bundle.cv.A[7, 0, 0] == 2.0
+    h = times[8] - times[7]
+    assert np.array_equal(law.step.F[7], np.eye(12) * (1.0 + h * 2.0))
+
+
 def _edited(edit):
     """The document of make_spec(), changed in place by `edit`."""
     doc = sq.spec_to_dict(sq.make_spec())

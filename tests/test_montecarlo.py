@@ -9,7 +9,6 @@ import stacklq as sq
 import stacklq.closedloop as closedloop
 import stacklq.montecarlo as montecarlo
 from stacklq.closedloop import _node_loop
-from stacklq.lift import CoeffValues
 from stacklq.model import solver_times, with_steps
 from stacklq.montecarlo import (_node_cost, default_directions, mean_stderr,
                                 simulate_blocks, variational_sweep)
@@ -604,7 +603,7 @@ def test_sweep_group_tables_match_helpers(name, request):
                                     off, off) if player == 3 else ())
             for g, want in zip(got, lower, strict=True):
                 close(g, want)
-            run.node(lw, law.cv[k], k, Z, V, dW, 0)
+            run.node(lw, k, Z, V, dW, 0)
             close(run.Bc, Bc)
             close(0.5 * run.Cc2, Cc)
 
@@ -726,7 +725,6 @@ def test_sweep_response_is_the_public_response():
                         G2=0.4, Q3=0.6, R3=1.5, G3=0.3)
     bundle, _, law = _solution(spec)
     times = solver_times(spec)
-    cv = CoeffValues(spec, times)
     N, seed, eps = 64, 5, 0.1
     dW = NoisePlan(component_seeds(seed), np.diff(times)).increments(np.arange(N))
     zero = np.zeros((times.shape[0], 1))
@@ -737,7 +735,7 @@ def test_sweep_response_is_the_public_response():
             r = respond(spec, bundle, (eps * d.path, zero)[:4 - player], dW)
             V = np.zeros((times.shape[0], 3, N))    # n = 1: the player's control alone
             V[:, player - 1] = eps * d.path
-            J = sum(_node_cost(cv[k], k, times, r.x[:, k].T, V[k])[player - 1]
+            J = sum(_node_cost(law.cost, k, r.x[:, k].T, V[k])[player - 1]
                     for k in range(times.shape[0]))
             got = rep.means[rep.epsilons.index(eps)]
             assert got == pytest.approx(J.mean(), rel=1e-12), (player, d.id)

@@ -19,9 +19,9 @@ def test_verification_solves_the_ladder_twice(reducible_spec, monkeypatch):
     calls = []
     solve_levels = riccati._solve_levels
 
-    def counting(spec):
+    def counting(spec, cv):
         calls.append(spec.steps)
-        return solve_levels(spec)
+        return solve_levels(spec, cv)
 
     monkeypatch.setattr(riccati, "_solve_levels", counting)
     checks, _ = run_verification(reducible_spec, seed=3, n_paths=16,
