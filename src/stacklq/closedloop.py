@@ -39,7 +39,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import BlowUpError
-from .lift import CoeffValues, Family, mv, selectors
+from .lift import CoeffValues, Family, block, mv
 from .model import BLOWUP_LIMIT, GameSpec
 from .riccati import RiccatiBundle
 
@@ -137,7 +137,9 @@ def build_feedback(bundle: RiccatiBundle, Omega: np.ndarray,
     drives the x rows of all three blocks, so the law stays nested."""
     times, cv, p = bundle.times, bundle.cv, bundle.p
     n = p.shape[-1]
-    e1, U, L, s2 = selectors(n)
+    # selectors: x, the upper and the lower 2n of 4n; the lower n of 2n
+    e1, U, L = np.eye(n, 4 * n), np.eye(2 * n, 4 * n), np.eye(2 * n, 4 * n, 2 * n)
+    s2 = np.eye(n, 2 * n, n)
     R1i, R2i, R3i = cv.Rinv
     B1 = cv.B[0]
     l2, l3 = bundle.l2, bundle.l3
@@ -177,12 +179,12 @@ def build_feedback(bundle: RiccatiBundle, Omega: np.ndarray,
         if not np.all(np.isfinite(table)):
             raise BlowUpError(f"feedback gain {name}", float(times[-1]))
 
-    On = np.zeros_like(g["K1"])
-    Kz = np.block([[On, On, g["K1"]], [On, g["K2hat"], g["K2check"]],
-                   [g["K3"], g["K3hat"], g["K3check"]]])
+    On, O = np.zeros((n, 4 * n)), np.zeros((4 * n, 4 * n))
+    Kz = block([[On, On, g["K1"]], [On, g["K2hat"], g["K2check"]],
+                [g["K3"], g["K3hat"], g["K3check"]]])
     kz = np.concatenate([g["k1"], g["k2"], g["k3"]], axis=-1)[..., None]
-    M0, M2, M3, O = g["M0"], g["M2"], g["M3"], np.zeros_like(g["M0"])
-    M = np.block([[M0, M2, M3], [O, M0 + M2, M3], [O, O, M0 + M2 + M3]])
+    M0, M2, M3 = g["M0"], g["M2"], g["M3"]
+    M = block([[M0, M2, M3], [O, M0 + M2, M3], [O, O, M0 + M2 + M3]])
     step = _euler_step(times, M, np.tile(g["coff"], 3),
                        [(first, l3.frakC, l3.Sigma) for first in range(3)])
     gains = MappingProxyType({name: g[name] for name in GAINS})
@@ -273,7 +275,8 @@ def _node_loop(spec: GameSpec, law: FeedbackLaw, dW: np.ndarray, first: int):
 def _phicheck_gain(bundle: RiccatiBundle, Omega):
     """(G, g) on the node axis such that the follower offset filter is
     phicheck = G X3check + g along equilibrium paths."""
-    _, U, L, s2 = selectors(bundle.p.shape[-1])
+    n = bundle.p.shape[-1]
+    U, L, s2 = np.eye(2 * n, 4 * n), np.eye(2 * n, 4 * n, 2 * n), np.eye(n, 2 * n, n)
     G = (s2 @ (bundle.P1 + bundle.P2) @ U
          + s2 @ L @ (bundle.Pf1 + bundle.Pf2 + bundle.Pf3))
     return G, mv(s2 @ L, Omega)

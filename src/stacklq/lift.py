@@ -12,10 +12,12 @@ is symmetric.
 Every formula takes one node or a leading node axis.  `CoeffValues(spec, t)`
 with a float t holds one node's coefficients; with an array of times each
 field carries the node axis first and `cv[k]` is the node-k view.  The
-`level*_at` formulas and the block helpers keep the leading axis of their
-first argument: the ladder's passes call each on the (step, stage) rows of
-the solver grid's one table, row k for step k, and `solve_game` on the
-table itself, kept on the bundle as `cv` for every consumer of the grid.
+`level*_at` formulas keep the leading axis of their operands: the ladder's
+passes call each on the (step, stage) rows of the solver grid's one table,
+row k for step k, and `solve_game` on the table itself, kept on the bundle
+as `cv` for every consumer of the grid.  `block` builds every stacked (2n,
+4n, Z's 12n) layout of the package, a constant zero block standing for one
+at every node.
 A family with one entry per noise channel (calC, barsigma, frakC, Sigma) is
 one array with the channel axis first, as C and sigma are in CoeffValues.
 """
@@ -29,64 +31,24 @@ from .model import GameSpec
 
 
 # ---------------------------------------------------------------------------
-# block helpers (zero blocks are exact zeros; the leading shape is the first
-# argument's)
+# stacked layouts
 # ---------------------------------------------------------------------------
 
-def bdiag(M11, M22):
-    d1, e1 = M11.shape[-2:]
-    out = np.zeros(M11.shape[:-2] + (d1 + M22.shape[-2], e1 + M22.shape[-1]))
-    out[..., :d1, :e1] = M11
-    out[..., d1:, e1:] = M22
-    return out
-
-
-def anti(M):
-    """[[0, M], [M, 0]] for square M."""
-    d = M.shape[-1]
-    out = np.zeros(M.shape[:-2] + (2 * d, 2 * d))
-    out[..., :d, d:] = M
-    out[..., d:, :d] = M
-    return out
-
-
-def stack_top(M, rows_below):
-    d = M.shape[-2]
-    out = np.zeros(M.shape[:-2] + (d + rows_below, M.shape[-1]))
-    out[..., :d, :] = M
-    return out
-
-
-def row_right(M, cols_left):
-    out = np.zeros(M.shape[:-1] + (cols_left + M.shape[-1],))
-    out[..., cols_left:] = M
-    return out
-
-
-def vcat(v1, v2):
-    d = v1.shape[-1]
-    out = np.zeros(v1.shape[:-1] + (d + v2.shape[-1],))
-    out[..., :d] = v1
-    out[..., d:] = v2
-    return out
+def block(parts):
+    """np.block over the last axis (a list of vectors) or the last two (a list
+    of rows of matrices), each part first broadcast to the leading shape all
+    the parts share, so a constant zero block stands for one at every node.
+    The result is a fresh array."""
+    core = 2 if isinstance(parts[0], list) else 1
+    rows = parts if core == 2 else [parts]
+    lead = np.broadcast_shapes(*(p.shape[:-core] for row in rows for p in row))
+    out = [[np.broadcast_to(p, lead + p.shape[-core:]) for p in row] for row in rows]
+    return np.block(out if core == 2 else out[0])
 
 
 def mv(M, v):
     """Matrix-vector product over any leading node axis."""
     return (M @ v[..., None])[..., 0]
-
-
-def selectors(n: int):
-    """(e1, U, L, s2): x from 4n, upper/lower 2n from 4n, lower n from 2n."""
-    e1 = np.zeros((n, 4 * n))
-    e1[:, :n] = np.eye(n)
-    U = np.zeros((2 * n, 4 * n))
-    U[:, :2 * n] = np.eye(2 * n)
-    L = np.zeros((2 * n, 4 * n))
-    L[:, 2 * n:] = np.eye(2 * n)
-    s2 = np.zeros((n, 2 * n))
-    s2[:, n:] = np.eye(n)
-    return e1, U, L, s2
 
 
 # ---------------------------------------------------------------------------
@@ -183,23 +145,22 @@ def level1_at(cv: CoeffValues, p: np.ndarray) -> Family:
 
 def level2_at(cv: CoeffValues, l1: dict) -> Family:
     n = cv.A.shape[-1]
-    z = np.zeros((n, n))
-    zv = np.zeros(n)
-    calC = bdiag(cv.C, np.zeros_like(cv.C))     # W3 on both blocks
+    z, zv = np.zeros((n, n)), np.zeros(n)
+    calC = block([[cv.C, z], [z, z]])       # W3 on both blocks
     calC[2, ..., n:, n:] = cv.C[2]
     return Family(
-        calA1=bdiag(cv.A, l1["Abar"]),
-        calA2=bdiag(l1["Abar"] - cv.A, z),
-        calF1=anti(l1["F1bar"]),
-        calB2=stack_top(cv.B[1], n),
-        calB3=stack_top(cv.B[2], n),
+        calA1=block([[cv.A, z], [z, l1["Abar"]]]),
+        calA2=block([[l1["Abar"] - cv.A, z], [z, z]]),
+        calF1=block([[z, l1["F1bar"]], [l1["F1bar"], z]]),
+        calB2=block([[cv.B[1]], [z]]),
+        calB3=block([[cv.B[2]], [z]]),
         calC=calC,
-        calQ2=bdiag(cv.Q[1], z),
-        calF2=row_right(l1["F2bar"], n),
-        calF3=row_right(l1["F3bar"], n),
-        barb2=vcat(l1["bbar"], zv),
-        barsigma=vcat(cv.sigma, np.zeros_like(cv.sigma)),
-        f2bar=vcat(cv.m[1], l1["f1bar"]),
+        calQ2=block([[cv.Q[1], z], [z, z]]),
+        calF2=block([[z, l1["F2bar"]]]),
+        calF3=block([[z, l1["F3bar"]]]),
+        barb2=block([l1["bbar"], zv]),
+        barsigma=block([cv.sigma, zv]),
+        f2bar=block([cv.m[1], l1["f1bar"]]),
     )
 
 
@@ -229,25 +190,23 @@ def level2_closedloop_at(cv: CoeffValues, l2: dict, P1, P2) -> Family:
 
 def level3_at(cv: CoeffValues, l2: dict, cl: dict) -> Family:
     n = cv.A.shape[-1]
-    z = np.zeros((n, n))
-    zv2 = np.zeros(2 * n)
-    frakQ3 = anti(cl["H"])
-    frakQ3[..., :2 * n, :2 * n] = bdiag(cv.Q[2], z)
-    frakC = bdiag(l2["calC"], np.zeros_like(l2["calC"]))   # W2 on both blocks
+    z, z2, zc, zv = (np.zeros(d) for d in ((n, n), (2 * n, 2 * n), (2 * n, n), n))
+    H = cl["H"]
+    frakC = block([[l2["calC"], z2], [z2, z2]])     # W2 on both blocks
     frakC[1, ..., 2 * n:, 2 * n:] = l2["calC"][1]
     return Family(
-        frakA1=bdiag(cl["ddA1"], cl["ddA1"]),
-        frakA2=bdiag(cl["ddA2"], cl["ddA2"]),
-        frakA3=bdiag(cl["ddA3"], cl["ddA3"]),
-        frakF1bar=anti(l2["calF1"]),
-        frakF1dd=anti(cl["ddF1"]),
-        frakB3=stack_top(l2["calB3"], 2 * n),
+        frakA1=block([[cl["ddA1"], z2], [z2, cl["ddA1"]]]),
+        frakA2=block([[cl["ddA2"], z2], [z2, cl["ddA2"]]]),
+        frakA3=block([[cl["ddA3"], z2], [z2, cl["ddA3"]]]),
+        frakF1bar=block([[z2, l2["calF1"]], [l2["calF1"], z2]]),
+        frakF1dd=block([[z2, cl["ddF1"]], [cl["ddF1"], z2]]),
+        frakB3=block([[l2["calB3"]], [zc]]),
         frakC=frakC,
-        frakQ3=frakQ3,
-        frakQ3dd=anti(-cl["H"]),
-        Fa=row_right(cl["va"].mT, 2 * n),
-        Fb=row_right(cl["vc"].mT, 2 * n),
-        ddb3=vcat(cl["ddb2"], zv2),
-        Sigma=vcat(l2["barsigma"], np.zeros_like(l2["barsigma"])),
-        ddf3=vcat(vcat(cv.m[2], np.zeros(n)), cl["ddf2"]),
+        frakQ3=block([[block([[cv.Q[2], z], [z, z]]), H], [H, z2]]),
+        frakQ3dd=block([[z2, -H], [-H, z2]]),
+        Fa=block([[zc.mT, cl["va"].mT]]),
+        Fb=block([[zc.mT, cl["vc"].mT]]),
+        ddb3=block([cl["ddb2"], zv, zv]),
+        Sigma=block([l2["barsigma"], zv, zv]),
+        ddf3=block([cv.m[2], zv, cl["ddf2"]]),
     )

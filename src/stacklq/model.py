@@ -35,6 +35,7 @@ RHO_MIN_DEFAULT = 1e-8      # min eigenvalue required for R
 SYM_TOL = 1e-10
 BIG = 1e18                  # finiteness guard (uniform boundedness surrogate)
 BLOWUP_LIMIT = 1e12         # the solve's and simulation's blow-up guard
+MERGE_TOL = 1e-12           # grid nodes closer than MERGE_TOL * T merge
 
 # The document's time coefficients by name, in document order: the dynamics
 # under "coeffs", then each player's weights under "costs/player{i}", whose
@@ -150,12 +151,13 @@ def with_steps(spec: GameSpec, steps: int) -> GameSpec:
 
 def solver_times(spec: GameSpec) -> np.ndarray:
     """Uniform grid nodes joined with every breakpoint; of two nodes closer
-    than 1e-12 T the later is kept and 0 and T are the ends, so each step
-    lies in one piece of every coefficient not broken within 1e-12 T of 0."""
+    than MERGE_TOL T the later is kept and 0 and T are the ends, so each
+    step lies in one piece of every coefficient (validation rejects a break
+    that close to 0)."""
     t = np.concatenate([np.linspace(0.0, spec.T, spec.steps + 1),
                         *(coeff.breaks for coeff in spec.coeffs.values())])
     t = np.unique(t[(t >= 0.0) & (t <= spec.T)])
-    t = t[np.append(np.diff(t) > 1e-12 * spec.T, True)]
+    t = t[np.append(np.diff(t) > MERGE_TOL * spec.T, True)]
     t[0], t[-1] = 0.0, spec.T
     return t
 
@@ -213,6 +215,8 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
                 bad.append(Violation(name, "piecewise breakpoints not strictly increasing"))
             if coeff.breaks[0] <= 0.0 or coeff.breaks[-1] >= T:
                 bad.append(Violation(name, "piecewise breakpoints outside (0, T)"))
+            elif coeff.breaks[0] <= MERGE_TOL * T:
+                bad.append(Violation(name, f"piecewise breakpoint within {MERGE_TOL:g}*T of 0"))
 
     # sign conditions on every piece of a bounded weight, reported at its start
     for i, G in enumerate(spec.G, start=1):

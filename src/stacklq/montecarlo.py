@@ -42,7 +42,7 @@ import numpy as np
 
 from .closedloop import (BLOCK_PATHS, CHUNK_PATHS, FeedbackLaw, LinearStep,
                          _euler_step, batches)
-from .lift import Family, mv
+from .lift import Family, block, mv
 from .model import GameSpec, solver_times
 from .riccati import RiccatiBundle, backward_rk4
 from .rng import NoisePlan
@@ -163,7 +163,7 @@ def _group_tables(bundle: RiccatiBundle, player, paths) -> LinearStep:
         l1 = bundle.l1
         phi = _offset_backward(times, l1.Abar.mT, mv(p, mv(B2, paths)),
                                "follower offset")
-        M = np.block([[A, l1.F1bar @ p], [np.zeros_like(A), l1.Abar]])
+        M = block([[A, l1.F1bar @ p], [np.zeros((n, n)), l1.Abar]])
         drive = np.tile(phi @ l1.F1bar.mT + dv @ B2.mT, 2)
         blocks = [(0, C, None), (2, C, None)]
     else:       # [dx | dX2h | dX2c]: v2 = K2h dX2h + K2c dX2c + k2 Phi and
@@ -175,9 +175,9 @@ def _group_tables(bundle: RiccatiBundle, player, paths) -> LinearStep:
         k1, k2 = -cv.Rinv[0] @ B1.mT, -cv.Rinv[1] @ l2.calB2.mT
         K1 = k1 @ (p @ np.eye(n, 2 * n) + s2 @ (P1 + P2))
         K2h, K2c = k2 @ P1, k2 @ P2 - cv.Rinv[1] @ l2.calF2
-        ddA12, O = cl.ddA1 + cl.ddA2, np.zeros_like(cl.ddA1[..., :n])
-        M = np.block([[A, B2 @ K2h, B1 @ K1 + B2 @ K2c], [O, ddA12, cl.ddA3],
-                      [O, np.zeros_like(ddA12), ddA12 + cl.ddA3]])
+        ddA12, O = cl.ddA1 + cl.ddA2, np.zeros((2 * n, n))
+        M = block([[A, B2 @ K2h, B1 @ K1 + B2 @ K2c], [O, ddA12, cl.ddA3],
+                   [O, np.zeros((2 * n, 2 * n)), ddA12 + cl.ddA3]])
         on_Phi = np.concatenate([B1 @ k1 @ s2 + B2 @ k2, cl.ddF1, cl.ddF1], axis=-2)
         on_dv = np.concatenate([B3, l2.calB3, l2.calB3], axis=-2)
         drive = Phi @ on_Phi.mT + dv @ on_dv.mT

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ConsistencyError
-from .lift import (CoeffValues, Family, bdiag, level1_at, level2_at,
+from .lift import (CoeffValues, Family, block, level1_at, level2_at,
                    level2_closedloop_at, level3_at, mv)
 from .model import BLOWUP_LIMIT, GameSpec, solver_times
 
@@ -143,12 +143,14 @@ _LOADS = (np.array(((0,), (0,), (0,))), np.array(((0, 0), (0, 0), (0, 1))),
 
 
 def terminal_state(spec: GameSpec):
-    """The ladder's terminal values; the only builder of calG2 and frakG3."""
+    """The ladder's terminal values (p, P1, P2, Pf1, Pf2, Pf3, Omega); the only
+    builder of calG2 and frakG3, G2 and G3 in their upper-left blocks."""
     n = spec.n
     G1, G2, G3 = spec.G
     z, z2, z4 = (np.zeros((d, d)) for d in (n, 2 * n, 4 * n))
-    return (G1.copy(), bdiag(G2, z), z2, bdiag(bdiag(G3, z), z2), z4, z4,
-            np.zeros(4 * n))
+    calG3 = block([[G3, z], [z, z]])
+    return (G1.copy(), block([[G2, z], [z, z]]), z2,
+            block([[calG3, z2], [z2, z2]]), z4, z4, np.zeros(4 * n))
 
 
 def _level_states(p, P1, P2, Pf1, Pf2, Pf3, Om):

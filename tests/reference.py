@@ -23,7 +23,7 @@ import numpy as np
 
 from stacklq.closedloop import _guard
 from stacklq.errors import StackLQError
-from stacklq.lift import CoeffValues, mv, selectors
+from stacklq.lift import CoeffValues, mv
 from stacklq.model import Coefficient, GameSpec, solver_times
 from stacklq.montecarlo import _offset_backward
 from stacklq.riccati import (_LOADS, RiccatiBundle, _level_ops, _level_rhs,
@@ -104,7 +104,7 @@ def _middle_controls(bundle: RiccatiBundle, c: CoeffValues, k, X2h, X2c,
     states and offsets: v2 from the middle level's feedback, v1 from the
     follower's, fed the follower offset filter phicheck."""
     n = c.A.shape[-1]
-    s2 = selectors(n)[3]
+    s2 = np.eye(n, 2 * n, n)                # the lower n of 2n
     cB2, cF2 = bundle.l2.calB2[k], bundle.l2.calF2[k]
     P1, P2 = bundle.P1[k], bundle.P2[k]
     u = X2h @ (cB2.T @ P1).T + X2c @ (cB2.T @ P2 + cF2).T + Phih @ cB2 + c.nl[1]

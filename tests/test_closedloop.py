@@ -10,7 +10,7 @@ import stacklq.verify as verify
 from stacklq.closedloop import (BLOCK_PATHS, CHUNK_PATHS, _node_loop,
                                 _phicheck_gain, ansatz_residual)
 from stacklq.errors import BlowUpError
-from stacklq.lift import CoeffValues, mv, selectors
+from stacklq.lift import CoeffValues, mv
 from stacklq.model import solver_times
 from stacklq.montecarlo import (default_directions, simulate_blocks,
                                 variational_sweep)
@@ -481,7 +481,8 @@ def reconstruct_phicheck(bundle, Omega, X3check):
 
 def reconstruct_Phi(bundle, Omega, X3hat, X3check):
     """Middle-level offset filters (hat and check versions) along paths."""
-    L = selectors(bundle.p.shape[-1])[2]
+    n = bundle.p.shape[-1]
+    L = np.eye(2 * n, 4 * n, 2 * n)         # the lower 2n of 4n
     Pf12, Pf3 = bundle.Pf1 + bundle.Pf2, bundle.Pf3
     off = mv(L, Omega)
     Phih = mv(L @ Pf12, X3hat) + mv(L @ Pf3, X3check) + off
@@ -506,7 +507,8 @@ def test_offset_reconstruction_matches_per_node_formulas(n2_spec):
     paths = _paths(n2_spec, law, 5, 8)
     phic = reconstruct_phicheck(bundle, Omega, paths.Xc)
     Phih, Phic = reconstruct_Phi(bundle, Omega, paths.Xh, paths.Xc)
-    _, U, L, s2 = selectors(n2_spec.n)
+    n = n2_spec.n
+    U, L, s2 = np.eye(2 * n, 4 * n), np.eye(2 * n, 4 * n, 2 * n), np.eye(n, 2 * n, n)
     P1, P2 = bundle.P1, bundle.P2
     Pf1, Pf2, Pf3 = bundle.Pf1, bundle.Pf2, bundle.Pf3
     Om = Omega

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import stacklq as sq
-from stacklq.lift import (CoeffValues, bdiag, level1_at, level2_at,
-                          level2_closedloop_at, level3_at, selectors)
+from stacklq.lift import (CoeffValues, block, level1_at, level2_at,
+                          level2_closedloop_at, level3_at)
 from stacklq.model import Coefficient, solver_times
 from stacklq.riccati import solve_game, terminal_state
 
@@ -163,7 +163,8 @@ def test_level3_frakQ3_independent_assembly(n2_spec):
     n = n2_spec.n
     k = 23
     Q3 = CoeffValues(n2_spec, bundle.times[k]).Q[2]
-    calQ3 = bdiag(Q3, np.zeros((n, n)))
+    z = np.zeros((n, n))
+    calQ3 = block([[Q3, z], [z, z]])
     H = bundle.l2cl.H[k]
     expected = blocks_2x2(2 * n, calQ3, H, H, np.zeros((2 * n, 2 * n)))
     assert np.array_equal(bundle.l3.frakQ3[k], expected)
@@ -176,7 +177,8 @@ def test_level3_frakG3_upper_left(n2_spec):
     frakG3 = terminal_state(n2_spec)[3]
     n = n2_spec.n
     G3 = n2_spec.G[2]
-    assert np.array_equal(frakG3[:2 * n, :2 * n], bdiag(G3, np.zeros((n, n))))
+    z = np.zeros((n, n))
+    assert np.array_equal(frakG3[:2 * n, :2 * n], block([[G3, z], [z, z]]))
     assert np.all(frakG3[2 * n:, :] == 0.0)
 
 
@@ -209,10 +211,35 @@ def test_dimensional_ladder_slicing(n2_spec):
     assert np.array_equal(bundle.l2.calA1[k, :n, :n], A)
 
 
-def test_selectors_shapes():
-    e1, U, L, s2 = selectors(3)
-    assert e1.shape == (3, 12) and U.shape == (6, 12)
-    v = np.arange(12.0)
-    assert np.array_equal(e1 @ v, v[:3])
-    assert np.array_equal(L @ v, v[6:])
-    assert np.array_equal(s2 @ (U @ v), v[3:6])
+def test_block_broadcasts_constant_blocks_along_leading_axes():
+    # a constant (n, n) zero block stands for one at every node, and at
+    # every channel and node; every zero block is +0.0, so no -0 reaches a CSV
+    rng = np.random.default_rng(0)
+    z = np.zeros((2, 2))
+    for lead in ((7,), (3, 7)):
+        A, D = rng.standard_normal(lead + (2, 2)), -rng.standard_normal(lead + (2, 2))
+        out = block([[A, z], [z, D]])
+        assert out.shape == lead + (4, 4)
+        assert np.array_equal(out[..., :2, :2], A) and np.array_equal(out[..., 2:, 2:], D)
+        for zero in (out[..., :2, 2:], out[..., 2:, :2]):
+            assert np.all(zero == 0.0) and not np.any(np.signbit(zero))
+
+
+def test_block_vector_form():
+    v = np.arange(6.0).reshape(3, 2)
+    out = block([v, np.zeros(3), np.ones(1)])
+    assert out.shape == (3, 6)
+    assert np.array_equal(out[:, :2], v) and np.all(out[:, 5] == 1.0)
+    assert np.all(out[:, 2:5] == 0.0) and not np.any(np.signbit(out[:, 2:5]))
+
+
+def test_block_result_is_fresh_and_writable():
+    # level2_at and level3_at write a channel's masked block into their result
+    A = np.ones((3, 5, 2, 2))
+    A.flags.writeable = False
+    z = np.zeros((2, 2))
+    out = block([[A, z], [z, z]])
+    assert out.flags.writeable and out.flags.c_contiguous
+    assert not np.shares_memory(out, A) and not np.shares_memory(out, z)
+    out[2, ..., 2:, 2:] = A[2]
+    assert np.all(z == 0.0) and np.all(out[:2, ..., 2:, 2:] == 0.0)

@@ -215,6 +215,22 @@ def test_decimal_break_on_a_node_starts_its_step():
     assert np.array_equal(law.step.F[7], np.eye(12) * (1.0 + h * 2.0))
 
 
+@pytest.mark.parametrize("T, brk, valid", [(1.0, 1e-15, False), (1.0, 5e-13, False),
+                                         (3.7, 3e-12, False), (1.0, 2e-12, True)])
+def test_break_within_merge_tolerance_of_0(T, brk, valid):
+    # the grid keeps the later of two nodes closer than 1e-12*T and then
+    # puts its first node at 0: a break that close to 0 would leave row 0 of
+    # the table, read for the whole first step, on the sliver piece [0, brk)
+    spec = sq.make_spec(n=1, T=T, steps=10, A=_pw(brk, [[0.3]], [[2.0]]))
+    report = sq.validate_spec(spec)
+    if not valid:
+        assert str(report) == "A: piecewise breakpoint within 1e-12*T of 0"
+        return
+    assert report.valid
+    times = solver_times(spec)
+    assert times[1] == brk and CoeffValues(spec, times).A[0, 0, 0] == 0.3
+
+
 def _edited(edit):
     """The document of make_spec(), changed in place by `edit`."""
     doc = sq.spec_to_dict(sq.make_spec())
@@ -255,6 +271,8 @@ MESSAGE_CASES = [
                  "b: non-finite or unbounded entries", id="coeff_unbounded"),
     pytest.param(lambda: sq.make_spec(A=_pw(1.5, [[0.1]], [[0.2]])),
                  "A: piecewise breakpoints outside (0, T)", id="breaks_outside"),
+    pytest.param(lambda: sq.make_spec(A=_pw(1e-15, [[0.3]], [[2.0]])),
+                 "A: piecewise breakpoint within 1e-12*T of 0", id="break_at_0"),
     pytest.param(lambda: sq.make_spec(C1=Coefficient.piecewise(
         [0.6, 0.3], [[[1.0]], [[2.0]], [[3.0]]])),
                  "C1: piecewise breakpoints not strictly increasing",

@@ -3,7 +3,7 @@ import pytest
 
 import stacklq as sq
 from stacklq.errors import BlowUpError
-from stacklq.lift import (CoeffValues, bdiag, level1_at, level2_at,
+from stacklq.lift import (CoeffValues, block, level1_at, level2_at,
                           level2_closedloop_at, level3_at, mv)
 from stacklq.model import Coefficient, solver_times
 from stacklq.riccati import (LEVELS, _ladder_rhs, backward_rk4,
@@ -88,7 +88,8 @@ def test_P12_zero_when_uncontrolled():
 def test_P1_terminal_exact(n2_spec):
     bundle, _ = solve_game(n2_spec)
     n = n2_spec.n
-    calG2 = bdiag(n2_spec.G[1], np.zeros((n, n)))
+    z = np.zeros((n, n))
+    calG2 = block([[n2_spec.G[1], z], [z, z]])
     assert np.array_equal(bundle.P1[-1], calG2)
     assert np.all(bundle.P2[-1] == 0.0)
 
